@@ -89,7 +89,7 @@ struct StateBackendReport {
     overlap: Vec<OverlapPoint>,
 }
 
-/// Deterministic multiplicative congruential generator (same as hot_path).
+/// Deterministic multiplicative congruential generator.
 struct Lcg(u64);
 
 impl Lcg {
@@ -314,7 +314,6 @@ fn bench_overlap(backend: BackendKind, blocks: usize, block_size: usize) -> Over
         pool_miss_rate: 0.0,
         rebuild_missing_sags: true,
         policy: SchedulerPolicy::CriticalPath,
-        pipeline: true,
         executor: ExecutorKind::Sharded,
         backend,
     };

@@ -1,26 +1,23 @@
-//! Threaded scaling: wall-clock block throughput of the two executor
-//! generations at 1/2/4/8 worker threads.
+//! Threaded scaling: wall-clock block throughput of every threaded engine
+//! ([`ExecutorKind::ALL`]: sharded, stm, hybrid) at 1/2/4/8 worker threads.
 //!
-//! The "before" series is [`GlobalLockParallelExecutor`] — one mutex over
-//! all access sequences, every publish a condvar broadcast. The "after"
-//! series is the sharded [`ParallelExecutor`] — per-shard locks, a reverse
-//! waiter index with targeted wakeups, and work-stealing ready deques.
-//! Both run the same prepared blocks on a realistic, a high-contention, a
-//! loop-heavy workload (dominated by summarizable credit loops, exercising
-//! bind-time loop unrolling), a call-heavy workload (dominated by
-//! cross-contract router/flash-mint/oracle chains, exercising bind-time
-//! summary substitution) and an NFT mint-rush workload (DELEGATECALL
-//! royalty splitters, STATICCALL floor reads and value-transferring
-//! payouts, exercising the full call family plus bounded dynamic
-//! dispatch); every outcome is checked against the serial write set
+//! All engines run the same prepared blocks on a realistic, a
+//! high-contention, a loop-heavy workload (dominated by summarizable credit
+//! loops, exercising bind-time loop unrolling), a call-heavy workload
+//! (dominated by cross-contract router/flash-mint/oracle chains, exercising
+//! bind-time summary substitution) and an NFT mint-rush workload
+//! (DELEGATECALL royalty splitters, STATICCALL floor reads and
+//! value-transferring payouts, exercising the full call family plus bounded
+//! dynamic dispatch); every outcome is checked against the serial write set
 //! before it is timed into the report (a wrong-but-fast executor scores
 //! zero).
 //!
 //! Every (executor, workload, threads) cell is measured under both
-//! ready-queue policies — `fifo` and `critical-path` — and each point
-//! carries the block DAG's critical-path gas, the implied speedup bound
-//! (total gas / critical-path gas), the observed rank inversions and the
-//! C-SAG refinement wall time.
+//! ready-queue policies — `fifo` and `critical-path` — except the
+//! optimistic engine's, which has no ready queue (one cell, scheduler
+//! `optimistic`). Each point carries the block DAG's critical-path gas,
+//! the implied speedup bound (total gas / critical-path gas), the observed
+//! rank inversions and the C-SAG refinement wall time.
 //!
 //! Scale knobs: `DMVCC_BLOCKS` (default 3), `DMVCC_BLOCK_SIZE` (default
 //! 200). Writes `bench-results/threaded_scaling.json`.
@@ -32,8 +29,8 @@ use serde::Serialize;
 use dmvcc_analysis::Analyzer;
 use dmvcc_bench::env_usize;
 use dmvcc_core::{
-    execute_block_serial, GlobalLockParallelExecutor, HybridExecutor, ParallelConfig,
-    ParallelExecutor, ParallelOutcome, SchedulerPolicy, StmExecutor,
+    execute_block_serial, BlockExecutor, ExecutorKind, ExecutorStats, ParallelConfig,
+    SchedulerPolicy,
 };
 use dmvcc_state::{Snapshot, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -60,8 +57,6 @@ struct ScalingPoint {
     attempts: u64,
     publishes: u64,
     targeted_wakeups: u64,
-    wakeups_avoided: u64,
-    broadcast_wakeups: u64,
     steals: u64,
     parks: u64,
     symbolic_bindings: u64,
@@ -80,8 +75,7 @@ struct ScalingPoint {
     /// (transfers, which need none of these, are excluded from the
     /// denominator).
     symbolic_hit_rate: f64,
-    /// Wakeups issued per committed transaction: broadcasts for the
-    /// global-lock executor, targeted signals for the sharded one.
+    /// Targeted wakeups issued per committed transaction.
     wakeups_per_commit: f64,
     /// Gas on the longest dependency chain, summed over the blocks.
     critical_path_gas: u64,
@@ -96,8 +90,8 @@ struct ScalingPoint {
     /// Heap bytes served from recycled block-arena memory instead of fresh
     /// allocations (shard tables, per-tx states, touched/published sets).
     alloc_bytes_saved: u64,
-    /// Shard mutex acquisitions across the measured blocks (sharded
-    /// executor only; zero for the global-lock executor).
+    /// Shard mutex acquisitions across the measured blocks (zero for the
+    /// optimistic engine, which has its own multi-version map).
     shard_lock_acquisitions: u64,
     /// Grouped release/drop publishes — `publishes / publish_batches` is
     /// the per-lock amortization factor.
@@ -128,14 +122,8 @@ struct ScalingReport {
     blocks: usize,
     block_size: usize,
     host_threads: usize,
-    before: Vec<ScalingPoint>,
-    after: Vec<ScalingPoint>,
-    /// The Block-STM-style optimistic executor (no predictions consumed;
-    /// ready-queue policy does not apply, so one cell per thread count).
-    stm: Vec<ScalingPoint>,
-    /// The hybrid predictive/optimistic dispatcher over the sharded
-    /// executor.
-    hybrid: Vec<ScalingPoint>,
+    /// One point per (executor, workload, scheduler, threads) cell.
+    points: Vec<ScalingPoint>,
     /// Per-workload code-hash summary-memo traffic.
     summary_cache: Vec<WorkloadCacheTraffic>,
 }
@@ -167,10 +155,11 @@ fn measure(
     workload: &'static str,
     executor: &'static str,
     scheduler: &'static str,
-    threads: usize,
     blocks: &[Block],
-    run: impl Fn(&Block) -> ParallelOutcome,
+    engine: &dyn BlockExecutor,
 ) -> ScalingPoint {
+    let threads = engine.config().threads;
+    let run = |block: &Block| engine.execute_block(&block.txs, &block.snapshot, &block.env);
     // One warmup pass (untimed) so allocator and page-cache effects hit
     // both series equally.
     for block in blocks {
@@ -195,7 +184,7 @@ fn measure(
         best = best.min(start.elapsed().as_secs_f64());
     }
     let mut aborts = 0u64;
-    let mut stats = dmvcc_core::ExecutorStats::default();
+    let mut stats = ExecutorStats::default();
     let mut txs = 0u64;
     let start = Instant::now();
     for block in blocks {
@@ -205,8 +194,6 @@ fn measure(
         stats.attempts += outcome.stats.attempts;
         stats.publishes += outcome.stats.publishes;
         stats.targeted_wakeups += outcome.stats.targeted_wakeups;
-        stats.wakeups_avoided += outcome.stats.wakeups_avoided;
-        stats.broadcast_wakeups += outcome.stats.broadcast_wakeups;
         stats.steals += outcome.stats.steals;
         stats.parks += outcome.stats.parks;
         stats.symbolic_bindings += outcome.stats.symbolic_bindings;
@@ -228,11 +215,6 @@ fn measure(
     }
     let wall_secs = start.elapsed().as_secs_f64().min(best);
     let wall_ms = wall_secs * 1e3;
-    let wakeups = if stats.broadcast_wakeups > 0 {
-        stats.broadcast_wakeups
-    } else {
-        stats.targeted_wakeups
-    };
     ScalingPoint {
         executor,
         workload,
@@ -244,8 +226,6 @@ fn measure(
         attempts: stats.attempts,
         publishes: stats.publishes,
         targeted_wakeups: stats.targeted_wakeups,
-        wakeups_avoided: stats.wakeups_avoided,
-        broadcast_wakeups: stats.broadcast_wakeups,
         steals: stats.steals,
         parks: stats.parks,
         symbolic_bindings: stats.symbolic_bindings,
@@ -264,7 +244,7 @@ fn measure(
                 + stats.bounded_dynamic_bindings
                 + stats.speculative_fallbacks)
                 .max(1) as f64,
-        wakeups_per_commit: wakeups as f64 / txs.max(1) as f64,
+        wakeups_per_commit: stats.targeted_wakeups as f64 / txs.max(1) as f64,
         critical_path_gas: stats.critical_path_gas,
         speedup_bound: stats.predicted_gas as f64 / stats.critical_path_gas.max(1) as f64,
         rank_inversions: stats.rank_inversions,
@@ -285,10 +265,7 @@ fn main() {
         blocks,
         block_size,
         host_threads: std::thread::available_parallelism().map_or(0, |n| n.get()),
-        before: Vec::new(),
-        after: Vec::new(),
-        stm: Vec::new(),
-        hybrid: Vec::new(),
+        points: Vec::new(),
         summary_cache: Vec::new(),
     };
 
@@ -321,25 +298,21 @@ fn main() {
                     scheduler: policy,
                     pin_cores: false,
                 };
-                let global = GlobalLockParallelExecutor::new(analyzer.clone(), config);
-                let sharded = ParallelExecutor::new(analyzer.clone(), config);
-                for (label, point) in [
-                    (
-                        "global-lock",
-                        measure(name, "global-lock", policy.label(), threads, &chain, |b| {
-                            global.execute_block(&b.txs, &b.snapshot, &b.env)
-                        }),
-                    ),
-                    (
-                        "sharded",
-                        measure(name, "sharded", policy.label(), threads, &chain, |b| {
-                            sharded.execute_block(&b.txs, &b.snapshot, &b.env)
-                        }),
-                    ),
-                ] {
+                for kind in ExecutorKind::ALL {
+                    let engine = kind.build(analyzer.clone(), config, None);
+                    // No predictions consumed means no ready queue to
+                    // order: one cell per thread count.
+                    let scheduler = if engine.consumes_predictions() {
+                        policy.label()
+                    } else if policy == SchedulerPolicy::CriticalPath {
+                        "optimistic"
+                    } else {
+                        continue;
+                    };
+                    let point = measure(name, kind.label(), scheduler, &chain, &*engine);
                     println!(
                         "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                        label,
+                        point.executor,
                         name,
                         point.scheduler,
                         threads,
@@ -350,57 +323,9 @@ fn main() {
                         point.speedup_bound,
                         point.symbolic_hit_rate * 100.0
                     );
-                    if label == "global-lock" {
-                        report.before.push(point);
-                    } else {
-                        report.after.push(point);
-                    }
+                    report.points.push(point);
                 }
-                let hybrid = HybridExecutor::new(analyzer.clone(), config);
-                let point = measure(name, "hybrid", policy.label(), threads, &chain, |b| {
-                    hybrid.execute_block(&b.txs, &b.snapshot, &b.env)
-                });
-                println!(
-                    "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                    "hybrid",
-                    name,
-                    point.scheduler,
-                    threads,
-                    point.wall_ms,
-                    point.tx_per_s,
-                    point.aborts,
-                    point.rank_inversions,
-                    point.speedup_bound,
-                    point.symbolic_hit_rate * 100.0
-                );
-                report.hybrid.push(point);
             }
-            // The STM executor consumes no predictions, so the ready-queue
-            // policy does not apply: one cell per thread count.
-            let config = ParallelConfig {
-                threads,
-                max_attempts: 64,
-                scheduler: SchedulerPolicy::CriticalPath,
-                pin_cores: false,
-            };
-            let stm = StmExecutor::new(analyzer.clone(), config);
-            let point = measure(name, "stm", "optimistic", threads, &chain, |b| {
-                stm.execute_block(&b.txs, &b.snapshot, &b.env)
-            });
-            println!(
-                "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                "stm",
-                name,
-                point.scheduler,
-                threads,
-                point.wall_ms,
-                point.tx_per_s,
-                point.aborts,
-                point.rank_inversions,
-                point.speedup_bound,
-                point.symbolic_hit_rate * 100.0
-            );
-            report.stm.push(point);
         }
         report.summary_cache.push(WorkloadCacheTraffic {
             workload: name,
@@ -409,37 +334,24 @@ fn main() {
         });
     }
 
+    let of = |kind: ExecutorKind| {
+        let label = kind.label();
+        report.points.iter().filter(move |p| p.executor == label)
+    };
+
     // Hot-path memory-layout counters for the sharded executor: recycled
     // block-arena bytes, shard-lock traffic and publish amortization.
-    let saved: u64 = report.after.iter().map(|p| p.alloc_bytes_saved).sum();
-    let locks: u64 = report.after.iter().map(|p| p.shard_lock_acquisitions).sum();
-    let publishes: u64 = report.after.iter().map(|p| p.publishes).sum();
-    let batches: u64 = report.after.iter().map(|p| p.publish_batches).sum();
+    let saved: u64 = of(ExecutorKind::Sharded).map(|p| p.alloc_bytes_saved).sum();
+    let locks: u64 = of(ExecutorKind::Sharded)
+        .map(|p| p.shard_lock_acquisitions)
+        .sum();
+    let publishes: u64 = of(ExecutorKind::Sharded).map(|p| p.publishes).sum();
+    let batches: u64 = of(ExecutorKind::Sharded).map(|p| p.publish_batches).sum();
     println!(
         "\nsharded hot path: {:.1} MiB served from recycled arenas, \
          {locks} shard-lock acquisitions, {:.2} publishes per batch",
         saved as f64 / (1 << 20) as f64,
         publishes as f64 / batches.max(1) as f64
-    );
-
-    // The targeted-wakeup design must do strictly less waking per commit
-    // than condvar broadcasts under contention.
-    let hot_wakeups = |points: &[ScalingPoint]| {
-        points
-            .iter()
-            .filter(|p| p.workload == "high-contention" && p.threads >= 4)
-            .map(|p| p.wakeups_per_commit)
-            .fold(0.0f64, f64::max)
-    };
-    let before_hot = hot_wakeups(&report.before);
-    let after_hot = hot_wakeups(&report.after);
-    println!(
-        "\nhigh-contention wakeups/commit (worst at >=4 threads): \
-         global-lock {before_hot:.2} vs sharded {after_hot:.2}"
-    );
-    assert!(
-        after_hot <= before_hot,
-        "targeted wakeups should not exceed broadcasts per commit"
     );
 
     // Rank-ordered dispatch must hold its own against FIFO where it
@@ -456,17 +368,16 @@ fn main() {
         .max()
         .unwrap_or(1);
     let gated = |t: usize| t <= host && (t >= 4 || t == gate_tier);
-    let hot_tx_per_s = |points: &[ScalingPoint], scheduler: &str| {
-        points
-            .iter()
+    let hot_tx_per_s = |scheduler: &str| {
+        of(ExecutorKind::Sharded)
             .filter(|p| {
                 p.workload == "high-contention" && gated(p.threads) && p.scheduler == scheduler
             })
             .map(|p| p.tx_per_s)
             .fold(0.0f64, f64::max)
     };
-    let fifo_hot = hot_tx_per_s(&report.after, "fifo");
-    let cp_hot = hot_tx_per_s(&report.after, "critical-path");
+    let fifo_hot = hot_tx_per_s("fifo");
+    let cp_hot = hot_tx_per_s("critical-path");
     println!(
         "high-contention tx/s (best at parallel-capable threads, sharded): \
          fifo {fifo_hot:.0} vs critical-path {cp_hot:.0}"
@@ -482,17 +393,15 @@ fn main() {
     // must not tax it: hybrid throughput stays within 5% of the sharded
     // baseline. Host throughput drifts over the minutes the full matrix
     // takes, so the gate compares matched (threads, policy) cells — the
-    // sharded and hybrid runs of a pair execute back-to-back — and a real
-    // routing tax would sink every pair, not just the noisiest.
+    // engines of one cell execute back-to-back — and a real routing tax
+    // would sink every pair, not just the noisiest.
     let mut pair_ratio = 0.0f64;
     let mut pair_sharded = 0.0f64;
     let mut pair_hybrid = 0.0f64;
-    for hybrid_point in report
-        .hybrid
-        .iter()
-        .filter(|p| p.workload == "realistic" && gated(p.threads))
+    for hybrid_point in
+        of(ExecutorKind::Hybrid).filter(|p| p.workload == "realistic" && gated(p.threads))
     {
-        let sharded_point = report.after.iter().find(|p| {
+        let sharded_point = of(ExecutorKind::Sharded).find(|p| {
             p.workload == "realistic"
                 && p.threads == hybrid_point.threads
                 && p.scheduler == hybrid_point.scheduler
@@ -518,7 +427,7 @@ fn main() {
 
     // Loop summarization must carry the loop-heavy workload: speculative
     // pre-execution is the exception there, not the rule.
-    for point in report.after.iter().filter(|p| p.workload == "loop-heavy") {
+    for point in of(ExecutorKind::Sharded).filter(|p| p.workload == "loop-heavy") {
         let refinements = point.symbolic_bindings
             + point.loop_summarized_bindings
             + point.interprocedural_bindings
@@ -539,7 +448,7 @@ fn main() {
     // Interprocedural summaries must carry the call-heavy workload the
     // same way: the cross-contract chains bind from composed templates,
     // not via speculative pre-execution.
-    for point in report.after.iter().filter(|p| p.workload == "call-heavy") {
+    for point in of(ExecutorKind::Sharded).filter(|p| p.workload == "call-heavy") {
         let refinements = point.symbolic_bindings
             + point.loop_summarized_bindings
             + point.interprocedural_bindings
@@ -563,11 +472,7 @@ fn main() {
     // call-bearing population — transactions whose C-SAG refined through a
     // call tier or fell back to speculation — of which >=90% must bind
     // non-speculatively.
-    for point in report
-        .after
-        .iter()
-        .filter(|p| p.workload == "nft-mint-rush")
-    {
+    for point in of(ExecutorKind::Sharded).filter(|p| p.workload == "nft-mint-rush") {
         let call_bearing = point.interprocedural_bindings
             + point.bounded_dynamic_bindings
             + point.speculative_fallbacks;

@@ -29,9 +29,10 @@ pub use pool::{PoolStats, TxPool};
 
 use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_baselines::{simulate_dag, simulate_occ};
+pub use dmvcc_core::ExecutorKind;
 use dmvcc_core::{
-    execute_block_serial, simulate_dmvcc, BlockPipeline, DmvccConfig, HybridExecutor,
-    ParallelConfig, ParallelExecutor, ParallelOutcome, SchedulerPolicy, SimReport, StmExecutor,
+    execute_block_serial, simulate_dmvcc, BlockPipeline, DmvccConfig, ParallelConfig,
+    SchedulerPolicy, SimReport,
 };
 use dmvcc_primitives::H256;
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb};
@@ -68,42 +69,6 @@ impl SchedulerKind {
             SchedulerKind::Dag => "DAG",
             SchedulerKind::Occ => "OCC",
             SchedulerKind::Dmvcc => "DMVCC",
-        }
-    }
-}
-
-/// Which *real threaded engine* backs the chain's cross-checks and the
-/// pipelined front-end (orthogonal to [`SchedulerKind`], which picks the
-/// virtual-time scheduler model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorKind {
-    /// The predictive sharded DMVCC executor (the default).
-    #[default]
-    Sharded,
-    /// The Block-STM-style optimistic executor (no predictions consumed).
-    Stm,
-    /// The hybrid dispatcher: predictive for well-analyzed transactions,
-    /// optimistic for speculative/unanalyzable ones.
-    Hybrid,
-}
-
-impl ExecutorKind {
-    /// Parses the CLI spelling of an executor kind.
-    pub fn parse(name: &str) -> Option<ExecutorKind> {
-        match name {
-            "sharded" => Some(ExecutorKind::Sharded),
-            "stm" => Some(ExecutorKind::Stm),
-            "hybrid" => Some(ExecutorKind::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling (inverse of [`Self::parse`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecutorKind::Sharded => "sharded",
-            ExecutorKind::Stm => "stm",
-            ExecutorKind::Hybrid => "hybrid",
         }
     }
 }
@@ -154,59 +119,6 @@ impl BackendKind {
     }
 }
 
-/// The chosen threaded engine behind one dispatch surface (all three share
-/// the `execute_block_with_csags` signature but are distinct types).
-enum ThreadedEngine {
-    Sharded(ParallelExecutor),
-    Stm(StmExecutor),
-    Hybrid(HybridExecutor),
-}
-
-impl ThreadedEngine {
-    fn new(kind: ExecutorKind, analyzer: Analyzer, config: ParallelConfig) -> ThreadedEngine {
-        match kind {
-            ExecutorKind::Sharded => {
-                ThreadedEngine::Sharded(ParallelExecutor::new(analyzer, config))
-            }
-            ExecutorKind::Stm => ThreadedEngine::Stm(StmExecutor::new(analyzer, config)),
-            ExecutorKind::Hybrid => ThreadedEngine::Hybrid(HybridExecutor::new(analyzer, config)),
-        }
-    }
-
-    fn execute_block_with_csags(
-        &self,
-        txs: &[Transaction],
-        snapshot: &dmvcc_state::Snapshot,
-        block_env: &BlockEnv,
-        csags: &[CSag],
-    ) -> ParallelOutcome {
-        match self {
-            ThreadedEngine::Sharded(executor) => {
-                executor.execute_block_with_csags(txs, snapshot, block_env, csags)
-            }
-            ThreadedEngine::Stm(executor) => {
-                executor.execute_block_with_csags(txs, snapshot, block_env, csags)
-            }
-            ThreadedEngine::Hybrid(executor) => {
-                executor.execute_block_with_csags(txs, snapshot, block_env, csags)
-            }
-        }
-    }
-
-    fn execute_block(
-        &self,
-        txs: &[Transaction],
-        snapshot: &dmvcc_state::Snapshot,
-        block_env: &BlockEnv,
-    ) -> ParallelOutcome {
-        match self {
-            ThreadedEngine::Sharded(executor) => executor.execute_block(txs, snapshot, block_env),
-            ThreadedEngine::Stm(executor) => executor.execute_block(txs, snapshot, block_env),
-            ThreadedEngine::Hybrid(executor) => executor.execute_block(txs, snapshot, block_env),
-        }
-    }
-}
-
 /// One mined block: header plus body.
 #[derive(Debug, Clone)]
 pub struct Block {
@@ -253,9 +165,6 @@ pub struct ChainConfig {
     /// Ready-queue ordering of the real threaded executor (crosschecks
     /// and the pipelined front-end).
     pub policy: SchedulerPolicy,
-    /// Execute blocks through the pipelined front-end
-    /// ([`run_pipelined_chain`]) instead of the virtual-time testnet.
-    pub pipeline: bool,
     /// Which real threaded engine backs the cross-checks and the pipelined
     /// front-end (predictive sharded, optimistic STM, or hybrid).
     pub executor: ExecutorKind,
@@ -280,7 +189,6 @@ impl ChainConfig {
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
             policy: SchedulerPolicy::CriticalPath,
-            pipeline: false,
             executor: ExecutorKind::Sharded,
             backend: BackendKind::Mem,
         }
@@ -346,8 +254,7 @@ pub fn run_testnet(config: &ChainConfig) -> ChainReport {
     // clones share the backend Arc and re-commits are idempotent).
     let mut replicas: Vec<StateDb> = (1..config.validators.max(1)).map(|_| db.clone()).collect();
 
-    let threaded = ThreadedEngine::new(
-        config.executor,
+    let threaded = config.executor.build(
         analyzer.clone(),
         ParallelConfig {
             threads: config.threads.clamp(1, 8),
@@ -355,6 +262,7 @@ pub fn run_testnet(config: &ChainConfig) -> ChainReport {
             scheduler: config.policy,
             pin_cores: false,
         },
+        None,
     );
 
     let mut pool = TxPool::new();
@@ -529,7 +437,9 @@ impl PipelinedChainReport {
 /// the real threaded executor while block N+1's C-SAGs are refined
 /// against the snapshot from *before* block N — exactly the staleness the
 /// transaction pool already produces, so mispredictions land in the
-/// executor's existing abort path.
+/// executor's existing abort path. The optimistic engine consumes no
+/// predictions, so for it the refinement stage is absent and only root
+/// hashing overlaps the next block.
 ///
 /// Unlike [`run_testnet`] this path bypasses the pool and the virtual-time
 /// schedulers: it measures the real front-end, wall-clock, and checks
@@ -559,44 +469,14 @@ pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
     // are known, so it overlaps block N+1's refinement and execution; the
     // handles resolve later and any residual wait is the un-hidden stall.
     let mut handles: Vec<RootHandle> = Vec::with_capacity(config.blocks);
-    let (outcomes, refine_nanos, execute_nanos, overlap_nanos) = match config.executor {
-        ExecutorKind::Sharded => {
-            let executor = ParallelExecutor::new(analyzer.clone(), parallel_config);
-            let pipeline = BlockPipeline::new(executor);
-            let (outcomes, _, stats) =
-                pipeline.run_blocks_with(&blocks, &genesis, env_of, |_, outcome| {
-                    handles.push(db.commit_async(&outcome.final_writes));
-                });
-            (
-                outcomes,
-                stats.refine_nanos,
-                stats.execute_nanos,
-                stats.overlapped_refine_nanos,
-            )
-        }
-        ExecutorKind::Stm | ExecutorKind::Hybrid => {
-            // The optimistic engines take a block at a time: STM has no
-            // refinement to hide and hybrid refines inline, so the
-            // pipelined front-end's overlap is structurally zero here —
-            // but root hashing still overlaps the next block's execution.
-            let engine = ThreadedEngine::new(config.executor, analyzer.clone(), parallel_config);
-            let mut snapshot = genesis.clone();
-            let mut outcomes = Vec::with_capacity(blocks.len());
-            let mut refine_nanos = 0u64;
-            let mut execute_nanos = 0u64;
-            for (i, txs) in blocks.iter().enumerate() {
-                let started = std::time::Instant::now();
-                let outcome = engine.execute_block(txs, &snapshot, &env_of(i));
-                let elapsed = started.elapsed().as_nanos() as u64;
-                refine_nanos += outcome.stats.refine_nanos;
-                execute_nanos += elapsed.saturating_sub(outcome.stats.refine_nanos);
-                snapshot = snapshot.apply(&outcome.final_writes);
-                handles.push(db.commit_async(&outcome.final_writes));
-                outcomes.push(outcome);
-            }
-            (outcomes, refine_nanos, execute_nanos, 0)
-        }
-    };
+    let pipeline = BlockPipeline::new(config.executor.build(
+        analyzer.clone(),
+        parallel_config,
+        None,
+    ));
+    let (outcomes, _, stats) = pipeline.run_blocks_with(&blocks, &genesis, env_of, |_, outcome| {
+        handles.push(db.commit_async(&outcome.final_writes));
+    });
 
     // Resolve every block's root. The residual wait here is commit work
     // the pipeline failed to hide; hash time minus that stall is hidden.
@@ -633,9 +513,9 @@ pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
     PipelinedChainReport {
         blocks: config.blocks,
         committed_txs: committed,
-        refine_seconds: refine_nanos as f64 / 1e9,
-        execute_seconds: execute_nanos as f64 / 1e9,
-        overlap_seconds: overlap_nanos as f64 / 1e9,
+        refine_seconds: stats.refine_nanos as f64 / 1e9,
+        execute_seconds: stats.execute_nanos as f64 / 1e9,
+        overlap_seconds: stats.overlapped_refine_nanos as f64 / 1e9,
         commit_seconds: commit_nanos as f64 / 1e9,
         commit_hidden_seconds: hidden_nanos as f64 / 1e9,
         aborts,
@@ -672,7 +552,6 @@ mod tests {
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
             policy: SchedulerPolicy::CriticalPath,
-            pipeline: false,
             executor: ExecutorKind::Sharded,
             backend: BackendKind::Mem,
         }
@@ -757,9 +636,7 @@ mod tests {
 
     #[test]
     fn pipelined_chain_matches_serial_oracle() {
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
-        config.pipeline = true;
-        let report = run_pipelined_chain(&config);
+        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc));
         assert!(report.roots_consistent);
         assert_eq!(report.blocks, 3);
         assert_eq!(report.committed_txs, 120);
@@ -774,64 +651,53 @@ mod tests {
         // Same workload seed → same transactions → the pipelined
         // real-executor chain must land on the virtual testnet's root.
         let testnet = run_testnet(&tiny_config(SchedulerKind::Serial));
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
-        config.pipeline = true;
-        let pipelined = run_pipelined_chain(&config);
+        let pipelined = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc));
         assert_eq!(pipelined.final_root, testnet.final_root);
+    }
+
+    /// One chain per engine: `run` must stay consistent with the serial
+    /// oracle and land every engine on the same root.
+    fn every_engine_lands_on_one_root(run: impl Fn(&ChainConfig) -> (bool, H256)) {
+        let roots: Vec<H256> = ExecutorKind::ALL
+            .iter()
+            .map(|&kind| {
+                let mut config = tiny_config(SchedulerKind::Dmvcc);
+                config.executor = kind;
+                let (consistent, root) = run(&config);
+                assert!(consistent, "{} diverged", kind.label());
+                root
+            })
+            .collect();
+        assert!(roots.windows(2).all(|w| w[0] == w[1]), "{roots:?}");
     }
 
     #[test]
     fn stm_and_hybrid_crosschecks_stay_consistent() {
-        // Every block cross-checked on the optimistic and hybrid engines
-        // must match the serial write set, and land on the same root as
-        // the sharded-crosschecked chain.
-        let baseline = run_testnet(&tiny_config(SchedulerKind::Dmvcc));
-        assert!(baseline.roots_consistent);
-        for kind in [ExecutorKind::Stm, ExecutorKind::Hybrid] {
-            let mut config = tiny_config(SchedulerKind::Dmvcc);
-            config.executor = kind;
-            let report = run_testnet(&config);
-            assert!(
-                report.roots_consistent,
-                "{} crosscheck diverged",
-                kind.label()
-            );
-            assert_eq!(report.final_root, baseline.final_root);
-        }
+        // Every block cross-checked on each engine must match the serial
+        // write set.
+        every_engine_lands_on_one_root(|config| {
+            let report = run_testnet(config);
+            (report.roots_consistent, report.final_root)
+        });
     }
 
     #[test]
     fn stm_and_hybrid_pipelined_chains_match_serial_oracle() {
-        let sharded = {
-            let mut config = tiny_config(SchedulerKind::Dmvcc);
-            config.pipeline = true;
-            run_pipelined_chain(&config)
-        };
-        for kind in [ExecutorKind::Stm, ExecutorKind::Hybrid] {
-            let mut config = tiny_config(SchedulerKind::Dmvcc);
-            config.pipeline = true;
-            config.executor = kind;
-            let report = run_pipelined_chain(&config);
-            assert!(
-                report.roots_consistent,
-                "{} pipelined diverged",
-                kind.label()
+        every_engine_lands_on_one_root(|config| {
+            let report = run_pipelined_chain(config);
+            // Only engines that consume predictions refine at all.
+            assert_eq!(
+                report.refine_seconds == 0.0,
+                config.executor == ExecutorKind::Stm
             );
-            assert_eq!(report.final_root, sharded.final_root);
-            // Block-at-a-time engines cannot overlap refine with execute.
-            assert_eq!(report.overlap_seconds, 0.0);
-            if kind == ExecutorKind::Stm {
-                // STM performs no refinement at all.
-                assert_eq!(report.refine_seconds, 0.0);
-            }
-        }
+            assert!(report.overlap_seconds <= report.refine_seconds + 1e-12);
+            (report.roots_consistent, report.final_root)
+        });
     }
 
     #[test]
     fn pipelined_commit_accounting_is_sane() {
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
-        config.pipeline = true;
-        let report = run_pipelined_chain(&config);
+        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc));
         assert!(report.roots_consistent);
         assert!(report.commit_seconds > 0.0);
         assert!(report.commit_hidden_seconds <= report.commit_seconds + 1e-12);
@@ -850,8 +716,6 @@ mod tests {
         let lsm_testnet = run_testnet(&config);
         assert!(lsm_testnet.roots_consistent);
         assert_eq!(lsm_testnet.final_root, mem_testnet.final_root);
-
-        config.pipeline = true;
         let lsm_pipelined = run_pipelined_chain(&config);
         assert!(lsm_pipelined.roots_consistent);
         assert_eq!(lsm_pipelined.final_root, mem_testnet.final_root);
@@ -869,11 +733,7 @@ mod tests {
 
     #[test]
     fn executor_kind_parse_roundtrip() {
-        for kind in [
-            ExecutorKind::Sharded,
-            ExecutorKind::Stm,
-            ExecutorKind::Hybrid,
-        ] {
+        for kind in ExecutorKind::ALL {
             assert_eq!(ExecutorKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(ExecutorKind::parse("optimistic"), None);
@@ -886,7 +746,6 @@ mod tests {
         config.policy = SchedulerPolicy::Fifo;
         let testnet = run_testnet(&config);
         assert!(testnet.roots_consistent);
-        config.pipeline = true;
         let pipelined = run_pipelined_chain(&config);
         assert!(pipelined.roots_consistent);
     }

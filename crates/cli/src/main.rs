@@ -331,11 +331,10 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
         pool_miss_rate: parsed.get_or("miss-rate", 0.0f64)?,
         rebuild_missing_sags: true,
         policy,
-        pipeline: parsed.has("pipeline"),
         executor,
         backend,
     };
-    if config.pipeline {
+    if parsed.has("pipeline") {
         let report = run_pipelined_chain(&config);
         println!("policy             : {}", policy.label());
         println!("executor           : {}", executor.label());
@@ -456,7 +455,6 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
             stats.shard_lock_acquisitions += outcome.stats.shard_lock_acquisitions;
             stats.alloc_bytes_saved += outcome.stats.alloc_bytes_saved;
             stats.targeted_wakeups += outcome.stats.targeted_wakeups;
-            stats.wakeups_avoided += outcome.stats.wakeups_avoided;
             stats.steals += outcome.stats.steals;
             stats.parks += outcome.stats.parks;
         }
@@ -484,10 +482,7 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
         "arena bytes recycled   : {:.1} MiB",
         stats.alloc_bytes_saved as f64 / (1u64 << 20) as f64
     );
-    println!(
-        "wakeups                : {} targeted, {} avoided",
-        stats.targeted_wakeups, stats.wakeups_avoided
-    );
+    println!("targeted wakeups       : {}", stats.targeted_wakeups);
     println!(
         "steals / parks         : {} / {}",
         stats.steals, stats.parks

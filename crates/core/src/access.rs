@@ -15,10 +15,8 @@
 //!   returns those readers for cascading abort; dropping a version does the
 //!   same for its readers.
 
-use std::collections::BTreeMap;
-
 use dmvcc_primitives::U256;
-use dmvcc_state::{Snapshot, StateKey, WriteSet};
+use dmvcc_state::{Snapshot, StateKey};
 
 /// The access type of an entry: ρ, ω, θ, or the commutative ω̄.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,133 +76,14 @@ impl AccessEntry {
     }
 }
 
-/// Number of source transactions stored inline in a [`SourceList`] before
-/// spilling to the heap. Reads rarely merge more than a base version plus a
-/// couple of ω̄ deltas, so four slots cover the hot path allocation-free.
-const INLINE_SOURCES: usize = 4;
-
-/// The transactions whose versions a read consumed.
-///
-/// A small-vector replacement for the `Vec<usize>` that used to ride along
-/// every [`ReadResolution::Ready`]: the first [`INLINE_SOURCES`] entries
-/// live inline (no allocation — `Vec::new` for the spill buffer is free),
-/// and only longer merge chains touch the heap.
-#[derive(Clone, Default)]
-pub struct SourceList {
-    len: usize,
-    inline: [usize; INLINE_SOURCES],
-    spill: Vec<usize>,
-}
-
-impl SourceList {
-    /// Creates an empty list (allocation-free).
-    pub fn new() -> Self {
-        SourceList::default()
-    }
-
-    /// Appends a source transaction index. The first spill past the inline
-    /// slots draws its buffer from the block arena's spill pool
-    /// ([`crate::arena::take_spill`]) instead of the allocator.
-    pub fn push(&mut self, tx: usize) {
-        if self.len < INLINE_SOURCES {
-            self.inline[self.len] = tx;
-        } else {
-            if self.len == INLINE_SOURCES && self.spill.capacity() == 0 {
-                self.spill = crate::arena::take_spill();
-            }
-            self.spill.push(tx);
-        }
-        self.len += 1;
-    }
-
-    /// Number of recorded sources.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no version contributed (snapshot-only read).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates the sources in push order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.inline[..self.len.min(INLINE_SOURCES)]
-            .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
-    }
-}
-
-impl Drop for SourceList {
-    fn drop(&mut self) {
-        if self.spill.capacity() > 0 {
-            crate::arena::recycle_spill(std::mem::take(&mut self.spill));
-        }
-    }
-}
-
-impl std::fmt::Debug for SourceList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl PartialEq for SourceList {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for SourceList {}
-
-impl PartialEq<Vec<usize>> for SourceList {
-    fn eq(&self, other: &Vec<usize>) -> bool {
-        self.len == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
-
-impl FromIterator<usize> for SourceList {
-    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
-        let mut list = SourceList::new();
-        for tx in iter {
-            list.push(tx);
-        }
-        list
-    }
-}
-
 /// How a read resolves against a sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadResolution {
-    /// The value is available: base version (or snapshot) plus merged
-    /// deltas. `sources` lists the transactions whose versions were
-    /// consumed (base writer and add-ers), for dependency tracking.
-    Ready {
-        /// The merged value the reader observes.
-        value: U256,
-        /// Transactions whose versions contributed (empty = snapshot only).
-        sources: SourceList,
-    },
+    /// The merged value the reader observes: base version (or snapshot)
+    /// plus the finished deltas above it.
+    Ready(U256),
     /// A preceding predicted write (or delta) is not yet available; the
     /// reader must wait for `writer`.
-    Blocked {
-        /// The transaction whose pending version blocks this read.
-        writer: usize,
-    },
-}
-
-/// How a read resolves on the sharded executor's fast path: the merged
-/// value only, without the [`SourceList`] dependency record.
-///
-/// The sharded executor tracks dependencies through the waiter index and
-/// abort generations, never through `sources`, so its reads skip building
-/// the list entirely ([`AccessSequence::resolve_read_value`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastResolution {
-    /// The merged value the reader observes.
-    Ready(U256),
-    /// A preceding predicted write (or delta) is not yet available.
     Blocked {
         /// The transaction whose pending version blocks this read.
         writer: usize,
@@ -256,57 +135,12 @@ impl AccessSequence {
 
     /// Resolves the value transaction `tx` should read (paper §III-B2):
     /// the closest preceding finished write (or the snapshot), plus all
-    /// finished ω̄ deltas in between.
+    /// finished ω̄ deltas in between. `base` supplies the snapshot value
+    /// lazily, so reads that resolve to a version never probe the snapshot.
     ///
     /// Does **not** mark the read as done — call [`Self::mark_read`] once
     /// the reader actually consumes the value.
-    pub fn resolve_read(&self, tx: usize, key: &StateKey, snapshot: &Snapshot) -> ReadResolution {
-        let upper = match self.position(tx) {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        let mut delta = U256::ZERO;
-        let mut sources = SourceList::new();
-        for entry in self.entries[..upper].iter().rev() {
-            match entry.op {
-                AccessOp::Read => continue,
-                AccessOp::Add => match entry.state {
-                    EntryState::Done => {
-                        delta = delta.wrapping_add(entry.value.unwrap_or(U256::ZERO));
-                        sources.push(entry.tx);
-                    }
-                    EntryState::Pending => {
-                        return ReadResolution::Blocked { writer: entry.tx };
-                    }
-                    EntryState::Dropped => continue,
-                },
-                AccessOp::Write | AccessOp::ReadWrite => match entry.state {
-                    EntryState::Done => {
-                        let base = entry.value.unwrap_or(U256::ZERO);
-                        sources.push(entry.tx);
-                        return ReadResolution::Ready {
-                            value: base.wrapping_add(delta),
-                            sources,
-                        };
-                    }
-                    EntryState::Pending => {
-                        return ReadResolution::Blocked { writer: entry.tx };
-                    }
-                    EntryState::Dropped => continue,
-                },
-            }
-        }
-        ReadResolution::Ready {
-            value: snapshot.get(key).wrapping_add(delta),
-            sources,
-        }
-    }
-
-    /// Allocation-free variant of [`Self::resolve_read`]: identical walk and
-    /// blocking behavior, but returns only the merged value. `base` supplies
-    /// the snapshot value lazily so snapshot-miss reads that resolve to a
-    /// version never probe the snapshot at all.
-    pub fn resolve_read_value(&self, tx: usize, base: impl FnOnce() -> U256) -> FastResolution {
+    pub fn resolve_read(&self, tx: usize, base: impl FnOnce() -> U256) -> ReadResolution {
         let upper = match self.position(tx) {
             Ok(i) => i,
             Err(i) => i,
@@ -320,23 +154,23 @@ impl AccessSequence {
                         delta = delta.wrapping_add(entry.value.unwrap_or(U256::ZERO));
                     }
                     EntryState::Pending => {
-                        return FastResolution::Blocked { writer: entry.tx };
+                        return ReadResolution::Blocked { writer: entry.tx };
                     }
                     EntryState::Dropped => continue,
                 },
                 AccessOp::Write | AccessOp::ReadWrite => match entry.state {
                     EntryState::Done => {
                         let base = entry.value.unwrap_or(U256::ZERO);
-                        return FastResolution::Ready(base.wrapping_add(delta));
+                        return ReadResolution::Ready(base.wrapping_add(delta));
                     }
                     EntryState::Pending => {
-                        return FastResolution::Blocked { writer: entry.tx };
+                        return ReadResolution::Blocked { writer: entry.tx };
                     }
                     EntryState::Dropped => continue,
                 },
             }
         }
-        FastResolution::Ready(base().wrapping_add(delta))
+        ReadResolution::Ready(base().wrapping_add(delta))
     }
 
     /// Empties the sequence, keeping the entry buffer's capacity — block
@@ -537,62 +371,6 @@ fn merge_ops(a: AccessOp, b: AccessOp) -> AccessOp {
     }
 }
 
-/// All access sequences of one block (`M_l` in the paper).
-#[derive(Debug, Clone, Default)]
-pub struct AccessSequences {
-    sequences: BTreeMap<StateKey, AccessSequence>,
-}
-
-impl AccessSequences {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        AccessSequences::default()
-    }
-
-    /// The sequence for `key`, creating it on first use.
-    pub fn sequence_mut(&mut self, key: StateKey) -> &mut AccessSequence {
-        self.sequences.entry(key).or_default()
-    }
-
-    /// The sequence for `key`, if any access was recorded or predicted.
-    pub fn sequence(&self, key: &StateKey) -> Option<&AccessSequence> {
-        self.sequences.get(key)
-    }
-
-    /// Iterates over all (key, sequence) pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&StateKey, &AccessSequence)> {
-        self.sequences.iter()
-    }
-
-    /// Number of distinct state items.
-    pub fn len(&self) -> usize {
-        self.sequences.len()
-    }
-
-    /// `true` if no state item was touched.
-    pub fn is_empty(&self) -> bool {
-        self.sequences.is_empty()
-    }
-
-    /// The commit-phase flush (paper Algorithm 1 line 20): the final write
-    /// of every sequence, merged with trailing deltas, as a [`WriteSet`].
-    ///
-    /// Writes whose value equals the snapshot value are omitted — they are
-    /// no-ops for both the snapshot map and the trie, and omitting them
-    /// keeps this flush byte-identical with the serial executor's.
-    pub fn final_writes(&self, snapshot: &Snapshot) -> WriteSet {
-        let mut writes = WriteSet::new();
-        for (key, sequence) in &self.sequences {
-            if let Some(value) = sequence.final_value(key, snapshot) {
-                if value != snapshot.get(key) {
-                    writes.insert(*key, value);
-                }
-            }
-        }
-        writes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,17 +384,26 @@ mod tests {
         U256::from(v)
     }
 
+    fn resolve(seq: &AccessSequence, tx: usize, snapshot: &Snapshot) -> ReadResolution {
+        seq.resolve_read(tx, || snapshot.get(&key()))
+    }
+
+    /// The commit-phase flush of one sequence stored under [`key`].
+    fn final_writes(
+        snapshot: &Snapshot,
+        build: impl FnOnce(&mut AccessSequence),
+    ) -> dmvcc_state::WriteSet {
+        let sharded = crate::sharded::ShardedSequences::new();
+        let id = sharded.intern(key());
+        build(sharded.shard_for(id).sequence_mut(id));
+        sharded.final_writes(snapshot)
+    }
+
     #[test]
     fn read_with_no_writes_resolves_to_snapshot() {
         let seq = AccessSequence::new();
         let snapshot = Snapshot::from_entries([(key(), u(55))]);
-        match seq.resolve_read(3, &key(), &snapshot) {
-            ReadResolution::Ready { value, sources } => {
-                assert_eq!(value, u(55));
-                assert!(sources.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(resolve(&seq, 3, &snapshot), ReadResolution::Ready(u(55)));
     }
 
     #[test]
@@ -625,7 +412,7 @@ mod tests {
         seq.predict(1, AccessOp::Write);
         seq.predict(3, AccessOp::Read);
         assert_eq!(
-            seq.resolve_read(3, &key(), &Snapshot::empty()),
+            resolve(&seq, 3, &Snapshot::empty()),
             ReadResolution::Blocked { writer: 1 }
         );
     }
@@ -638,18 +425,15 @@ mod tests {
         seq.version_write(1, u(10), false);
         seq.version_write(5, u(50), false);
         // tx 3 reads tx 1's version, not tx 5's (versioning!).
-        match seq.resolve_read(3, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, sources } => {
-                assert_eq!(value, u(10));
-                assert_eq!(sources, vec![1]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 3, &Snapshot::empty()),
+            ReadResolution::Ready(u(10))
+        );
         // tx 7 reads tx 5's version.
-        match seq.resolve_read(7, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, u(50)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 7, &Snapshot::empty()),
+            ReadResolution::Ready(u(50))
+        );
     }
 
     #[test]
@@ -658,10 +442,10 @@ mod tests {
         // read-own-write via its local buffer W, as in Algorithm 1.
         let mut seq = AccessSequence::new();
         seq.version_write(3, u(30), false);
-        match seq.resolve_read(3, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, U256::ZERO),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 3, &Snapshot::empty()),
+            ReadResolution::Ready(U256::ZERO)
+        );
     }
 
     #[test]
@@ -670,18 +454,15 @@ mod tests {
         seq.version_write(1, u(100), false);
         seq.version_write(2, u(5), true);
         seq.version_write(4, u(7), true);
-        match seq.resolve_read(6, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, sources } => {
-                assert_eq!(value, u(112));
-                assert_eq!(sources.len(), 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 6, &Snapshot::empty()),
+            ReadResolution::Ready(u(112))
+        );
         // A reader between the adds sees only the first delta.
-        match seq.resolve_read(3, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, u(105)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 3, &Snapshot::empty()),
+            ReadResolution::Ready(u(105))
+        );
     }
 
     #[test]
@@ -689,10 +470,7 @@ mod tests {
         let mut seq = AccessSequence::new();
         seq.version_write(2, u(5), true);
         let snapshot = Snapshot::from_entries([(key(), u(100))]);
-        match seq.resolve_read(4, &key(), &snapshot) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, u(105)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(resolve(&seq, 4, &snapshot), ReadResolution::Ready(u(105)));
     }
 
     #[test]
@@ -700,7 +478,7 @@ mod tests {
         let mut seq = AccessSequence::new();
         seq.predict(2, AccessOp::Add);
         assert_eq!(
-            seq.resolve_read(4, &key(), &Snapshot::empty()),
+            resolve(&seq, 4, &Snapshot::empty()),
             ReadResolution::Blocked { writer: 2 }
         );
     }
@@ -824,10 +602,7 @@ mod tests {
         assert_eq!(effect.aborted, vec![2]);
         // After the drop, reads pass through to the snapshot.
         let snapshot = Snapshot::from_entries([(key(), u(99))]);
-        match seq.resolve_read(2, &key(), &snapshot) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, u(99)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(resolve(&seq, 2, &snapshot), ReadResolution::Ready(u(99)));
     }
 
     #[test]
@@ -837,7 +612,7 @@ mod tests {
         seq.version_write(1, u(10), false);
         seq.reset(1);
         assert_eq!(
-            seq.resolve_read(3, &key(), &Snapshot::empty()),
+            resolve(&seq, 3, &Snapshot::empty()),
             ReadResolution::Blocked { writer: 1 }
         );
     }
@@ -850,16 +625,18 @@ mod tests {
         let mut seq = AccessSequence::new();
         seq.version_write(1, u(10), false);
         seq.rollback_unpredicted(1);
-        match seq.resolve_read(3, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, U256::ZERO),
-            blocked => panic!("reader wedged on rolled-back dynamic write: {blocked:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 3, &Snapshot::empty()),
+            ReadResolution::Ready(U256::ZERO),
+            "reader wedged on rolled-back dynamic write"
+        );
         // If the re-run does write again, the dropped entry revives.
         seq.version_write(1, u(20), false);
-        match seq.resolve_read(3, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, u(20)),
-            blocked => panic!("revived write not visible: {blocked:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 3, &Snapshot::empty()),
+            ReadResolution::Ready(u(20)),
+            "revived write not visible"
+        );
     }
 
     #[test]
@@ -879,46 +656,38 @@ mod tests {
         let mut seq = AccessSequence::new();
         seq.version_write(1, u(5), true);
         seq.version_write(1, u(7), true);
-        match seq.resolve_read(2, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, .. } => assert_eq!(value, u(12)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resolve(&seq, 2, &Snapshot::empty()),
+            ReadResolution::Ready(u(12))
+        );
     }
 
     #[test]
     fn final_writes_take_last_version_plus_deltas() {
-        let mut sequences = AccessSequences::new();
-        let k = key();
-        let seq = sequences.sequence_mut(k);
-        seq.version_write(1, u(10), false);
-        seq.version_write(3, u(30), false);
-        seq.version_write(5, u(4), true);
-        let snapshot = Snapshot::empty();
-        let writes = sequences.final_writes(&snapshot);
-        assert_eq!(writes.get(&k), Some(&u(34)));
+        let writes = final_writes(&Snapshot::empty(), |seq| {
+            seq.version_write(1, u(10), false);
+            seq.version_write(3, u(30), false);
+            seq.version_write(5, u(4), true);
+        });
+        assert_eq!(writes.get(&key()), Some(&u(34)));
     }
 
     #[test]
     fn final_writes_deltas_only_use_snapshot_base() {
-        let mut sequences = AccessSequences::new();
-        let k = key();
-        sequences.sequence_mut(k).version_write(2, u(5), true);
-        let snapshot = Snapshot::from_entries([(k, u(100))]);
-        let writes = sequences.final_writes(&snapshot);
-        assert_eq!(writes.get(&k), Some(&u(105)));
+        let snapshot = Snapshot::from_entries([(key(), u(100))]);
+        let writes = final_writes(&snapshot, |seq| {
+            seq.version_write(2, u(5), true);
+        });
+        assert_eq!(writes.get(&key()), Some(&u(105)));
     }
 
     #[test]
     fn final_writes_skip_read_only_and_dropped() {
-        let mut sequences = AccessSequences::new();
-        let k = key();
-        {
-            let seq = sequences.sequence_mut(k);
+        let writes = final_writes(&Snapshot::empty(), |seq| {
             seq.mark_read(1);
             seq.version_write(2, u(20), false);
             seq.drop_version(2);
-        }
-        let writes = sequences.final_writes(&Snapshot::empty());
+        });
         assert!(writes.is_empty());
     }
 
@@ -929,83 +698,6 @@ mod tests {
         assert_eq!(seq.entries().len(), 1);
         assert_eq!(seq.entries()[0].op, AccessOp::Read);
         assert!(seq.entries()[0].read_done);
-    }
-
-    #[test]
-    fn source_list_spills_past_inline_slots_via_pool() {
-        // Regression for the 5+-source case: a base write plus five deltas
-        // overflows the four inline slots; the spill buffer must come from
-        // (and return to) the block arena's pool, and iteration order must
-        // cover every source exactly once.
-        crate::arena::recycle_spill(Vec::with_capacity(8));
-        let mut seq = AccessSequence::new();
-        seq.version_write(0, u(100), false);
-        for tx in 1..=5 {
-            seq.version_write(tx, u(1), true);
-        }
-        let pool_before = crate::arena::spill_pool_len();
-        match seq.resolve_read(9, &key(), &Snapshot::empty()) {
-            ReadResolution::Ready { value, sources } => {
-                assert_eq!(value, u(105));
-                assert_eq!(sources.len(), 6);
-                let mut seen: Vec<usize> = sources.iter().collect();
-                seen.sort_unstable();
-                assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-                // The spill drew from the pool...
-                assert_eq!(crate::arena::spill_pool_len(), pool_before - 1);
-                drop(sources);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // ...and went back on drop.
-        assert_eq!(crate::arena::spill_pool_len(), pool_before);
-    }
-
-    #[test]
-    fn fast_resolve_matches_resolve_read() {
-        // resolve_read_value must agree with resolve_read on every state a
-        // sequence can reach: pending/done/dropped writes, adds, resets.
-        let snapshot = Snapshot::from_entries([(key(), u(1000))]);
-        let mut seq = AccessSequence::new();
-        let check = |seq: &AccessSequence, tx: usize| {
-            let slow = seq.resolve_read(tx, &key(), &snapshot);
-            let fast = seq.resolve_read_value(tx, || snapshot.get(&key()));
-            match (slow, fast) {
-                (ReadResolution::Ready { value, .. }, FastResolution::Ready(fast_value)) => {
-                    assert_eq!(value, fast_value)
-                }
-                (
-                    ReadResolution::Blocked { writer },
-                    FastResolution::Blocked {
-                        writer: fast_writer,
-                    },
-                ) => assert_eq!(writer, fast_writer),
-                (slow, fast) => panic!("diverged: {slow:?} vs {fast:?}"),
-            }
-        };
-        for tx in 0..10 {
-            check(&seq, tx);
-        }
-        seq.predict(1, AccessOp::Write);
-        seq.predict(3, AccessOp::Add);
-        seq.predict(6, AccessOp::Write);
-        for tx in 0..10 {
-            check(&seq, tx);
-        }
-        seq.version_write(1, u(10), false);
-        seq.version_write(3, u(5), true);
-        for tx in 0..10 {
-            check(&seq, tx);
-        }
-        seq.version_write(6, u(60), false);
-        seq.drop_version(1);
-        for tx in 0..10 {
-            check(&seq, tx);
-        }
-        seq.reset(6);
-        for tx in 0..10 {
-            check(&seq, tx);
-        }
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Block-arena memory recycling for the hot execution path.
 //!
-//! The sharded executor used to pay the allocator on every block: fresh
-//! shard tables, fresh per-transaction scheduling state, fresh spill
-//! vectors for long [`crate::SourceList`] merge chains, and fresh
-//! `HashSet`s for touched/published key tracking. This module provides the
-//! recycled replacements:
+//! Without recycling the sharded executor pays the allocator on every
+//! block: fresh shard tables, fresh per-transaction scheduling state, and
+//! fresh `HashSet`s for touched/published key tracking. This module
+//! provides the allocation-light replacements for the per-transaction
+//! sets and buffers:
 //!
-//! - a process-wide **spill-buffer pool** ([`take_spill`]/[`recycle_spill`])
-//!   that `SourceList` draws from when a read merges more than its four
-//!   inline sources, returning buffers on drop instead of freeing them;
 //! - [`IdSet`], a growable bitset over dense [`dmvcc_state::KeyId`]s that
 //!   replaces the `HashSet<StateKey>` touched/published sets (insert and
 //!   contains are a shift and a mask, clear keeps capacity);
@@ -22,45 +19,8 @@
 //! wholesale and serve block *N+1*. The bytes served from recycled memory
 //! are reported as `ExecutorStats::alloc_bytes_saved`.
 
-use std::cell::RefCell;
-
 use dmvcc_primitives::U256;
 use dmvcc_state::KeyId;
-
-/// Upper bound on pooled spill buffers per thread; beyond this, buffers are
-/// genuinely freed (a block with thousands of long merge chains should not
-/// pin that memory forever).
-const SPILL_POOL_CAP: usize = 64;
-
-thread_local! {
-    static SPILL_POOL: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Takes a recycled spill buffer from the thread-local pool (empty, but with
-/// its previous capacity), or a fresh `Vec` if the pool is dry.
-pub fn take_spill() -> Vec<usize> {
-    SPILL_POOL.with(|pool| pool.borrow_mut().pop().unwrap_or_default())
-}
-
-/// Returns a spill buffer to the thread-local pool for reuse.
-pub fn recycle_spill(mut buffer: Vec<usize>) {
-    if buffer.capacity() == 0 {
-        return;
-    }
-    buffer.clear();
-    SPILL_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < SPILL_POOL_CAP {
-            pool.push(buffer);
-        }
-    });
-}
-
-/// Number of spill buffers currently pooled on this thread (test/bench
-/// visibility).
-pub fn spill_pool_len() -> usize {
-    SPILL_POOL.with(|pool| pool.borrow().len())
-}
 
 /// A growable bitset over dense [`KeyId`]s.
 ///
@@ -215,26 +175,6 @@ impl SmallMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spill_pool_recycles_buffers() {
-        let mut buf = take_spill();
-        buf.reserve(16);
-        let cap = buf.capacity();
-        buf.extend([1, 2, 3]);
-        recycle_spill(buf);
-        let reused = take_spill();
-        assert!(reused.is_empty());
-        assert_eq!(reused.capacity(), cap);
-        recycle_spill(reused);
-    }
-
-    #[test]
-    fn spill_pool_ignores_unallocated_buffers() {
-        let before = spill_pool_len();
-        recycle_spill(Vec::new());
-        assert_eq!(spill_pool_len(), before);
-    }
 
     #[test]
     fn id_set_insert_contains_iter() {

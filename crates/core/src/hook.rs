@@ -1,11 +1,12 @@
 //! Scheduler hooks: the observation and perturbation surface of the
 //! threaded executors.
 //!
-//! Both [`crate::ParallelExecutor`] and
-//! [`crate::GlobalLockParallelExecutor`] consult an optional
-//! [`SchedHook`] at every scheduling decision point — dequeue, publish,
-//! park/wake, abort, commit, the shard critical section, and the
-//! release-point gate. Production runs install no hook: every call site is
+//! [`crate::ParallelExecutor`] (and [`crate::HybridExecutor`], which runs
+//! on it) and [`crate::StmExecutor`] consult an optional [`SchedHook`] at
+//! every scheduling decision point — dequeue, publish, park/wake, abort,
+//! commit, the shard critical section, the release-point gate, and the
+//! optimistic engine's reads and validations. Production runs install no
+//! hook ([`crate::ExecutorKind::build`] takes `None`): every call site is
 //! an `Option` that is `None`, so the disabled path costs one predicted
 //! branch and no virtual dispatch.
 //!
@@ -33,9 +34,9 @@
 //! there is the documented way to force shard-lock contention. In the
 //! sharded executor every other `on_*` call site is outside the executor's
 //! locks (publishes and parks stage their effects first), so a slow hook
-//! costs latency, not progress. The global-lock executor by contrast calls
-//! most hooks under its one mutex — a stalling hook serializes it, which
-//! matches the contention profile that executor exists to model.
+//! costs latency, not progress. The optimistic executor calls
+//! `on_validate` (and the re-execution it may trigger) under its commit
+//! lock, so a stalling hook there serializes the commit tail on purpose.
 
 use dmvcc_state::StateKey;
 

@@ -3,9 +3,8 @@
 //!
 //! The crate provides:
 //!
-//! - [`AccessSequence`]/[`AccessSequences`]: the per-state-item version
-//!   buffers with write versioning and commutative merges (Definition 4,
-//!   Algorithm 3).
+//! - [`AccessSequence`]: the per-state-item version buffer with write
+//!   versioning and commutative merges (Definition 4, Algorithm 3).
 //! - [`execute_block_serial`]: the reference serial executor, which doubles
 //!   as the trace oracle for virtual-time scheduling.
 //! - [`simulate_dmvcc`]: the DMVCC scheduler in virtual time (gas), with
@@ -15,9 +14,6 @@
 //!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
 //!   waiter index for targeted wakeups, and a work-stealing ready queue),
 //!   validated against the serial state root.
-//! - [`GlobalLockParallelExecutor`]: the first-generation executor (one
-//!   global mutex plus condvar broadcasts), kept as a differential-testing
-//!   partner and as the "before" side of the scaling benchmarks.
 //! - [`StmExecutor`]: a Block-STM-style optimistic executor (multi-version
 //!   map over interned keys, optimistic execution, value-based validation
 //!   in serial order) that needs no access predictions at all, plus
@@ -25,7 +21,12 @@
 //!   the sharded predictive engine and strips the predictions of
 //!   speculative/unanalyzable ones so they run optimistically inside the
 //!   same block execution.
-//! - [`SchedHook`]: the observation/perturbation surface both threaded
+//! - [`BlockExecutor`]: the object-safe trait all three engines implement,
+//!   and [`ExecutorKind`], whose `build` is the one place a kind becomes an
+//!   engine. [`BlockPipeline`] is generic over the trait and overlaps
+//!   block N+1's refinement with block N's execution for any engine that
+//!   consumes predictions.
+//! - [`SchedHook`]: the observation/perturbation surface the threaded
 //!   executors expose at every scheduling decision point, used by the
 //!   `dmvcc-dst` crate for deterministic schedule fuzzing and fault
 //!   injection (no-op and branch-predicted-away in production).
@@ -59,10 +60,10 @@
 mod access;
 mod affinity;
 mod arena;
+mod executor;
 mod hook;
 mod oracle;
 mod parallel;
-mod parallel_global;
 mod parallel_stm;
 mod pipeline;
 mod rank;
@@ -71,15 +72,14 @@ mod sim;
 mod simulator;
 
 pub use access::{
-    AccessEntry, AccessOp, AccessSequence, AccessSequences, EntryState, FastResolution,
-    ReadResolution, SourceList, VersionWriteEffect,
+    AccessEntry, AccessOp, AccessSequence, EntryState, ReadResolution, VersionWriteEffect,
 };
 pub use affinity::pin_current_thread;
-pub use arena::{recycle_spill, spill_pool_len, take_spill, IdSet, SmallMap};
+pub use arena::{IdSet, SmallMap};
+pub use executor::{BlockExecutor, ExecutorKind};
 pub use hook::{NoopHook, SchedHook};
 pub use oracle::{build_csags, execute_block_serial, BlockTrace, ReadRecord, TxTrace};
 pub use parallel::{ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
-pub use parallel_global::GlobalLockParallelExecutor;
 pub use parallel_stm::{HybridExecutor, StmExecutor};
 pub use pipeline::{refine_csags, BlockPipeline, PipelineStats};
 pub use rank::{BlockDag, SchedulerPolicy, TxRank, NUM_LANES};

@@ -7,18 +7,14 @@
 //! points (Algorithm 2) via write versioning (Algorithm 3), and abort and
 //! re-execute stale readers with cascades (Algorithm 4).
 //!
-//! This is the second-generation executor. The first generation — kept as
-//! [`crate::GlobalLockParallelExecutor`] — funnels every sequence access
-//! through one mutex and wakes every sleeper on every publish. Here the
-//! synchronization is decomposed along the state it actually protects:
+//! The synchronization is decomposed along the state it actually protects:
 //!
 //! - **Sharded sequences** ([`crate::ShardedSequences`]): access sequences
-//!   live in hash-addressed shards, each behind its own lock, so
+//!   live in id-addressed shards, each behind its own lock, so
 //!   transactions over disjoint keys never contend.
 //! - **Targeted wakeups**: each shard keeps a reverse waiter index
 //!   (key → blocked readers); a publish drains and signals exactly the
-//!   transactions waiting on that key via their per-transaction event
-//!   instead of broadcasting on a global condvar.
+//!   transactions waiting on that key via their per-transaction event.
 //! - **Work-stealing ready queue**: admitted transactions go to the
 //!   admitting worker's own `crossbeam` deque (or a shared injector from
 //!   outside worker context); idle workers steal.
@@ -51,7 +47,7 @@ use dmvcc_vm::{execute, BlockEnv, ExecParams, ExecStatus, Host, HostError, Trans
 
 use dmvcc_analysis::{Analyzer, CSag};
 
-use crate::access::{AccessOp, FastResolution, VersionWriteEffect};
+use crate::access::{AccessOp, ReadResolution, VersionWriteEffect};
 use crate::arena::{IdSet, SmallMap};
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, SchedulerPolicy, NUM_LANES};
@@ -115,11 +111,6 @@ pub struct ExecutorStats {
     pub publishes: u64,
     /// Waiters signaled individually through the reverse waiter index.
     pub targeted_wakeups: u64,
-    /// Publishes that found no waiter on the key — each one is a
-    /// `notify_all` the global-lock executor would have issued for nothing.
-    pub wakeups_avoided: u64,
-    /// Global condvar broadcasts (only the global-lock executor has these).
-    pub broadcast_wakeups: u64,
     /// Ready-queue entries obtained by stealing from another worker.
     pub steals: u64,
     /// Times a worker went to sleep (idle or blocked on a read).
@@ -226,7 +217,7 @@ pub struct ParallelOutcome {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
+enum Phase {
     /// Not yet ready: some predicted read is unavailable.
     Waiting,
     /// In the ready queue.
@@ -318,7 +309,6 @@ struct TxState {
 struct AtomicStats {
     publishes: AtomicU64,
     targeted_wakeups: AtomicU64,
-    wakeups_avoided: AtomicU64,
     steals: AtomicU64,
     parks: AtomicU64,
     rank_inversions: AtomicU64,
@@ -331,8 +321,6 @@ impl AtomicStats {
             attempts: 0, // filled from the per-tx cores by the caller
             publishes: self.publishes.load(Ordering::Relaxed),
             targeted_wakeups: self.targeted_wakeups.load(Ordering::Relaxed),
-            wakeups_avoided: self.wakeups_avoided.load(Ordering::Relaxed),
-            broadcast_wakeups: 0,
             steals: self.steals.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             symbolic_bindings: 0,        // filled from the C-SAGs by the caller
@@ -471,8 +459,8 @@ impl Shared<'_> {
         for &(id, ref key) in &self.metas[tx].reads {
             let mut shard = self.sequences.shard_for(id);
             if matches!(
-                shard.resolve_value(id, tx, key, self.snapshot),
-                FastResolution::Blocked { .. }
+                shard.resolve_read(id, tx, key, self.snapshot),
+                ReadResolution::Blocked { .. }
             ) {
                 return false;
             }
@@ -633,7 +621,6 @@ impl Shared<'_> {
     /// Signals the waiters drained from a key after a version change.
     fn wake_waiters(&self, waiters: Vec<usize>) {
         if waiters.is_empty() {
-            self.stats.wakeups_avoided.fetch_add(1, Ordering::Relaxed);
             return;
         }
         self.stats
@@ -835,8 +822,8 @@ impl Host for ThreadHost<'_, '_> {
             if self.stale() {
                 return Err(HostError::Aborted);
             }
-            if let FastResolution::Ready(value) =
-                shard.resolve_value(id, self.tx, &key, self.shared.snapshot)
+            if let ReadResolution::Ready(value) =
+                shard.resolve_read(id, self.tx, &key, self.shared.snapshot)
             {
                 shard.mark_read(id, self.tx);
                 return Ok(value.wrapping_add(own_delta));
@@ -854,12 +841,12 @@ impl Host for ThreadHost<'_, '_> {
                 if self.stale() {
                     return Err(HostError::Aborted);
                 }
-                match shard.resolve_value(id, self.tx, &key, self.shared.snapshot) {
-                    FastResolution::Ready(value) => {
+                match shard.resolve_read(id, self.tx, &key, self.shared.snapshot) {
+                    ReadResolution::Ready(value) => {
                         shard.mark_read(id, self.tx);
                         Some(value)
                     }
-                    FastResolution::Blocked { .. } => {
+                    ReadResolution::Blocked { .. } => {
                         // Register in the reverse waiter index under the
                         // same lock hold as the failed resolve.
                         shard.register_waiter(id, self.tx);
@@ -1904,13 +1891,10 @@ mod tests {
         // abort.
         assert!(outcome.stats.attempts >= txs.len() as u64);
         assert!(outcome.stats.publishes > 0);
-        // The sharded executor never broadcasts.
-        assert_eq!(outcome.stats.broadcast_wakeups, 0);
     }
 
     #[test]
-    fn matches_global_lock_executor() {
-        // Differential test between the two executor generations.
+    fn mixed_block_matches_serial_writes_and_statuses() {
         let txs: Vec<_> = (0..12)
             .map(|i| {
                 if i % 3 == 0 {
@@ -1920,19 +1904,16 @@ mod tests {
                 }
             })
             .collect();
-        let sharded = executor(4).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        let global = crate::GlobalLockParallelExecutor::new(
-            Analyzer::new(registry()),
-            ParallelConfig {
-                threads: 4,
-                max_attempts: 64,
-                scheduler: SchedulerPolicy::CriticalPath,
-                pin_cores: false,
-            },
-        )
-        .execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        assert_eq!(sharded.final_writes, global.final_writes);
-        assert_eq!(sharded.statuses, global.statuses);
+        let trace = crate::oracle::execute_block_serial(
+            &txs,
+            &Snapshot::empty(),
+            &Analyzer::new(registry()),
+            &BlockEnv::default(),
+        );
+        let outcome = executor(4).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
+        assert_eq!(outcome.final_writes, trace.final_writes);
+        let statuses: Vec<ExecStatus> = trace.txs.iter().map(|t| t.status.clone()).collect();
+        assert_eq!(outcome.statuses, statuses);
     }
 
     #[test]

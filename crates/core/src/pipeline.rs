@@ -17,7 +17,9 @@
 //!   actually changed shows up as a misprediction and lands in the
 //!   executor's existing abort path — the same machinery the DST layer
 //!   exercises with its `stale_every` scenarios, so pipelining buys
-//!   overlap without new correctness surface.
+//!   overlap without new correctness surface. The pipeline is generic over
+//!   [`BlockExecutor`]; an engine that consumes no predictions has no
+//!   refinement stage to run, and its blocks simply execute back to back.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -26,7 +28,8 @@ use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::{BlockEnv, Transaction};
 
-use crate::parallel::{ParallelExecutor, ParallelOutcome};
+use crate::executor::BlockExecutor;
+use crate::parallel::ParallelOutcome;
 
 /// Below this block size the per-thread spawn cost outweighs the win;
 /// refine serially.
@@ -90,7 +93,7 @@ pub struct PipelineStats {
     pub blocks: u64,
     /// Total nanoseconds spent refining C-SAGs (all blocks).
     pub refine_nanos: u64,
-    /// Total nanoseconds spent inside `execute_block_with_csags`.
+    /// Total nanoseconds spent inside the executor.
     pub execute_nanos: u64,
     /// Refinement nanoseconds that ran concurrently with execution —
     /// `min(refine of block N+1, execute of block N)` summed over the
@@ -119,18 +122,21 @@ impl PipelineStats {
 /// through its abort path. Final writes are applied between blocks, so
 /// the committed chain state is identical to executing the blocks
 /// back-to-back.
+///
+/// An executor whose [`BlockExecutor::consumes_predictions`] is `false`
+/// gets no refinement stage at all (`refine_nanos` stays zero).
 #[derive(Debug)]
-pub struct BlockPipeline {
-    executor: ParallelExecutor,
+pub struct BlockPipeline<E> {
+    executor: E,
     /// Threads granted to the refinement stage (the executor's workers
     /// keep their own budget).
     refine_threads: usize,
 }
 
-impl BlockPipeline {
+impl<E: BlockExecutor> BlockPipeline<E> {
     /// Wraps an executor; refinement uses the same thread budget as
     /// execution.
-    pub fn new(executor: ParallelExecutor) -> Self {
+    pub fn new(executor: E) -> Self {
         let refine_threads = executor.config().threads;
         BlockPipeline {
             executor,
@@ -139,7 +145,7 @@ impl BlockPipeline {
     }
 
     /// The wrapped executor.
-    pub fn executor(&self) -> &ParallelExecutor {
+    pub fn executor(&self) -> &E {
         &self.executor
     }
 
@@ -182,17 +188,21 @@ impl BlockPipeline {
             return (outcomes, snapshot, stats);
         }
 
-        // Block 0 has nothing to overlap with: refine it up front.
         let analyzer = self.executor.analyzer();
-        let first_start = Instant::now();
-        let mut csags = refine_csags(
-            analyzer,
-            &blocks[0],
-            &snapshot,
-            &env_of(0),
-            self.refine_threads,
-        );
-        stats.refine_nanos += first_start.elapsed().as_nanos() as u64;
+        let refines = self.executor.consumes_predictions();
+        // Block 0 has nothing to overlap with: refine it up front.
+        let mut csags = refines.then(|| {
+            let first_start = Instant::now();
+            let csags = refine_csags(
+                analyzer,
+                &blocks[0],
+                &snapshot,
+                &env_of(0),
+                self.refine_threads,
+            );
+            stats.refine_nanos += first_start.elapsed().as_nanos() as u64;
+            csags
+        });
 
         for i in 0..blocks.len() {
             let env = env_of(i);
@@ -201,7 +211,7 @@ impl BlockPipeline {
             // the price of overlap, absorbed by the abort path.
             let stale_snapshot = &snapshot;
             let (outcome, next_csags, exec_nanos, refine_nanos) = std::thread::scope(|scope| {
-                let ahead = blocks.get(i + 1).map(|next_txs| {
+                let ahead = blocks.get(i + 1).filter(|_| refines).map(|next_txs| {
                     let next_env = env_of(i + 1);
                     scope.spawn(move || {
                         let start = Instant::now();
@@ -216,9 +226,12 @@ impl BlockPipeline {
                     })
                 });
                 let start = Instant::now();
-                let outcome = self
-                    .executor
-                    .execute_block_with_csags(&blocks[i], &snapshot, &env, &csags);
+                let outcome = match &csags {
+                    Some(csags) => self
+                        .executor
+                        .execute_block_with_csags(&blocks[i], &snapshot, &env, csags),
+                    None => self.executor.execute_block(&blocks[i], &snapshot, &env),
+                };
                 let exec_nanos = start.elapsed().as_nanos() as u64;
                 let (next_csags, refine_nanos) = match ahead {
                     Some(handle) => {
@@ -235,9 +248,7 @@ impl BlockPipeline {
             snapshot = snapshot.apply(&outcome.final_writes);
             on_block(i, &outcome);
             outcomes.push(outcome);
-            if let Some(next) = next_csags {
-                csags = next;
-            }
+            csags = next_csags;
         }
         (outcomes, snapshot, stats)
     }
@@ -246,8 +257,9 @@ impl BlockPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ExecutorKind;
     use crate::oracle::execute_block_serial;
-    use crate::parallel::ParallelConfig;
+    use crate::parallel::{ParallelConfig, ParallelExecutor};
     use dmvcc_primitives::{Address, U256};
     use dmvcc_vm::{calldata, contracts, CodeRegistry, TxEnv};
 
@@ -354,6 +366,43 @@ mod tests {
         assert!(stats.refine_nanos > 0);
         assert!(stats.execute_nanos > 0);
         assert_eq!(entries(&final_snapshot), entries(&expected));
+    }
+
+    #[test]
+    fn every_engine_pipelines_to_the_serial_oracle_block_by_block() {
+        let blocks = chain_blocks();
+        let analyzer = Analyzer::new(registry());
+        let env_of = |i: usize| BlockEnv::new(1 + i as u64, 1_700_000_000 + i as u64 * 12);
+        for kind in ExecutorKind::ALL {
+            let config = ParallelConfig {
+                threads: 4,
+                ..ParallelConfig::default()
+            };
+            let pipeline = BlockPipeline::new(kind.build(analyzer.clone(), config, None));
+            let mut snapshot = Snapshot::empty();
+            let (outcomes, final_snapshot, stats) =
+                pipeline.run_blocks_with(&blocks, &snapshot.clone(), env_of, |i, outcome| {
+                    let trace = execute_block_serial(&blocks[i], &snapshot, &analyzer, &env_of(i));
+                    assert_eq!(
+                        outcome.final_writes,
+                        trace.final_writes,
+                        "{} diverged at block {i}",
+                        kind.label()
+                    );
+                    snapshot = snapshot.apply(&trace.final_writes);
+                });
+            assert_eq!(outcomes.len(), blocks.len());
+            assert_eq!(entries(&final_snapshot), entries(&snapshot));
+            assert!(stats.execute_nanos > 0);
+            // Only the engine that consumes no predictions skips the
+            // refine stage.
+            assert_eq!(
+                stats.refine_nanos == 0,
+                kind == ExecutorKind::Stm,
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     /// A snapshot's materialized contents in a comparable form.

@@ -1,28 +1,25 @@
 //! Sharded access sequences: per-key locking for the threaded executor.
 //!
-//! The first-generation executor kept every [`AccessSequence`] behind one
-//! global mutex, so two transactions touching disjoint state items still
-//! serialized on the same lock. This module spreads the sequences over `N`
-//! power-of-two shards, each a `parking_lot::Mutex` over a dense slot
-//! array. Transactions touching different shards proceed fully in
-//! parallel; the global lock only reappears for keys that genuinely
-//! collide.
+//! One lock over every [`AccessSequence`] would serialize transactions
+//! that touch disjoint state items. This module spreads the sequences over
+//! `N` power-of-two shards, each a `parking_lot::Mutex` over a dense slot
+//! array: transactions touching different shards proceed fully in
+//! parallel, and contention only appears for keys that genuinely collide.
 //!
-//! Since the raw-speed pass, shards are addressed by interned [`KeyId`]s
-//! instead of hashed [`StateKey`]s: the block's [`KeyInterner`] assigns
-//! dense u32 ids at C-SAG bind time, the shard is `id & (shards-1)` and
-//! the slot within the shard is `id >> log2(shards)` — a direct vector
-//! index, no 52-byte hash per probe. Shard storage is recycled across
-//! blocks ([`ShardedSequences::for_block`]): slots are cleared in place,
-//! keeping every entry buffer's capacity, and the bytes served from
-//! recycled memory are reported as `ExecutorStats::alloc_bytes_saved`.
+//! Shards are addressed by interned [`KeyId`]s, not hashed [`StateKey`]s:
+//! the block's [`KeyInterner`] assigns dense u32 ids at C-SAG bind time,
+//! the shard is `id & (shards-1)` and the slot within the shard is
+//! `id >> log2(shards)` — a direct vector index, no 52-byte hash per
+//! probe. Shard storage is recycled across blocks
+//! ([`ShardedSequences::for_block`]): slots are cleared in place, keeping
+//! every entry buffer's capacity, and the bytes served from recycled
+//! memory are reported as `ExecutorStats::alloc_bytes_saved`.
 //!
 //! Each slot also carries the *reverse waiter index* for its key: the set
 //! of transactions whose read is currently blocked on a pending version of
 //! that key. A publisher drains exactly those waiters under the same lock
 //! hold that makes the version visible, which is what lets the executor
-//! wake only the transactions that can actually make progress instead of
-//! broadcasting on a global condition variable.
+//! wake only the transactions that can actually make progress.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +29,7 @@ use parking_lot::{Mutex, MutexGuard};
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
 
-use crate::access::{AccessOp, AccessSequence, FastResolution};
+use crate::access::{AccessOp, AccessSequence, ReadResolution};
 use crate::hook::SchedHook;
 
 /// Default shard count. Sixteen shards keep the collision probability low
@@ -96,21 +93,21 @@ impl Shard {
         self.slots.get(self.slot_index(id)).map(|slot| &slot.seq)
     }
 
-    /// Fast-path read resolve: [`AccessSequence::resolve_read_value`] with
-    /// the slot's cached snapshot value as the base (probing the snapshot's
-    /// overlay chain at most once per key per block). Does **not** mark the
-    /// read — call [`Self::mark_read`] once the value is consumed.
-    pub fn resolve_value(
+    /// [`AccessSequence::resolve_read`] with the slot's cached snapshot
+    /// value as the base (probing the snapshot's overlay chain at most once
+    /// per key per block). Does **not** mark the read — call
+    /// [`Self::mark_read`] once the value is consumed.
+    pub fn resolve_read(
         &mut self,
         id: KeyId,
         tx: usize,
         key: &StateKey,
         snapshot: &Snapshot,
-    ) -> FastResolution {
+    ) -> ReadResolution {
         let slot = self.slot_mut(id);
         let snap = &mut slot.snap;
         slot.seq
-            .resolve_read_value(tx, || *snap.get_or_insert_with(|| snapshot.get(key)))
+            .resolve_read(tx, || *snap.get_or_insert_with(|| snapshot.get(key)))
     }
 
     /// Marks `tx`'s read on `id` as performed.
@@ -317,8 +314,12 @@ impl ShardedSequences {
     }
 
     /// The commit-phase flush: the final write of every sequence across all
-    /// shards, merged into one sorted [`WriteSet`]. Semantically identical
-    /// to [`crate::AccessSequences::final_writes`].
+    /// shards, merged with trailing deltas into one sorted [`WriteSet`]
+    /// (paper Algorithm 1 line 20).
+    ///
+    /// Writes whose value equals the snapshot value are omitted — they are
+    /// no-ops for both the snapshot map and the trie, and omitting them
+    /// keeps this flush byte-identical with the serial executor's.
     pub fn final_writes(&self, snapshot: &Snapshot) -> WriteSet {
         let mut writes = WriteSet::new();
         for (shard_index, shard) in self.shards.iter().enumerate() {
@@ -349,9 +350,9 @@ impl Default for ShardedSequences {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessSequences;
     use dmvcc_primitives::{Address, U256};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn key(i: u64) -> StateKey {
         StateKey::storage(Address::from_u64(1 + i % 3), U256::from(i))
@@ -430,8 +431,8 @@ mod tests {
         for tx in 0..3 {
             let got = sharded
                 .shard_for(id)
-                .resolve_value(id, tx, &key(5), &snapshot);
-            assert_eq!(got, FastResolution::Ready(U256::from(77u64)));
+                .resolve_read(id, tx, &key(5), &snapshot);
+            assert_eq!(got, ReadResolution::Ready(U256::from(77u64)));
         }
     }
 
@@ -476,10 +477,9 @@ mod tests {
         })]
 
         /// Sharding is a pure partitioning of the key space: replaying any
-        /// operation stream against [`ShardedSequences`] and the flat
-        /// [`AccessSequences`] yields identical final write sets and
-        /// identical per-key read resolutions (both the allocating and the
-        /// fast-path resolver).
+        /// operation stream against [`ShardedSequences`] and a flat
+        /// per-key map of sequences yields identical final write sets and
+        /// identical per-key read resolutions.
         #[test]
         fn sharded_equals_unsharded(
             ops in prop::collection::vec(
@@ -490,7 +490,7 @@ mod tests {
             let snapshot = Snapshot::from_entries(
                 (0..12).map(|i| (key(i), U256::from(1000 + i))),
             );
-            let mut flat = AccessSequences::new();
+            let mut flat: BTreeMap<StateKey, AccessSequence> = BTreeMap::new();
             let sharded = ShardedSequences::with_shards(4);
             for (k, tx, opcode, predict_op, value, delta) in ops {
                 let op = match opcode {
@@ -502,46 +502,30 @@ mod tests {
                 };
                 let state_key = key(k);
                 let id = sharded.intern(state_key);
-                apply(op, tx, flat.sequence_mut(state_key));
+                apply(op, tx, flat.entry(state_key).or_default());
                 apply(op, tx, sharded.shard_for(id).sequence_mut(id));
             }
-            prop_assert_eq!(sharded.final_writes(&snapshot), flat.final_writes(&snapshot));
+            let flat_writes: WriteSet = flat
+                .iter()
+                .filter_map(|(key, seq)| Some((*key, seq.final_value(key, &snapshot)?)))
+                .filter(|(key, value)| *value != snapshot.get(key))
+                .collect();
+            prop_assert_eq!(sharded.final_writes(&snapshot), flat_writes);
+            // An untouched key has no flat sequence; an empty one resolves
+            // the same way (to the snapshot).
+            let untouched = AccessSequence::new();
             for k in 0..12 {
                 let state_key = key(k);
                 let id = sharded.intern(state_key);
                 for tx in 0..8 {
-                    let flat_resolution = flat
-                        .sequence(&state_key)
-                        .map(|s| s.resolve_read(tx, &state_key, &snapshot));
-                    let sharded_resolution = sharded
+                    let expected = flat
+                        .get(&state_key)
+                        .unwrap_or(&untouched)
+                        .resolve_read(tx, || snapshot.get(&state_key));
+                    let got = sharded
                         .shard_for(id)
-                        .sequence(id)
-                        .map(|s| s.resolve_read(tx, &state_key, &snapshot));
-                    // The sharded side materializes empty sequences for
-                    // interned-but-untouched ids; both mean "snapshot".
-                    match (&flat_resolution, &sharded_resolution) {
-                        (None, Some(resolution)) => {
-                            let expected = crate::access::ReadResolution::Ready {
-                                value: snapshot.get(&state_key),
-                                sources: crate::access::SourceList::new(),
-                            };
-                            prop_assert_eq!(resolution, &expected);
-                        }
-                        _ => prop_assert_eq!(&flat_resolution, &sharded_resolution),
-                    }
-                    // Fast path agrees with the allocating path.
-                    let fast = sharded
-                        .shard_for(id)
-                        .resolve_value(id, tx, &state_key, &snapshot);
-                    match (fast, flat_resolution) {
-                        (FastResolution::Ready(value), Some(crate::access::ReadResolution::Ready { value: slow, .. })) =>
-                            prop_assert_eq!(value, slow),
-                        (FastResolution::Ready(value), None) =>
-                            prop_assert_eq!(value, snapshot.get(&state_key)),
-                        (FastResolution::Blocked { writer }, Some(crate::access::ReadResolution::Blocked { writer: slow })) =>
-                            prop_assert_eq!(writer, slow),
-                        (fast, slow) => prop_assert!(false, "diverged: {:?} vs {:?}", fast, slow),
-                    }
+                        .resolve_read(id, tx, &state_key, &snapshot);
+                    prop_assert_eq!(got, expected);
                 }
             }
         }

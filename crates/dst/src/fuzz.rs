@@ -1,11 +1,12 @@
-//! The differential fuzz driver: one seed → one perturbed block → every
-//! executor must agree with the serial oracle.
+//! The differential fuzz driver: one seed → one perturbed block → the
+//! engine under test must agree with the serial oracle.
 //!
 //! For each seed the driver (a) generates a workload block, (b) applies the
 //! seeded [`FaultPlan`] (gas squeezes, C-SAG mispredictions, optionally
-//! stale-snapshot predictions), (c) runs the serial oracle, both threaded
-//! executors under a seeded [`VirtualScheduler`], and the virtual-time
-//! simulator, and (d) reports any disagreement as a [`Divergence`] that
+//! stale-snapshot predictions), (c) runs the serial oracle, the chosen
+//! threaded engine under a seeded [`VirtualScheduler`], and the
+//! virtual-time simulator, and (d) reports any disagreement as a
+//! [`Divergence`] that
 //! carries everything needed to replay it: the seed, the (possibly shrunk)
 //! block size, and the thread count.
 //!
@@ -21,9 +22,8 @@ use std::time::{Duration, Instant};
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer, RefinementMode};
 use dmvcc_core::{
-    build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig,
-    GlobalLockParallelExecutor, HybridExecutor, ParallelConfig, ParallelExecutor, ParallelOutcome,
-    SchedulerPolicy, StmExecutor,
+    build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig, ExecutorKind,
+    ParallelConfig, ParallelOutcome, SchedulerPolicy,
 };
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -113,44 +113,6 @@ impl Profile {
     }
 }
 
-/// Which engine a fuzz case exercises against the serial oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineUnderTest {
-    /// The original differential pair: the sharded predictive executor and
-    /// the global-lock executor, both on the same perturbed C-SAGs.
-    #[default]
-    Pair,
-    /// The Block-STM-style optimistic executor (the perturbed C-SAGs are
-    /// passed as an interning hint, which must never affect correctness).
-    Stm,
-    /// The hybrid dispatcher: well-predicted transactions stay predictive,
-    /// speculative/unanalyzable ones are stripped to optimistic C-SAGs. A
-    /// seeded quarter of the block is marked unanalyzable to keep both
-    /// populations busy.
-    Hybrid,
-}
-
-impl EngineUnderTest {
-    /// Parses the CLI spelling of an engine.
-    pub fn parse(name: &str) -> Option<EngineUnderTest> {
-        match name {
-            "pair" => Some(EngineUnderTest::Pair),
-            "stm" => Some(EngineUnderTest::Stm),
-            "hybrid" => Some(EngineUnderTest::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling (inverse of [`Self::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineUnderTest::Pair => "pair",
-            EngineUnderTest::Stm => "stm",
-            EngineUnderTest::Hybrid => "hybrid",
-        }
-    }
-}
-
 /// Which persistent state backend the campaign cross-checks against the
 /// plain snapshot-stack [`StateDb`] (the root oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -189,7 +151,7 @@ impl BackendUnderTest {
 /// One fuzz campaign's fixed parameters (the seed varies per case).
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// Worker threads for both threaded executors and the simulator.
+    /// Worker threads for the threaded engine and the simulator.
     pub threads: usize,
     /// Block size per case (shrinking lowers it per-repro).
     pub size: usize,
@@ -217,15 +179,17 @@ pub struct FuzzConfig {
     /// C-SAG refinement strategy (two-tier symbolic binding by default;
     /// `SpeculativeOnly` pins the paper's baseline path).
     pub refinement: RefinementMode,
-    /// Ready-queue ordering of both threaded executors (critical-path
-    /// rank dispatch by default, matching production; `Fifo` fuzzes the
+    /// Ready-queue ordering of the threaded engine (critical-path rank
+    /// dispatch by default, matching production; `Fifo` fuzzes the
     /// arrival-order deques).
     pub scheduler: SchedulerPolicy,
     /// Pin the sharded executor's workers to cores (exercises the
     /// `ParallelConfig::pin_cores` path under schedule fuzzing).
     pub pin_cores: bool,
-    /// Which engine the campaign exercises (see [`EngineUnderTest`]).
-    pub engine: EngineUnderTest,
+    /// Which engine the campaign exercises against the serial oracle. For
+    /// `Stm` and `Hybrid` a seeded quarter of the block is marked
+    /// unanalyzable, so the optimistic path always has work.
+    pub engine: ExecutorKind,
     /// Persistent-backend cross-check: replay each case's serial history
     /// through a backend-backed [`StateDb`] with async root commits and
     /// compare per-height roots and reads (see [`BackendUnderTest`]).
@@ -248,7 +212,7 @@ impl Default for FuzzConfig {
             refinement: RefinementMode::TwoTier,
             scheduler: SchedulerPolicy::CriticalPath,
             pin_cores: false,
-            engine: EngineUnderTest::Pair,
+            engine: ExecutorKind::Sharded,
             backend: BackendUnderTest::None,
         }
     }
@@ -290,12 +254,12 @@ pub struct Divergence {
     pub size: usize,
     /// Thread count of the diverging run.
     pub threads: usize,
-    /// Which executor diverged (`sharded`, `global-lock`, `simulator`).
+    /// What diverged: the engine's label, `state-backend` or `simulator`.
     pub executor: &'static str,
     /// Ready-queue policy of the diverging run (part of the replay
     /// command — schedule-dependent bugs often reproduce under only one).
     pub policy: &'static str,
-    /// Engine axis of the diverging campaign (`pair`, `stm`, `hybrid`);
+    /// Engine axis of the diverging campaign (`sharded`, `stm`, `hybrid`);
     /// non-default engines are part of the replay command.
     pub engine: &'static str,
     /// Backend axis of the diverging campaign (`plain`, `mem`, `lsm`);
@@ -321,7 +285,7 @@ impl fmt::Display for Divergence {
              --scheduler {}",
             self.seed, self.size, self.threads, self.policy
         )?;
-        if self.engine != "pair" {
+        if self.engine != ExecutorKind::default().label() {
             write!(f, " --executor {}", self.engine)?;
         }
         if self.backend != "plain" {
@@ -379,7 +343,6 @@ fn diff_statuses(trace: &BlockTrace, outcome: &ParallelOutcome) -> Vec<String> {
 }
 
 fn check_outcome(
-    executor: &'static str,
     seed: u64,
     config: &FuzzConfig,
     trace: &BlockTrace,
@@ -394,7 +357,7 @@ fn check_outcome(
         seed,
         size: config.size,
         threads: config.threads,
-        executor,
+        executor: config.engine.label(),
         policy: config.scheduler.label(),
         engine: config.engine.label(),
         backend: config.backend.label(),
@@ -466,7 +429,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         // including the oracle.
         trace = execute_block_serial(&txs, &live, &analyzer, &env);
     }
-    if config.engine != EngineUnderTest::Pair {
+    if config.engine != ExecutorKind::Sharded {
         // The optimistic campaigns fuzz the pool-desync scenario: a seeded
         // quarter of the block carries no predictions at all. The flag is
         // scheduling metadata only — the serial oracle is unaffected.
@@ -482,42 +445,16 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         pin_cores: config.pin_cores,
     };
 
-    match config.engine {
-        EngineUnderTest::Pair => {
-            let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
-            let sharded = ParallelExecutor::new(analyzer.clone(), parallel_config).with_hook(hook);
-            let outcome = sharded.execute_block_with_csags(&txs, &live, &env, &csags);
-            if let Some(divergence) = check_outcome("sharded", seed, config, &trace, &outcome) {
-                return Some(divergence);
-            }
-
-            let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
-            let global =
-                GlobalLockParallelExecutor::new(analyzer.clone(), parallel_config).with_hook(hook);
-            let outcome = global.execute_block_with_csags(&txs, &live, &env, &csags);
-            if let Some(divergence) = check_outcome("global-lock", seed, config, &trace, &outcome) {
-                return Some(divergence);
-            }
-        }
-        EngineUnderTest::Stm => {
-            // The perturbed predictions ride along as an interning hint:
-            // the engine's correctness must be independent of them, so the
-            // fault plan's mispredictions exercise exactly that claim.
-            let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
-            let stm = StmExecutor::new(analyzer.clone(), parallel_config).with_hook(hook);
-            let outcome = stm.execute_block_with_csags(&txs, &live, &env, &csags);
-            if let Some(divergence) = check_outcome("stm", seed, config, &trace, &outcome) {
-                return Some(divergence);
-            }
-        }
-        EngineUnderTest::Hybrid => {
-            let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
-            let hybrid = HybridExecutor::new(analyzer.clone(), parallel_config).with_hook(hook);
-            let outcome = hybrid.execute_block_with_csags(&txs, &live, &env, &csags);
-            if let Some(divergence) = check_outcome("hybrid", seed, config, &trace, &outcome) {
-                return Some(divergence);
-            }
-        }
+    // Predictive engines schedule from the perturbed predictions; the
+    // optimistic one takes them as an interning hint only, so the fault
+    // plan's mispredictions test that its results are independent of them.
+    let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
+    let engine = config
+        .engine
+        .build(analyzer.clone(), parallel_config, Some(hook));
+    let outcome = engine.execute_block_with_csags(&txs, &live, &env, &csags);
+    if let Some(divergence) = check_outcome(seed, config, &trace, &outcome) {
+        return Some(divergence);
     }
 
     // State-backend differential: replay the case's serial history through
@@ -736,7 +673,7 @@ mod tests {
             threads: 4,
             executor: "sharded",
             policy: "critical-path",
-            engine: "pair",
+            engine: "sharded",
             backend: "plain",
             details: vec!["missing k: serial=1".into()],
         };
@@ -801,7 +738,7 @@ mod tests {
     fn stm_seeds_agree_under_storm() {
         let config = FuzzConfig {
             size: 40,
-            engine: EngineUnderTest::Stm,
+            engine: ExecutorKind::Stm,
             ..FuzzConfig::default()
         };
         for seed in 0..4 {
@@ -814,7 +751,7 @@ mod tests {
     fn hybrid_seeds_agree_under_storm() {
         let config = FuzzConfig {
             size: 40,
-            engine: EngineUnderTest::Hybrid,
+            engine: ExecutorKind::Hybrid,
             ..FuzzConfig::default()
         };
         for seed in 0..4 {
@@ -852,11 +789,7 @@ mod tests {
 
     #[test]
     fn call_heavy_seeds_agree_on_every_engine() {
-        for engine in [
-            EngineUnderTest::Pair,
-            EngineUnderTest::Stm,
-            EngineUnderTest::Hybrid,
-        ] {
+        for engine in ExecutorKind::ALL {
             let config = FuzzConfig {
                 size: 40,
                 profile: Profile::CallHeavy,
@@ -877,11 +810,7 @@ mod tests {
 
     #[test]
     fn nft_mint_rush_seeds_agree_on_every_engine() {
-        for engine in [
-            EngineUnderTest::Pair,
-            EngineUnderTest::Stm,
-            EngineUnderTest::Hybrid,
-        ] {
+        for engine in ExecutorKind::ALL {
             let config = FuzzConfig {
                 size: 40,
                 profile: Profile::NftMintRush,

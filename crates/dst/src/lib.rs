@@ -12,10 +12,11 @@
 //!   mispredicted C-SAG keys (dropped and phantom predictions), gas
 //!   squeezes forcing out-of-gas after every release point, and (via the
 //!   fuzz driver) stale-snapshot predictions.
-//! - [`fuzz`]: the differential fuzz engine — every seed runs both
-//!   threaded executors and the virtual-time simulator against the serial
-//!   oracle, shrinks any divergence to a minimal `(seed, size)` prefix, and
-//!   renders it as a deterministic, replayable report.
+//! - [`fuzz`]: the differential fuzz engine — every seed runs the chosen
+//!   threaded engine ([`dmvcc_core::ExecutorKind`]) and the virtual-time
+//!   simulator against the serial oracle, shrinks any divergence to a
+//!   minimal `(seed, size)` prefix, and renders it as a deterministic,
+//!   replayable report.
 //! - [`Mutation`]: deliberately-broken executor variants used to prove the
 //!   fuzzer's teeth — with `skip-release-gas-bound` active, a campaign must
 //!   find a diverging seed quickly.
@@ -32,7 +33,6 @@ mod sched;
 
 pub use faults::{FaultPlan, Mutation};
 pub use fuzz::{
-    fuzz, run_seed, shrink, BackendUnderTest, Divergence, EngineUnderTest, FuzzConfig, FuzzOutcome,
-    Profile,
+    fuzz, run_seed, shrink, BackendUnderTest, Divergence, FuzzConfig, FuzzOutcome, Profile,
 };
 pub use sched::{SchedConfig, SchedStats, VirtualScheduler};

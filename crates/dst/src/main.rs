@@ -5,13 +5,13 @@
 //!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
 //!                  [--scheduler fifo|critical-path] [--pin-cores]
-//!                  [--executor pair|stm|hybrid] [--backend plain|mem|lsm]
+//!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //!                  [--budget-secs N] [--quiet]
 //! dmvcc-dst replay --seed S [--size N] [--threads N]
 //!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
 //!                  [--scheduler fifo|critical-path] [--pin-cores]
-//!                  [--executor pair|stm|hybrid] [--backend plain|mem|lsm]
+//!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //! ```
 //!
 //! `fuzz` runs a seed campaign and exits non-zero on the first divergence,
@@ -22,7 +22,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use dmvcc_dst::{fuzz, run_seed, BackendUnderTest, EngineUnderTest, FuzzConfig, Mutation, Profile};
+use dmvcc_core::ExecutorKind;
+use dmvcc_dst::{fuzz, run_seed, BackendUnderTest, FuzzConfig, Mutation, Profile};
 
 fn usage(error: &str) -> ExitCode {
     eprintln!("error: {error}");
@@ -30,13 +31,13 @@ fn usage(error: &str) -> ExitCode {
     eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
     eprintln!("                        [--refinement two-tier|speculative]");
     eprintln!("                        [--scheduler fifo|critical-path] [--pin-cores]");
-    eprintln!("                        [--executor pair|stm|hybrid] [--backend plain|mem|lsm]");
+    eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
     eprintln!("                        [--budget-secs N] [--quiet]");
     eprintln!("       dmvcc-dst replay --seed S [--size N] [--threads N]");
     eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
     eprintln!("                        [--refinement two-tier|speculative]");
     eprintln!("                        [--scheduler fifo|critical-path] [--pin-cores]");
-    eprintln!("                        [--executor pair|stm|hybrid] [--backend plain|mem|lsm]");
+    eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
     eprintln!("mutations: none, skip-release-gas-bound");
     ExitCode::from(2)
 }
@@ -105,8 +106,8 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
             }
             "--executor" => {
                 let name = value("--executor")?;
-                args.config.engine = EngineUnderTest::parse(&name)
-                    .ok_or_else(|| format!("unknown executor {name}"))?;
+                args.config.engine =
+                    ExecutorKind::parse(&name).ok_or_else(|| format!("unknown executor {name}"))?;
             }
             "--backend" => {
                 let name = value("--backend")?;

@@ -127,9 +127,9 @@ pub struct SchedStats {
     pub failed_validations: AtomicU64,
 }
 
-/// The seeded scheduler. Install with
-/// [`dmvcc_core::ParallelExecutor::with_hook`] (and the global-lock
-/// equivalent); one instance per executor run.
+/// The seeded scheduler. Install through the `hook` argument of
+/// [`dmvcc_core::ExecutorKind::build`] (or an engine's `with_hook`); one
+/// instance per executor run.
 #[derive(Debug)]
 pub struct VirtualScheduler {
     config: SchedConfig,

@@ -21,7 +21,6 @@ fn config(scheduler: SchedulerKind) -> ChainConfig {
         pool_miss_rate: 0.1,
         rebuild_missing_sags: true,
         policy: dmvcc_core::SchedulerPolicy::CriticalPath,
-        pipeline: false,
         executor: dmvcc_chain::ExecutorKind::Sharded,
         backend: dmvcc_chain::BackendKind::Mem,
     }

@@ -102,15 +102,12 @@ proptest! {
         }
 
         // Read resolution at an arbitrary probe index matches the model.
-        match seq.resolve_read(probe, &key(), &snapshot) {
-            ReadResolution::Ready { value, .. } => {
-                let expected = model_value_before(&model, probe, snapshot_value);
-                prop_assert_eq!(value, U256::from(expected));
-            }
-            ReadResolution::Blocked { .. } => {
-                prop_assert!(false, "all versions are Done; no read can block");
-            }
-        }
+        // (All versions are Done, so no read can block.)
+        let expected = model_value_before(&model, probe, snapshot_value);
+        prop_assert_eq!(
+            seq.resolve_read(probe, || snapshot.get(&key())),
+            ReadResolution::Ready(U256::from(expected))
+        );
     }
 
     #[test]
@@ -124,23 +121,18 @@ proptest! {
             seq.predict(w, AccessOp::Write);
         }
         // Blocked on the latest pending writer below the reader.
-        match seq.resolve_read(reader, &key(), &snapshot) {
-            ReadResolution::Blocked { writer } => {
-                prop_assert_eq!(writer, *writers.iter().max().unwrap());
-            }
-            other => prop_assert!(false, "expected blocked, got {:?}", other),
-        }
+        let latest = *writers.iter().max().unwrap();
+        prop_assert_eq!(
+            seq.resolve_read(reader, || snapshot.get(&key())),
+            ReadResolution::Blocked { writer: latest }
+        );
         // Publish all but the earliest: still blocked if the closest
         // preceding write is pending? No — the closest preceding version
         // wins; publishing the *latest* unblocks.
-        let latest = *writers.iter().max().unwrap();
         seq.version_write(latest, U256::from(7u64), false);
-        match seq.resolve_read(reader, &key(), &snapshot) {
-            ReadResolution::Ready { value, sources } => {
-                prop_assert_eq!(value, U256::from(7u64));
-                prop_assert_eq!(sources, vec![latest]);
-            }
-            other => prop_assert!(false, "expected ready, got {:?}", other),
-        }
+        prop_assert_eq!(
+            seq.resolve_read(reader, || snapshot.get(&key())),
+            ReadResolution::Ready(U256::from(7u64))
+        );
     }
 }

@@ -28,7 +28,6 @@ fn config(scheduler: SchedulerKind, seed: u64) -> ChainConfig {
         pool_miss_rate: 0.0,
         rebuild_missing_sags: true,
         policy: dmvcc_core::SchedulerPolicy::CriticalPath,
-        pipeline: false,
         executor: dmvcc_chain::ExecutorKind::Sharded,
         backend: dmvcc_chain::BackendKind::Mem,
     }

@@ -1,162 +1,94 @@
-//! The RQ1 oracle as a property: for ANY batch of transactions, the real
-//! multi-threaded DMVCC executor commits exactly the serial write set, and
-//! the Merkle roots agree — across thread counts, analysis accuracy, and
-//! all three threaded engines (predictive, optimistic STM, hybrid).
+//! The RQ1 oracle as a property: for ANY batch of transactions, every
+//! threaded engine (predictive, optimistic STM, hybrid) commits exactly the
+//! serial write set, and the Merkle roots agree — across thread counts and
+//! analysis accuracy.
 
 use proptest::prelude::*;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
-use dmvcc_core::{
-    execute_block_serial, HybridExecutor, ParallelConfig, ParallelExecutor, SchedulerPolicy,
-    StmExecutor,
-};
+use dmvcc_core::{execute_block_serial, ExecutorKind, ParallelConfig, SchedulerPolicy};
 use dmvcc_integration_tests::{analyzer, decode_tx, decode_tx_opaque, genesis, registry};
 use dmvcc_state::{Snapshot, StateDb};
 use dmvcc_vm::{BlockEnv, Transaction};
 
+/// Every engine must commit the serial write set, statuses and Merkle root
+/// (exactly as the paper validates RQ1), with `hide` of the state keys
+/// invisible to its analyzer, and its [`dmvcc_core::ExecutorStats`] must
+/// satisfy that engine's accounting invariants.
 fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
     let snapshot = Snapshot::from_entries(genesis());
     let env = BlockEnv::new(1, 1_700_000_000);
-    let reference = analyzer();
-    let trace = execute_block_serial(txs, &snapshot, &reference, &env);
-
-    // Both ready-queue policies must be serially equivalent: the FIFO
-    // baseline and the critical-path scheduler only reorder *ready*
-    // transactions, never the commit order.
-    for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-        let lossy = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                hide_fraction: hide,
-                seed: 5,
-                ..Default::default()
-            },
-        );
-        let executor = ParallelExecutor::new(
-            lossy,
-            ParallelConfig {
-                threads,
-                max_attempts: 64,
-                scheduler: policy,
-                pin_cores: false,
-            },
-        );
-        let outcome = executor.execute_block(txs, &snapshot, &env);
-        assert_eq!(
-            outcome.final_writes,
-            trace.final_writes,
-            "write sets diverged (threads={threads}, hide={hide}, policy={})",
-            policy.label()
-        );
-
-        // And the root-level check, exactly as the paper validates RQ1.
-        let mut serial_db = StateDb::with_genesis(genesis());
-        let mut parallel_db = serial_db.clone();
-        let serial_root = serial_db.commit(&trace.final_writes);
-        let parallel_root = parallel_db.commit(&outcome.final_writes);
-        assert_eq!(serial_root, parallel_root, "Merkle roots diverged");
-    }
-}
-
-/// The same property for the optimistic engines: the Block-STM executor
-/// (which sees no predictions at all) and the hybrid dispatcher (which
-/// strips the predictions of speculative/unanalyzable transactions) must
-/// commit the serial write set, statuses and root — and their
-/// [`dmvcc_core::ExecutorStats`] must satisfy the engines' accounting
-/// invariants.
-fn check_block_optimistic(txs: &[Transaction], threads: usize, hide: f64) {
-    let snapshot = Snapshot::from_entries(genesis());
-    let env = BlockEnv::new(1, 1_700_000_000);
-    let reference = analyzer();
-    let trace = execute_block_serial(txs, &snapshot, &reference, &env);
+    let trace = execute_block_serial(txs, &snapshot, &analyzer(), &env);
     let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
+    let serial_root = StateDb::with_genesis(genesis()).commit(&trace.final_writes);
     let n = txs.len() as u64;
 
-    let serial_root = {
-        let mut db = StateDb::with_genesis(genesis());
-        db.commit(&trace.final_writes)
-    };
-    let check = |outcome: &dmvcc_core::ParallelOutcome, label: &str| {
-        assert_eq!(
-            outcome.final_writes, trace.final_writes,
-            "{label} write set diverged (threads={threads}, hide={hide})"
-        );
-        assert_eq!(
-            outcome.statuses, serial_statuses,
-            "{label} statuses diverged (threads={threads}, hide={hide})"
-        );
-        let mut db = StateDb::with_genesis(genesis());
-        assert_eq!(
-            db.commit(&outcome.final_writes),
-            serial_root,
-            "{label} root diverged"
-        );
-    };
-
-    // STM ignores the ready-queue policy (its schedule is the atomic
-    // execution cursor), so one run per thread count suffices.
-    let stm = StmExecutor::new(
-        reference.clone(),
-        ParallelConfig {
-            threads,
-            max_attempts: 64,
-            scheduler: SchedulerPolicy::CriticalPath,
-            pin_cores: false,
-        },
-    );
-    let outcome = stm.execute_block(txs, &snapshot, &env);
-    check(&outcome, "stm");
-    // Accounting invariants: every transaction validates exactly once at
-    // its commit turn, re-executes at most once, and counts as optimistic.
-    assert_eq!(outcome.stats.validations, n, "stm validations");
-    assert_eq!(outcome.stats.optimistic_txs, n, "stm optimistic accounting");
-    assert_eq!(
-        outcome.stats.attempts,
-        n + outcome.stats.validation_failures,
-        "stm attempts = txs + re-executions"
-    );
-    assert!(
-        outcome.stats.validation_failures <= n,
-        "stm bounded re-execution"
-    );
-
-    // The hybrid dispatcher rides the sharded executor: both ready-queue
-    // policies must stay serially equivalent, with and without lossy
-    // analysis (hidden keys push transactions onto the speculative tier,
-    // which the router strips to optimistic).
-    for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-        let lossy = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                hide_fraction: hide,
-                seed: 5,
-                ..Default::default()
-            },
-        );
-        let hybrid = HybridExecutor::new(
-            lossy,
-            ParallelConfig {
+    for kind in ExecutorKind::ALL {
+        // Both ready-queue policies must be serially equivalent: they only
+        // reorder *ready* transactions, never the commit order.
+        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
+            let lossy = Analyzer::with_config(
+                registry(),
+                AnalysisConfig {
+                    hide_fraction: hide,
+                    seed: 5,
+                    ..Default::default()
+                },
+            );
+            let config = ParallelConfig {
                 threads,
                 max_attempts: 64,
                 scheduler: policy,
                 pin_cores: false,
-            },
-        );
-        let outcome = hybrid.execute_block(txs, &snapshot, &env);
-        check(&outcome, policy.label());
-        assert!(
-            outcome.stats.optimistic_txs <= n,
-            "hybrid routes at most the whole block"
-        );
-        let unanalyzable = txs.iter().filter(|tx| !tx.analyzable).count() as u64;
-        assert!(
-            outcome.stats.optimistic_txs >= unanalyzable,
-            "every unanalyzable transaction must route optimistic"
-        );
-        assert!(
-            outcome.stats.attempts >= n,
-            "hybrid executes every transaction"
-        );
+            };
+            let engine = kind.build(lossy, config, None);
+            if !engine.consumes_predictions() && policy == SchedulerPolicy::Fifo {
+                // The optimistic engine has no ready queue (its schedule is
+                // the atomic execution cursor): one run covers it.
+                continue;
+            }
+            let outcome = engine.execute_block(txs, &snapshot, &env);
+            let label = format!(
+                "{} (threads={threads}, hide={hide}, policy={})",
+                kind.label(),
+                policy.label()
+            );
+            assert_eq!(
+                outcome.final_writes, trace.final_writes,
+                "write sets diverged: {label}"
+            );
+            assert_eq!(
+                outcome.statuses, serial_statuses,
+                "statuses diverged: {label}"
+            );
+            assert_eq!(
+                StateDb::with_genesis(genesis()).commit(&outcome.final_writes),
+                serial_root,
+                "Merkle roots diverged: {label}"
+            );
+
+            let stats = &outcome.stats;
+            assert!(stats.attempts >= n, "every transaction executes: {label}");
+            match kind {
+                ExecutorKind::Sharded => assert_eq!(stats.optimistic_txs, 0, "{label}"),
+                // Every transaction validates exactly once at its commit
+                // turn, re-executes at most once, and counts as optimistic.
+                ExecutorKind::Stm => {
+                    assert_eq!(stats.validations, n, "{label}");
+                    assert_eq!(stats.optimistic_txs, n, "{label}");
+                    assert_eq!(stats.attempts, n + stats.validation_failures, "{label}");
+                    assert!(stats.validation_failures <= n, "{label}");
+                }
+                // Hidden keys push transactions onto the speculative tier,
+                // which the router strips to optimistic along with every
+                // unanalyzable transaction.
+                ExecutorKind::Hybrid => {
+                    let unanalyzable = txs.iter().filter(|tx| !tx.analyzable).count() as u64;
+                    assert!(stats.optimistic_txs >= unanalyzable, "{label}");
+                    assert!(stats.optimistic_txs <= n, "{label}");
+                }
+            }
+        }
     }
 }
 
@@ -204,7 +136,7 @@ proptest! {
             .into_iter()
             .map(|(c, s, k, a, b, o)| decode_tx_opaque(c, s, k, a, b, o))
             .collect();
-        check_block_optimistic(&txs, threads, 0.0);
+        check_block(&txs, threads, 0.0);
     }
 
     #[test]
@@ -219,7 +151,7 @@ proptest! {
             .into_iter()
             .map(|(c, s, k, a, b, o)| decode_tx_opaque(c, s, k, a, b, o))
             .collect();
-        check_block_optimistic(&txs, 4, hide);
+        check_block(&txs, 4, hide);
     }
 }
 
@@ -239,11 +171,10 @@ fn long_dependent_chain_all_threads() {
         })
         .collect();
     for threads in [1, 2, 4, 8] {
-        check_block(&txs, threads, 0.0);
-        // The chain is the STM worst case: every optimistic execution
+        // The chain is also the STM worst case: every optimistic execution
         // except the frontier's reads stale state and re-executes at its
         // commit turn — convergence and equivalence must still hold.
-        check_block_optimistic(&txs, threads, 0.0);
+        check_block(&txs, threads, 0.0);
     }
 }
 
@@ -264,5 +195,4 @@ fn repeated_nft_mints_resolve_sequence_numbers() {
         })
         .collect();
     check_block(&txs, 4, 0.0);
-    check_block_optimistic(&txs, 4, 0.0);
 }

@@ -1,14 +1,14 @@
-//! Stress tests for the multi-threaded executor: consecutive workload
-//! blocks, both contention profiles, pool-style stale C-SAGs, and a
-//! DST-driven injected-misprediction variant — the root chain must match
+//! Stress tests for the threaded engines: consecutive workload blocks,
+//! both contention profiles, pool-style stale C-SAGs, and DST-driven
+//! injected-misprediction variants — every engine's root chain must match
 //! serial execution block for block.
 
 use std::sync::Arc;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
 use dmvcc_core::{
-    build_csags, execute_block_serial, GlobalLockParallelExecutor, HybridExecutor, ParallelConfig,
-    ParallelExecutor, SchedulerPolicy, StmExecutor,
+    build_csags, execute_block_serial, ExecutorKind, ParallelConfig, ParallelExecutor,
+    SchedulerPolicy,
 };
 use dmvcc_dst::{FaultPlan, SchedConfig, VirtualScheduler};
 use dmvcc_state::{Snapshot, StateDb};
@@ -32,6 +32,9 @@ fn small(base: WorkloadConfig) -> WorkloadConfig {
     }
 }
 
+/// Runs `blocks` consecutive workload blocks on every engine, with `hide`
+/// of the state keys invisible to the analyzer; each engine's MPT root
+/// chain must match the serial one block for block.
 fn run_chain(
     workload: WorkloadConfig,
     blocks: usize,
@@ -39,38 +42,115 @@ fn run_chain(
     hide: f64,
     threads: usize,
 ) {
-    let mut generator = WorkloadGenerator::new(workload);
+    for kind in ExecutorKind::ALL {
+        let mut generator = WorkloadGenerator::new(workload.clone());
+        let analyzer = Analyzer::with_config(
+            generator.registry().clone(),
+            AnalysisConfig {
+                hide_fraction: hide,
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        let executor = kind.build(
+            analyzer.clone(),
+            ParallelConfig {
+                threads,
+                max_attempts: 64,
+                scheduler: SchedulerPolicy::CriticalPath,
+                pin_cores: false,
+            },
+            None,
+        );
+        let mut serial_db = StateDb::with_genesis(generator.genesis_entries());
+        let mut parallel_db = serial_db.clone();
+        for height in 1..=blocks as u64 {
+            let txs = generator.block(block_size);
+            let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+            let snapshot = serial_db.latest().clone();
+            let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
+            let outcome = executor.execute_block(&txs, &snapshot, &env);
+            let serial_root = serial_db.commit(&trace.final_writes);
+            let parallel_root = parallel_db.commit(&outcome.final_writes);
+            assert_eq!(
+                serial_root,
+                parallel_root,
+                "{} root mismatch at block {height} (hide={hide})",
+                kind.label()
+            );
+            if kind == ExecutorKind::Stm {
+                // Convergence bound: each transaction runs at most twice.
+                assert!(
+                    outcome.stats.attempts <= 2 * txs.len() as u64,
+                    "stm executed more than twice per transaction"
+                );
+            }
+        }
+    }
+}
+
+/// One high-contention block whose C-SAGs the fault plan perturbed
+/// (dropped and phantom keys), on eight oversubscribed workers of every
+/// engine under the stormy virtual scheduler (preemption bursts, delayed
+/// publishes, injected abort storms, forced release gates) and both
+/// ready-queue policies: the serial oracle must be matched key for key
+/// and status for status. With `all_unanalyzable` every transaction is
+/// lint-flagged, so the hybrid engine degenerates to a fully optimistic
+/// run (all predictions stripped).
+fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
+    let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(seed)));
     let analyzer = Analyzer::with_config(
         generator.registry().clone(),
         AnalysisConfig {
-            hide_fraction: hide,
-            seed: 3,
+            hide_fraction: 0.15,
+            seed,
             ..Default::default()
         },
     );
-    let executor = ParallelExecutor::new(
-        analyzer.clone(),
-        ParallelConfig {
-            threads,
-            max_attempts: 64,
-            scheduler: SchedulerPolicy::CriticalPath,
-            pin_cores: false,
-        },
-    );
-    let mut serial_db = StateDb::with_genesis(generator.genesis_entries());
-    let mut parallel_db = serial_db.clone();
-    for height in 1..=blocks as u64 {
-        let txs = generator.block(block_size);
-        let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
-        let snapshot = serial_db.latest().clone();
-        let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
-        let outcome = executor.execute_block(&txs, &snapshot, &env);
-        let serial_root = serial_db.commit(&trace.final_writes);
-        let parallel_root = parallel_db.commit(&outcome.final_writes);
-        assert_eq!(
-            serial_root, parallel_root,
-            "root mismatch at block {height} (hide={hide})"
-        );
+    let genesis = Snapshot::from_entries(generator.genesis_entries());
+    let env = BlockEnv::new(1, 1_700_000_000);
+    let mut txs = generator.block(120);
+    if all_unanalyzable {
+        txs = txs.into_iter().map(|tx| tx.unanalyzable()).collect();
+    }
+    let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
+    let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
+    let mut csags = build_csags(&txs, &genesis, &analyzer, &env);
+    FaultPlan::standard(fault_seed).perturb_csags(&mut csags);
+
+    for kind in ExecutorKind::ALL {
+        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
+            let config = ParallelConfig {
+                threads: 8,
+                max_attempts: 64,
+                scheduler: policy,
+                pin_cores: false,
+            };
+            let hook = Arc::new(VirtualScheduler::new(SchedConfig::stormy(seed)));
+            let engine = kind.build(analyzer.clone(), config, Some(hook));
+            if !engine.consumes_predictions() && policy == SchedulerPolicy::Fifo {
+                // No ready queue to order (the perturbed C-SAGs ride along
+                // as an interning hint only): one run covers the engine.
+                continue;
+            }
+            let outcome = engine.execute_block_with_csags(&txs, &genesis, &env, &csags);
+            let label = format!("{} under storm ({})", kind.label(), policy.label());
+            assert_eq!(
+                outcome.final_writes, trace.final_writes,
+                "{label}: diverged from serial"
+            );
+            assert_eq!(
+                outcome.statuses, serial_statuses,
+                "{label}: statuses diverged"
+            );
+            if all_unanalyzable && kind == ExecutorKind::Hybrid {
+                assert_eq!(
+                    outcome.stats.optimistic_txs,
+                    txs.len() as u64,
+                    "{label}: every transaction must have routed optimistic"
+                );
+            }
+        }
     }
 }
 
@@ -109,124 +189,15 @@ fn hot_chain_eight_threads_lossy_analysis() {
 
 #[test]
 fn stm_hot_chain_eight_threads_matches_serial_roots() {
-    // The optimistic executor on oversubscribed high-contention blocks:
-    // no predictions, pure optimism, validation-ordered commit — the MPT
-    // root chain must match serial block for block.
-    let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(28)));
-    let analyzer = Analyzer::new(generator.registry().clone());
-    let executor = StmExecutor::new(
-        analyzer.clone(),
-        ParallelConfig {
-            threads: 8,
-            max_attempts: 64,
-            scheduler: SchedulerPolicy::CriticalPath,
-            pin_cores: false,
-        },
-    );
-    let mut serial_db = StateDb::with_genesis(generator.genesis_entries());
-    let mut parallel_db = serial_db.clone();
-    for height in 1..=3u64 {
-        let txs = generator.block(150);
-        let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
-        let snapshot = serial_db.latest().clone();
-        let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
-        let outcome = executor.execute_block(&txs, &snapshot, &env);
-        let serial_root = serial_db.commit(&trace.final_writes);
-        let parallel_root = parallel_db.commit(&outcome.final_writes);
-        assert_eq!(
-            serial_root, parallel_root,
-            "stm root mismatch at block {height}"
-        );
-        // Convergence bound: each transaction runs at most twice.
-        assert!(
-            outcome.stats.attempts <= 2 * txs.len() as u64,
-            "stm executed more than twice per transaction"
-        );
-    }
+    // A second oversubscribed high-contention chain; the optimistic
+    // engine's share of it — no predictions, pure optimism,
+    // validation-ordered commit — also checks its two-executions bound.
+    run_chain(small(WorkloadConfig::high_contention(28)), 3, 150, 0.0, 8);
 }
 
 #[test]
 fn hybrid_all_unanalyzable_eight_threads_under_storm() {
-    // Every transaction lint-flagged as unanalyzable: the hybrid executor
-    // degenerates to a fully optimistic run (all predictions stripped),
-    // on eight oversubscribed workers, under the stormy virtual scheduler
-    // AND a fault plan grafting phantom/dropped keys onto the (already
-    // withheld) predictions — the serial oracle must still be matched key
-    // for key and status for status.
-    let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(29)));
-    let analyzer = Analyzer::with_config(
-        generator.registry().clone(),
-        AnalysisConfig {
-            hide_fraction: 0.15,
-            seed: 29,
-            ..Default::default()
-        },
-    );
-    let genesis = Snapshot::from_entries(generator.genesis_entries());
-    let env = BlockEnv::new(1, 1_700_000_000);
-    let txs: Vec<_> = generator
-        .block(120)
-        .into_iter()
-        .map(|tx| tx.unanalyzable())
-        .collect();
-    let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
-    let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
-    let mut csags = build_csags(&txs, &genesis, &analyzer, &env);
-    FaultPlan::standard(0xD58).perturb_csags(&mut csags);
-
-    for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-        let hybrid = HybridExecutor::new(
-            analyzer.clone(),
-            ParallelConfig {
-                threads: 8,
-                max_attempts: 64,
-                scheduler: policy,
-                pin_cores: false,
-            },
-        )
-        .with_hook(Arc::new(VirtualScheduler::new(SchedConfig::stormy(29))));
-        let outcome = hybrid.execute_block_with_csags(&txs, &genesis, &env, &csags);
-        assert_eq!(
-            outcome.final_writes,
-            trace.final_writes,
-            "all-unanalyzable hybrid diverged from serial ({})",
-            policy.label()
-        );
-        assert_eq!(
-            outcome.statuses,
-            serial_statuses,
-            "all-unanalyzable hybrid statuses diverged ({})",
-            policy.label()
-        );
-        assert_eq!(
-            outcome.stats.optimistic_txs,
-            txs.len() as u64,
-            "every transaction must have routed optimistic ({})",
-            policy.label()
-        );
-    }
-
-    // The same flagged block through the pure STM engine under the same
-    // storm (the perturbed C-SAGs ride along as an interning hint only).
-    let stm = StmExecutor::new(
-        analyzer,
-        ParallelConfig {
-            threads: 8,
-            max_attempts: 64,
-            scheduler: SchedulerPolicy::CriticalPath,
-            pin_cores: false,
-        },
-    )
-    .with_hook(Arc::new(VirtualScheduler::new(SchedConfig::stormy(29))));
-    let outcome = stm.execute_block_with_csags(&txs, &genesis, &env, &csags);
-    assert_eq!(
-        outcome.final_writes, trace.final_writes,
-        "stm diverged under storm"
-    );
-    assert_eq!(
-        outcome.statuses, serial_statuses,
-        "stm statuses diverged under storm"
-    );
+    check_block_under_storm(29, 0xD58, true);
 }
 
 #[test]
@@ -266,69 +237,5 @@ fn stale_csags_from_previous_snapshot() {
 
 #[test]
 fn injected_mispredictions_eight_threads_match_serial() {
-    // The DST plane turned on the stress suite: the fault plan drops
-    // predicted keys and grafts phantom writes onto the C-SAGs, the
-    // virtual scheduler perturbs the interleaving (preemption bursts,
-    // delayed publishes, injected abort storms, forced release gates) on
-    // eight oversubscribed workers — and both threaded executors must
-    // still agree with the serial oracle, key for key and status for
-    // status.
-    let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(27)));
-    let analyzer = Analyzer::with_config(
-        generator.registry().clone(),
-        AnalysisConfig {
-            hide_fraction: 0.15,
-            seed: 27,
-            ..Default::default()
-        },
-    );
-    let genesis = Snapshot::from_entries(generator.genesis_entries());
-    let env = BlockEnv::new(1, 1_700_000_000);
-    let txs = generator.block(120);
-    let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
-    let mut csags = build_csags(&txs, &genesis, &analyzer, &env);
-    FaultPlan::standard(0xD57).perturb_csags(&mut csags);
-
-    let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
-
-    for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-        let config = ParallelConfig {
-            threads: 8,
-            max_attempts: 64,
-            scheduler: policy,
-            pin_cores: false,
-        };
-
-        let sharded = ParallelExecutor::new(analyzer.clone(), config)
-            .with_hook(Arc::new(VirtualScheduler::new(SchedConfig::stormy(27))));
-        let outcome = sharded.execute_block_with_csags(&txs, &genesis, &env, &csags);
-        assert_eq!(
-            outcome.final_writes,
-            trace.final_writes,
-            "sharded executor diverged from serial under injected mispredictions ({})",
-            policy.label()
-        );
-        assert_eq!(
-            outcome.statuses,
-            serial_statuses,
-            "sharded statuses diverged ({})",
-            policy.label()
-        );
-
-        let global = GlobalLockParallelExecutor::new(analyzer.clone(), config)
-            .with_hook(Arc::new(VirtualScheduler::new(SchedConfig::stormy(27))));
-        let outcome = global.execute_block_with_csags(&txs, &genesis, &env, &csags);
-        assert_eq!(
-            outcome.final_writes,
-            trace.final_writes,
-            "global-lock executor diverged from serial under injected mispredictions ({})",
-            policy.label()
-        );
-        assert_eq!(
-            outcome.statuses,
-            serial_statuses,
-            "global-lock statuses diverged ({})",
-            policy.label()
-        );
-    }
+    check_block_under_storm(27, 0xD57, false);
 }
