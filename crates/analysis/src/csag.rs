@@ -926,7 +926,11 @@ impl BindWalk<'_> {
                         ));
                     }
                 }
-                let callee_psag = if entered { (self.resolver)(&callee) } else { None };
+                let callee_psag = if entered {
+                    (self.resolver)(&callee)
+                } else {
+                    None
+                };
                 match callee_psag {
                     Some(callee_psag) => {
                         let callee_budget = gas_left - gas_left / 64;
@@ -1141,7 +1145,10 @@ mod tests {
         let splitter = Address::from_u64(SPLITTER);
         let floor = Address::from_u64(FLOOR);
         let registry = CodeRegistry::builder()
-            .deploy(Address::from_u64(DROP), contracts::nft_drop(splitter, floor))
+            .deploy(
+                Address::from_u64(DROP),
+                contracts::nft_drop(splitter, floor),
+            )
             .deploy(splitter, contracts::royalty_splitter())
             .deploy(floor, contracts::floor_oracle())
             .deploy(Address::from_u64(TOKEN), contracts::token())

@@ -21,6 +21,7 @@
 //! assert!(!sag.release_pcs.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod absint;
@@ -38,13 +39,13 @@ pub use absint::{
     analyze, analyze_with, BlockPlan, CallTarget, ContractPlan, KeyExpr, PlanAccess, PlanCall,
     PlanCallKind,
 };
-pub use interproc::CallSite;
 pub use cfg::{decode, BasicBlock, BlockExit, Cfg, Instruction};
 pub use commute::{classify_increments, IncrementClass, IncrementReport};
 pub use csag::{
     AccessEvent, AnalysisConfig, Analyzer, CSag, RefinementMode, RefinementTier, ReleasePoint,
 };
 pub use gas::{cfg_to_dot, loop_gas_bounds, static_gas_bounds};
+pub use interproc::CallSite;
 pub use interproc::{CallGraph, CallSiteVerdict, ContractVerdict};
 pub use lint::{call_site_findings, lint_contract, lint_deployed, ContractLint, Finding, Severity};
 pub use loops::{

@@ -12,6 +12,7 @@
 //! All three consume the same reference [`dmvcc_core::BlockTrace`] the
 //! DMVCC simulator uses, so comparisons share one cost model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dag;

@@ -3,6 +3,8 @@
 //! visibility, commutative writes, write versioning — plus the
 //! contract-level DAG variant modelling coarse static analysis.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_bench::{ablation_series, env_usize, prepare_blocks, print_speedup_table, write_json};
 use dmvcc_workload::WorkloadConfig;
 

@@ -4,6 +4,8 @@
 //! Paper reference @32 threads: DMVCC 21.35x, OCC 13.86x, DAG 11.04x.
 //! Blocks of 1 000 transactions, repacked randomly, averaged across blocks.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_bench::{
     env_usize, prepare_blocks, print_speedup_table, speedup_series, write_json, THREAD_SWEEP,
 };

@@ -3,6 +3,8 @@
 //!
 //! Paper reference @32 threads: DMVCC 13.73x, OCC 3.48x, DAG 3.05x.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_bench::{
     env_usize, prepare_blocks, print_speedup_table, speedup_series, write_json, THREAD_SWEEP,
 };

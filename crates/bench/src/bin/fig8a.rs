@@ -4,6 +4,8 @@
 //!
 //! Paper reference @32 threads: ~19.79x for DMVCC, DAG and OCC similar.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_bench::{env_usize, write_json, THREAD_SWEEP};
 use dmvcc_chain::{run_testnet, ChainConfig, SchedulerKind};
 use dmvcc_workload::WorkloadConfig;

@@ -4,6 +4,8 @@
 //! mining cycle; DMVCC executes 10 000 transactions within a 12 s cycle on
 //! 8 threads.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_bench::{env_usize, write_json, THREAD_SWEEP};
 use dmvcc_chain::{run_testnet, ChainConfig, SchedulerKind};
 use dmvcc_workload::WorkloadConfig;

@@ -11,6 +11,8 @@
 //!    concurrently and its flushed write set is committed to a third
 //!    StateDB — all three root chains must be identical.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_analysis::Analyzer;
 use dmvcc_bench::env_usize;
 use dmvcc_core::{execute_block_serial, ParallelConfig, ParallelExecutor};
@@ -49,9 +51,7 @@ fn main() {
             analyzer.clone(),
             ParallelConfig {
                 threads: 4,
-                max_attempts: 64,
-                scheduler: dmvcc_core::SchedulerPolicy::CriticalPath,
-                pin_cores: false,
+                ..ParallelConfig::default()
             },
         );
         let mut serial_db = StateDb::with_genesis(generator.genesis_entries());

@@ -6,6 +6,8 @@
 //! 2. a sweep of injected analysis imprecision (`hide_fraction`) showing
 //!    how DMVCC degrades gracefully toward OCC-like behaviour.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_analysis::AnalysisConfig;
 use dmvcc_baselines::simulate_occ;
 use dmvcc_bench::{env_usize, prepare_blocks, write_json};

@@ -1,5 +1,7 @@
 //! Quick shape sanity check (not a paper figure): speedups of all four
 //! schedulers at a few thread counts on both workloads.
+
+#![forbid(unsafe_code)]
 use dmvcc_analysis::Analyzer;
 use dmvcc_chain::{schedule_block, SchedulerKind};
 use dmvcc_core::{build_csags, execute_block_serial};

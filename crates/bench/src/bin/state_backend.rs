@@ -20,6 +20,8 @@
 //! write-set size, default 4_096), `DMVCC_STATE_BLOCKS` (overlap-chain
 //! length, default 6).
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +30,6 @@ use serde::Serialize;
 
 use dmvcc_bench::env_usize;
 use dmvcc_chain::{run_pipelined_chain, BackendKind, ChainConfig, ExecutorKind, SchedulerKind};
-use dmvcc_core::SchedulerPolicy;
 use dmvcc_primitives::{Address, U256};
 use dmvcc_state::{
     FlatCached, LsmBackend, LsmOptions, MemBackend, Mpt, StateBackend, StateKey, WriteSet,
@@ -313,7 +314,6 @@ fn bench_overlap(backend: BackendKind, blocks: usize, block_size: usize) -> Over
         crosscheck_every: 0,
         pool_miss_rate: 0.0,
         rebuild_missing_sags: true,
-        policy: SchedulerPolicy::CriticalPath,
         executor: ExecutorKind::Sharded,
         backend,
     };

@@ -3,6 +3,8 @@
 //! "everything parallelizes" and "conflict chains dominate" that separates
 //! Fig. 7(a) from Fig. 7(b) in the paper.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_baselines::{simulate_dag, simulate_occ};
 use dmvcc_bench::{env_usize, prepare_blocks, write_json};
 use dmvcc_core::{simulate_dmvcc, DmvccConfig, SimReport};

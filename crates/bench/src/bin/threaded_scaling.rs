@@ -12,25 +12,27 @@
 //! before it is timed into the report (a wrong-but-fast executor scores
 //! zero).
 //!
-//! Every (executor, workload, threads) cell is measured under both
-//! ready-queue policies — `fifo` and `critical-path` — except the
-//! optimistic engine's, which has no ready queue (one cell, scheduler
-//! `optimistic`). Each point carries the block DAG's critical-path gas,
-//! the implied speedup bound (total gas / critical-path gas), the observed
-//! rank inversions and the C-SAG refinement wall time.
+//! One point per (executor, workload, threads) cell carries what the engine
+//! counted (aborts, wakeups, rank inversions, refinement wall time, …). What
+//! is a property of the blocks rather than of an engine — how each C-SAG
+//! was refined, the block DAG's critical-path gas and the implied speedup
+//! bound (total gas / critical-path gas) — is computed once per workload,
+//! outside the timed passes, into the report's `workloads` array.
 //!
 //! Scale knobs: `DMVCC_BLOCKS` (default 3), `DMVCC_BLOCK_SIZE` (default
 //! 200). Writes `bench-results/threaded_scaling.json`.
+
+#![forbid(unsafe_code)]
 
 use std::time::Instant;
 
 use serde::Serialize;
 
-use dmvcc_analysis::Analyzer;
+use dmvcc_analysis::{Analyzer, RefinementTier};
 use dmvcc_bench::env_usize;
 use dmvcc_core::{
-    execute_block_serial, BlockExecutor, ExecutorKind, ExecutorStats, ParallelConfig,
-    SchedulerPolicy,
+    execute_block_serial, refine_csags, BlockDag, BlockExecutor, ExecutorKind, ExecutorStats,
+    ParallelConfig,
 };
 use dmvcc_state::{Snapshot, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -49,7 +51,6 @@ struct Block {
 struct ScalingPoint {
     executor: &'static str,
     workload: &'static str,
-    scheduler: &'static str,
     threads: usize,
     wall_ms: f64,
     tx_per_s: f64,
@@ -57,33 +58,11 @@ struct ScalingPoint {
     attempts: u64,
     publishes: u64,
     targeted_wakeups: u64,
-    steals: u64,
     parks: u64,
-    symbolic_bindings: u64,
-    loop_summarized_bindings: u64,
-    interprocedural_bindings: u64,
-    /// C-SAGs bound through a bounded dynamic-dispatch site (call target
-    /// loaded from a registry slot and resolved against the snapshot).
-    bounded_dynamic_bindings: u64,
-    /// Code-hash summary-memo hits during refinement: P-SAG summaries
-    /// reused across deployments that share one bytecode body.
-    summary_cache_hits: u64,
-    speculative_fallbacks: u64,
-    /// Fraction of refined C-SAGs served without speculative pre-execution
-    /// — straight symbolic bindings plus bind-time loop unrolls,
-    /// cross-contract summary substitutions and bounded-dynamic binds
-    /// (transfers, which need none of these, are excluded from the
-    /// denominator).
-    symbolic_hit_rate: f64,
     /// Targeted wakeups issued per committed transaction.
     wakeups_per_commit: f64,
-    /// Gas on the longest dependency chain, summed over the blocks.
-    critical_path_gas: u64,
-    /// Amdahl-style ceiling implied by the DAG: total predicted gas over
-    /// critical-path gas (aggregated over the blocks).
-    speedup_bound: f64,
     /// Times a ready transaction ran while a strictly higher-ranked one
-    /// sat in the queue (always probed, under both policies).
+    /// sat in the queue.
     rank_inversions: u64,
     /// C-SAG refinement wall time across the measured blocks.
     refine_ms: f64,
@@ -105,16 +84,48 @@ struct ScalingPoint {
     optimistic_txs: u64,
 }
 
-/// Code-hash summary-memo traffic for one workload's whole run (each
-/// workload has its own registry, so the counters start at zero). Hits
-/// land during the first cold analysis of each deployment — the
-/// per-address P-SAG cache front-ends the memo afterwards — so they are
-/// reported per workload, not per measured cell.
+/// What one workload's blocks look like to the analyzer and the ranker —
+/// properties of the blocks, identical for every engine and thread count.
 #[derive(Debug, Serialize)]
-struct WorkloadCacheTraffic {
+struct WorkloadShape {
     workload: &'static str,
+    symbolic_bindings: u64,
+    loop_summarized_bindings: u64,
+    interprocedural_bindings: u64,
+    /// C-SAGs bound through a bounded dynamic-dispatch site (call target
+    /// loaded from a registry slot and resolved against the snapshot).
+    bounded_dynamic_bindings: u64,
+    speculative_fallbacks: u64,
+    /// Fraction of refined C-SAGs served without speculative pre-execution
+    /// — straight symbolic bindings plus bind-time loop unrolls,
+    /// cross-contract summary substitutions and bounded-dynamic binds
+    /// (transfers, which need none of these, are excluded from the
+    /// denominator).
+    symbolic_hit_rate: f64,
+    /// Gas on the longest dependency chain, summed over the blocks.
+    critical_path_gas: u64,
+    /// Amdahl-style ceiling implied by the DAG: total predicted gas over
+    /// critical-path gas (aggregated over the blocks).
+    speedup_bound: f64,
+    /// Code-hash summary-memo traffic (each workload has its own registry,
+    /// so the counters start at zero): P-SAG summaries reused across
+    /// deployments that share one bytecode body. Hits land during the first
+    /// cold analysis of each deployment — the per-address P-SAG cache
+    /// front-ends the memo afterwards — so one refinement of every block
+    /// sees them all.
     summary_cache_hits: u64,
     summary_cache_misses: u64,
+}
+
+impl WorkloadShape {
+    /// C-SAGs that went through a refinement tier at all.
+    fn refinements(&self) -> u64 {
+        self.symbolic_bindings
+            + self.loop_summarized_bindings
+            + self.interprocedural_bindings
+            + self.bounded_dynamic_bindings
+            + self.speculative_fallbacks
+    }
 }
 
 #[derive(Debug, Serialize)]
@@ -122,10 +133,10 @@ struct ScalingReport {
     blocks: usize,
     block_size: usize,
     host_threads: usize,
-    /// One point per (executor, workload, scheduler, threads) cell.
+    /// One point per (executor, workload, threads) cell.
     points: Vec<ScalingPoint>,
-    /// Per-workload code-hash summary-memo traffic.
-    summary_cache: Vec<WorkloadCacheTraffic>,
+    /// One entry per workload.
+    workloads: Vec<WorkloadShape>,
 }
 
 /// Prepares a chain of blocks with their serial reference write sets, so
@@ -151,10 +162,44 @@ fn prepare(workload: WorkloadConfig, blocks: usize, block_size: usize) -> (Analy
     (analyzer, out)
 }
 
+/// Refines every block once (untimed) and reads the tier mix and the
+/// critical path off the C-SAGs.
+fn shape(workload: &'static str, analyzer: &Analyzer, blocks: &[Block]) -> WorkloadShape {
+    let mut csags = Vec::new();
+    let (mut critical_path_gas, mut total_gas) = (0u64, 0u64);
+    for block in blocks {
+        let refined = refine_csags(analyzer, &block.txs, &block.snapshot, &block.env, 1);
+        let dag = BlockDag::build(&refined);
+        critical_path_gas += dag.critical_path_gas;
+        total_gas += dag.total_gas;
+        csags.extend(refined);
+    }
+    let count = |tier: RefinementTier| csags.iter().filter(|c| c.tier == tier).count() as u64;
+    let symbolic = count(RefinementTier::Symbolic);
+    let loop_summarized = count(RefinementTier::LoopSummarized);
+    let interprocedural = count(RefinementTier::Interprocedural);
+    let bounded_dynamic = count(RefinementTier::BoundedDynamic);
+    let speculative = count(RefinementTier::Speculative);
+    let bound = symbolic + loop_summarized + interprocedural + bounded_dynamic;
+    let summaries = analyzer.registry().summaries();
+    WorkloadShape {
+        workload,
+        symbolic_bindings: symbolic,
+        loop_summarized_bindings: loop_summarized,
+        interprocedural_bindings: interprocedural,
+        bounded_dynamic_bindings: bounded_dynamic,
+        speculative_fallbacks: speculative,
+        symbolic_hit_rate: bound as f64 / (bound + speculative).max(1) as f64,
+        critical_path_gas,
+        speedup_bound: total_gas as f64 / critical_path_gas.max(1) as f64,
+        summary_cache_hits: summaries.hits(),
+        summary_cache_misses: summaries.misses(),
+    }
+}
+
 fn measure(
     workload: &'static str,
     executor: &'static str,
-    scheduler: &'static str,
     blocks: &[Block],
     engine: &dyn BlockExecutor,
 ) -> ScalingPoint {
@@ -194,16 +239,7 @@ fn measure(
         stats.attempts += outcome.stats.attempts;
         stats.publishes += outcome.stats.publishes;
         stats.targeted_wakeups += outcome.stats.targeted_wakeups;
-        stats.steals += outcome.stats.steals;
         stats.parks += outcome.stats.parks;
-        stats.symbolic_bindings += outcome.stats.symbolic_bindings;
-        stats.loop_summarized_bindings += outcome.stats.loop_summarized_bindings;
-        stats.interprocedural_bindings += outcome.stats.interprocedural_bindings;
-        stats.bounded_dynamic_bindings += outcome.stats.bounded_dynamic_bindings;
-        stats.summary_cache_hits += outcome.stats.summary_cache_hits;
-        stats.speculative_fallbacks += outcome.stats.speculative_fallbacks;
-        stats.critical_path_gas += outcome.stats.critical_path_gas;
-        stats.predicted_gas += outcome.stats.predicted_gas;
         stats.rank_inversions += outcome.stats.rank_inversions;
         stats.refine_nanos += outcome.stats.refine_nanos;
         stats.alloc_bytes_saved += outcome.stats.alloc_bytes_saved;
@@ -218,7 +254,6 @@ fn measure(
     ScalingPoint {
         executor,
         workload,
-        scheduler,
         threads,
         wall_ms,
         tx_per_s: txs as f64 / wall_secs,
@@ -226,27 +261,8 @@ fn measure(
         attempts: stats.attempts,
         publishes: stats.publishes,
         targeted_wakeups: stats.targeted_wakeups,
-        steals: stats.steals,
         parks: stats.parks,
-        symbolic_bindings: stats.symbolic_bindings,
-        loop_summarized_bindings: stats.loop_summarized_bindings,
-        interprocedural_bindings: stats.interprocedural_bindings,
-        bounded_dynamic_bindings: stats.bounded_dynamic_bindings,
-        summary_cache_hits: stats.summary_cache_hits,
-        speculative_fallbacks: stats.speculative_fallbacks,
-        symbolic_hit_rate: (stats.symbolic_bindings
-            + stats.loop_summarized_bindings
-            + stats.interprocedural_bindings
-            + stats.bounded_dynamic_bindings) as f64
-            / (stats.symbolic_bindings
-                + stats.loop_summarized_bindings
-                + stats.interprocedural_bindings
-                + stats.bounded_dynamic_bindings
-                + stats.speculative_fallbacks)
-                .max(1) as f64,
         wakeups_per_commit: stats.targeted_wakeups as f64 / txs.max(1) as f64,
-        critical_path_gas: stats.critical_path_gas,
-        speedup_bound: stats.predicted_gas as f64 / stats.critical_path_gas.max(1) as f64,
         rank_inversions: stats.rank_inversions,
         refine_ms: stats.refine_nanos as f64 / 1e6,
         alloc_bytes_saved: stats.alloc_bytes_saved,
@@ -266,21 +282,12 @@ fn main() {
         block_size,
         host_threads: std::thread::available_parallelism().map_or(0, |n| n.get()),
         points: Vec::new(),
-        summary_cache: Vec::new(),
+        workloads: Vec::new(),
     };
 
     println!(
-        "{:<12} {:<16} {:<14} {:>7} {:>10} {:>10} {:>8} {:>8} {:>7} {:>7}",
-        "executor",
-        "workload",
-        "scheduler",
-        "threads",
-        "wall_ms",
-        "tx/s",
-        "aborts",
-        "inversn",
-        "bound",
-        "sym%"
+        "{:<12} {:<16} {:>7} {:>10} {:>10} {:>8} {:>8}",
+        "executor", "workload", "threads", "wall_ms", "tx/s", "aborts", "inversn"
     );
     for (name, workload) in [
         ("realistic", WorkloadConfig::ethereum_mix(31)),
@@ -290,53 +297,46 @@ fn main() {
         ("nft-mint-rush", WorkloadConfig::nft_mint_rush(31)),
     ] {
         let (analyzer, chain) = prepare(workload, blocks, block_size);
+        let shape = shape(name, &analyzer, &chain);
+        println!(
+            "{name}: speedup bound {:.1}x, {:.0}% of refinements non-speculative",
+            shape.speedup_bound,
+            shape.symbolic_hit_rate * 100.0
+        );
+        report.workloads.push(shape);
         for threads in THREADS {
-            for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-                let config = ParallelConfig {
+            let config = ParallelConfig {
+                threads,
+                ..ParallelConfig::default()
+            };
+            for kind in ExecutorKind::ALL {
+                let engine = kind.build(analyzer.clone(), config, None);
+                let point = measure(name, kind.label(), &chain, &*engine);
+                println!(
+                    "{:<12} {:<16} {:>7} {:>10.2} {:>10.0} {:>8} {:>8}",
+                    point.executor,
+                    name,
                     threads,
-                    max_attempts: 64,
-                    scheduler: policy,
-                    pin_cores: false,
-                };
-                for kind in ExecutorKind::ALL {
-                    let engine = kind.build(analyzer.clone(), config, None);
-                    // No predictions consumed means no ready queue to
-                    // order: one cell per thread count.
-                    let scheduler = if engine.consumes_predictions() {
-                        policy.label()
-                    } else if policy == SchedulerPolicy::CriticalPath {
-                        "optimistic"
-                    } else {
-                        continue;
-                    };
-                    let point = measure(name, kind.label(), scheduler, &chain, &*engine);
-                    println!(
-                        "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                        point.executor,
-                        name,
-                        point.scheduler,
-                        threads,
-                        point.wall_ms,
-                        point.tx_per_s,
-                        point.aborts,
-                        point.rank_inversions,
-                        point.speedup_bound,
-                        point.symbolic_hit_rate * 100.0
-                    );
-                    report.points.push(point);
-                }
+                    point.wall_ms,
+                    point.tx_per_s,
+                    point.aborts,
+                    point.rank_inversions
+                );
+                report.points.push(point);
             }
         }
-        report.summary_cache.push(WorkloadCacheTraffic {
-            workload: name,
-            summary_cache_hits: analyzer.registry().summaries().hits(),
-            summary_cache_misses: analyzer.registry().summaries().misses(),
-        });
     }
 
     let of = |kind: ExecutorKind| {
         let label = kind.label();
         report.points.iter().filter(move |p| p.executor == label)
+    };
+    let shape_of = |workload: &str| {
+        report
+            .workloads
+            .iter()
+            .find(|w| w.workload == workload)
+            .expect("every workload has a shape entry")
     };
 
     // Hot-path memory-layout counters for the sharded executor: recycled
@@ -354,12 +354,9 @@ fn main() {
         publishes as f64 / batches.max(1) as f64
     );
 
-    // Rank-ordered dispatch must hold its own against FIFO where it
-    // matters: the sharded executor on the contended workload. Wall clock
-    // on a loaded CI host is noisy, so the hard gate allows 10% slack —
-    // and only thread counts the host can actually run in parallel are
-    // compared (oversubscribed cells measure the OS timeslicer, not the
-    // ready-queue policy); the checked-in JSON shows the real margins.
+    // Wall clock on a loaded CI host is noisy, so the throughput gate only
+    // compares thread counts the host can actually run in parallel
+    // (oversubscribed cells measure the OS timeslicer, not the engine).
     let host = report.host_threads.max(1);
     let gate_tier = THREADS
         .iter()
@@ -368,44 +365,22 @@ fn main() {
         .max()
         .unwrap_or(1);
     let gated = |t: usize| t <= host && (t >= 4 || t == gate_tier);
-    let hot_tx_per_s = |scheduler: &str| {
-        of(ExecutorKind::Sharded)
-            .filter(|p| {
-                p.workload == "high-contention" && gated(p.threads) && p.scheduler == scheduler
-            })
-            .map(|p| p.tx_per_s)
-            .fold(0.0f64, f64::max)
-    };
-    let fifo_hot = hot_tx_per_s("fifo");
-    let cp_hot = hot_tx_per_s("critical-path");
-    println!(
-        "high-contention tx/s (best at parallel-capable threads, sharded): \
-         fifo {fifo_hot:.0} vs critical-path {cp_hot:.0}"
-    );
-    assert!(
-        cp_hot >= fifo_hot * 0.9,
-        "critical-path scheduling regressed throughput under contention \
-         (fifo {fifo_hot:.0} tx/s vs critical-path {cp_hot:.0} tx/s)"
-    );
 
     // On the well-analyzed realistic workload nearly every transaction
     // routes to the predictive sharded executor, so the hybrid dispatcher
     // must not tax it: hybrid throughput stays within 5% of the sharded
     // baseline. Host throughput drifts over the minutes the full matrix
-    // takes, so the gate compares matched (threads, policy) cells — the
-    // engines of one cell execute back-to-back — and a real routing tax
-    // would sink every pair, not just the noisiest.
+    // takes, so the gate compares matched thread counts — the engines of
+    // one cell execute back-to-back — and a real routing tax would sink
+    // every pair, not just the noisiest.
     let mut pair_ratio = 0.0f64;
     let mut pair_sharded = 0.0f64;
     let mut pair_hybrid = 0.0f64;
     for hybrid_point in
         of(ExecutorKind::Hybrid).filter(|p| p.workload == "realistic" && gated(p.threads))
     {
-        let sharded_point = of(ExecutorKind::Sharded).find(|p| {
-            p.workload == "realistic"
-                && p.threads == hybrid_point.threads
-                && p.scheduler == hybrid_point.scheduler
-        });
+        let sharded_point = of(ExecutorKind::Sharded)
+            .find(|p| p.workload == "realistic" && p.threads == hybrid_point.threads);
         if let Some(sharded_point) = sharded_point {
             let ratio = hybrid_point.tx_per_s / sharded_point.tx_per_s;
             if ratio > pair_ratio {
@@ -425,44 +400,32 @@ fn main() {
          (sharded {pair_sharded:.0} tx/s vs hybrid {pair_hybrid:.0} tx/s)"
     );
 
-    // Loop summarization must carry the loop-heavy workload: speculative
-    // pre-execution is the exception there, not the rule.
-    for point in of(ExecutorKind::Sharded).filter(|p| p.workload == "loop-heavy") {
-        let refinements = point.symbolic_bindings
-            + point.loop_summarized_bindings
-            + point.interprocedural_bindings
-            + point.bounded_dynamic_bindings
-            + point.speculative_fallbacks;
+    // Loop summarization must carry the loop-heavy workload, and
+    // interprocedural summaries the call-heavy one (its cross-contract
+    // chains bind from composed templates): speculative pre-execution is
+    // the exception there, not the rule.
+    for (workload, tier, bindings) in [
+        (
+            "loop-heavy",
+            "loop-summarized",
+            shape_of("loop-heavy").loop_summarized_bindings,
+        ),
+        (
+            "call-heavy",
+            "interprocedural",
+            shape_of("call-heavy").interprocedural_bindings,
+        ),
+    ] {
+        let shape = shape_of(workload);
         assert!(
-            (point.speculative_fallbacks as f64) < 0.10 * refinements.max(1) as f64,
-            "loop-heavy workload fell back to speculation {}x of {} refinements",
-            point.speculative_fallbacks,
-            refinements
+            (shape.speculative_fallbacks as f64) < 0.10 * shape.refinements().max(1) as f64,
+            "{workload} workload fell back to speculation {}x of {} refinements",
+            shape.speculative_fallbacks,
+            shape.refinements()
         );
         assert!(
-            point.loop_summarized_bindings > 0,
-            "loop-heavy workload produced no loop-summarized bindings"
-        );
-    }
-
-    // Interprocedural summaries must carry the call-heavy workload the
-    // same way: the cross-contract chains bind from composed templates,
-    // not via speculative pre-execution.
-    for point in of(ExecutorKind::Sharded).filter(|p| p.workload == "call-heavy") {
-        let refinements = point.symbolic_bindings
-            + point.loop_summarized_bindings
-            + point.interprocedural_bindings
-            + point.bounded_dynamic_bindings
-            + point.speculative_fallbacks;
-        assert!(
-            (point.speculative_fallbacks as f64) < 0.10 * refinements.max(1) as f64,
-            "call-heavy workload fell back to speculation {}x of {} refinements",
-            point.speculative_fallbacks,
-            refinements
-        );
-        assert!(
-            point.interprocedural_bindings > 0,
-            "call-heavy workload produced no interprocedural bindings"
+            bindings > 0,
+            "{workload} workload produced no {tier} bindings"
         );
     }
 
@@ -472,43 +435,34 @@ fn main() {
     // call-bearing population — transactions whose C-SAG refined through a
     // call tier or fell back to speculation — of which >=90% must bind
     // non-speculatively.
-    for point in of(ExecutorKind::Sharded).filter(|p| p.workload == "nft-mint-rush") {
-        let call_bearing = point.interprocedural_bindings
-            + point.bounded_dynamic_bindings
-            + point.speculative_fallbacks;
-        let bound = point.interprocedural_bindings + point.bounded_dynamic_bindings;
-        assert!(
-            bound as f64 >= 0.90 * call_bearing.max(1) as f64,
-            "nft-mint-rush: only {bound} of {call_bearing} call-bearing \
-             transactions bound non-speculatively"
-        );
-        assert!(
-            point.bounded_dynamic_bindings > 0,
-            "nft-mint-rush produced no bounded-dynamic bindings"
-        );
-    }
+    let mints = shape_of("nft-mint-rush");
+    let bound = mints.interprocedural_bindings + mints.bounded_dynamic_bindings;
+    let call_bearing = bound + mints.speculative_fallbacks;
+    assert!(
+        bound as f64 >= 0.90 * call_bearing.max(1) as f64,
+        "nft-mint-rush: only {bound} of {call_bearing} call-bearing \
+         transactions bound non-speculatively"
+    );
+    assert!(
+        mints.bounded_dynamic_bindings > 0,
+        "nft-mint-rush produced no bounded-dynamic bindings"
+    );
 
     // Code-hash memoization must actually deduplicate analysis on the
     // mint rush: the drops deploy many copies of the same three bodies
     // (drop, splitter, floor oracle), so cold analysis sees far more
     // cache hits than distinct-body misses.
-    for traffic in report
-        .summary_cache
-        .iter()
-        .filter(|t| t.workload == "nft-mint-rush")
-    {
-        println!(
-            "nft-mint-rush summary memo: {} hits / {} misses",
-            traffic.summary_cache_hits, traffic.summary_cache_misses
-        );
-        assert!(
-            traffic.summary_cache_hits > traffic.summary_cache_misses,
-            "nft-mint-rush summary memo should be hit-dominated \
-             ({} hits vs {} misses)",
-            traffic.summary_cache_hits,
-            traffic.summary_cache_misses
-        );
-    }
+    println!(
+        "nft-mint-rush summary memo: {} hits / {} misses",
+        mints.summary_cache_hits, mints.summary_cache_misses
+    );
+    assert!(
+        mints.summary_cache_hits > mints.summary_cache_misses,
+        "nft-mint-rush summary memo should be hit-dominated \
+         ({} hits vs {} misses)",
+        mints.summary_cache_hits,
+        mints.summary_cache_misses
+    );
 
     dmvcc_bench::write_json("threaded_scaling", &report);
     println!("wrote bench-results/threaded_scaling.json");

@@ -17,6 +17,7 @@
 //! environment so CI can run small while full runs match the paper:
 //! `DMVCC_BLOCKS` (blocks per experiment), `DMVCC_BLOCK_SIZE`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::io::Write as _;

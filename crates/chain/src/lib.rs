@@ -17,6 +17,7 @@
 //! costs a few milliseconds — matching the paper's observed
 //! "sub-milliseconds to tens of milliseconds".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod block;
@@ -31,8 +32,7 @@ use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_baselines::{simulate_dag, simulate_occ};
 pub use dmvcc_core::ExecutorKind;
 use dmvcc_core::{
-    execute_block_serial, simulate_dmvcc, BlockPipeline, DmvccConfig, ParallelConfig,
-    SchedulerPolicy, SimReport,
+    execute_block_serial, simulate_dmvcc, BlockPipeline, DmvccConfig, ParallelConfig, SimReport,
 };
 use dmvcc_primitives::H256;
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb};
@@ -162,9 +162,6 @@ pub struct ChainConfig {
     /// Whether missing SAGs are rebuilt on the fly (paper's first option)
     /// or executed with empty predictions "as what OCC does" (second).
     pub rebuild_missing_sags: bool,
-    /// Ready-queue ordering of the real threaded executor (crosschecks
-    /// and the pipelined front-end).
-    pub policy: SchedulerPolicy,
     /// Which real threaded engine backs the cross-checks and the pipelined
     /// front-end (predictive sharded, optimistic STM, or hybrid).
     pub executor: ExecutorKind,
@@ -188,7 +185,6 @@ impl ChainConfig {
             crosscheck_every: 0,
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
-            policy: SchedulerPolicy::CriticalPath,
             executor: ExecutorKind::Sharded,
             backend: BackendKind::Mem,
         }
@@ -258,9 +254,7 @@ pub fn run_testnet(config: &ChainConfig) -> ChainReport {
         analyzer.clone(),
         ParallelConfig {
             threads: config.threads.clamp(1, 8),
-            max_attempts: 64,
-            scheduler: config.policy,
-            pin_cores: false,
+            ..ParallelConfig::default()
         },
         None,
     );
@@ -460,9 +454,7 @@ pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
 
     let parallel_config = ParallelConfig {
         threads: config.threads.clamp(1, 8),
-        max_attempts: 64,
-        scheduler: config.policy,
-        pin_cores: false,
+        ..ParallelConfig::default()
     };
     let genesis = db.latest().clone();
     // Block N's root hashing is launched off-thread the moment its writes
@@ -551,7 +543,6 @@ mod tests {
             crosscheck_every: 1,
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
-            policy: SchedulerPolicy::CriticalPath,
             executor: ExecutorKind::Sharded,
             backend: BackendKind::Mem,
         }
@@ -738,15 +729,5 @@ mod tests {
         }
         assert_eq!(ExecutorKind::parse("optimistic"), None);
         assert_eq!(ExecutorKind::default(), ExecutorKind::Sharded);
-    }
-
-    #[test]
-    fn fifo_policy_chain_stays_consistent() {
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
-        config.policy = SchedulerPolicy::Fifo;
-        let testnet = run_testnet(&config);
-        assert!(testnet.roots_consistent);
-        let pipelined = run_pipelined_chain(&config);
-        assert!(pipelined.roots_consistent);
     }
 }

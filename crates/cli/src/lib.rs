@@ -16,6 +16,7 @@
 //! the tree to the sanctioned crates); [`parse_args`] is pure and fully
 //! unit-tested.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
@@ -227,20 +228,19 @@ USAGE:
       Generate blocks and report scheduler speedups (virtual time).
   dmvcc chain [--hot] [--blocks N] [--size M] [--threads T]
               [--scheduler serial|dag|occ|dmvcc] [--interval SECS]
-              [--policy fifo|critical-path] [--pipeline]
-              [--executor sharded|stm|hybrid] [--backend mem|lsm]
-      Run the micro testnet and report throughput. --policy picks the
-      threaded executor's ready-queue order; --pipeline executes blocks
-      on the real executor with C-SAG refinement overlapped one block
-      ahead and reports the refine/execute overlap plus the fraction of
-      root hashing hidden off the critical path; --executor picks the
-      real threaded engine (predictive sharded, optimistic Block-STM, or
-      the hybrid router) behind cross-checks and the pipelined path;
-      --backend picks the persistent state store the chain commits to
-      (in-memory versioned map or the log-structured on-disk store).
+              [--pipeline] [--executor sharded|stm|hybrid]
+              [--backend mem|lsm]
+      Run the micro testnet and report throughput. --pipeline executes
+      blocks on the real executor with C-SAG refinement overlapped one
+      block ahead and reports the refine/execute overlap plus the
+      fraction of root hashing hidden off the critical path; --executor
+      picks the real threaded engine (predictive sharded, optimistic
+      Block-STM, or the hybrid router) behind cross-checks and the
+      pipelined path; --backend picks the persistent state store the
+      chain commits to (in-memory versioned map or the log-structured
+      on-disk store).
   dmvcc profile [--hot] [--blocks N] [--size M] [--threads T]
-                [--repeat R] [--policy fifo|critical-path] [--pin-cores]
-                [--seed S]
+                [--repeat R] [--seed S]
       Re-execute the same prepared blocks on the sharded executor in a
       tight loop (flamegraph-friendly: samples land in the hot path, not
       in setup) and print the hot-path counters — shard-lock

@@ -1,5 +1,7 @@
 //! The `dmvcc` command-line tool.
 
+#![forbid(unsafe_code)]
+
 use dmvcc_analysis::{
     cfg_to_dot, lint_deployed, loop_gas_bounds, static_gas_bounds, Analyzer, CallGraph, PSag,
     Severity,
@@ -90,7 +92,10 @@ fn cmd_contracts() -> Result<(), String> {
             "nft_drop",
             "mint-rush drop: DELEGATECALL royalties, STATICCALL floor",
         ),
-        ("floor_oracle", "write-free floor price read (STATICCALL target)"),
+        (
+            "floor_oracle",
+            "write-free floor price read (STATICCALL target)",
+        ),
     ];
     for (name, description) in descriptions {
         let code = contract_by_name(name).expect("listed contracts exist");
@@ -309,9 +314,6 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
         "dmvcc" => SchedulerKind::Dmvcc,
         other => return Err(format!("unknown scheduler `{other}`")),
     };
-    let policy_name: String = parsed.get_or("policy", "critical-path".to_string())?;
-    let policy = dmvcc_core::SchedulerPolicy::parse(&policy_name)
-        .ok_or_else(|| format!("unknown policy `{policy_name}` (fifo | critical-path)"))?;
     let executor_name: String = parsed.get_or("executor", "sharded".to_string())?;
     let executor = ExecutorKind::parse(&executor_name)
         .ok_or_else(|| format!("unknown executor `{executor_name}` (sharded | stm | hybrid)"))?;
@@ -330,13 +332,11 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
         crosscheck_every: 0,
         pool_miss_rate: parsed.get_or("miss-rate", 0.0f64)?,
         rebuild_missing_sags: true,
-        policy,
         executor,
         backend,
     };
     if parsed.has("pipeline") {
         let report = run_pipelined_chain(&config);
-        println!("policy             : {}", policy.label());
         println!("executor           : {}", executor.label());
         println!("backend            : {}", report.backend);
         println!("blocks             : {}", report.blocks);
@@ -397,9 +397,6 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     let size = parsed.get_or("size", 200usize)?;
     let threads = parsed.get_or("threads", 1usize)?;
     let repeat = parsed.get_or("repeat", 20usize)?;
-    let policy_name: String = parsed.get_or("policy", "critical-path".to_string())?;
-    let policy = dmvcc_core::SchedulerPolicy::parse(&policy_name)
-        .ok_or_else(|| format!("unknown policy `{policy_name}` (fifo | critical-path)"))?;
 
     let mut generator = WorkloadGenerator::new(workload_from(parsed)?);
     let analyzer = Analyzer::new(generator.registry().clone());
@@ -427,9 +424,7 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
 
     let config = dmvcc_core::ParallelConfig {
         threads,
-        max_attempts: 64,
-        scheduler: policy,
-        pin_cores: parsed.has("pin-cores"),
+        ..Default::default()
     };
     let executor = dmvcc_core::ParallelExecutor::new(analyzer, config);
     // Correctness check once, outside the profiled loop.
@@ -455,15 +450,12 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
             stats.shard_lock_acquisitions += outcome.stats.shard_lock_acquisitions;
             stats.alloc_bytes_saved += outcome.stats.alloc_bytes_saved;
             stats.targeted_wakeups += outcome.stats.targeted_wakeups;
-            stats.steals += outcome.stats.steals;
             stats.parks += outcome.stats.parks;
         }
     }
     let wall = start.elapsed().as_secs_f64();
 
-    println!("policy                 : {}", policy.label());
     println!("threads                : {threads}");
-    println!("core pinning           : {}", config.pin_cores);
     println!("profiled work          : {repeat} passes x {blocks} blocks x {size} txs");
     println!("wall time              : {wall:.3}s");
     println!("throughput             : {:.0} tx/s", txs as f64 / wall);
@@ -483,9 +475,6 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
         stats.alloc_bytes_saved as f64 / (1u64 << 20) as f64
     );
     println!("targeted wakeups       : {}", stats.targeted_wakeups);
-    println!(
-        "steals / parks         : {} / {}",
-        stats.steals, stats.parks
-    );
+    println!("parks                  : {}", stats.parks);
     Ok(())
 }

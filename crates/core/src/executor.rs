@@ -209,7 +209,41 @@ impl ExecutorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmvcc_vm::CodeRegistry;
+    use crate::oracle::execute_block_serial;
+    use dmvcc_primitives::{Address, U256};
+    use dmvcc_state::StateKey;
+    use dmvcc_vm::{CodeRegistry, ExecStatus};
+
+    #[test]
+    fn any_thread_count_matches_the_serial_oracle() {
+        // A dependent chain 1 → 2 → 3 → 4: zero workers must still execute
+        // it, and more workers than transactions must not change it.
+        let txs: Vec<Transaction> = (1..=3)
+            .map(|i| {
+                Transaction::transfer(Address::from_u64(i), Address::from_u64(i + 1), U256::ONE)
+            })
+            .collect();
+        let snapshot =
+            Snapshot::from_entries([(StateKey::balance(Address::from_u64(1)), U256::from(10u64))]);
+        let analyzer = Analyzer::new(CodeRegistry::default());
+        let env = BlockEnv::default();
+        let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        let statuses: Vec<ExecStatus> = trace.txs.iter().map(|t| t.status.clone()).collect();
+        for kind in ExecutorKind::ALL {
+            for threads in [0, 1, txs.len() + 5] {
+                let config = ParallelConfig {
+                    threads,
+                    ..ParallelConfig::default()
+                };
+                let outcome = kind
+                    .build(analyzer.clone(), config, None)
+                    .execute_block(&txs, &snapshot, &env);
+                let label = format!("{} at threads={threads}", kind.label());
+                assert_eq!(outcome.final_writes, trace.final_writes, "{label}");
+                assert_eq!(outcome.statuses, statuses, "{label}");
+            }
+        }
+    }
 
     #[test]
     fn only_the_optimistic_engine_ignores_predictions() {

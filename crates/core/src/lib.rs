@@ -12,8 +12,8 @@
 //!   write versioning — the quantities behind the paper's figures.
 //! - [`ParallelExecutor`]: a real multi-threaded executor implementing
 //!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
-//!   waiter index for targeted wakeups, and a work-stealing ready queue),
-//!   validated against the serial state root.
+//!   waiter index for targeted wakeups, and one ready queue of
+//!   [`BlockDag`] rank lanes), validated against the serial state root.
 //! - [`StmExecutor`]: a Block-STM-style optimistic executor (multi-version
 //!   map over interned keys, optimistic execution, value-based validation
 //!   in serial order) that needs no access predictions at all, plus
@@ -55,10 +55,10 @@
 //! assert!(report.speedup() >= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod access;
-mod affinity;
 mod arena;
 mod executor;
 mod hook;
@@ -74,7 +74,6 @@ mod simulator;
 pub use access::{
     AccessEntry, AccessOp, AccessSequence, EntryState, ReadResolution, VersionWriteEffect,
 };
-pub use affinity::pin_current_thread;
 pub use arena::{IdSet, SmallMap};
 pub use executor::{BlockExecutor, ExecutorKind};
 pub use hook::{NoopHook, SchedHook};
@@ -82,7 +81,7 @@ pub use oracle::{build_csags, execute_block_serial, BlockTrace, ReadRecord, TxTr
 pub use parallel::{ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
 pub use parallel_stm::{HybridExecutor, StmExecutor};
 pub use pipeline::{refine_csags, BlockPipeline, PipelineStats};
-pub use rank::{BlockDag, SchedulerPolicy, TxRank, NUM_LANES};
+pub use rank::{BlockDag, TxRank, NUM_LANES};
 pub use sharded::{Shard, ShardedSequences, DEFAULT_SHARDS};
 pub use sim::{SimReport, ThreadTimeline};
 pub use simulator::{simulate_dmvcc, DmvccConfig};

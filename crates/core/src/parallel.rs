@@ -15,9 +15,11 @@
 //! - **Targeted wakeups**: each shard keeps a reverse waiter index
 //!   (key → blocked readers); a publish drains and signals exactly the
 //!   transactions waiting on that key via their per-transaction event.
-//! - **Work-stealing ready queue**: admitted transactions go to the
-//!   admitting worker's own `crossbeam` deque (or a shared injector from
-//!   outside worker context); idle workers steal.
+//! - **Rank-lane ready queue**: the dispatch order is computed up front
+//!   from the batch — [`crate::BlockDag`] ranks bucket every transaction
+//!   into one of [`crate::NUM_LANES`] FIFO lanes — and workers pop the
+//!   highest-priority non-empty lane. There is one queue, shared by all
+//!   workers; nothing is discovered by arrival order or stealing.
 //! - **Per-transaction cores**: the scheduling state of a transaction
 //!   (phase, attempt count, touched/published keys) sits behind its own
 //!   small mutex, with the abort generation as an atomic for cheap
@@ -33,12 +35,11 @@
 //! the serial execution's (Theorem 1) — integration tests compare Merkle
 //! roots over randomized workloads.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
 use dmvcc_primitives::U256;
@@ -50,7 +51,7 @@ use dmvcc_analysis::{Analyzer, CSag};
 use crate::access::{AccessOp, ReadResolution, VersionWriteEffect};
 use crate::arena::{IdSet, SmallMap};
 use crate::hook::SchedHook;
-use crate::rank::{BlockDag, SchedulerPolicy, NUM_LANES};
+use crate::rank::{BlockDag, NUM_LANES};
 use crate::sharded::{ShardStorage, ShardedSequences, DEFAULT_SHARDS};
 
 /// Backstop for a read blocked on a pending version: the waiter is signaled
@@ -58,7 +59,7 @@ use crate::sharded::{ShardStorage, ShardedSequences, DEFAULT_SHARDS};
 /// impossible, practically paranoid) missed wakeup.
 const BLOCKED_PARK: Duration = Duration::from_millis(1);
 
-/// Backstop for an idle worker with nothing to run or steal.
+/// Backstop for an idle worker with nothing to run.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// Consecutive signal-free park timeouts a blocked read tolerates before
@@ -68,18 +69,12 @@ const STUCK_PARKS: u32 = 3;
 /// Configuration of the threaded executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
-    /// Number of OS worker threads.
+    /// Number of OS worker threads (clamped per block to
+    /// `1..=transactions`).
     pub threads: usize,
     /// Hard cap on attempts per transaction (the protocol converges long
     /// before; this guards against bugs, not livelock).
     pub max_attempts: u32,
-    /// Ready-queue ordering policy (critical-path rank order by default;
-    /// `Fifo` restores the original arrival-order deques).
-    pub scheduler: SchedulerPolicy,
-    /// Pin worker `i` to CPU core `i % cores` (Linux `sched_setaffinity`;
-    /// no-op elsewhere). Off by default: pinning helps when workers own
-    /// their shards' cache lines, hurts when the machine is shared.
-    pub pin_cores: bool,
 }
 
 impl Default for ParallelConfig {
@@ -94,8 +89,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             threads,
             max_attempts: 64,
-            scheduler: SchedulerPolicy::default(),
-            pin_cores: false,
         }
     }
 }
@@ -111,42 +104,16 @@ pub struct ExecutorStats {
     pub publishes: u64,
     /// Waiters signaled individually through the reverse waiter index.
     pub targeted_wakeups: u64,
-    /// Ready-queue entries obtained by stealing from another worker.
+    /// Always 0: the single rank-lane ready queue has nothing to steal
+    /// from. The field survives only because the frozen e2e benchmark
+    /// adapter reads it.
     pub steals: u64,
     /// Times a worker went to sleep (idle or blocked on a read).
     pub parks: u64,
-    /// C-SAGs refined by the symbolic binding fast tier (no speculative
-    /// pre-execution was needed).
-    pub symbolic_bindings: u64,
-    /// C-SAGs bound symbolically *through a loop*: the binder unrolled one
-    /// or more summarized loops at bind time instead of speculating.
-    pub loop_summarized_bindings: u64,
-    /// C-SAGs bound symbolically *through one or more cross-contract
-    /// calls*: the binder substituted callee summaries at bind time
-    /// instead of speculating.
-    pub interprocedural_bindings: u64,
-    /// C-SAGs bound symbolically through a *bounded dynamic dispatch*
-    /// site: the call target was loaded from a registry slot, the binder
-    /// resolved it against the snapshot, and the bind stayed
-    /// non-speculative.
-    pub bounded_dynamic_bindings: u64,
-    /// Code-hash summary-memo hits during this block's refinement: P-SAG
-    /// summaries reused across deployments sharing one bytecode body
-    /// (zero when the block was executed with precomputed C-SAGs).
-    pub summary_cache_hits: u64,
-    /// C-SAGs that fell back to speculative pre-execution.
-    pub speculative_fallbacks: u64,
-    /// Gas of the block's heaviest predicted dependency chain (the max
-    /// [`crate::BlockDag`] rank): no schedule finishes in less virtual
-    /// time.
-    pub critical_path_gas: u64,
-    /// Sum of predicted gas over the block (the numerator of
-    /// [`ExecutorStats::speedup_bound`]).
-    pub predicted_gas: u64,
     /// Valid dequeues that ran a transaction while a strictly
     /// higher-priority lane still held entries — how far the actual
-    /// dispatch order strayed from rank order (FIFO accumulates these;
-    /// critical-path dispatch keeps them near zero).
+    /// dispatch order strayed from rank order (a push racing a pop; near
+    /// zero).
     pub rank_inversions: u64,
     /// Wall-clock nanoseconds spent refining the block's C-SAGs
     /// (`execute_block` only; zero when precomputed C-SAGs are supplied).
@@ -174,33 +141,6 @@ pub struct ExecutorStats {
     /// subset for the hybrid dispatcher, zero for the purely predictive
     /// executors.
     pub optimistic_txs: u64,
-}
-
-impl ExecutorStats {
-    /// Upper bound on achievable speedup for the executed block: total
-    /// predicted gas over critical-path gas (1.0 when unknown).
-    pub fn speedup_bound(&self) -> f64 {
-        if self.critical_path_gas == 0 {
-            1.0
-        } else {
-            self.predicted_gas as f64 / self.critical_path_gas as f64
-        }
-    }
-}
-
-/// Counts how each block C-SAG was refined, for [`ExecutorStats`]:
-/// `(symbolic, loop_summarized, interprocedural, bounded_dynamic,
-/// speculative)`.
-pub(crate) fn tier_counts(csags: &[CSag]) -> (u64, u64, u64, u64, u64) {
-    use dmvcc_analysis::RefinementTier;
-    let count = |tier: RefinementTier| csags.iter().filter(|c| c.tier == tier).count() as u64;
-    (
-        count(RefinementTier::Symbolic),
-        count(RefinementTier::LoopSummarized),
-        count(RefinementTier::Interprocedural),
-        count(RefinementTier::BoundedDynamic),
-        count(RefinementTier::Speculative),
-    )
 }
 
 /// Result of a parallel block execution.
@@ -309,36 +249,22 @@ struct TxState {
 struct AtomicStats {
     publishes: AtomicU64,
     targeted_wakeups: AtomicU64,
-    steals: AtomicU64,
     parks: AtomicU64,
     rank_inversions: AtomicU64,
     publish_batches: AtomicU64,
 }
 
 impl AtomicStats {
+    /// The shared counters; the caller fills in what it counts itself
+    /// (attempts, arena bytes, shard locks).
     fn snapshot(&self) -> ExecutorStats {
         ExecutorStats {
-            attempts: 0, // filled from the per-tx cores by the caller
             publishes: self.publishes.load(Ordering::Relaxed),
             targeted_wakeups: self.targeted_wakeups.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
-            symbolic_bindings: 0,        // filled from the C-SAGs by the caller
-            loop_summarized_bindings: 0, // likewise
-            interprocedural_bindings: 0, // likewise
-            bounded_dynamic_bindings: 0, // likewise
-            summary_cache_hits: 0,       // filled by the refining caller
-            speculative_fallbacks: 0,    // likewise
-            critical_path_gas: 0,        // filled from the BlockDag by the caller
-            predicted_gas: 0,            // likewise
             rank_inversions: self.rank_inversions.load(Ordering::Relaxed),
-            refine_nanos: 0,            // filled by execute_block
-            alloc_bytes_saved: 0,       // filled from the block arena by the caller
-            shard_lock_acquisitions: 0, // filled from ShardedSequences by the caller
             publish_batches: self.publish_batches.load(Ordering::Relaxed),
-            validations: 0,         // STM executor only
-            validation_failures: 0, // likewise
-            optimistic_txs: 0,      // filled by the STM/hybrid dispatchers
+            ..ExecutorStats::default()
         }
     }
 }
@@ -352,17 +278,13 @@ type ReadyEntry = (usize, u32, usize);
 struct Shared<'a> {
     sequences: ShardedSequences,
     states: Vec<TxState>,
-    injector: Injector<ReadyEntry>,
-    stealers: Vec<Stealer<ReadyEntry>>,
-    /// Critical-path ranks of the block (always built: the stats report
-    /// critical-path gas and inversions under either policy).
+    /// Critical-path ranks of the block: a transaction's rank picks its
+    /// ready-queue lane.
     dag: &'a BlockDag,
-    /// Rank-bucketed sharded priority injectors, drained lane 0 first
-    /// (used only under [`SchedulerPolicy::CriticalPath`]).
-    lanes: Vec<Injector<ReadyEntry>>,
-    /// Entries currently queued per lane, under either policy — the
-    /// rank-inversion probe ("is a higher lane non-empty?") needs the
-    /// occupancy even when dispatch itself is FIFO.
+    /// The ready queue: rank-bucketed FIFO lanes, drained lane 0 first.
+    lanes: Vec<Mutex<VecDeque<ReadyEntry>>>,
+    /// Entries currently queued per lane, so the rank-inversion probe
+    /// ("is a higher lane non-empty?") takes no lane lock.
     lane_counts: Vec<AtomicUsize>,
     /// Transactions currently in phase `Finished` whose finalization
     /// completed (incremented/decremented strictly under the tx's core
@@ -372,7 +294,7 @@ struct Shared<'a> {
     blocked: AtomicUsize,
     /// Workers currently parked with nothing to run.
     idle: AtomicUsize,
-    /// Entries currently sitting in the ready deques (stale ones included).
+    /// Entries currently sitting in the ready queue (stale ones included).
     ready_count: AtomicUsize,
     aborts: AtomicU64,
     stats: AtomicStats,
@@ -385,7 +307,9 @@ struct Shared<'a> {
     /// bounds), built once per block.
     metas: Vec<TxMeta>,
     txs: &'a [Transaction],
-    config: ParallelConfig,
+    /// Worker threads running this block (the configured count clamped to
+    /// `1..=txs.len()`).
+    threads: usize,
     /// Optional scheduling hook (`None` in production; see
     /// [`crate::SchedHook`]).
     hook: Option<Arc<dyn SchedHook>>,
@@ -403,13 +327,10 @@ impl Shared<'_> {
         self.states[tx].generation.load(Ordering::SeqCst)
     }
 
-    /// Enqueues a ready transaction and wakes a parked worker if any.
-    ///
-    /// FIFO policy: onto the admitting worker's own deque when there is
-    /// one (locality), otherwise the shared injector. Critical-path
-    /// policy: into the transaction's rank lane — re-admissions after an
-    /// abort therefore re-enter at their rank, not at the back.
-    fn push_ready(&self, tx: usize, generation: u32, local: Option<&Worker<ReadyEntry>>) {
+    /// Enqueues a ready transaction into its rank lane and wakes a parked
+    /// worker if any. Re-admissions after an abort re-enter at their rank,
+    /// not at the back.
+    fn push_ready(&self, tx: usize, generation: u32) {
         // Breaker-demoted transactions enter at the lowest priority: the
         // breaker's self-abort exists to yield the worker to other queued
         // ready work, and a re-admission at the victim's own (higher) rank
@@ -425,18 +346,16 @@ impl Shared<'_> {
         let entry: ReadyEntry = (tx, generation, lane);
         self.ready_count.fetch_add(1, Ordering::SeqCst);
         self.lane_counts[lane].fetch_add(1, Ordering::SeqCst);
-        match self.config.scheduler {
-            SchedulerPolicy::Fifo => match local {
-                Some(worker) => worker.push(entry),
-                None => self.injector.push(entry),
-            },
-            SchedulerPolicy::CriticalPath => {
-                self.lanes[lane].push(entry);
-            }
-        }
+        self.lanes[lane].lock().push_back(entry);
         if self.idle.load(Ordering::SeqCst) > 0 {
             self.idle_event.signal();
         }
+    }
+
+    /// Pops the next ready entry, scanning the rank lanes highest-priority
+    /// first (lane 0 holds the heaviest downstream chains).
+    fn pop_ready(&self) -> Option<ReadyEntry> {
+        self.lanes.iter().find_map(|lane| lane.lock().pop_front())
     }
 
     /// Bookkeeping for a popped entry: lane occupancy down; if the entry
@@ -473,7 +392,7 @@ impl Shared<'_> {
     /// version appearing concurrently can cause a *spurious* admission —
     /// harmless, the attempt just blocks (or aborts) like any mispredicted
     /// read — but never a missed one.
-    fn try_admit(&self, tx: usize, local: Option<&Worker<ReadyEntry>>) -> bool {
+    fn try_admit(&self, tx: usize) -> bool {
         if self.states[tx].core.lock().phase != Phase::Waiting {
             return false;
         }
@@ -491,7 +410,7 @@ impl Shared<'_> {
             // is coherent.
             self.generation_of(tx)
         };
-        self.push_ready(tx, generation, local);
+        self.push_ready(tx, generation);
         true
     }
 
@@ -500,7 +419,7 @@ impl Shared<'_> {
     /// under the core lock *first* (any in-flight attempt now fails its
     /// next staleness check), then reset the victim's entries shard by
     /// shard, feeding newly-stale readers back into the worklist.
-    fn abort_cascade(&self, root: usize, local: Option<&Worker<ReadyEntry>>) {
+    fn abort_cascade(&self, root: usize) {
         let mut worklist = vec![root];
         let mut seen = HashSet::new();
         let mut admit_candidates: Vec<usize> = Vec::new();
@@ -600,21 +519,21 @@ impl Shared<'_> {
         }
         // Re-admit everything the cascade touched or unblocked.
         for victim in seen {
-            self.try_admit(victim, local);
+            self.try_admit(victim);
         }
         for reader in admit_candidates {
-            self.try_admit(reader, local);
+            self.try_admit(reader);
         }
     }
 
     /// Applies a version-write/drop effect: aborts stale readers, admits
     /// the newly unblocked. Must be called with no shard lock held.
-    fn apply_effect(&self, effect: VersionWriteEffect, local: Option<&Worker<ReadyEntry>>) {
+    fn apply_effect(&self, effect: VersionWriteEffect) {
         for reader in effect.aborted {
-            self.abort_cascade(reader, local);
+            self.abort_cascade(reader);
         }
         for reader in effect.allowed {
-            self.try_admit(reader, local);
+            self.try_admit(reader);
         }
     }
 
@@ -660,7 +579,6 @@ type PublishEntry = (KeyId, U256, bool);
 /// Host bridging one VM execution onto the sharded sequences.
 struct ThreadHost<'a, 'b> {
     shared: &'a Shared<'b>,
-    local: Option<&'a Worker<ReadyEntry>>,
     tx: usize,
     generation: u32,
     /// Buffered full writes and commutative deltas of this attempt, keyed
@@ -760,7 +678,7 @@ impl ThreadHost<'_, '_> {
             // effects may take core locks and other shard locks).
             for (effect, waiters) in staged.drain(..) {
                 shared.wake_waiters(waiters);
-                shared.apply_effect(effect, self.local);
+                shared.apply_effect(effect);
             }
         }
         Ok(())
@@ -797,7 +715,7 @@ impl ThreadHost<'_, '_> {
             shared.stats.publish_batches.fetch_add(1, Ordering::Relaxed);
             for (effect, waiters) in staged.drain(..) {
                 shared.wake_waiters(waiters);
-                shared.apply_effect(effect, self.local);
+                shared.apply_effect(effect);
             }
         }
         Ok(())
@@ -870,10 +788,10 @@ impl Host for ThreadHost<'_, '_> {
             // next blocked reader sees, and the block storms with
             // self-aborts until someone trips `max_attempts` (found by DST
             // schedule fuzzing).
-            if blocked + self.shared.idle.load(Ordering::SeqCst) >= self.shared.config.threads {
+            if blocked + self.shared.idle.load(Ordering::SeqCst) >= self.shared.threads {
                 if self.shared.ready_count.load(Ordering::SeqCst) == 0 {
                     for i in 0..self.shared.txs.len() {
-                        self.shared.try_admit(i, self.local);
+                        self.shared.try_admit(i);
                     }
                 }
                 if stuck_parks >= STUCK_PARKS && self.shared.ready_count.load(Ordering::SeqCst) > 0
@@ -883,15 +801,13 @@ impl Host for ThreadHost<'_, '_> {
                         .sequences
                         .shard_for(id)
                         .unregister_waiter(id, self.tx);
-                    // Re-admissions go to the shared injector (`local:
-                    // None`) and, under critical-path scheduling, to the
-                    // lowest-priority lane: this worker's next pop must
-                    // find the stuck writer, not our own just-re-admitted
-                    // transaction.
+                    // Our re-admission goes to the lowest-priority lane:
+                    // this worker's next pop must find the stuck writer,
+                    // not our own just-re-admitted transaction.
                     self.shared.states[self.tx]
                         .demoted
                         .store(true, Ordering::SeqCst);
-                    self.shared.abort_cascade(self.tx, None);
+                    self.shared.abort_cascade(self.tx);
                     return Err(HostError::Aborted);
                 }
             }
@@ -976,7 +892,7 @@ impl Host for ThreadHost<'_, '_> {
 }
 
 /// The multi-threaded DMVCC block executor (sharded locks, targeted
-/// wakeups, work-stealing scheduling — see the module docs).
+/// wakeups, rank-lane dispatch — see the module docs).
 ///
 /// # Examples
 ///
@@ -1069,8 +985,22 @@ impl ParallelExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let refine_start = std::time::Instant::now();
-        let hits_before = self.analyzer.registry().summaries().hits();
+        let (csags, refine_nanos) = self.refine_timed(txs, snapshot, block_env);
+        let mut outcome = self.execute_block_with_csags(txs, snapshot, block_env, &csags);
+        outcome.stats.refine_nanos = refine_nanos;
+        outcome
+    }
+
+    /// Refines the block's C-SAGs on this executor's threads, returning
+    /// them with the wall-clock nanoseconds the phase took
+    /// ([`ExecutorStats::refine_nanos`]).
+    pub(crate) fn refine_timed(
+        &self,
+        txs: &[Transaction],
+        snapshot: &Snapshot,
+        block_env: &BlockEnv,
+    ) -> (Vec<CSag>, u64) {
+        let start = std::time::Instant::now();
         let csags = crate::pipeline::refine_csags(
             &self.analyzer,
             txs,
@@ -1078,12 +1008,7 @@ impl ParallelExecutor {
             block_env,
             self.config.threads,
         );
-        let refine_nanos = refine_start.elapsed().as_nanos() as u64;
-        let summary_hits = self.analyzer.registry().summaries().hits() - hits_before;
-        let mut outcome = self.execute_block_with_csags(txs, snapshot, block_env, &csags);
-        outcome.stats.refine_nanos = refine_nanos;
-        outcome.stats.summary_cache_hits = summary_hits;
-        outcome
+        (csags, start.elapsed().as_nanos() as u64)
     }
 
     /// Executes a block with precomputed C-SAGs.
@@ -1232,19 +1157,12 @@ impl ParallelExecutor {
             }
         }
 
-        let workers: Vec<Worker<ReadyEntry>> = (0..self.config.threads)
-            .map(|_| Worker::new_fifo())
-            .collect();
-        let stealers = workers.iter().map(Worker::stealer).collect();
-
         let dag = BlockDag::build_with_interner(csags, &interner);
         let shared = Shared {
             sequences,
             states,
-            injector: Injector::new(),
-            stealers,
             dag: &dag,
-            lanes: (0..NUM_LANES).map(|_| Injector::new()).collect(),
+            lanes: (0..NUM_LANES).map(|_| Mutex::default()).collect(),
             lane_counts: (0..NUM_LANES).map(|_| AtomicUsize::new(0)).collect(),
             finished: AtomicUsize::new(0),
             blocked: AtomicUsize::new(0),
@@ -1257,42 +1175,24 @@ impl ParallelExecutor {
             csags,
             metas,
             txs,
-            config: self.config,
+            // More workers than transactions could only park; zero would
+            // run nothing at all.
+            threads: self.config.threads.clamp(1, n),
             hook: self.hook.clone(),
         };
-        // Initial admission (Algorithm 1 line 1) — into the injector; the
-        // first workers to start will spread the entries by stealing.
+        // Initial admission (Algorithm 1 line 1).
         for i in 0..n {
-            shared.try_admit(i, None);
+            shared.try_admit(i);
         }
 
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let pin = self.config.pin_cores;
         std::thread::scope(|scope| {
-            for (index, local) in workers.into_iter().enumerate() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    if pin {
-                        crate::affinity::pin_current_thread(index % cores);
-                    }
-                    self.worker(shared, block_env, local, index)
-                });
+            for _ in 0..shared.threads {
+                scope.spawn(|| self.worker(&shared, block_env));
             }
         });
 
         let final_writes = shared.sequences.final_writes(snapshot);
         let mut stats = shared.stats.snapshot();
-        (
-            stats.symbolic_bindings,
-            stats.loop_summarized_bindings,
-            stats.interprocedural_bindings,
-            stats.bounded_dynamic_bindings,
-            stats.speculative_fallbacks,
-        ) = tier_counts(csags);
-        stats.critical_path_gas = dag.critical_path_gas;
-        stats.predicted_gas = dag.total_gas;
         stats.alloc_bytes_saved = bytes_saved;
         stats.shard_lock_acquisitions = shared.sequences.lock_acquisitions();
         let Shared {
@@ -1321,64 +1221,14 @@ impl ParallelExecutor {
         }
     }
 
-    /// Pops the next ready entry. Critical-path policy: scan the rank
-    /// lanes highest-priority first (lane 0 holds the heaviest downstream
-    /// chains). FIFO policy: own deque first, then the injector, then
-    /// stealing from the other workers.
-    fn next_entry(
-        &self,
-        shared: &Shared<'_>,
-        local: &Worker<ReadyEntry>,
-        index: usize,
-    ) -> Option<ReadyEntry> {
-        if self.config.scheduler == SchedulerPolicy::CriticalPath {
-            for lane in &shared.lanes {
-                loop {
-                    match lane.steal() {
-                        Steal::Success(entry) => return Some(entry),
-                        Steal::Empty => break,
-                        Steal::Retry => continue,
-                    }
-                }
-            }
-            return None;
-        }
-        if let Some(entry) = local.pop() {
-            return Some(entry);
-        }
-        loop {
-            match shared.injector.steal() {
-                Steal::Success(entry) => return Some(entry),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-        for (i, stealer) in shared.stealers.iter().enumerate() {
-            if i == index {
-                continue;
-            }
-            if let Steal::Success(entry) = stealer.steal() {
-                shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(entry);
-            }
-        }
-        None
-    }
-
-    fn worker(
-        &self,
-        shared: &Shared<'_>,
-        block_env: &BlockEnv,
-        local: Worker<ReadyEntry>,
-        index: usize,
-    ) {
+    fn worker(&self, shared: &Shared<'_>, block_env: &BlockEnv) {
         let n = shared.txs.len();
         loop {
             if shared.finished.load(Ordering::SeqCst) == n {
                 shared.idle_event.signal();
                 return;
             }
-            if let Some((tx, generation, lane)) = self.next_entry(shared, &local, index) {
+            if let Some((tx, generation, lane)) = shared.pop_ready() {
                 shared.ready_count.fetch_sub(1, Ordering::SeqCst);
                 let run: Option<u32> = {
                     let mut core = shared.states[tx].core.lock();
@@ -1412,11 +1262,11 @@ impl ParallelExecutor {
                         // and re-admits it, exactly like a real abort that
                         // lands between dequeue and first read.
                         if hook.inject_abort(tx, attempt) {
-                            shared.abort_cascade(tx, Some(&local));
+                            shared.abort_cascade(tx);
                             continue;
                         }
                     }
-                    self.run_attempt(shared, block_env, tx, generation, &local);
+                    self.run_attempt(shared, block_env, tx, generation);
                 }
                 continue;
             }
@@ -1425,7 +1275,7 @@ impl ParallelExecutor {
             // dynamically discovered keys).
             let mut admitted = false;
             for i in 0..n {
-                admitted |= shared.try_admit(i, Some(&local));
+                admitted |= shared.try_admit(i);
             }
             if admitted {
                 continue;
@@ -1451,21 +1301,13 @@ impl ParallelExecutor {
         }
     }
 
-    fn run_attempt(
-        &self,
-        shared: &Shared<'_>,
-        block_env: &BlockEnv,
-        tx: usize,
-        generation: u32,
-        local: &Worker<ReadyEntry>,
-    ) {
+    fn run_attempt(&self, shared: &Shared<'_>, block_env: &BlockEnv, tx: usize, generation: u32) {
         let transaction = &shared.txs[tx];
         let csag = &shared.csags[tx];
         let meta = &shared.metas[tx];
 
         let mut host = ThreadHost {
             shared,
-            local: Some(local),
             tx,
             generation,
             writes: SmallMap::new(),
@@ -1646,17 +1488,11 @@ mod tests {
     }
 
     fn executor(threads: usize) -> ParallelExecutor {
-        executor_with(threads, SchedulerPolicy::CriticalPath)
-    }
-
-    fn executor_with(threads: usize, scheduler: SchedulerPolicy) -> ParallelExecutor {
         ParallelExecutor::new(
             Analyzer::new(registry()),
             ParallelConfig {
                 threads,
-                max_attempts: 64,
-                scheduler,
-                pin_cores: false,
+                ..ParallelConfig::default()
             },
         )
     }
@@ -1789,9 +1625,7 @@ mod tests {
             analyzer,
             ParallelConfig {
                 threads: 4,
-                max_attempts: 64,
-                scheduler: SchedulerPolicy::CriticalPath,
-                pin_cores: false,
+                ..ParallelConfig::default()
             },
         );
         let outcome = exec.execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
@@ -1833,25 +1667,6 @@ mod tests {
         // Lock accounting is wired through.
         assert!(second.stats.shard_lock_acquisitions > 0);
         assert!(second.stats.publish_batches > 0);
-    }
-
-    #[test]
-    fn pinned_execution_matches_serial() {
-        // `pin_cores` must not change semantics (and must not fail when the
-        // host rejects affinity calls — pinning failure is a soft no-op).
-        let txs = vec![mint(900, 1, 100), transfer(1, 2, 30), transfer(2, 3, 10)];
-        let expected = serial_writes(&txs, &Snapshot::empty());
-        let exec = ParallelExecutor::new(
-            Analyzer::new(registry()),
-            ParallelConfig {
-                threads: 2,
-                max_attempts: 64,
-                scheduler: SchedulerPolicy::CriticalPath,
-                pin_cores: true,
-            },
-        );
-        let outcome = exec.execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        assert_eq!(outcome.final_writes, expected);
     }
 
     #[test]
@@ -1917,58 +1732,25 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_still_matches_serial() {
-        let txs = vec![
-            mint(900, 1, 100),
-            transfer(1, 2, 30),
-            transfer(2, 3, 10),
-            mint(901, 2, 7),
-        ];
-        let expected = serial_writes(&txs, &Snapshot::empty());
-        let outcome = executor_with(4, SchedulerPolicy::Fifo).execute_block(
+    fn stats_expose_critical_path_and_refine_time() {
+        let txs = vec![mint(900, 1, 100), transfer(1, 2, 30), transfer(2, 3, 10)];
+        let exec = executor(2);
+        let outcome = exec.execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
+        // `execute_block` refines C-SAGs itself and must time that phase.
+        assert!(outcome.stats.refine_nanos > 0);
+        // The critical path is a property of the C-SAGs, read off the DAG:
+        // a dependent chain spans more than one tx but less than the whole
+        // block's gas, so the bound sits in [1.0, n].
+        let csags = crate::pipeline::refine_csags(
+            exec.analyzer(),
             &txs,
             &Snapshot::empty(),
             &BlockEnv::default(),
+            1,
         );
-        assert_eq!(outcome.final_writes, expected);
-    }
-
-    #[test]
-    fn stats_expose_critical_path_and_refine_time() {
-        let txs = vec![mint(900, 1, 100), transfer(1, 2, 30), transfer(2, 3, 10)];
-        let outcome = executor(2).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        // A dependent chain has a critical path spanning more than one tx
-        // but less than the whole block's gas, so the bound sits in
-        // (1.0, n].
-        assert!(outcome.stats.critical_path_gas > 0);
-        assert!(outcome.stats.predicted_gas >= outcome.stats.critical_path_gas);
-        assert!(outcome.stats.speedup_bound() >= 1.0);
-        // `execute_block` refines C-SAGs itself and must time that phase.
-        assert!(outcome.stats.refine_nanos > 0);
-    }
-
-    #[test]
-    fn both_policies_agree_on_contended_block() {
-        let txs: Vec<_> = (0..20)
-            .map(|i| {
-                if i % 4 == 0 {
-                    mint(900 + i, 1 + i % 5, 40)
-                } else {
-                    transfer(1 + (i + 2) % 5, 1 + i % 5, 2)
-                }
-            })
-            .collect();
-        let expected = serial_writes(&txs, &Snapshot::empty());
-        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-            let outcome = executor_with(4, policy).execute_block(
-                &txs,
-                &Snapshot::empty(),
-                &BlockEnv::default(),
-            );
-            assert_eq!(
-                outcome.final_writes, expected,
-                "{policy:?} diverged from serial"
-            );
-        }
+        let dag = BlockDag::build(&csags);
+        assert!(dag.critical_path_gas > 0);
+        assert!(dag.total_gas >= dag.critical_path_gas);
+        assert!((1.0..=txs.len() as f64).contains(&dag.speedup_bound()));
     }
 }

@@ -546,13 +546,7 @@ fn try_commit(shared: &StmShared<'_>) {
 
 /// One worker: alternate between draining the commit tail and claiming
 /// the next transaction for optimistic execution; park when both are dry.
-fn worker(shared: &StmShared<'_>, index: usize, pin_cores: bool) {
-    if pin_cores {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        crate::affinity::pin_current_thread(index % cores);
-    }
+fn worker(shared: &StmShared<'_>) {
     let n = shared.txs.len();
     loop {
         try_commit(shared);
@@ -611,9 +605,8 @@ pub struct StmExecutor {
 
 impl StmExecutor {
     /// Creates an optimistic executor. Of [`ParallelConfig`] only
-    /// `threads` and `pin_cores` apply: the engine has no ready-queue
-    /// policy, and its convergence bound (two executions per transaction)
-    /// makes `max_attempts` moot.
+    /// `threads` applies: the engine's convergence bound (two executions
+    /// per transaction) makes `max_attempts` moot.
     pub fn new(analyzer: Analyzer, config: ParallelConfig) -> Self {
         StmExecutor {
             analyzer,
@@ -716,12 +709,10 @@ impl StmExecutor {
         };
         let threads = self.config.threads.clamp(1, txs.len());
         std::thread::scope(|scope| {
-            for index in 1..threads {
-                let shared = &shared;
-                let pin = self.config.pin_cores;
-                scope.spawn(move || worker(shared, index, pin));
+            for _ in 1..threads {
+                scope.spawn(|| worker(&shared));
             }
-            worker(&shared, 0, self.config.pin_cores);
+            worker(&shared);
         });
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
 
@@ -821,24 +812,13 @@ impl HybridExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let refine_start = std::time::Instant::now();
-        let hits_before = self.inner.analyzer().registry().summaries().hits();
-        let mut csags = crate::pipeline::refine_csags(
-            self.inner.analyzer(),
-            txs,
-            snapshot,
-            block_env,
-            self.inner.config().threads,
-        );
-        let refine_nanos = refine_start.elapsed().as_nanos() as u64;
-        let summary_hits = self.inner.analyzer().registry().summaries().hits() - hits_before;
+        let (mut csags, refine_nanos) = self.inner.refine_timed(txs, snapshot, block_env);
         let optimistic = Self::route_csags(&mut csags);
         let mut outcome = self
             .inner
             .execute_block_with_csags(txs, snapshot, block_env, &csags);
         outcome.stats.refine_nanos = refine_nanos;
         outcome.stats.optimistic_txs = optimistic;
-        outcome.stats.summary_cache_hits = summary_hits;
         outcome
     }
 

@@ -354,7 +354,6 @@ mod tests {
             analyzer.clone(),
             ParallelConfig {
                 threads: 4,
-                max_attempts: 64,
                 ..ParallelConfig::default()
             },
         );
@@ -430,7 +429,6 @@ mod tests {
             Analyzer::new(registry()),
             ParallelConfig {
                 threads: 2,
-                max_attempts: 64,
                 ..ParallelConfig::default()
             },
         ));

@@ -12,8 +12,8 @@
 //! downstream readers (classic list-scheduling priority). The longest rank
 //! is the block's **critical-path gas** — no schedule, on any number of
 //! threads, finishes the block in less virtual time — and
-//! `total_gas / critical_path_gas` is the achievable speedup bound the
-//! executors report in [`crate::ExecutorStats`].
+//! `total_gas / critical_path_gas` is the achievable speedup bound
+//! ([`BlockDag::speedup_bound`]).
 //!
 //! Because every edge goes from a lower to a higher transaction index
 //! (readers depend on *earlier* writers only), reverse index order is a
@@ -28,36 +28,6 @@ use dmvcc_state::KeyInterner;
 /// into. Lane 0 holds the highest-ranked transactions; workers drain lanes
 /// in order.
 pub const NUM_LANES: usize = 8;
-
-/// Ready-queue ordering policy of the threaded executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Arrival-order dispatch (the original work-stealing FIFO deques).
-    Fifo,
-    /// Rank-ordered dispatch: longest downstream gas path first, dependent
-    /// count as tie-break.
-    #[default]
-    CriticalPath,
-}
-
-impl SchedulerPolicy {
-    /// Parses the CLI spelling of a policy.
-    pub fn parse(name: &str) -> Option<SchedulerPolicy> {
-        match name {
-            "fifo" => Some(SchedulerPolicy::Fifo),
-            "critical-path" => Some(SchedulerPolicy::CriticalPath),
-            _ => None,
-        }
-    }
-
-    /// Display label (the CLI spelling).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerPolicy::Fifo => "fifo",
-            SchedulerPolicy::CriticalPath => "critical-path",
-        }
-    }
-}
 
 /// One transaction's scheduling priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,19 +331,6 @@ mod tests {
         let mut order: Vec<usize> = (0..4).collect();
         order.sort_by_key(|&tx| std::cmp::Reverse(dag.priority(tx)));
         assert_eq!(order, vec![1, 0, 2, 3]);
-    }
-
-    #[test]
-    fn policy_parses_and_labels() {
-        assert_eq!(SchedulerPolicy::parse("fifo"), Some(SchedulerPolicy::Fifo));
-        assert_eq!(
-            SchedulerPolicy::parse("critical-path"),
-            Some(SchedulerPolicy::CriticalPath)
-        );
-        assert_eq!(SchedulerPolicy::parse("priority"), None);
-        assert_eq!(SchedulerPolicy::default(), SchedulerPolicy::CriticalPath);
-        assert_eq!(SchedulerPolicy::Fifo.label(), "fifo");
-        assert_eq!(SchedulerPolicy::CriticalPath.label(), "critical-path");
     }
 
     #[test]

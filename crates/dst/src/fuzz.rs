@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use dmvcc_analysis::{AnalysisConfig, Analyzer, RefinementMode};
 use dmvcc_core::{
     build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig, ExecutorKind,
-    ParallelConfig, ParallelOutcome, SchedulerPolicy,
+    ParallelConfig, ParallelOutcome,
 };
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -179,13 +179,6 @@ pub struct FuzzConfig {
     /// C-SAG refinement strategy (two-tier symbolic binding by default;
     /// `SpeculativeOnly` pins the paper's baseline path).
     pub refinement: RefinementMode,
-    /// Ready-queue ordering of the threaded engine (critical-path rank
-    /// dispatch by default, matching production; `Fifo` fuzzes the
-    /// arrival-order deques).
-    pub scheduler: SchedulerPolicy,
-    /// Pin the sharded executor's workers to cores (exercises the
-    /// `ParallelConfig::pin_cores` path under schedule fuzzing).
-    pub pin_cores: bool,
     /// Which engine the campaign exercises against the serial oracle. For
     /// `Stm` and `Hybrid` a seeded quarter of the block is marked
     /// unanalyzable, so the optimistic path always has work.
@@ -210,8 +203,6 @@ impl Default for FuzzConfig {
             sched_template: None,
             fault_template: None,
             refinement: RefinementMode::TwoTier,
-            scheduler: SchedulerPolicy::CriticalPath,
-            pin_cores: false,
             engine: ExecutorKind::Sharded,
             backend: BackendUnderTest::None,
         }
@@ -256,9 +247,6 @@ pub struct Divergence {
     pub threads: usize,
     /// What diverged: the engine's label, `state-backend` or `simulator`.
     pub executor: &'static str,
-    /// Ready-queue policy of the diverging run (part of the replay
-    /// command — schedule-dependent bugs often reproduce under only one).
-    pub policy: &'static str,
     /// Engine axis of the diverging campaign (`sharded`, `stm`, `hybrid`);
     /// non-default engines are part of the replay command.
     pub engine: &'static str,
@@ -273,17 +261,16 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "divergence: executor={} seed={} size={} threads={} scheduler={}",
-            self.executor, self.seed, self.size, self.threads, self.policy
+            "divergence: executor={} seed={} size={} threads={}",
+            self.executor, self.seed, self.size, self.threads
         )?;
         for line in &self.details {
             writeln!(f, "  {line}")?;
         }
         write!(
             f,
-            "replay: cargo run -p dmvcc-dst -- replay --seed {} --size {} --threads {} \
-             --scheduler {}",
-            self.seed, self.size, self.threads, self.policy
+            "replay: cargo run -p dmvcc-dst -- replay --seed {} --size {} --threads {}",
+            self.seed, self.size, self.threads
         )?;
         if self.engine != ExecutorKind::default().label() {
             write!(f, " --executor {}", self.engine)?;
@@ -358,7 +345,6 @@ fn check_outcome(
         size: config.size,
         threads: config.threads,
         executor: config.engine.label(),
-        policy: config.scheduler.label(),
         engine: config.engine.label(),
         backend: config.backend.label(),
         details,
@@ -440,9 +426,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
 
     let parallel_config = ParallelConfig {
         threads: config.threads,
-        max_attempts: 64,
-        scheduler: config.scheduler,
-        pin_cores: config.pin_cores,
+        ..ParallelConfig::default()
     };
 
     // Predictive engines schedule from the perturbed predictions; the
@@ -510,7 +494,6 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
                 size: config.size,
                 threads: config.threads,
                 executor: "state-backend",
-                policy: config.scheduler.label(),
                 engine: config.engine.label(),
                 backend: config.backend.label(),
                 details,
@@ -519,7 +502,10 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     }
 
     if config.check_simulator {
-        let report = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(config.threads));
+        // The engines clamp `threads: 0` to one worker; the simulator
+        // panics on it, so hold it to the same floor.
+        let sim_config = DmvccConfig::new(config.threads.max(1));
+        let report = simulate_dmvcc(&trace, &csags, &sim_config);
         let mut details = Vec::new();
         let n = trace.txs.len() as u64;
         if report.attempts != n + report.aborts {
@@ -547,7 +533,6 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
                 size: config.size,
                 threads: config.threads,
                 executor: "simulator",
-                policy: config.scheduler.label(),
                 engine: config.engine.label(),
                 backend: config.backend.label(),
                 details,
@@ -672,7 +657,6 @@ mod tests {
             size: 12,
             threads: 4,
             executor: "sharded",
-            policy: "critical-path",
             engine: "sharded",
             backend: "plain",
             details: vec!["missing k: serial=1".into()],
@@ -680,7 +664,7 @@ mod tests {
         let text = format!("{divergence}");
         assert!(text.contains("seed=9"));
         assert!(text.contains("replay: cargo run -p dmvcc-dst -- replay --seed 9 --size 12"));
-        assert!(text.contains("--scheduler critical-path"));
+        assert!(text.ends_with("--threads 4"));
         assert!(!text.contains("--executor"));
         assert!(!text.contains("--backend"));
         assert_eq!(text, format!("{divergence}"));
@@ -826,19 +810,6 @@ mod tests {
                     result
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fifo_seeds_agree_too() {
-        let config = FuzzConfig {
-            size: 30,
-            scheduler: SchedulerPolicy::Fifo,
-            ..FuzzConfig::default()
-        };
-        for seed in 0..3 {
-            let result = run_seed(seed, &config);
-            assert!(result.is_none(), "fifo seed {seed} diverged: {:?}", result);
         }
     }
 }

@@ -25,6 +25,7 @@
 //! engine for CI and interactive use; see `docs/TESTING.md` for the test
 //! tiers, seed replay and the gating policy.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod faults;

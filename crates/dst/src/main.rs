@@ -4,13 +4,11 @@
 //! dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]
 //!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
-//!                  [--scheduler fifo|critical-path] [--pin-cores]
 //!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //!                  [--budget-secs N] [--quiet]
 //! dmvcc-dst replay --seed S [--size N] [--threads N]
 //!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
-//!                  [--scheduler fifo|critical-path] [--pin-cores]
 //!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //! ```
 //!
@@ -18,6 +16,8 @@
 //! printing a shrunk, replayable report. `replay` re-runs one `(seed,
 //! size)` case and prints the identical report (byte-for-byte: every
 //! scheduler and fault decision is a pure function of the seed).
+
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -30,13 +30,11 @@ fn usage(error: &str) -> ExitCode {
     eprintln!("usage: dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]");
     eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
     eprintln!("                        [--refinement two-tier|speculative]");
-    eprintln!("                        [--scheduler fifo|critical-path] [--pin-cores]");
     eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
     eprintln!("                        [--budget-secs N] [--quiet]");
     eprintln!("       dmvcc-dst replay --seed S [--size N] [--threads N]");
     eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
     eprintln!("                        [--refinement two-tier|speculative]");
-    eprintln!("                        [--scheduler fifo|critical-path] [--pin-cores]");
     eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
     eprintln!("mutations: none, skip-release-gas-bound");
     ExitCode::from(2)
@@ -50,7 +48,7 @@ struct Args {
     budget: Option<Duration>,
 }
 
-fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), String> {
     let command = argv.next().ok_or("missing command (fuzz | replay)")?;
     let mut args = Args {
         config: FuzzConfig::default(),
@@ -93,11 +91,6 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
                     other => return Err(format!("unknown refinement {other}")),
                 };
             }
-            "--scheduler" => {
-                let name = value("--scheduler")?;
-                args.config.scheduler = dmvcc_core::SchedulerPolicy::parse(&name)
-                    .ok_or_else(|| format!("unknown scheduler {name}"))?;
-            }
             "--budget-secs" => {
                 let secs: u64 = value("--budget-secs")?
                     .parse()
@@ -114,7 +107,6 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
                 args.config.backend = BackendUnderTest::parse(&name)
                     .ok_or_else(|| format!("unknown backend {name}"))?;
             }
-            "--pin-cores" => args.config.pin_cores = true,
             "--quiet" => args.config.quiet = true,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -132,14 +124,13 @@ fn main() -> ExitCode {
     match command.as_str() {
         "fuzz" => {
             println!(
-                "fuzzing {} seeds from {} (size={}, threads={}, mutation={:?}, scheduler={}, \
-                 executor={}, backend={})",
+                "fuzzing {} seeds from {} (size={}, threads={}, mutation={:?}, executor={}, \
+                 backend={})",
                 args.seeds,
                 args.start,
                 args.config.size,
                 args.config.threads,
                 args.config.mutation,
-                args.config.scheduler.label(),
                 args.config.engine.label(),
                 args.config.backend.label()
             );
@@ -180,15 +171,71 @@ fn main() -> ExitCode {
                 }
                 None => {
                     println!(
-                        "seed {seed} (size={}, threads={}, scheduler={}): no divergence",
-                        args.config.size,
-                        args.config.threads,
-                        args.config.scheduler.label()
+                        "seed {seed} (size={}, threads={}): no divergence",
+                        args.config.size, args.config.threads
                     );
                     ExitCode::SUCCESS
                 }
             }
         }
         other => usage(&format!("unknown command {other}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmvcc_dst::Divergence;
+
+    /// The `replay: …` line a divergence report prints must be a command
+    /// this binary accepts, and must reproduce the diverging case's axes.
+    #[test]
+    fn printed_replay_line_parses_back_to_the_same_case() {
+        let default = Divergence {
+            seed: 9,
+            size: 12,
+            threads: 3,
+            executor: "sharded",
+            engine: "sharded",
+            backend: "plain",
+            details: vec!["missing k: serial=1".into()],
+        };
+        let stm = Divergence {
+            executor: "stm",
+            engine: "stm",
+            ..default.clone()
+        };
+        let lsm = Divergence {
+            executor: "state-backend",
+            backend: "lsm",
+            ..default.clone()
+        };
+        for divergence in [default, stm, lsm] {
+            let report = divergence.to_string();
+            let line = report.lines().last().expect("report has a replay line");
+            let command = line
+                .strip_prefix("replay: cargo run -p dmvcc-dst -- ")
+                .unwrap_or_else(|| panic!("unexpected replay line: {line}"));
+            let (command, args) =
+                parse(command.split_whitespace().map(str::to_string)).expect("line parses");
+            assert_eq!(command, "replay");
+            assert_eq!(
+                (
+                    args.seed,
+                    args.config.size,
+                    args.config.threads,
+                    args.config.engine.label(),
+                    args.config.backend.label(),
+                ),
+                (
+                    Some(divergence.seed),
+                    divergence.size,
+                    divergence.threads,
+                    divergence.engine,
+                    divergence.backend,
+                ),
+                "{line}"
+            );
+        }
     }
 }

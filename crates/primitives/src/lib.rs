@@ -19,6 +19,7 @@
 //! assert!(!slot.is_zero());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hash;

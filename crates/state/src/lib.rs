@@ -22,6 +22,7 @@
 //! assert_eq!(db.current_root(), root);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;

@@ -1213,10 +1213,7 @@ fail: JUMPDEST
 /// collection's fee tab and pays the creator from this collection's
 /// treasury balance. `preview()` STATICCALLs the [`floor_oracle`], whose
 /// write-freedom the analyzer proves.
-pub fn nft_drop(
-    splitter: dmvcc_primitives::Address,
-    oracle: dmvcc_primitives::Address,
-) -> Vec<u8> {
+pub fn nft_drop(splitter: dmvcc_primitives::Address, oracle: dmvcc_primitives::Address) -> Vec<u8> {
     let splitter_hex = dmvcc_primitives::encode_hex(splitter.as_bytes());
     let oracle_hex = dmvcc_primitives::encode_hex(oracle.as_bytes());
     let source = format!(
@@ -2368,7 +2365,10 @@ mod tests {
         );
         assert!(out.status.is_success(), "{:?}", out.status);
         assert_eq!(out.output_word(), U256::ZERO); // first minted id
-        assert_eq!(host.get(&StateKey::storage(drop_addr, U256::ZERO)), U256::ONE);
+        assert_eq!(
+            host.get(&StateKey::storage(drop_addr, U256::ZERO)),
+            U256::ONE
+        );
         assert_eq!(
             host.get(&StateKey::storage(drop_addr, map_slot(U256::ZERO, 4))),
             minter.to_u256()
@@ -2396,7 +2396,11 @@ mod tests {
         host.sstore(StateKey::balance(drop_addr), U256::from(5u64))
             .unwrap();
         let code = registry.code(&drop_addr).unwrap();
-        let tx = TxEnv::call(Address::from_u64(1), drop_addr, calldata(drop_fn::MINT, &[]));
+        let tx = TxEnv::call(
+            Address::from_u64(1),
+            drop_addr,
+            calldata(drop_fn::MINT, &[]),
+        );
         let block = BlockEnv::default();
         let out = execute(
             &ExecParams::new(&code, &tx, &block).with_registry(&registry),

@@ -216,9 +216,11 @@ pub fn execute_traced(
         params.code,
         params.tx.clone(),
         params,
-        0,
-        gas_limit - INTRINSIC_GAS,
-        false,
+        Frame {
+            depth: 0,
+            gas_budget: gas_limit - INTRINSIC_GAS,
+            read_only: false,
+        },
         host,
         tracer,
     );
@@ -242,6 +244,14 @@ struct FrameOutput {
     logs: Vec<crate::error::LogEntry>,
 }
 
+/// Where a call frame sits in the call stack and what it may spend and do.
+struct Frame {
+    depth: usize,
+    gas_budget: u64,
+    /// Inside a STATICCALL: any write reverts the frame.
+    read_only: bool,
+}
+
 /// Runs one call frame to a terminal state. Nested frames share the host,
 /// tracer and gas pool; release-point callbacks fire for the top frame
 /// only (analysis pcs are per-contract).
@@ -249,12 +259,15 @@ fn run_frame(
     code: &[u8],
     tx: TxEnv,
     params: &ExecParams<'_>,
-    depth: usize,
-    gas_budget: u64,
-    read_only: bool,
+    frame: Frame,
     host: &mut dyn Host,
     tracer: &mut dyn Tracer,
 ) -> FrameOutput {
+    let Frame {
+        depth,
+        gas_budget,
+        read_only,
+    } = frame;
     let jumpdests = valid_jumpdests(code);
     let mut machine = Machine {
         stack: Vec::with_capacity(64),
@@ -634,15 +647,16 @@ fn step(
                                 gas_limit: budget,
                             },
                         };
-                        let child_read_only = m.read_only || op == StaticCall;
                         tracer.on_enter_call(m.depth + 1, callee);
                         let frame = run_frame(
                             &code,
                             callee_tx,
                             m.params,
-                            m.depth + 1,
-                            budget,
-                            child_read_only,
+                            Frame {
+                                depth: m.depth + 1,
+                                gas_budget: budget,
+                                read_only: m.read_only || op == StaticCall,
+                            },
                             host,
                             tracer,
                         );
@@ -1205,8 +1219,7 @@ mod tests {
         let target = Address::from_u64(3_020);
         let caller_addr = Address::from_u64(3_021);
         let target_code = assemble("PUSH1 1 PUSH1 0 SSTORE STOP").unwrap();
-        let caller_code =
-            assemble(&format!("{} STOP", call_args("STATICCALL", target))).unwrap();
+        let caller_code = assemble(&format!("{} STOP", call_args("STATICCALL", target))).unwrap();
         let registry = CodeRegistry::builder()
             .deploy(target, target_code)
             .deploy(caller_addr, caller_code.clone())
@@ -1227,8 +1240,7 @@ mod tests {
         let target = Address::from_u64(3_022);
         let caller_addr = Address::from_u64(3_023);
         // Pure read + return; no writes.
-        let target_code =
-            assemble("PUSH1 3 SLOAD PUSH1 0 MSTORE PUSH1 32 PUSH1 0 RETURN").unwrap();
+        let target_code = assemble("PUSH1 3 SLOAD PUSH1 0 MSTORE PUSH1 32 PUSH1 0 RETURN").unwrap();
         let hex = dmvcc_primitives::encode_hex(target.as_bytes());
         // ret_len=32 ret_offset=0 args_len=0 args_offset=0 addr gas
         let caller_code = assemble(&format!(

@@ -23,6 +23,7 @@
 //! assert_eq!(again.block(100), block);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;
@@ -717,10 +718,7 @@ impl WorkloadGenerator {
                 creator.to_u256(),
             ));
             entries.push((StateKey::balance(*drop), U256::from(1_000_000_000u64)));
-            entries.push((
-                StateKey::storage(*floor, U256::ZERO),
-                U256::from(75u64),
-            ));
+            entries.push((StateKey::storage(*floor, U256::ZERO), U256::from(75u64)));
         }
         entries
     }
@@ -1052,7 +1050,11 @@ impl WorkloadGenerator {
             if let Some(c) =
                 self.pick_contract(|k| matches!(k, ContractKind::Nft | ContractKind::Drop))
             {
-                if self.by_kind.iter().any(|(a, k)| *a == c && *k == ContractKind::Drop) {
+                if self
+                    .by_kind
+                    .iter()
+                    .any(|(a, k)| *a == c && *k == ContractKind::Drop)
+                {
                     return self.drop_tx(c);
                 }
                 return self.nft_tx(c);

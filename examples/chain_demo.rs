@@ -20,7 +20,6 @@ fn config(scheduler: SchedulerKind) -> ChainConfig {
         crosscheck_every: 0,
         pool_miss_rate: 0.1,
         rebuild_missing_sags: true,
-        policy: dmvcc_core::SchedulerPolicy::CriticalPath,
         executor: dmvcc_chain::ExecutorKind::Sharded,
         backend: dmvcc_chain::BackendKind::Mem,
     }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
 use dmvcc_core::{
     build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig, ParallelConfig,
-    ParallelExecutor, SchedulerPolicy,
+    ParallelExecutor,
 };
 use dmvcc_state::Snapshot;
 use dmvcc_vm::BlockEnv;
@@ -72,9 +72,7 @@ proptest! {
                 analyzer.clone(),
                 ParallelConfig {
                     threads: 4,
-                    max_attempts: 64,
-                    scheduler: SchedulerPolicy::CriticalPath,
-                    pin_cores: false,
+                    ..ParallelConfig::default()
                 },
             );
             let outcome = executor.execute_block_with_csags(&txs, &genesis, &env, &csags);

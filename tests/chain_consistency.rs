@@ -27,7 +27,6 @@ fn config(scheduler: SchedulerKind, seed: u64) -> ChainConfig {
         crosscheck_every: 2,
         pool_miss_rate: 0.0,
         rebuild_missing_sags: true,
-        policy: dmvcc_core::SchedulerPolicy::CriticalPath,
         executor: dmvcc_chain::ExecutorKind::Sharded,
         backend: dmvcc_chain::BackendKind::Mem,
     }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
-use dmvcc_core::{execute_block_serial, ExecutorKind, ParallelConfig, SchedulerPolicy};
+use dmvcc_core::{execute_block_serial, ExecutorKind, ParallelConfig};
 use dmvcc_integration_tests::{analyzer, decode_tx, decode_tx_opaque, genesis, registry};
 use dmvcc_state::{Snapshot, StateDb};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -24,69 +24,54 @@ fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
     let n = txs.len() as u64;
 
     for kind in ExecutorKind::ALL {
-        // Both ready-queue policies must be serially equivalent: they only
-        // reorder *ready* transactions, never the commit order.
-        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-            let lossy = Analyzer::with_config(
-                registry(),
-                AnalysisConfig {
-                    hide_fraction: hide,
-                    seed: 5,
-                    ..Default::default()
-                },
-            );
-            let config = ParallelConfig {
-                threads,
-                max_attempts: 64,
-                scheduler: policy,
-                pin_cores: false,
-            };
-            let engine = kind.build(lossy, config, None);
-            if !engine.consumes_predictions() && policy == SchedulerPolicy::Fifo {
-                // The optimistic engine has no ready queue (its schedule is
-                // the atomic execution cursor): one run covers it.
-                continue;
-            }
-            let outcome = engine.execute_block(txs, &snapshot, &env);
-            let label = format!(
-                "{} (threads={threads}, hide={hide}, policy={})",
-                kind.label(),
-                policy.label()
-            );
-            assert_eq!(
-                outcome.final_writes, trace.final_writes,
-                "write sets diverged: {label}"
-            );
-            assert_eq!(
-                outcome.statuses, serial_statuses,
-                "statuses diverged: {label}"
-            );
-            assert_eq!(
-                StateDb::with_genesis(genesis()).commit(&outcome.final_writes),
-                serial_root,
-                "Merkle roots diverged: {label}"
-            );
+        let lossy = Analyzer::with_config(
+            registry(),
+            AnalysisConfig {
+                hide_fraction: hide,
+                seed: 5,
+                ..Default::default()
+            },
+        );
+        let config = ParallelConfig {
+            threads,
+            ..ParallelConfig::default()
+        };
+        let engine = kind.build(lossy, config, None);
+        let outcome = engine.execute_block(txs, &snapshot, &env);
+        let label = format!("{} (threads={threads}, hide={hide})", kind.label());
+        assert_eq!(
+            outcome.final_writes, trace.final_writes,
+            "write sets diverged: {label}"
+        );
+        assert_eq!(
+            outcome.statuses, serial_statuses,
+            "statuses diverged: {label}"
+        );
+        assert_eq!(
+            StateDb::with_genesis(genesis()).commit(&outcome.final_writes),
+            serial_root,
+            "Merkle roots diverged: {label}"
+        );
 
-            let stats = &outcome.stats;
-            assert!(stats.attempts >= n, "every transaction executes: {label}");
-            match kind {
-                ExecutorKind::Sharded => assert_eq!(stats.optimistic_txs, 0, "{label}"),
-                // Every transaction validates exactly once at its commit
-                // turn, re-executes at most once, and counts as optimistic.
-                ExecutorKind::Stm => {
-                    assert_eq!(stats.validations, n, "{label}");
-                    assert_eq!(stats.optimistic_txs, n, "{label}");
-                    assert_eq!(stats.attempts, n + stats.validation_failures, "{label}");
-                    assert!(stats.validation_failures <= n, "{label}");
-                }
-                // Hidden keys push transactions onto the speculative tier,
-                // which the router strips to optimistic along with every
-                // unanalyzable transaction.
-                ExecutorKind::Hybrid => {
-                    let unanalyzable = txs.iter().filter(|tx| !tx.analyzable).count() as u64;
-                    assert!(stats.optimistic_txs >= unanalyzable, "{label}");
-                    assert!(stats.optimistic_txs <= n, "{label}");
-                }
+        let stats = &outcome.stats;
+        assert!(stats.attempts >= n, "every transaction executes: {label}");
+        match kind {
+            ExecutorKind::Sharded => assert_eq!(stats.optimistic_txs, 0, "{label}"),
+            // Every transaction validates exactly once at its commit
+            // turn, re-executes at most once, and counts as optimistic.
+            ExecutorKind::Stm => {
+                assert_eq!(stats.validations, n, "{label}");
+                assert_eq!(stats.optimistic_txs, n, "{label}");
+                assert_eq!(stats.attempts, n + stats.validation_failures, "{label}");
+                assert!(stats.validation_failures <= n, "{label}");
+            }
+            // Hidden keys push transactions onto the speculative tier,
+            // which the router strips to optimistic along with every
+            // unanalyzable transaction.
+            ExecutorKind::Hybrid => {
+                let unanalyzable = txs.iter().filter(|tx| !tx.analyzable).count() as u64;
+                assert!(stats.optimistic_txs >= unanalyzable, "{label}");
+                assert!(stats.optimistic_txs <= n, "{label}");
             }
         }
     }

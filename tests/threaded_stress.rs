@@ -8,7 +8,6 @@ use std::sync::Arc;
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
 use dmvcc_core::{
     build_csags, execute_block_serial, ExecutorKind, ParallelConfig, ParallelExecutor,
-    SchedulerPolicy,
 };
 use dmvcc_dst::{FaultPlan, SchedConfig, VirtualScheduler};
 use dmvcc_state::{Snapshot, StateDb};
@@ -56,9 +55,7 @@ fn run_chain(
             analyzer.clone(),
             ParallelConfig {
                 threads,
-                max_attempts: 64,
-                scheduler: SchedulerPolicy::CriticalPath,
-                pin_cores: false,
+                ..ParallelConfig::default()
             },
             None,
         );
@@ -92,9 +89,8 @@ fn run_chain(
 /// One high-contention block whose C-SAGs the fault plan perturbed
 /// (dropped and phantom keys), on eight oversubscribed workers of every
 /// engine under the stormy virtual scheduler (preemption bursts, delayed
-/// publishes, injected abort storms, forced release gates) and both
-/// ready-queue policies: the serial oracle must be matched key for key
-/// and status for status. With `all_unanalyzable` every transaction is
+/// publishes, injected abort storms, forced release gates): the serial
+/// oracle must be matched key for key and status for status. With `all_unanalyzable` every transaction is
 /// lint-flagged, so the hybrid engine degenerates to a fully optimistic
 /// run (all predictions stripped).
 fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
@@ -119,37 +115,28 @@ fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
     FaultPlan::standard(fault_seed).perturb_csags(&mut csags);
 
     for kind in ExecutorKind::ALL {
-        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::CriticalPath] {
-            let config = ParallelConfig {
-                threads: 8,
-                max_attempts: 64,
-                scheduler: policy,
-                pin_cores: false,
-            };
-            let hook = Arc::new(VirtualScheduler::new(SchedConfig::stormy(seed)));
-            let engine = kind.build(analyzer.clone(), config, Some(hook));
-            if !engine.consumes_predictions() && policy == SchedulerPolicy::Fifo {
-                // No ready queue to order (the perturbed C-SAGs ride along
-                // as an interning hint only): one run covers the engine.
-                continue;
-            }
-            let outcome = engine.execute_block_with_csags(&txs, &genesis, &env, &csags);
-            let label = format!("{} under storm ({})", kind.label(), policy.label());
+        let config = ParallelConfig {
+            threads: 8,
+            ..ParallelConfig::default()
+        };
+        let hook = Arc::new(VirtualScheduler::new(SchedConfig::stormy(seed)));
+        let engine = kind.build(analyzer.clone(), config, Some(hook));
+        let outcome = engine.execute_block_with_csags(&txs, &genesis, &env, &csags);
+        let label = format!("{} under storm", kind.label());
+        assert_eq!(
+            outcome.final_writes, trace.final_writes,
+            "{label}: diverged from serial"
+        );
+        assert_eq!(
+            outcome.statuses, serial_statuses,
+            "{label}: statuses diverged"
+        );
+        if all_unanalyzable && kind == ExecutorKind::Hybrid {
             assert_eq!(
-                outcome.final_writes, trace.final_writes,
-                "{label}: diverged from serial"
+                outcome.stats.optimistic_txs,
+                txs.len() as u64,
+                "{label}: every transaction must have routed optimistic"
             );
-            assert_eq!(
-                outcome.statuses, serial_statuses,
-                "{label}: statuses diverged"
-            );
-            if all_unanalyzable && kind == ExecutorKind::Hybrid {
-                assert_eq!(
-                    outcome.stats.optimistic_txs,
-                    txs.len() as u64,
-                    "{label}: every transaction must have routed optimistic"
-                );
-            }
         }
     }
 }
@@ -210,9 +197,7 @@ fn stale_csags_from_previous_snapshot() {
         analyzer.clone(),
         ParallelConfig {
             threads: 4,
-            max_attempts: 64,
-            scheduler: SchedulerPolicy::CriticalPath,
-            pin_cores: false,
+            ..ParallelConfig::default()
         },
     );
     let mut db = StateDb::with_genesis(generator.genesis_entries());
