@@ -1,14 +1,20 @@
 //! Blocks, headers and receipts.
 //!
 //! Mirrors Ethereum's commitments: a header binds the parent hash, the
-//! state root after execution, the transactions root (an MPT over the
+//! state root after execution, the transactions root (the MPT root of the
 //! RLP-encoded index → transaction-hash mapping) and a receipts root, so a
 //! chain of headers is tamper-evident end to end — which is what makes the
 //! RQ1 root comparison meaningful at chain scale.
+//!
+//! The two per-block roots are computed, not built: [`transactions_root`]
+//! and [`receipts_root`] hand their values to [`dmvcc_state::index_root`],
+//! which derives the root such a trie would have from two flat buffers, so
+//! sealing a block allocates a handful of buffers and nothing per
+//! transaction.
 
-use dmvcc_primitives::rlp::{encode_bytes, encode_list, encode_uint};
+use dmvcc_primitives::rlp::{close_list, put_bytes, put_uint};
 use dmvcc_primitives::{keccak256, H256};
-use dmvcc_state::Mpt;
+use dmvcc_state::index_root;
 use dmvcc_vm::{ExecStatus, Transaction};
 
 /// Execution receipt of one transaction.
@@ -24,13 +30,21 @@ pub struct Receipt {
 }
 
 impl Receipt {
+    /// Appends the canonical RLP encoding,
+    /// `[success, gas_used, cumulative_gas]`, to `out`.
+    pub fn rlp_append(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        put_uint(out, self.success as u64);
+        put_uint(out, self.gas_used);
+        put_uint(out, self.cumulative_gas);
+        close_list(out, start);
+    }
+
     /// Canonical RLP encoding: `[success, gas_used, cumulative_gas]`.
     pub fn rlp_encode(&self) -> Vec<u8> {
-        encode_list(&[
-            encode_uint(self.success as u64),
-            encode_uint(self.gas_used),
-            encode_uint(self.cumulative_gas),
-        ])
+        let mut out = Vec::with_capacity(20);
+        self.rlp_append(&mut out);
+        out
     }
 }
 
@@ -85,15 +99,16 @@ impl BlockHeader {
 
     /// Canonical RLP encoding of the header.
     pub fn rlp_encode(&self) -> Vec<u8> {
-        encode_list(&[
-            encode_uint(self.number),
-            encode_bytes(self.parent_hash.as_bytes()),
-            encode_bytes(self.state_root.as_bytes()),
-            encode_bytes(self.transactions_root.as_bytes()),
-            encode_bytes(self.receipts_root.as_bytes()),
-            encode_uint(self.timestamp),
-            encode_uint(self.gas_used),
-        ])
+        let mut out = Vec::with_capacity(168);
+        put_uint(&mut out, self.number);
+        put_bytes(&mut out, self.parent_hash.as_bytes());
+        put_bytes(&mut out, self.state_root.as_bytes());
+        put_bytes(&mut out, self.transactions_root.as_bytes());
+        put_bytes(&mut out, self.receipts_root.as_bytes());
+        put_uint(&mut out, self.timestamp);
+        put_uint(&mut out, self.gas_used);
+        close_list(&mut out, 0);
+        out
     }
 
     /// The block hash: `keccak256(rlp(header))`.
@@ -102,27 +117,22 @@ impl BlockHeader {
     }
 }
 
-/// The transactions root: an MPT keyed by `rlp(index)` holding each
-/// transaction's hash (Ethereum's layout, with the hash standing in for
-/// the full body).
+/// The transactions root: the root of an MPT keyed by `rlp(index)` holding
+/// each transaction's hash (Ethereum's layout, with the hash standing in
+/// for the full body).
 pub fn transactions_root(txs: &[Transaction]) -> H256 {
-    let mut trie = Mpt::new();
-    for (index, tx) in txs.iter().enumerate() {
-        trie.insert(
-            &encode_uint(index as u64),
-            encode_bytes(tx.hash().as_bytes()),
-        );
-    }
-    trie.root()
+    let mut encoded = Vec::new();
+    index_root(txs.len(), |index, out| {
+        encoded.clear();
+        txs[index].rlp_append(&mut encoded);
+        put_bytes(out, keccak256(&encoded).as_bytes());
+    })
 }
 
-/// The receipts root: an MPT keyed by `rlp(index)` holding RLP receipts.
+/// The receipts root: the root of an MPT keyed by `rlp(index)` holding RLP
+/// receipts.
 pub fn receipts_root(receipts: &[Receipt]) -> H256 {
-    let mut trie = Mpt::new();
-    for (index, receipt) in receipts.iter().enumerate() {
-        trie.insert(&encode_uint(index as u64), receipt.rlp_encode());
-    }
-    trie.root()
+    index_root(receipts.len(), |index, out| receipts[index].rlp_append(out))
 }
 
 /// Verifies the hash chain and per-block commitments of a header sequence
@@ -240,5 +250,109 @@ mod tests {
         let mut variant = base.clone();
         variant.state_root = keccak256(b"x");
         assert_ne!(base.hash(), variant.hash());
+    }
+
+    /// A fixed 300-item block: transfers and calls with 0–89-byte calldata,
+    /// gas figures that cross the one-, two- and three-byte integer forms.
+    fn fixed_block() -> (Vec<Transaction>, Vec<Receipt>) {
+        use dmvcc_vm::TxEnv;
+        let txs = (0..300u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Transaction::transfer(
+                        Address::from_u64(i),
+                        Address::from_u64(i + 1),
+                        U256::from(i * 1_000_003),
+                    )
+                } else {
+                    Transaction::call(TxEnv::call(
+                        Address::from_u64(i),
+                        Address::from_u64(1000 + i % 7),
+                        vec![i as u8; (i % 90) as usize],
+                    ))
+                }
+            })
+            .collect();
+        let statuses: Vec<(ExecStatus, u64)> = (0..300u64)
+            .map(|i| {
+                let status = if i % 11 == 0 {
+                    ExecStatus::Reverted
+                } else {
+                    ExecStatus::Success
+                };
+                (status, 21_000 + i * 997)
+            })
+            .collect();
+        (txs, build_receipts(&statuses))
+    }
+
+    #[test]
+    fn roots_match_the_trie_built_roots_pinned_before_index_root() {
+        // Known answers from the commit at which both roots were still the
+        // `root()` of an `Mpt` filled by `insert(rlp(i), value_i)`.
+        let (txs, receipts) = fixed_block();
+        let pinned = [
+            (
+                transactions_root(&txs),
+                "0x30c71d5f72ef41acd78b990490bd4a2da2f4bafdd03540d9e453d17dee17e2dc",
+            ),
+            (
+                receipts_root(&receipts),
+                "0xa7429c3c797cd77e975a3b8944afd00b9d1950ac39102bf48c239614d333e5dc",
+            ),
+            (
+                transactions_root(&txs[..1]),
+                "0xaf92c76860cbd9749959191da15c3aec7a50171494ee450aede71a2f8240e5aa",
+            ),
+            (
+                receipts_root(&receipts[..1]),
+                "0x850eb40bb587809bc302d5e3498b212bdc25932ff5241edb3ec144c4c67f94f9",
+            ),
+        ];
+        for (root, hex) in pinned {
+            assert_eq!(root.to_string(), hex);
+        }
+    }
+
+    #[test]
+    fn receipt_rlp_append_matches_the_per_item_encoder() {
+        use dmvcc_primitives::rlp::{encode_list, encode_uint};
+        let (_, receipts) = fixed_block();
+        let mut out = vec![0xee];
+        for receipt in &receipts {
+            let oracle = encode_list(&[
+                encode_uint(receipt.success as u64),
+                encode_uint(receipt.gas_used),
+                encode_uint(receipt.cumulative_gas),
+            ]);
+            out.truncate(1);
+            receipt.rlp_append(&mut out);
+            assert_eq!(out[1..], oracle[..]);
+            assert_eq!(receipt.rlp_encode(), oracle);
+        }
+    }
+
+    #[test]
+    fn header_rlp_is_the_list_of_its_fields() {
+        use dmvcc_primitives::rlp::{encode_bytes, encode_list, encode_uint};
+        let header = BlockHeader {
+            number: 300,
+            parent_hash: keccak256(b"parent"),
+            state_root: keccak256(b"state"),
+            transactions_root: keccak256(b"txs"),
+            receipts_root: keccak256(b"receipts"),
+            timestamp: 1_700_000_000,
+            gas_used: 0,
+        };
+        let oracle = encode_list(&[
+            encode_uint(header.number),
+            encode_bytes(header.parent_hash.as_bytes()),
+            encode_bytes(header.state_root.as_bytes()),
+            encode_bytes(header.transactions_root.as_bytes()),
+            encode_bytes(header.receipts_root.as_bytes()),
+            encode_uint(header.timestamp),
+            encode_uint(header.gas_used),
+        ]);
+        assert_eq!(header.rlp_encode(), oracle);
     }
 }

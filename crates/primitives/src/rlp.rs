@@ -8,7 +8,7 @@
 //! # Examples
 //!
 //! ```
-//! use dmvcc_primitives::rlp::{encode_bytes, encode_list, Rlp};
+//! use dmvcc_primitives::rlp::{close_list, encode_bytes, encode_list, put_bytes, Rlp};
 //!
 //! // "dog" encodes as 0x83 'd' 'o' 'g'.
 //! assert_eq!(encode_bytes(b"dog"), vec![0x83, b'd', b'o', b'g']);
@@ -17,9 +17,21 @@
 //! let list = encode_list(&[encode_bytes(b"cat"), encode_bytes(b"dog")]);
 //! assert_eq!(list[0], 0xc8);
 //!
+//! // The same list appended into one caller-owned buffer: items first,
+//! // then the header in front of them.
+//! let mut out = Vec::new();
+//! put_bytes(&mut out, b"cat");
+//! put_bytes(&mut out, b"dog");
+//! close_list(&mut out, 0);
+//! assert_eq!(out, list);
+//!
 //! let decoded = Rlp::decode(&list)?;
 //! # Ok::<(), dmvcc_primitives::rlp::RlpError>(())
 //! ```
+//!
+//! The `encode_*` functions return a fresh `Vec` per item and are thin
+//! wrappers of the append-style `put_*` / `close_*` functions, which hot
+//! paths (trie node hashing, transaction and receipt roots) call directly.
 
 use core::fmt;
 
@@ -55,26 +67,78 @@ impl fmt::Display for RlpError {
 
 impl std::error::Error for RlpError {}
 
-fn encode_length(len: usize, offset: u8, out: &mut Vec<u8>) {
+/// The length prefix of a `len`-byte payload and how many of its bytes are
+/// used: `base + len` up to 55 bytes, else `base + 55 + n` followed by the
+/// `n` big-endian length bytes (`base` is `0x80` for strings, `0xc0` for
+/// lists).
+fn length_prefix(len: usize, base: u8) -> ([u8; 9], usize) {
+    let mut prefix = [0u8; 9];
     if len <= 55 {
-        out.push(offset + len as u8);
-    } else {
-        let len_bytes = len.to_be_bytes();
-        let first = len_bytes.iter().position(|&b| b != 0).unwrap_or(7);
-        let significant = &len_bytes[first..];
-        out.push(offset + 55 + significant.len() as u8);
-        out.extend_from_slice(significant);
+        prefix[0] = base + len as u8;
+        return (prefix, 1);
     }
+    let len_bytes = len.to_be_bytes();
+    let significant = &len_bytes[len.leading_zeros() as usize / 8..];
+    prefix[0] = base + 55 + significant.len() as u8;
+    prefix[1..=significant.len()].copy_from_slice(significant);
+    (prefix, 1 + significant.len())
+}
+
+/// Turns `out[start..]` into an item by prepending the length prefix of
+/// that payload.
+fn close(out: &mut Vec<u8>, start: usize, base: u8) {
+    let len = out.len() - start;
+    let (prefix, n) = length_prefix(len, base);
+    out.extend_from_slice(&prefix[..n]);
+    out.copy_within(start..start + len, start + n);
+    out[start..start + n].copy_from_slice(&prefix[..n]);
+}
+
+/// Appends the encoding of a byte string to `out`.
+pub fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
+    if let [byte @ 0x00..=0x7f] = data {
+        out.push(*byte);
+        return;
+    }
+    let (prefix, n) = length_prefix(data.len(), 0x80);
+    out.extend_from_slice(&prefix[..n]);
+    out.extend_from_slice(data);
+}
+
+/// Appends the encoding of an unsigned integer to `out`: the minimal
+/// big-endian byte form (zero encodes as the empty string, per the
+/// Ethereum convention).
+pub fn put_uint(out: &mut Vec<u8>, value: u64) {
+    put_uint_be(out, &value.to_be_bytes());
+}
+
+/// [`put_uint`] for an integer of any width given as big-endian bytes
+/// (a `U256`'s 32): leading zero bytes are dropped.
+pub fn put_uint_be(out: &mut Vec<u8>, be_bytes: &[u8]) {
+    let significant = be_bytes.iter().position(|&b| b != 0);
+    put_bytes(out, &be_bytes[significant.unwrap_or(be_bytes.len())..]);
+}
+
+/// Closes a list whose already-encoded items are `out[start..]`: the list
+/// header is inserted at `start`, so a caller encodes a list by noting
+/// `out.len()`, appending the items and closing — no buffer per item.
+pub fn close_list(out: &mut Vec<u8>, start: usize) {
+    close(out, start, 0xc0);
+}
+
+/// Closes a byte string whose raw bytes are `out[start..]`, for strings
+/// produced in place (the trie's hex-prefix paths).
+pub fn close_bytes(out: &mut Vec<u8>, start: usize) {
+    if let [0x00..=0x7f] = &out[start..] {
+        return;
+    }
+    close(out, start, 0x80);
 }
 
 /// Encodes a byte string.
 pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
-    if data.len() == 1 && data[0] < 0x80 {
-        return vec![data[0]];
-    }
     let mut out = Vec::with_capacity(data.len() + 9);
-    encode_length(data.len(), 0x80, &mut out);
-    out.extend_from_slice(data);
+    put_bytes(&mut out, data);
     out
 }
 
@@ -82,22 +146,19 @@ pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
 pub fn encode_list(items: &[Vec<u8>]) -> Vec<u8> {
     let payload_len: usize = items.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(payload_len + 9);
-    encode_length(payload_len, 0xc0, &mut out);
     for item in items {
         out.extend_from_slice(item);
     }
+    close_list(&mut out, 0);
     out
 }
 
 /// Encodes an unsigned integer using the minimal big-endian byte form
 /// (zero encodes as the empty string, per the Ethereum convention).
 pub fn encode_uint(value: u64) -> Vec<u8> {
-    if value == 0 {
-        return encode_bytes(&[]);
-    }
-    let bytes = value.to_be_bytes();
-    let first = bytes.iter().position(|&b| b != 0).unwrap_or(7);
-    encode_bytes(&bytes[first..])
+    let mut out = Vec::with_capacity(9);
+    put_uint(&mut out, value);
+    out
 }
 
 impl Rlp {
@@ -128,12 +189,8 @@ impl Rlp {
                 Ok((Rlp::Bytes(payload.to_vec()), 1 + len))
             }
             0xb8..=0xbf => {
-                let len_len = (first - 0xb7) as usize;
-                let len = Self::read_length(data, len_len)?;
-                let payload = data
-                    .get(1 + len_len..1 + len_len + len)
-                    .ok_or(RlpError::UnexpectedEof)?;
-                Ok((Rlp::Bytes(payload.to_vec()), 1 + len_len + len))
+                let (payload, end) = Self::long_payload(data, (first - 0xb7) as usize)?;
+                Ok((Rlp::Bytes(payload.to_vec()), end))
             }
             0xc0..=0xf7 => {
                 let len = (first - 0xc0) as usize;
@@ -141,14 +198,21 @@ impl Rlp {
                 Ok((Rlp::List(Self::decode_items(payload)?), 1 + len))
             }
             0xf8..=0xff => {
-                let len_len = (first - 0xf7) as usize;
-                let len = Self::read_length(data, len_len)?;
-                let payload = data
-                    .get(1 + len_len..1 + len_len + len)
-                    .ok_or(RlpError::UnexpectedEof)?;
-                Ok((Rlp::List(Self::decode_items(payload)?), 1 + len_len + len))
+                let (payload, end) = Self::long_payload(data, (first - 0xf7) as usize)?;
+                Ok((Rlp::List(Self::decode_items(payload)?), end))
             }
         }
+    }
+
+    /// The payload of a long-form item whose length takes `len_len` bytes,
+    /// and the offset just past it. The length is the input's to choose, so
+    /// the end offset is computed checked.
+    fn long_payload(data: &[u8], len_len: usize) -> Result<(&[u8], usize), RlpError> {
+        let len = Self::read_length(data, len_len)?;
+        let start = 1 + len_len;
+        let end = start.checked_add(len).ok_or(RlpError::UnexpectedEof)?;
+        let payload = data.get(start..end).ok_or(RlpError::UnexpectedEof)?;
+        Ok((payload, end))
     }
 
     fn read_length(data: &[u8], len_len: usize) -> Result<usize, RlpError> {
@@ -262,6 +326,81 @@ mod tests {
     fn decode_rejects_truncation() {
         assert_eq!(Rlp::decode(&[0x83, b'd']), Err(RlpError::UnexpectedEof));
         assert_eq!(Rlp::decode(&[]), Err(RlpError::UnexpectedEof));
+        // A length the input chose must not overflow the end offset: eight
+        // 0xff length bytes, and `usize::MAX - 8` (just short of wrapping).
+        for first in [0xbf, 0xff] {
+            let mut input = vec![first];
+            input.extend_from_slice(&[0xff; 8]);
+            assert_eq!(Rlp::decode(&input), Err(RlpError::UnexpectedEof));
+            let mut input = vec![first];
+            input.extend_from_slice(&(usize::MAX - 8).to_be_bytes());
+            assert_eq!(Rlp::decode(&input), Err(RlpError::UnexpectedEof));
+        }
+    }
+
+    #[test]
+    fn put_matches_encode_on_boundary_lengths() {
+        // Every put_* against its encode_* twin, appended after a prefix so
+        // an offset mistake shows.
+        let mut byte_strings: Vec<Vec<u8>> = vec![vec![], vec![0x00], vec![0x7f], vec![0x80]];
+        for len in [2usize, 55, 56, 255, 256, 65_535, 65_536] {
+            byte_strings.push(vec![0xa5; len]);
+        }
+        for data in &byte_strings {
+            let mut out = vec![0xee];
+            put_bytes(&mut out, data);
+            assert_eq!(
+                out[1..],
+                encode_bytes(data)[..],
+                "put_bytes len {}",
+                data.len()
+            );
+            let mut out = vec![0xee];
+            out.extend_from_slice(data);
+            close_bytes(&mut out, 1);
+            assert_eq!(
+                out[1..],
+                encode_bytes(data)[..],
+                "close_bytes len {}",
+                data.len()
+            );
+            assert_eq!(Rlp::decode(&out[1..]), Ok(Rlp::Bytes(data.clone())));
+        }
+        for value in [0u64, 1, 0x7f, 0x80, 0xff, 0x100, 0xffff, 0x1_0000, u64::MAX] {
+            let mut out = vec![0xee];
+            put_uint(&mut out, value);
+            assert_eq!(out[1..], encode_uint(value)[..], "put_uint {value}");
+            // The wide form drops the same leading zeros.
+            let mut wide = [0u8; 32];
+            wide[24..].copy_from_slice(&value.to_be_bytes());
+            let mut out = vec![0xee];
+            put_uint_be(&mut out, &wide);
+            assert_eq!(out[1..], encode_uint(value)[..], "put_uint_be {value}");
+        }
+        // Lists of single-byte items: the payload length is the item count,
+        // and the header is pinned so the check does not rest on
+        // `encode_list`, itself a wrapper of `close_list`.
+        let headers: [(usize, &[u8]); 6] = [
+            (0, &[0xc0]),
+            (55, &[0xf7]),
+            (56, &[0xf8, 56]),
+            (255, &[0xf8, 255]),
+            (256, &[0xf9, 1, 0]),
+            (65_536, &[0xfa, 1, 0, 0]),
+        ];
+        for (count, header) in headers {
+            let items = vec![vec![0x01u8]; count];
+            let mut out = vec![0xee];
+            for item in &items {
+                out.extend_from_slice(item);
+            }
+            close_list(&mut out, 1);
+            assert_eq!(out[1..], encode_list(&items)[..], "close_list {count}");
+            assert_eq!(&out[1..1 + header.len()], header, "header {count}");
+            assert_eq!(out.len(), 1 + header.len() + count);
+            let decoded = Rlp::decode(&out[1..]).expect("valid");
+            assert_eq!(decoded.as_list().map(<[Rlp]>::len), Some(count));
+        }
     }
 
     #[test]

@@ -8,8 +8,18 @@
 //! test vectors hold.
 //!
 //! Nodes are immutable and shared via [`Arc`], so committing a block only
-//! rebuilds the paths it touched; per-node encodings are cached, making
-//! repeated root computation cheap.
+//! rebuilds the paths it touched. A node is one allocation: a path of up to
+//! 64 nibbles and a value of up to 40 bytes live inline in it (longer ones
+//! spill to the heap), and the only thing it caches is its *reference* — what
+//! its parent embeds: the node's own RLP when shorter than 32 bytes, else
+//! `0xa0 ‖ keccak(RLP)` — held inline as well. The full RLP of a node is
+//! never stored: hashing appends it to one scratch buffer per hashing thread,
+//! takes the reference and pops it again, so computing a root allocates that
+//! buffer and nothing per node.
+//!
+//! [`index_root`] computes the root of an index-keyed list (a block's
+//! transactions or receipts) through the same node encoder without building
+//! a trie at all.
 //!
 //! # Examples
 //!
@@ -25,117 +35,240 @@
 //! assert_eq!(trie.root(), root_one);
 //! ```
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use dmvcc_primitives::rlp::{encode_bytes, encode_list};
+use dmvcc_primitives::rlp::{close_bytes, close_list, put_bytes, put_uint};
 use dmvcc_primitives::{keccak256, H256};
 
 /// Root hash of the empty trie: `keccak256(rlp(""))`.
 pub fn empty_root() -> H256 {
-    keccak256(&encode_bytes(b""))
+    keccak256(&[0x80])
+}
+
+/// A byte string held inline up to `N` bytes and on the heap beyond.
+#[derive(Debug, Clone)]
+enum Small<const N: usize> {
+    Inline { len: u8, bytes: [u8; N] },
+    Heap(Vec<u8>),
+}
+
+/// A nibble path: every trie key of this repo is a 32-byte digest.
+type Nibbles = Small<64>;
+/// A stored value: `rlp(U256)` and `rlp(H256)` are at most 33 bytes.
+type Value = Small<40>;
+
+impl<const N: usize> Small<N> {
+    /// `head ‖ tail`.
+    fn concat(head: &[u8], tail: &[u8]) -> Self {
+        let len = head.len() + tail.len();
+        if len <= N {
+            let mut bytes = [0u8; N];
+            bytes[..head.len()].copy_from_slice(head);
+            bytes[head.len()..len].copy_from_slice(tail);
+            Small::Inline {
+                len: len as u8,
+                bytes,
+            }
+        } else {
+            Small::Heap([head, tail].concat())
+        }
+    }
+
+    fn from_vec(bytes: Vec<u8>) -> Self {
+        if bytes.len() <= N {
+            Self::concat(&bytes, &[])
+        } else {
+            Small::Heap(bytes)
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Small::Inline { len, bytes } => &bytes[..*len as usize],
+            Small::Heap(bytes) => bytes,
+        }
+    }
+}
+
+/// Expands a key into nibbles (high nibble first).
+fn to_nibbles(key: &[u8]) -> Nibbles {
+    if key.len() * 2 <= 64 {
+        let mut bytes = [0u8; 64];
+        for (pair, &b) in bytes.chunks_exact_mut(2).zip(key) {
+            pair[0] = b >> 4;
+            pair[1] = b & 0x0f;
+        }
+        Small::Inline {
+            len: (key.len() * 2) as u8,
+            bytes,
+        }
+    } else {
+        Small::Heap(key.iter().flat_map(|&b| [b >> 4, b & 0x0f]).collect())
+    }
 }
 
 #[derive(Debug)]
 enum NodeKind {
     Leaf {
-        path: Vec<u8>, // nibbles
-        value: Vec<u8>,
+        path: Nibbles,
+        value: Value,
     },
     Extension {
-        path: Vec<u8>, // nibbles, never empty
+        path: Nibbles, // never empty
         child: Arc<Node>,
     },
     Branch {
         children: [Option<Arc<Node>>; 16],
-        value: Option<Vec<u8>>,
+        value: Option<Value>,
     },
 }
 
 #[derive(Debug)]
 struct Node {
     kind: NodeKind,
-    /// Cached full RLP encoding of this node.
-    encoded: OnceLock<Vec<u8>>,
-    /// Cached reference as seen from the parent: the encoding itself when
-    /// shorter than 32 bytes, otherwise `rlp(keccak(encoding))`.
-    reference: OnceLock<Vec<u8>>,
+    /// Cached reference as seen from the parent. Empty on a fresh node, so
+    /// a set cache proves the whole subtree beneath it is clean.
+    reference: OnceLock<NodeRef>,
 }
 
 impl Node {
     fn new(kind: NodeKind) -> Arc<Node> {
         Arc::new(Node {
             kind,
-            encoded: OnceLock::new(),
             reference: OnceLock::new(),
         })
     }
 
-    fn encode(&self) -> &[u8] {
-        self.encoded.get_or_init(|| match &self.kind {
-            NodeKind::Leaf { path, value } => {
-                encode_list(&[encode_bytes(&hex_prefix(path, true)), encode_bytes(value)])
-            }
-            NodeKind::Extension { path, child } => encode_list(&[
-                encode_bytes(&hex_prefix(path, false)),
-                child.reference().to_vec(),
-            ]),
-            NodeKind::Branch { children, value } => {
-                let mut items = Vec::with_capacity(17);
-                for child in children.iter() {
-                    match child {
-                        Some(node) => items.push(node.reference().to_vec()),
-                        None => items.push(encode_bytes(b"")),
-                    }
-                }
-                items.push(encode_bytes(value.as_deref().unwrap_or(b"")));
-                encode_list(&items)
-            }
+    fn leaf(path: &[u8], value: Value) -> Arc<Node> {
+        Node::new(NodeKind::Leaf {
+            path: Nibbles::concat(path, &[]),
+            value,
         })
     }
 
-    fn reference(&self) -> &[u8] {
-        self.reference.get_or_init(|| {
-            let encoded = self.encode();
-            if encoded.len() < 32 {
-                encoded.to_vec()
-            } else {
-                encode_bytes(keccak256(encoded).as_bytes())
-            }
+    fn extension(path: &[u8], child: Arc<Node>) -> Arc<Node> {
+        Node::new(NodeKind::Extension {
+            path: Nibbles::concat(path, &[]),
+            child,
         })
     }
 
+    /// This node's reference, hashing whatever beneath it is dirty. `buf`
+    /// is the hashing thread's scratch stack: left as it was found.
+    fn reference(&self, buf: &mut Vec<u8>) -> &NodeRef {
+        self.reference.get_or_init(|| match &self.kind {
+            NodeKind::Leaf { path, value } => leaf_ref(buf, path.as_slice(), value.as_slice()),
+            NodeKind::Extension { path, child } => {
+                let child = *child.reference(buf);
+                extension_ref(buf, path.as_slice(), &child)
+            }
+            NodeKind::Branch { children, value } => branch_ref(
+                buf,
+                |nibble, buf| children[nibble].as_ref().map(|c| *c.reference(buf)),
+                value.as_ref().map_or(&[], Value::as_slice),
+            ),
+        })
+    }
+}
+
+/// What a parent embeds for a child, and what a root hashes to: the node's
+/// own RLP when that is shorter than 32 bytes, else `0xa0 ‖ keccak(RLP)`.
+#[derive(Debug, Clone, Copy)]
+struct NodeRef {
+    len: u8,
+    bytes: [u8; 33],
+}
+
+impl NodeRef {
+    /// Closes the node whose RLP list payload is `buf[start..]`, takes its
+    /// reference and pops it off `buf`.
+    fn close(buf: &mut Vec<u8>, start: usize) -> NodeRef {
+        close_list(buf, start);
+        let rlp = &buf[start..];
+        let mut bytes = [0u8; 33];
+        let len = if rlp.len() < 32 {
+            bytes[..rlp.len()].copy_from_slice(rlp);
+            rlp.len()
+        } else {
+            bytes[0] = 0xa0;
+            bytes[1..].copy_from_slice(keccak256(rlp).as_bytes());
+            33
+        };
+        buf.truncate(start);
+        NodeRef {
+            len: len as u8,
+            bytes,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    /// The node's hash — what [`Mpt::root`] returns for the root node. An
+    /// inline reference is the node's RLP itself (under 32 bytes), so a
+    /// 33-byte one can only be `0xa0 ‖ hash`.
     fn hash(&self) -> H256 {
-        keccak256(self.encode())
+        match self.bytes {
+            [0xa0, hash @ ..] if self.len == 33 => H256(hash),
+            _ => keccak256(self.as_slice()),
+        }
     }
 }
 
-/// Hex-prefix encodes a nibble path with the leaf/extension flag.
-fn hex_prefix(nibbles: &[u8], leaf: bool) -> Vec<u8> {
+/// Appends the hex-prefix encoding of a nibble path, as an RLP string.
+fn put_hex_prefix(buf: &mut Vec<u8>, nibbles: &[u8], leaf: bool) {
+    let start = buf.len();
     let flag: u8 = if leaf { 2 } else { 0 };
-    let odd = nibbles.len() % 2 == 1;
-    let mut out = Vec::with_capacity(nibbles.len() / 2 + 1);
-    if odd {
-        out.push(((flag | 1) << 4) | nibbles[0]);
-        for pair in nibbles[1..].chunks(2) {
-            out.push((pair[0] << 4) | pair[1]);
-        }
+    let even = if nibbles.len() % 2 == 1 {
+        buf.push(((flag | 1) << 4) | nibbles[0]);
+        &nibbles[1..]
     } else {
-        out.push(flag << 4);
-        for pair in nibbles.chunks(2) {
-            out.push((pair[0] << 4) | pair[1]);
-        }
-    }
-    out
+        buf.push(flag << 4);
+        nibbles
+    };
+    buf.extend(even.chunks_exact(2).map(|pair| (pair[0] << 4) | pair[1]));
+    close_bytes(buf, start);
 }
 
-/// Expands bytes into nibbles (high nibble first).
-fn to_nibbles(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(b >> 4);
-        out.push(b & 0x0f);
+fn leaf_ref(buf: &mut Vec<u8>, path: &[u8], value: &[u8]) -> NodeRef {
+    let start = buf.len();
+    put_hex_prefix(buf, path, true);
+    put_bytes(buf, value);
+    NodeRef::close(buf, start)
+}
+
+fn extension_ref(buf: &mut Vec<u8>, path: &[u8], child: &NodeRef) -> NodeRef {
+    let start = buf.len();
+    put_hex_prefix(buf, path, false);
+    buf.extend_from_slice(child.as_slice());
+    NodeRef::close(buf, start)
+}
+
+/// `child(nibble, buf)` yields the reference of the child in that slot; it
+/// may use `buf` beyond its current length as scratch while the branch's
+/// own payload sits below.
+fn branch_ref(
+    buf: &mut Vec<u8>,
+    mut child: impl FnMut(usize, &mut Vec<u8>) -> Option<NodeRef>,
+    value: &[u8],
+) -> NodeRef {
+    let start = buf.len();
+    for nibble in 0..16 {
+        match child(nibble, buf) {
+            Some(reference) => buf.extend_from_slice(reference.as_slice()),
+            None => buf.push(0x80),
+        }
     }
-    out
+    put_bytes(buf, value);
+    NodeRef::close(buf, start)
+}
+
+/// A hashing thread's scratch buffer: a root-to-leaf stack of partly
+/// written branch payloads (at most 532 bytes each) fits without growing.
+fn scratch() -> Vec<u8> {
+    Vec::with_capacity(4096)
 }
 
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
@@ -160,7 +293,7 @@ impl Mpt {
     /// Returns the Keccak-256 root commitment of the current contents.
     pub fn root(&self) -> H256 {
         match &self.root {
-            Some(node) => node.hash(),
+            Some(node) => node.reference(&mut scratch()).hash(),
             None => empty_root(),
         }
     }
@@ -180,12 +313,10 @@ impl Mpt {
     pub fn insert(&mut self, key: &[u8], value: Vec<u8>) {
         assert!(!value.is_empty(), "Mpt::insert: empty value, use remove");
         let nibbles = to_nibbles(key);
+        let value = Value::from_vec(value);
         let new_root = match self.root.take() {
-            Some(node) => insert_at(&node, &nibbles, value),
-            None => Node::new(NodeKind::Leaf {
-                path: nibbles,
-                value,
-            }),
+            Some(node) => insert_at(&node, nibbles.as_slice(), value),
+            None => Node::leaf(nibbles.as_slice(), value),
         };
         self.root = Some(new_root);
     }
@@ -194,7 +325,7 @@ impl Mpt {
     pub fn remove(&mut self, key: &[u8]) -> bool {
         let nibbles = to_nibbles(key);
         match self.root.take() {
-            Some(node) => match remove_at(&node, &nibbles) {
+            Some(node) => match remove_at(&node, nibbles.as_slice()) {
                 RemoveResult::NotFound => {
                     self.root = Some(node);
                     false
@@ -219,43 +350,28 @@ impl Mpt {
     /// Looks up the value stored at `key`, borrowing it from the trie.
     ///
     /// Allocation-free for keys up to 32 bytes (every trie key in this
-    /// repo is a 32-byte Keccak digest): the nibble expansion lives in a
-    /// stack buffer and the returned slice aliases the `Arc`-shared node,
-    /// so an oracle-path SLOAD compare costs zero heap traffic.
+    /// repo is a 32-byte Keccak digest): the nibble expansion lives on the
+    /// stack and the returned slice aliases the `Arc`-shared node, so an
+    /// oracle-path SLOAD compare costs zero heap traffic.
     pub fn get_ref(&self, key: &[u8]) -> Option<&[u8]> {
-        let mut stack = [0u8; 64];
-        let heap; // spill for oversized keys only
-        let nibbles: &[u8] = if key.len() <= 32 {
-            for (i, &b) in key.iter().enumerate() {
-                stack[2 * i] = b >> 4;
-                stack[2 * i + 1] = b & 0x0f;
-            }
-            &stack[..key.len() * 2]
-        } else {
-            heap = to_nibbles(key);
-            &heap
-        };
+        let nibbles = to_nibbles(key);
         let mut node = self.root.as_deref()?;
-        let mut path: &[u8] = nibbles;
+        let mut path = nibbles.as_slice();
         loop {
             match &node.kind {
                 NodeKind::Leaf { path: p, value } => {
-                    return if p == path {
-                        Some(value.as_slice())
-                    } else {
-                        None
-                    };
+                    return (p.as_slice() == path).then(|| value.as_slice());
                 }
                 NodeKind::Extension { path: p, child } => {
                     path = path.strip_prefix(p.as_slice())?;
                     node = child;
                 }
                 NodeKind::Branch { children, value } => {
-                    if path.is_empty() {
-                        return value.as_deref();
-                    }
-                    node = children[path[0] as usize].as_deref()?;
-                    path = &path[1..];
+                    let Some((&nibble, rest)) = path.split_first() else {
+                        return value.as_ref().map(Value::as_slice);
+                    };
+                    node = children[nibble as usize].as_deref()?;
+                    path = rest;
                 }
             }
         }
@@ -274,6 +390,19 @@ impl Mpt {
         }
     }
 
+    /// The children of the top-level branch whose references are not
+    /// cached yet (the root itself when there is no branch).
+    fn dirty_top(&self) -> Vec<&Arc<Node>> {
+        let top = match self.top_branch().map(|branch| &branch.kind) {
+            Some(NodeKind::Branch { children, .. }) => children.as_slice(),
+            _ => std::slice::from_ref(&self.root),
+        };
+        top.iter()
+            .flatten()
+            .filter(|node| node.reference.get().is_none())
+            .collect()
+    }
+
     /// Number of top-level subtrees whose hashes must be recomputed for
     /// the next [`Mpt::root`] call.
     ///
@@ -281,21 +410,7 @@ impl Mpt {
     /// mutations build fresh nodes with empty `OnceLock` caches, so a
     /// cached reference proves the entire subtree beneath it is clean.
     pub fn dirty_top_subtrees(&self) -> usize {
-        match self.top_branch() {
-            Some(branch) => match &branch.kind {
-                NodeKind::Branch { children, .. } => children
-                    .iter()
-                    .flatten()
-                    .filter(|c| c.reference.get().is_none())
-                    .count(),
-                _ => unreachable!("top_branch returns branches only"),
-            },
-            None => usize::from(
-                self.root
-                    .as_ref()
-                    .is_some_and(|n| n.reference.get().is_none()),
-            ),
-        }
+        self.dirty_top().len()
     }
 
     /// Returns `true` if the root hash is fully cached (a [`Mpt::root`]
@@ -303,7 +418,7 @@ impl Mpt {
     pub fn root_cached(&self) -> bool {
         self.root
             .as_ref()
-            .is_none_or(|node| node.encoded.get().is_some())
+            .is_none_or(|node| node.reference.get().is_some())
     }
 
     /// Computes the root, hashing dirty top-level subtrees on up to
@@ -316,47 +431,35 @@ impl Mpt {
     /// Serial fallback when `threads <= 1` or fewer than two subtrees are
     /// dirty.
     pub fn root_parallel(&self, threads: usize) -> H256 {
-        let Some(root) = self.root.as_ref() else {
-            return empty_root();
-        };
         if threads > 1 {
-            if let Some(branch) = self.top_branch() {
-                if let NodeKind::Branch { children, .. } = &branch.kind {
-                    let dirty: Vec<&Arc<Node>> = children
-                        .iter()
-                        .flatten()
-                        .filter(|c| c.reference.get().is_none())
-                        .collect();
-                    if dirty.len() > 1 {
-                        let per_worker = dirty.len().div_ceil(threads.min(dirty.len()));
-                        std::thread::scope(|scope| {
-                            for chunk in dirty.chunks(per_worker) {
-                                scope.spawn(move || {
-                                    for child in chunk {
-                                        child.reference();
-                                    }
-                                });
+            let dirty = self.dirty_top();
+            if dirty.len() > 1 {
+                let per_worker = dirty.len().div_ceil(threads.min(dirty.len()));
+                std::thread::scope(|scope| {
+                    for chunk in dirty.chunks(per_worker) {
+                        scope.spawn(move || {
+                            let mut buf = scratch();
+                            for child in chunk {
+                                child.reference(&mut buf);
                             }
                         });
                     }
-                }
+                });
             }
         }
-        root.hash()
+        self.root()
     }
 }
 
-fn insert_at(node: &Arc<Node>, path: &[u8], value: Vec<u8>) -> Arc<Node> {
+fn insert_at(node: &Arc<Node>, path: &[u8], value: Value) -> Arc<Node> {
     match &node.kind {
         NodeKind::Leaf {
             path: leaf_path,
             value: leaf_value,
         } => {
-            if leaf_path.as_slice() == path {
-                return Node::new(NodeKind::Leaf {
-                    path: path.to_vec(),
-                    value,
-                });
+            let leaf_path = leaf_path.as_slice();
+            if leaf_path == path {
+                return Node::leaf(path, value);
             }
             let common = common_prefix_len(leaf_path, path);
             let branch = make_branch(
@@ -371,37 +474,25 @@ fn insert_at(node: &Arc<Node>, path: &[u8], value: Vec<u8>) -> Arc<Node> {
             path: ext_path,
             child,
         } => {
+            let ext_path = ext_path.as_slice();
             let common = common_prefix_len(ext_path, path);
             if common == ext_path.len() {
                 // Descend through the extension.
                 let new_child = insert_at(child, &path[common..], value);
-                return Node::new(NodeKind::Extension {
-                    path: ext_path.clone(),
-                    child: new_child,
-                });
+                return Node::extension(ext_path, new_child);
             }
             // Split the extension at the divergence point.
             let mut children: [Option<Arc<Node>>; 16] = Default::default();
             let ext_branch_nibble = ext_path[common];
             let remaining_ext = &ext_path[common + 1..];
-            let ext_side = if remaining_ext.is_empty() {
-                child.clone()
-            } else {
-                Node::new(NodeKind::Extension {
-                    path: remaining_ext.to_vec(),
-                    child: child.clone(),
-                })
-            };
-            children[ext_branch_nibble as usize] = Some(ext_side);
+            children[ext_branch_nibble as usize] =
+                Some(wrap_extension(remaining_ext, child.clone()));
             let mut branch_value = None;
             if common == path.len() {
                 branch_value = Some(value);
             } else {
                 let new_nibble = path[common];
-                children[new_nibble as usize] = Some(Node::new(NodeKind::Leaf {
-                    path: path[common + 1..].to_vec(),
-                    value,
-                }));
+                children[new_nibble as usize] = Some(Node::leaf(&path[common + 1..], value));
             }
             let branch = Node::new(NodeKind::Branch {
                 children,
@@ -413,20 +504,17 @@ fn insert_at(node: &Arc<Node>, path: &[u8], value: Vec<u8>) -> Arc<Node> {
             children,
             value: branch_value,
         } => {
-            if path.is_empty() {
+            let Some((&nibble, rest)) = path.split_first() else {
                 return Node::new(NodeKind::Branch {
                     children: children.clone(),
                     value: Some(value),
                 });
-            }
-            let nibble = path[0] as usize;
+            };
             let mut new_children = children.clone();
-            new_children[nibble] = Some(match &children[nibble] {
-                Some(child) => insert_at(child, &path[1..], value),
-                None => Node::new(NodeKind::Leaf {
-                    path: path[1..].to_vec(),
-                    value,
-                }),
+            let slot = &mut new_children[nibble as usize];
+            *slot = Some(match slot.as_ref() {
+                Some(child) => insert_at(child, rest, value),
+                None => Node::leaf(rest, value),
             });
             Node::new(NodeKind::Branch {
                 children: new_children,
@@ -437,28 +525,18 @@ fn insert_at(node: &Arc<Node>, path: &[u8], value: Vec<u8>) -> Arc<Node> {
 }
 
 /// Builds a branch holding two divergent suffixes (at least one non-empty).
-fn make_branch(a_path: &[u8], a_value: Vec<u8>, b_path: &[u8], b_value: Vec<u8>) -> Arc<Node> {
+fn make_branch(a_path: &[u8], a_value: Value, b_path: &[u8], b_value: Value) -> Arc<Node> {
     let mut children: [Option<Arc<Node>>; 16] = Default::default();
     let mut value = None;
     debug_assert!(
         !(a_path.is_empty() && b_path.is_empty()),
         "identical paths must be handled by the caller"
     );
-    if a_path.is_empty() {
-        value = Some(a_value);
-    } else {
-        children[a_path[0] as usize] = Some(Node::new(NodeKind::Leaf {
-            path: a_path[1..].to_vec(),
-            value: a_value,
-        }));
-    }
-    if b_path.is_empty() {
-        value = Some(b_value);
-    } else {
-        children[b_path[0] as usize] = Some(Node::new(NodeKind::Leaf {
-            path: b_path[1..].to_vec(),
-            value: b_value,
-        }));
+    for (path, leaf_value) in [(a_path, a_value), (b_path, b_value)] {
+        match path.split_first() {
+            Some((&nibble, rest)) => children[nibble as usize] = Some(Node::leaf(rest, leaf_value)),
+            None => value = Some(leaf_value),
+        }
     }
     Node::new(NodeKind::Branch { children, value })
 }
@@ -467,10 +545,7 @@ fn wrap_extension(prefix: &[u8], node: Arc<Node>) -> Arc<Node> {
     if prefix.is_empty() {
         node
     } else {
-        Node::new(NodeKind::Extension {
-            path: prefix.to_vec(),
-            child: node,
-        })
+        Node::extension(prefix, node)
     }
 }
 
@@ -501,7 +576,7 @@ fn remove_at(node: &Arc<Node>, path: &[u8]) -> RemoveResult {
                 RemoveResult::NotFound => RemoveResult::NotFound,
                 RemoveResult::Removed(None) => RemoveResult::Removed(None),
                 RemoveResult::Removed(Some(new_child)) => {
-                    RemoveResult::Removed(Some(merge_extension(ext_path, new_child)))
+                    RemoveResult::Removed(Some(merge_extension(ext_path.as_slice(), new_child)))
                 }
             }
         }
@@ -535,46 +610,138 @@ fn remove_at(node: &Arc<Node>, path: &[u8]) -> RemoveResult {
 /// hold after a removal.
 fn merge_extension(prefix: &[u8], child: Arc<Node>) -> Arc<Node> {
     match &child.kind {
-        NodeKind::Leaf { path, value } => {
-            let mut merged = prefix.to_vec();
-            merged.extend_from_slice(path);
-            Node::new(NodeKind::Leaf {
-                path: merged,
-                value: value.clone(),
-            })
-        }
-        NodeKind::Extension { path, child } => {
-            let mut merged = prefix.to_vec();
-            merged.extend_from_slice(path);
-            Node::new(NodeKind::Extension {
-                path: merged,
-                child: child.clone(),
-            })
-        }
-        NodeKind::Branch { .. } => Node::new(NodeKind::Extension {
-            path: prefix.to_vec(),
-            child,
+        NodeKind::Leaf { path, value } => Node::new(NodeKind::Leaf {
+            path: Nibbles::concat(prefix, path.as_slice()),
+            value: value.clone(),
         }),
+        NodeKind::Extension { path, child } => Node::new(NodeKind::Extension {
+            path: Nibbles::concat(prefix, path.as_slice()),
+            child: child.clone(),
+        }),
+        NodeKind::Branch { .. } => Node::extension(prefix, child),
     }
 }
 
 /// Normalizes a branch after a removal: a branch with a single remaining
 /// child (and no value) collapses into that child; one with only a value
 /// becomes a leaf.
-fn collapse_branch(children: [Option<Arc<Node>>; 16], value: Option<Vec<u8>>) -> Arc<Node> {
-    let populated: Vec<usize> = (0..16).filter(|&i| children[i].is_some()).collect();
-    match (populated.len(), &value) {
-        (0, Some(v)) => Node::new(NodeKind::Leaf {
-            path: Vec::new(),
-            value: v.clone(),
-        }),
-        (1, None) => {
-            let nibble = populated[0];
+fn collapse_branch(children: [Option<Arc<Node>>; 16], value: Option<Value>) -> Arc<Node> {
+    let mut populated = (0..16).filter(|&i| children[i].is_some());
+    match (populated.next(), populated.next(), value) {
+        (None, _, Some(value)) => Node::leaf(&[], value),
+        (Some(nibble), None, None) => {
             let child = children[nibble].clone().expect("populated index");
             merge_extension(&[nibble as u8], child)
         }
-        _ => Node::new(NodeKind::Branch { children, value }),
+        (_, _, value) => Node::new(NodeKind::Branch { children, value }),
     }
+}
+
+/// One `(rlp(index), value)` pair of [`index_root`], as ranges into its two
+/// flat buffers.
+struct Item {
+    key: Range<usize>,
+    value: Range<usize>,
+}
+
+/// The key nibbles and values of an index-keyed list, sorted by key.
+struct IndexTrie {
+    keys: Vec<u8>,
+    values: Vec<u8>,
+}
+
+impl IndexTrie {
+    fn key(&self, item: &Item) -> &[u8] {
+        &self.keys[item.key.clone()]
+    }
+
+    /// The reference of the node that holds `items` (sorted, at least one,
+    /// all sharing their first `depth` nibbles), as the trie built by
+    /// inserting them would have it.
+    fn reference(&self, items: &[Item], depth: usize, buf: &mut Vec<u8>) -> NodeRef {
+        let first = &self.key(&items[0])[depth..];
+        if let [only] = items {
+            return leaf_ref(buf, first, &self.values[only.value.clone()]);
+        }
+        let last = &self.key(&items[items.len() - 1])[depth..];
+        let common = common_prefix_len(first, last);
+        if common > 0 {
+            let child = self.reference(items, depth + common, buf);
+            return extension_ref(buf, &first[..common], &child);
+        }
+        // RLP is prefix-free: no key ends here, so the branch holds no
+        // value and every item has a nibble at `depth`.
+        let mut rest = items;
+        branch_ref(
+            buf,
+            |nibble, buf| {
+                let run = rest
+                    .iter()
+                    .take_while(|item| usize::from(self.key(item)[depth]) == nibble)
+                    .count();
+                let (head, tail) = rest.split_at(run);
+                rest = tail;
+                (run > 0).then(|| self.reference(head, depth + 1, buf))
+            },
+            &[],
+        )
+    }
+}
+
+/// The root of the trie mapping `rlp(i) → value i` for `i` in `0..count` —
+/// Ethereum's transactions-root / receipts-root layout — computed without
+/// building the trie.
+///
+/// `value(i, out)` appends value `i` (non-empty) to `out`. Keys and values
+/// are laid out in two flat buffers in key order and the node references
+/// are computed bottom-up over slices of them (one item → leaf; a prefix
+/// common to the first and last → extension; else a 16-way split by
+/// nibble), through the node encoder [`Mpt`] hashes with. The result equals
+/// `Mpt::root` after `insert(rlp(i), value i)` for every `i`; the call
+/// allocates its handful of buffers and nothing per item.
+///
+/// # Examples
+///
+/// ```
+/// use dmvcc_primitives::rlp::encode_uint;
+/// use dmvcc_state::{index_root, Mpt};
+///
+/// let values = [b"zero".to_vec(), b"one".to_vec(), b"two".to_vec()];
+/// let mut trie = Mpt::new();
+/// for (i, value) in values.iter().enumerate() {
+///     trie.insert(&encode_uint(i as u64), value.clone());
+/// }
+/// let root = index_root(values.len(), |i, out| out.extend_from_slice(&values[i]));
+/// assert_eq!(root, trie.root());
+/// ```
+pub fn index_root(count: usize, mut value: impl FnMut(usize, &mut Vec<u8>)) -> H256 {
+    if count == 0 {
+        return empty_root();
+    }
+    // Byte order of the keys: rlp(1..=0x7f) is the byte itself, rlp(0) is
+    // 0x80, and from 0x80 up a length-tagged big-endian form that sorts
+    // numerically.
+    let by_key = (1..count.min(0x80)).chain(0..1).chain(0x80..count);
+    let mut trie = IndexTrie {
+        keys: Vec::with_capacity(count * 6),
+        values: Vec::new(),
+    };
+    let mut items = Vec::with_capacity(count);
+    let mut key = Vec::with_capacity(9);
+    for i in by_key {
+        key.clear();
+        put_uint(&mut key, i as u64);
+        let key_start = trie.keys.len();
+        trie.keys
+            .extend(key.iter().flat_map(|&b| [b >> 4, b & 0x0f]));
+        let value_start = trie.values.len();
+        value(i, &mut trie.values);
+        items.push(Item {
+            key: key_start..trie.keys.len(),
+            value: value_start..trie.values.len(),
+        });
+    }
+    trie.reference(&items, 0, &mut scratch()).hash()
 }
 
 #[cfg(test)]

@@ -15,19 +15,24 @@
 //!   `latest` onto it, so snapshot RAM stays O(recent writes) rather than
 //!   O(total state).
 //! - **Off-critical-path roots.** [`StateDb::commit_async`] applies the
-//!   block's structural trie updates (cheap: they build fresh unhashed
-//!   nodes) and returns a [`RootHandle`] immediately; the Keccak work —
-//!   the expensive part — runs on a background thread via
-//!   [`Mpt::root_parallel`], overlapping the next block's execution. The
-//!   handle stalls only a caller that demands the root before it
-//!   resolves, and records how long hashing took so callers can report
-//!   how much of it they hid.
+//!   block's structural trie updates (path copies: one allocation per
+//!   fresh, unhashed node) and returns a [`RootHandle`] immediately; the
+//!   hashing — encoding each dirty node into the hashing thread's one
+//!   scratch buffer and running Keccak over it — happens on a background
+//!   thread, overlapping the next block's execution. The handle stalls
+//!   only a caller that demands the root before it resolves, and records
+//!   how long hashing took so callers can report how much of it they hid.
+//!
+//! There is one root path: [`StateDb::commit`] and the background thread
+//! of [`StateDb::commit_async`] both call [`Mpt::root_parallel`] with
+//! [`StateDb::set_hash_threads`] workers, which hashes serially for one
+//! thread or fewer than two dirty top-level subtrees.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use dmvcc_primitives::rlp::encode_bytes;
+use dmvcc_primitives::rlp::put_uint_be;
 use dmvcc_primitives::{keccak256, H256, U256};
 
 use crate::backend::{BackendStats, StateBackend};
@@ -237,10 +242,7 @@ impl StateDb {
         let snapshot = Snapshot::from_entries(entries);
         let mut trie = Mpt::new();
         for (key, value) in snapshot.iter() {
-            trie.insert(
-                keccak256(&key.to_bytes()).as_bytes(),
-                encode_bytes(&value.to_be_bytes_trimmed()),
-            );
+            trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(value));
         }
         StateDb {
             roots: RootHistory::new(trie.root(), DEFAULT_ROOT_WINDOW),
@@ -269,10 +271,7 @@ impl StateDb {
         }
         let mut trie = Mpt::new();
         for (key, value) in flat.iter_as_of(0) {
-            trie.insert(
-                keccak256(&key.to_bytes()).as_bytes(),
-                encode_bytes(&value.to_be_bytes_trimmed()),
-            );
+            trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(value));
         }
         StateDb {
             latest: Snapshot::from_backend(Arc::clone(&flat) as Arc<dyn StateBackend>, 0),
@@ -308,8 +307,9 @@ impl StateDb {
         self.backend.as_ref().map(|b| b.flat_stats())
     }
 
-    /// Sets how many worker threads parallel/background root hashing may
-    /// use (clamped to at least 1).
+    /// Sets how many worker threads root hashing may use, in
+    /// [`StateDb::commit`] and in the background of
+    /// [`StateDb::commit_async`] alike (clamped to at least 1).
     pub fn set_hash_threads(&mut self, threads: usize) {
         self.hash_threads = threads.max(1);
     }
@@ -357,10 +357,7 @@ impl StateDb {
             if value.is_zero() {
                 self.trie.remove(trie_key.as_bytes());
             } else {
-                self.trie.insert(
-                    trie_key.as_bytes(),
-                    encode_bytes(&value.to_be_bytes_trimmed()),
-                );
+                self.trie.insert(trie_key.as_bytes(), trie_value(*value));
             }
         }
         let height = self.latest.height() + 1;
@@ -379,10 +376,12 @@ impl StateDb {
 
     /// Commits a block's final writes synchronously: updates the trie,
     /// produces the next snapshot and records its root hash, which is
-    /// returned.
+    /// returned. The dirty subtrees are hashed on
+    /// [`StateDb::set_hash_threads`] workers, as in
+    /// [`StateDb::commit_async`].
     pub fn commit(&mut self, writes: &WriteSet) -> H256 {
         self.apply_writes(writes);
-        let root = self.trie.root();
+        let root = self.trie.root_parallel(self.hash_threads);
         self.roots.push(RootHandle::ready(root));
         root
     }
@@ -399,8 +398,8 @@ impl StateDb {
     ///
     /// Back-to-back async commits are safe: the persistent trie is
     /// cloned (O(1), `Arc`-shared) per commit, mutation never alters
-    /// existing nodes, and `OnceLock` hash caches tolerate concurrent
-    /// forcing.
+    /// existing nodes, and the nodes' `OnceLock` reference caches tolerate
+    /// concurrent forcing.
     pub fn commit_async(&mut self, writes: &WriteSet) -> RootHandle {
         self.apply_writes(writes);
         let handle = RootHandle::pending();
@@ -415,6 +414,13 @@ impl StateDb {
         });
         handle
     }
+}
+
+/// The value the state trie stores for a non-zero slot: `rlp(value)`.
+fn trie_value(value: U256) -> Vec<u8> {
+    let mut out = Vec::with_capacity(33);
+    put_uint_be(&mut out, &value.to_be_bytes());
+    out
 }
 
 /// Default hashing parallelism: the host's, capped at the 16-way trie
@@ -525,16 +531,37 @@ mod tests {
 
     #[test]
     fn async_commit_matches_sync_commit_roots() {
-        let mut sync_db = StateDb::new();
-        let mut async_db = StateDb::new();
+        // One root path behind both commits: every thread count, either
+        // way, resolves to the root the serial hash of the same trie gives.
+        let mut oracle = Mpt::new();
+        let mut dbs: Vec<StateDb> = [1usize, 4, 1, 4]
+            .iter()
+            .map(|&threads| {
+                let mut db = StateDb::new();
+                db.set_hash_threads(threads);
+                db
+            })
+            .collect();
         for block in 1..=12u64 {
-            let w = writes(&[(block, block * 7), (block % 5, block), (40 + block % 3, 1)]);
-            let expected = sync_db.commit(&w);
-            let handle = async_db.commit_async(&w);
-            assert_eq!(handle.wait(), expected, "block {block}");
-            assert_eq!(async_db.root_at(block), Some(expected));
+            // Enough keys that several top-level subtrees are dirty.
+            let mut w = writes(&[(block, block * 7), (block % 5, block), (40 + block % 3, 1)]);
+            w.extend(writes(
+                &(0..24).map(|i| (100 + i, block + i)).collect::<Vec<_>>(),
+            ));
+            for (key, value) in &w {
+                oracle.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(*value));
+            }
+            let expected = oracle.root();
+            let (sync_dbs, async_dbs) = dbs.split_at_mut(2);
+            for db in sync_dbs {
+                assert_eq!(db.commit(&w), expected, "sync, block {block}");
+            }
+            for db in async_dbs {
+                let handle = db.commit_async(&w);
+                assert_eq!(handle.wait(), expected, "async, block {block}");
+                assert_eq!(db.root_at(block), Some(expected));
+            }
         }
-        assert_eq!(sync_db.current_root(), async_db.current_root());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Transaction representation shared by all schedulers.
 
-use dmvcc_primitives::rlp::{encode_bytes, encode_list, encode_uint};
+use dmvcc_primitives::rlp::{close_list, put_bytes, put_uint, put_uint_be};
 use dmvcc_primitives::{keccak256, Address, H256, U256};
 
 use crate::env::TxEnv;
@@ -69,20 +69,32 @@ impl Transaction {
         self.env.contract
     }
 
+    /// Appends the canonical RLP encoding,
+    /// `[kind, caller, to, value, gas_limit, input]`, to `out`.
+    pub fn rlp_append(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        put_uint(
+            out,
+            match self.kind {
+                TxKind::Transfer => 0,
+                TxKind::Call => 1,
+            },
+        );
+        put_bytes(out, self.env.caller.as_bytes());
+        put_bytes(out, self.env.contract.as_bytes());
+        put_uint_be(out, &self.env.value.to_be_bytes());
+        put_uint(out, self.env.gas_limit);
+        put_bytes(out, &self.env.input);
+        close_list(out, start);
+    }
+
     /// Canonical RLP encoding:
     /// `[kind, caller, to, value, gas_limit, input]`.
     pub fn rlp_encode(&self) -> Vec<u8> {
-        encode_list(&[
-            encode_uint(match self.kind {
-                TxKind::Transfer => 0,
-                TxKind::Call => 1,
-            }),
-            encode_bytes(self.env.caller.as_bytes()),
-            encode_bytes(self.env.contract.as_bytes()),
-            encode_bytes(&self.env.value.to_be_bytes_trimmed()),
-            encode_uint(self.env.gas_limit),
-            encode_bytes(&self.env.input),
-        ])
+        // The fixed fields take at most 93 bytes, each header at most 9.
+        let mut out = Vec::with_capacity(self.env.input.len() + 111);
+        self.rlp_append(&mut out);
+        out
     }
 
     /// The transaction hash: `keccak256(rlp(tx))`.
@@ -162,5 +174,46 @@ mod tests {
         let items = decoded.as_list().expect("a list");
         assert_eq!(items.len(), 6);
         assert_eq!(items[1].as_bytes().unwrap().len(), 20);
+    }
+
+    #[test]
+    fn rlp_append_matches_the_per_item_encoder() {
+        use dmvcc_primitives::rlp::{encode_bytes, encode_list, encode_uint};
+        // The encoding as it was built before the append-style encoder: one
+        // `Vec` per field, then a list of them.
+        let oracle = |tx: &Transaction| {
+            encode_list(&[
+                encode_uint(match tx.kind {
+                    TxKind::Transfer => 0,
+                    TxKind::Call => 1,
+                }),
+                encode_bytes(tx.env.caller.as_bytes()),
+                encode_bytes(tx.env.contract.as_bytes()),
+                encode_bytes(&tx.env.value.to_be_bytes_trimmed()),
+                encode_uint(tx.env.gas_limit),
+                encode_bytes(&tx.env.input),
+            ])
+        };
+        let (from, to) = (Address::from_u64(1), Address::from_u64(u64::MAX));
+        let values = [
+            U256::ZERO,
+            U256::from(0x7fu64),
+            U256::from(0x80u64),
+            U256::MAX,
+        ];
+        let mut out = vec![0xee]; // reused, and not empty: offsets must hold
+        for value in values {
+            let transfer = Transaction::transfer(from, to, value);
+            let calls = [0usize, 1, 55, 56, 300].map(|len| {
+                Transaction::call(TxEnv::call(from, to, vec![0x5a; len]).with_value(value))
+            });
+            for tx in std::iter::once(&transfer).chain(&calls) {
+                out.truncate(1);
+                tx.rlp_append(&mut out);
+                assert_eq!(out[1..], oracle(tx)[..]);
+                assert_eq!(tx.rlp_encode(), oracle(tx));
+                assert_eq!(tx.hash(), keccak256(&oracle(tx)));
+            }
+        }
     }
 }

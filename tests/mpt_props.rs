@@ -1,12 +1,116 @@
 //! Property tests for the Merkle Patricia Trie: model equivalence against
-//! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), and
-//! history independence of the root.
+//! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), history
+//! independence of the root, and `index_root` against the trie it stands in
+//! for.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use dmvcc_state::{empty_root, Mpt};
+use dmvcc_primitives::keccak256;
+use dmvcc_primitives::rlp::encode_uint;
+use dmvcc_state::{empty_root, index_root, Mpt};
+
+/// The root `index_root` must reproduce: an `Mpt` filled by
+/// `insert(rlp(i), value(i))`.
+fn built_root(count: usize, value: impl Fn(usize) -> Vec<u8>) -> dmvcc_primitives::H256 {
+    let mut trie = Mpt::new();
+    for i in 0..count {
+        trie.insert(&encode_uint(i as u64), value(i));
+    }
+    trie.root()
+}
+
+#[test]
+fn index_root_equals_the_built_trie_on_boundary_counts() {
+    // Counts around every change of the key's RLP form (one byte, 0x81 xx,
+    // 0x82 xx xx, 0x83 ..) and of the top branch's fill; value lengths on
+    // both sides of the 32-byte inline-node rule.
+    let counts = [
+        0usize, 1, 2, 16, 17, 127, 128, 129, 255, 256, 257, 5_000, 65_537,
+    ];
+    for count in counts {
+        for len in [1usize, 12, 31, 32, 33, 60] {
+            if count > 5_000 && len != 33 {
+                continue; // one pass over the three-byte keys is enough
+            }
+            let value = |i: usize| {
+                let mut bytes = vec![0x80 | (i % 97) as u8; len];
+                bytes[0] = (i % 251) as u8 + 1;
+                bytes
+            };
+            let computed = index_root(count, |i, out| out.extend_from_slice(&value(i)));
+            assert_eq!(
+                computed,
+                built_root(count, value),
+                "count {count}, len {len}"
+            );
+        }
+    }
+}
+
+/// Keys longer than a node's inline path and values longer than its inline
+/// value: 52-byte unhashed keys as `state_backend` uses, a 48-byte key, and
+/// a pair of siblings that share 103 nibbles.
+fn long_pairs() -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..200u32)
+        .map(|i| {
+            let mut key = vec![(i % 5) as u8; 20];
+            key.extend_from_slice(keccak256(&i.to_be_bytes()).as_bytes());
+            (key, vec![(i % 251) as u8 + 1; 1 + (i as usize * 7) % 90])
+        })
+        .collect();
+    pairs.push((vec![7u8; 48], b"long".to_vec()));
+    for j in 1..8u8 {
+        pairs.push((vec![0x10 * j + 8; 52], vec![j; 41]));
+    }
+    let mut sibling = vec![9u8; 52];
+    pairs.push((sibling.clone(), vec![0xaa; 40]));
+    sibling[51] = 1;
+    pairs.push((sibling, vec![0xbb; 33]));
+    pairs
+}
+
+#[test]
+fn long_keys_and_values_round_trip_and_hash_as_before() {
+    // Known answers from the commit before nodes held paths and values
+    // inline (every path and value was a `Vec` then).
+    let pairs = long_pairs();
+    let mut trie = Mpt::new();
+    trie.insert(&pairs[0].0, pairs[0].1.clone());
+    assert_eq!(
+        trie.root().to_string(),
+        "0xb516f0b133afbaf1f59624b0c4bd879b35affbd32982a7deda164901a78c6224"
+    );
+    for (key, value) in &pairs {
+        trie.insert(key, value.clone());
+    }
+    assert_eq!(
+        trie.root().to_string(),
+        "0xd531e1b64769c2b3145098c683b7e80b5d23420099f3546aa7893f05fd46a29e"
+    );
+    for (key, value) in &pairs {
+        assert_eq!(trie.get_ref(key), Some(value.as_slice()));
+    }
+    for (key, _) in pairs.iter().step_by(3) {
+        assert!(trie.remove(key));
+        assert_eq!(trie.get_ref(key), None);
+    }
+    assert_eq!(
+        trie.root().to_string(),
+        "0xf9dc826c32381663b91a9a5647fe6b8527f9824979b0b2610d0f56842108d4de"
+    );
+    // The removals merged long extensions and leaves back into canonical
+    // form: a fresh build of what is left has the same root.
+    let mut rebuilt = Mpt::new();
+    for (i, (key, value)) in pairs.iter().enumerate() {
+        if i % 3 != 0 {
+            assert_eq!(trie.get_ref(key), Some(value.as_slice()));
+            rebuilt.insert(key, value.clone());
+        }
+    }
+    assert_eq!(trie.root(), rebuilt.root());
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -24,6 +128,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
+    #[test]
+    fn index_root_equals_the_built_trie(
+        count in 0usize..700,
+        lens in prop::collection::vec(1usize..70, 1..8),
+        seed in any::<u8>(),
+    ) {
+        let value = |i: usize| vec![seed ^ (i % 256) as u8; lens[i % lens.len()]];
+        let computed = index_root(count, |i, out| out.extend_from_slice(&value(i)));
+        prop_assert_eq!(computed, built_root(count, value));
+    }
+
     #[test]
     fn matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 0..120)) {
         let mut trie = Mpt::new();
