@@ -31,13 +31,20 @@ pub enum AccessOp {
     Add,
 }
 
-/// Lifecycle of an entry's pending operation.
+/// What an entry's transaction has *published* — the write side of the
+/// entry. Readers derive values from this alone; [`AccessEntry::op`] (what
+/// was predicted) only decides whether a [`Version::Pending`] entry is a
+/// barrier, so an execution that fulfils a predicted ω with an ω̄ (or the
+/// reverse) is read as what it actually published.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryState {
-    /// Predicted but not yet performed ("F = N").
+pub enum Version {
+    /// Nothing published yet ("F = N"): a predicted ω/θ/ω̄ entry blocks
+    /// later readers, a ρ entry is transparent.
     Pending,
-    /// Performed; `value` is valid for writes/adds ("F = true").
-    Done,
+    /// A full write: readers above see this value plus the deltas between.
+    Write(U256),
+    /// A commutative ω̄ delta, merged onto whatever lies below.
+    Delta(U256),
     /// Resolved as never-happening (deterministic abort of the owner, or a
     /// misprediction); readers pass through to earlier versions.
     Dropped,
@@ -48,12 +55,10 @@ pub enum EntryState {
 pub struct AccessEntry {
     /// Index of the owning transaction within the block.
     pub tx: usize,
-    /// ρ / ω / θ / ω̄.
+    /// ρ / ω / θ / ω̄ — the predicted (or dynamically observed) access kind.
     pub op: AccessOp,
-    /// Written value (ω, θ) or accumulated delta (ω̄) once `state == Done`.
-    pub value: Option<U256>,
-    /// Status of the write side.
-    pub state: EntryState,
+    /// The published write side.
+    pub version: Version,
     /// Whether the read side has been performed (ρ, θ); a completed read
     /// that becomes stale triggers an abort.
     pub read_done: bool,
@@ -64,15 +69,9 @@ impl AccessEntry {
         AccessEntry {
             tx,
             op,
-            value: None,
-            state: EntryState::Pending,
+            version: Version::Pending,
             read_done: false,
         }
-    }
-
-    /// `true` if this entry's write side can serve readers.
-    fn is_write_like(&self) -> bool {
-        matches!(self.op, AccessOp::Write | AccessOp::ReadWrite)
     }
 }
 
@@ -147,27 +146,13 @@ impl AccessSequence {
         };
         let mut delta = U256::ZERO;
         for entry in self.entries[..upper].iter().rev() {
-            match entry.op {
-                AccessOp::Read => continue,
-                AccessOp::Add => match entry.state {
-                    EntryState::Done => {
-                        delta = delta.wrapping_add(entry.value.unwrap_or(U256::ZERO));
-                    }
-                    EntryState::Pending => {
-                        return ReadResolution::Blocked { writer: entry.tx };
-                    }
-                    EntryState::Dropped => continue,
-                },
-                AccessOp::Write | AccessOp::ReadWrite => match entry.state {
-                    EntryState::Done => {
-                        let base = entry.value.unwrap_or(U256::ZERO);
-                        return ReadResolution::Ready(base.wrapping_add(delta));
-                    }
-                    EntryState::Pending => {
-                        return ReadResolution::Blocked { writer: entry.tx };
-                    }
-                    EntryState::Dropped => continue,
-                },
+            match entry.version {
+                Version::Write(value) => return ReadResolution::Ready(value.wrapping_add(delta)),
+                Version::Delta(d) => delta = delta.wrapping_add(d),
+                Version::Pending if entry.op != AccessOp::Read => {
+                    return ReadResolution::Blocked { writer: entry.tx };
+                }
+                Version::Pending | Version::Dropped => continue,
             }
         }
         ReadResolution::Ready(base().wrapping_add(delta))
@@ -206,43 +191,36 @@ impl AccessSequence {
     /// Pass `delta = true` for a commutative ω̄ value.
     pub fn version_write(&mut self, tx: usize, value: U256, delta: bool) -> VersionWriteEffect {
         let pos = match self.position(tx) {
-            Ok(i) => {
-                let entry = &mut self.entries[i];
-                if delta {
-                    // A delta folds onto whatever version this transaction
-                    // already holds (repeated adds accumulate; an add after
-                    // the transaction's own full write extends that write).
-                    // A dropped version is void: the delta starts fresh.
-                    if entry.op == AccessOp::Read || entry.state == EntryState::Dropped {
-                        entry.op = AccessOp::Add;
-                    }
-                    let current = match entry.state {
-                        EntryState::Done => entry.value.unwrap_or(U256::ZERO),
-                        _ => U256::ZERO,
-                    };
-                    entry.value = Some(current.wrapping_add(value));
-                } else {
-                    entry.op = merge_ops(entry.op, AccessOp::Write);
-                    entry.value = Some(value);
-                }
-                entry.state = EntryState::Done;
-                i
-            }
+            Ok(i) => i,
             Err(i) => {
-                let mut entry = AccessEntry::predicted(
-                    tx,
-                    if delta {
-                        AccessOp::Add
-                    } else {
-                        AccessOp::Write
-                    },
-                );
-                entry.value = Some(value);
-                entry.state = EntryState::Done;
-                self.entries.insert(i, entry);
+                let op = if delta {
+                    AccessOp::Add
+                } else {
+                    AccessOp::Write
+                };
+                self.entries.insert(i, AccessEntry::predicted(tx, op));
                 i
             }
         };
+        let entry = &mut self.entries[pos];
+        if delta {
+            // A delta folds onto whatever version this transaction already
+            // holds (repeated adds accumulate; an add after the
+            // transaction's own full write extends that write). A pending
+            // or dropped entry holds nothing: the delta starts fresh,
+            // whatever the entry was predicted as.
+            if entry.op == AccessOp::Read {
+                entry.op = AccessOp::Add;
+            }
+            entry.version = match entry.version {
+                Version::Write(v) => Version::Write(v.wrapping_add(value)),
+                Version::Delta(d) => Version::Delta(d.wrapping_add(value)),
+                Version::Pending | Version::Dropped => Version::Delta(value),
+            };
+        } else {
+            entry.op = merge_ops(entry.op, AccessOp::Write);
+            entry.version = Version::Write(value);
+        }
         self.downstream_effect(pos)
     }
 
@@ -253,8 +231,7 @@ impl AccessSequence {
         let Ok(pos) = self.position(tx) else {
             return VersionWriteEffect::default();
         };
-        self.entries[pos].state = EntryState::Dropped;
-        self.entries[pos].value = None;
+        self.entries[pos].version = Version::Dropped;
         self.downstream_effect(pos)
     }
 
@@ -266,10 +243,9 @@ impl AccessSequence {
             return VersionWriteEffect::default();
         };
         let entry = &mut self.entries[pos];
-        entry.state = EntryState::Pending;
-        entry.value = None;
+        entry.version = Version::Pending;
         entry.read_done = false;
-        if entry.is_write_like() || entry.op == AccessOp::Add {
+        if entry.op != AccessOp::Read {
             self.downstream_effect(pos)
         } else {
             VersionWriteEffect::default()
@@ -290,9 +266,8 @@ impl AccessSequence {
         };
         let entry = &mut self.entries[pos];
         entry.read_done = false;
-        if entry.is_write_like() || entry.op == AccessOp::Add {
-            entry.state = EntryState::Dropped;
-            entry.value = None;
+        if entry.op != AccessOp::Read {
+            entry.version = Version::Dropped;
             self.downstream_effect(pos)
         } else {
             VersionWriteEffect::default()
@@ -302,8 +277,9 @@ impl AccessSequence {
     /// Scans forward from `pos` classifying affected readers: readers whose
     /// resolution includes the version at `pos` are `allowed` (if still
     /// waiting) or `aborted` (if they already read). The scan stops at the
-    /// next full write (its readers observe that version instead); ω̄
-    /// entries are transparent.
+    /// next full write — published, or pending on a predicted ω/θ entry —
+    /// whose readers observe that version instead; deltas are transparent
+    /// whatever their entry was predicted as.
     ///
     /// The stale-read check keys on `read_done` for *every* entry op, not
     /// just ρ/θ: [`Self::mark_read`] records unpredicted reads on existing
@@ -317,10 +293,12 @@ impl AccessSequence {
             } else if matches!(entry.op, AccessOp::Read | AccessOp::ReadWrite) {
                 effect.allowed.push(entry.tx);
             }
-            // A non-dropped full write takes over for later readers.
-            if matches!(entry.op, AccessOp::Write | AccessOp::ReadWrite)
-                && entry.state != EntryState::Dropped
-            {
+            let barrier = match entry.version {
+                Version::Write(_) => true,
+                Version::Pending => matches!(entry.op, AccessOp::Write | AccessOp::ReadWrite),
+                Version::Delta(_) | Version::Dropped => false,
+            };
+            if barrier {
                 break;
             }
         }
@@ -328,33 +306,22 @@ impl AccessSequence {
     }
 
     /// The committed value of this item after all transactions finish: the
-    /// last non-dropped full write merged with subsequent deltas, or
-    /// `None` if only the snapshot value (plus deltas) applies — in which
-    /// case the merged delta is returned separately.
+    /// last full write merged with the deltas above it, or the snapshot
+    /// value plus every delta; `None` if nothing was published.
     pub(crate) fn final_value(&self, key: &StateKey, snapshot: &Snapshot) -> Option<U256> {
         let mut delta = U256::ZERO;
         let mut any = false;
         for entry in self.entries.iter().rev() {
-            match entry.op {
-                AccessOp::Read => continue,
-                AccessOp::Add => {
-                    if entry.state == EntryState::Done {
-                        delta = delta.wrapping_add(entry.value.unwrap_or(U256::ZERO));
-                        any = true;
-                    }
+            match entry.version {
+                Version::Write(value) => return Some(value.wrapping_add(delta)),
+                Version::Delta(d) => {
+                    delta = delta.wrapping_add(d);
+                    any = true;
                 }
-                AccessOp::Write | AccessOp::ReadWrite => {
-                    if entry.state == EntryState::Done {
-                        return Some(entry.value.unwrap_or(U256::ZERO).wrapping_add(delta));
-                    }
-                }
+                Version::Pending | Version::Dropped => continue,
             }
         }
-        if any {
-            Some(snapshot.get(key).wrapping_add(delta))
-        } else {
-            None
-        }
+        any.then(|| snapshot.get(key).wrapping_add(delta))
     }
 }
 
@@ -578,7 +545,7 @@ mod tests {
         seq.predict(2, AccessOp::Read);
         seq.version_write(2, u(9), false);
         assert_eq!(seq.entries()[0].op, AccessOp::ReadWrite);
-        assert_eq!(seq.entries()[0].value, Some(u(9)));
+        assert_eq!(seq.entries()[0].version, Version::Write(u(9)));
     }
 
     #[test]
@@ -649,6 +616,66 @@ mod tests {
         let effect = seq.version_write(1, u(5), false);
         assert!(effect.aborted.is_empty());
         assert_eq!(effect.allowed, vec![2]);
+    }
+
+    #[test]
+    fn delta_republished_after_reset_of_a_full_write_reads_as_a_delta() {
+        // An attempt publishes a full write and is aborted; the re-run
+        // adds instead. The entry is still predicted ω — what is read is
+        // what was published.
+        let mut seq = AccessSequence::new();
+        seq.predict(2, AccessOp::Write);
+        seq.version_write(2, u(50), false);
+        seq.reset(2);
+        seq.version_write(2, u(3), true);
+        let snapshot = Snapshot::from_entries([(key(), u(100))]);
+        assert_eq!(resolve(&seq, 4, &snapshot), ReadResolution::Ready(u(103)));
+    }
+
+    #[test]
+    fn scan_barrier_is_the_published_version_not_the_prediction() {
+        // A delta fulfilling a predicted ω or θ entry is transparent: the
+        // reader beyond it merged tx 1's (absent) version, so tx 1's late
+        // write makes that read stale.
+        for predicted in [AccessOp::Write, AccessOp::ReadWrite] {
+            let mut seq = AccessSequence::new();
+            seq.predict(4, predicted);
+            seq.version_write(4, u(5), true);
+            seq.mark_read(6);
+            assert_eq!(seq.version_write(1, u(10), false).aborted, vec![6]);
+            assert_eq!(
+                resolve(&seq, 6, &Snapshot::empty()),
+                ReadResolution::Ready(u(15))
+            );
+        }
+        // While nothing is published the prediction still bounds the scan:
+        // readers beyond a pending ω belong to that version.
+        let mut seq = AccessSequence::new();
+        seq.predict(4, AccessOp::Write);
+        seq.predict(6, AccessOp::Read);
+        assert_eq!(
+            seq.version_write(1, u(10), false),
+            VersionWriteEffect::default()
+        );
+    }
+
+    #[test]
+    fn final_writes_flush_what_was_published() {
+        let snapshot = Snapshot::from_entries([(key(), u(100))]);
+        // A predicted ω fulfilled by a delta flushes as base + delta.
+        let writes = final_writes(&snapshot, |seq| {
+            seq.predict(2, AccessOp::Write);
+            seq.version_write(2, u(5), true);
+        });
+        assert_eq!(writes.get(&key()), Some(&u(105)));
+        // So does a dropped ω entry revived by a delta.
+        let writes = final_writes(&snapshot, |seq| {
+            seq.version_write(2, u(50), false);
+            seq.drop_version(2);
+            seq.version_write(2, u(7), true);
+            assert_eq!(resolve(seq, 3, &snapshot), ReadResolution::Ready(u(107)));
+        });
+        assert_eq!(writes.get(&key()), Some(&u(107)));
     }
 
     #[test]

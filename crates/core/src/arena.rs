@@ -22,6 +22,8 @@
 use dmvcc_primitives::U256;
 use dmvcc_state::KeyId;
 
+use crate::sharded::VersionOp;
+
 /// A growable bitset over dense [`KeyId`]s.
 ///
 /// Replaces `HashSet<StateKey>` for per-transaction touched/published
@@ -169,6 +171,61 @@ impl SmallMap {
     /// Iterates `(id, value)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (KeyId, U256)> + '_ {
         self.entries.iter().copied()
+    }
+}
+
+/// The write side of one execution attempt, shared by every engine's host:
+/// buffered full writes and ω̄ deltas keyed by interned id, with the serial
+/// oracle's merge rules (a full write absorbs the attempt's earlier deltas,
+/// a delta after a full write extends it), so no key is ever in both maps.
+#[derive(Debug, Default)]
+pub(crate) struct WriteBuffer {
+    writes: SmallMap,
+    adds: SmallMap,
+}
+
+impl WriteBuffer {
+    /// Read-your-writes: `Ok(value)` if the attempt fully wrote `id`,
+    /// otherwise `Err(delta)` — the attempt's own delta (zero if none), to
+    /// be layered onto the value the store resolves.
+    pub(crate) fn read(&self, id: KeyId) -> Result<U256, U256> {
+        match self.writes.get(id) {
+            Some(value) => Ok(value),
+            None => Err(self.adds.get(id).unwrap_or(U256::ZERO)),
+        }
+    }
+
+    pub(crate) fn store(&mut self, id: KeyId, value: U256) {
+        self.adds.remove(id);
+        self.writes.insert(id, value);
+    }
+
+    pub(crate) fn add(&mut self, id: KeyId, delta: U256) {
+        match self.writes.get_mut(id) {
+            Some(value) => *value = value.wrapping_add(delta),
+            None => self.adds.add(id, delta),
+        }
+    }
+
+    /// Forgets `id` (its buffered value was published early).
+    pub(crate) fn remove(&mut self, id: KeyId) {
+        self.writes.remove(id);
+        self.adds.remove(id);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.writes.clear();
+        self.adds.clear();
+    }
+
+    /// Everything buffered, as publish ops: full writes, then deltas, each
+    /// in ascending id order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (KeyId, VersionOp)> + '_ {
+        let writes = self.writes.iter();
+        let adds = self.adds.iter();
+        writes
+            .map(|(id, v)| (id, VersionOp::Publish(v, false)))
+            .chain(adds.map(|(id, v)| (id, VersionOp::Publish(v, true))))
     }
 }
 

@@ -73,9 +73,10 @@ pub trait SchedHook: Send + Sync + std::fmt::Debug {
     /// finished).
     fn on_commit(&self, _tx: usize) {}
 
-    /// The sharded executor entered the critical section of shard `index`.
-    /// Called with the shard lock held: stalling here is the way to force
-    /// shard-lock contention.
+    /// An engine entered the critical section of shard `index` of the
+    /// block's [`crate::ShardedSequences`] (every engine reads and publishes
+    /// through that store). Called with the shard lock held: stalling here
+    /// is the way to force shard-lock contention.
     fn on_shard_lock(&self, _index: usize) {}
 
     /// The optimistic (STM) executor resolved a multi-version read for

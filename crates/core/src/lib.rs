@@ -4,7 +4,10 @@
 //! The crate provides:
 //!
 //! - [`AccessSequence`]: the per-state-item version buffer with write
-//!   versioning and commutative merges (Definition 4, Algorithm 3).
+//!   versioning and commutative merges (Definition 4, Algorithm 3), and
+//!   [`ShardedSequences`], the block's one multi-version store: every
+//!   threaded engine reads and publishes through it, and an entry holds
+//!   what its transaction published ([`Version`]), not what was predicted.
 //! - [`execute_block_serial`]: the reference serial executor, which doubles
 //!   as the trace oracle for virtual-time scheduling.
 //! - [`simulate_dmvcc`]: the DMVCC scheduler in virtual time (gas), with
@@ -14,9 +17,9 @@
 //!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
 //!   waiter index for targeted wakeups, and one ready queue of
 //!   [`BlockDag`] rank lanes), validated against the serial state root.
-//! - [`StmExecutor`]: a Block-STM-style optimistic executor (multi-version
-//!   map over interned keys, optimistic execution, value-based validation
-//!   in serial order) that needs no access predictions at all, plus
+//! - [`StmExecutor`]: a Block-STM-style optimistic scheduler over the same
+//!   store (optimistic execution, value-based validation in serial order)
+//!   that needs no access predictions at all, plus
 //!   [`HybridExecutor`], which routes well-predicted transactions through
 //!   the sharded predictive engine and strips the predictions of
 //!   speculative/unanalyzable ones so they run optimistically inside the
@@ -72,7 +75,7 @@ mod sim;
 mod simulator;
 
 pub use access::{
-    AccessEntry, AccessOp, AccessSequence, EntryState, ReadResolution, VersionWriteEffect,
+    AccessEntry, AccessOp, AccessSequence, ReadResolution, Version, VersionWriteEffect,
 };
 pub use arena::{IdSet, SmallMap};
 pub use executor::{BlockExecutor, ExecutorKind};

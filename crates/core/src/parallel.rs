@@ -44,15 +44,17 @@ use parking_lot::{Condvar, Mutex};
 
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
-use dmvcc_vm::{execute, BlockEnv, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind};
+use dmvcc_vm::{
+    execute, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind,
+};
 
 use dmvcc_analysis::{Analyzer, CSag};
 
 use crate::access::{AccessOp, ReadResolution, VersionWriteEffect};
-use crate::arena::{IdSet, SmallMap};
+use crate::arena::{IdSet, WriteBuffer};
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
-use crate::sharded::{ShardStorage, ShardedSequences, DEFAULT_SHARDS};
+use crate::sharded::{ShardStorage, ShardedSequences, VersionOp, DEFAULT_SHARDS};
 
 /// Backstop for a read blocked on a pending version: the waiter is signaled
 /// by the publisher, so this only bounds the cost of a (theoretically
@@ -430,7 +432,7 @@ impl Shared<'_> {
             if let Some(hook) = self.hook() {
                 hook.on_abort(root, victim);
             }
-            let (touched, aborted_generation): (Vec<KeyId>, u32) = {
+            let (mut resets, aborted_generation): (Vec<(KeyId, VersionOp)>, u32) = {
                 let mut core = self.states[victim].core.lock();
                 if core.phase == Phase::Finished {
                     self.finished.fetch_sub(1, Ordering::SeqCst);
@@ -451,58 +453,45 @@ impl Shared<'_> {
                 core.phase = Phase::Running;
                 core.status = None;
                 core.published.clear();
-                let mut touched: Vec<KeyId> = core.touched.iter().collect();
-                // Batch the resets below by shard: one lock hold per shard
-                // instead of one per key.
-                touched.sort_unstable_by_key(|&id| self.sequences.shard_index_of(id));
-                (touched, next)
+                // Predicted writes re-pend (the new attempt re-announces
+                // them); dynamically discovered writes roll back to
+                // `Dropped` — the new attempt may never write the key
+                // again, and a pending entry nothing fulfills wedges
+                // every later reader.
+                let predicted = &self.metas[victim].predicted_wa;
+                let resets = core
+                    .touched
+                    .iter()
+                    .map(|id| match predicted.binary_search(&id) {
+                        Ok(_) => (id, VersionOp::Reset),
+                        Err(_) => (id, VersionOp::Rollback),
+                    });
+                (resets.collect(), next)
             };
             self.aborts.fetch_add(1, Ordering::Relaxed);
             let mut to_wake: Vec<usize> = Vec::new();
-            let mut effects: Vec<VersionWriteEffect> = Vec::new();
-            'groups: for group in touched.chunk_by(|a, b| {
-                self.sequences.shard_index_of(*a) == self.sequences.shard_index_of(*b)
-            }) {
-                let mut shard = self.sequences.shard_for(group[0]);
-                // A newer cascade owns the victim now. Its `touched`
-                // snapshot is a superset of ours (the set only grows),
-                // so its resets cover the rest — and resetting here
-                // could clobber a version published by the attempt it
-                // re-admits.
-                if self.generation_of(victim) != aborted_generation {
-                    break 'groups;
-                }
-                for &id in group {
-                    // Predicted writes re-pend (the new attempt re-announces
-                    // them); dynamically discovered writes roll back to
-                    // `Dropped` — the new attempt may never write the key
-                    // again, and a pending entry nothing fulfills wedges
-                    // every later reader.
-                    let seq = shard.sequence_mut(id);
-                    effects.push(
-                        if self.metas[victim].predicted_wa.binary_search(&id).is_ok() {
-                            seq.reset(victim)
-                        } else {
-                            seq.rollback_unpredicted(victim)
-                        },
-                    );
-                    // A reset only re-pends the entry, but waiters are
-                    // drained and signaled anyway: one of them may be the
-                    // victim's own in-flight attempt, which must wake to
-                    // observe its stale generation and unwind.
-                    to_wake.extend(shard.drain_waiters(id));
-                }
-            }
-            for effect in effects {
-                for reader in effect.aborted {
-                    if reader != victim && !seen.contains(&reader) {
-                        worklist.push(reader);
+            // The batch stops early if a newer cascade owns the victim by
+            // now. Its `touched` snapshot is a superset of ours (the set
+            // only grows), so its resets cover the rest — and resetting
+            // here could clobber a version published by the attempt it
+            // re-admits.
+            self.sequences.apply_batch(
+                victim,
+                &mut resets,
+                || self.generation_of(victim) == aborted_generation,
+                |_, staged| {
+                    for (effect, waiters) in staged.drain(..) {
+                        let stale = effect.aborted.into_iter();
+                        worklist.extend(stale.filter(|&r| r != victim && !seen.contains(&r)));
+                        admit_candidates.extend(effect.allowed);
+                        // A reset only re-pends the entry, but waiters are
+                        // drained and signaled anyway: one of them may be
+                        // the victim's own in-flight attempt, which must
+                        // wake to observe its stale generation and unwind.
+                        to_wake.extend(waiters);
                     }
-                }
-                for reader in effect.allowed {
-                    admit_candidates.push(reader);
-                }
-            }
+                },
+            );
             for waiter in to_wake {
                 self.states[waiter].event.signal();
             }
@@ -572,25 +561,19 @@ impl Shared<'_> {
     }
 }
 
-/// One key's entry in a publish batch: id, value, and whether the value is
-/// a commutative delta (ω̄) rather than a full write.
-type PublishEntry = (KeyId, U256, bool);
-
 /// Host bridging one VM execution onto the sharded sequences.
 struct ThreadHost<'a, 'b> {
     shared: &'a Shared<'b>,
     tx: usize,
     generation: u32,
-    /// Buffered full writes and commutative deltas of this attempt, keyed
-    /// by interned id.
-    writes: SmallMap,
-    adds: SmallMap,
+    /// Buffered full writes and commutative deltas of this attempt.
+    buffer: WriteBuffer,
     /// `true` once a release point passed with sufficient gas.
     released: bool,
     /// Interned metadata: release bounds, publishable pcs, predictions.
     meta: &'a TxMeta,
     /// Reusable publish-batch buffer (capacity survives release points).
-    scratch: Vec<PublishEntry>,
+    scratch: Vec<(KeyId, VersionOp)>,
 }
 
 impl ThreadHost<'_, '_> {
@@ -619,14 +602,10 @@ impl ThreadHost<'_, '_> {
             .map(|i| self.meta.last_write_pc[i].1)
     }
 
-    /// Publishes a batch of buffered keys (write versioning, Algorithm 3),
-    /// taking each involved shard lock **once**: entries are sorted by
-    /// shard, each shard's run is versioned and its waiters drained under a
-    /// single lock hold, and wakeups/effects are applied after unlocking —
-    /// the flat lock discipline is untouched, there are just fewer
-    /// acquisitions. Errors mean the generation went stale; the caller
-    /// unwinds and the abort's resets cover whatever was already written.
-    fn publish_batch(&self, entries: &mut [PublishEntry]) -> Result<(), HostError> {
+    /// Publishes a batch of buffered keys (write versioning, Algorithm 3).
+    /// Errors mean the generation went stale; the caller unwinds and the
+    /// abort's resets cover whatever was already written.
+    fn publish_batch(&self, entries: &mut [(KeyId, VersionOp)]) -> Result<(), HostError> {
         if entries.is_empty() {
             return Ok(());
         }
@@ -634,9 +613,11 @@ impl ThreadHost<'_, '_> {
         // Publish decision points — observed before any lock so a stalling
         // hook models a delayed publish without blocking other workers.
         if let Some(hook) = shared.hook() {
-            for &(id, _, delta) in entries.iter() {
-                let key = shared.sequences.interner().resolve(id);
-                hook.on_publish(self.tx, &key, delta);
+            for &(id, op) in entries.iter() {
+                if let VersionOp::Publish(_, delta) = op {
+                    let key = shared.sequences.interner().resolve(id);
+                    hook.on_publish(self.tx, &key, delta);
+                }
             }
         }
         {
@@ -644,81 +625,45 @@ impl ThreadHost<'_, '_> {
             if self.stale() {
                 return Err(HostError::Aborted);
             }
-            for &(id, _, _) in entries.iter() {
+            for &(id, _) in entries.iter() {
                 core.touched.insert(id);
                 core.published.insert(id);
             }
         }
-        // Stable sort: same-shard keys keep their buffer order, so the
-        // publication order is deterministic given a deterministic schedule.
-        entries.sort_by_key(|&(id, _, _)| shared.sequences.shard_index_of(id));
-        let mut staged: Vec<(VersionWriteEffect, Vec<usize>)> = Vec::with_capacity(entries.len());
-        for group in entries.chunk_by(|a, b| {
-            shared.sequences.shard_index_of(a.0) == shared.sequences.shard_index_of(b.0)
-        }) {
-            {
-                let mut shard = shared.sequences.shard_for(group[0].0);
-                // Re-check under the shard lock: if an abort got in
-                // between, writing now would leak a version the abort's
-                // reset already passed over.
-                if self.stale() {
-                    return Err(HostError::Aborted);
-                }
-                for &(id, value, delta) in group {
-                    let effect = shard.sequence_mut(id).version_write(self.tx, value, delta);
-                    staged.push((effect, shard.drain_waiters(id)));
-                }
-            }
-            shared.stats.publish_batches.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .publishes
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
-            // Wakeups and effects strictly after the shard unlock (the
-            // effects may take core locks and other shard locks).
-            for (effect, waiters) in staged.drain(..) {
-                shared.wake_waiters(waiters);
-                shared.apply_effect(effect);
-            }
-        }
-        Ok(())
+        self.apply_batch(entries)
     }
 
-    /// Drops this tx's versions of a batch of keys (misprediction or
-    /// deterministic abort), one shard lock per involved shard, unblocking
-    /// and re-admitting downstream readers.
-    fn drop_batch(&self, ids: &mut [KeyId]) -> Result<(), HostError> {
-        if ids.is_empty() {
-            return Ok(());
-        }
+    /// Applies a batch of publishes, or of drops (misprediction or
+    /// deterministic abort), to this tx's versions — each involved shard
+    /// lock taken once, wakeups and effects (which may take core locks and
+    /// other shard locks) applied after the unlock, so the flat lock
+    /// discipline holds. The staleness re-check under each shard lock
+    /// matters for drops as much as for publishes: after an abort cascade
+    /// a new attempt of this tx may already have re-published these keys,
+    /// and dropping now would erase a version nothing would ever restore
+    /// (found by DST schedule fuzzing).
+    fn apply_batch(&self, ops: &mut [(KeyId, VersionOp)]) -> Result<(), HostError> {
         let shared = self.shared;
-        ids.sort_unstable_by_key(|&id| shared.sequences.shard_index_of(id));
-        let mut staged: Vec<(VersionWriteEffect, Vec<usize>)> = Vec::with_capacity(ids.len());
-        for group in ids.chunk_by(|a, b| {
-            shared.sequences.shard_index_of(*a) == shared.sequences.shard_index_of(*b)
-        }) {
-            {
-                let mut shard = shared.sequences.shard_for(group[0]);
-                // Re-check under the shard lock, exactly like publishes: if
-                // an abort cascade got in between, a new attempt of this tx
-                // may already have re-published these keys — dropping now
-                // would erase the new attempt's version, which nothing
-                // would ever restore (found by DST schedule fuzzing).
-                if self.stale() {
-                    return Err(HostError::Aborted);
+        let live = shared.sequences.apply_batch(
+            self.tx,
+            ops,
+            || !self.stale(),
+            |group, staged| {
+                let published = group
+                    .iter()
+                    .filter(|(_, op)| matches!(op, VersionOp::Publish(..)));
+                shared.stats.publish_batches.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .stats
+                    .publishes
+                    .fetch_add(published.count() as u64, Ordering::Relaxed);
+                for (effect, waiters) in staged.drain(..) {
+                    shared.wake_waiters(waiters);
+                    shared.apply_effect(effect);
                 }
-                for &id in group {
-                    let effect = shard.sequence_mut(id).drop_version(self.tx);
-                    staged.push((effect, shard.drain_waiters(id)));
-                }
-            }
-            shared.stats.publish_batches.fetch_add(1, Ordering::Relaxed);
-            for (effect, waiters) in staged.drain(..) {
-                shared.wake_waiters(waiters);
-                shared.apply_effect(effect);
-            }
-        }
-        Ok(())
+            },
+        );
+        live.then_some(()).ok_or(HostError::Aborted)
     }
 }
 
@@ -726,11 +671,10 @@ impl Host for ThreadHost<'_, '_> {
     fn sload(&mut self, key: StateKey) -> Result<U256, HostError> {
         let id = self.shared.sequences.intern(key);
         // Own writes win (read-your-writes inside the attempt).
-        if let Some(v) = self.writes.get(id) {
-            let merged = v.wrapping_add(self.adds.get(id).unwrap_or(U256::ZERO));
-            return Ok(merged);
-        }
-        let own_delta = self.adds.get(id).unwrap_or(U256::ZERO);
+        let own_delta = match self.buffer.read(id) {
+            Ok(value) => return Ok(value),
+            Err(delta) => delta,
+        };
         self.touch(id)?;
         // Fast path: no epoch sampling, one shard lock, the slot's cached
         // snapshot value. The epoch only matters before *parking*, so it is
@@ -831,19 +775,12 @@ impl Host for ThreadHost<'_, '_> {
     }
 
     fn sstore(&mut self, key: StateKey, value: U256) -> Result<(), HostError> {
-        let id = self.shared.sequences.intern(key);
-        self.adds.remove(id);
-        self.writes.insert(id, value);
+        self.buffer.store(self.shared.sequences.intern(key), value);
         Ok(())
     }
 
     fn sadd(&mut self, key: StateKey, delta: U256) -> Result<(), HostError> {
-        let id = self.shared.sequences.intern(key);
-        if let Some(v) = self.writes.get_mut(id) {
-            *v = v.wrapping_add(delta);
-        } else {
-            self.adds.add(id, delta);
-        }
+        self.buffer.add(self.shared.sequences.intern(key), delta);
         Ok(())
     }
 
@@ -871,17 +808,14 @@ impl Host for ThreadHost<'_, '_> {
         let mut batch = std::mem::take(&mut self.scratch);
         batch.clear();
         batch.extend(
-            self.writes
-                .iter()
-                .map(|(id, v)| (id, v, false))
-                .chain(self.adds.iter().map(|(id, v)| (id, v, true)))
-                .filter(|&(id, _, _)| self.last_write_pc(id).is_some_and(|last| last < pc)),
+            self.buffer
+                .entries()
+                .filter(|&(id, _)| self.last_write_pc(id).is_some_and(|last| last < pc)),
         );
         let result = self.publish_batch(&mut batch);
         if result.is_ok() {
-            for &(id, _, _) in &batch {
-                self.writes.remove(id);
-                self.adds.remove(id);
+            for &(id, _) in &batch {
+                self.buffer.remove(id);
             }
         }
         // Stale generation: keep the buffers; the VM unwinds at the next
@@ -1310,8 +1244,7 @@ impl ParallelExecutor {
             shared,
             tx,
             generation,
-            writes: SmallMap::new(),
-            adds: SmallMap::new(),
+            buffer: WriteBuffer::default(),
             released: false,
             meta,
             scratch: Vec::new(),
@@ -1333,23 +1266,13 @@ impl ParallelExecutor {
             }
         }
 
-        let status = match transaction.kind {
-            TxKind::Transfer => self.run_transfer(&mut host, transaction),
-            TxKind::Call => match self.analyzer.registry().code(&transaction.to()) {
-                Some(code) => {
-                    let params = ExecParams {
-                        code: &code,
-                        tx: &transaction.env,
-                        block: block_env,
-                        release_points: Some(&meta.release_set),
-                        registry: Some(self.analyzer.registry()),
-                    };
-                    execute(&params, &mut host).status
-                }
-                // Unknown contract: nothing to execute, trivial success.
-                None => ExecStatus::Success,
-            },
-        };
+        let status = run_tx(
+            &mut host,
+            transaction,
+            self.analyzer.registry(),
+            block_env,
+            Some(&meta.release_set),
+        );
 
         if host.stale() {
             // Aborted while running: nothing to finalize; the abort
@@ -1365,57 +1288,73 @@ impl ParallelExecutor {
             deterministic => finalize_deterministic_abort(&mut host, deterministic),
         }
     }
+}
 
-    /// Pure Ether transfer executed directly against the sequences.
-    fn run_transfer(&self, host: &mut ThreadHost<'_, '_>, tx: &Transaction) -> ExecStatus {
-        let from = StateKey::balance(tx.sender());
-        let to = StateKey::balance(tx.to());
-        let balance = match host.sload(from) {
-            Ok(v) => v,
-            Err(HostError::Aborted) => return ExecStatus::Interrupted,
-        };
-        if balance < tx.env.value {
-            return ExecStatus::Reverted;
-        }
-        if host.sstore(from, balance - tx.env.value).is_err()
-            || host.sadd(to, tx.env.value).is_err()
-        {
-            return ExecStatus::Interrupted;
-        }
-        ExecStatus::Success
+/// Runs one transaction against `host` — the one place outside the serial
+/// oracle where a [`TxKind`] becomes an execution. A host abort
+/// ([`HostError::Aborted`]) surfaces as [`ExecStatus::Interrupted`].
+pub(crate) fn run_tx<H: Host>(
+    host: &mut H,
+    tx: &Transaction,
+    registry: &CodeRegistry,
+    block_env: &BlockEnv,
+    release_points: Option<&HashSet<usize>>,
+) -> ExecStatus {
+    match tx.kind {
+        TxKind::Transfer => run_transfer(host, tx).unwrap_or(ExecStatus::Interrupted),
+        TxKind::Call => match registry.code(&tx.to()) {
+            Some(code) => {
+                let params = ExecParams {
+                    code: &code,
+                    tx: &tx.env,
+                    block: block_env,
+                    release_points,
+                    registry: Some(registry),
+                };
+                execute(&params, host).status
+            }
+            // Unknown contract: nothing to execute, trivial success.
+            None => ExecStatus::Success,
+        },
     }
+}
+
+/// A pure Ether transfer, mirroring the serial oracle's semantics: revert
+/// on insufficient balance, else debit (full write) and credit (ω̄ delta).
+fn run_transfer<H: Host>(host: &mut H, tx: &Transaction) -> Result<ExecStatus, HostError> {
+    let from = StateKey::balance(tx.sender());
+    let balance = host.sload(from)?;
+    if balance < tx.env.value {
+        return Ok(ExecStatus::Reverted);
+    }
+    host.sstore(from, balance - tx.env.value)?;
+    host.sadd(StateKey::balance(tx.to()), tx.env.value)?;
+    Ok(ExecStatus::Success)
 }
 
 /// Publishes remaining writes, drops unfulfilled predictions, marks done.
 fn finalize_success(host: &mut ThreadHost<'_, '_>) {
     let shared = host.shared;
     let tx = host.tx;
-    let mut batch: Vec<PublishEntry> = host
-        .writes
-        .iter()
-        .map(|(id, v)| (id, v, false))
-        .chain(host.adds.iter().map(|(id, v)| (id, v, true)))
-        .collect();
+    let mut batch: Vec<_> = host.buffer.entries().collect();
     if host.publish_batch(&mut batch).is_err() {
         return;
     }
-    host.writes.clear();
-    host.adds.clear();
+    host.buffer.clear();
     // Predicted writes that never materialized: drop so readers pass
     // through (mispredicted branch).
-    let mut to_drop: Vec<KeyId> = {
+    let mut to_drop: Vec<_> = {
         let core = shared.states[tx].core.lock();
         if host.stale() {
             return;
         }
-        host.meta
-            .predicted_wa
-            .iter()
-            .copied()
-            .filter(|&id| !core.published.contains(id))
+        let unfulfilled = host.meta.predicted_wa.iter();
+        unfulfilled
+            .filter(|&&id| !core.published.contains(id))
+            .map(|&id| (id, VersionOp::Drop))
             .collect()
     };
-    if host.drop_batch(&mut to_drop).is_err() {
+    if host.apply_batch(&mut to_drop).is_err() {
         return;
     }
     shared.finish(tx, host.generation, ExecStatus::Success);
@@ -1427,8 +1366,7 @@ fn finalize_success(host: &mut ThreadHost<'_, '_>) {
 fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatus) {
     let shared = host.shared;
     let tx = host.tx;
-    host.writes.clear();
-    host.adds.clear();
+    host.buffer.clear();
     let published: Vec<KeyId> = {
         let mut core = shared.states[tx].core.lock();
         if host.stale() {
@@ -1450,22 +1388,15 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
             }
         }
     }
-    let mut to_drop: Vec<KeyId> = published
+    // Unfulfilled predictions are dropped too: that unblocks their readers.
+    let predicted = host.meta.predicted_wa.iter().copied();
+    let mut to_drop: Vec<_> = published
         .into_iter()
+        .chain(predicted)
         .filter(|&id| !leaked.contains(id))
+        .map(|id| (id, VersionOp::Drop))
         .collect();
-    if host.drop_batch(&mut to_drop).is_err() {
-        return;
-    }
-    // Unfulfilled predictions unblock readers.
-    let mut predicted: Vec<KeyId> = host
-        .meta
-        .predicted_wa
-        .iter()
-        .copied()
-        .filter(|&id| !leaked.contains(id))
-        .collect();
-    if host.drop_batch(&mut predicted).is_err() {
+    if host.apply_batch(&mut to_drop).is_err() {
         return;
     }
     shared.finish(tx, host.generation, status);

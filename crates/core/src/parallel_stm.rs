@@ -3,17 +3,22 @@
 //!
 //! Where [`crate::ParallelExecutor`] *predicts* state accesses (C-SAGs)
 //! and blocks readers on exactly the versions they depend on, this module
-//! assumes nothing: every transaction executes optimistically against a
-//! **multi-version map**, records the values it read, and is validated at
-//! its commit turn against the serial order (the design of Aptos
-//! Block-STM, adapted to this codebase's [`KeyId`] interning and
+//! assumes nothing: every transaction executes optimistically against the
+//! block's **multi-version store**, records the values it read, and is
+//! validated at its commit turn against the serial order (the design of
+//! Aptos Block-STM, adapted to this codebase's [`KeyId`] interning and
 //! commutative-add semantics):
 //!
-//! - **Multi-version map** ([`MvMap`]): per-key version lists keyed by the
-//!   block-scoped [`KeyInterner`] ids, sharded by id so disjoint keys
-//!   never contend. A version is a full `Write`, a commutative `Delta`
-//!   (ω̄ — airdrop-style increments merge instead of serializing), or an
-//!   `Estimate` marker while its transaction is being re-executed.
+//! - **One multi-version store**: the engine reads and publishes through
+//!   the same [`ShardedSequences`] the predictive engine uses — per-key
+//!   version lists in id-addressed shards, each entry holding what its
+//!   transaction *published* (a full write, a commutative ω̄ delta that
+//!   merges instead of serializing, or nothing yet). Nothing is predicted
+//!   here, so an entry exists only once its transaction publishes; the
+//!   versions of a transaction that failed validation are `reset` to
+//!   pending, which blocks readers above them for the length of the
+//!   re-execution (Block-STM's ESTIMATE marker). Only the scheduler below
+//!   differs from the predictive engine.
 //! - **Optimistic execution**: workers claim transactions in block order
 //!   from an atomic cursor and run them immediately — no readiness probe,
 //!   no predicted read sets. Reads resolve to the highest version below
@@ -23,7 +28,7 @@
 //!   serial order under the commit lock. Each transaction's recorded
 //!   reads are re-resolved; if every value is unchanged the execution is
 //!   equivalent to a serial one and commits as-is. Otherwise its versions
-//!   become `Estimate`s and it re-executes *at its commit turn* — every
+//!   are re-pended and it re-executes *at its commit turn* — every
 //!   lower transaction is final, so the re-execution is deterministic and
 //!   exactly serial. Each transaction therefore executes at most twice.
 //!
@@ -32,10 +37,10 @@
 //! without re-execution (the classic OCC argument — a deterministic VM
 //! re-run with identical reads follows the identical path).
 //!
-//! Lock order: commit lock → transaction slot → map shard; the interner
-//! tail mutex is a leaf. Readers blocked on an `Estimate` spin-then-park
-//! on the progress event; the marker's owner is the commit-lock holder,
-//! which is actively re-executing, so the wait is bounded.
+//! Lock order: commit lock → transaction slot → store shard; the interner
+//! tail mutex is a leaf. Readers blocked on a re-pended version
+//! spin-then-park on the progress event; its owner is the commit-lock
+//! holder, which is actively re-executing, so the wait is bounded.
 //!
 //! [`HybridExecutor`] composes the two engines the way the paper's
 //! pool-desync discussion suggests: transactions whose C-SAGs bound
@@ -48,7 +53,6 @@
 //! with stale-read aborts as validation), sharing the block's snapshot,
 //! interner, arenas and [`ExecutorStats`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,205 +60,27 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use dmvcc_primitives::U256;
-use dmvcc_state::{FxBuildHasher, KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
-use dmvcc_vm::{execute, BlockEnv, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind};
+use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
+use dmvcc_vm::{BlockEnv, ExecStatus, Host, HostError, Transaction, TxKind};
 
 use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
 
-use crate::arena::SmallMap;
+use crate::access::ReadResolution;
+use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
-use crate::parallel::{Event, ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
+use crate::parallel::{
+    run_tx, Event, ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome,
+};
+use crate::sharded::{ShardedSequences, VersionOp, DEFAULT_SHARDS};
 
-/// Shards of the multi-version map. Power of two so the id → shard map is
-/// a mask; comfortably more than the worker count so disjoint keys rarely
-/// share a lock.
-const MV_SHARDS: usize = 64;
-
-/// Backstop for a reader parked on an `Estimate` or an idle worker parked
-/// on the commit tail; both are signaled on every commit, so the timeout
-/// only bounds the cost of a missed wakeup.
+/// Backstop for a reader parked on a re-pended version or an idle worker
+/// parked on the commit tail; both are signaled on every commit, so the
+/// timeout only bounds the cost of a missed wakeup.
 const STM_PARK: Duration = Duration::from_millis(1);
 
 /// Spins (with `yield_now`) before a blocked reader parks on the progress
-/// event — estimate windows are short (the holder is mid-re-execution).
+/// event — the windows are short (the holder is mid-re-execution).
 const ESTIMATE_SPINS: u32 = 16;
-
-/// One version in a key's version list.
-#[derive(Debug, Clone, Copy)]
-enum Cell {
-    /// A full write: readers above see this value plus any deltas between.
-    Write(U256),
-    /// A commutative ω̄ delta: merged into whatever lies below.
-    Delta(U256),
-    /// The owning transaction failed validation and is re-executing at its
-    /// commit turn; readers wait rather than consume a doomed value.
-    Estimate,
-}
-
-/// A version list entry; lists are kept sorted by transaction index.
-#[derive(Debug, Clone, Copy)]
-struct VersionEntry {
-    tx: u32,
-    cell: Cell,
-}
-
-/// What a multi-version read resolved to, before snapshot layering.
-enum Resolution {
-    /// A write below the reader (already merged with the deltas above it).
-    Value(U256),
-    /// No write below the reader: the sum of deltas, to be layered onto
-    /// the snapshot value.
-    BaseDelta(U256),
-    /// The scan hit an `Estimate` — its owner is mid-re-execution.
-    Blocked,
-}
-
-/// The sharded multi-version map. Keys are dense [`KeyId`] indexes; each
-/// shard is an FxHash map from key index to its sorted version list.
-struct MvMap {
-    shards: Vec<Mutex<HashMap<u32, Vec<VersionEntry>, FxBuildHasher>>>,
-}
-
-impl MvMap {
-    fn new() -> MvMap {
-        MvMap {
-            shards: (0..MV_SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn shard_of(id: u32) -> usize {
-        id as usize & (MV_SHARDS - 1)
-    }
-
-    /// Resolves `id` for `reader`: the nearest write below it plus the
-    /// deltas between, or the delta sum alone when no write is below.
-    fn read(&self, id: u32, reader: usize) -> Resolution {
-        let shard = self.shards[Self::shard_of(id)].lock();
-        let Some(entries) = shard.get(&id) else {
-            return Resolution::BaseDelta(U256::ZERO);
-        };
-        let mut deltas = U256::ZERO;
-        for entry in entries.iter().rev() {
-            if entry.tx as usize >= reader {
-                continue;
-            }
-            match entry.cell {
-                Cell::Delta(d) => deltas = deltas.wrapping_add(d),
-                Cell::Write(w) => return Resolution::Value(w.wrapping_add(deltas)),
-                Cell::Estimate => return Resolution::Blocked,
-            }
-        }
-        Resolution::BaseDelta(deltas)
-    }
-
-    /// Replaces transaction `tx`'s versions: upserts `entries` (sorted by
-    /// id) and removes its versions of `stale` ids. One lock per involved
-    /// shard.
-    fn publish(&self, tx: usize, entries: &[(KeyId, U256, bool)], stale: &[KeyId]) {
-        enum Op {
-            Upsert(Cell),
-            Remove,
-        }
-        let mut ops: Vec<(u32, Op)> = entries
-            .iter()
-            .map(|&(id, value, delta)| {
-                let cell = if delta {
-                    Cell::Delta(value)
-                } else {
-                    Cell::Write(value)
-                };
-                (id.index() as u32, Op::Upsert(cell))
-            })
-            .chain(stale.iter().map(|id| (id.index() as u32, Op::Remove)))
-            .collect();
-        ops.sort_unstable_by_key(|(id, _)| (Self::shard_of(*id), *id));
-        let mut i = 0;
-        while i < ops.len() {
-            let shard_index = Self::shard_of(ops[i].0);
-            let mut shard = self.shards[shard_index].lock();
-            while i < ops.len() && Self::shard_of(ops[i].0) == shard_index {
-                let (id, ref op) = ops[i];
-                let list = shard.entry(id).or_default();
-                let position = list.binary_search_by_key(&(tx as u32), |e| e.tx);
-                match (op, position) {
-                    (Op::Upsert(cell), Ok(at)) => list[at].cell = *cell,
-                    (Op::Upsert(cell), Err(at)) => list.insert(
-                        at,
-                        VersionEntry {
-                            tx: tx as u32,
-                            cell: *cell,
-                        },
-                    ),
-                    (Op::Remove, Ok(at)) => {
-                        list.remove(at);
-                    }
-                    (Op::Remove, Err(_)) => {}
-                }
-                i += 1;
-            }
-        }
-    }
-
-    /// Marks every version `tx` has published as an [`Cell::Estimate`], so
-    /// concurrent readers wait for the commit-turn re-execution instead of
-    /// consuming doomed values.
-    fn mark_estimates(&self, tx: usize, published: &[KeyId]) {
-        let mut ids: Vec<u32> = published.iter().map(|id| id.index() as u32).collect();
-        ids.sort_unstable_by_key(|id| (Self::shard_of(*id), *id));
-        let mut i = 0;
-        while i < ids.len() {
-            let shard_index = Self::shard_of(ids[i]);
-            let mut shard = self.shards[shard_index].lock();
-            while i < ids.len() && Self::shard_of(ids[i]) == shard_index {
-                if let Some(list) = shard.get_mut(&ids[i]) {
-                    if let Ok(at) = list.binary_search_by_key(&(tx as u32), |e| e.tx) {
-                        list[at].cell = Cell::Estimate;
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
-    /// Folds every key's version list into the block's final write set:
-    /// the topmost write plus the deltas above it (or the snapshot value
-    /// plus all deltas), skipping keys whose final value equals the
-    /// snapshot — the same rule the serial oracle applies.
-    fn final_writes(&self, interner: &KeyInterner, snapshot: &Snapshot) -> WriteSet {
-        let mut writes = WriteSet::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (&id, entries) in shard.iter() {
-                if entries.is_empty() {
-                    continue;
-                }
-                let key = interner.resolve(KeyId::from_index(id as usize));
-                let mut deltas = U256::ZERO;
-                let mut value = None;
-                for entry in entries.iter().rev() {
-                    match entry.cell {
-                        Cell::Delta(d) => deltas = deltas.wrapping_add(d),
-                        Cell::Write(w) => {
-                            value = Some(w.wrapping_add(deltas));
-                            break;
-                        }
-                        Cell::Estimate => {
-                            unreachable!("estimate survived the commit of its transaction")
-                        }
-                    }
-                }
-                let value = value.unwrap_or_else(|| snapshot.get(&key).wrapping_add(deltas));
-                if snapshot.get(&key) != value {
-                    writes.insert(key, value);
-                }
-            }
-        }
-        writes
-    }
-}
 
 /// Per-transaction result slot. `status` turning `Some` is the signal (to
 /// the commit cursor, under the slot lock) that the optimistic execution
@@ -269,7 +95,7 @@ struct TxSlot {
     /// External reads `(id, observed value)` of the latest execution, in
     /// order — the validation set.
     reads: Vec<(KeyId, U256)>,
-    /// Ids with a live version in the multi-version map.
+    /// Ids with a live version in the store.
     published: Vec<KeyId>,
 }
 
@@ -279,8 +105,8 @@ struct StmShared<'a> {
     snapshot: &'a Snapshot,
     block_env: &'a BlockEnv,
     analyzer: &'a Analyzer,
-    interner: Arc<KeyInterner>,
-    mv: MvMap,
+    /// The block's multi-version store; its interner maps keys to ids.
+    sequences: ShardedSequences,
     slots: Vec<Mutex<TxSlot>>,
     /// Next transaction to execute optimistically.
     next_execute: AtomicUsize,
@@ -302,41 +128,34 @@ struct StmShared<'a> {
 
 impl StmShared<'_> {
     /// Resolves the external (non-own) component of a read, waiting out
-    /// `Estimate` markers. The marker's owner is the commit-lock holder
+    /// re-pended versions. Such a version's owner is the commit-lock holder
     /// mid-re-execution, which never waits on this reader — so the spin
     /// is deadlock-free and short.
     fn resolve_external(&self, id: KeyId, key: &StateKey, reader: usize) -> U256 {
-        let raw = id.index() as u32;
         let mut spins = 0u32;
         loop {
             let seen = self.progress.epoch();
-            match self.mv.read(raw, reader) {
-                Resolution::Value(value) => {
-                    if let Some(hook) = self.hook {
-                        hook.on_stm_read(reader, key, spins > 0);
-                    }
-                    return value;
+            let resolution =
+                self.sequences
+                    .shard_for(id)
+                    .resolve_read(id, reader, key, self.snapshot);
+            if let ReadResolution::Ready(value) = resolution {
+                if let Some(hook) = self.hook {
+                    hook.on_stm_read(reader, key, spins > 0);
                 }
-                Resolution::BaseDelta(deltas) => {
-                    if let Some(hook) = self.hook {
-                        hook.on_stm_read(reader, key, spins > 0);
-                    }
-                    return self.snapshot.get(key).wrapping_add(deltas);
+                return value;
+            }
+            spins += 1;
+            if spins <= ESTIMATE_SPINS {
+                std::thread::yield_now();
+            } else {
+                if let Some(hook) = self.hook {
+                    hook.on_park(Some(reader));
                 }
-                Resolution::Blocked => {
-                    spins += 1;
-                    if spins <= ESTIMATE_SPINS {
-                        std::thread::yield_now();
-                    } else {
-                        if let Some(hook) = self.hook {
-                            hook.on_park(Some(reader));
-                        }
-                        self.parks.fetch_add(1, Ordering::Relaxed);
-                        self.progress.wait_while(seen, STM_PARK);
-                        if let Some(hook) = self.hook {
-                            hook.on_wake(Some(reader));
-                        }
-                    }
+                self.parks.fetch_add(1, Ordering::Relaxed);
+                self.progress.wait_while(seen, STM_PARK);
+                if let Some(hook) = self.hook {
+                    hook.on_wake(Some(reader));
                 }
             }
         }
@@ -347,7 +166,7 @@ impl StmShared<'_> {
     /// means the optimistic execution already observed the serial values.
     fn validate(&self, tx: usize, reads: &[(KeyId, U256)]) -> bool {
         reads.iter().all(|&(id, expected)| {
-            let key = self.interner.resolve(id);
+            let key = self.sequences.interner().resolve(id);
             self.resolve_external(id, &key, tx) == expected
         })
     }
@@ -355,44 +174,34 @@ impl StmShared<'_> {
 
 /// Host for one optimistic execution: buffers own writes and ω̄ deltas
 /// (merged on read exactly like the serial oracle's host) and records the
-/// external component of every read for commit-turn validation.
+/// external component of every read for commit-turn validation. It never
+/// aborts: a blocked read waits.
 struct StmHost<'a, 'b> {
     shared: &'b StmShared<'a>,
     tx: usize,
-    writes: SmallMap,
-    adds: SmallMap,
+    buffer: WriteBuffer,
     reads: Vec<(KeyId, U256)>,
 }
 
 impl Host for StmHost<'_, '_> {
     fn sload(&mut self, key: StateKey) -> Result<U256, HostError> {
-        let id = self.shared.interner.intern(key);
-        // Own buffered write wins (plus own deltas folded on top).
-        if let Some(v) = self.writes.get(id) {
-            let own = self.adds.get(id).unwrap_or(U256::ZERO);
-            return Ok(v.wrapping_add(own));
-        }
+        let id = self.shared.sequences.intern(key);
+        let own_delta = match self.buffer.read(id) {
+            Ok(value) => return Ok(value),
+            Err(delta) => delta,
+        };
         let external = self.shared.resolve_external(id, &key, self.tx);
         self.reads.push((id, external));
-        let own = self.adds.get(id).unwrap_or(U256::ZERO);
-        Ok(external.wrapping_add(own))
+        Ok(external.wrapping_add(own_delta))
     }
 
     fn sstore(&mut self, key: StateKey, value: U256) -> Result<(), HostError> {
-        let id = self.shared.interner.intern(key);
-        // A full write after own adds folds them in (oracle semantics).
-        self.adds.remove(id);
-        self.writes.insert(id, value);
+        self.buffer.store(self.shared.sequences.intern(key), value);
         Ok(())
     }
 
     fn sadd(&mut self, key: StateKey, delta: U256) -> Result<(), HostError> {
-        let id = self.shared.interner.intern(key);
-        if let Some(v) = self.writes.get_mut(id) {
-            *v = v.wrapping_add(delta);
-        } else {
-            self.adds.add(id, delta);
-        }
+        self.buffer.add(self.shared.sequences.intern(key), delta);
         Ok(())
     }
 }
@@ -402,46 +211,29 @@ struct TxRun {
     status: ExecStatus,
     /// The validation read set: every external `(key, value)` observed.
     reads: Vec<(KeyId, U256)>,
-    /// The versions to publish (empty unless the execution succeeded);
-    /// the `bool` marks commutative deltas.
-    entries: Vec<(KeyId, U256, bool)>,
+    /// The versions to publish (empty unless the execution succeeded).
+    entries: Vec<(KeyId, VersionOp)>,
 }
 
 /// Executes `tx` once against the current multi-version state.
 fn execute_tx(shared: &StmShared<'_>, tx_index: usize) -> TxRun {
-    let tx = &shared.txs[tx_index];
     let mut host = StmHost {
         shared,
         tx: tx_index,
-        writes: SmallMap::new(),
-        adds: SmallMap::new(),
+        buffer: WriteBuffer::default(),
         reads: Vec::new(),
     };
-    let status = match tx.kind {
-        TxKind::Transfer => run_transfer(&mut host, tx),
-        TxKind::Call => match shared.analyzer.registry().code(&tx.to()) {
-            Some(code) => {
-                let params = ExecParams {
-                    code: &code,
-                    tx: &tx.env,
-                    block: shared.block_env,
-                    // The optimistic engine never publishes early, so
-                    // release-point callbacks have nothing to gate.
-                    release_points: None,
-                    registry: Some(shared.analyzer.registry()),
-                };
-                execute(&params, &mut host).status
-            }
-            // Unknown contract: trivially succeeds without touching state.
-            None => ExecStatus::Success,
-        },
-    };
+    // The optimistic engine never publishes early, so release-point
+    // callbacks have nothing to gate.
+    let status = run_tx(
+        &mut host,
+        &shared.txs[tx_index],
+        shared.analyzer.registry(),
+        shared.block_env,
+        None,
+    );
     let entries = if status.is_success() {
-        host.writes
-            .iter()
-            .map(|(id, v)| (id, v, false))
-            .chain(host.adds.iter().map(|(id, v)| (id, v, true)))
-            .collect()
+        host.buffer.entries().collect()
     } else {
         Vec::new()
     };
@@ -452,48 +244,30 @@ fn execute_tx(shared: &StmShared<'_>, tx_index: usize) -> TxRun {
     }
 }
 
-/// A pure Ether transfer, mirroring the serial oracle's semantics: revert
-/// on insufficient balance, else debit (full write) and credit (ω̄ delta).
-fn run_transfer(host: &mut StmHost<'_, '_>, tx: &Transaction) -> ExecStatus {
-    let from = StateKey::balance(tx.sender());
-    let to = StateKey::balance(tx.to());
-    let balance = host.sload(from).expect("stm host never aborts");
-    if balance < tx.env.value {
-        return ExecStatus::Reverted;
-    }
-    host.sstore(from, balance - tx.env.value)
-        .expect("stm host never aborts");
-    host.sadd(to, tx.env.value).expect("stm host never aborts");
-    ExecStatus::Success
+/// Applies `ops` to `tx`'s versions, one lock hold per involved shard. What
+/// the store reports back (readers to abort or admit, parked waiters) is
+/// the predictive scheduler's business: this engine validates by value at
+/// the commit turn and parks on the progress event instead.
+fn apply_versions(shared: &StmShared<'_>, tx: usize, ops: &mut [(KeyId, VersionOp)]) {
+    let ignore = |_: &[(KeyId, VersionOp)], staged: &mut Vec<_>| staged.clear();
+    shared.sequences.apply_batch(tx, ops, || true, ignore);
 }
 
-/// Publishes an execution's versions under the slot lock: upserts the new
-/// entries and removes versions the new incarnation no longer produces.
-fn publish(
-    shared: &StmShared<'_>,
-    tx: usize,
-    entries: Vec<(KeyId, U256, bool)>,
-    slot: &mut TxSlot,
-) {
-    let new_ids: Vec<KeyId> = entries.iter().map(|&(id, _, _)| id).collect();
-    // Previously published ids absent from the new incarnation (both lists
-    // are ascending: SmallMap iterates in id order and writes sort before
-    // adds only by id disjointness — merge-diff over sorted sets).
-    let stale: Vec<KeyId> = slot
-        .published
-        .iter()
-        .filter(|id| !new_ids.contains(id))
-        .copied()
-        .collect();
-    if !entries.is_empty() || !stale.is_empty() {
-        shared.mv.publish(tx, &entries, &stale);
-    }
+/// Publishes an execution's versions under the slot lock: writes the new
+/// entries and drops versions the new incarnation no longer produces.
+fn publish(shared: &StmShared<'_>, tx: usize, mut ops: Vec<(KeyId, VersionOp)>, slot: &mut TxSlot) {
+    let new_ids: Vec<KeyId> = ops.iter().map(|&(id, _)| id).collect();
+    let stale = slot.published.iter().filter(|id| !new_ids.contains(id));
+    ops.extend(stale.map(|&id| (id, VersionOp::Drop)));
+    apply_versions(shared, tx, &mut ops);
     shared
         .publishes
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
+        .fetch_add(new_ids.len() as u64, Ordering::Relaxed);
     if let Some(hook) = shared.hook {
-        for &(id, _, delta) in &entries {
-            hook.on_publish(tx, &shared.interner.resolve(id), delta);
+        for &(id, op) in &ops {
+            if let VersionOp::Publish(_, delta) = op {
+                hook.on_publish(tx, &shared.sequences.interner().resolve(id), delta);
+            }
         }
     }
     slot.published = new_ids;
@@ -526,7 +300,8 @@ fn try_commit(shared: &StmShared<'_>) {
             }
             // Doom the stale versions, then re-execute at the commit
             // turn: everything below is final, so this run is serial.
-            shared.mv.mark_estimates(t, &slot.published);
+            let doomed = slot.published.iter().map(|&id| (id, VersionOp::Reset));
+            apply_versions(shared, t, &mut doomed.collect::<Vec<_>>());
             let run = execute_tx(shared, t);
             shared.attempts.fetch_add(1, Ordering::Relaxed);
             slot.execs += 1;
@@ -690,8 +465,13 @@ impl StmExecutor {
             snapshot,
             block_env,
             analyzer: &self.analyzer,
-            interner: Arc::new(interner),
-            mv: MvMap::new(),
+            sequences: ShardedSequences::for_block(
+                Arc::new(interner),
+                DEFAULT_SHARDS,
+                None,
+                self.hook.clone(),
+            )
+            .0,
             slots: (0..txs.len())
                 .map(|_| Mutex::new(TxSlot::default()))
                 .collect(),
@@ -716,7 +496,7 @@ impl StmExecutor {
         });
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
 
-        let final_writes = shared.mv.final_writes(&shared.interner, snapshot);
+        let final_writes = shared.sequences.final_writes(snapshot);
         let statuses: Vec<ExecStatus> = shared
             .slots
             .iter()

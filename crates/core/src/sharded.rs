@@ -1,4 +1,6 @@
-//! Sharded access sequences: per-key locking for the threaded executor.
+//! Sharded access sequences: the block's one multi-version store, with
+//! per-key locking. Every threaded engine reads and publishes through it;
+//! the engines differ in the scheduler on top.
 //!
 //! One lock over every [`AccessSequence`] would serialize transactions
 //! that touch disjoint state items. This module spreads the sequences over
@@ -29,7 +31,7 @@ use parking_lot::{Mutex, MutexGuard};
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
 
-use crate::access::{AccessOp, AccessSequence, ReadResolution};
+use crate::access::{AccessOp, AccessSequence, ReadResolution, VersionWriteEffect};
 use crate::hook::SchedHook;
 
 /// Default shard count. Sixteen shards keep the collision probability low
@@ -151,6 +153,24 @@ impl Shard {
     }
 }
 
+/// One change to a transaction's version of a key, batched through
+/// [`ShardedSequences::apply_batch`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum VersionOp {
+    /// [`AccessSequence::version_write`]; the flag marks an ω̄ delta.
+    Publish(U256, bool),
+    /// [`AccessSequence::drop_version`].
+    Drop,
+    /// [`AccessSequence::reset`].
+    Reset,
+    /// [`AccessSequence::rollback_unpredicted`].
+    Rollback,
+}
+
+/// What one key's change did: the sequence's effect, and the readers that
+/// were parked on the key (drained under the same lock hold).
+pub(crate) type Staged = (VersionWriteEffect, Vec<usize>);
+
 /// Recycled shard storage: the mutexes and slot arrays of a finished
 /// block, handed back to the executor's block arena
 /// ([`ShardedSequences::into_storage`]) and reused by the next
@@ -242,14 +262,6 @@ impl ShardedSequences {
         }
     }
 
-    /// Installs a [`SchedHook`] whose [`SchedHook::on_shard_lock`] fires on
-    /// every shard-lock acquisition (DST only: stalling there forces
-    /// shard-lock contention).
-    pub fn with_hook(mut self, hook: Arc<dyn SchedHook>) -> Self {
-        self.hook = Some(hook);
-        self
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -272,10 +284,10 @@ impl ShardedSequences {
         id.index() & self.mask
     }
 
-    /// Locks shard `index` directly (batched publishes group ids by shard
-    /// and take each lock once). Callers must not acquire a second shard
-    /// lock while holding the guard.
-    pub fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
+    /// Locks and returns the shard owning `id`. Callers must not acquire
+    /// a second shard lock while holding the guard.
+    pub fn shard_for(&self, id: KeyId) -> MutexGuard<'_, Shard> {
+        let index = self.shard_index_of(id);
         let guard = self.shards[index].lock();
         self.locks.fetch_add(1, Ordering::Relaxed);
         if let Some(hook) = &self.hook {
@@ -284,9 +296,44 @@ impl ShardedSequences {
         guard
     }
 
-    /// Locks and returns the shard owning `id`.
-    pub fn shard_for(&self, id: KeyId) -> MutexGuard<'_, Shard> {
-        self.lock_shard(self.shard_index_of(id))
+    /// Applies `ops` to `tx`'s entries, taking each involved shard lock
+    /// **once**: the ops are sorted by shard (stably — same-shard keys keep
+    /// their order, so the outcome is deterministic given a deterministic
+    /// schedule) and each shard's run is applied, and its keys' waiters
+    /// drained, under a single lock hold. `live` is re-checked under every
+    /// shard lock — an abort that got in between must not have its resets
+    /// overwritten — and a `false` stops the batch, which then returns
+    /// `false`. `after` runs strictly after each shard unlock with the run
+    /// and what it did, so it may take other locks.
+    pub(crate) fn apply_batch(
+        &self,
+        tx: usize,
+        ops: &mut [(KeyId, VersionOp)],
+        live: impl Fn() -> bool,
+        mut after: impl FnMut(&[(KeyId, VersionOp)], &mut Vec<Staged>),
+    ) -> bool {
+        ops.sort_by_key(|&(id, _)| self.shard_index_of(id));
+        let mut staged: Vec<Staged> = Vec::with_capacity(ops.len());
+        for group in ops.chunk_by(|a, b| self.shard_index_of(a.0) == self.shard_index_of(b.0)) {
+            {
+                let mut shard = self.shard_for(group[0].0);
+                if !live() {
+                    return false;
+                }
+                for &(id, op) in group {
+                    let seq = shard.sequence_mut(id);
+                    let effect = match op {
+                        VersionOp::Publish(value, delta) => seq.version_write(tx, value, delta),
+                        VersionOp::Drop => seq.drop_version(tx),
+                        VersionOp::Reset => seq.reset(tx),
+                        VersionOp::Rollback => seq.rollback_unpredicted(tx),
+                    };
+                    staged.push((effect, shard.drain_waiters(id)));
+                }
+            }
+            after(group, &mut staged);
+        }
+        true
     }
 
     /// `true` when `a` and `b` live in the same shard (and thus contend on

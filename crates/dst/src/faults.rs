@@ -7,7 +7,9 @@
 //! - **Mispredicted SAG keys** — predicted reads/writes dropped from the
 //!   C-SAG (the access surfaces at runtime as a dynamic insertion) and
 //!   phantom predicted writes added (the version is never materialized and
-//!   must be dropped at finalization, unblocking its readers).
+//!   must be dropped at finalization, unblocking its readers — or, when
+//!   the phantom lands on a key the transaction adds to, is fulfilled with
+//!   a delta where a full write was predicted).
 //! - **Stale-snapshot reads** — the fuzz driver builds C-SAGs against an
 //!   older snapshot than the one executed on (the mempool scenario), see
 //!   [`crate::fuzz`].
@@ -126,8 +128,9 @@ impl FaultPlan {
 
     /// Perturbs the predictions in place: drops predicted keys (surfacing
     /// as runtime mispredictions) and grafts phantom predicted writes from
-    /// other transactions' write sets (never materialized, dropped at
-    /// finalization). Key coordinates come from the key's position in the
+    /// other transactions' write sets (never materialized and dropped at
+    /// finalization, or — landing on a key the transaction adds to —
+    /// fulfilled with the other kind). Key coordinates come from the key's position in the
     /// *sorted* set, so perturbation is deterministic per seed.
     pub fn perturb_csags(&self, csags: &mut [CSag]) {
         let all_writes: Vec<BTreeSet<_>> = csags.iter().map(|c| c.writes.clone()).collect();
@@ -150,16 +153,21 @@ impl FaultPlan {
             }
             if self.roll(SITE_PHANTOM, tx_coord, 0, self.phantom_ppm) {
                 // Steal a write key from a pseudo-randomly chosen other
-                // transaction; skip keys this transaction touches itself so
-                // the phantom is a pure misprediction, not a shadowed real
-                // access.
+                // transaction; skip keys this transaction reads or writes
+                // itself so the phantom is not a shadowed real access. A
+                // key it *adds* to may be hit: the prediction then names
+                // the wrong kind (a full write the execution fulfils with
+                // an ω̄ delta), and the key moves so `adds ∩ writes = ∅`.
                 let donor = self.mix(SITE_PHANTOM, tx_coord, 1) as usize % all_writes.len();
-                if let Some(key) = all_writes[donor].iter().find(|k| {
-                    !csag.reads.contains(*k) && !csag.writes.contains(*k) && !csag.adds.contains(*k)
-                }) {
+                if let Some(key) = all_writes[donor]
+                    .iter()
+                    .find(|k| !csag.reads.contains(*k) && !csag.writes.contains(*k))
+                {
+                    csag.adds.remove(key);
                     csag.writes.insert(*key);
-                    // No `last_write_pc` entry: the phantom is never
-                    // publishable and is dropped when the tx finalizes.
+                    // No new `last_write_pc` entry: a pure phantom is
+                    // never publishable and is dropped when the tx
+                    // finalizes.
                 }
             }
         }

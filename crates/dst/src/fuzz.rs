@@ -52,16 +52,19 @@ pub enum Profile {
 }
 
 impl Profile {
+    /// Every profile under its CLI spelling.
+    pub const NAMES: [(&'static str, Profile); 5] = [
+        ("ethereum", Profile::EthereumMix),
+        ("hot", Profile::HighContention),
+        ("loop", Profile::LoopHeavy),
+        ("call", Profile::CallHeavy),
+        ("nft", Profile::NftMintRush),
+    ];
+
     /// Parses the CLI spelling of a profile.
     pub fn parse(name: &str) -> Option<Profile> {
-        match name {
-            "ethereum" => Some(Profile::EthereumMix),
-            "hot" => Some(Profile::HighContention),
-            "loop" => Some(Profile::LoopHeavy),
-            "call" => Some(Profile::CallHeavy),
-            "nft" => Some(Profile::NftMintRush),
-            _ => None,
-        }
+        let found = Self::NAMES.iter().find(|(spelling, _)| *spelling == name);
+        found.map(|&(_, profile)| profile)
     }
 
     /// The workload config for one fuzz case: the named contention profile

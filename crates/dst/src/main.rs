@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]
-//!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
+//!                  [--profile ethereum|hot|loop|call|nft] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
 //!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //!                  [--budget-secs N] [--quiet]
 //! dmvcc-dst replay --seed S [--size N] [--threads N]
-//!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
+//!                  [--profile ethereum|hot|loop|call|nft] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
 //!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //! ```
@@ -25,18 +25,20 @@ use std::time::Duration;
 use dmvcc_core::ExecutorKind;
 use dmvcc_dst::{fuzz, run_seed, BackendUnderTest, FuzzConfig, Mutation, Profile};
 
+const USAGE: &str = "\
+usage: dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]
+                        [--profile ethereum|hot|loop|call|nft] [--mutate MUTATION]
+                        [--refinement two-tier|speculative]
+                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
+                        [--budget-secs N] [--quiet]
+       dmvcc-dst replay --seed S [--size N] [--threads N]
+                        [--profile ethereum|hot|loop|call|nft] [--mutate MUTATION]
+                        [--refinement two-tier|speculative]
+                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
+mutations: none, skip-release-gas-bound";
+
 fn usage(error: &str) -> ExitCode {
-    eprintln!("error: {error}");
-    eprintln!("usage: dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]");
-    eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
-    eprintln!("                        [--refinement two-tier|speculative]");
-    eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
-    eprintln!("                        [--budget-secs N] [--quiet]");
-    eprintln!("       dmvcc-dst replay --seed S [--size N] [--threads N]");
-    eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
-    eprintln!("                        [--refinement two-tier|speculative]");
-    eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
-    eprintln!("mutations: none, skip-release-gas-bound");
+    eprintln!("error: {error}\n{USAGE}");
     ExitCode::from(2)
 }
 
@@ -186,6 +188,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use dmvcc_dst::Divergence;
+
+    /// Every profile spelling the parser accepts is in the usage text.
+    #[test]
+    fn usage_lists_every_profile() {
+        let spellings = Profile::NAMES.map(|(name, _)| name).join("|");
+        assert_eq!(USAGE.matches(&format!("--profile {spellings}]")).count(), 2);
+    }
 
     /// The `replay: …` line a divergence report prints must be a command
     /// this binary accepts, and must reproduce the diverging case's axes.

@@ -1,6 +1,8 @@
 //! Model-based property test for access sequences: a random stream of
-//! predict / write / add / read / drop operations is mirrored against a
-//! simple sequential model; final values and read resolutions must agree.
+//! predict / write / add / drop / reset operations is mirrored against a
+//! simple sequential model; read resolutions must agree.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -14,6 +16,9 @@ fn key() -> StateKey {
 
 #[derive(Debug, Clone)]
 enum Op {
+    /// A C-SAG prediction for tx `t` — what the sequence is told to
+    /// expect, which the execution is free not to honour.
+    Predict(usize, AccessOp),
     /// Write by tx `t` of value `v` (predicted or not — version_write
     /// handles both).
     Write(usize, u64),
@@ -21,43 +26,62 @@ enum Op {
     Add(usize, u64),
     /// Drop tx `t`'s version.
     Drop(usize),
+    /// Abort tx `t`: its version returns to pending.
+    Reset(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let kind = prop_oneof![
+        Just(AccessOp::Read),
+        Just(AccessOp::Write),
+        Just(AccessOp::ReadWrite),
+        Just(AccessOp::Add),
+    ];
     prop_oneof![
+        (0usize..20, kind).prop_map(|(t, k)| Op::Predict(t, k)),
         (0usize..20, 1u64..100).prop_map(|(t, v)| Op::Write(t, v)),
         (0usize..20, 1u64..10).prop_map(|(t, d)| Op::Add(t, d)),
         (0usize..20).prop_map(Op::Drop),
+        (0usize..20).prop_map(Op::Reset),
     ]
 }
 
-/// Sequential model: per tx index, the effective operation.
+/// What a transaction has published.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ModelEntry {
     Write(u64),
     Add(u64),
 }
 
-fn model_value_before(
-    model: &std::collections::BTreeMap<usize, ModelEntry>,
-    tx: usize,
-    snapshot: u64,
-) -> u64 {
-    let mut base = snapshot;
+/// Sequential model of one transaction's entry. A prediction says nothing
+/// about values: it only makes the entry a barrier while nothing is
+/// published.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModelTx {
+    /// Predicted (or seen) to write: ω, θ or ω̄.
+    writer: bool,
+    /// Announced and neither published nor dropped.
+    pending: bool,
+    published: Option<ModelEntry>,
+}
+
+/// What a read by `tx` must resolve to: the closest full write below plus
+/// the deltas between, unless a pending writer is met first.
+fn model_read(model: &BTreeMap<usize, ModelTx>, tx: usize, snapshot: u64) -> ReadResolution {
     let mut delta: u64 = 0;
-    for (&t, &entry) in model.iter() {
-        if t >= tx {
-            break;
-        }
-        match entry {
-            ModelEntry::Write(v) => {
-                base = v;
-                delta = 0;
+    for (&t, entry) in model.range(..tx).rev() {
+        match entry.published {
+            Some(ModelEntry::Write(v)) => {
+                return ReadResolution::Ready(U256::from(v.wrapping_add(delta)));
             }
-            ModelEntry::Add(d) => delta = delta.wrapping_add(d),
+            Some(ModelEntry::Add(d)) => delta = delta.wrapping_add(d),
+            None if entry.pending && entry.writer => {
+                return ReadResolution::Blocked { writer: t };
+            }
+            None => {}
         }
     }
-    base.wrapping_add(delta)
+    ReadResolution::Ready(U256::from(snapshot.wrapping_add(delta)))
 }
 
 proptest! {
@@ -69,44 +93,54 @@ proptest! {
     ) {
         let snapshot = Snapshot::from_entries([(key(), U256::from(snapshot_value))]);
         let mut seq = AccessSequence::new();
-        let mut model: std::collections::BTreeMap<usize, ModelEntry> =
-            std::collections::BTreeMap::new();
+        let mut model: BTreeMap<usize, ModelTx> = BTreeMap::new();
+        let announced = ModelTx { pending: true, ..ModelTx::default() };
 
         for op in &ops {
             match *op {
+                Op::Predict(t, kind) => {
+                    seq.predict(t, kind);
+                    model.entry(t).or_insert(announced).writer |= kind != AccessOp::Read;
+                }
                 Op::Write(t, v) => {
                     seq.version_write(t, U256::from(v), false);
-                    model.insert(t, ModelEntry::Write(v));
+                    let entry = model.entry(t).or_default();
+                    *entry = ModelTx { writer: true, pending: false, published: Some(ModelEntry::Write(v)) };
                 }
                 Op::Add(t, d) => {
-                    // version_write(delta) accumulates when the tx already
-                    // holds an Add entry; a full write absorbs the delta.
+                    // A delta folds onto what the tx itself published (a
+                    // full write absorbs it, adds accumulate) and starts
+                    // fresh otherwise — whatever was predicted.
                     seq.version_write(t, U256::from(d), true);
-                    match model.get(&t).copied() {
-                        Some(ModelEntry::Write(v)) => {
-                            model.insert(t, ModelEntry::Write(v.wrapping_add(d)));
-                        }
-                        Some(ModelEntry::Add(prev)) => {
-                            model.insert(t, ModelEntry::Add(prev.wrapping_add(d)));
-                        }
-                        None => {
-                            model.insert(t, ModelEntry::Add(d));
-                        }
-                    }
+                    let entry = model.entry(t).or_default();
+                    let merged = match entry.published {
+                        Some(ModelEntry::Write(v)) => ModelEntry::Write(v.wrapping_add(d)),
+                        Some(ModelEntry::Add(prev)) => ModelEntry::Add(prev.wrapping_add(d)),
+                        None => ModelEntry::Add(d),
+                    };
+                    *entry = ModelTx { writer: true, pending: false, published: Some(merged) };
                 }
                 Op::Drop(t) => {
                     seq.drop_version(t);
-                    model.remove(&t);
+                    if let Some(entry) = model.get_mut(&t) {
+                        entry.pending = false;
+                        entry.published = None;
+                    }
+                }
+                Op::Reset(t) => {
+                    seq.reset(t);
+                    if let Some(entry) = model.get_mut(&t) {
+                        entry.pending = true;
+                        entry.published = None;
+                    }
                 }
             }
         }
 
         // Read resolution at an arbitrary probe index matches the model.
-        // (All versions are Done, so no read can block.)
-        let expected = model_value_before(&model, probe, snapshot_value);
         prop_assert_eq!(
             seq.resolve_read(probe, || snapshot.get(&key())),
-            ReadResolution::Ready(U256::from(expected))
+            model_read(&model, probe, snapshot_value)
         );
     }
 

@@ -181,3 +181,86 @@ fn repeated_nft_mints_resolve_sequence_numbers() {
         .collect();
     check_block(&txs, 4, 0.0);
 }
+
+#[test]
+fn published_kind_differing_from_predicted_kind_matches_serial() {
+    // tx1 writes slot 0 on one branch and commutatively adds to it on the
+    // other; tx0 flips the flag the branch tests, so tx1's C-SAG (refined
+    // against the snapshot) predicts the kind it will *not* execute. tx2
+    // reads slot 0 above it. The store must serve what tx1 published, not
+    // what was predicted for it.
+    use dmvcc_primitives::{Address, U256};
+    use dmvcc_state::StateKey;
+    use dmvcc_vm::{assemble, calldata, CodeRegistry, ExecStatus, TxEnv};
+    let code = assemble(
+        r"
+PUSH1 0 CALLDATALOAD
+DUP1 PUSH 1 EQ PUSH @flag JUMPI
+DUP1 PUSH 2 EQ PUSH @switch JUMPI
+DUP1 PUSH 3 EQ PUSH @copy JUMPI
+STOP
+flag: JUMPDEST
+  PUSH1 32 CALLDATALOAD PUSH1 1 SSTORE
+  STOP
+switch: JUMPDEST
+  PUSH1 1 SLOAD PUSH @add JUMPI
+  PUSH1 100 PUSH1 0 SSTORE
+  STOP
+add: JUMPDEST
+  PUSH1 5 PUSH1 0 SADD
+  STOP
+copy: JUMPDEST
+  PUSH1 0 SLOAD PUSH1 2 SSTORE
+  STOP
+",
+    )
+    .expect("switch contract must assemble");
+    let contract = Address::from_u64(4242);
+    let analyzer = Analyzer::new(CodeRegistry::builder().deploy(contract, code).build());
+    let slot = |i: u64| StateKey::storage(contract, U256::from(i));
+    let call = |sender: u64, selector: u64, args: &[U256]| {
+        Transaction::call(TxEnv::call(
+            Address::from_u64(sender),
+            contract,
+            calldata(selector, args),
+        ))
+    };
+    let env = BlockEnv::new(1, 1_700_000_000);
+    // (flag before, flag tx0 sets, slot 0 after): predicted ω executed as
+    // ω̄, then the mirror.
+    for (before, after, expected) in [(0u64, 1u64, 12u64), (1, 0, 100)] {
+        let snapshot =
+            Snapshot::from_entries([(slot(0), U256::from(7u64)), (slot(1), U256::from(before))]);
+        let txs = [
+            call(100, 1, &[U256::from(after)]),
+            call(101, 2, &[]),
+            call(102, 3, &[]),
+        ];
+        let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        assert_eq!(
+            trace.final_writes.get(&slot(0)),
+            Some(&U256::from(expected))
+        );
+        assert_eq!(
+            trace.final_writes.get(&slot(2)),
+            Some(&U256::from(expected))
+        );
+        for kind in ExecutorKind::ALL {
+            for threads in [1, 2, 4] {
+                let config = ParallelConfig {
+                    threads,
+                    ..ParallelConfig::default()
+                };
+                let outcome = kind
+                    .build(analyzer.clone(), config, None)
+                    .execute_block(&txs, &snapshot, &env);
+                let label = format!(
+                    "{} (threads={threads}, flag {before}→{after})",
+                    kind.label()
+                );
+                assert_eq!(outcome.final_writes, trace.final_writes, "{label}");
+                assert_eq!(outcome.statuses, vec![ExecStatus::Success; 3], "{label}");
+            }
+        }
+    }
+}
