@@ -7,7 +7,7 @@
 #![forbid(unsafe_code)]
 
 use dmvcc_bench::{env_usize, write_json, THREAD_SWEEP};
-use dmvcc_chain::{run_testnet, ChainConfig, SchedulerKind};
+use dmvcc_chain::{run_testnet, ChainConfig, SchedulerKind, TestnetConfig};
 use dmvcc_workload::WorkloadConfig;
 use serde::Serialize;
 
@@ -23,14 +23,23 @@ struct ThroughputPoint {
 fn main() {
     let blocks = env_usize("DMVCC_BLOCKS", 2);
     let block_size = env_usize("DMVCC_BLOCK_SIZE", 5_000);
-    let make = |scheduler, threads| ChainConfig {
-        blocks,
-        block_size,
-        workload: WorkloadConfig::high_contention(42),
-        ..ChainConfig::execution_bound(scheduler, threads, 42)
+    let make = |scheduler, threads| {
+        let bound = TestnetConfig::execution_bound(scheduler, threads, 42);
+        TestnetConfig {
+            chain: ChainConfig {
+                blocks,
+                block_size,
+                workload: WorkloadConfig::high_contention(42),
+                ..bound.chain
+            },
+            ..bound
+        }
     };
     let serial = run_testnet(&make(SchedulerKind::Serial, 1));
-    assert!(serial.roots_consistent, "validator roots diverged");
+    assert!(
+        serial.roots_consistent(),
+        "a sealed header differs from the serial oracle's"
+    );
     println!(
         "\n== fig8b — throughput speedup, high contention ({blocks} x {block_size}-tx blocks) =="
     );
@@ -44,7 +53,10 @@ fn main() {
         print!("{threads:>8}");
         for scheduler in [SchedulerKind::Dag, SchedulerKind::Occ, SchedulerKind::Dmvcc] {
             let report = run_testnet(&make(scheduler, threads));
-            assert!(report.roots_consistent, "validator roots diverged");
+            assert!(
+                report.roots_consistent(),
+                "a sealed header differs from the serial oracle's"
+            );
             assert_eq!(report.final_root, serial.final_root, "chain diverged");
             let speedup = report.tps / serial.tps;
             print!("{speedup:>14.2}x ");

@@ -15,9 +15,9 @@
 
 use dmvcc_analysis::Analyzer;
 use dmvcc_bench::env_usize;
+use dmvcc_chain::block_env;
 use dmvcc_core::{execute_block_serial, ParallelConfig, ParallelExecutor};
 use dmvcc_state::StateDb;
-use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 use serde::Serialize;
 
@@ -59,7 +59,7 @@ fn main() {
 
         for height in 1..=blocks as u64 {
             let txs = generator.block(block_size);
-            let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+            let env = block_env(height);
             let snapshot = serial_db.latest().clone();
             let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
             let outcome = executor.execute_block(&txs, &snapshot, &env);

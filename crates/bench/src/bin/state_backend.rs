@@ -29,7 +29,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use dmvcc_bench::env_usize;
-use dmvcc_chain::{run_pipelined_chain, BackendKind, ChainConfig, ExecutorKind, SchedulerKind};
+use dmvcc_chain::{run_pipelined_chain, BackendKind, ChainConfig, ExecutorKind};
 use dmvcc_primitives::{Address, U256};
 use dmvcc_state::{
     FlatCached, LsmBackend, LsmOptions, MemBackend, Mpt, StateBackend, StateKey, WriteSet,
@@ -303,17 +303,10 @@ fn bench_root(accounts: usize, dirty_writes: usize, threads: usize) -> RootPoint
 /// critical path.
 fn bench_overlap(backend: BackendKind, blocks: usize, block_size: usize) -> OverlapPoint {
     let config = ChainConfig {
-        validators: 1,
         block_size,
-        mining_interval_secs: 0.0,
-        threads: 4,
-        scheduler: SchedulerKind::Dmvcc,
         blocks,
-        gas_per_second: 4_000_000,
+        threads: 4,
         workload: WorkloadConfig::ethereum_mix(7),
-        crosscheck_every: 0,
-        pool_miss_rate: 0.0,
-        rebuild_missing_sags: true,
         executor: ExecutorKind::Sharded,
         backend,
     };
@@ -325,7 +318,7 @@ fn bench_overlap(backend: BackendKind, blocks: usize, block_size: usize) -> Over
         commit_seconds: report.commit_seconds,
         commit_hidden_seconds: report.commit_hidden_seconds,
         commit_hidden_fraction: report.commit_hidden_fraction(),
-        roots_consistent: report.roots_consistent,
+        roots_consistent: report.roots_consistent(),
     }
 }
 

@@ -26,11 +26,11 @@ use serde::Serialize;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
 use dmvcc_baselines::{simulate_dag, simulate_dag_coarse, simulate_occ};
+use dmvcc_chain::block_env;
 use dmvcc_core::{
     build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig, SimReport,
 };
 use dmvcc_state::Snapshot;
-use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
 /// Thread counts evaluated by the figures (the paper sweeps 1–32).
@@ -83,7 +83,7 @@ pub fn prepare_blocks(
     let mut out = Vec::with_capacity(blocks);
     for height in 1..=blocks as u64 {
         let txs = generator.block(block_size);
-        let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+        let env = block_env(height);
         let csags = build_csags(&txs, &snapshot, &analyzer, &env);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         snapshot = snapshot.apply(&trace.final_writes);

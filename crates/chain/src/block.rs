@@ -6,6 +6,10 @@
 //! chain of headers is tamper-evident end to end — which is what makes the
 //! RQ1 root comparison meaningful at chain scale.
 //!
+//! [`seal_block`] is the one place an executed block becomes a header and
+//! receipts, and [`verify_chain`] is its inverse: what a header claims,
+//! checked against the body it was sealed over.
+//!
 //! The two per-block roots are computed, not built: [`transactions_root`]
 //! and [`receipts_root`] hand their values to [`dmvcc_state::index_root`],
 //! which derives the root such a trie would have from two flat buffers, so
@@ -15,7 +19,7 @@
 use dmvcc_primitives::rlp::{close_list, put_bytes, put_uint};
 use dmvcc_primitives::{keccak256, H256};
 use dmvcc_state::index_root;
-use dmvcc_vm::{ExecStatus, Transaction};
+use dmvcc_vm::{BlockEnv, ExecStatus, Transaction};
 
 /// Execution receipt of one transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,6 +121,54 @@ impl BlockHeader {
     }
 }
 
+/// One sealed block: header plus body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Block {
+    /// The sealed header (binds parent hash, state/tx/receipt roots).
+    pub header: BlockHeader,
+    /// Packed transactions.
+    pub txs: Vec<Transaction>,
+    /// Execution receipts, one per transaction.
+    pub receipts: Vec<Receipt>,
+}
+
+/// The environment block `height` executes under: 12-second slots from a
+/// fixed epoch. [`seal_block`] stamps the header from the same value, so
+/// every driver takes its [`BlockEnv`] from here.
+pub fn block_env(height: u64) -> BlockEnv {
+    BlockEnv::new(height, 1_700_000_000 + height * 12)
+}
+
+/// Seals an executed block on top of `parent`: receipts from what each
+/// transaction's execution reported (`results`: status and gas charged, in
+/// block order), the header over them, the body and `state_root` — the
+/// root after committing the block's writes. The only constructor of a
+/// non-genesis [`BlockHeader`].
+pub fn seal_block(
+    parent: &BlockHeader,
+    env: &BlockEnv,
+    txs: Vec<Transaction>,
+    results: impl IntoIterator<Item = (ExecStatus, u64)>,
+    state_root: H256,
+) -> Block {
+    let results: Vec<(ExecStatus, u64)> = results.into_iter().collect();
+    let receipts = build_receipts(&results);
+    let header = BlockHeader {
+        number: env.number,
+        parent_hash: parent.hash(),
+        state_root,
+        transactions_root: transactions_root(&txs),
+        receipts_root: receipts_root(&receipts),
+        timestamp: env.timestamp,
+        gas_used: receipts.last().map_or(0, |r| r.cumulative_gas),
+    };
+    Block {
+        header,
+        txs,
+        receipts,
+    }
+}
+
 /// The transactions root: the root of an MPT keyed by `rlp(index)` holding
 /// each transaction's hash (Ethereum's layout, with the hash standing in
 /// for the full body).
@@ -135,22 +187,25 @@ pub fn receipts_root(receipts: &[Receipt]) -> H256 {
     index_root(receipts.len(), |index, out| receipts[index].rlp_append(out))
 }
 
-/// Verifies the hash chain and per-block commitments of a header sequence
-/// against its blocks' contents. Returns the index of the first invalid
-/// block, or `None` when the chain verifies.
-pub fn verify_chain(
-    genesis: &BlockHeader,
-    headers: &[BlockHeader],
-    bodies: &[(Vec<Transaction>, Vec<Receipt>)],
-) -> Option<usize> {
+/// Verifies `chain` on top of `genesis`: the hash chain and block numbers,
+/// each header's transactions and receipts roots against its body, one
+/// receipt per transaction, and the header's gas against the receipts'
+/// cumulative gas. Returns the index of the first invalid block, or `None`
+/// when the chain verifies.
+pub fn verify_chain(genesis: &BlockHeader, chain: &[Block]) -> Option<usize> {
     let mut parent = genesis.hash();
-    for (i, header) in headers.iter().enumerate() {
+    for (i, block) in chain.iter().enumerate() {
+        let Block {
+            header,
+            txs,
+            receipts,
+        } = block;
         if header.parent_hash != parent
             || header.number != genesis.number + 1 + i as u64
-            || bodies.get(i).is_none_or(|(txs, receipts)| {
-                transactions_root(txs) != header.transactions_root
-                    || receipts_root(receipts) != header.receipts_root
-            })
+            || receipts.len() != txs.len()
+            || header.gas_used != receipts.last().map_or(0, |r| r.cumulative_gas)
+            || transactions_root(txs) != header.transactions_root
+            || receipts_root(receipts) != header.receipts_root
         {
             return Some(i);
         }
@@ -166,10 +221,6 @@ mod tests {
 
     fn tx(i: u64) -> Transaction {
         Transaction::transfer(Address::from_u64(i), Address::from_u64(i + 1), U256::ONE)
-    }
-
-    fn receipts_for(n: usize) -> Vec<Receipt> {
-        build_receipts(&vec![(ExecStatus::Success, 21_000); n])
     }
 
     #[test]
@@ -198,38 +249,40 @@ mod tests {
     #[test]
     fn header_hash_chains() {
         let genesis = BlockHeader::genesis(H256::ZERO);
-        let txs = vec![tx(1)];
-        let receipts = receipts_for(1);
-        let header = BlockHeader {
-            number: 1,
-            parent_hash: genesis.hash(),
-            state_root: H256::ZERO,
-            transactions_root: transactions_root(&txs),
-            receipts_root: receipts_root(&receipts),
-            timestamp: 12,
-            gas_used: 21_000,
-        };
-        assert_eq!(
-            verify_chain(
-                &genesis,
-                std::slice::from_ref(&header),
-                &[(txs.clone(), receipts.clone())]
-            ),
-            None
+        let results = [
+            (ExecStatus::Success, 21_000),
+            (ExecStatus::Reverted, 30_000),
+        ];
+        let block = seal_block(
+            &genesis,
+            &block_env(1),
+            vec![tx(1), tx(2)],
+            results,
+            H256::ZERO,
         );
+        assert_eq!(block.header.gas_used, 51_000);
+        assert_eq!(block.header.timestamp, block_env(1).timestamp);
+        assert_eq!(verify_chain(&genesis, std::slice::from_ref(&block)), None);
+        let tampered = |tamper: fn(&mut Block)| {
+            let mut bad = block.clone();
+            tamper(&mut bad);
+            verify_chain(&genesis, &[bad])
+        };
         // Tamper with a transaction: detected at index 0.
+        assert_eq!(tampered(|b| b.txs[0] = tx(9)), Some(0));
+        // Tamper with the parent hash: detected.
+        assert_eq!(tampered(|b| b.header.parent_hash = H256::ZERO), Some(0));
+        // A header that claims gas its receipts do not add up to.
+        assert_eq!(tampered(|b| b.header.gas_used -= 1), Some(0));
+        // A truncated receipt list, its root recomputed to match.
         assert_eq!(
-            verify_chain(
-                &genesis,
-                std::slice::from_ref(&header),
-                &[(vec![tx(9)], receipts.clone())]
-            ),
+            tampered(|b| {
+                b.receipts.pop();
+                b.header.receipts_root = receipts_root(&b.receipts);
+                b.header.gas_used = 21_000;
+            }),
             Some(0)
         );
-        // Tamper with the parent hash: detected.
-        let mut bad = header;
-        bad.parent_hash = H256::ZERO;
-        assert_eq!(verify_chain(&genesis, &[bad], &[(txs, receipts)]), Some(0));
     }
 
     #[test]

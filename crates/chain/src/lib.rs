@@ -1,21 +1,33 @@
-//! Micro-testnet simulation for the blockchain-environment evaluation (RQ3).
+//! The chain: one block path, and the two drivers that run it.
 //!
-//! The paper builds a 20-validator testnet, tunes mining to one block every
-//! 12 s (or 1 s), raises the gas limit so a block packs up to 10 000
-//! transactions, and measures *throughput speedup*: with small blocks
-//! mining dominates and parallel execution barely matters; with large
-//! blocks and fast mining, execution becomes the bottleneck and the
-//! scheduler's makespan directly bounds throughput (§V-C RQ3).
+//! Every block is produced by a threaded engine and sealed in one place.
+//! [`produce_block`] is the path: execute the transactions on a
+//! [`BlockExecutor`], commit the engine's write set to the [`StateDb`],
+//! and hand the statuses, the gas each execution actually charged and the
+//! new state root to [`seal_block`], the only constructor of a non-genesis
+//! header. The serial oracle (`execute_block_serial`) produces no block;
+//! it is the reference a sealed block is compared against. Its statuses,
+//! gas and state root go through the same `seal_block`, and the two headers
+//! must be equal — one comparison that covers the state root, the receipts
+//! root and the gas (paper §III-A: a block any node can reproduce bit for
+//! bit).
 //!
-//! This module reproduces that pipeline as a discrete-event simulation:
-//! a packer drains the transaction pool, every validator executes the
-//! block with the configured scheduler, the block cycle is
-//! `max(mining_interval, execution_time)`, and state roots across
-//! validators (and against the serial reference) must match. Virtual
-//! execution time (gas) converts to seconds via
-//! [`ChainConfig::gas_per_second`], calibrated so a typical transaction
-//! costs a few milliseconds — matching the paper's observed
-//! "sub-milliseconds to tens of milliseconds".
+//! Two drivers sit on that path:
+//!
+//! - [`run_testnet`] is the blockchain-environment evaluation (RQ3,
+//!   Fig. 8). The paper tunes mining to one block every 12 s (or 1 s),
+//!   raises the gas limit so a block packs up to 10 000 transactions, and
+//!   measures *throughput speedup*: with small blocks mining dominates and
+//!   parallel execution barely matters; with large blocks and fast mining
+//!   the scheduler's makespan bounds throughput. Transactions arrive
+//!   through a [`TxPool`] (some without a SAG), the blocks come from
+//!   [`produce_block`] with the pool's C-SAGs, and the block cycle is
+//!   `max(mining_interval, makespan)` where the makespan is the configured
+//!   scheduler's *virtual* time over the oracle's trace, converted at
+//!   [`GAS_PER_SECOND`].
+//! - [`run_pipelined_chain`] is the wall-clock front-end: block N executes
+//!   while block N+1's C-SAGs are refined and block N−1's state root is
+//!   hashed, and each block is sealed as its root resolves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +36,8 @@ mod block;
 mod pool;
 
 pub use block::{
-    build_receipts, receipts_root, transactions_root, verify_chain, BlockHeader, Receipt,
+    block_env, build_receipts, receipts_root, seal_block, transactions_root, verify_chain, Block,
+    BlockHeader, Receipt,
 };
 pub use pool::{PoolStats, TxPool};
 
@@ -32,15 +45,23 @@ use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_baselines::{simulate_dag, simulate_occ};
 pub use dmvcc_core::ExecutorKind;
 use dmvcc_core::{
-    execute_block_serial, simulate_dmvcc, BlockPipeline, DmvccConfig, ParallelConfig, SimReport,
+    execute_block_serial, simulate_dmvcc, BlockExecutor, BlockPipeline, BlockTrace, DmvccConfig,
+    ParallelConfig, SimReport,
 };
-use dmvcc_primitives::H256;
-use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb};
+use dmvcc_primitives::{H256, U256};
+use dmvcc_state::{
+    LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb, StateKey,
+};
 use dmvcc_vm::{BlockEnv, Transaction};
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 use std::sync::Arc;
 
-/// Which scheduler a validator runs.
+/// Virtual-gas-to-wall-clock conversion of [`run_testnet`]: at 4 M gas/s a
+/// typical contract call costs 5–10 ms, the paper's observed
+/// "sub-milliseconds to tens of milliseconds".
+pub const GAS_PER_SECOND: u64 = 4_000_000;
+
+/// Which scheduler's virtual time [`run_testnet`] charges for a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Ordinary serial execution (the baseline EVM).
@@ -107,10 +128,7 @@ impl BackendKind {
     }
 
     /// Builds a [`StateDb`] over this backend, seeded with `entries`.
-    pub fn build_db(
-        &self,
-        entries: Vec<(dmvcc_state::StateKey, dmvcc_primitives::U256)>,
-    ) -> StateDb {
+    pub fn build_db(&self, entries: Vec<(StateKey, U256)>) -> StateDb {
         let backend: Arc<dyn StateBackend> = match self {
             BackendKind::Mem => Arc::new(MemBackend::new()),
             BackendKind::Lsm => Arc::new(LsmBackend::new(LsmOptions::default())),
@@ -119,76 +137,141 @@ impl BackendKind {
     }
 }
 
-/// One mined block: header plus body.
-#[derive(Debug, Clone)]
-pub struct Block {
-    /// The sealed header (binds parent hash, state/tx/receipt roots).
-    pub header: BlockHeader,
-    /// Packed transactions.
-    pub txs: Vec<Transaction>,
-    /// Execution receipts, one per transaction.
-    pub receipts: Vec<Receipt>,
-}
-
-/// Testnet configuration.
+/// What every chain driver reads: the shape of the chain and what executes
+/// and stores it.
 #[derive(Debug, Clone)]
 pub struct ChainConfig {
-    /// Validators that re-execute every block (roots must agree).
-    pub validators: usize,
     /// Transactions per block (paper: 180 for stock mining, 10 000 with the
     /// raised gas limit).
     pub block_size: usize,
-    /// Mining interval in seconds (paper: 12 s, and 1 s for the
-    /// execution-bound configuration).
-    pub mining_interval_secs: f64,
-    /// Worker threads per validator.
-    pub threads: usize,
-    /// The scheduler under test.
-    pub scheduler: SchedulerKind,
-    /// Number of blocks to mine.
+    /// Number of blocks to produce.
     pub blocks: usize,
-    /// Virtual-gas-to-wall-clock conversion. The default (4 M gas/s) makes
-    /// a typical contract call cost 5–10 ms, the paper's observed range.
-    pub gas_per_second: u64,
+    /// Worker threads: the virtual-time schedulers take the figure as is,
+    /// the threaded engine and root hashing take at most 8 of it.
+    pub threads: usize,
     /// Workload shape.
     pub workload: WorkloadConfig,
-    /// Re-execute every k-th block on the real threaded DMVCC executor and
-    /// compare write sets against serial (0 disables; keep small — the
-    /// threaded executor is the slow, faithful path).
-    pub crosscheck_every: usize,
-    /// Fraction of transactions that reach the pool *without* a SAG
-    /// (late propagation; the paper's pool-desync scenario).
-    pub pool_miss_rate: f64,
-    /// Whether missing SAGs are rebuilt on the fly (paper's first option)
-    /// or executed with empty predictions "as what OCC does" (second).
-    pub rebuild_missing_sags: bool,
-    /// Which real threaded engine backs the cross-checks and the pipelined
-    /// front-end (predictive sharded, optimistic STM, or hybrid).
+    /// Which threaded engine produces the blocks (predictive sharded,
+    /// optimistic STM, or hybrid).
     pub executor: ExecutorKind,
     /// Which persistent state backend the chain commits to.
     pub backend: BackendKind,
 }
 
 impl ChainConfig {
+    /// Real worker threads granted to the engine and to root hashing.
+    fn real_threads(&self) -> usize {
+        self.threads.clamp(1, 8)
+    }
+
+    fn build_executor(&self, analyzer: Analyzer) -> Box<dyn BlockExecutor> {
+        let config = ParallelConfig {
+            threads: self.real_threads(),
+            ..ParallelConfig::default()
+        };
+        self.executor.build(analyzer, config, None)
+    }
+}
+
+/// [`run_testnet`]'s configuration: the chain plus what only the testnet
+/// has — a transaction pool, mining and a virtual-time scheduler.
+#[derive(Debug, Clone)]
+pub struct TestnetConfig {
+    /// The chain to run.
+    pub chain: ChainConfig,
+    /// The scheduler whose virtual makespan is a block's execution time.
+    pub scheduler: SchedulerKind,
+    /// Mining interval in seconds (paper: 12 s, and 1 s for the
+    /// execution-bound configuration).
+    pub mining_interval_secs: f64,
+    /// Fraction of transactions that reach the pool *without* a SAG
+    /// (late propagation; the paper's pool-desync scenario).
+    pub pool_miss_rate: f64,
+    /// Whether missing SAGs are rebuilt on the fly (paper's first option)
+    /// or executed with empty predictions "as what OCC does" (second).
+    pub rebuild_missing_sags: bool,
+}
+
+impl TestnetConfig {
     /// The paper's execution-bound configuration: 10 000-tx blocks, 1 s
     /// mining, on the realistic workload.
     pub fn execution_bound(scheduler: SchedulerKind, threads: usize, seed: u64) -> Self {
-        ChainConfig {
-            validators: 20,
-            block_size: 10_000,
-            mining_interval_secs: 1.0,
-            threads,
+        TestnetConfig {
+            chain: ChainConfig {
+                block_size: 10_000,
+                blocks: 4,
+                threads,
+                workload: WorkloadConfig::ethereum_mix(seed),
+                executor: ExecutorKind::Sharded,
+                backend: BackendKind::Mem,
+            },
             scheduler,
-            blocks: 4,
-            gas_per_second: 4_000_000,
-            workload: WorkloadConfig::ethereum_mix(seed),
-            crosscheck_every: 0,
+            mining_interval_secs: 1.0,
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
-            executor: ExecutorKind::Sharded,
-            backend: BackendKind::Mem,
         }
     }
+}
+
+/// Produces the block after `parent`: executes `txs` on `executor` against
+/// `db`'s latest state — with `csags` as the predictions if given, else
+/// the engine refines its own — commits the engine's write set and seals
+/// the result with the statuses and gas the engine reported. `env` must be
+/// [`block_env`] of the new height.
+pub fn produce_block(
+    executor: &dyn BlockExecutor,
+    db: &mut StateDb,
+    parent: &BlockHeader,
+    txs: Vec<Transaction>,
+    csags: Option<&[CSag]>,
+    env: &BlockEnv,
+) -> Block {
+    let outcome = match csags {
+        Some(csags) => executor.execute_block_with_csags(&txs, db.latest(), env, csags),
+        None => executor.execute_block(&txs, db.latest(), env),
+    };
+    let state_root = db.commit(&outcome.final_writes);
+    let results = outcome.statuses.into_iter().zip(outcome.gas_used);
+    seal_block(parent, env, txs, results, state_root)
+}
+
+/// The serial reference chain. The oracle executes each block on its own
+/// state and seals what it saw through the same [`seal_block`] as the
+/// engines' blocks, so "this block is what serial execution produces" is
+/// one header comparison.
+struct Oracle {
+    analyzer: Analyzer,
+    db: StateDb,
+    head: BlockHeader,
+}
+
+impl Oracle {
+    fn new(analyzer: Analyzer, genesis: Vec<(StateKey, U256)>) -> Self {
+        let db = StateDb::with_genesis(genesis);
+        let head = BlockHeader::genesis(db.current_root());
+        Oracle { analyzer, db, head }
+    }
+
+    /// Executes `txs` serially as the next block. Returns the trace and
+    /// the header a sealed block of these transactions must carry.
+    fn next_block(&mut self, txs: &[Transaction], env: &BlockEnv) -> (BlockTrace, &BlockHeader) {
+        let trace = execute_block_serial(txs, self.db.latest(), &self.analyzer, env);
+        let state_root = self.db.commit(&trace.final_writes);
+        let results = trace.txs.iter().map(|t| (t.status.clone(), t.gas_used));
+        self.head = seal_block(&self.head, env, txs.to_vec(), results, state_root).header;
+        (trace, &self.head)
+    }
+}
+
+/// The first block (by number) that is not what the oracle sealed or that
+/// [`verify_chain`] rejects.
+fn first_divergence(
+    differs_from_oracle: Option<u64>,
+    genesis: &BlockHeader,
+    chain: &[Block],
+) -> Option<u64> {
+    let unverified = verify_chain(genesis, chain).map(|index| chain[index].header.number);
+    differs_from_oracle.into_iter().chain(unverified).min()
 }
 
 /// Outcome of a testnet run.
@@ -205,9 +288,9 @@ pub struct ChainReport {
     pub execution_seconds: f64,
     /// Throughput in transactions per second.
     pub tps: f64,
-    /// `true` if every validator produced identical roots on every block
-    /// (and the threaded cross-checks agreed with serial).
-    pub roots_consistent: bool,
+    /// Number of the first block whose sealed header differs from the one
+    /// the serial oracle seals, or that fails [`verify_chain`].
+    pub diverged_at: Option<u64>,
     /// Scheduler aborts accumulated over all blocks.
     pub aborts: u64,
     /// Final state root.
@@ -218,10 +301,18 @@ pub struct ChainReport {
     pub pool_stats: PoolStats,
 }
 
+impl ChainReport {
+    /// `true` if every sealed header equals the serial oracle's — state
+    /// root, receipts root and gas — and the chain verifies end to end.
+    pub fn roots_consistent(&self) -> bool {
+        self.diverged_at.is_none()
+    }
+}
+
 /// Executes one block under `scheduler`, returning its virtual-time report.
 pub fn schedule_block(
     scheduler: SchedulerKind,
-    trace: &dmvcc_core::BlockTrace,
+    trace: &BlockTrace,
     csags: &[CSag],
     threads: usize,
 ) -> SimReport {
@@ -233,140 +324,87 @@ pub fn schedule_block(
     }
 }
 
-/// Runs the micro testnet.
+/// Runs the micro testnet (RQ3, Fig. 8).
 ///
-/// Every validator executes every block; the state roots must agree (the
-/// paper's RQ1 oracle applied per block). In this simulation validators
-/// share the deterministic scheduler implementations, so disagreement
-/// indicates a protocol bug — additionally, `crosscheck_every` blocks are
-/// re-executed on the *real threaded* DMVCC executor and compared against
-/// the serial write set.
-pub fn run_testnet(config: &ChainConfig) -> ChainReport {
+/// Per block: transactions arrive in the pool (a `pool_miss_rate` share
+/// without a SAG), the packer takes a block and resolves its C-SAGs, and
+/// [`produce_block`] executes, commits and seals it on the configured
+/// engine with those C-SAGs. The serial oracle runs the same transactions
+/// for two purposes only: its trace is what the configured *virtual-time*
+/// scheduler is charged over (the block cycle is
+/// `max(mining_interval, makespan)`), and the header it seals is what the
+/// produced block's header must equal.
+pub fn run_testnet(config: &TestnetConfig) -> ChainReport {
     use rand::{Rng, SeedableRng};
-    let mut generator = WorkloadGenerator::new(config.workload.clone());
+    let chain_config = &config.chain;
+    let mut generator = WorkloadGenerator::new(chain_config.workload.clone());
     let analyzer = Analyzer::new(generator.registry().clone());
-    let mut db = config.backend.build_db(generator.genesis_entries());
-    // Replica DBs for the other validators (cheap: StateDb is persistent;
-    // clones share the backend Arc and re-commits are idempotent).
-    let mut replicas: Vec<StateDb> = (1..config.validators.max(1)).map(|_| db.clone()).collect();
-
-    let threaded = config.executor.build(
-        analyzer.clone(),
-        ParallelConfig {
-            threads: config.threads.clamp(1, 8),
-            ..ParallelConfig::default()
-        },
-        None,
-    );
+    let genesis_entries = generator.genesis_entries();
+    let mut db = chain_config.backend.build_db(genesis_entries.clone());
+    let executor = chain_config.build_executor(analyzer.clone());
+    let mut oracle = Oracle::new(analyzer.clone(), genesis_entries);
 
     let mut pool = TxPool::new();
-    let mut desync_rng = rand::rngs::StdRng::seed_from_u64(config.workload.seed ^ 0xdead);
-    let mut chain: Vec<Block> = Vec::with_capacity(config.blocks);
-    let mut parent = BlockHeader::genesis(db.current_root());
-    let genesis_header = parent.clone();
+    let mut desync_rng = rand::rngs::StdRng::seed_from_u64(chain_config.workload.seed ^ 0xdead);
+    let genesis = BlockHeader::genesis(db.current_root());
+    let mut chain: Vec<Block> = Vec::with_capacity(chain_config.blocks);
     let mut total_seconds = 0.0;
     let mut execution_seconds = 0.0;
-    let mut committed = 0u64;
     let mut aborts = 0u64;
-    let mut consistent = true;
+    let mut differs_from_oracle = None;
 
-    for height in 1..=config.blocks as u64 {
-        let block_env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+    for height in 1..=chain_config.blocks as u64 {
+        let env = block_env(height);
         let snapshot = db.latest().clone();
 
         // Arrival: the SAG analyzer processes transactions as they reach
         // the pool (paper §III-A), against the then-latest snapshot. A
         // fraction arrives without analysis (late propagation).
-        for tx in generator.block(config.block_size) {
+        for tx in generator.block(chain_config.block_size) {
             if config.pool_miss_rate > 0.0 && desync_rng.gen_bool(config.pool_miss_rate) {
                 pool.submit_raw(tx);
             } else {
-                let sag = analyzer.csag(&tx, &snapshot, &block_env);
+                let sag = analyzer.csag(&tx, &snapshot, &env);
                 pool.submit(tx, sag);
             }
         }
 
         // Packing + SAG resolution; cache misses are rebuilt on the fly or
         // run with empty predictions, as the paper allows.
-        let txs = pool.take(config.block_size);
+        let txs = pool.take(chain_config.block_size);
         let csags: Vec<CSag> = txs
             .iter()
             .zip(pool.resolve_sags(&txs))
             .map(|(tx, cached)| match cached {
                 Some(sag) => sag,
-                None if config.rebuild_missing_sags => analyzer.csag(tx, &snapshot, &block_env),
+                None if config.rebuild_missing_sags => analyzer.csag(tx, &snapshot, &env),
                 None => CSag::default(),
             })
             .collect();
 
-        let trace = execute_block_serial(&txs, &snapshot, &analyzer, &block_env);
-        let report = schedule_block(config.scheduler, &trace, &csags, config.threads);
+        let (trace, expected) = oracle.next_block(&txs, &env);
+        let report = schedule_block(config.scheduler, &trace, &csags, chain_config.threads);
         aborts += report.aborts;
-
-        // Optional cross-check on the real threaded executor.
-        if config.crosscheck_every > 0 && (height as usize).is_multiple_of(config.crosscheck_every)
-        {
-            let outcome = threaded.execute_block_with_csags(&txs, &snapshot, &block_env, &csags);
-            if outcome.final_writes != trace.final_writes {
-                consistent = false;
-            }
-        }
-
-        // Commit on every validator and compare roots.
-        let root = db.commit(&trace.final_writes);
-        for replica in &mut replicas {
-            if replica.commit(&trace.final_writes) != root {
-                consistent = false;
-            }
-        }
-
-        // Seal the header.
-        let receipts = build_receipts(
-            &trace
-                .txs
-                .iter()
-                .map(|t| (t.status.clone(), t.gas_used))
-                .collect::<Vec<_>>(),
-        );
-        let header = BlockHeader {
-            number: height,
-            parent_hash: parent.hash(),
-            state_root: root,
-            transactions_root: transactions_root(&txs),
-            receipts_root: receipts_root(&receipts),
-            timestamp: block_env.timestamp,
-            gas_used: trace.total_gas,
-        };
-        parent = header.clone();
-
-        let exec_secs = report.makespan as f64 / config.gas_per_second as f64;
+        let exec_secs = report.makespan as f64 / GAS_PER_SECOND as f64;
         execution_seconds += exec_secs;
         total_seconds += config.mining_interval_secs.max(exec_secs);
-        committed += txs.len() as u64;
-        chain.push(Block {
-            header,
-            txs,
-            receipts,
-        });
+
+        let parent = chain.last().map_or(&genesis, |block| &block.header);
+        let block = produce_block(&*executor, &mut db, parent, txs, Some(&csags), &env);
+        if block.header != *expected {
+            differs_from_oracle.get_or_insert(height);
+        }
+        chain.push(block);
     }
 
-    // The sealed chain must verify end to end.
-    let headers: Vec<BlockHeader> = chain.iter().map(|b| b.header.clone()).collect();
-    let bodies: Vec<(Vec<Transaction>, Vec<Receipt>)> = chain
-        .iter()
-        .map(|b| (b.txs.clone(), b.receipts.clone()))
-        .collect();
-    if verify_chain(&genesis_header, &headers, &bodies).is_some() {
-        consistent = false;
-    }
-
+    let committed: u64 = chain.iter().map(|block| block.txs.len() as u64).sum();
     ChainReport {
-        blocks: config.blocks,
+        blocks: chain_config.blocks,
         committed_txs: committed,
         total_seconds,
         execution_seconds,
         tps: committed as f64 / total_seconds.max(f64::EPSILON),
-        roots_consistent: consistent,
+        diverged_at: first_divergence(differs_from_oracle, &genesis, &chain),
         aborts,
         final_root: db.current_root(),
         chain,
@@ -398,16 +436,25 @@ pub struct PipelinedChainReport {
     /// Executor aborts over all blocks (stale pipelined predictions show
     /// up here, absorbed by the abort path).
     pub aborts: u64,
-    /// `true` if every block's write set matched the serial oracle *and*
-    /// every per-block async root matched the sync-commit oracle root.
-    pub roots_consistent: bool,
+    /// Number of the first block whose sealed header differs from the one
+    /// the serial oracle seals, or that fails [`verify_chain`].
+    pub diverged_at: Option<u64>,
     /// Final state root after committing every block.
     pub final_root: H256,
     /// CLI label of the state backend the chain committed to.
     pub backend: &'static str,
+    /// The sealed chain.
+    pub chain: Vec<Block>,
 }
 
 impl PipelinedChainReport {
+    /// `true` if every sealed header equals the serial oracle's — state
+    /// root (the asynchronously hashed one), receipts root and gas — and
+    /// the chain verifies end to end.
+    pub fn roots_consistent(&self) -> bool {
+        self.diverged_at.is_none()
+    }
+
     /// Fraction of refinement wall-time hidden behind execution.
     pub fn overlap_fraction(&self) -> f64 {
         if self.refine_seconds == 0.0 {
@@ -436,84 +483,75 @@ impl PipelinedChainReport {
 /// hashing overlaps the next block.
 ///
 /// Unlike [`run_testnet`] this path bypasses the pool and the virtual-time
-/// schedulers: it measures the real front-end, wall-clock, and checks
-/// every block's write set against the serial oracle.
+/// schedulers: it measures the real front-end, wall-clock. Each block is
+/// sealed as its asynchronously hashed root resolves, and the sealed chain
+/// is then replayed on the serial oracle header by header.
 pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
     let mut generator = WorkloadGenerator::new(config.workload.clone());
     let analyzer = Analyzer::new(generator.registry().clone());
     let genesis_entries = generator.genesis_entries();
     let mut db = config.backend.build_db(genesis_entries.clone());
-    db.set_hash_threads(config.threads.clamp(1, 8));
+    db.set_hash_threads(config.real_threads());
     // The generator emits transactions independent of execution state, so
     // the whole chain's blocks can be drawn up front — the pipeline needs
     // block N+1's transactions while block N runs.
     let blocks: Vec<Vec<Transaction>> = (0..config.blocks)
         .map(|_| generator.block(config.block_size))
         .collect();
-    let env_of = |i: usize| BlockEnv::new(1 + i as u64, 1_700_000_000 + (1 + i as u64) * 12);
+    let env_of = |i: usize| block_env(1 + i as u64);
 
-    let parallel_config = ParallelConfig {
-        threads: config.threads.clamp(1, 8),
-        ..ParallelConfig::default()
-    };
-    let genesis = db.latest().clone();
+    let genesis = BlockHeader::genesis(db.current_root());
+    let genesis_snapshot = db.latest().clone();
     // Block N's root hashing is launched off-thread the moment its writes
     // are known, so it overlaps block N+1's refinement and execution; the
     // handles resolve later and any residual wait is the un-hidden stall.
     let mut handles: Vec<RootHandle> = Vec::with_capacity(config.blocks);
-    let pipeline = BlockPipeline::new(config.executor.build(
-        analyzer.clone(),
-        parallel_config,
-        None,
-    ));
-    let (outcomes, _, stats) = pipeline.run_blocks_with(&blocks, &genesis, env_of, |_, outcome| {
-        handles.push(db.commit_async(&outcome.final_writes));
-    });
+    let pipeline = BlockPipeline::new(config.build_executor(analyzer.clone()));
+    let (outcomes, _, stats) =
+        pipeline.run_blocks_with(&blocks, &genesis_snapshot, env_of, |_, outcome| {
+            handles.push(db.commit_async(&outcome.final_writes));
+        });
 
-    // Resolve every block's root. The residual wait here is commit work
-    // the pipeline failed to hide; hash time minus that stall is hidden.
+    // Resolve every block's root and seal the block over it. The residual
+    // wait here is commit work the pipeline failed to hide; hash time
+    // minus that stall is hidden.
     let mut commit_nanos = 0u64;
     let mut stalled_nanos = 0u64;
-    for handle in &handles {
+    let mut aborts = 0u64;
+    let mut chain: Vec<Block> = Vec::with_capacity(config.blocks);
+    for (i, ((txs, outcome), handle)) in blocks.into_iter().zip(outcomes).zip(&handles).enumerate()
+    {
         let started = std::time::Instant::now();
-        handle.wait();
+        let state_root = handle.wait();
         stalled_nanos += started.elapsed().as_nanos() as u64;
         commit_nanos += handle.hash_nanos();
+        aborts += outcome.aborts;
+        let parent = chain.last().map_or(&genesis, |block| &block.header);
+        let results = outcome.statuses.into_iter().zip(outcome.gas_used);
+        chain.push(seal_block(parent, &env_of(i), txs, results, state_root));
     }
     let hidden_nanos = commit_nanos.saturating_sub(stalled_nanos);
 
-    // Serial oracle: write sets must match block by block, and the async
-    // per-block roots must match a synchronously-committed StateDb.
-    let mut oracle_db = StateDb::with_genesis(genesis_entries);
-    let mut consistent = true;
-    let mut committed = 0u64;
-    let mut aborts = 0u64;
-    for (i, (txs, outcome)) in blocks.iter().zip(&outcomes).enumerate() {
-        let oracle_snapshot = oracle_db.latest().clone();
-        let trace = execute_block_serial(txs, &oracle_snapshot, &analyzer, &env_of(i));
-        if outcome.final_writes != trace.final_writes {
-            consistent = false;
-        }
-        let oracle_root = oracle_db.commit(&trace.final_writes);
-        if db.root_at(1 + i as u64) != Some(oracle_root) {
-            consistent = false;
-        }
-        committed += txs.len() as u64;
-        aborts += outcome.aborts;
-    }
+    let mut oracle = Oracle::new(analyzer, genesis_entries);
+    let differs_from_oracle = chain.iter().find_map(|block| {
+        let number = block.header.number;
+        let (_, expected) = oracle.next_block(&block.txs, &block_env(number));
+        (block.header != *expected).then_some(number)
+    });
 
     PipelinedChainReport {
         blocks: config.blocks,
-        committed_txs: committed,
+        committed_txs: chain.iter().map(|block| block.txs.len() as u64).sum(),
         refine_seconds: stats.refine_nanos as f64 / 1e9,
         execute_seconds: stats.execute_nanos as f64 / 1e9,
         overlap_seconds: stats.overlapped_refine_nanos as f64 / 1e9,
         commit_seconds: commit_nanos as f64 / 1e9,
         commit_hidden_seconds: hidden_nanos as f64 / 1e9,
         aborts,
-        roots_consistent: consistent,
+        diverged_at: first_divergence(differs_from_oracle, &genesis, &chain),
         final_root: db.current_root(),
         backend: db.backend_name().unwrap_or("none"),
+        chain,
     }
 }
 
@@ -521,30 +559,35 @@ pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
 mod tests {
     use super::*;
 
-    fn tiny_config(scheduler: SchedulerKind) -> ChainConfig {
-        ChainConfig {
-            validators: 3,
-            block_size: 40,
-            mining_interval_secs: 0.5,
-            threads: 4,
-            scheduler,
-            blocks: 3,
-            gas_per_second: 4_000_000,
-            workload: WorkloadConfig {
-                accounts: 100,
-                token_contracts: 6,
-                amm_contracts: 3,
-                nft_contracts: 2,
-                counter_contracts: 1,
-                ballot_contracts: 1,
-                fig1_contracts: 1,
-                ..WorkloadConfig::ethereum_mix(11)
+    /// `mix` over few enough accounts and contracts to set up in
+    /// milliseconds.
+    fn tiny_workload(mix: WorkloadConfig) -> WorkloadConfig {
+        WorkloadConfig {
+            accounts: 100,
+            token_contracts: 6,
+            amm_contracts: 3,
+            nft_contracts: 2,
+            counter_contracts: 1,
+            ballot_contracts: 1,
+            fig1_contracts: 1,
+            ..mix
+        }
+    }
+
+    fn tiny_config(scheduler: SchedulerKind) -> TestnetConfig {
+        TestnetConfig {
+            chain: ChainConfig {
+                block_size: 40,
+                blocks: 3,
+                threads: 4,
+                workload: tiny_workload(WorkloadConfig::ethereum_mix(11)),
+                executor: ExecutorKind::Sharded,
+                backend: BackendKind::Mem,
             },
-            crosscheck_every: 1,
+            scheduler,
+            mining_interval_secs: 0.5,
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
-            executor: ExecutorKind::Sharded,
-            backend: BackendKind::Mem,
         }
     }
 
@@ -553,7 +596,7 @@ mod tests {
         let report = run_testnet(&tiny_config(SchedulerKind::Serial));
         assert_eq!(report.blocks, 3);
         assert_eq!(report.committed_txs, 120);
-        assert!(report.roots_consistent);
+        assert!(report.roots_consistent());
         assert!(report.tps > 0.0);
         assert_eq!(report.chain.len(), 3);
     }
@@ -564,7 +607,7 @@ mod tests {
         config.pool_miss_rate = 0.5;
         config.rebuild_missing_sags = false; // OCC fallback for misses
         let report = run_testnet(&config);
-        assert!(report.roots_consistent);
+        assert!(report.roots_consistent());
         assert!(report.pool_stats.sag_misses > 0);
         assert!(report.pool_stats.sag_hits > 0);
         // Same chain as the fully-analyzed run.
@@ -575,7 +618,7 @@ mod tests {
     #[test]
     fn headers_form_a_verified_chain() {
         let report = run_testnet(&tiny_config(SchedulerKind::Serial));
-        assert!(report.roots_consistent);
+        assert!(report.roots_consistent());
         for pair in report.chain.windows(2) {
             assert_eq!(pair[1].header.parent_hash, pair[0].header.hash());
         }
@@ -607,7 +650,7 @@ mod tests {
         let dmvcc = run_testnet(&tiny_config(SchedulerKind::Dmvcc));
         assert!(dmvcc.execution_seconds <= serial.execution_seconds + 1e-9);
         assert!(dmvcc.tps >= serial.tps - 1e-9);
-        assert!(dmvcc.roots_consistent);
+        assert!(dmvcc.roots_consistent());
     }
 
     #[test]
@@ -627,8 +670,8 @@ mod tests {
 
     #[test]
     fn pipelined_chain_matches_serial_oracle() {
-        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc));
-        assert!(report.roots_consistent);
+        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc).chain);
+        assert!(report.roots_consistent());
         assert_eq!(report.blocks, 3);
         assert_eq!(report.committed_txs, 120);
         assert!(report.refine_seconds > 0.0);
@@ -642,18 +685,18 @@ mod tests {
         // Same workload seed → same transactions → the pipelined
         // real-executor chain must land on the virtual testnet's root.
         let testnet = run_testnet(&tiny_config(SchedulerKind::Serial));
-        let pipelined = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc));
+        let pipelined = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc).chain);
         assert_eq!(pipelined.final_root, testnet.final_root);
     }
 
     /// One chain per engine: `run` must stay consistent with the serial
     /// oracle and land every engine on the same root.
-    fn every_engine_lands_on_one_root(run: impl Fn(&ChainConfig) -> (bool, H256)) {
+    fn every_engine_lands_on_one_root(run: impl Fn(&TestnetConfig) -> (bool, H256)) {
         let roots: Vec<H256> = ExecutorKind::ALL
             .iter()
             .map(|&kind| {
                 let mut config = tiny_config(SchedulerKind::Dmvcc);
-                config.executor = kind;
+                config.chain.executor = kind;
                 let (consistent, root) = run(&config);
                 assert!(consistent, "{} diverged", kind.label());
                 root
@@ -664,32 +707,92 @@ mod tests {
 
     #[test]
     fn stm_and_hybrid_crosschecks_stay_consistent() {
-        // Every block cross-checked on each engine must match the serial
-        // write set.
+        // Every block each engine produces must be the block the serial
+        // oracle seals.
         every_engine_lands_on_one_root(|config| {
             let report = run_testnet(config);
-            (report.roots_consistent, report.final_root)
+            (report.roots_consistent(), report.final_root)
         });
     }
 
     #[test]
     fn stm_and_hybrid_pipelined_chains_match_serial_oracle() {
         every_engine_lands_on_one_root(|config| {
-            let report = run_pipelined_chain(config);
+            let report = run_pipelined_chain(&config.chain);
             // Only engines that consume predictions refine at all.
             assert_eq!(
                 report.refine_seconds == 0.0,
-                config.executor == ExecutorKind::Stm
+                config.chain.executor == ExecutorKind::Stm
             );
             assert!(report.overlap_seconds <= report.refine_seconds + 1e-12);
-            (report.roots_consistent, report.final_root)
+            (report.roots_consistent(), report.final_root)
         });
+    }
+
+    /// Receipts carry the gas execution charged, not the gas analysis
+    /// predicted: on blocks where some C-SAG's `predicted_gas` is wrong,
+    /// every engine over every backend, fed fresh, stale or no
+    /// predictions, seals the headers the serial oracle seals.
+    #[test]
+    fn mispredicted_gas_never_reaches_a_sealed_header() {
+        let base = ChainConfig {
+            block_size: 120,
+            blocks: 2,
+            workload: tiny_workload(WorkloadConfig::high_contention(260)),
+            ..tiny_config(SchedulerKind::Dmvcc).chain
+        };
+
+        let mut generator = WorkloadGenerator::new(base.workload.clone());
+        let analyzer = Analyzer::new(generator.registry().clone());
+        let mut oracle = Oracle::new(analyzer.clone(), generator.genesis_entries());
+        let mut mispredicted = 0;
+        for height in 1..=base.blocks as u64 {
+            let txs = generator.block(base.block_size);
+            let env = block_env(height);
+            let predicted: Vec<u64> = txs
+                .iter()
+                .map(|tx| analyzer.csag(tx, oracle.db.latest(), &env).predicted_gas)
+                .collect();
+            let (trace, _) = oracle.next_block(&txs, &env);
+            let charged = trace.txs.iter().map(|t| t.gas_used);
+            mispredicted += predicted
+                .iter()
+                .zip(charged)
+                .filter(|(p, c)| *p != c)
+                .count();
+        }
+        assert!(
+            mispredicted > 0,
+            "no predicted gas is wrong: pick another seed"
+        );
+
+        for executor in ExecutorKind::ALL {
+            for backend in [BackendKind::Mem, BackendKind::Lsm] {
+                let chain = ChainConfig {
+                    executor,
+                    backend,
+                    ..base.clone()
+                };
+                let label = format!("{} over {}", executor.label(), backend.label());
+                let pipelined = run_pipelined_chain(&chain);
+                assert_eq!(pipelined.diverged_at, None, "pipelined, {label}");
+                let testnet = run_testnet(&TestnetConfig {
+                    chain,
+                    pool_miss_rate: 0.5,
+                    rebuild_missing_sags: false,
+                    ..tiny_config(SchedulerKind::Dmvcc)
+                });
+                assert_eq!(testnet.diverged_at, None, "testnet, {label}");
+                assert!(testnet.pool_stats.sag_misses > 0);
+                assert_eq!(testnet.chain, pipelined.chain, "{label}");
+            }
+        }
     }
 
     #[test]
     fn pipelined_commit_accounting_is_sane() {
-        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc));
-        assert!(report.roots_consistent);
+        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc).chain);
+        assert!(report.roots_consistent());
         assert!(report.commit_seconds > 0.0);
         assert!(report.commit_hidden_seconds <= report.commit_seconds + 1e-12);
         assert!((0.0..=1.0).contains(&report.commit_hidden_fraction()));
@@ -703,12 +806,12 @@ mod tests {
         // roots over the log-structured store.
         let mem_testnet = run_testnet(&tiny_config(SchedulerKind::Dmvcc));
         let mut config = tiny_config(SchedulerKind::Dmvcc);
-        config.backend = BackendKind::Lsm;
+        config.chain.backend = BackendKind::Lsm;
         let lsm_testnet = run_testnet(&config);
-        assert!(lsm_testnet.roots_consistent);
+        assert!(lsm_testnet.roots_consistent());
         assert_eq!(lsm_testnet.final_root, mem_testnet.final_root);
-        let lsm_pipelined = run_pipelined_chain(&config);
-        assert!(lsm_pipelined.roots_consistent);
+        let lsm_pipelined = run_pipelined_chain(&config.chain);
+        assert!(lsm_pipelined.roots_consistent());
         assert_eq!(lsm_pipelined.final_root, mem_testnet.final_root);
         assert_eq!(lsm_pipelined.backend, "lsm");
     }

@@ -226,19 +226,23 @@ USAGE:
   dmvcc run [--hot] [--blocks N] [--size M] [--threads T]
             [--scheduler serial|dag|occ|dmvcc|all] [--seed S]
       Generate blocks and report scheduler speedups (virtual time).
-  dmvcc chain [--hot] [--blocks N] [--size M] [--threads T]
+  dmvcc chain [--hot] [--blocks N] [--size M] [--threads T] [--seed S]
+              [--executor sharded|stm|hybrid] [--backend mem|lsm]
               [--scheduler serial|dag|occ|dmvcc] [--interval SECS]
-              [--pipeline] [--executor sharded|stm|hybrid]
-              [--backend mem|lsm]
-      Run the micro testnet and report throughput. --pipeline executes
-      blocks on the real executor with C-SAG refinement overlapped one
-      block ahead and reports the refine/execute overlap plus the
-      fraction of root hashing hidden off the critical path; --executor
-      picks the real threaded engine (predictive sharded, optimistic
-      Block-STM, or the hybrid router) behind cross-checks and the
-      pipelined path; --backend picks the persistent state store the
-      chain commits to (in-memory versioned map or the log-structured
-      on-disk store).
+              [--miss-rate P] | [--pipeline]
+      Produce a chain: every block is executed by the --executor engine
+      (predictive sharded, optimistic Block-STM, or the hybrid router),
+      committed to the --backend store (in-memory versioned map or the
+      log-structured on-disk store) and sealed with the gas execution
+      charged. Without --pipeline this is the micro testnet: transactions
+      arrive through a pool (--miss-rate of them without a SAG, rebuilt
+      at packing), and throughput is reported in virtual time — the
+      --scheduler's makespan per block against a --interval mining
+      floor. --pipeline runs the wall-clock front-end instead: C-SAG
+      refinement one block ahead and root hashing one block behind, and
+      reports how much of each was hidden. Either way each sealed header
+      is compared with the one the serial oracle seals; the first block
+      that differs is named and the exit status is nonzero.
   dmvcc profile [--hot] [--blocks N] [--size M] [--threads T]
                 [--repeat R] [--seed S]
       Re-execute the same prepared blocks on the sharded executor in a

@@ -8,7 +8,8 @@ use dmvcc_analysis::{
 };
 use dmvcc_baselines::{simulate_dag, simulate_occ};
 use dmvcc_chain::{
-    run_pipelined_chain, run_testnet, BackendKind, ChainConfig, ExecutorKind, SchedulerKind,
+    block_env, run_pipelined_chain, run_testnet, BackendKind, ChainConfig, ExecutorKind,
+    SchedulerKind, TestnetConfig,
 };
 use dmvcc_cli::{
     contract_by_name, fixture_address, fixture_registry, parse_args, ParsedArgs, CONTRACT_NAMES,
@@ -16,7 +17,6 @@ use dmvcc_cli::{
 };
 use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig};
 use dmvcc_state::Snapshot;
-use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
@@ -271,7 +271,7 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<(), String> {
     );
     for height in 1..=blocks as u64 {
         let txs = generator.block(size);
-        let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+        let env = block_env(height);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         let csags = build_csags(&txs, &snapshot, &analyzer, &env);
         let report = |label: &str, r: dmvcc_core::SimReport| {
@@ -320,23 +320,18 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
     let backend_name: String = parsed.get_or("backend", "mem".to_string())?;
     let backend = BackendKind::parse(&backend_name)
         .ok_or_else(|| format!("unknown backend `{backend_name}` (mem | lsm)"))?;
-    let config = ChainConfig {
-        validators: parsed.get_or("validators", 4usize)?,
+    let chain = ChainConfig {
         block_size: parsed.get_or("size", 500usize)?,
-        mining_interval_secs: parsed.get_or("interval", 1.0f64)?,
-        threads: parsed.get_or("threads", 8usize)?,
-        scheduler,
         blocks: parsed.get_or("blocks", 3usize)?,
-        gas_per_second: 4_000_000,
+        threads: parsed.get_or("threads", 8usize)?,
         workload: workload_from(parsed)?,
-        crosscheck_every: 0,
-        pool_miss_rate: parsed.get_or("miss-rate", 0.0f64)?,
-        rebuild_missing_sags: true,
         executor,
         backend,
     };
+    let diverged =
+        |block: u64| format!("block {block}: the sealed header differs from the serial oracle's");
     if parsed.has("pipeline") {
-        let report = run_pipelined_chain(&config);
+        let report = run_pipelined_chain(&chain);
         println!("executor           : {}", executor.label());
         println!("backend            : {}", report.backend);
         println!("blocks             : {}", report.blocks);
@@ -354,14 +349,19 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
             report.commit_hidden_fraction() * 100.0
         );
         println!("executor aborts    : {}", report.aborts);
-        println!("roots consistent   : {}", report.roots_consistent);
+        println!("roots consistent   : {}", report.roots_consistent());
         println!("final state root   : {}", report.final_root);
-        if !report.roots_consistent {
-            return Err("pipelined execution diverged from serial".into());
-        }
-        return Ok(());
+        return report
+            .diverged_at
+            .map_or(Ok(()), |block| Err(diverged(block)));
     }
-    let report = run_testnet(&config);
+    let report = run_testnet(&TestnetConfig {
+        chain,
+        scheduler,
+        mining_interval_secs: parsed.get_or("interval", 1.0f64)?,
+        pool_miss_rate: parsed.get_or("miss-rate", 0.0f64)?,
+        rebuild_missing_sags: true,
+    });
     println!("scheduler          : {}", scheduler.label());
     println!("executor           : {}", executor.label());
     println!("backend            : {}", backend.label());
@@ -375,12 +375,11 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
         "pool SAG cache     : {} hits / {} misses",
         report.pool_stats.sag_hits, report.pool_stats.sag_misses
     );
-    println!("roots consistent   : {}", report.roots_consistent);
+    println!("roots consistent   : {}", report.roots_consistent());
     println!("final state root   : {}", report.final_root);
-    if !report.roots_consistent {
-        return Err("validator roots diverged".into());
-    }
-    Ok(())
+    report
+        .diverged_at
+        .map_or(Ok(()), |block| Err(diverged(block)))
 }
 
 /// `dmvcc profile`: a flamegraph-friendly hot loop over the sharded
@@ -404,13 +403,13 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     struct Prepared {
         txs: Vec<dmvcc_vm::Transaction>,
         snapshot: Snapshot,
-        env: BlockEnv,
+        env: dmvcc_vm::BlockEnv,
         expected: dmvcc_state::WriteSet,
     }
     let mut prepared = Vec::with_capacity(blocks);
     for height in 1..=blocks as u64 {
         let txs = generator.block(size);
-        let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+        let env = block_env(height);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         let next = snapshot.apply(&trace.final_writes);
         prepared.push(Prepared {

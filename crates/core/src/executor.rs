@@ -3,12 +3,12 @@
 //! The three threaded engines ([`ParallelExecutor`], [`StmExecutor`],
 //! [`HybridExecutor`]) are distinct types with the same block-level
 //! contract: given a block and the snapshot before it, return a
-//! [`ParallelOutcome`] whose write set and statuses equal the serial
-//! oracle's. [`BlockExecutor`] is that contract as an object-safe trait,
-//! and [`ExecutorKind::build`] is the only place a kind is turned into an
-//! engine — the chain, the DST driver, the benches and [`crate::BlockPipeline`]
-//! all hold a `dyn BlockExecutor` (or are generic over one) and never match
-//! on the kind.
+//! [`ParallelOutcome`] whose write set, statuses and per-transaction gas
+//! equal the serial oracle's. [`BlockExecutor`] is that contract as an
+//! object-safe trait, and [`ExecutorKind::build`] is the only place a kind
+//! is turned into an engine — the chain, the DST driver, the benches and
+//! [`crate::BlockPipeline`] all hold a `dyn BlockExecutor` (or are generic
+//! over one) and never match on the kind.
 
 use std::sync::Arc;
 
@@ -229,6 +229,7 @@ mod tests {
         let env = BlockEnv::default();
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         let statuses: Vec<ExecStatus> = trace.txs.iter().map(|t| t.status.clone()).collect();
+        let gas_used: Vec<u64> = trace.txs.iter().map(|t| t.gas_used).collect();
         for kind in ExecutorKind::ALL {
             for threads in [0, 1, txs.len() + 5] {
                 let config = ParallelConfig {
@@ -241,6 +242,7 @@ mod tests {
                 let label = format!("{} at threads={threads}", kind.label());
                 assert_eq!(outcome.final_writes, trace.final_writes, "{label}");
                 assert_eq!(outcome.statuses, statuses, "{label}");
+                assert_eq!(outcome.gas_used, gas_used, "{label}");
             }
         }
     }

@@ -104,8 +104,9 @@ pub trait SchedHook: Send + Sync + std::fmt::Debug {
 
     /// Fault injection: forcibly abort `tx` before running `attempt`
     /// (returns `true` to abort). Implementations must stop injecting after
-    /// a bounded number of attempts or the executor's `max_attempts` guard
-    /// will surface `Interrupted` statuses.
+    /// a bounded number of attempts: the executor re-admits an aborted
+    /// transaction for as long as something aborts it, so an unbounded
+    /// injector keeps the block from finishing.
     fn inject_abort(&self, _tx: usize, _attempt: u32) -> bool {
         false
     }

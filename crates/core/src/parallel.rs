@@ -46,6 +46,7 @@ use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
 use dmvcc_vm::{
     execute, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind,
+    INTRINSIC_GAS,
 };
 
 use dmvcc_analysis::{Analyzer, CSag};
@@ -74,8 +75,10 @@ pub struct ParallelConfig {
     /// Number of OS worker threads (clamped per block to
     /// `1..=transactions`).
     pub threads: usize,
-    /// Hard cap on attempts per transaction (the protocol converges long
-    /// before; this guards against bugs, not livelock).
+    /// Speculative attempts per transaction. A transaction that has spent
+    /// them — an abort storm: most of the block mispredicted on a hot key
+    /// — is next admitted only once every earlier transaction has
+    /// finished, and nothing is left to abort that run.
     pub max_attempts: u32,
 }
 
@@ -152,6 +155,10 @@ pub struct ParallelOutcome {
     pub final_writes: WriteSet,
     /// Final status per transaction.
     pub statuses: Vec<ExecStatus>,
+    /// Gas each transaction's final execution charged, index-aligned with
+    /// `statuses` — what the serial oracle charges, not what analysis
+    /// predicted.
+    pub gas_used: Vec<u64>,
     /// Non-deterministic aborts (re-executions) that occurred.
     pub aborts: u64,
     /// Scheduler behavior counters for this block.
@@ -206,6 +213,8 @@ struct TxCore {
     phase: Phase,
     attempts: u32,
     status: Option<ExecStatus>,
+    /// Gas charged by the execution that set `status`.
+    gas_used: u64,
     /// Key ids whose versions this tx materialized in the sequences during
     /// the current attempt (for rollback on abort).
     published: IdSet,
@@ -312,6 +321,8 @@ struct Shared<'a> {
     /// Worker threads running this block (the configured count clamped to
     /// `1..=txs.len()`).
     threads: usize,
+    /// [`ParallelConfig::max_attempts`].
+    max_attempts: u32,
     /// Optional scheduling hook (`None` in production; see
     /// [`crate::SchedHook`]).
     hook: Option<Arc<dyn SchedHook>>,
@@ -394,8 +405,24 @@ impl Shared<'_> {
     /// version appearing concurrently can cause a *spurious* admission —
     /// harmless, the attempt just blocks (or aborts) like any mispredicted
     /// read — but never a missed one.
+    ///
+    /// A transaction that has spent its `max_attempts` is held back until
+    /// every earlier transaction has finished. Aborts only ever come from
+    /// an earlier transaction's version changing, so that run is final:
+    /// an abort storm costs re-executions, never the block's completion.
+    /// Nothing signals the hold's end; the workers' self-heal sweep (which
+    /// runs whenever a worker finds the ready queue empty) re-tries it.
     fn try_admit(&self, tx: usize) -> bool {
-        if self.states[tx].core.lock().phase != Phase::Waiting {
+        let spent = {
+            let core = self.states[tx].core.lock();
+            if core.phase != Phase::Waiting {
+                return false;
+            }
+            core.attempts >= self.max_attempts
+        };
+        // Checked in index order, so each `Finished` seen is final: every
+        // transaction that could still abort it was seen finished first.
+        if spent && !(0..tx).all(|i| self.states[i].core.lock().phase == Phase::Finished) {
             return false;
         }
         if !self.is_ready(tx) {
@@ -539,10 +566,10 @@ impl Shared<'_> {
         }
     }
 
-    /// Marks `tx` finished with `status`. The counter increment happens
-    /// under the core lock so `finished` never exceeds the number of
-    /// transactions whose phase is `Finished`.
-    fn finish(&self, tx: usize, generation: u32, status: ExecStatus) {
+    /// Marks `tx` finished with `status` after charging `gas_used`. The
+    /// counter increment happens under the core lock so `finished` never
+    /// exceeds the number of transactions whose phase is `Finished`.
+    fn finish(&self, tx: usize, generation: u32, status: ExecStatus, gas_used: u64) {
         // Commit decision point — observed before the core lock so a
         // stalling hook delays this commit, never other transactions.
         if let Some(hook) = self.hook() {
@@ -554,6 +581,7 @@ impl Shared<'_> {
         }
         core.phase = Phase::Finished;
         core.status = Some(status);
+        core.gas_used = gas_used;
         let done = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
         if done == self.txs.len() {
             self.idle_event.signal();
@@ -876,6 +904,7 @@ fn recycle_state(state: &mut TxState) -> u64 {
     core.phase = Phase::Waiting;
     core.attempts = 0;
     core.status = None;
+    core.gas_used = 0;
     core.published.clear();
     core.touched.clear();
     *state.event.epoch.get_mut() = 0;
@@ -963,6 +992,7 @@ impl ParallelExecutor {
             return ParallelOutcome {
                 final_writes: WriteSet::new(),
                 statuses: Vec::new(),
+                gas_used: Vec::new(),
                 aborts: 0,
                 stats: ExecutorStats::default(),
             };
@@ -1074,6 +1104,7 @@ impl ParallelExecutor {
                     phase: Phase::Waiting,
                     attempts: 0,
                     status: None,
+                    gas_used: 0,
                     published: IdSet::new(),
                     touched: IdSet::new(),
                 }),
@@ -1112,6 +1143,7 @@ impl ParallelExecutor {
             // More workers than transactions could only park; zero would
             // run nothing at all.
             threads: self.config.threads.clamp(1, n),
+            max_attempts: self.config.max_attempts,
             hook: self.hook.clone(),
         };
         // Initial admission (Algorithm 1 line 1).
@@ -1136,10 +1168,12 @@ impl ParallelExecutor {
             ..
         } = shared;
         let mut statuses = Vec::with_capacity(n);
+        let mut gas_used = Vec::with_capacity(n);
         for state in &mut states {
             let core = state.core.get_mut();
             stats.attempts += core.attempts as u64;
             statuses.push(core.status.clone().unwrap_or(ExecStatus::Interrupted));
+            gas_used.push(core.gas_used);
         }
         // Return the block's buffers to the arena for the next call.
         {
@@ -1150,6 +1184,7 @@ impl ParallelExecutor {
         ParallelOutcome {
             final_writes,
             statuses,
+            gas_used,
             aborts: aborts.into_inner(),
             stats,
         }
@@ -1171,20 +1206,7 @@ impl ParallelExecutor {
                     } else {
                         core.phase = Phase::Running;
                         core.attempts += 1;
-                        if core.attempts > self.config.max_attempts {
-                            // Bug guard: finalize as interrupted rather
-                            // than spinning forever. Increment under the
-                            // core lock, like every finish.
-                            core.phase = Phase::Finished;
-                            core.status = Some(ExecStatus::Interrupted);
-                            let done = shared.finished.fetch_add(1, Ordering::SeqCst) + 1;
-                            if done == n {
-                                shared.idle_event.signal();
-                            }
-                            None
-                        } else {
-                            Some(core.attempts)
-                        }
+                        Some(core.attempts)
                     }
                 };
                 shared.note_dequeue(lane, run.is_some());
@@ -1252,10 +1274,7 @@ impl ParallelExecutor {
         // Entry release point: the transaction cannot abort at all.
         if let Some(rp) = csag.release_points.first() {
             if rp.pc == 0 {
-                let gas_left = transaction
-                    .env
-                    .gas_limit
-                    .saturating_sub(dmvcc_vm::INTRINSIC_GAS);
+                let gas_left = transaction.env.gas_limit.saturating_sub(INTRINSIC_GAS);
                 let passed = match shared.hook() {
                     Some(hook) => hook.release_gate(tx, rp.pc, gas_left, rp.gas_bound),
                     None => gas_left >= rp.gas_bound,
@@ -1266,7 +1285,7 @@ impl ParallelExecutor {
             }
         }
 
-        let status = run_tx(
+        let (status, gas_used) = run_tx(
             &mut host,
             transaction,
             self.analyzer.registry(),
@@ -1280,28 +1299,33 @@ impl ParallelExecutor {
             return;
         }
         match status {
-            ExecStatus::Success => finalize_success(&mut host),
+            ExecStatus::Success => finalize_success(&mut host, gas_used),
             ExecStatus::Interrupted => {
                 // The host returned Aborted (stale generation or deadlock
                 // yield); abort_cascade already handled the bookkeeping.
             }
-            deterministic => finalize_deterministic_abort(&mut host, deterministic),
+            deterministic => finalize_deterministic_abort(&mut host, deterministic, gas_used),
         }
     }
 }
 
 /// Runs one transaction against `host` — the one place outside the serial
-/// oracle where a [`TxKind`] becomes an execution. A host abort
-/// ([`HostError::Aborted`]) surfaces as [`ExecStatus::Interrupted`].
+/// oracle where a [`TxKind`] becomes an execution. Returns the status and
+/// the gas charged, which is the oracle's figure: [`INTRINSIC_GAS`] for a
+/// transfer or an unknown callee, the interpreter's for a call. A host
+/// abort ([`HostError::Aborted`]) surfaces as [`ExecStatus::Interrupted`].
 pub(crate) fn run_tx<H: Host>(
     host: &mut H,
     tx: &Transaction,
     registry: &CodeRegistry,
     block_env: &BlockEnv,
     release_points: Option<&HashSet<usize>>,
-) -> ExecStatus {
+) -> (ExecStatus, u64) {
     match tx.kind {
-        TxKind::Transfer => run_transfer(host, tx).unwrap_or(ExecStatus::Interrupted),
+        TxKind::Transfer => (
+            run_transfer(host, tx).unwrap_or(ExecStatus::Interrupted),
+            INTRINSIC_GAS,
+        ),
         TxKind::Call => match registry.code(&tx.to()) {
             Some(code) => {
                 let params = ExecParams {
@@ -1311,10 +1335,11 @@ pub(crate) fn run_tx<H: Host>(
                     release_points,
                     registry: Some(registry),
                 };
-                execute(&params, host).status
+                let outcome = execute(&params, host);
+                (outcome.status, outcome.gas_used)
             }
             // Unknown contract: nothing to execute, trivial success.
-            None => ExecStatus::Success,
+            None => (ExecStatus::Success, INTRINSIC_GAS),
         },
     }
 }
@@ -1333,7 +1358,7 @@ fn run_transfer<H: Host>(host: &mut H, tx: &Transaction) -> Result<ExecStatus, H
 }
 
 /// Publishes remaining writes, drops unfulfilled predictions, marks done.
-fn finalize_success(host: &mut ThreadHost<'_, '_>) {
+fn finalize_success(host: &mut ThreadHost<'_, '_>, gas_used: u64) {
     let shared = host.shared;
     let tx = host.tx;
     let mut batch: Vec<_> = host.buffer.entries().collect();
@@ -1357,13 +1382,13 @@ fn finalize_success(host: &mut ThreadHost<'_, '_>) {
     if host.apply_batch(&mut to_drop).is_err() {
         return;
     }
-    shared.finish(tx, host.generation, ExecStatus::Success);
+    shared.finish(tx, host.generation, ExecStatus::Success, gas_used);
 }
 
 /// Rolls back a deterministic abort (revert / out-of-gas / code fault):
 /// buffered writes are discarded; versions already published early are
 /// dropped, cascading aborts to their readers (paper §IV-F case 2).
-fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatus) {
+fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatus, gas_used: u64) {
     let shared = host.shared;
     let tx = host.tx;
     host.buffer.clear();
@@ -1399,7 +1424,7 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
     if host.apply_batch(&mut to_drop).is_err() {
         return;
     }
-    shared.finish(tx, host.generation, status);
+    shared.finish(tx, host.generation, status, gas_used);
 }
 
 #[cfg(test)]
@@ -1470,6 +1495,39 @@ mod tests {
         let outcome = executor(2).execute_block(&[], &Snapshot::empty(), &BlockEnv::default());
         assert!(outcome.final_writes.is_empty());
         assert_eq!(outcome.aborts, 0);
+    }
+
+    #[test]
+    fn spent_attempts_serialize_the_transaction_instead_of_failing_it() {
+        // An abort storm by construction: every transaction reads and
+        // writes one counter, none is predicted to, and one speculative
+        // attempt is all each gets. The rest of the block must still run —
+        // each transaction once more, after everything before it.
+        let txs: Vec<Transaction> = (0..48)
+            .map(|i| {
+                Transaction::call(TxEnv::call(
+                    Address::from_u64(900 + i),
+                    Address::from_u64(COUNTER),
+                    calldata(contracts::counter_fn::INCREMENT_CHECKED, &[]),
+                ))
+            })
+            .collect();
+        let analyzer = Analyzer::new(registry());
+        let config = ParallelConfig {
+            threads: 4,
+            max_attempts: 1,
+        };
+        let env = BlockEnv::default();
+        let snapshot = Snapshot::empty();
+        let outcome = ParallelExecutor::new(analyzer, config).execute_block_with_csags(
+            &txs,
+            &snapshot,
+            &env,
+            &vec![CSag::default(); txs.len()],
+        );
+        assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
+        assert_eq!(outcome.statuses, vec![ExecStatus::Success; txs.len()]);
+        assert!(outcome.stats.attempts <= 2 * txs.len() as u64);
     }
 
     #[test]

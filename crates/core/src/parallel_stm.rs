@@ -92,6 +92,8 @@ struct TxSlot {
     execs: u32,
     /// Terminal status of the latest execution.
     status: Option<ExecStatus>,
+    /// Gas the latest execution charged.
+    gas_used: u64,
     /// External reads `(id, observed value)` of the latest execution, in
     /// order — the validation set.
     reads: Vec<(KeyId, U256)>,
@@ -209,6 +211,7 @@ impl Host for StmHost<'_, '_> {
 /// The result of one optimistic execution.
 struct TxRun {
     status: ExecStatus,
+    gas_used: u64,
     /// The validation read set: every external `(key, value)` observed.
     reads: Vec<(KeyId, U256)>,
     /// The versions to publish (empty unless the execution succeeded).
@@ -225,7 +228,7 @@ fn execute_tx(shared: &StmShared<'_>, tx_index: usize) -> TxRun {
     };
     // The optimistic engine never publishes early, so release-point
     // callbacks have nothing to gate.
-    let status = run_tx(
+    let (status, gas_used) = run_tx(
         &mut host,
         &shared.txs[tx_index],
         shared.analyzer.registry(),
@@ -239,6 +242,7 @@ fn execute_tx(shared: &StmShared<'_>, tx_index: usize) -> TxRun {
     };
     TxRun {
         status,
+        gas_used,
         reads: host.reads,
         entries,
     }
@@ -306,6 +310,7 @@ fn try_commit(shared: &StmShared<'_>) {
             shared.attempts.fetch_add(1, Ordering::Relaxed);
             slot.execs += 1;
             slot.status = Some(run.status);
+            slot.gas_used = run.gas_used;
             slot.reads = run.reads;
             publish(shared, t, run.entries, &mut slot);
         }
@@ -338,6 +343,7 @@ fn worker(shared: &StmShared<'_>) {
             let mut slot = shared.slots[t].lock();
             publish(shared, t, run.entries, &mut slot);
             slot.execs = 1;
+            slot.gas_used = run.gas_used;
             slot.reads = run.reads;
             // Publish-before-status: the commit cursor only looks at a
             // slot whose status is set, under the same lock.
@@ -456,6 +462,7 @@ impl StmExecutor {
             return ParallelOutcome {
                 final_writes: WriteSet::new(),
                 statuses: Vec::new(),
+                gas_used: Vec::new(),
                 aborts: 0,
                 stats: ExecutorStats::default(),
             };
@@ -497,16 +504,15 @@ impl StmExecutor {
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
 
         let final_writes = shared.sequences.final_writes(snapshot);
-        let statuses: Vec<ExecStatus> = shared
+        let (statuses, gas_used) = shared
             .slots
             .iter()
             .map(|slot| {
-                slot.lock()
-                    .status
-                    .clone()
-                    .expect("every transaction committed")
+                let slot = slot.lock();
+                let status = slot.status.clone().expect("every transaction committed");
+                (status, slot.gas_used)
             })
-            .collect();
+            .unzip();
         let stats = ExecutorStats {
             attempts: shared.attempts.load(Ordering::Relaxed),
             publishes: shared.publishes.load(Ordering::Relaxed),
@@ -519,6 +525,7 @@ impl StmExecutor {
         ParallelOutcome {
             final_writes,
             statuses,
+            gas_used,
             aborts: shared.aborts.load(Ordering::Relaxed),
             stats,
         }

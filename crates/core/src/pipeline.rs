@@ -388,6 +388,8 @@ mod tests {
                         "{} diverged at block {i}",
                         kind.label()
                     );
+                    let gas_used: Vec<u64> = trace.txs.iter().map(|t| t.gas_used).collect();
+                    assert_eq!(outcome.gas_used, gas_used, "{} block {i}", kind.label());
                     snapshot = snapshot.apply(&trace.final_writes);
                 });
             assert_eq!(outcomes.len(), blocks.len());

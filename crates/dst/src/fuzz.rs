@@ -313,7 +313,7 @@ fn diff_writes(serial: &WriteSet, parallel: &WriteSet) -> Vec<String> {
     lines
 }
 
-/// Per-transaction status diff (capped, deterministic).
+/// Per-transaction status and gas diff (capped, deterministic).
 fn diff_statuses(trace: &BlockTrace, outcome: &ParallelOutcome) -> Vec<String> {
     let mut lines = Vec::new();
     for (i, t) in trace.txs.iter().enumerate() {
@@ -321,6 +321,12 @@ fn diff_statuses(trace: &BlockTrace, outcome: &ParallelOutcome) -> Vec<String> {
             lines.push(format!(
                 "status tx {i}: serial={:?} executor={:?}",
                 t.status, outcome.statuses[i]
+            ));
+        }
+        if outcome.gas_used[i] != t.gas_used {
+            lines.push(format!(
+                "gas tx {i}: serial={} executor={}",
+                t.gas_used, outcome.gas_used[i]
             ));
         }
     }

@@ -51,7 +51,8 @@ pub struct SchedConfig {
     /// Probability of forcibly aborting a dequeued attempt (abort storm).
     pub inject_abort_ppm: u32,
     /// Injection stops above this attempt number, so storms stay bounded
-    /// well below the executor's `max_attempts` guard.
+    /// (well below the executor's `max_attempts`, past which a transaction
+    /// waits for everything before it).
     pub inject_abort_max_attempt: u32,
     /// Probability (per transaction) of forcing its release gates open —
     /// the paper's out-of-gas-after-release-point failure mode.

@@ -63,7 +63,8 @@ pub struct BackendStats {
 ///
 /// - Batches must be applied in strictly increasing `height` order;
 ///   re-applying a batch at a height at or below [`StateBackend::tip`] is
-///   a **no-op** (validator replicas re-commit the same block).
+///   a **no-op** (a `StateDb` clone sharing the backend re-commits the
+///   same block).
 /// - A zero value is a tombstone: the key reads as deleted at and after
 ///   that height (EVM storage-clearing), while older `as_of` heights keep
 ///   the previous value.

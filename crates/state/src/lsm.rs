@@ -25,7 +25,7 @@
 //! Crash durability is per-flush: [`LsmBackend::flush`] fsyncs the new
 //! segment, and [`LsmBackend::open`] rebuilds the sparse indexes and tip
 //! from the segment files alone. Unflushed memtable contents are lost on
-//! a crash, which for this repo's validators just means re-executing the
+//! a crash, which for a node of this chain just means re-executing the
 //! last few blocks.
 
 use std::collections::BTreeMap;

@@ -623,23 +623,23 @@ mod tests {
     }
 
     #[test]
-    fn backend_replicas_share_storage_idempotently() {
+    fn backend_clones_share_storage_idempotently() {
         use crate::MemBackend;
         let genesis = vec![(key(1), U256::from(5u64))];
         let mut db = StateDb::with_backend(
             Arc::new(MemBackend::new()) as Arc<dyn StateBackend>,
             genesis,
         );
-        // A replica cloned from the validator shares the backend Arc and
-        // re-commits identical batches — apply_batch must be idempotent.
-        let mut replica = db.clone();
+        // A clone shares the backend Arc and re-commits identical batches
+        // — apply_batch must be idempotent.
+        let mut clone = db.clone();
         for block in 1..=5u64 {
             let w = writes(&[(block, block * 10)]);
             let r1 = db.commit(&w);
-            let r2 = replica.commit(&w);
+            let r2 = clone.commit(&w);
             assert_eq!(r1, r2, "block {block}");
         }
         assert_eq!(db.get(&key(3)), U256::from(30u64));
-        assert_eq!(replica.get(&key(3)), U256::from(30u64));
+        assert_eq!(clone.get(&key(3)), U256::from(30u64));
     }
 }

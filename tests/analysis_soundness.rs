@@ -372,6 +372,66 @@ proptest! {
     }
 }
 
+/// How a workload's blocks refine: C-SAGs per tier over consecutive
+/// blocks (each refined against the state the earlier ones left), and the
+/// code-hash summary memo's traffic while doing so.
+#[derive(Debug, Default)]
+struct TierMix {
+    symbolic: u64,
+    loop_summarized: u64,
+    interprocedural: u64,
+    bounded_dynamic: u64,
+    speculative: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+}
+
+impl TierMix {
+    fn of(workload: dmvcc_workload::WorkloadConfig, blocks: u64, block_size: usize) -> TierMix {
+        let mut generator = dmvcc_workload::WorkloadGenerator::new(workload);
+        let analyzer = Analyzer::new(generator.registry().clone());
+        let mut snapshot = Snapshot::from_entries(generator.genesis_entries());
+        let mut mix = TierMix::default();
+        for height in 1..=blocks {
+            let env = dmvcc_chain::block_env(height);
+            let txs = generator.block(block_size);
+            for tx in &txs {
+                match analyzer.csag(tx, &snapshot, &env).tier {
+                    RefinementTier::Symbolic => mix.symbolic += 1,
+                    RefinementTier::LoopSummarized => mix.loop_summarized += 1,
+                    RefinementTier::Interprocedural => mix.interprocedural += 1,
+                    RefinementTier::BoundedDynamic => mix.bounded_dynamic += 1,
+                    RefinementTier::Speculative => mix.speculative += 1,
+                    // Transfers; analyzable calls never land on the
+                    // withheld tier.
+                    RefinementTier::Exact | RefinementTier::Optimistic => {}
+                }
+            }
+            let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
+            snapshot = snapshot.apply(&trace.final_writes);
+        }
+        let summaries = analyzer.registry().summaries();
+        mix.memo_hits = summaries.hits();
+        mix.memo_misses = summaries.misses();
+        mix
+    }
+
+    /// Calls that refined through a call tier.
+    fn call_bound(&self) -> u64 {
+        self.interprocedural + self.bounded_dynamic
+    }
+
+    /// Calls served without speculative pre-execution.
+    fn bound(&self) -> u64 {
+        self.symbolic + self.loop_summarized + self.call_bound()
+    }
+
+    /// Share of refinements that fell back to speculation.
+    fn speculative_share(&self) -> f64 {
+        self.speculative as f64 / (self.bound() + self.speculative).max(1) as f64
+    }
+}
+
 /// The symbolic binding tier has to carry its weight: on the realistic
 /// workload mix, well over half of the contract calls must refine through
 /// the fast path, with speculative pre-execution reserved for the genuinely
@@ -379,38 +439,43 @@ proptest! {
 /// abstract interpreter lost precision somewhere.
 #[test]
 fn symbolic_tier_binds_most_realistic_transactions() {
-    use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
+    let mix = TierMix::of(dmvcc_workload::WorkloadConfig::ethereum_mix(7), 1, 400);
+    assert!(mix.bound() > 0, "workload produced no contract calls");
+    assert!(mix.speculative_share() <= 0.40, "{mix:?}");
+}
 
-    let mut generator = WorkloadGenerator::new(WorkloadConfig::ethereum_mix(7));
-    let analyzer = Analyzer::new(generator.registry().clone());
-    let snapshot = Snapshot::from_entries(generator.genesis_entries());
-    let env = BlockEnv::new(1, 1_700_000_000);
-    let txs = generator.block(400);
+/// Loop summarization must carry the loop-heavy profile and
+/// interprocedural summaries the call-heavy one (its cross-contract chains
+/// bind from composed templates): speculative pre-execution is the
+/// exception there, not the rule.
+#[test]
+fn loop_and_call_profiles_bind_through_their_own_tier() {
+    use dmvcc_workload::WorkloadConfig;
+    let loops = TierMix::of(WorkloadConfig::loop_heavy(31), 2, 120);
+    assert!(loops.speculative_share() < 0.10, "{loops:?}");
+    assert!(loops.loop_summarized > 0, "{loops:?}");
+    let calls = TierMix::of(WorkloadConfig::call_heavy(31), 2, 120);
+    assert!(calls.speculative_share() < 0.10, "{calls:?}");
+    assert!(calls.interprocedural > 0, "{calls:?}");
+}
 
-    let mut symbolic = 0u64;
-    let mut loop_summarized = 0u64;
-    let mut interprocedural = 0u64;
-    let mut speculative = 0u64;
-    for tx in &txs {
-        match analyzer.csag(tx, &snapshot, &env).tier {
-            RefinementTier::Symbolic => symbolic += 1,
-            RefinementTier::LoopSummarized => loop_summarized += 1,
-            RefinementTier::Interprocedural | RefinementTier::BoundedDynamic => {
-                interprocedural += 1
-            }
-            RefinementTier::Speculative => speculative += 1,
-            // Analyzable transactions never land on the withheld tier.
-            RefinementTier::Exact | RefinementTier::Optimistic => {}
-        }
-    }
-    let bound = symbolic + loop_summarized + interprocedural;
-    let refined = bound + speculative;
-    assert!(refined > 0, "workload produced no contract calls");
-    let hit_rate = bound as f64 / refined as f64;
+/// The full call family must carry the mint rush: DELEGATECALL royalty
+/// splits, STATICCALL floor reads and the bounded-dynamic payout target
+/// all bind from composed summaries — at least 90 % of the call-bearing
+/// transactions (those that refined through a call tier or fell back to
+/// speculation). The drops deploy many copies of three bodies (drop,
+/// splitter, floor oracle), so the code-hash memo must see far more hits
+/// than distinct-body misses.
+#[test]
+fn mint_rush_binds_its_calls_and_shares_its_summaries() {
+    let mints = TierMix::of(dmvcc_workload::WorkloadConfig::nft_mint_rush(31), 2, 120);
+    let call_bearing = mints.call_bound() + mints.speculative;
     assert!(
-        hit_rate >= 0.60,
-        "symbolic binding hit rate {hit_rate:.2} ({bound}/{refined}) below 60%"
+        mints.call_bound() as f64 >= 0.90 * call_bearing.max(1) as f64,
+        "{mints:?}"
     );
+    assert!(mints.bounded_dynamic > 0, "{mints:?}");
+    assert!(mints.memo_hits > mints.memo_misses, "{mints:?}");
 }
 
 /// The prediction is *allowed* to diverge at later block positions — that

@@ -1,34 +1,34 @@
 //! Chain-level integration: every scheduler drives the micro testnet to
 //! the same chain of state roots; throughput ordering is sane; the
-//! threaded executor cross-check holds across consecutive blocks.
+//! threaded engine's blocks equal the serial oracle's across consecutive
+//! blocks.
 
-use dmvcc_chain::{run_testnet, ChainConfig, SchedulerKind};
+use dmvcc_chain::{run_testnet, ChainConfig, SchedulerKind, TestnetConfig};
 use dmvcc_workload::WorkloadConfig;
 
-fn config(scheduler: SchedulerKind, seed: u64) -> ChainConfig {
-    ChainConfig {
-        validators: 4,
-        block_size: 60,
-        mining_interval_secs: 0.2,
-        threads: 4,
-        scheduler,
-        blocks: 4,
-        gas_per_second: 4_000_000,
-        workload: WorkloadConfig {
-            accounts: 80,
-            token_contracts: 5,
-            amm_contracts: 3,
-            nft_contracts: 2,
-            counter_contracts: 1,
-            ballot_contracts: 1,
-            fig1_contracts: 1,
-            ..WorkloadConfig::high_contention(seed)
+fn config(scheduler: SchedulerKind, seed: u64) -> TestnetConfig {
+    TestnetConfig {
+        chain: ChainConfig {
+            block_size: 60,
+            blocks: 4,
+            threads: 4,
+            workload: WorkloadConfig {
+                accounts: 80,
+                token_contracts: 5,
+                amm_contracts: 3,
+                nft_contracts: 2,
+                counter_contracts: 1,
+                ballot_contracts: 1,
+                fig1_contracts: 1,
+                ..WorkloadConfig::high_contention(seed)
+            },
+            executor: dmvcc_chain::ExecutorKind::Sharded,
+            backend: dmvcc_chain::BackendKind::Mem,
         },
-        crosscheck_every: 2,
+        scheduler,
+        mining_interval_secs: 0.2,
         pool_miss_rate: 0.0,
         rebuild_missing_sags: true,
-        executor: dmvcc_chain::ExecutorKind::Sharded,
-        backend: dmvcc_chain::BackendKind::Mem,
     }
 }
 
@@ -39,7 +39,7 @@ fn all_schedulers_agree_on_every_block_root() {
         .map(|&s| run_testnet(&config(s, 3)))
         .collect();
     for report in &reports {
-        assert!(report.roots_consistent, "roots diverged for a scheduler");
+        assert!(report.roots_consistent(), "roots diverged for a scheduler");
         assert_eq!(report.blocks, 4);
     }
     for pair in reports.windows(2) {

@@ -11,15 +11,17 @@ use dmvcc_integration_tests::{analyzer, decode_tx, decode_tx_opaque, genesis, re
 use dmvcc_state::{Snapshot, StateDb};
 use dmvcc_vm::{BlockEnv, Transaction};
 
-/// Every engine must commit the serial write set, statuses and Merkle root
-/// (exactly as the paper validates RQ1), with `hide` of the state keys
-/// invisible to its analyzer, and its [`dmvcc_core::ExecutorStats`] must
-/// satisfy that engine's accounting invariants.
+/// Every engine must commit the serial write set, statuses, per-transaction
+/// gas and Merkle root (exactly as the paper validates RQ1), with `hide` of
+/// the state keys invisible to its analyzer, and its
+/// [`dmvcc_core::ExecutorStats`] must satisfy that engine's accounting
+/// invariants.
 fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
     let snapshot = Snapshot::from_entries(genesis());
     let env = BlockEnv::new(1, 1_700_000_000);
     let trace = execute_block_serial(txs, &snapshot, &analyzer(), &env);
     let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
+    let serial_gas: Vec<u64> = trace.txs.iter().map(|t| t.gas_used).collect();
     let serial_root = StateDb::with_genesis(genesis()).commit(&trace.final_writes);
     let n = txs.len() as u64;
 
@@ -47,6 +49,7 @@ fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
             outcome.statuses, serial_statuses,
             "statuses diverged: {label}"
         );
+        assert_eq!(outcome.gas_used, serial_gas, "gas diverged: {label}");
         assert_eq!(
             StateDb::with_genesis(genesis()).commit(&outcome.final_writes),
             serial_root,

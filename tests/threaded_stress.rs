@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
+use dmvcc_chain::block_env;
 use dmvcc_core::{
     build_csags, execute_block_serial, ExecutorKind, ParallelConfig, ParallelExecutor,
 };
@@ -63,7 +64,7 @@ fn run_chain(
         let mut parallel_db = serial_db.clone();
         for height in 1..=blocks as u64 {
             let txs = generator.block(block_size);
-            let env = BlockEnv::new(height, 1_700_000_000 + height * 12);
+            let env = block_env(height);
             let snapshot = serial_db.latest().clone();
             let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
             let outcome = executor.execute_block(&txs, &snapshot, &env);
