@@ -15,7 +15,7 @@
 //! [`AnalysisConfig::hide_fraction`] additionally injects artificial
 //! imprecision so those paths can be exercised and measured.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dmvcc_primitives::{Address, U256};
 use dmvcc_state::{Snapshot, StateKey};
@@ -429,16 +429,16 @@ impl Analyzer {
         if tx.kind == TxKind::Transfer {
             return CSag::for_transfer(tx.sender(), tx.to());
         }
-        let Some(code) = self.registry.code(&tx.to()) else {
+        let Some(deployed) = self.registry.deployed(&tx.to()) else {
             return CSag::default();
         };
         let psag = self.psag(&tx.to()).expect("code exists, psag builds");
-        let release_set: HashSet<usize> = psag.release_pcs.iter().copied().collect();
+        let release_pcs: &[usize] = &psag.release_pcs;
 
         if self.config.refinement == RefinementMode::TwoTier {
             let resolver = |addr: &Address| self.psag(addr);
             if let Some((raw, looped, called, bounded)) =
-                bind_symbolic(&psag, tx, block, snapshot, &release_set, &resolver)
+                bind_symbolic(&psag, tx, block, snapshot, &resolver)
             {
                 let tier = if bounded {
                     RefinementTier::BoundedDynamic
@@ -449,7 +449,7 @@ impl Analyzer {
                 } else {
                     RefinementTier::Symbolic
                 };
-                return self.finish(raw, tx.env.gas_limit, &release_set, tier);
+                return self.finish(raw, tx.env.gas_limit, release_pcs, tier);
             }
         }
 
@@ -465,10 +465,10 @@ impl Analyzer {
             depth: 0,
         };
         let params = ExecParams {
-            code: &code,
+            code: deployed.code(),
             tx: &tx.env,
             block,
-            release_points: Some(&release_set),
+            release_points: Some(release_pcs),
             registry: Some(&self.registry),
         };
         let outcome = execute_traced(&params, &mut host, &mut recorder);
@@ -482,7 +482,7 @@ impl Analyzer {
         self.finish(
             raw,
             tx.env.gas_limit,
-            &release_set,
+            release_pcs,
             RefinementTier::Speculative,
         )
     }
@@ -495,7 +495,7 @@ impl Analyzer {
         &self,
         raw: RawPrediction,
         gas_limit: u64,
-        release_set: &HashSet<usize>,
+        release_pcs: &[usize],
         tier: RefinementTier,
     ) -> CSag {
         let mut sag = CSag {
@@ -518,7 +518,7 @@ impl Analyzer {
         // An entry release point (the contract cannot abort at all) is never
         // "passed" by the interpreter; record it explicitly so executors can
         // publish from the very first write.
-        if release_set.contains(&0) {
+        if release_pcs.first() == Some(&0) {
             sag.release_points.push(ReleasePoint {
                 pc: 0,
                 gas_bound: raw.gas_used.saturating_sub(INTRINSIC_GAS),
@@ -621,7 +621,6 @@ struct BoundFrame {
 struct BindWalk<'a> {
     block: &'a BlockEnv,
     snapshot: &'a Snapshot,
-    release_set: &'a HashSet<usize>,
     resolver: &'a dyn Fn(&Address) -> Option<std::sync::Arc<PSag>>,
     /// Top-level transaction sender (`ORIGIN`), invariant across frames.
     origin: Address,
@@ -670,7 +669,6 @@ fn bind_symbolic(
     tx: &Transaction,
     block: &BlockEnv,
     snapshot: &Snapshot,
-    release_set: &HashSet<usize>,
     resolver: &dyn Fn(&Address) -> Option<std::sync::Arc<PSag>>,
 ) -> Option<(RawPrediction, bool, bool, bool)> {
     let env = &tx.env;
@@ -680,7 +678,6 @@ fn bind_symbolic(
     let mut walk = BindWalk {
         block,
         snapshot,
-        release_set,
         resolver,
         origin: env.caller,
         overlay: HashMap::new(),
@@ -1076,7 +1073,7 @@ impl BindWalk<'_> {
             // that moment. The machine only fires release callbacks in
             // the outermost frame.
             let next_pc = psag.cfg.blocks[next].start_pc;
-            if depth == 0 && self.release_set.contains(&next_pc) {
+            if depth == 0 && psag.release_pcs.binary_search(&next_pc).is_ok() {
                 self.releases.push((next_pc, gas_left));
             }
             // Crossing an edge into a φ head re-binds the head's

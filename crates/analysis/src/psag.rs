@@ -48,7 +48,8 @@ pub struct PSag {
     /// All state-access nodes in code order.
     pub ops: Vec<SagOp>,
     /// Release-point pcs (block starts past the last reachable abort),
-    /// computed on the patched CFG.
+    /// computed on the patched CFG; sorted ascending, which refinement's
+    /// searches and the interpreter's release callbacks rely on.
     pub release_pcs: Vec<usize>,
     /// Start pcs of *natural* loop-head blocks (the paper's *loop nodes*,
     /// unrolled only at C-SAG time), one per head — nested back edges

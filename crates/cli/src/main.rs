@@ -437,12 +437,18 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     let mut stats = dmvcc_core::ExecutorStats::default();
     let mut aborts = 0u64;
     let mut txs = 0u64;
+    // Wall time inside `execute_block`, refinement included.
+    let mut block_nanos = 0u64;
     let start = std::time::Instant::now();
     for _ in 0..repeat {
         for block in &prepared {
+            let entered = std::time::Instant::now();
             let outcome = executor.execute_block(&block.txs, &block.snapshot, &block.env);
+            block_nanos += entered.elapsed().as_nanos() as u64;
             txs += block.txs.len() as u64;
             aborts += outcome.aborts;
+            stats.refine_nanos += outcome.stats.refine_nanos;
+            stats.serial_nanos += outcome.stats.serial_nanos;
             stats.attempts += outcome.stats.attempts;
             stats.publishes += outcome.stats.publishes;
             stats.publish_batches += outcome.stats.publish_batches;
@@ -475,5 +481,12 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     );
     println!("targeted wakeups       : {}", stats.targeted_wakeups);
     println!("parks                  : {}", stats.parks);
+    // What the calling thread does alone, before the first worker starts
+    // and after the last one joins, as a share of the execute stage.
+    let execute_nanos = block_nanos.saturating_sub(stats.refine_nanos);
+    println!(
+        "serial share           : {:.2} of execute wall",
+        stats.serial_nanos as f64 / execute_nanos.max(1) as f64
+    );
     Ok(())
 }

@@ -16,7 +16,6 @@
 //!   same for its readers.
 
 use dmvcc_primitives::U256;
-use dmvcc_state::{Snapshot, StateKey};
 
 /// The access type of an entry: ρ, ω, θ, or the commutative ω̄.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +122,11 @@ impl AccessSequence {
     /// Registers a predicted access from a C-SAG. Merges with an existing
     /// prediction for the same transaction (read + write → θ).
     pub fn predict(&mut self, tx: usize, op: AccessOp) {
+        // Binding walks the block in order: the common case is an append.
+        if self.entries.last().is_none_or(|last| last.tx < tx) {
+            self.entries.push(AccessEntry::predicted(tx, op));
+            return;
+        }
         match self.position(tx) {
             Ok(i) => {
                 let existing = &mut self.entries[i];
@@ -307,8 +311,9 @@ impl AccessSequence {
 
     /// The committed value of this item after all transactions finish: the
     /// last full write merged with the deltas above it, or the snapshot
-    /// value plus every delta; `None` if nothing was published.
-    pub(crate) fn final_value(&self, key: &StateKey, snapshot: &Snapshot) -> Option<U256> {
+    /// value plus every delta; `None` if nothing was published. `base`
+    /// supplies the snapshot value lazily, as for [`Self::resolve_read`].
+    pub(crate) fn final_value(&self, base: impl FnOnce() -> U256) -> Option<U256> {
         let mut delta = U256::ZERO;
         let mut any = false;
         for entry in self.entries.iter().rev() {
@@ -321,7 +326,7 @@ impl AccessSequence {
                 Version::Pending | Version::Dropped => continue,
             }
         }
-        any.then(|| snapshot.get(key).wrapping_add(delta))
+        any.then(|| base().wrapping_add(delta))
     }
 }
 
@@ -342,6 +347,7 @@ fn merge_ops(a: AccessOp, b: AccessOp) -> AccessOp {
 mod tests {
     use super::*;
     use dmvcc_primitives::Address;
+    use dmvcc_state::{Snapshot, StateKey};
 
     fn key() -> StateKey {
         StateKey::storage(Address::from_u64(1), U256::from(7u64))

@@ -2,103 +2,73 @@
 //!
 //! Without recycling the sharded executor pays the allocator on every
 //! block: fresh shard tables, fresh per-transaction scheduling state, and
-//! fresh `HashSet`s for touched/published key tracking. This module
-//! provides the allocation-light replacements for the per-transaction
-//! sets and buffers:
+//! fresh sets for touched/published key tracking. This module provides the
+//! allocation-light per-transaction sets and buffers, both keyed by dense
+//! [`dmvcc_state::KeyId`] and both one sorted vector (a transaction touches
+//! a handful of keys; binary search on a dense vector beats hashing, tree
+//! nodes, and a bitset as wide as the block's key space):
 //!
-//! - [`IdSet`], a growable bitset over dense [`dmvcc_state::KeyId`]s that
-//!   replaces the `HashSet<StateKey>` touched/published sets (insert and
-//!   contains are a shift and a mask, clear keeps capacity);
-//! - [`SmallMap`], a sorted id→value vector replacing the `BTreeMap`
-//!   write/add buffers of a running transaction (blocks touch a handful of
-//!   keys per tx; binary search on a dense vector beats tree nodes).
+//! - `SortedIds`, the touched/published sets;
+//! - [`SmallMap`], the id→value write/add buffers of a running transaction.
 //!
-//! The executor-level pools (shard storage, per-tx states) live next to
-//! their types in `sharded.rs` / `parallel.rs`; together with this module
-//! they form the "block arena": allocations made for block *N* are reset
-//! wholesale and serve block *N+1*. The bytes served from recycled memory
-//! are reported as `ExecutorStats::alloc_bytes_saved`.
+//! The executor-level pools (shard storage, per-tx states, the bound
+//! block's flat arrays) live next to their types in `sharded.rs` /
+//! `parallel.rs`; together with this module they form the "block arena":
+//! allocations made for block *N* are reset wholesale and serve block
+//! *N+1*. The bytes served from recycled memory are reported as
+//! `ExecutorStats::alloc_bytes_saved`.
 
 use dmvcc_primitives::U256;
 use dmvcc_state::KeyId;
 
 use crate::sharded::VersionOp;
 
-/// A growable bitset over dense [`KeyId`]s.
+/// A sorted set of [`KeyId`]s backed by a single vector.
 ///
-/// Replaces `HashSet<StateKey>` for per-transaction touched/published
-/// tracking: O(1) insert/contains without hashing, and `clear` retains the
-/// word buffer so re-executions and recycled blocks allocate nothing.
+/// A transaction touches a handful of keys out of the tens of thousands a
+/// block interns, so its touched/published sets are a few ids, not a bitset
+/// over the block's key space: membership is a binary search, iteration is
+/// the slice, and `clear` keeps the buffer for re-executions and recycled
+/// blocks.
 #[derive(Debug, Default, Clone)]
-pub struct IdSet {
-    words: Vec<u64>,
-    len: usize,
+pub(crate) struct SortedIds {
+    ids: Vec<KeyId>,
 }
 
-impl IdSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        IdSet::default()
-    }
-
-    /// Inserts `id`; returns `true` if it was not already present.
-    pub fn insert(&mut self, id: KeyId) -> bool {
-        let index = id.index();
-        let word = index / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
+impl SortedIds {
+    /// Inserts `id` if it is not already present.
+    pub(crate) fn insert(&mut self, id: KeyId) {
+        if let Err(at) = self.ids.binary_search(&id) {
+            self.ids.insert(at, id);
         }
-        let bit = 1u64 << (index % 64);
-        if self.words[word] & bit != 0 {
-            return false;
-        }
-        self.words[word] |= bit;
-        self.len += 1;
-        true
     }
 
     /// `true` if `id` is in the set.
-    pub fn contains(&self, id: KeyId) -> bool {
-        let index = id.index();
-        self.words
-            .get(index / 64)
-            .is_some_and(|w| w & (1u64 << (index % 64)) != 0)
+    pub(crate) fn contains(&self, id: KeyId) -> bool {
+        self.ids.binary_search(&id).is_ok()
     }
 
-    /// Number of ids in the set.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Replaces the contents with `ids` (any order, duplicates allowed).
+    pub(crate) fn assign(&mut self, ids: impl IntoIterator<Item = KeyId>) {
+        self.ids.clear();
+        self.ids.extend(ids);
+        self.ids.sort_unstable();
+        self.ids.dedup();
     }
 
-    /// `true` if no id has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Empties the set, keeping the buffer for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
     }
 
-    /// Empties the set, keeping the word buffer for reuse.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
+    /// The ids in ascending order.
+    pub(crate) fn as_slice(&self) -> &[KeyId] {
+        &self.ids
     }
 
-    /// Heap bytes retained by the word buffer (arena accounting).
-    pub fn retained_bytes(&self) -> u64 {
-        (self.words.capacity() * std::mem::size_of::<u64>()) as u64
-    }
-
-    /// Iterates the contained ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = KeyId> + '_ {
-        self.words.iter().enumerate().flat_map(|(word_idx, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(KeyId::from_index(word_idx * 64 + bit))
-            })
-        })
+    /// Heap bytes retained by the buffer (arena accounting).
+    pub(crate) fn retained_bytes(&self) -> u64 {
+        (self.ids.capacity() * std::mem::size_of::<KeyId>()) as u64
     }
 }
 
@@ -235,19 +205,22 @@ mod tests {
 
     #[test]
     fn id_set_insert_contains_iter() {
-        let mut set = IdSet::new();
-        assert!(set.insert(KeyId::from_index(3)));
-        assert!(set.insert(KeyId::from_index(200)));
-        assert!(!set.insert(KeyId::from_index(3)));
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(KeyId::from_index(3)));
-        assert!(!set.contains(KeyId::from_index(4)));
-        assert!(!set.contains(KeyId::from_index(10_000)));
-        let ids: Vec<usize> = set.iter().map(|id| id.index()).collect();
-        assert_eq!(ids, vec![3, 200]);
+        let id = KeyId::from_index;
+        let mut set = SortedIds::default();
+        set.insert(id(200));
+        set.insert(id(3));
+        set.insert(id(200));
+        assert_eq!(set.as_slice(), [id(3), id(200)]);
+        assert!(set.contains(id(3)));
+        assert!(!set.contains(id(4)));
+        assert!(!set.contains(id(10_000)));
+        // Two ids cost two ids, wherever they sit in the key space.
+        assert!(set.retained_bytes() < 64);
+        set.assign([id(9), id(1), id(9), id(5)]);
+        assert_eq!(set.as_slice(), [id(1), id(5), id(9)]);
         set.clear();
-        assert!(set.is_empty());
-        assert!(!set.contains(KeyId::from_index(3)));
+        assert!(set.as_slice().is_empty());
+        assert!(!set.contains(id(1)));
     }
 
     #[test]

@@ -323,7 +323,7 @@ fn run_call(
     analyzer: &Analyzer,
     block_env: &BlockEnv,
 ) -> TxTrace {
-    let Some(code) = analyzer.registry().code(&tx.to()) else {
+    let Some(deployed) = analyzer.registry().deployed(&tx.to()) else {
         // Unknown contract: trivially succeeds without touching state.
         return TxTrace {
             index,
@@ -336,18 +336,16 @@ fn run_call(
             release_offset: Some(INTRINSIC_GAS),
         };
     };
-    let release_pcs: std::collections::HashSet<usize> = analyzer
-        .psag(&tx.to())
-        .map(|p| p.release_pcs.iter().copied().collect())
-        .unwrap_or_default();
+    let psag = analyzer.psag(&tx.to());
+    let release_pcs: &[usize] = psag.as_deref().map_or(&[], |p| &p.release_pcs);
 
     host.gas_limit = tx.env.gas_limit;
     host.current_gas_left.set(tx.env.gas_limit - INTRINSIC_GAS);
     let params = ExecParams {
-        code: &code,
+        code: deployed.code(),
         tx: &tx.env,
         block: block_env,
-        release_points: Some(&release_pcs),
+        release_points: Some(release_pcs),
         registry: Some(analyzer.registry()),
     };
     let mut tracer = GasSync {
@@ -355,7 +353,7 @@ fn run_call(
     };
     let outcome = execute_traced(&params, host, &mut tracer);
 
-    let entry_release = release_pcs.contains(&0);
+    let entry_release = release_pcs.first() == Some(&0);
     let release_offset = if let Some(&(_, off)) = host.releases.first() {
         Some(off)
     } else if entry_release {

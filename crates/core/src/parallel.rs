@@ -25,6 +25,24 @@
 //!   small mutex, with the abort generation as an atomic for cheap
 //!   staleness checks.
 //!
+//! What only the calling thread can do is kept small, because a second
+//! worker cannot shorten it. A block has three stages:
+//!
+//! 1. **Bind** (calling thread, before any worker exists): one walk over
+//!    the C-SAGs (`BlockMeta::bind`) interns the predicted keys, lays
+//!    every transaction's metadata out in five block-level arrays,
+//!    registers the predicted accesses in the store through exclusive
+//!    access (no lock), sweeps the ranks over the same ids and queues the
+//!    first ready set. All of it lands in recycled buffers.
+//! 2. **Execute** (workers): the protocol above.
+//! 3. **Flush** (workers): once every worker has seen the block finished
+//!    and come to rest (`Shared::rest_and_flush`), they flush the store
+//!    shard by shard; the calling thread only merges the sorted runs into
+//!    the outcome's write set.
+//!
+//! [`ExecutorStats::serial_nanos`] is the wall time of stages 1 and 3's
+//! merge.
+//!
 //! Lock discipline: a thread holds at most one shard lock and at most one
 //! transaction core lock at a time, and never acquires one kind while
 //! holding the other (effects are staged and applied after unlocking).
@@ -38,12 +56,12 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use dmvcc_primitives::U256;
-use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
+use dmvcc_state::{KeyId, Snapshot, StateKey, WriteSet};
 use dmvcc_vm::{
     execute, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind,
     INTRINSIC_GAS,
@@ -52,7 +70,7 @@ use dmvcc_vm::{
 use dmvcc_analysis::{Analyzer, CSag};
 
 use crate::access::{AccessOp, ReadResolution, VersionWriteEffect};
-use crate::arena::{IdSet, WriteBuffer};
+use crate::arena::{SortedIds, WriteBuffer};
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
 use crate::sharded::{ShardStorage, ShardedSequences, VersionOp, DEFAULT_SHARDS};
@@ -128,8 +146,14 @@ pub struct ExecutorStats {
     /// the first block an executor runs; the steady state recycles nearly
     /// everything.
     pub alloc_bytes_saved: u64,
-    /// Shard mutex acquisitions across the block — the contention surface
-    /// batched publishing shrinks.
+    /// Wall-clock nanoseconds `execute_block_with_csags` spent outside the
+    /// worker scope — binding the block before the first worker starts,
+    /// assembling the outcome after the last one joins — i.e. the part of
+    /// the execute stage a second thread cannot shorten.
+    pub serial_nanos: u64,
+    /// Shard mutex acquisitions by the workers across the block — the
+    /// contention surface batched publishing shrinks. Binding the block
+    /// takes no lock (exclusive access), so predictions are not counted.
     pub shard_lock_acquisitions: u64,
     /// Shard-lock grabs that served a publish/drop batch (each batch covers
     /// every batched key mapping to that shard; `publishes /
@@ -217,28 +241,210 @@ struct TxCore {
     gas_used: u64,
     /// Key ids whose versions this tx materialized in the sequences during
     /// the current attempt (for rollback on abort).
-    published: IdSet,
+    published: SortedIds,
     /// All key ids this tx has entries for (predictions plus dynamic
     /// insertions), so aborts can reset them.
-    touched: IdSet,
+    touched: SortedIds,
 }
 
-/// Immutable per-transaction execution metadata, interned once per block.
-/// Replaces the per-attempt `HashMap` builds the old `run_attempt` paid on
-/// every (re-)execution.
-#[derive(Debug, Default)]
-struct TxMeta {
-    /// Predicted reads as (id, key) pairs — the readiness probe.
-    reads: Vec<(KeyId, StateKey)>,
-    /// Predicted writes ∪ adds, for dropping unfulfilled versions.
-    predicted_wa: Vec<KeyId>,
+/// One transaction's immutable execution metadata: its slice of each of
+/// [`BlockMeta`]'s arrays. Built once per block, so attempts after an abort
+/// re-run with zero rebuild cost.
+#[derive(Debug, Clone, Copy)]
+struct TxMeta<'a> {
+    /// Predicted reads as (id, key) pairs, sorted by key — the readiness
+    /// probe.
+    reads: &'a [(KeyId, StateKey)],
+    /// Predicted writes ∪ adds, sorted by id so the abort cascade can
+    /// binary-search membership (predicted and dynamically discovered
+    /// writes roll back differently).
+    predicted_wa: &'a [KeyId],
     /// Last predicted write pc per key, sorted by id (binary search).
+    last_write_pc: &'a [(KeyId, usize)],
+    /// Release points as (pc, gas bound), sorted by pc, one per pc.
+    release_bounds: &'a [(usize, u64)],
+    /// pcs where the VM fires `on_release_point`, sorted: release points
+    /// plus one-past each key's last predicted write, so publication
+    /// happens as early as Algorithm 2 allows.
+    release_set: &'a [usize],
+}
+
+/// Everything the engine derives from a block's C-SAGs, as five block-level
+/// arrays plus one row of offsets per transaction — no per-transaction heap
+/// block exists. Filled by [`BlockMeta::bind`], recycled across blocks.
+#[derive(Debug, Default)]
+struct BlockMeta {
+    reads: Vec<(KeyId, StateKey)>,
+    predicted_wa: Vec<KeyId>,
     last_write_pc: Vec<(KeyId, usize)>,
-    /// Release points as (pc, gas bound), sorted by pc.
     release_bounds: Vec<(usize, u64)>,
-    /// pcs where the VM fires `on_release_point` (release points plus
-    /// one-past each key's last predicted write).
-    release_set: HashSet<usize>,
+    release_set: Vec<usize>,
+    /// Row `i`: where transaction `i`'s slice of each array above ends (it
+    /// starts where row `i - 1` ends).
+    ends: Vec<[usize; 5]>,
+    /// Scratch of the walk: one bit per key id, set once some transaction
+    /// seen so far predicts a write or an add to the key.
+    written: Vec<u64>,
+}
+
+/// Sorts `vec[from..]` by `key` and keeps the first of each run of equal
+/// keys.
+fn sort_dedup_tail<T: Copy, K: Ord>(vec: &mut Vec<T>, from: usize, key: impl Fn(&T) -> K) {
+    vec[from..].sort_unstable_by_key(&key);
+    let mut kept = from;
+    for i in from..vec.len() {
+        if kept == from || key(&vec[kept - 1]) != key(&vec[i]) {
+            vec[kept] = vec[i];
+            kept += 1;
+        }
+    }
+    vec.truncate(kept);
+}
+
+impl BlockMeta {
+    /// The arrays' current lengths, in [`BlockMeta::ends`]' order.
+    fn lens(&self) -> [usize; 5] {
+        [
+            self.reads.len(),
+            self.predicted_wa.len(),
+            self.last_write_pc.len(),
+            self.release_bounds.len(),
+            self.release_set.len(),
+        ]
+    }
+
+    /// Transaction `tx`'s view of the arrays.
+    fn tx(&self, tx: usize) -> TxMeta<'_> {
+        let from = if tx == 0 { [0; 5] } else { self.ends[tx - 1] };
+        let to = self.ends[tx];
+        TxMeta {
+            reads: &self.reads[from[0]..to[0]],
+            predicted_wa: &self.predicted_wa[from[1]..to[1]],
+            last_write_pc: &self.last_write_pc[from[2]..to[2]],
+            release_bounds: &self.release_bounds[from[3]..to[3]],
+            release_set: &self.release_set[from[4]..to[4]],
+        }
+    }
+
+    /// Empties the arrays for a new block and sizes them from the C-SAGs'
+    /// set sizes, so the walk never reallocates. Returns the heap bytes the
+    /// recycled buffers already held.
+    fn reset(&mut self, csags: &[CSag]) -> u64 {
+        fn recycle<T>(vec: &mut Vec<T>, needed: usize) -> u64 {
+            let held = vec.capacity() * std::mem::size_of::<T>();
+            vec.clear();
+            vec.reserve(needed);
+            held as u64
+        }
+        let mut sizes = [0usize; 4];
+        for csag in csags {
+            sizes[0] += csag.reads.len();
+            sizes[1] += csag.writes.len() + csag.adds.len();
+            sizes[2] += csag.last_write_pc.len();
+            sizes[3] += csag.release_points.len();
+        }
+        // Key occurrences: an upper bound on the ids the walk can assign.
+        let occurrences = sizes[0] + sizes[1] + sizes[2];
+        let bytes = recycle(&mut self.reads, sizes[0])
+            + recycle(&mut self.predicted_wa, sizes[1])
+            + recycle(&mut self.last_write_pc, sizes[2])
+            + recycle(&mut self.release_bounds, sizes[3])
+            + recycle(&mut self.release_set, sizes[2] + sizes[3])
+            + recycle(&mut self.ends, csags.len())
+            + recycle(&mut self.written, occurrences.div_ceil(64));
+        self.written.resize(occurrences.div_ceil(64), 0);
+        bytes
+    }
+
+    /// The one walk over the block's C-SAGs, on the calling thread before
+    /// any worker exists. Per transaction, in block order, it
+    ///
+    /// - interns the predicted keys, hashing each occurrence at most once:
+    ///   a write, add or last-write key that is one of the transaction's
+    ///   own reads (the read-modify-write majority) takes that id from the
+    ///   handful of pairs just pushed;
+    /// - appends the transaction's slices to the five arrays;
+    /// - registers its predicted accesses in `sequences` (exclusive access:
+    ///   no shard lock exists to take yet);
+    /// - seeds its `touched` set with every predicted key;
+    /// - decides whether it is *ready*: none of its read keys has a
+    ///   predicted ω/θ/ω̄ entry of an earlier transaction — one bit per key
+    ///   — which is what `resolve_read` answers while every entry is still
+    ///   pending, so the transactions marked [`Phase::Ready`] here are
+    ///   exactly those a `try_admit` sweep over the fresh store would
+    ///   admit. (With `max_attempts == 0` every transaction has "spent" its
+    ///   attempts and waits for all earlier ones: only the first is ready.)
+    ///
+    /// The ranks are then swept backwards over the same ids.
+    fn bind(
+        &mut self,
+        csags: &[CSag],
+        sequences: &mut ShardedSequences,
+        states: &mut [TxState],
+        max_attempts: u32,
+    ) -> BlockDag {
+        let (interner, mut predict) = sequences.bind();
+        for (i, (csag, state)) in csags.iter().zip(states).enumerate() {
+            let from = self.lens();
+            let mut ready = max_attempts > 0 || i == 0;
+            for key in &csag.reads {
+                let id = interner.preintern(*key);
+                self.reads.push((id, *key));
+                predict(id, i, AccessOp::Read);
+                ready &= self.written[id.index() / 64] >> (id.index() % 64) & 1 == 0;
+            }
+            // A `BTreeSet` iterates in key order, so the pairs are sorted.
+            let own_reads = &self.reads[from[0]..];
+            let mut id_of = |key: &StateKey| match own_reads.binary_search_by(|(_, k)| k.cmp(key)) {
+                Ok(at) => own_reads[at].0,
+                Err(_) => interner.preintern(*key),
+            };
+            for (keys, op) in [(&csag.writes, AccessOp::Write), (&csag.adds, AccessOp::Add)] {
+                for key in keys {
+                    let id = id_of(key);
+                    self.predicted_wa.push(id);
+                    predict(id, i, op);
+                }
+            }
+            // Own writes do not block own reads: the bits go in only now.
+            for id in &self.predicted_wa[from[1]..] {
+                self.written[id.index() / 64] |= 1 << (id.index() % 64);
+            }
+            sort_dedup_tail(&mut self.predicted_wa, from[1], |&id| id);
+            let last_writes = csag.last_write_pc.iter();
+            self.last_write_pc
+                .extend(last_writes.map(|(key, &pc)| (id_of(key), pc)));
+            self.last_write_pc[from[2]..].sort_unstable_by_key(|&(id, _)| id);
+            let release_points = csag.release_points.iter();
+            self.release_bounds
+                .extend(release_points.map(|rp| (rp.pc, rp.gas_bound)));
+            sort_dedup_tail(&mut self.release_bounds, from[3], |&(pc, _)| pc);
+            let release_pcs = self.release_bounds[from[3]..].iter().map(|&(pc, _)| pc);
+            let past_last_writes = self.last_write_pc[from[2]..].iter();
+            self.release_set
+                .extend(release_pcs.chain(past_last_writes.map(|&(_, pc)| pc.saturating_add(1))));
+            sort_dedup_tail(&mut self.release_set, from[4], |&pc| pc);
+            let to = self.lens();
+            self.ends.push(to);
+
+            let core = state.core.get_mut();
+            let read_ids = self.reads[from[0]..].iter().map(|&(id, _)| id);
+            core.touched
+                .assign(read_ids.chain(self.predicted_wa[from[1]..].iter().copied()));
+            if ready {
+                core.phase = Phase::Ready;
+            }
+        }
+        let keys = interner.frozen_len();
+        drop(predict);
+        BlockDag::sweep(
+            keys,
+            csags.len(),
+            |tx| csags[tx].predicted_gas,
+            |tx| self.tx(tx).reads.iter().map(|&(id, _)| id),
+            |tx| self.tx(tx).predicted_wa.iter().copied(),
+        )
+    }
 }
 
 /// One transaction's full concurrent state: the core behind its own small
@@ -291,7 +497,7 @@ struct Shared<'a> {
     states: Vec<TxState>,
     /// Critical-path ranks of the block: a transaction's rank picks its
     /// ready-queue lane.
-    dag: &'a BlockDag,
+    dag: BlockDag,
     /// The ready queue: rank-bucketed FIFO lanes, drained lane 0 first.
     lanes: Vec<Mutex<VecDeque<ReadyEntry>>>,
     /// Entries currently queued per lane, so the rank-inversion probe
@@ -299,8 +505,13 @@ struct Shared<'a> {
     lane_counts: Vec<AtomicUsize>,
     /// Transactions currently in phase `Finished` whose finalization
     /// completed (incremented/decremented strictly under the tx's core
-    /// lock, so `finished == n` implies a quiescent, fully-executed block).
+    /// lock, so `finished == n` means every transaction is final *at that
+    /// instant*; see [`Shared::rest_and_flush`] for what makes it stay so).
     finished: AtomicUsize,
+    /// Workers that saw the block finished and stopped taking work.
+    resting: AtomicUsize,
+    /// Next shard of the store to flush.
+    flush_cursor: AtomicUsize,
     /// Workers currently sleeping inside a blocked read.
     blocked: AtomicUsize,
     /// Workers currently parked with nothing to run.
@@ -313,10 +524,9 @@ struct Shared<'a> {
     /// the block completes.
     idle_event: Event,
     snapshot: &'a Snapshot,
-    csags: &'a [CSag],
     /// Interned per-transaction metadata (reads, publishable pcs, release
     /// bounds), built once per block.
-    metas: Vec<TxMeta>,
+    meta: BlockMeta,
     txs: &'a [Transaction],
     /// Worker threads running this block (the configured count clamped to
     /// `1..=txs.len()`).
@@ -388,7 +598,7 @@ impl Shared<'_> {
     /// Checks whether all predicted reads of `tx` resolve right now,
     /// taking one shard lock at a time.
     fn is_ready(&self, tx: usize) -> bool {
-        for &(id, ref key) in &self.metas[tx].reads {
+        for &(id, ref key) in self.meta.tx(tx).reads {
             let mut shard = self.sequences.shard_for(id);
             if matches!(
                 shard.resolve_read(id, tx, key, self.snapshot),
@@ -485,14 +695,12 @@ impl Shared<'_> {
                 // `Dropped` — the new attempt may never write the key
                 // again, and a pending entry nothing fulfills wedges
                 // every later reader.
-                let predicted = &self.metas[victim].predicted_wa;
-                let resets = core
-                    .touched
-                    .iter()
-                    .map(|id| match predicted.binary_search(&id) {
-                        Ok(_) => (id, VersionOp::Reset),
-                        Err(_) => (id, VersionOp::Rollback),
-                    });
+                let predicted = self.meta.tx(victim).predicted_wa;
+                let touched = core.touched.as_slice().iter();
+                let resets = touched.map(|&id| match predicted.binary_search(&id) {
+                    Ok(_) => (id, VersionOp::Reset),
+                    Err(_) => (id, VersionOp::Rollback),
+                });
                 (resets.collect(), next)
             };
             self.aborts.fetch_add(1, Ordering::Relaxed);
@@ -587,6 +795,49 @@ impl Shared<'_> {
             self.idle_event.signal();
         }
     }
+
+    /// The end of a worker's block: called from the top of its loop — so
+    /// with no attempt, cascade or staged effect of its own in flight —
+    /// once it has seen `finished == n`. The worker stops taking work, waits
+    /// until every worker has done the same, and then flushes shards of the
+    /// store, claimed off a cursor.
+    ///
+    /// Why wait. `finished == n` says every transaction is final at that
+    /// instant, and a *stale attempt* still unwinding on another worker
+    /// cannot change that: every sequence mutation re-checks the attempt's
+    /// generation under the shard lock. But a worker may also still hold an
+    /// *abort it decided on earlier* — an effect staged under a shard lock
+    /// and applied after the unlock, the deadlock breaker's self-abort, an
+    /// injected abort — and a cascade passes its own generation check: it
+    /// would un-finish its victim, re-pend the victim's versions and
+    /// re-run it, under a flush that had already begun. Such a worker is
+    /// below the top of its loop, not here. So the last worker to arrive saw
+    /// `finished == n` while all others were parked in this function, and
+    /// from then on nothing runs that could start an abort or an attempt
+    /// (a queue entry is only valid for a `Ready` transaction, and there is
+    /// none): the store is quiescent, for good. A straggler that does
+    /// un-finish a transaction finishes the block again by itself, as it
+    /// always had to once the others had seen it finished; the resting
+    /// workers count as idle, so its deadlock breaker still works.
+    fn rest_and_flush(&self) {
+        self.idle.fetch_add(1, Ordering::SeqCst);
+        self.resting.fetch_add(1, Ordering::SeqCst);
+        self.idle_event.signal();
+        loop {
+            let seen = self.idle_event.epoch();
+            if self.resting.load(Ordering::SeqCst) == self.threads {
+                break;
+            }
+            self.idle_event.wait_while(seen, IDLE_PARK);
+        }
+        loop {
+            let shard = self.flush_cursor.fetch_add(1, Ordering::Relaxed);
+            if shard >= self.sequences.shard_count() {
+                return;
+            }
+            self.sequences.flush_shard(shard, self.snapshot);
+        }
+    }
 }
 
 /// Host bridging one VM execution onto the sharded sequences.
@@ -599,7 +850,7 @@ struct ThreadHost<'a, 'b> {
     /// `true` once a release point passed with sufficient gas.
     released: bool,
     /// Interned metadata: release bounds, publishable pcs, predictions.
-    meta: &'a TxMeta,
+    meta: TxMeta<'a>,
     /// Reusable publish-batch buffer (capacity survives release points).
     scratch: Vec<(KeyId, VersionOp)>,
 }
@@ -885,12 +1136,15 @@ pub struct ParallelExecutor {
 }
 
 /// Recyclable per-block allocations (see the `arena` module docs): the
-/// shard storage and the per-transaction scheduling states of a finished
-/// block, reset in place and reused by the next call.
+/// shard storage, the per-transaction scheduling states, the flat metadata
+/// arrays and the ready-queue lanes of a finished block, reset in place and
+/// reused by the next call.
 #[derive(Debug, Default)]
 struct BlockPool {
     storage: Option<ShardStorage>,
     states: Vec<TxState>,
+    meta: BlockMeta,
+    lanes: Vec<Mutex<VecDeque<ReadyEntry>>>,
 }
 
 /// Resets a recycled [`TxState`] for a fresh block, returning the heap
@@ -906,7 +1160,6 @@ fn recycle_state(state: &mut TxState) -> u64 {
     core.status = None;
     core.gas_used = 0;
     core.published.clear();
-    core.touched.clear();
     *state.event.epoch.get_mut() = 0;
     *state.demoted.get_mut() = false;
     saved
@@ -998,172 +1251,27 @@ impl ParallelExecutor {
             };
         }
 
-        // Block arena: reclaim the previous block's buffers from the pool.
-        let (recycled_storage, mut recycled_states) = {
-            let mut pool = self.pool.lock();
-            (pool.storage.take(), std::mem::take(&mut pool.states))
-        };
-        let mut bytes_saved = 0u64;
-
-        // Intern every predicted key once. The ids are dense, the frozen
-        // tier is probe-free for the rest of the block, and everything
-        // downstream (shards, waiter index, DAG, metas) indexes by u32
-        // instead of hashing 40-byte keys.
-        let mut interner = KeyInterner::new();
-        for csag in csags {
-            for key in csag
-                .reads
-                .iter()
-                .chain(csag.writes.iter())
-                .chain(csag.adds.iter())
-                .chain(csag.last_write_pc.keys())
-            {
-                interner.preintern(*key);
-            }
-        }
-        let interner = Arc::new(interner);
-
-        // Per-transaction interned metadata, built once — attempts after an
-        // abort re-run with zero rebuild cost.
-        let metas: Vec<TxMeta> = csags
-            .iter()
-            .map(|csag| {
-                let lookup =
-                    |key: &StateKey| interner.lookup(key).expect("predicted key preinterned");
-                let mut last_write_pc: Vec<(KeyId, usize)> = csag
-                    .last_write_pc
-                    .iter()
-                    .map(|(key, &pc)| (lookup(key), pc))
-                    .collect();
-                last_write_pc.sort_unstable_by_key(|&(id, _)| id);
-                let mut release_bounds: Vec<(usize, u64)> = csag
-                    .release_points
-                    .iter()
-                    .map(|rp| (rp.pc, rp.gas_bound))
-                    .collect();
-                release_bounds.sort_unstable_by_key(|&(pc, _)| pc);
-                release_bounds.dedup_by_key(|&mut (pc, _)| pc);
-                // Fire callbacks at release points and right after each
-                // key's last predicted write, so publication happens as
-                // early as Algorithm 2 allows.
-                let mut release_set: HashSet<usize> =
-                    release_bounds.iter().map(|&(pc, _)| pc).collect();
-                for &(_, pc) in &last_write_pc {
-                    release_set.insert(pc.saturating_add(1));
-                }
-                let mut predicted_wa: Vec<KeyId> =
-                    csag.writes.union(&csag.adds).map(lookup).collect();
-                // Sorted so the abort cascade can binary-search membership
-                // (predicted vs dynamically discovered writes roll back
-                // differently).
-                predicted_wa.sort_unstable();
-                TxMeta {
-                    reads: csag.reads.iter().map(|key| (lookup(key), *key)).collect(),
-                    predicted_wa,
-                    last_write_pc,
-                    release_bounds,
-                    release_set,
-                }
-            })
-            .collect();
-
-        // Build predicted sequences (the preprocessing of §IV-A) —
-        // single-threaded, but already in their shards, which are recycled
-        // from the previous block when available.
-        let (sequences, storage_bytes) = ShardedSequences::for_block(
-            Arc::clone(&interner),
-            DEFAULT_SHARDS,
-            recycled_storage,
-            self.hook.clone(),
-        );
-        bytes_saved += storage_bytes;
-        for (i, (csag, meta)) in csags.iter().zip(&metas).enumerate() {
-            for &(id, _) in &meta.reads {
-                sequences.predict_id(id, i, AccessOp::Read);
-            }
-            for key in &csag.writes {
-                sequences.predict_id(
-                    interner.lookup(key).expect("preinterned"),
-                    i,
-                    AccessOp::Write,
-                );
-            }
-            for key in &csag.adds {
-                sequences.predict_id(interner.lookup(key).expect("preinterned"), i, AccessOp::Add);
-            }
-        }
-        recycled_states.truncate(n);
-        let mut states: Vec<TxState> = recycled_states;
-        for state in &mut states {
-            bytes_saved += recycle_state(state);
-        }
-        while states.len() < n {
-            states.push(TxState {
-                generation: AtomicU32::new(0),
-                core: Mutex::new(TxCore {
-                    phase: Phase::Waiting,
-                    attempts: 0,
-                    status: None,
-                    gas_used: 0,
-                    published: IdSet::new(),
-                    touched: IdSet::new(),
-                }),
-                event: Event::default(),
-                demoted: AtomicBool::new(false),
-            });
-        }
-        for (state, meta) in states.iter_mut().zip(&metas) {
-            let touched = &mut state.core.get_mut().touched;
-            for &(id, _) in &meta.reads {
-                touched.insert(id);
-            }
-            for &id in &meta.predicted_wa {
-                touched.insert(id);
-            }
-        }
-
-        let dag = BlockDag::build_with_interner(csags, &interner);
-        let shared = Shared {
-            sequences,
-            states,
-            dag: &dag,
-            lanes: (0..NUM_LANES).map(|_| Mutex::default()).collect(),
-            lane_counts: (0..NUM_LANES).map(|_| AtomicUsize::new(0)).collect(),
-            finished: AtomicUsize::new(0),
-            blocked: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
-            ready_count: AtomicUsize::new(0),
-            aborts: AtomicU64::new(0),
-            stats: AtomicStats::default(),
-            idle_event: Event::default(),
-            snapshot,
-            csags,
-            metas,
-            txs,
-            // More workers than transactions could only park; zero would
-            // run nothing at all.
-            threads: self.config.threads.clamp(1, n),
-            max_attempts: self.config.max_attempts,
-            hook: self.hook.clone(),
-        };
-        // Initial admission (Algorithm 1 line 1).
-        for i in 0..n {
-            shared.try_admit(i);
-        }
+        let start = Instant::now();
+        let (shared, bytes_saved) = self.bind_block(txs, snapshot, csags);
+        let bound = Instant::now();
 
         std::thread::scope(|scope| {
             for _ in 0..shared.threads {
                 scope.spawn(|| self.worker(&shared, block_env));
             }
         });
+        let joined = Instant::now();
 
-        let final_writes = shared.sequences.final_writes(snapshot);
+        // The workers flushed every shard on their way out.
+        let final_writes = shared.sequences.flushed();
         let mut stats = shared.stats.snapshot();
         stats.alloc_bytes_saved = bytes_saved;
         stats.shard_lock_acquisitions = shared.sequences.lock_acquisitions();
         let Shared {
             sequences,
             mut states,
+            meta,
+            lanes,
             aborts,
             ..
         } = shared;
@@ -1176,11 +1284,13 @@ impl ParallelExecutor {
             gas_used.push(core.gas_used);
         }
         // Return the block's buffers to the arena for the next call.
-        {
-            let mut pool = self.pool.lock();
-            pool.storage = Some(sequences.into_storage());
-            pool.states = states;
-        }
+        *self.pool.lock() = BlockPool {
+            storage: Some(sequences.into_storage()),
+            states,
+            meta,
+            lanes,
+        };
+        stats.serial_nanos = ((bound - start) + joined.elapsed()).as_nanos() as u64;
         ParallelOutcome {
             final_writes,
             statuses,
@@ -1190,12 +1300,96 @@ impl ParallelExecutor {
         }
     }
 
+    /// Everything that happens before the first worker starts, on the
+    /// calling thread: recycle the previous block's buffers, bind the
+    /// block in one walk over its C-SAGs ([`BlockMeta::bind`] — ids,
+    /// metadata, predicted sequences, ranks), and put the first ready set
+    /// in the lanes. Also returns the heap bytes served from the arena.
+    fn bind_block<'a>(
+        &self,
+        txs: &'a [Transaction],
+        snapshot: &'a Snapshot,
+        csags: &[CSag],
+    ) -> (Shared<'a>, u64) {
+        let n = txs.len();
+        // Block arena: reclaim the previous block's buffers from the pool.
+        let BlockPool {
+            storage,
+            mut states,
+            mut meta,
+            mut lanes,
+        } = std::mem::take(&mut *self.pool.lock());
+        let mut bytes_saved = meta.reset(csags);
+        let (mut sequences, storage_bytes) =
+            ShardedSequences::for_block(DEFAULT_SHARDS, storage, self.hook.clone());
+        bytes_saved += storage_bytes;
+        states.truncate(n);
+        for state in &mut states {
+            bytes_saved += recycle_state(state);
+        }
+        states.resize_with(n, || TxState {
+            generation: AtomicU32::new(0),
+            core: Mutex::new(TxCore {
+                phase: Phase::Waiting,
+                attempts: 0,
+                status: None,
+                gas_used: 0,
+                published: SortedIds::default(),
+                touched: SortedIds::default(),
+            }),
+            event: Event::default(),
+            demoted: AtomicBool::new(false),
+        });
+        let dag = meta.bind(csags, &mut sequences, &mut states, self.config.max_attempts);
+
+        // Initial admission (Algorithm 1 line 1): the transactions the walk
+        // found ready, in block order, each into its rank's lane. Nothing
+        // is running yet, so the queue is filled in place. (A finished
+        // block leaves its stale entries in the recycled lanes.)
+        lanes.resize_with(NUM_LANES, Mutex::default);
+        lanes.iter_mut().for_each(|lane| lane.get_mut().clear());
+        let mut lane_counts = [0usize; NUM_LANES];
+        for (tx, state) in states.iter_mut().enumerate() {
+            if state.core.get_mut().phase == Phase::Ready {
+                let lane = dag.lane_of(tx);
+                lanes[lane].get_mut().push_back((tx, 0, lane));
+                lane_counts[lane] += 1;
+            }
+        }
+        let shared = Shared {
+            sequences,
+            states,
+            dag,
+            lanes,
+            lane_counts: lane_counts.into_iter().map(AtomicUsize::new).collect(),
+            finished: AtomicUsize::new(0),
+            resting: AtomicUsize::new(0),
+            flush_cursor: AtomicUsize::new(0),
+            blocked: AtomicUsize::new(0),
+            idle: AtomicUsize::new(0),
+            ready_count: AtomicUsize::new(lane_counts.iter().sum()),
+            aborts: AtomicU64::new(0),
+            stats: AtomicStats::default(),
+            idle_event: Event::default(),
+            snapshot,
+            meta,
+            txs,
+            // More workers than transactions could only park; zero would
+            // run nothing at all.
+            threads: self.config.threads.clamp(1, n),
+            max_attempts: self.config.max_attempts,
+            hook: self.hook.clone(),
+        };
+        (shared, bytes_saved)
+    }
+
+    /// One worker: runs ready transactions until the block is finished,
+    /// then flushes its share of the store.
     fn worker(&self, shared: &Shared<'_>, block_env: &BlockEnv) {
         let n = shared.txs.len();
         loop {
             if shared.finished.load(Ordering::SeqCst) == n {
-                shared.idle_event.signal();
-                return;
+                return shared.rest_and_flush();
             }
             if let Some((tx, generation, lane)) = shared.pop_ready() {
                 shared.ready_count.fetch_sub(1, Ordering::SeqCst);
@@ -1259,8 +1453,7 @@ impl ParallelExecutor {
 
     fn run_attempt(&self, shared: &Shared<'_>, block_env: &BlockEnv, tx: usize, generation: u32) {
         let transaction = &shared.txs[tx];
-        let csag = &shared.csags[tx];
-        let meta = &shared.metas[tx];
+        let meta = shared.meta.tx(tx);
 
         let mut host = ThreadHost {
             shared,
@@ -1272,16 +1465,14 @@ impl ParallelExecutor {
             scratch: Vec::new(),
         };
         // Entry release point: the transaction cannot abort at all.
-        if let Some(rp) = csag.release_points.first() {
-            if rp.pc == 0 {
-                let gas_left = transaction.env.gas_limit.saturating_sub(INTRINSIC_GAS);
-                let passed = match shared.hook() {
-                    Some(hook) => hook.release_gate(tx, rp.pc, gas_left, rp.gas_bound),
-                    None => gas_left >= rp.gas_bound,
-                };
-                if passed {
-                    host.released = true;
-                }
+        if let Some(&(0, bound)) = meta.release_bounds.first() {
+            let gas_left = transaction.env.gas_limit.saturating_sub(INTRINSIC_GAS);
+            let passed = match shared.hook() {
+                Some(hook) => hook.release_gate(tx, 0, gas_left, bound),
+                None => gas_left >= bound,
+            };
+            if passed {
+                host.released = true;
             }
         }
 
@@ -1290,7 +1481,7 @@ impl ParallelExecutor {
             transaction,
             self.analyzer.registry(),
             block_env,
-            Some(&meta.release_set),
+            Some(meta.release_set),
         );
 
         if host.stale() {
@@ -1319,17 +1510,17 @@ pub(crate) fn run_tx<H: Host>(
     tx: &Transaction,
     registry: &CodeRegistry,
     block_env: &BlockEnv,
-    release_points: Option<&HashSet<usize>>,
+    release_points: Option<&[usize]>,
 ) -> (ExecStatus, u64) {
     match tx.kind {
         TxKind::Transfer => (
             run_transfer(host, tx).unwrap_or(ExecStatus::Interrupted),
             INTRINSIC_GAS,
         ),
-        TxKind::Call => match registry.code(&tx.to()) {
-            Some(code) => {
+        TxKind::Call => match registry.deployed(&tx.to()) {
+            Some(deployed) => {
                 let params = ExecParams {
-                    code: &code,
+                    code: deployed.code(),
                     tx: &tx.env,
                     block: block_env,
                     release_points,
@@ -1397,19 +1588,19 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
         if host.stale() {
             return;
         }
-        let ids: Vec<KeyId> = core.published.iter().collect();
+        let ids = core.published.as_slice().to_vec();
         core.published.clear();
         ids
     };
     // Mutation testing: `skip_rollback` (always false in production) leaks
     // the keys the hook names — they stay `Done` in their sequences and
     // reach the final write set even though the transaction failed.
-    let mut leaked = IdSet::new();
+    let mut leaked: Vec<KeyId> = Vec::new();
     if let Some(hook) = shared.hook() {
         for &id in published.iter() {
             let key = shared.sequences.interner().resolve(id);
             if hook.skip_rollback(tx, &key) {
-                leaked.insert(id);
+                leaked.push(id);
             }
         }
     }
@@ -1418,7 +1609,7 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
     let mut to_drop: Vec<_> = published
         .into_iter()
         .chain(predicted)
-        .filter(|&id| !leaked.contains(id))
+        .filter(|id| !leaked.contains(id))
         .map(|id| (id, VersionOp::Drop))
         .collect();
     if host.apply_batch(&mut to_drop).is_err() {
@@ -1528,6 +1719,49 @@ mod tests {
         assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
         assert_eq!(outcome.statuses, vec![ExecStatus::Success; txs.len()]);
         assert!(outcome.stats.attempts <= 2 * txs.len() as u64);
+    }
+
+    #[test]
+    fn spent_from_the_start_runs_the_block_in_order() {
+        // `max_attempts: 0`: no transaction has a speculative attempt to
+        // spend, so the binding pass may put only the first in the queue and
+        // each of the others runs once, after everything before it.
+        let txs = vec![
+            mint(900, 1, 100),
+            transfer(1, 2, 30),
+            mint(901, 3, 5),
+            transfer(2, 3, 10),
+            transfer(1, 4, 200), // reverts
+            transfer(3, 4, 15),
+        ];
+        let snapshot = Snapshot::empty();
+        let config = ParallelConfig {
+            threads: 2,
+            max_attempts: 0,
+        };
+        let exec = ParallelExecutor::new(Analyzer::new(registry()), config);
+        let outcome = exec.execute_block(&txs, &snapshot, &BlockEnv::default());
+        assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
+        assert_eq!(outcome.statuses[4], ExecStatus::Reverted);
+        assert_eq!(outcome.stats.attempts, txs.len() as u64);
+        assert_eq!(outcome.aborts, 0);
+    }
+
+    #[test]
+    fn one_worker_flushes_every_shard() {
+        // `threads: 1`: the only worker is the last to rest, and its flush
+        // has to cover the whole store — more keys here than shards.
+        let txs: Vec<_> = (0..40)
+            .map(|i| match i % 4 {
+                0 => mint(900 + i, 1 + i, 50),
+                _ => transfer(i - i % 4 + 1, 100 + i, 3),
+            })
+            .collect();
+        let outcome = executor(1).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
+        let expected = serial_writes(&txs, &Snapshot::empty());
+        assert!(expected.len() > DEFAULT_SHARDS);
+        assert_eq!(outcome.final_writes, expected);
+        assert!(outcome.stats.serial_nanos > 0);
     }
 
     #[test]
@@ -1741,5 +1975,210 @@ mod tests {
         assert!(dag.critical_path_gas > 0);
         assert!(dag.total_gas >= dag.critical_path_gas);
         assert!((1.0..=txs.len() as f64).contains(&dag.speedup_bound()));
+    }
+
+    mod binding {
+        //! The binding pass against what it replaced: a `try_admit` sweep,
+        //! `BlockDag::build`, and a per-transaction rebuild of the metadata.
+
+        use super::*;
+        use crate::access::AccessSequence;
+        use dmvcc_analysis::ReleasePoint;
+        use proptest::prelude::*;
+
+        fn key(k: u8) -> StateKey {
+            StateKey::storage(Address::from_u64(1 + k as u64 % 3), U256::from(k as u64))
+        }
+
+        /// One transaction's C-SAG from raw draws: key sets that may
+        /// overlap any way they like (reads ∩ writes, a key in both `writes`
+        /// and `adds`, nothing at all), `last_write_pc` keys that need not be
+        /// written, release pcs that repeat.
+        type Draw = (Vec<u8>, Vec<u8>, Vec<u8>, Vec<(u8, usize)>, Vec<usize>, u64);
+
+        fn csag((reads, writes, adds, last_writes, releases, gas): Draw) -> CSag {
+            let mut csag = CSag {
+                predicted_gas: gas,
+                ..CSag::default()
+            };
+            csag.reads.extend(reads.into_iter().map(key));
+            csag.writes.extend(writes.into_iter().map(key));
+            csag.adds.extend(adds.into_iter().map(key));
+            for (k, pc) in last_writes {
+                // One pc in a few is "inside a nested frame".
+                let pc = if pc % 5 == 0 { usize::MAX } else { pc };
+                csag.last_write_pc.insert(key(k), pc);
+            }
+            let point = |pc| ReleasePoint {
+                pc,
+                gas_bound: pc as u64 * 7,
+            };
+            csag.release_points.extend(releases.into_iter().map(point));
+            csag
+        }
+
+        fn draws() -> impl Strategy<Value = Vec<Draw>> {
+            let keys = || prop::collection::vec(0u8..10, 0..4);
+            let last_writes = prop::collection::vec((0u8..12, 0usize..40), 0..4);
+            let releases = prop::collection::vec(0usize..6, 0..4);
+            let gas = 0u64..200_000;
+            prop::collection::vec((keys(), keys(), keys(), last_writes, releases, gas), 1..14)
+        }
+
+        fn bound<'a>(
+            exec: &ParallelExecutor,
+            txs: &'a [Transaction],
+            snapshot: &'a Snapshot,
+            csags: &'a [CSag],
+        ) -> Shared<'a> {
+            exec.bind_block(txs, snapshot, csags).0
+        }
+
+        /// The queue's entries, lane by lane, front to back.
+        fn queued(shared: &Shared<'_>) -> Vec<ReadyEntry> {
+            let lanes = shared.lanes.iter();
+            lanes
+                .flat_map(|lane| lane.lock().iter().copied().collect::<Vec<_>>())
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: 128,
+                .. ProptestConfig::default()
+            })]
+
+            #[test]
+            fn one_pass_equals_the_walks_it_replaced(draws in draws()) {
+                let csags: Vec<CSag> = draws.into_iter().map(csag).collect();
+                let n = csags.len();
+                let txs = vec![mint(900, 1, 1); n];
+                let snapshot = Snapshot::empty();
+                let exec = executor(2);
+                // Run the block first (the predictions are noise to these
+                // mints; the result is still the serial one) and bind it
+                // again into what that run left in the arena — with a stale
+                // entry in every lane, as an abort storm leaves them.
+                let env = BlockEnv::default();
+                let outcome = exec.execute_block_with_csags(&txs, &snapshot, &env, &csags);
+                prop_assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
+                for lane in exec.pool.lock().lanes.iter_mut() {
+                    lane.get_mut().push_back((n + 7, 3, 0));
+                }
+                let shared = bound(&exec, &txs, &snapshot, &csags);
+                let interner = shared.sequences.interner();
+
+                // The first ready set is what `resolve_read` answers on the
+                // freshly predicted store, queued in block order, each entry
+                // in its rank's lane — and a sweep finds nothing to add.
+                let ready: Vec<usize> = (0..n).filter(|&tx| shared.is_ready(tx)).collect();
+                let queue = queued(&shared);
+                let mut queued_txs: Vec<usize> = queue.iter().map(|entry| entry.0).collect();
+                for lane in shared.lanes.iter() {
+                    let lane = lane.lock();
+                    prop_assert!(lane.iter().is_sorted_by(|a, b| a.0 < b.0));
+                }
+                queued_txs.sort_unstable();
+                prop_assert_eq!(&queued_txs, &ready);
+                for &(tx, generation, lane) in &queue {
+                    prop_assert_eq!((generation, lane), (0, shared.dag.lane_of(tx)));
+                }
+                let counts = shared.lane_counts.iter();
+                let counts: Vec<usize> = counts.map(|c| c.load(Ordering::SeqCst)).collect();
+                let lens: Vec<usize> = shared.lanes.iter().map(|lane| lane.lock().len()).collect();
+                prop_assert_eq!(counts, lens);
+                prop_assert_eq!(shared.ready_count.load(Ordering::SeqCst), ready.len());
+                for tx in 0..n {
+                    let phase = shared.states[tx].core.lock().phase;
+                    let expected = if ready.contains(&tx) { Phase::Ready } else { Phase::Waiting };
+                    prop_assert_eq!(phase, expected);
+                    prop_assert!(!shared.try_admit(tx));
+                }
+
+                // Ranks and lanes swept over the pass's ids are the public
+                // wrapper's.
+                let dag = BlockDag::build(&csags);
+                prop_assert_eq!(&shared.dag.ranks, &dag.ranks);
+                prop_assert_eq!(shared.dag.critical_path_gas, dag.critical_path_gas);
+                prop_assert_eq!(shared.dag.total_gas, dag.total_gas);
+
+                // Every view is the per-transaction rebuild, and the store
+                // holds what predicting access by access would have put.
+                let id = |key: &StateKey| interner.lookup(key).expect("interned by the pass");
+                let mut sequences: std::collections::BTreeMap<StateKey, AccessSequence> =
+                    Default::default();
+                for (tx, csag) in csags.iter().enumerate() {
+                    let meta = shared.meta.tx(tx);
+                    let reads: Vec<_> = csag.reads.iter().map(|key| (id(key), *key)).collect();
+                    prop_assert_eq!(meta.reads, &reads[..]);
+                    let mut predicted_wa: Vec<_> = csag.writes.union(&csag.adds).map(id).collect();
+                    predicted_wa.sort_unstable();
+                    prop_assert_eq!(meta.predicted_wa, &predicted_wa[..]);
+                    let last_writes = csag.last_write_pc.iter();
+                    let mut last_write_pc: Vec<_> = last_writes.map(|(k, &pc)| (id(k), pc)).collect();
+                    last_write_pc.sort_unstable();
+                    prop_assert_eq!(meta.last_write_pc, &last_write_pc[..]);
+                    let points = csag.release_points.iter();
+                    let mut release_bounds: Vec<_> = points.map(|rp| (rp.pc, rp.gas_bound)).collect();
+                    release_bounds.sort_unstable();
+                    release_bounds.dedup();
+                    prop_assert_eq!(meta.release_bounds, &release_bounds[..]);
+                    let release_pcs = release_bounds.iter().map(|&(pc, _)| pc);
+                    let past_writes = last_write_pc.iter().map(|&(_, pc)| pc.saturating_add(1));
+                    let mut release_set: Vec<_> = release_pcs.chain(past_writes).collect();
+                    release_set.sort_unstable();
+                    release_set.dedup();
+                    prop_assert_eq!(meta.release_set, &release_set[..]);
+                    let mut touched: Vec<_> = reads.iter().map(|&(id, _)| id).collect();
+                    touched.extend(&predicted_wa);
+                    touched.sort_unstable();
+                    touched.dedup();
+                    let core = shared.states[tx].core.lock();
+                    prop_assert_eq!(core.touched.as_slice(), &touched[..]);
+                    prop_assert!(core.published.as_slice().is_empty());
+
+                    let accesses = [
+                        (&csag.reads, AccessOp::Read),
+                        (&csag.writes, AccessOp::Write),
+                        (&csag.adds, AccessOp::Add),
+                    ];
+                    for (keys, op) in accesses {
+                        for key in keys {
+                            sequences.entry(*key).or_default().predict(tx, op);
+                        }
+                    }
+                }
+                let tuple = |seq: &AccessSequence| -> Vec<_> {
+                    let entries = seq.entries().iter();
+                    entries.map(|e| (e.tx, e.op, e.version, e.read_done)).collect()
+                };
+                for (key, expected) in &sequences {
+                    let shard = shared.sequences.shard_for(id(key));
+                    let got = shard.sequence(id(key)).expect("predicted");
+                    prop_assert_eq!(tuple(got), tuple(expected));
+                }
+                prop_assert_eq!(interner.len(), {
+                    let all = csags.iter().flat_map(|c| {
+                        let sets = c.reads.iter().chain(&c.writes).chain(&c.adds);
+                        sets.chain(c.last_write_pc.keys())
+                    });
+                    all.collect::<std::collections::BTreeSet<_>>().len()
+                });
+            }
+
+            #[test]
+            fn no_attempts_to_spend_queues_only_the_first(draws in draws()) {
+                let csags: Vec<CSag> = draws.into_iter().map(csag).collect();
+                let txs = vec![mint(900, 1, 1); csags.len()];
+                let snapshot = Snapshot::empty();
+                let config = ParallelConfig { threads: 2, max_attempts: 0 };
+                let exec = ParallelExecutor::new(Analyzer::new(registry()), config);
+                let shared = bound(&exec, &txs, &snapshot, &csags);
+                prop_assert_eq!(queued(&shared), vec![(0, 0, shared.dag.lane_of(0))]);
+                for tx in 0..csags.len() {
+                    prop_assert!(!shared.try_admit(tx));
+                }
+            }
+        }
     }
 }

@@ -55,12 +55,12 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use dmvcc_primitives::U256;
-use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
+use dmvcc_state::{KeyId, Snapshot, StateKey, WriteSet};
 use dmvcc_vm::{BlockEnv, ExecStatus, Host, HostError, Transaction, TxKind};
 
 use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
@@ -421,14 +421,16 @@ impl StmExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let mut interner = KeyInterner::new();
+        let start = Instant::now();
+        let mut sequences = self.sequences();
+        let (interner, _) = sequences.bind();
         for tx in txs {
             if tx.kind == TxKind::Transfer {
                 interner.preintern(StateKey::balance(tx.sender()));
                 interner.preintern(StateKey::balance(tx.to()));
             }
         }
-        self.run(txs, snapshot, block_env, interner)
+        self.run(txs, snapshot, block_env, sequences, start)
     }
 
     /// Executes a block optimistically, pre-interning the predicted keys
@@ -442,21 +444,33 @@ impl StmExecutor {
         csags: &[CSag],
     ) -> ParallelOutcome {
         assert_eq!(txs.len(), csags.len(), "one C-SAG per transaction");
-        let mut interner = KeyInterner::new();
+        let start = Instant::now();
+        let mut sequences = self.sequences();
+        let (interner, _) = sequences.bind();
         for sag in csags {
             for key in sag.reads.iter().chain(&sag.writes).chain(&sag.adds) {
                 interner.preintern(*key);
             }
         }
-        self.run(txs, snapshot, block_env, interner)
+        self.run(txs, snapshot, block_env, sequences, start)
     }
 
+    /// A block's empty store (no storage recycling in this engine).
+    fn sequences(&self) -> ShardedSequences {
+        ShardedSequences::for_block(DEFAULT_SHARDS, None, self.hook.clone()).0
+    }
+
+    /// Runs the block over `sequences`, whose interner the caller filled.
+    /// `start` is when it began to: what lies between that and the workers'
+    /// start, and the flush after their end, is
+    /// [`ExecutorStats::serial_nanos`].
     fn run(
         &self,
         txs: &[Transaction],
         snapshot: &Snapshot,
         block_env: &BlockEnv,
-        interner: KeyInterner,
+        sequences: ShardedSequences,
+        start: Instant,
     ) -> ParallelOutcome {
         if txs.is_empty() {
             return ParallelOutcome {
@@ -472,13 +486,7 @@ impl StmExecutor {
             snapshot,
             block_env,
             analyzer: &self.analyzer,
-            sequences: ShardedSequences::for_block(
-                Arc::new(interner),
-                DEFAULT_SHARDS,
-                None,
-                self.hook.clone(),
-            )
-            .0,
+            sequences,
             slots: (0..txs.len())
                 .map(|_| Mutex::new(TxSlot::default()))
                 .collect(),
@@ -495,12 +503,14 @@ impl StmExecutor {
             aborts: AtomicU64::new(0),
         };
         let threads = self.config.threads.clamp(1, txs.len());
+        let bound = Instant::now();
         std::thread::scope(|scope| {
             for _ in 1..threads {
                 scope.spawn(|| worker(&shared));
             }
             worker(&shared);
         });
+        let joined = Instant::now();
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
 
         let final_writes = shared.sequences.final_writes(snapshot);
@@ -520,6 +530,7 @@ impl StmExecutor {
             validations: shared.validations.load(Ordering::Relaxed),
             validation_failures: shared.validation_failures.load(Ordering::Relaxed),
             optimistic_txs: txs.len() as u64,
+            serial_nanos: ((bound - start) + joined.elapsed()).as_nanos() as u64,
             ..ExecutorStats::default()
         };
         ParallelOutcome {

@@ -22,7 +22,7 @@
 //! O(n²) edge list a hot key would otherwise produce.
 
 use dmvcc_analysis::CSag;
-use dmvcc_state::KeyInterner;
+use dmvcc_state::{KeyId, KeyInterner};
 
 /// Number of priority lanes the sharded executor's ready queue is bucketed
 /// into. Lane 0 holds the highest-ranked transactions; workers drain lanes
@@ -60,53 +60,71 @@ impl BlockDag {
     /// predicts zero gas; its weight is clamped to the intrinsic cost so
     /// ranks stay strictly positive and lane math stays meaningful.
     pub fn build(csags: &[CSag]) -> BlockDag {
-        // Standalone entry point (global executor, tests): intern the
-        // block's keys locally so the sweep runs on dense ids.
+        // Standalone entry point (benchmarks, tests; the sharded executor
+        // sweeps the ids its own binding pass assigned): intern the block's
+        // keys locally, each occurrence once, so the sweep runs on dense
+        // ids. `spans[i]` is where transaction `i`'s reads end in `ids` and
+        // where its writes ∪ adds, which follow them, end.
+        let occurrences = |c: &CSag| c.reads.len() + c.writes.len() + c.adds.len();
         let mut interner = KeyInterner::new();
+        let mut ids: Vec<KeyId> = Vec::with_capacity(csags.iter().map(occurrences).sum());
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(csags.len());
         for csag in csags {
-            for key in csag
-                .reads
-                .iter()
-                .chain(csag.writes.iter())
-                .chain(csag.adds.iter())
-            {
-                interner.preintern(*key);
-            }
+            ids.extend(csag.reads.iter().map(|key| interner.preintern(*key)));
+            let reads_end = ids.len();
+            let written = csag.writes.union(&csag.adds);
+            ids.extend(written.map(|key| interner.preintern(*key)));
+            spans.push((reads_end, ids.len()));
         }
-        BlockDag::build_with_interner(csags, &interner)
+        let start = |i: usize| if i == 0 { 0 } else { spans[i - 1].1 };
+        BlockDag::sweep(
+            interner.frozen_len(),
+            csags.len(),
+            |i| csags[i].predicted_gas,
+            |i| ids[start(i)..spans[i].0].iter().copied(),
+            |i| ids[spans[i].0..spans[i].1].iter().copied(),
+        )
     }
 
-    /// Builds the DAG ranks from a block's C-SAGs over an interner already
-    /// holding every predicted key (the sharded executor shares the block's
-    /// bind-time interner). The per-key suffix maximum is a dense vector
-    /// indexed by [`dmvcc_state::KeyId`], not a hash map over 52-byte keys.
-    pub fn build_with_interner(csags: &[CSag], interner: &KeyInterner) -> BlockDag {
-        let n = csags.len();
+    /// The backward sweep itself, over interned ids: of transaction `i` of
+    /// `txs`, `gas(i)` is the predicted gas, `reads(i)` the ids it is
+    /// predicted to read and `written(i)` the ids it is predicted to write
+    /// or add to (each once), all below `keys`. The per-key suffix maximum
+    /// is a dense vector indexed by id, not a hash map over 52-byte keys.
+    pub(crate) fn sweep<R, W>(
+        keys: usize,
+        txs: usize,
+        gas: impl Fn(usize) -> u64,
+        reads: impl Fn(usize) -> R,
+        written: impl Fn(usize) -> W,
+    ) -> BlockDag
+    where
+        R: Iterator<Item = KeyId>,
+        W: Iterator<Item = KeyId>,
+    {
         let mut ranks = vec![
             TxRank {
                 rank_gas: 0,
                 dependents: 0,
                 lane: 0,
             };
-            n
+            txs
         ];
         // Per key id: (max rank, count) over the *readers with a higher
         // index than the transaction currently being processed* —
         // maintained by the backward sweep.
-        let mut suffix: Vec<(u64, u64)> = vec![(0, 0); interner.len()];
+        let mut suffix: Vec<(u64, u64)> = vec![(0, 0); keys];
         let mut critical = 0u64;
         let mut total = 0u64;
-        for i in (0..n).rev() {
-            let gas = csags[i].predicted_gas.max(dmvcc_vm::INTRINSIC_GAS);
+        for i in (0..txs).rev() {
+            let gas = gas(i).max(dmvcc_vm::INTRINSIC_GAS);
             total += gas;
             let mut downstream = 0u64;
             let mut dependents = 0u64;
-            for key in csags[i].writes.iter().chain(csags[i].adds.iter()) {
-                if let Some(id) = interner.lookup(key) {
-                    let (max_rank, count) = suffix[id.index()];
-                    downstream = downstream.max(max_rank);
-                    dependents += count;
-                }
+            for id in written(i) {
+                let (max_rank, count) = suffix[id.index()];
+                downstream = downstream.max(max_rank);
+                dependents += count;
             }
             let rank = gas + downstream;
             critical = critical.max(rank);
@@ -114,12 +132,10 @@ impl BlockDag {
             ranks[i].dependents = dependents;
             // Register this transaction's reads *after* computing its own
             // rank, so an RMW transaction never depends on itself.
-            for key in &csags[i].reads {
-                if let Some(id) = interner.lookup(key) {
-                    let entry = &mut suffix[id.index()];
-                    entry.0 = entry.0.max(rank);
-                    entry.1 += 1;
-                }
+            for id in reads(i) {
+                let entry = &mut suffix[id.index()];
+                entry.0 = entry.0.max(rank);
+                entry.1 += 1;
             }
         }
         for rank in &mut ranks {

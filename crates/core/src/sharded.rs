@@ -12,16 +12,28 @@
 //! the block's [`KeyInterner`] assigns dense u32 ids at C-SAG bind time,
 //! the shard is `id & (shards-1)` and the slot within the shard is
 //! `id >> log2(shards)` — a direct vector index, no 52-byte hash per
-//! probe. Shard storage is recycled across blocks
-//! ([`ShardedSequences::for_block`]): slots are cleared in place, keeping
-//! every entry buffer's capacity, and the bytes served from recycled
-//! memory are reported as `ExecutorStats::alloc_bytes_saved`.
+//! probe. Shard storage — the slots, the interner's tables, the flush
+//! buffers — is recycled across blocks ([`ShardedSequences::for_block`]):
+//! everything is cleared in place, keeping every buffer's capacity, and the
+//! bytes served from recycled memory are reported as
+//! `ExecutorStats::alloc_bytes_saved`.
 //!
 //! Each slot also carries the *reverse waiter index* for its key: the set
 //! of transactions whose read is currently blocked on a pending version of
 //! that key. A publisher drains exactly those waiters under the same lock
 //! hold that makes the version visible, which is what lets the executor
 //! wake only the transactions that can actually make progress.
+//!
+//! A block's life in the store has three phases. It is *bound* by one
+//! thread with exclusive access ([`ShardedSequences::bind`]: predicted
+//! entries go in through `Mutex::get_mut`, so no lock is taken, counted or
+//! shown to the hook). It is then shared, and every access goes through
+//! [`ShardedSequences::shard_for`]. Once nothing can change it any more it
+//! is *flushed* one shard at a time ([`ShardedSequences::flush_shard`], each
+//! shard into its own recycled buffer) — shards are independent, so the
+//! engine's workers flush them in parallel, [`ShardedSequences::flushed`]
+//! merges the runs, and [`ShardedSequences::final_writes`] is the two in
+//! sequence.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,6 +79,9 @@ pub struct Shard {
     /// log2(shard count) — slot index = `id >> bits`.
     bits: u32,
     slots: Vec<SeqSlot>,
+    /// The shard's run of the commit flush, sorted by key
+    /// ([`ShardedSequences::flush_shard`]).
+    flushed: Vec<(StateKey, U256)>,
 }
 
 impl Shard {
@@ -171,13 +186,14 @@ pub(crate) enum VersionOp {
 /// were parked on the key (drained under the same lock hold).
 pub(crate) type Staged = (VersionWriteEffect, Vec<usize>);
 
-/// Recycled shard storage: the mutexes and slot arrays of a finished
-/// block, handed back to the executor's block arena
-/// ([`ShardedSequences::into_storage`]) and reused by the next
+/// Recycled shard storage: the mutexes, slot arrays and flush buffers of a
+/// finished block and its interner's tables, handed back to the executor's
+/// block arena ([`ShardedSequences::into_storage`]) and reused by the next
 /// [`ShardedSequences::for_block`] with every buffer's capacity intact.
 #[derive(Debug, Default)]
 pub struct ShardStorage {
     shards: Vec<Mutex<Shard>>,
+    interner: KeyInterner,
 }
 
 /// All access sequences of one block, spread over id-addressed shards.
@@ -186,7 +202,7 @@ pub struct ShardedSequences {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
     bits: u32,
-    interner: Arc<KeyInterner>,
+    interner: KeyInterner,
     locks: AtomicU64,
     /// Optional scheduling hook, consulted inside the shard critical
     /// section (`None` in production — one predicted-not-taken branch).
@@ -204,16 +220,14 @@ impl ShardedSequences {
     /// power of two so the shard index is a mask, not a modulo) and a fresh
     /// interner.
     pub fn with_shards(shards: usize) -> Self {
-        ShardedSequences::for_block(Arc::new(KeyInterner::new()), shards, None, None).0
+        ShardedSequences::for_block(shards, None, None).0
     }
 
-    /// Builds the sequence set for one block: `interner` carries the
-    /// block's predicted keys, `recycled` is the previous block's storage
-    /// (reused in place when the shard count matches). Returns the set and
-    /// the heap bytes served from recycled buffers instead of the
-    /// allocator.
+    /// Builds the empty sequence set for one block, its interner included:
+    /// `recycled` is the previous block's storage (reused in place when the
+    /// shard count matches). Returns the set and the heap bytes served from
+    /// recycled buffers instead of the allocator.
     pub fn for_block(
-        interner: Arc<KeyInterner>,
         shards: usize,
         recycled: Option<ShardStorage>,
         hook: Option<Arc<dyn SchedHook>>,
@@ -221,33 +235,39 @@ impl ShardedSequences {
         let count = shards.max(1).next_power_of_two();
         let bits = count.trailing_zeros();
         let mut bytes_saved = 0u64;
-        let shards = match recycled {
+        let storage = match recycled {
             Some(mut storage) if storage.shards.len() == count => {
+                bytes_saved += storage.interner.reset();
                 for shard in &mut storage.shards {
                     let shard = shard.get_mut();
                     shard.bits = bits;
-                    bytes_saved += (shard.slots.capacity() * std::mem::size_of::<SeqSlot>()) as u64;
+                    bytes_saved += (shard.slots.capacity() * std::mem::size_of::<SeqSlot>()
+                        + shard.flushed.capacity() * std::mem::size_of::<(StateKey, U256)>())
+                        as u64;
                     for slot in &mut shard.slots {
                         bytes_saved += slot.reset();
                     }
+                    shard.flushed.clear();
                 }
-                storage.shards
+                storage
             }
-            _ => (0..count)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        bits,
-                        slots: Vec::new(),
-                    })
-                })
-                .collect(),
+            _ => {
+                let shard = || Shard {
+                    bits,
+                    ..Shard::default()
+                };
+                ShardStorage {
+                    shards: (0..count).map(|_| Mutex::new(shard())).collect(),
+                    interner: KeyInterner::new(),
+                }
+            }
         };
         (
             ShardedSequences {
-                shards,
+                shards: storage.shards,
                 mask: count - 1,
                 bits,
-                interner,
+                interner: storage.interner,
                 locks: AtomicU64::new(0),
                 hook,
             },
@@ -259,6 +279,7 @@ impl ShardedSequences {
     pub fn into_storage(self) -> ShardStorage {
         ShardStorage {
             shards: self.shards,
+            interner: self.interner,
         }
     }
 
@@ -268,7 +289,7 @@ impl ShardedSequences {
     }
 
     /// The block's key interner.
-    pub fn interner(&self) -> &Arc<KeyInterner> {
+    pub fn interner(&self) -> &KeyInterner {
         &self.interner
     }
 
@@ -348,43 +369,71 @@ impl ShardedSequences {
         self.locks.load(Ordering::Relaxed)
     }
 
-    /// Registers a predicted access (preprocessing; single-threaded).
-    pub fn predict(&self, key: StateKey, tx: usize, op: AccessOp) -> KeyId {
-        let id = self.intern(key);
-        self.predict_id(id, tx, op);
-        id
+    /// Bind-time access for the one thread that builds the block, before
+    /// the set is shared: the interner's frozen tier, and a function that
+    /// registers a predicted access `(id, tx, op)` (the preprocessing of
+    /// §IV-A). Exclusive access is the synchronization — no shard lock is
+    /// taken, so none is counted and the hook sees none.
+    pub fn bind(&mut self) -> (&mut KeyInterner, impl FnMut(KeyId, usize, AccessOp) + '_) {
+        let (interner, shards, mask) = (&mut self.interner, &mut self.shards, self.mask);
+        let predict = move |id: KeyId, tx, op| {
+            let shard = shards[id.index() & mask].get_mut();
+            shard.sequence_mut(id).predict(tx, op);
+        };
+        (interner, predict)
     }
 
-    /// Registers a predicted access for an already-interned key.
-    pub fn predict_id(&self, id: KeyId, tx: usize, op: AccessOp) {
-        self.shard_for(id).sequence_mut(id).predict(tx, op);
-    }
-
-    /// The commit-phase flush: the final write of every sequence across all
-    /// shards, merged with trailing deltas into one sorted [`WriteSet`]
-    /// (paper Algorithm 1 line 20).
+    /// The commit-phase flush of one shard (paper Algorithm 1 line 20):
+    /// the final write of each of its sequences, merged with trailing
+    /// deltas, into the shard's own buffer, sorted by key.
     ///
     /// Writes whose value equals the snapshot value are omitted — they are
     /// no-ops for both the snapshot map and the trie, and omitting them
-    /// keeps this flush byte-identical with the serial executor's.
-    pub fn final_writes(&self, snapshot: &Snapshot) -> WriteSet {
-        let mut writes = WriteSet::new();
-        for (shard_index, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock();
-            for (slot_index, slot) in shard.slots.iter().enumerate() {
-                if slot.seq.entries().is_empty() {
-                    continue;
-                }
-                let id = KeyId::from_index((slot_index << self.bits) | shard_index);
-                let key = self.interner.resolve(id);
-                if let Some(value) = slot.seq.final_value(&key, snapshot) {
-                    if value != snapshot.get(&key) {
-                        writes.insert(key, value);
-                    }
+    /// keeps this flush byte-identical with the serial executor's. The
+    /// snapshot value is the slot's cached one whenever a read of the block
+    /// resolved to the base, and is looked up at most once otherwise.
+    ///
+    /// The shard must be quiescent: every transaction final, no attempt
+    /// able to touch it again.
+    pub fn flush_shard(&self, shard_index: usize, snapshot: &Snapshot) {
+        let mut shard = self.shards[shard_index].lock();
+        let Shard { slots, flushed, .. } = &mut *shard;
+        flushed.clear();
+        for (slot_index, slot) in slots.iter().enumerate() {
+            if slot.seq.entries().is_empty() {
+                continue;
+            }
+            let id = KeyId::from_index((slot_index << self.bits) | shard_index);
+            let key = self.interner.resolve(id);
+            let mut snap = slot.snap;
+            let mut base = || *snap.get_or_insert_with(|| snapshot.get(&key));
+            if let Some(value) = slot.seq.final_value(&mut base) {
+                if value != base() {
+                    flushed.push((key, value));
                 }
             }
         }
-        writes
+        flushed.sort_unstable_by_key(|&(key, _)| key);
+    }
+
+    /// What [`Self::flush_shard`] left in the shards, as one sorted
+    /// [`WriteSet`]: the runs are sorted, so the map's bulk build merges
+    /// them.
+    pub fn flushed(&self) -> WriteSet {
+        let runs: Vec<_> = self.shards.iter().map(|shard| shard.lock()).collect();
+        let mut writes = Vec::with_capacity(runs.iter().map(|run| run.flushed.len()).sum());
+        for run in &runs {
+            writes.extend_from_slice(&run.flushed);
+        }
+        writes.into_iter().collect()
+    }
+
+    /// The commit-phase flush of every shard, as one sorted [`WriteSet`].
+    pub fn final_writes(&self, snapshot: &Snapshot) -> WriteSet {
+        for shard_index in 0..self.shards.len() {
+            self.flush_shard(shard_index, snapshot);
+        }
+        self.flushed()
     }
 }
 
@@ -450,8 +499,13 @@ mod tests {
 
     #[test]
     fn recycled_storage_reuses_buffers_and_resets_state() {
-        let sharded = ShardedSequences::with_shards(4);
-        let id = sharded.predict(key(1), 0, AccessOp::Write);
+        let mut sharded = ShardedSequences::with_shards(4);
+        let id = {
+            let (interner, mut predict) = sharded.bind();
+            let id = interner.preintern(key(1));
+            predict(id, 0, AccessOp::Write);
+            id
+        };
         sharded
             .shard_for(id)
             .sequence_mut(id)
@@ -459,8 +513,7 @@ mod tests {
         let storage = sharded.into_storage();
         // Rebuild for a "next block": same shard count → buffers reused,
         // all sequence state gone.
-        let (next, bytes) =
-            ShardedSequences::for_block(Arc::new(KeyInterner::new()), 4, Some(storage), None);
+        let (next, bytes) = ShardedSequences::for_block(4, Some(storage), None);
         assert!(bytes > 0, "recycling should report reused bytes");
         let id = next.intern(key(1));
         assert!(next
@@ -554,10 +607,21 @@ mod tests {
             }
             let flat_writes: WriteSet = flat
                 .iter()
-                .filter_map(|(key, seq)| Some((*key, seq.final_value(key, &snapshot)?)))
+                .filter_map(|(key, seq)| Some((*key, seq.final_value(|| snapshot.get(key))?)))
                 .filter(|(key, value)| *value != snapshot.get(key))
                 .collect();
-            prop_assert_eq!(sharded.final_writes(&snapshot), flat_writes);
+            // The flush shard by shard, in any order, is the same set. No
+            // read has resolved yet, so every base comes from the snapshot.
+            let per_shard = |sharded: &ShardedSequences| {
+                for shard in (0..sharded.shard_count()).rev() {
+                    sharded.flush_shard(shard, &snapshot);
+                    let run = &sharded.shards[shard].lock().flushed;
+                    assert!(run.is_sorted_by(|a, b| a.0 < b.0));
+                }
+                sharded.flushed()
+            };
+            prop_assert_eq!(sharded.final_writes(&snapshot), flat_writes.clone());
+            prop_assert_eq!(per_shard(&sharded), flat_writes.clone());
             // An untouched key has no flat sequence; an empty one resolves
             // the same way (to the snapshot).
             let untouched = AccessSequence::new();
@@ -575,6 +639,10 @@ mod tests {
                     prop_assert_eq!(got, expected);
                 }
             }
+            // The reads above left their base in every slot's cache: the
+            // flush now takes it from there and must not change.
+            prop_assert_eq!(sharded.final_writes(&snapshot), flat_writes.clone());
+            prop_assert_eq!(per_shard(&sharded), flat_writes);
         }
     }
 }

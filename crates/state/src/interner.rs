@@ -14,8 +14,9 @@
 //! - a mutex-protected **dynamic tail** for keys discovered at runtime
 //!   (mispredicted accesses), rare by construction.
 //!
-//! Ids are dense (`0..len`), unique per key, stable for the lifetime of the
-//! interner, and reset across blocks by building a fresh interner.
+//! Ids are dense (`0..len`), unique per key and stable for one block; a new
+//! block starts from a fresh interner or from [`KeyInterner::reset`], which
+//! forgets every key and keeps the tables.
 //!
 //! # Examples
 //!
@@ -167,6 +168,21 @@ impl KeyInterner {
         KeyId(id)
     }
 
+    /// Empties both tiers for a new block, keeping the tables' capacity.
+    /// Returns the heap bytes kept (arena accounting).
+    pub fn reset(&mut self) -> u64 {
+        // A poisoned tail is emptied like any other.
+        let tail = self.tail.get_mut().unwrap_or_else(|e| e.into_inner());
+        let entries = self.frozen.capacity() + tail.map.capacity();
+        let keys = self.frozen_keys.capacity() + tail.keys.capacity();
+        self.frozen.clear();
+        self.frozen_keys.clear();
+        tail.map.clear();
+        tail.keys.clear();
+        (entries * std::mem::size_of::<(StateKey, u32)>() + keys * std::mem::size_of::<StateKey>())
+            as u64
+    }
+
     /// Number of keys in the frozen tier.
     pub fn frozen_len(&self) -> usize {
         self.frozen_keys.len()
@@ -260,6 +276,20 @@ mod tests {
         let d = interner.intern(key(5, 5));
         assert_eq!(interner.intern(key(5, 5)), d);
         assert_eq!(interner.len(), 2);
+    }
+
+    #[test]
+    fn reset_forgets_every_key_and_restarts_ids() {
+        let mut interner = KeyInterner::new();
+        interner.preintern(key(1, 0));
+        interner.preintern(key(2, 0));
+        interner.intern(key(3, 0));
+        assert!(interner.reset() > 0);
+        assert!(interner.is_empty());
+        assert_eq!(interner.lookup(&key(1, 0)), None);
+        assert_eq!(interner.lookup(&key(3, 0)), None);
+        assert_eq!(interner.preintern(key(2, 0)).index(), 0);
+        assert_eq!(interner.intern(key(3, 0)).index(), 1);
     }
 
     #[test]

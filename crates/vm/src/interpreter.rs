@@ -6,8 +6,6 @@
 //! *and* the analysis crate's speculative pre-execution (which records the
 //! access trace that becomes a C-SAG).
 
-use std::collections::HashSet;
-
 use dmvcc_primitives::{keccak256, U256};
 use dmvcc_state::StateKey;
 
@@ -73,10 +71,10 @@ pub struct ExecParams<'a> {
     /// Block context.
     pub block: &'a BlockEnv,
     /// Program counters that are release points for this transaction
-    /// (produced by SAG analysis); passing one triggers
+    /// (produced by SAG analysis), sorted ascending; landing on one triggers
     /// [`Host::on_release_point`]. `None` disables the callbacks.
     /// Release points apply to the top-level frame only.
-    pub release_points: Option<&'a HashSet<usize>>,
+    pub release_points: Option<&'a [usize]>,
     /// Code registry resolving `CALL` targets. Without one, every `CALL`
     /// to a contract address fails (pushes 0).
     pub registry: Option<&'a crate::registry::CodeRegistry>,
@@ -101,22 +99,42 @@ impl<'a> ExecParams<'a> {
     }
 }
 
-/// Scans bytecode for valid `JUMPDEST` positions (immediates of `PUSH`
-/// instructions are not valid destinations).
-pub fn valid_jumpdests(code: &[u8]) -> HashSet<usize> {
-    let mut dests = HashSet::new();
-    let mut pc = 0;
-    while pc < code.len() {
-        match Opcode::from_byte(code[pc]) {
-            Some(Opcode::JumpDest) => {
-                dests.insert(pc);
-                pc += 1;
+/// The valid `JUMPDEST` positions of one code body, one bit per program
+/// counter (immediates of `PUSH` instructions are not valid destinations).
+///
+/// A property of the bytes alone, so it is computed once per body: the
+/// [`crate::CodeRegistry`] keeps one beside every deployment, and only a
+/// frame whose code is not the registry's runs [`JumpTable::build`] itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JumpTable {
+    bits: Box<[u64]>,
+}
+
+impl JumpTable {
+    /// Scans `code` for its valid jump destinations.
+    pub fn build(code: &[u8]) -> Self {
+        let mut bits = vec![0u64; code.len().div_ceil(64)].into_boxed_slice();
+        let mut pc = 0;
+        while pc < code.len() {
+            match Opcode::from_byte(code[pc]) {
+                Some(Opcode::JumpDest) => {
+                    bits[pc / 64] |= 1 << (pc % 64);
+                    pc += 1;
+                }
+                Some(op) => pc += 1 + op.immediate_len(),
+                None => pc += 1,
             }
-            Some(op) => pc += 1 + op.immediate_len(),
-            None => pc += 1,
         }
+        JumpTable { bits }
     }
-    dests
+
+    /// `true` if `pc` holds a `JUMPDEST` that is not a `PUSH` immediate.
+    #[inline]
+    pub fn contains(&self, pc: usize) -> bool {
+        self.bits
+            .get(pc / 64)
+            .is_some_and(|word| word >> (pc % 64) & 1 != 0)
+    }
 }
 
 struct Machine<'a> {
@@ -127,8 +145,10 @@ struct Machine<'a> {
     return_data: Vec<u8>,
     /// Frame-local code (the callee's inside a nested frame).
     code: &'a [u8],
-    /// Frame-local environment (caller/contract/input swap per frame).
-    tx: TxEnv,
+    /// Frame-local environment (caller/contract/input swap per frame): the
+    /// transaction's own for the top frame, the one the `CALL` built for a
+    /// nested frame.
+    tx: &'a TxEnv,
     depth: usize,
     /// Set inside a `STATICCALL` frame (and every frame nested below it):
     /// storage writes and value transfers revert deterministically.
@@ -212,9 +232,24 @@ pub fn execute_traced(
             logs: Vec::new(),
         };
     }
+    // The registry's table, if the code is the registry's deployment at the
+    // called address (what every engine passes); built here otherwise.
+    let deployed = params
+        .registry
+        .and_then(|registry| registry.deployed(&params.tx.contract))
+        .filter(|deployed| std::ptr::eq(deployed.code(), params.code));
+    let built;
+    let jumpdests = match deployed {
+        Some(deployed) => deployed.jumpdests(),
+        None => {
+            built = JumpTable::build(params.code);
+            &built
+        }
+    };
     let frame = run_frame(
         params.code,
-        params.tx.clone(),
+        jumpdests,
+        params.tx,
         params,
         Frame {
             depth: 0,
@@ -257,7 +292,8 @@ struct Frame {
 /// only (analysis pcs are per-contract).
 fn run_frame(
     code: &[u8],
-    tx: TxEnv,
+    jumpdests: &JumpTable,
+    tx: &TxEnv,
     params: &ExecParams<'_>,
     frame: Frame,
     host: &mut dyn Host,
@@ -268,7 +304,6 @@ fn run_frame(
         gas_budget,
         read_only,
     } = frame;
-    let jumpdests = valid_jumpdests(code);
     let mut machine = Machine {
         stack: Vec::with_capacity(64),
         memory: Vec::new(),
@@ -282,6 +317,15 @@ fn run_frame(
         params,
     };
 
+    // Release callbacks fire for the top frame only. `points` is sorted and
+    // `next_point` is the first of them at or after `pc`, so the check after
+    // each instruction is one comparison; only a backward jump searches.
+    let points = match depth {
+        0 => params.release_points.unwrap_or(&[]),
+        _ => &[],
+    };
+    debug_assert!(points.is_sorted(), "release points must be sorted");
+    let mut next_point = 0usize;
     let mut pc = 0usize;
     let (status, output) = loop {
         if pc >= code.len() {
@@ -292,15 +336,17 @@ fn run_frame(
             break (ExecStatus::Failed(VmError::InvalidOpcode(byte)), Vec::new());
         };
         tracer.on_op(pc, op, machine.gas_left);
-        match step(&mut machine, host, tracer, op, pc, &jumpdests) {
+        match step(&mut machine, host, tracer, op, pc, jumpdests) {
             Ok(Control::Continue(next_pc)) => {
+                if next_pc < pc {
+                    next_point = points.partition_point(|&point| point < next_pc);
+                }
                 pc = next_pc;
-                if depth == 0 {
-                    if let Some(points) = params.release_points {
-                        if points.contains(&pc) {
-                            host.on_release_point(pc, machine.gas_left);
-                        }
-                    }
+                while points.get(next_point).is_some_and(|&point| point < pc) {
+                    next_point += 1;
+                }
+                if points.get(next_point) == Some(&pc) {
+                    host.on_release_point(pc, machine.gas_left);
                 }
             }
             Ok(Control::Halt(status, output)) => break (status, output),
@@ -363,7 +409,7 @@ fn step(
     tracer: &mut dyn Tracer,
     op: Opcode,
     pc: usize,
-    jumpdests: &HashSet<usize>,
+    jumpdests: &JumpTable,
 ) -> Result<Control, StepError> {
     use Opcode::*;
     m.charge(op.base_gas())?;
@@ -518,7 +564,7 @@ fn step(
         }
         Jump => {
             let dest = to_offset(m.pop()?).map_err(|_| VmError::InvalidJump(usize::MAX))?;
-            if !jumpdests.contains(&dest) {
+            if !jumpdests.contains(dest) {
                 return Err(VmError::InvalidJump(dest).into());
             }
             return Ok(Control::Continue(dest));
@@ -528,7 +574,7 @@ fn step(
             let cond = m.pop()?;
             if cond.as_bool() {
                 let dest = to_offset(dest_word).map_err(|_| VmError::InvalidJump(usize::MAX))?;
-                if !jumpdests.contains(&dest) {
+                if !jumpdests.contains(dest) {
                     return Err(VmError::InvalidJump(dest).into());
                 }
                 return Ok(Control::Continue(dest));
@@ -615,15 +661,15 @@ fn step(
             } {
                 m.push(U256::ZERO)?;
             } else {
-                let code = m
+                let deployed = m
                     .params
                     .registry
-                    .and_then(|registry| registry.code(&callee));
-                match code {
+                    .and_then(|registry| registry.deployed(&callee));
+                match deployed {
                     // Calls to code-less accounts trivially succeed, as in
                     // the EVM (plain transfers to EOAs land here).
                     None => m.push(U256::ONE)?,
-                    Some(code) => {
+                    Some(deployed) => {
                         // 63/64 rule: the caller always retains a sliver.
                         let budget = m.gas_left - m.gas_left / 64;
                         let callee_tx = match op {
@@ -649,8 +695,9 @@ fn step(
                         };
                         tracer.on_enter_call(m.depth + 1, callee);
                         let frame = run_frame(
-                            &code,
-                            callee_tx,
+                            deployed.code(),
+                            deployed.jumpdests(),
+                            &callee_tx,
                             m.params,
                             Frame {
                                 depth: m.depth + 1,
@@ -725,6 +772,7 @@ mod tests {
     use crate::assembler::assemble;
     use crate::host::MapHost;
     use dmvcc_primitives::Address;
+    use std::collections::HashSet;
 
     fn run(source: &str) -> ExecOutcome {
         run_with_host(source, &mut MapHost::new())
@@ -856,12 +904,94 @@ mod tests {
         assert_eq!(outcome.gas_used, crate::env::DEFAULT_GAS_LIMIT);
     }
 
+    /// The reference the jump table is checked against: the set the
+    /// interpreter used to rebuild for every frame.
+    fn valid_jumpdests(code: &[u8]) -> HashSet<usize> {
+        let mut dests = HashSet::new();
+        let mut pc = 0;
+        while pc < code.len() {
+            match Opcode::from_byte(code[pc]) {
+                Some(Opcode::JumpDest) => {
+                    dests.insert(pc);
+                    pc += 1;
+                }
+                Some(op) => pc += 1 + op.immediate_len(),
+                None => pc += 1,
+            }
+        }
+        dests
+    }
+
+    fn assert_table_matches_reference(code: &[u8]) {
+        let table = JumpTable::build(code);
+        let reference = valid_jumpdests(code);
+        // A few pcs past the end too: out of range is never a destination.
+        for pc in 0..code.len() + 70 {
+            assert_eq!(table.contains(pc), reference.contains(&pc), "pc {pc}");
+        }
+    }
+
     #[test]
     fn jump_into_push_immediate_fails() {
         // Byte 2 is inside the PUSH2 immediate even though it is 0x5b.
         let code = vec![0x61, 0x5b, 0x5b, 0x56]; // PUSH2 0x5b5b JUMP -> dest 0x5b5b invalid
-        let dests = valid_jumpdests(&code);
-        assert!(dests.is_empty());
+        assert_eq!(JumpTable::build(&code), JumpTable::build(&[0; 4]));
+        assert_table_matches_reference(&code);
+    }
+
+    #[test]
+    fn jump_table_matches_reference_on_every_library_contract() {
+        use crate::contracts;
+        let a = |i| Address::from_u64(i);
+        let bodies = [
+            contracts::token(),
+            contracts::counter(),
+            contracts::amm(),
+            contracts::nft(),
+            contracts::ballot(),
+            contracts::fig1_example(),
+            contracts::auction(),
+            contracts::crowdsale(),
+            contracts::batch_pay(),
+            contracts::airdrop(),
+            contracts::batch_transfer(),
+            contracts::dex_router(a(1)),
+            contracts::dex_router2(a(1), a(2), a(3)),
+            contracts::flash_mint(a(1)),
+            contracts::oracle(&[a(1), a(2)]),
+            contracts::price_consumer(),
+            contracts::royalty_splitter(),
+            contracts::nft_drop(a(1), a(2)),
+            contracts::floor_oracle(),
+        ];
+        for body in &bodies {
+            assert!(!valid_jumpdests(body).is_empty());
+            assert_table_matches_reference(body);
+        }
+    }
+
+    #[test]
+    fn jump_table_matches_reference_on_random_bytes() {
+        // Half the bytes are JUMPDEST or a PUSH, so most 0x5b bytes sit
+        // inside an immediate and pushes run off the end of the code.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..500 {
+            let len = (next() % 200) as usize + usize::from(case % 7 == 0) * 64;
+            let code: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => 0x5b,
+                    1 => 0x60 + (next() % 32) as u8,
+                    _ => next() as u8,
+                })
+                .collect();
+            assert_table_matches_reference(&code);
+        }
     }
 
     #[test]
@@ -967,8 +1097,32 @@ mod tests {
         let tx = TxEnv::call(Address::from_u64(1), Address::from_u64(2), vec![]);
         let block = BlockEnv::default();
         // The pc after the first POP is 3.
-        let points: HashSet<usize> = [3usize].into_iter().collect();
         let mut host = MapHost::new();
+        let params = ExecParams {
+            code: &code,
+            tx: &tx,
+            block: &block,
+            release_points: Some(&[3]),
+            registry: None,
+        };
+        execute(&params, &mut host);
+        assert_eq!(host.release_points_hit, vec![3]);
+    }
+
+    #[test]
+    fn release_point_callbacks_fire_on_every_landing() {
+        // Three trips round a loop whose head (pc 2) and exit (the STOP) are
+        // both release points, plus one that is never reached: a backward
+        // jump has to find the head again, and a forward step past an
+        // unvisited point must not fire it.
+        let code =
+            assemble("PUSH1 3 loop: JUMPDEST PUSH1 1 SWAP1 SUB DUP1 PUSH @loop JUMPI STOP INVALID")
+                .expect("valid");
+        let stop = code.len() - 2;
+        let tx = TxEnv::call(Address::from_u64(1), Address::from_u64(2), vec![]);
+        let block = BlockEnv::default();
+        let mut host = MapHost::new();
+        let points = [1, 2, 2, stop, stop + 1];
         let params = ExecParams {
             code: &code,
             tx: &tx,
@@ -976,8 +1130,8 @@ mod tests {
             release_points: Some(&points),
             registry: None,
         };
-        execute(&params, &mut host);
-        assert_eq!(host.release_points_hit, vec![3]);
+        assert!(execute(&params, &mut host).status.is_success());
+        assert_eq!(host.release_points_hit, vec![2, 2, 2, stop]);
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub use env::{calldata, word_at, BlockEnv, TxEnv, DEFAULT_GAS_LIMIT, INTRINSIC_G
 pub use error::{ExecOutcome, ExecStatus, LogEntry, VmError};
 pub use host::{Host, HostError, MapHost};
 pub use interpreter::{
-    execute, execute_traced, valid_jumpdests, ExecParams, NoopTracer, Tracer, CALL_DEPTH_LIMIT,
+    execute, execute_traced, ExecParams, JumpTable, NoopTracer, Tracer, CALL_DEPTH_LIMIT,
     MEMORY_LIMIT, STACK_LIMIT,
 };
 pub use opcode::Opcode;
-pub use registry::{CodeRegistry, CodeRegistryBuilder, SummaryCache};
+pub use registry::{CodeRegistry, CodeRegistryBuilder, Deployed, SummaryCache};
 pub use tx::{Transaction, TxKind};

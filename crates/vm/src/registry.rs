@@ -17,6 +17,8 @@ use std::sync::{Arc, Mutex};
 
 use dmvcc_primitives::{keccak256, Address, U256};
 
+use crate::interpreter::JumpTable;
+
 /// Code-hash-keyed memo for analysis summaries.
 ///
 /// Values are type-erased (`Arc<dyn Any>`): the analysis crate downcasts
@@ -80,6 +82,26 @@ impl SummaryCache {
     }
 }
 
+/// One deployment: the bytecode and what execution needs of it that is a
+/// property of the bytes alone, computed once at [`CodeRegistryBuilder::build`].
+#[derive(Debug)]
+pub struct Deployed {
+    code: Arc<Vec<u8>>,
+    jumpdests: JumpTable,
+}
+
+impl Deployed {
+    /// The bytecode.
+    pub fn code(&self) -> &[u8] {
+        &self.code
+    }
+
+    /// The bytecode's valid jump destinations.
+    pub fn jumpdests(&self) -> &JumpTable {
+        &self.jumpdests
+    }
+}
+
 /// Immutable map from contract address to deployed bytecode.
 ///
 /// # Examples
@@ -96,7 +118,7 @@ impl SummaryCache {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CodeRegistry {
-    code: Arc<HashMap<Address, Arc<Vec<u8>>>>,
+    code: Arc<HashMap<Address, Deployed>>,
     /// keccak256 of each deployment's bytecode, precomputed at build time.
     hashes: Arc<HashMap<Address, U256>>,
     summaries: Arc<SummaryCache>,
@@ -110,7 +132,13 @@ impl CodeRegistry {
 
     /// Returns the bytecode deployed at `address`, if any.
     pub fn code(&self, address: &Address) -> Option<Arc<Vec<u8>>> {
-        self.code.get(address).cloned()
+        self.code.get(address).map(|d| Arc::clone(&d.code))
+    }
+
+    /// Borrows the deployment at `address`, if any — the per-transaction
+    /// path's lookup: no reference count is touched.
+    pub fn deployed(&self, address: &Address) -> Option<&Deployed> {
+        self.code.get(address)
     }
 
     /// Returns the keccak256 hash of the bytecode deployed at `address`.
@@ -142,7 +170,7 @@ impl CodeRegistry {
 
     /// Iterates over all deployments.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Arc<Vec<u8>>)> {
-        self.code.iter()
+        self.code.iter().map(|(address, d)| (address, &d.code))
     }
 }
 
@@ -166,8 +194,16 @@ impl CodeRegistryBuilder {
             .iter()
             .map(|(addr, code)| (*addr, keccak256(code).to_u256()))
             .collect();
+        let code = self
+            .code
+            .into_iter()
+            .map(|(address, code)| {
+                let jumpdests = JumpTable::build(&code);
+                (address, Deployed { code, jumpdests })
+            })
+            .collect();
         CodeRegistry {
-            code: Arc::new(self.code),
+            code: Arc::new(code),
             hashes: Arc::new(hashes),
             summaries: Arc::new(SummaryCache::default()),
         }
@@ -191,6 +227,9 @@ mod tests {
         assert!(registry.is_contract(&a));
         assert!(!registry.is_contract(&Address::from_u64(3)));
         assert_eq!(*registry.code(&a).unwrap(), contracts::counter());
+        let deployed = registry.deployed(&b).unwrap();
+        assert_eq!(deployed.code(), contracts::token());
+        assert_eq!(*deployed.jumpdests(), JumpTable::build(&contracts::token()));
     }
 
     #[test]
