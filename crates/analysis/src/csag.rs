@@ -15,28 +15,29 @@
 //! [`AnalysisConfig::hide_fraction`] additionally injects artificial
 //! imprecision so those paths can be exercised and measured.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use dmvcc_primitives::{Address, U256};
-use dmvcc_state::{Snapshot, StateKey};
+use dmvcc_state::{Keyed, Snapshot, SortedVec, StateKey};
 use dmvcc_vm::{
-    execute_traced, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Opcode,
-    Tracer, Transaction, TxEnv, TxKind, CALL_DEPTH_LIMIT, INTRINSIC_GAS, MEMORY_LIMIT,
+    execute_traced, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Tracer,
+    Transaction, TxEnv, TxKind, CALL_DEPTH_LIMIT, INTRINSIC_GAS, MEMORY_LIMIT,
 };
 
 use crate::absint::{CallTarget, KeyExpr, PlanCallKind};
 use crate::psag::{AccessKind, PSag};
 use crate::symbolic::BindCtx;
 
-/// One recorded state access, in execution order.
+/// One state access a refinement tier observed, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessEvent {
-    /// Program counter of the access.
-    pub pc: usize,
+struct Access {
+    key: StateKey,
     /// ρ / ω / ω̄.
-    pub kind: AccessKind,
-    /// The resolved state item.
-    pub key: StateKey,
+    kind: AccessKind,
+    pc: usize,
+    /// Call depth of the frame that made the access (0 = the transaction's
+    /// own frame).
+    depth: usize,
 }
 
 /// A release point refined with its measured gas requirement.
@@ -47,6 +48,14 @@ pub struct ReleasePoint {
     /// Upper bound on the gas needed to finish execution from `pc`
     /// (measured on the predicted path; the paper's `gas` field).
     pub gas_bound: u64,
+}
+
+impl Keyed for ReleasePoint {
+    type Key = usize;
+
+    fn key(&self) -> &usize {
+        &self.pc
+    }
 }
 
 /// Which refinement path produced a C-SAG.
@@ -90,30 +99,32 @@ pub enum RefinementTier {
     Optimistic,
 }
 
-/// The complete (per-transaction) state access graph.
+/// The complete (per-transaction) state access graph, as the record its
+/// consumers read: per key the predicted access kind (the ρ/ω/ω̄ entries of
+/// the paper's access sequences), per written key the point after which it
+/// is not written again (Algorithm 2), and the release points with their
+/// gas bounds. The graph itself — the ordered accesses, the snapshot values
+/// `V` of the paper's `D_I(V, E)` — is not kept: a prediction made from a
+/// value another transaction overwrites is caught by the scheduler's abort
+/// path, not by comparing values.
 ///
-/// This is the unit the DMVCC scheduler consumes: predicted read/write/add
-/// sets, the ordered access trace, release points with gas bounds, and the
-/// snapshot values the prediction depends on.
-#[derive(Debug, Clone, Default)]
+/// Each vector is sorted with one entry per key (the type sees to that),
+/// and no key is in both `writes` and `adds`: build a record with
+/// [`CSag::from_accesses`] and change a key's kind with
+/// [`CSag::predict_write`] so that stays true.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CSag {
     /// Keys predicted to be read (ρ).
-    pub reads: BTreeSet<StateKey>,
-    /// Keys predicted to be written (ω).
-    pub writes: BTreeSet<StateKey>,
-    /// Keys predicted to be commutatively incremented (ω̄).
-    pub adds: BTreeSet<StateKey>,
-    /// Ordered trace of accesses on the predicted path.
-    pub trace: Vec<AccessEvent>,
-    /// Release points with measured gas bounds.
-    pub release_points: Vec<ReleasePoint>,
-    /// Last predicted write/add pc per key (used by early-write visibility:
-    /// a write may be published once execution is past this pc).
-    pub last_write_pc: HashMap<StateKey, usize>,
-    /// Snapshot values the prediction consumed (`V` of the paper's state
-    /// access dependency `D_I(V, E)`): if an earlier transaction overwrites
-    /// one of these, the prediction is suspect.
-    pub snapshot_deps: BTreeMap<StateKey, U256>,
+    pub reads: SortedVec<StateKey>,
+    /// Keys predicted to be written (ω), each with the pc of its last
+    /// predicted write or add: the write may be published once execution is
+    /// past that pc ([`CSag::NEVER`]: only when the transaction finishes).
+    pub writes: SortedVec<(StateKey, usize)>,
+    /// Keys predicted to be commutatively incremented and never fully
+    /// written (ω̄), with the same pc.
+    pub adds: SortedVec<(StateKey, usize)>,
+    /// Release points with measured gas bounds, one per pc.
+    pub release_points: SortedVec<ReleasePoint>,
     /// Whether the speculative run completed successfully.
     pub predicted_success: bool,
     /// Gas consumed on the predicted path.
@@ -123,51 +134,40 @@ pub struct CSag {
 }
 
 impl CSag {
+    /// The publish pc of a predicted write that is never publishable early:
+    /// one made inside a nested call frame (a caller pc cannot order a
+    /// callee's write), or one no predicted path performs at all.
+    pub const NEVER: usize = usize::MAX;
+
     /// The trivial C-SAG of a pure Ether transfer: reads and writes exactly
     /// the two balance slots (the paper folds non-contract transactions
     /// into the same constraint system without running the EVM).
     pub fn for_transfer(from: Address, to: Address) -> CSag {
         let from_key = StateKey::balance(from);
         let to_key = StateKey::balance(to);
-        let mut sag = CSag {
-            predicted_success: true,
-            predicted_gas: dmvcc_vm::INTRINSIC_GAS,
-            ..CSag::default()
-        };
-        sag.reads.insert(from_key);
-        sag.writes.insert(from_key);
-        sag.trace = vec![
-            AccessEvent {
-                pc: 0,
-                kind: AccessKind::Read,
-                key: from_key,
-            },
-            AccessEvent {
-                pc: 0,
-                kind: AccessKind::Write,
-                key: from_key,
-            },
-        ];
         // A self-transfer's credit folds into the pending debit write (the
         // executor merges `sadd` into an own buffered full write), so only
         // a distinct recipient contributes a commutative add.
-        if to_key != from_key {
-            sag.adds.insert(to_key);
-            sag.trace.push(AccessEvent {
+        let adds = if to_key == from_key {
+            Vec::new()
+        } else {
+            vec![(to_key, 0)]
+        };
+        CSag {
+            reads: vec![from_key].into(),
+            writes: vec![(from_key, 0)].into(),
+            adds: adds.into(),
+            // A transfer aborts only on insufficient balance, which is
+            // checked upfront: the release point is the start.
+            release_points: vec![ReleasePoint {
                 pc: 0,
-                kind: AccessKind::Add,
-                key: to_key,
-            });
+                gas_bound: 0,
+            }]
+            .into(),
+            predicted_success: true,
+            predicted_gas: INTRINSIC_GAS,
+            tier: RefinementTier::Exact,
         }
-        sag.last_write_pc.insert(from_key, 0);
-        sag.last_write_pc.insert(to_key, 0);
-        // A transfer aborts only on insufficient balance, which is checked
-        // upfront: the release point is the start.
-        sag.release_points = vec![ReleasePoint {
-            pc: 0,
-            gas_bound: 0,
-        }];
-        sag
     }
 
     /// The empty prediction of an unanalyzable transaction: no key sets,
@@ -182,25 +182,89 @@ impl CSag {
         }
     }
 
-    /// All keys the transaction touches.
-    pub fn touched(&self) -> BTreeSet<StateKey> {
-        let mut keys = self.reads.clone();
-        keys.extend(self.writes.iter().copied());
-        keys.extend(self.adds.iter().copied());
-        keys
+    /// The key sets of a run of `(key, kind, pc)` accesses in execution
+    /// order; everything else is left at its default. A key with any full
+    /// write is a write, whatever else adds to it (execution hosts fold
+    /// commutative adds into a buffered full write of the same key, in
+    /// either order), and its pc is that of the last write *or* add. Pass
+    /// [`CSag::NEVER`] as the pc of an access that must not be published
+    /// early.
+    pub fn from_accesses(
+        accesses: impl IntoIterator<Item = (StateKey, AccessKind, usize)>,
+    ) -> CSag {
+        let mut run: Vec<Access> = accesses
+            .into_iter()
+            .map(|(key, kind, pc)| Access {
+                key,
+                kind,
+                pc,
+                depth: 0,
+            })
+            .collect();
+        CSag::from_run(&mut run)
     }
 
-    /// `true` if `other` conflicts with `self` per the paper's Definition 3:
-    /// a read-write or write-read overlap on some key. Write-write overlaps
-    /// do **not** conflict (write versioning), nor do add-add overlaps
-    /// (commutative writes).
-    pub fn conflicts_with(&self, other: &CSag) -> bool {
-        // ω̄ (add) counts as a write for rw-conflict purposes: a read of the
-        // key must see the merged value.
-        let self_writes: BTreeSet<_> = self.writes.union(&self.adds).copied().collect();
-        let other_writes: BTreeSet<_> = other.writes.union(&other.adds).copied().collect();
-        self.reads.intersection(&other_writes).next().is_some()
-            || other.reads.intersection(&self_writes).next().is_some()
+    /// [`CSag::from_accesses`] over depth-tagged accesses: one made inside
+    /// a nested frame cannot be matched to a top-frame pc and is never
+    /// publishable early.
+    fn from_run(run: &mut [Access]) -> CSag {
+        // Stable: each key's accesses stay in execution order.
+        run.sort_by_key(|a| a.key);
+        // Per key: is it read, is it fully written, and the publish pc of
+        // its last write or add.
+        let per_key = || {
+            run.chunk_by(|a, b| a.key == b.key).map(|accesses| {
+                let read = accesses.iter().any(|a| a.kind == AccessKind::Read);
+                let written = accesses.iter().any(|a| a.kind == AccessKind::Write);
+                let last = accesses.iter().rev().find(|a| a.kind != AccessKind::Read);
+                let pc = last.map(|a| if a.depth == 0 { a.pc } else { CSag::NEVER });
+                (accesses[0].key, read, written, pc)
+            })
+        };
+        // Sized exactly: a block holds ten thousand of these.
+        let mut sizes = [0usize; 3];
+        for (_, read, written, pc) in per_key() {
+            sizes[0] += usize::from(read);
+            sizes[1] += usize::from(written);
+            sizes[2] += usize::from(!written && pc.is_some());
+        }
+        let mut reads = Vec::with_capacity(sizes[0]);
+        let mut writes = Vec::with_capacity(sizes[1]);
+        let mut adds = Vec::with_capacity(sizes[2]);
+        for (key, read, written, pc) in per_key() {
+            if read {
+                reads.push(key);
+            }
+            match pc {
+                Some(pc) if written => writes.push((key, pc)),
+                Some(pc) => adds.push((key, pc)),
+                None => {}
+            }
+        }
+        CSag {
+            reads: reads.into(),
+            writes: writes.into(),
+            adds: adds.into(),
+            ..CSag::default()
+        }
+    }
+
+    /// Predicts a full write of `key`, publishable once execution is past
+    /// `pc`; a predicted add of the key folds into it.
+    pub fn predict_write(&mut self, key: StateKey, pc: usize) {
+        self.adds.remove(&key);
+        self.writes.insert((key, pc));
+    }
+
+    /// The keys predicted to be written or added to, each once: the writes
+    /// in key order, then the adds.
+    pub fn written(&self) -> impl Iterator<Item = &StateKey> {
+        self.writes.iter().chain(&self.adds).map(|(key, _)| key)
+    }
+
+    /// All keys the transaction touches.
+    pub fn touched(&self) -> BTreeSet<StateKey> {
+        self.reads.iter().chain(self.written()).copied().collect()
     }
 }
 
@@ -246,7 +310,6 @@ struct SpecHost<'a> {
     snapshot: &'a Snapshot,
     overlay: HashMap<StateKey, U256>,
     deltas: HashMap<StateKey, U256>,
-    snapshot_deps: BTreeMap<StateKey, U256>,
     releases: Vec<(usize, u64)>,
 }
 
@@ -257,7 +320,6 @@ impl Host for SpecHost<'_> {
             return Ok(merged);
         }
         let base = self.snapshot.get(&key);
-        self.snapshot_deps.insert(key, base);
         Ok(base.wrapping_add(self.deltas.get(&key).copied().unwrap_or(U256::ZERO)))
     }
 
@@ -279,47 +341,33 @@ impl Host for SpecHost<'_> {
 }
 
 struct AccessRecorder {
-    events: Vec<(AccessEvent, usize)>,
+    events: Vec<Access>,
     depth: usize,
+}
+
+impl AccessRecorder {
+    fn record(&mut self, pc: usize, kind: AccessKind, key: StateKey) {
+        let depth = self.depth;
+        self.events.push(Access {
+            key,
+            kind,
+            pc,
+            depth,
+        });
+    }
 }
 
 impl Tracer for AccessRecorder {
     fn on_sload(&mut self, pc: usize, key: StateKey, _value: U256) {
-        self.events.push((
-            AccessEvent {
-                pc,
-                kind: AccessKind::Read,
-                key,
-            },
-            self.depth,
-        ));
+        self.record(pc, AccessKind::Read, key);
     }
     fn on_sstore(&mut self, pc: usize, key: StateKey, _value: U256) {
-        self.events.push((
-            AccessEvent {
-                pc,
-                kind: AccessKind::Write,
-                key,
-            },
-            self.depth,
-        ));
+        self.record(pc, AccessKind::Write, key);
     }
     fn on_sadd(&mut self, pc: usize, key: StateKey, _delta: U256) {
-        self.events.push((
-            AccessEvent {
-                pc,
-                kind: AccessKind::Add,
-                key,
-            },
-            self.depth,
-        ));
+        self.record(pc, AccessKind::Add, key);
     }
-    fn on_op(&mut self, _pc: usize, op: Opcode, _gas_left: u64) {
-        // BALANCE reads route through sload on the host side; nothing extra
-        // to record here, but keep the hook for future opcodes.
-        let _ = op;
-    }
-    fn on_enter_call(&mut self, depth: usize, _callee: dmvcc_primitives::Address) {
+    fn on_enter_call(&mut self, depth: usize, _callee: Address) {
         self.depth = depth;
     }
     fn on_exit_call(&mut self, depth: usize) {
@@ -419,7 +467,7 @@ impl Analyzer {
     /// path leaves the statically-planned region. Calls to unknown
     /// contracts yield an empty C-SAG (the scheduler then falls back to
     /// OCC-style handling, as the paper prescribes for missing SAGs).
-    pub fn csag(&self, tx: &Transaction, snapshot: &Snapshot, block: &dmvcc_vm::BlockEnv) -> CSag {
+    pub fn csag(&self, tx: &Transaction, snapshot: &Snapshot, block: &BlockEnv) -> CSag {
         if !tx.analyzable {
             // Unanalyzable transactions (pool desync, obfuscated bytecode,
             // deliberate test poisoning) get no prediction at all — even
@@ -430,15 +478,34 @@ impl Analyzer {
             return CSag::for_transfer(tx.sender(), tx.to());
         }
         let Some(deployed) = self.registry.deployed(&tx.to()) else {
-            return CSag::default();
+            // Nothing to execute: trivial success at the intrinsic cost, as
+            // the serial oracle and the engines report it.
+            return CSag {
+                predicted_success: true,
+                predicted_gas: INTRINSIC_GAS,
+                ..CSag::default()
+            };
         };
         let psag = self.psag(&tx.to()).expect("code exists, psag builds");
-        let release_pcs: &[usize] = &psag.release_pcs;
+        let (raw, tier) = self.refine(tx, snapshot, block, &psag, deployed.code());
+        self.finish(raw, tx.env.gas_limit, &psag.release_pcs, tier)
+    }
 
+    /// Runs the refinement tiers the configuration allows over a call to
+    /// deployed `code` whose P-SAG is `psag`: the symbolic bind where it
+    /// binds, speculative pre-execution otherwise.
+    fn refine(
+        &self,
+        tx: &Transaction,
+        snapshot: &Snapshot,
+        block: &BlockEnv,
+        psag: &PSag,
+        code: &[u8],
+    ) -> (RawPrediction, RefinementTier) {
         if self.config.refinement == RefinementMode::TwoTier {
             let resolver = |addr: &Address| self.psag(addr);
             if let Some((raw, looped, called, bounded)) =
-                bind_symbolic(&psag, tx, block, snapshot, &resolver)
+                bind_symbolic(psag, tx, block, snapshot, &resolver)
             {
                 let tier = if bounded {
                     RefinementTier::BoundedDynamic
@@ -449,7 +516,7 @@ impl Analyzer {
                 } else {
                     RefinementTier::Symbolic
                 };
-                return self.finish(raw, tx.env.gas_limit, release_pcs, tier);
+                return (raw, tier);
             }
         }
 
@@ -457,7 +524,6 @@ impl Analyzer {
             snapshot,
             overlay: HashMap::new(),
             deltas: HashMap::new(),
-            snapshot_deps: BTreeMap::new(),
             releases: Vec::new(),
         };
         let mut recorder = AccessRecorder {
@@ -465,132 +531,89 @@ impl Analyzer {
             depth: 0,
         };
         let params = ExecParams {
-            code: deployed.code(),
+            code,
             tx: &tx.env,
             block,
-            release_points: Some(release_pcs),
+            release_points: Some(&psag.release_pcs),
             registry: Some(&self.registry),
         };
         let outcome = execute_traced(&params, &mut host, &mut recorder);
         let raw = RawPrediction {
             events: recorder.events,
             releases: host.releases,
-            snapshot_deps: host.snapshot_deps,
             predicted_success: matches!(outcome.status, ExecStatus::Success),
             gas_used: outcome.gas_used,
         };
-        self.finish(
-            raw,
-            tx.env.gas_limit,
-            release_pcs,
-            RefinementTier::Speculative,
-        )
+        (raw, RefinementTier::Speculative)
     }
 
-    /// Shared post-processing of both refinement tiers: release-point
-    /// assembly, imprecision injection, and read/write/add set
-    /// construction. Keeping this common is what makes the symbolic tier
-    /// bit-identical to the speculative one whenever it binds.
+    /// Imprecision injection: whether `key` is one of the
+    /// [`AnalysisConfig::hide_fraction`] of keys the analyzer "cannot see".
+    /// The roll is a hash of (seed, key), so a hidden key is hidden
+    /// consistently across every transaction and block.
+    fn hides(&self, key: &StateKey) -> bool {
+        let mut state = self.config.seed ^ 0x9e37_79b9_7f4a_7c15;
+        for chunk in key.to_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            state ^= u64::from_le_bytes(word);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+        }
+        let roll = (state >> 11) as f64 / (1u64 << 53) as f64;
+        roll < self.config.hide_fraction
+    }
+
+    /// Shared post-processing of both refinement tiers: imprecision
+    /// injection, key-set construction and release-point assembly. Keeping
+    /// this common is what makes the symbolic tier bit-identical to the
+    /// speculative one whenever it binds.
     fn finish(
         &self,
-        raw: RawPrediction,
+        mut raw: RawPrediction,
         gas_limit: u64,
         release_pcs: &[usize],
         tier: RefinementTier,
     ) -> CSag {
-        let mut sag = CSag {
-            predicted_success: raw.predicted_success,
-            predicted_gas: raw.gas_used,
-            snapshot_deps: raw.snapshot_deps,
-            tier,
-            ..CSag::default()
-        };
+        if self.config.hide_fraction > 0.0 {
+            raw.events.retain(|access| !self.hides(&access.key));
+        }
+        let mut sag = CSag::from_run(&mut raw.events);
+        sag.predicted_success = raw.predicted_success;
+        sag.predicted_gas = raw.gas_used;
+        sag.tier = tier;
 
         // Gas bound of a release point = gas it still needed on the
         // predicted path = gas_left at the point − gas_left at the end.
         let gas_left_end = gas_limit - raw.gas_used;
-        for (pc, gas_left) in raw.releases {
-            sag.release_points.push(ReleasePoint {
-                pc,
-                gas_bound: gas_left.saturating_sub(gas_left_end),
-            });
-        }
+        let observed = raw.releases.into_iter().map(|(pc, gas_left)| ReleasePoint {
+            pc,
+            gas_bound: gas_left.saturating_sub(gas_left_end),
+        });
         // An entry release point (the contract cannot abort at all) is never
         // "passed" by the interpreter; record it explicitly so executors can
         // publish from the very first write.
-        if release_pcs.first() == Some(&0) {
-            sag.release_points.push(ReleasePoint {
-                pc: 0,
-                gas_bound: raw.gas_used.saturating_sub(INTRINSIC_GAS),
-            });
-        }
-        sag.release_points.sort_by_key(|rp| rp.pc);
-        sag.release_points.dedup_by_key(|rp| rp.pc);
-
-        // Imprecision injection: deterministically hide a fraction of the
-        // *keys*. The roll is a hash of (seed, key), so a hidden key is
-        // hidden consistently across every transaction and block — the
-        // semantics of "the analyzer cannot see accesses to this slot".
-        let hidden: BTreeSet<StateKey> = if self.config.hide_fraction > 0.0 {
-            let mut hidden = BTreeSet::new();
-            let keys: BTreeSet<StateKey> = raw.events.iter().map(|(e, _)| e.key).collect();
-            for key in keys {
-                let mut state = self.config.seed ^ 0x9e37_79b9_7f4a_7c15;
-                for chunk in key.to_bytes().chunks(8) {
-                    let mut word = [0u8; 8];
-                    word[..chunk.len()].copy_from_slice(chunk);
-                    state ^= u64::from_le_bytes(word);
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                }
-                let roll = (state >> 11) as f64 / (1u64 << 53) as f64;
-                if roll < self.config.hide_fraction {
-                    hidden.insert(key);
-                }
-            }
-            hidden
-        } else {
-            BTreeSet::new()
-        };
-
-        for (event, depth) in raw.events {
-            if hidden.contains(&event.key) {
-                continue;
-            }
-            // Writes inside nested frames cannot be matched to top-frame
-            // pcs: mark them never-early-publishable (usize::MAX).
-            let write_pc = if depth == 0 { event.pc } else { usize::MAX };
-            match event.kind {
-                AccessKind::Read => {
-                    sag.reads.insert(event.key);
-                }
-                AccessKind::Write => {
-                    sag.writes.insert(event.key);
-                    sag.last_write_pc.insert(event.key, write_pc);
-                }
-                AccessKind::Add => {
-                    sag.adds.insert(event.key);
-                    sag.last_write_pc.insert(event.key, write_pc);
-                }
-            }
-            sag.trace.push(event);
-        }
-        // Execution hosts fold commutative adds into a buffered full write
-        // of the same key (in either order), so a key with any full write
-        // ends up in the write set only; `adds` keeps pure-add keys.
-        sag.adds.retain(|key| !sag.writes.contains(key));
+        let entry = (release_pcs.first() == Some(&0)).then(|| ReleasePoint {
+            pc: 0,
+            gas_bound: raw.gas_used.saturating_sub(INTRINSIC_GAS),
+        });
+        let mut points: Vec<ReleasePoint> = observed.chain(entry).collect();
+        // A pc passed more than once (a loop) keeps its first, largest
+        // bound: of equal keys the sorted vector keeps the last.
+        points.reverse();
+        sag.release_points = points.into();
         sag
     }
 }
 
 /// Raw facts a refinement tier produces before shared post-processing:
-/// depth-tagged access events, raw release observations, snapshot
-/// dependencies and the predicted outcome.
+/// depth-tagged accesses in execution order, raw release observations and
+/// the predicted outcome.
+#[derive(Debug, PartialEq, Eq)]
 struct RawPrediction {
-    events: Vec<(AccessEvent, usize)>,
+    events: Vec<Access>,
     releases: Vec<(usize, u64)>,
-    snapshot_deps: BTreeMap<StateKey, U256>,
     predicted_success: bool,
     gas_used: u64,
 }
@@ -626,8 +649,7 @@ struct BindWalk<'a> {
     origin: Address,
     overlay: HashMap<StateKey, U256>,
     deltas: HashMap<StateKey, U256>,
-    snapshot_deps: BTreeMap<StateKey, U256>,
-    events: Vec<(AccessEvent, usize)>,
+    events: Vec<Access>,
     releases: Vec<(usize, u64)>,
     visits: usize,
     looped: bool,
@@ -651,7 +673,7 @@ struct BindWalk<'a> {
 /// (resolved through `resolver`), with the caller's evaluated argument
 /// words as calldata and the interpreter's 63/64 gas budget; the callee's
 /// return words bind the caller's ret-region `Load` holes. State (overlay,
-/// deltas, snapshot deps) and the access-event stream are shared across
+/// deltas) and the access-event stream are shared across
 /// frames, so cross-contract flows like flash-mint-and-repay bind exactly.
 ///
 /// Returns `None` (fall back to speculative pre-execution) the moment the
@@ -682,7 +704,6 @@ fn bind_symbolic(
         origin: env.caller,
         overlay: HashMap::new(),
         deltas: HashMap::new(),
-        snapshot_deps: BTreeMap::new(),
         events: Vec::new(),
         releases: Vec::new(),
         visits: 0,
@@ -695,7 +716,6 @@ fn bind_symbolic(
         RawPrediction {
             events: walk.events,
             releases: walk.releases,
-            snapshot_deps: walk.snapshot_deps,
             predicted_success: frame.success,
             gas_used: env.gas_limit - frame.gas_left,
         },
@@ -801,11 +821,7 @@ impl BindWalk<'_> {
                         let delta = self.deltas.get(&key).copied().unwrap_or(U256::ZERO);
                         let value = match self.overlay.get(&key) {
                             Some(&v) => v.wrapping_add(delta),
-                            None => {
-                                let base = self.snapshot.get(&key);
-                                self.snapshot_deps.insert(key, base);
-                                base.wrapping_add(delta)
-                            }
+                            None => self.snapshot.get(&key).wrapping_add(delta),
                         };
                         loads[access.load?] = Some(value);
                     }
@@ -820,14 +836,12 @@ impl BindWalk<'_> {
                         *entry = entry.wrapping_add(delta);
                     }
                 }
-                self.events.push((
-                    AccessEvent {
-                        pc: access.pc,
-                        kind: access.kind,
-                        key,
-                    },
+                self.events.push(Access {
+                    key,
+                    kind: access.kind,
+                    pc: access.pc,
                     depth,
-                ));
+                });
             }
 
             // A summarized call is always its block's last instruction
@@ -883,44 +897,28 @@ impl BindWalk<'_> {
                     let delta = self.deltas.get(&sender_key).copied().unwrap_or(U256::ZERO);
                     let balance = match self.overlay.get(&sender_key) {
                         Some(&v) => v.wrapping_add(delta),
-                        None => {
-                            let base = self.snapshot.get(&sender_key);
-                            self.snapshot_deps.insert(sender_key, base);
-                            base.wrapping_add(delta)
-                        }
+                        None => self.snapshot.get(&sender_key).wrapping_add(delta),
                     };
-                    self.events.push((
-                        AccessEvent {
-                            pc: call.pc,
-                            kind: AccessKind::Read,
-                            key: sender_key,
-                        },
-                        depth,
-                    ));
+                    let mut record = |kind, key| {
+                        let pc = call.pc;
+                        self.events.push(Access {
+                            key,
+                            kind,
+                            pc,
+                            depth,
+                        })
+                    };
+                    record(AccessKind::Read, sender_key);
                     if balance < value {
                         entered = false;
                     } else {
                         self.deltas.remove(&sender_key);
                         self.overlay.insert(sender_key, balance.wrapping_sub(value));
-                        self.events.push((
-                            AccessEvent {
-                                pc: call.pc,
-                                kind: AccessKind::Write,
-                                key: sender_key,
-                            },
-                            depth,
-                        ));
+                        record(AccessKind::Write, sender_key);
                         let recipient_key = StateKey::balance(callee);
                         let entry = self.deltas.entry(recipient_key).or_insert(U256::ZERO);
                         *entry = entry.wrapping_add(value);
-                        self.events.push((
-                            AccessEvent {
-                                pc: call.pc,
-                                kind: AccessKind::Add,
-                                key: recipient_key,
-                            },
-                            depth,
-                        ));
+                        record(AccessKind::Add, recipient_key);
                     }
                 }
                 let callee_psag = if entered {
@@ -1236,8 +1234,6 @@ mod tests {
         assert!(sag.reads.contains(&key_alice));
         assert!(sag.writes.contains(&key_alice));
         assert!(sag.adds.contains(&key_bob));
-        // The snapshot dependency on alice's balance is recorded.
-        assert_eq!(sag.snapshot_deps.get(&key_alice), Some(&U256::from(100u64)));
         // There is a release point after the balance check, with a positive
         // gas bound smaller than the whole execution.
         assert!(!sag.release_points.is_empty());
@@ -1282,8 +1278,6 @@ mod tests {
         assert!(sag.writes.contains(&b(2)));
         assert!(sag.reads.contains(&b(1)));
         assert!(sag.reads.contains(&b(0)));
-        // The prediction depends on the snapshot value of A[x].
-        assert!(sag.snapshot_deps.contains_key(&key_ax));
         // With A[x] = 0 the other branch is taken: B[0], B[1] written.
         let sag2 = a.csag(&tx, &Snapshot::empty(), &BlockEnv::default());
         assert!(sag2.writes.contains(&b(0)));
@@ -1292,70 +1286,16 @@ mod tests {
     }
 
     #[test]
-    fn conflicts_follow_definition_3() {
-        let a = analyzer();
-        let snapshot = {
-            let alice_slot = contracts::map_slot(Address::from_u64(1).to_u256(), 1);
-            Snapshot::from_entries([(
-                StateKey::storage(Address::from_u64(TOKEN), alice_slot),
-                U256::from(1000u64),
-            )])
-        };
-        let block = BlockEnv::default();
-        // Two transfers from the same sender: rw-conflict on the sender
-        // balance.
-        let t1 = call_tx(
-            TOKEN,
-            1,
-            contracts::token_fn::TRANSFER,
-            &[Address::from_u64(2).to_u256(), U256::from(1u64)],
-        );
-        let t2 = call_tx(
-            TOKEN,
-            1,
-            contracts::token_fn::TRANSFER,
-            &[Address::from_u64(3).to_u256(), U256::from(1u64)],
-        );
-        let s1 = a.csag(&t1, &snapshot, &block);
-        let s2 = a.csag(&t2, &snapshot, &block);
-        assert!(s1.conflicts_with(&s2));
-
-        // Two mints to different accounts: no conflict (adds commute, and
-        // the shared totalSupply is also an add).
-        let m1 = call_tx(
-            TOKEN,
-            1,
-            contracts::token_fn::MINT,
-            &[Address::from_u64(7).to_u256(), U256::from(1u64)],
-        );
-        let m2 = call_tx(
-            TOKEN,
-            2,
-            contracts::token_fn::MINT,
-            &[Address::from_u64(8).to_u256(), U256::from(1u64)],
-        );
-        let sm1 = a.csag(&m1, &snapshot, &block);
-        let sm2 = a.csag(&m2, &snapshot, &block);
-        assert!(!sm1.conflicts_with(&sm2));
-
-        // Counter increments (pure adds) never conflict with each other.
-        let c1 = call_tx(COUNTER, 1, contracts::counter_fn::INCREMENT, &[]);
-        let sc1 = a.csag(&c1, &snapshot, &block);
-        let sc2 = a.csag(&c1, &snapshot, &block);
-        assert!(!sc1.conflicts_with(&sc2));
-        // But a checked increment (read-modify-write) conflicts with an add.
-        let c3 = call_tx(COUNTER, 1, contracts::counter_fn::INCREMENT_CHECKED, &[]);
-        let sc3 = a.csag(&c3, &snapshot, &block);
-        assert!(sc1.conflicts_with(&sc3));
-    }
-
-    #[test]
     fn unknown_contract_yields_empty_sag() {
         let a = analyzer();
         let tx = call_tx(999, 1, 1, &[]);
         let sag = a.csag(&tx, &Snapshot::empty(), &BlockEnv::default());
         assert!(sag.touched().is_empty());
-        assert!(sag.trace.is_empty());
+        assert!(sag.release_points.is_empty());
+        // Nothing to execute is a success at the intrinsic cost, as the
+        // serial oracle reports it.
+        assert!(sag.predicted_success);
+        assert_eq!(sag.predicted_gas, INTRINSIC_GAS);
     }
 
     #[test]
@@ -1390,53 +1330,61 @@ mod tests {
         assert_eq!(lossy_sag.adds.len(), lossy_sag2.adds.len());
     }
 
+    /// The fixture registry under the default two-tier analyzer and under a
+    /// speculative-only one.
+    fn tiers() -> (Analyzer, Analyzer) {
+        let registry = analyzer().registry().clone();
+        let speculative = AnalysisConfig {
+            refinement: RefinementMode::SpeculativeOnly,
+            ..AnalysisConfig::default()
+        };
+        (
+            Analyzer::new(registry.clone()),
+            Analyzer::with_config(registry, speculative),
+        )
+    }
+
     /// Everything except `tier` must agree between the two refinement
     /// tiers — the symbolic walk is only allowed to exist because it is
-    /// bit-identical to speculation whenever it binds.
-    fn assert_same_prediction(symbolic: &CSag, speculative: &CSag, what: &str) {
-        assert_eq!(symbolic.reads, speculative.reads, "{what}: reads");
-        assert_eq!(symbolic.writes, speculative.writes, "{what}: writes");
-        assert_eq!(symbolic.adds, speculative.adds, "{what}: adds");
-        assert_eq!(symbolic.trace, speculative.trace, "{what}: trace");
-        assert_eq!(
-            symbolic.release_points, speculative.release_points,
-            "{what}: release points"
-        );
-        assert_eq!(
-            symbolic.last_write_pc, speculative.last_write_pc,
-            "{what}: last_write_pc"
-        );
-        assert_eq!(
-            symbolic.snapshot_deps, speculative.snapshot_deps,
-            "{what}: snapshot_deps"
-        );
-        assert_eq!(
-            symbolic.predicted_success, speculative.predicted_success,
-            "{what}: predicted_success"
-        );
-        assert_eq!(
-            symbolic.predicted_gas, speculative.predicted_gas,
-            "{what}: predicted_gas"
-        );
+    /// bit-identical to speculation whenever it binds. Compared where the
+    /// tiers differ, before the shared post-processing: the raw accesses
+    /// (pc, kind, key, call depth, in execution order), the raw release
+    /// observations and the predicted outcome.
+    fn assert_same_prediction(
+        two_tier: &Analyzer,
+        speculative: &Analyzer,
+        tx: &Transaction,
+        snapshot: &Snapshot,
+        what: &str,
+    ) -> CSag {
+        let block = BlockEnv::default();
+        let raw = |analyzer: &Analyzer| {
+            let deployed = analyzer.registry().deployed(&tx.to()).expect("deployed");
+            let psag = analyzer.psag(&tx.to()).expect("deployed");
+            analyzer.refine(tx, snapshot, &block, &psag, deployed.code())
+        };
+        let ((symbolic, bound_tier), (measured, _)) = (raw(two_tier), raw(speculative));
+        assert_ne!(bound_tier, RefinementTier::Speculative, "{what}: no bind");
+        assert_eq!(symbolic, measured, "{what}");
+        // And so the records agree too.
+        let record = two_tier.csag(tx, snapshot, &block);
+        assert_eq!(record.tier, bound_tier, "{what}");
+        let expected = CSag {
+            tier: bound_tier,
+            ..speculative.csag(tx, snapshot, &block)
+        };
+        assert_eq!(record, expected, "{what}");
+        record
     }
 
     #[test]
     fn symbolic_tier_matches_speculation_exactly() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
+        let (two_tier, speculative) = tiers();
         let alice_slot = contracts::map_slot(Address::from_u64(1).to_u256(), 1);
         let snapshot = Snapshot::from_entries([(
             StateKey::storage(Address::from_u64(TOKEN), alice_slot),
             U256::from(100u64),
         )]);
-        let block = BlockEnv::default();
         let cases = [
             (
                 "counter add",
@@ -1462,25 +1410,14 @@ mod tests {
             ),
         ];
         for (what, tx) in cases {
-            let s = two_tier.csag(&tx, &snapshot, &block);
-            let p = speculative.csag(&tx, &snapshot, &block);
+            let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, what);
             assert_eq!(s.tier, RefinementTier::Symbolic, "{what}: expected a bind");
-            assert_eq!(p.tier, RefinementTier::Speculative);
-            assert_same_prediction(&s, &p, what);
         }
     }
 
     #[test]
     fn loop_paths_bind_loop_summarized_and_match_speculation() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
+        let (two_tier, speculative) = tiers();
         let x = Address::from_u64(42).to_u256();
         let key_ax = StateKey::storage(Address::from_u64(FIG1), contracts::map_slot(x, 0));
         // A[x] = 3 steers fig1's UpdateB into its for-loop. The loop's
@@ -1494,12 +1431,9 @@ mod tests {
             contracts::fig1_fn::UPDATE_B,
             &[x, U256::from(4u64)],
         );
-        let s = two_tier.csag(&tx, &snapshot, &BlockEnv::default());
-        let p = speculative.csag(&tx, &snapshot, &BlockEnv::default());
+        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "fig1 loop");
         assert_eq!(s.tier, RefinementTier::LoopSummarized);
-        assert_eq!(p.tier, RefinementTier::Speculative);
         assert!(s.predicted_success);
-        assert_same_prediction(&s, &p, "fig1 loop");
     }
 
     /// Every router path — the read-only quote (whose return data feeds
@@ -1508,17 +1442,8 @@ mod tests {
     /// interprocedural tier and agree bit-for-bit with speculation.
     #[test]
     fn router_calls_bind_interprocedural_and_match_speculation() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
+        let (two_tier, speculative) = tiers();
         let snapshot = amm_snapshot();
-        let block = BlockEnv::default();
         let cases = [
             (
                 "router quote",
@@ -1552,16 +1477,13 @@ mod tests {
             ),
         ];
         for (what, tx, expect_success) in cases {
-            let s = two_tier.csag(&tx, &snapshot, &block);
-            let p = speculative.csag(&tx, &snapshot, &block);
+            let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, what);
             assert_eq!(
                 s.tier,
                 RefinementTier::Interprocedural,
                 "{what}: expected a composed bind"
             );
-            assert_eq!(p.tier, RefinementTier::Speculative);
             assert_eq!(s.predicted_success, expect_success, "{what}");
-            assert_same_prediction(&s, &p, what);
         }
     }
 
@@ -1593,11 +1515,8 @@ mod tests {
             contracts::map_slot(Address::from_u64(ROUTER).to_u256(), 2),
         );
         assert!(sag.adds.contains(&credit), "router credited inside pool");
-        // Both reserves were consumed from the snapshot.
-        assert_eq!(sag.snapshot_deps.get(&r0), Some(&U256::from(1000u64)));
-        assert_eq!(sag.snapshot_deps.get(&r1), Some(&U256::from(4000u64)));
         // Callee-frame writes must not advertise caller-frame pcs.
-        assert_eq!(sag.last_write_pc.get(&r0), Some(&usize::MAX));
+        assert_eq!(sag.writes.get(&r0), Some(&(r0, CSag::NEVER)));
     }
 
     /// A callee that reverts (the AMM rejects zero-amount swaps) reverts
@@ -1607,15 +1526,7 @@ mod tests {
     /// on the real machine.
     #[test]
     fn reverting_callee_matches_interpreter_revert_semantics() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
+        let (two_tier, speculative) = tiers();
         // amount_in = 0 passes the router's slippage check (0 < 0 is
         // false) and reverts inside the AMM's swap frame.
         let tx = call_tx(
@@ -1625,12 +1536,9 @@ mod tests {
             &[U256::ZERO, U256::ZERO],
         );
         let snapshot = amm_snapshot();
-        let block = BlockEnv::default();
-        let s = two_tier.csag(&tx, &snapshot, &block);
-        let p = speculative.csag(&tx, &snapshot, &block);
+        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "callee revert");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(!s.predicted_success, "callee revert fails the whole tx");
-        assert_same_prediction(&s, &p, "callee revert");
     }
 
     /// The aggregator swap spans four frames (router → pool reserves →
@@ -1642,15 +1550,7 @@ mod tests {
     /// revert.
     #[test]
     fn aggregator_swap_binds_across_four_frames() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
+        let (two_tier, speculative) = tiers();
         let trader = Address::from_u64(1);
         let amm_addr = Address::from_u64(AMM);
         let token_a = Address::from_u64(TOKEN_A);
@@ -1675,18 +1575,15 @@ mod tests {
                 U256::from(10_000u64),
             ),
         ]);
-        let block = BlockEnv::default();
         let tx = call_tx(
             ROUTER2,
             1,
             contracts::router2_fn::SWAP,
             &[U256::from(100u64), U256::from(300u64)],
         );
-        let s = two_tier.csag(&tx, &snapshot, &block);
-        let p = speculative.csag(&tx, &snapshot, &block);
+        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "aggregator swap");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success);
-        assert_same_prediction(&s, &p, "aggregator swap");
         // One transaction, keys under three distinct contracts.
         assert!(s.writes.contains(&StateKey::storage(amm_addr, U256::ZERO)));
         assert!(s.writes.contains(&StateKey::storage(
@@ -1705,11 +1602,15 @@ mod tests {
             contracts::router2_fn::SWAP,
             &[U256::from(100u64), U256::ZERO],
         );
-        let s = two_tier.csag(&broke, &snapshot, &block);
-        let p = speculative.csag(&broke, &snapshot, &block);
+        let s = assert_same_prediction(
+            &two_tier,
+            &speculative,
+            &broke,
+            &snapshot,
+            "aggregator swap (unapproved)",
+        );
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(!s.predicted_success);
-        assert_same_prediction(&s, &p, "aggregator swap (unapproved)");
     }
 
     /// Flash-mint's repay only binds because sub-frames share one
@@ -1718,15 +1619,7 @@ mod tests {
     /// insufficient-balance revert that the machine never takes.
     #[test]
     fn flash_mint_repay_sees_minted_balance_across_frames() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
+        let (two_tier, speculative) = tiers();
         let borrower = Address::from_u64(1);
         let token_a = Address::from_u64(TOKEN_A);
         let flash = Address::from_u64(FLASH);
@@ -1739,18 +1632,15 @@ mod tests {
             ),
             U256::from(1_000_000u64),
         )]);
-        let block = BlockEnv::default();
         let tx = call_tx(
             FLASH,
             1,
             contracts::flash_fn::FLASH,
             &[U256::from(5_000u64)],
         );
-        let s = two_tier.csag(&tx, &snapshot, &block);
-        let p = speculative.csag(&tx, &snapshot, &block);
+        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "flash mint");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success, "repay must see the minted balance");
-        assert_same_prediction(&s, &p, "flash mint");
         // The fee tab is an add under the flash contract itself.
         assert!(s.adds.contains(&StateKey::storage(
             flash,
@@ -1758,11 +1648,15 @@ mod tests {
         )));
         // Without the approval the repay pull reverts in frame 2 and the
         // prediction tracks that too.
-        let s = two_tier.csag(&tx, &Snapshot::empty(), &block);
-        let p = speculative.csag(&tx, &Snapshot::empty(), &block);
+        let s = assert_same_prediction(
+            &two_tier,
+            &speculative,
+            &tx,
+            &Snapshot::empty(),
+            "flash mint (unapproved)",
+        );
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(!s.predicted_success);
-        assert_same_prediction(&s, &p, "flash mint (unapproved)");
     }
 
     /// An oracle update fans out one call per subscribed consumer; the
@@ -1770,27 +1664,22 @@ mod tests {
     /// scheduler sees the full conflict footprint up front.
     #[test]
     fn oracle_fanout_predicts_every_consumer() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let block = BlockEnv::default();
+        let (two_tier, speculative) = tiers();
         let tx = call_tx(
             ORACLE,
             1,
             contracts::oracle_fn::UPDATE,
             &[U256::from(777u64)],
         );
-        let s = two_tier.csag(&tx, &Snapshot::empty(), &block);
-        let p = speculative.csag(&tx, &Snapshot::empty(), &block);
+        let s = assert_same_prediction(
+            &two_tier,
+            &speculative,
+            &tx,
+            &Snapshot::empty(),
+            "oracle fanout",
+        );
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success);
-        assert_same_prediction(&s, &p, "oracle fanout");
         for consumer in [CONSUMER1, CONSUMER2] {
             let addr = Address::from_u64(consumer);
             assert!(
@@ -1860,24 +1749,12 @@ mod tests {
     /// bounded tier and agree bit-for-bit with speculation.
     #[test]
     fn nft_mint_binds_bounded_dynamic_and_matches_speculation() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let block = BlockEnv::default();
+        let (two_tier, speculative) = tiers();
         let snapshot = mint_rush_snapshot(1000);
         let tx = call_tx(DROP, 1, contracts::drop_fn::MINT, &[]);
-        let s = two_tier.csag(&tx, &snapshot, &block);
-        let p = speculative.csag(&tx, &snapshot, &block);
+        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "nft mint");
         assert_eq!(s.tier, RefinementTier::BoundedDynamic);
-        assert_eq!(p.tier, RefinementTier::Speculative);
         assert!(s.predicted_success);
-        assert_same_prediction(&s, &p, "nft mint");
 
         let drop_addr = Address::from_u64(DROP);
         // Context rebinding: the borrowed splitter body writes the drop's
@@ -1886,9 +1763,9 @@ mod tests {
             .adds
             .contains(&StateKey::storage(drop_addr, U256::from(3u64))));
         assert!(!s
-            .trace
+            .touched()
             .iter()
-            .any(|event| event.key.address == Address::from_u64(SPLITTER)));
+            .any(|key| key.address == Address::from_u64(SPLITTER)));
         // The value transfer shows up as implicit balance keys: debit on
         // the drop's treasury, commutative credit on the creator.
         assert!(s.writes.contains(&StateKey::balance(drop_addr)));
@@ -1901,23 +1778,18 @@ mod tests {
     /// machine does it.
     #[test]
     fn nft_mint_with_short_treasury_predicts_revert() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let block = BlockEnv::default();
+        let (two_tier, speculative) = tiers();
         let snapshot = mint_rush_snapshot(5);
         let tx = call_tx(DROP, 1, contracts::drop_fn::MINT, &[]);
-        let s = two_tier.csag(&tx, &snapshot, &block);
-        let p = speculative.csag(&tx, &snapshot, &block);
+        let s = assert_same_prediction(
+            &two_tier,
+            &speculative,
+            &tx,
+            &snapshot,
+            "nft mint (short treasury)",
+        );
         assert_eq!(s.tier, RefinementTier::BoundedDynamic);
         assert!(!s.predicted_success);
-        assert_same_prediction(&s, &p, "nft mint (short treasury)");
         // The failed transfer never credits the creator.
         assert!(!s.adds.contains(&StateKey::balance(Address::from_u64(777))));
     }
@@ -1927,27 +1799,130 @@ mod tests {
     /// is a fixed address) with the oracle's slot in the read set.
     #[test]
     fn nft_preview_staticcall_binds_and_matches_speculation() {
-        let registry = analyzer().registry().clone();
-        let two_tier = Analyzer::new(registry.clone());
-        let speculative = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let block = BlockEnv::default();
+        let (two_tier, speculative) = tiers();
         let snapshot = mint_rush_snapshot(1000);
         let tx = call_tx(DROP, 1, contracts::drop_fn::PREVIEW, &[]);
-        let s = two_tier.csag(&tx, &snapshot, &block);
-        let p = speculative.csag(&tx, &snapshot, &block);
+        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "nft preview");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success);
-        assert_same_prediction(&s, &p, "nft preview");
         assert!(s
             .reads
             .contains(&StateKey::storage(Address::from_u64(FLOOR), U256::ZERO)));
         assert!(s.writes.is_empty());
         assert!(s.adds.is_empty());
+    }
+
+    mod record {
+        //! The record against what it replaced: `finish` inserting every
+        //! access into three tree sets and a hash map, kept here as the
+        //! reference.
+
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        const GAS_LIMIT: u64 = 100_000;
+        const GAS_USED: u64 = 30_000;
+
+        fn key(k: u8) -> StateKey {
+            StateKey::storage(Address::from_u64(1 + k as u64 % 3), U256::from(k as u64))
+        }
+
+        proptest! {
+            #[test]
+            fn finish_builds_what_the_sets_and_the_map_held(
+                events in prop::collection::vec((0u8..8, 0u8..3, 0usize..40, 0usize..3), 0..24),
+                releases in prop::collection::vec((0usize..6, 0u64..GAS_LIMIT), 0..6),
+                entry in 0u8..2,
+                hide in 0usize..4,
+                seed in 0u64..4,
+            ) {
+                let config = AnalysisConfig {
+                    hide_fraction: [0.0, 0.25, 0.5, 1.0][hide],
+                    seed,
+                    ..AnalysisConfig::default()
+                };
+                let analyzer = Analyzer::with_config(CodeRegistry::default(), config);
+                let events: Vec<Access> = events
+                    .into_iter()
+                    .map(|(k, kind, pc, depth)| Access {
+                        key: key(k),
+                        kind: [AccessKind::Read, AccessKind::Write, AccessKind::Add][kind as usize],
+                        pc,
+                        depth,
+                    })
+                    .collect();
+                let release_pcs: &[usize] = if entry == 1 { &[0, 3] } else { &[3] };
+
+                let mut reads = BTreeSet::new();
+                let mut writes = BTreeSet::new();
+                let mut adds = BTreeSet::new();
+                let mut last_write_pc = HashMap::new();
+                for event in &events {
+                    if config.hide_fraction > 0.0 && analyzer.hides(&event.key) {
+                        continue;
+                    }
+                    let write_pc = if event.depth == 0 { event.pc } else { usize::MAX };
+                    match event.kind {
+                        AccessKind::Read => {
+                            reads.insert(event.key);
+                        }
+                        AccessKind::Write => {
+                            writes.insert(event.key);
+                            last_write_pc.insert(event.key, write_pc);
+                        }
+                        AccessKind::Add => {
+                            adds.insert(event.key);
+                            last_write_pc.insert(event.key, write_pc);
+                        }
+                    }
+                }
+                adds.retain(|key| !writes.contains(key));
+                let gas_left_end = GAS_LIMIT - GAS_USED;
+                let mut release_points: Vec<ReleasePoint> = releases
+                    .iter()
+                    .map(|&(pc, gas_left)| ReleasePoint {
+                        pc,
+                        gas_bound: gas_left.saturating_sub(gas_left_end),
+                    })
+                    .collect();
+                if entry == 1 {
+                    release_points.push(ReleasePoint {
+                        pc: 0,
+                        gas_bound: GAS_USED - INTRINSIC_GAS,
+                    });
+                }
+                release_points.sort_by_key(|rp| rp.pc);
+                release_points.dedup_by_key(|rp| rp.pc);
+
+                let raw = RawPrediction {
+                    events,
+                    releases,
+                    predicted_success: true,
+                    gas_used: GAS_USED,
+                };
+                let sag = analyzer.finish(raw, GAS_LIMIT, release_pcs, RefinementTier::Symbolic);
+
+                let with_pc = |keys: &BTreeSet<StateKey>| -> Vec<(StateKey, usize)> {
+                    keys.iter().map(|key| (*key, last_write_pc[key])).collect()
+                };
+                prop_assert_eq!(sag.reads.to_vec(), reads.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(sag.writes.to_vec(), with_pc(&writes));
+                prop_assert_eq!(sag.adds.to_vec(), with_pc(&adds));
+                prop_assert_eq!(sag.release_points.to_vec(), release_points);
+                // Every publish pc belongs to a predicted write or add.
+                prop_assert_eq!(last_write_pc.len(), sag.writes.len() + sag.adds.len());
+                // Sorted, one entry per key, no key both written and added.
+                prop_assert!(sag.reads.windows(2).all(|pair| pair[0] < pair[1]));
+                for written in [&sag.writes, &sag.adds] {
+                    prop_assert!(written.windows(2).all(|pair| pair[0].0 < pair[1].0));
+                }
+                prop_assert!(sag.adds.iter().all(|(key, _)| !sag.writes.contains(key)));
+                prop_assert_eq!(
+                    (sag.predicted_success, sag.predicted_gas, sag.tier),
+                    (true, GAS_USED, RefinementTier::Symbolic)
+                );
+            }
+        }
     }
 }

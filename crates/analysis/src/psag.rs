@@ -43,7 +43,7 @@ pub struct SagOp {
 #[derive(Debug, Clone)]
 pub struct PSag {
     /// The CFG skeleton, with jump exits patched by value-set propagation
-    /// (see [`crate::absint`]).
+    /// (the `absint` module).
     pub cfg: Cfg,
     /// All state-access nodes in code order.
     pub ops: Vec<SagOp>,

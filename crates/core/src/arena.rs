@@ -2,13 +2,13 @@
 //!
 //! Without recycling the sharded executor pays the allocator on every
 //! block: fresh shard tables, fresh per-transaction scheduling state, and
-//! fresh sets for touched/published key tracking. This module provides the
-//! allocation-light per-transaction sets and buffers, both keyed by dense
-//! [`dmvcc_state::KeyId`] and both one sorted vector (a transaction touches
-//! a handful of keys; binary search on a dense vector beats hashing, tree
-//! nodes, and a bitset as wide as the block's key space):
+//! fresh sets for touched/published key tracking. The per-transaction sets
+//! and buffers are keyed by dense [`dmvcc_state::KeyId`] and are one sorted
+//! vector each (a transaction touches a handful of keys; binary search on a
+//! dense vector beats hashing, tree nodes, and a bitset as wide as the
+//! block's key space):
 //!
-//! - `SortedIds`, the touched/published sets;
+//! - [`dmvcc_state::SortedVec`] of ids, the touched/published sets;
 //! - [`SmallMap`], the id→value write/add buffers of a running transaction.
 //!
 //! The executor-level pools (shard storage, per-tx states, the bound
@@ -22,55 +22,6 @@ use dmvcc_primitives::U256;
 use dmvcc_state::KeyId;
 
 use crate::sharded::VersionOp;
-
-/// A sorted set of [`KeyId`]s backed by a single vector.
-///
-/// A transaction touches a handful of keys out of the tens of thousands a
-/// block interns, so its touched/published sets are a few ids, not a bitset
-/// over the block's key space: membership is a binary search, iteration is
-/// the slice, and `clear` keeps the buffer for re-executions and recycled
-/// blocks.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct SortedIds {
-    ids: Vec<KeyId>,
-}
-
-impl SortedIds {
-    /// Inserts `id` if it is not already present.
-    pub(crate) fn insert(&mut self, id: KeyId) {
-        if let Err(at) = self.ids.binary_search(&id) {
-            self.ids.insert(at, id);
-        }
-    }
-
-    /// `true` if `id` is in the set.
-    pub(crate) fn contains(&self, id: KeyId) -> bool {
-        self.ids.binary_search(&id).is_ok()
-    }
-
-    /// Replaces the contents with `ids` (any order, duplicates allowed).
-    pub(crate) fn assign(&mut self, ids: impl IntoIterator<Item = KeyId>) {
-        self.ids.clear();
-        self.ids.extend(ids);
-        self.ids.sort_unstable();
-        self.ids.dedup();
-    }
-
-    /// Empties the set, keeping the buffer for reuse.
-    pub(crate) fn clear(&mut self) {
-        self.ids.clear();
-    }
-
-    /// The ids in ascending order.
-    pub(crate) fn as_slice(&self) -> &[KeyId] {
-        &self.ids
-    }
-
-    /// Heap bytes retained by the buffer (arena accounting).
-    pub(crate) fn retained_bytes(&self) -> u64 {
-        (self.ids.capacity() * std::mem::size_of::<KeyId>()) as u64
-    }
-}
 
 /// A sorted `KeyId → U256` map backed by a single vector.
 ///
@@ -202,26 +153,6 @@ impl WriteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn id_set_insert_contains_iter() {
-        let id = KeyId::from_index;
-        let mut set = SortedIds::default();
-        set.insert(id(200));
-        set.insert(id(3));
-        set.insert(id(200));
-        assert_eq!(set.as_slice(), [id(3), id(200)]);
-        assert!(set.contains(id(3)));
-        assert!(!set.contains(id(4)));
-        assert!(!set.contains(id(10_000)));
-        // Two ids cost two ids, wherever they sit in the key space.
-        assert!(set.retained_bytes() < 64);
-        set.assign([id(9), id(1), id(9), id(5)]);
-        assert_eq!(set.as_slice(), [id(1), id(5), id(9)]);
-        set.clear();
-        assert!(set.as_slice().is_empty());
-        assert!(!set.contains(id(1)));
-    }
 
     #[test]
     fn small_map_insert_add_remove() {

@@ -30,7 +30,7 @@
 //!
 //! 1. **Bind** (calling thread, before any worker exists): one walk over
 //!    the C-SAGs (`BlockMeta::bind`) interns the predicted keys, lays
-//!    every transaction's metadata out in five block-level arrays,
+//!    every transaction's metadata out in four block-level arrays,
 //!    registers the predicted accesses in the store through exclusive
 //!    access (no lock), sweeps the ranks over the same ids and queues the
 //!    first ready set. All of it lands in recycled buffers.
@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use dmvcc_primitives::U256;
-use dmvcc_state::{KeyId, Snapshot, StateKey, WriteSet};
+use dmvcc_state::{KeyId, Snapshot, SortedVec, StateKey, WriteSet};
 use dmvcc_vm::{
     execute, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind,
     INTRINSIC_GAS,
@@ -70,7 +70,7 @@ use dmvcc_vm::{
 use dmvcc_analysis::{Analyzer, CSag};
 
 use crate::access::{AccessOp, ReadResolution, VersionWriteEffect};
-use crate::arena::{SortedIds, WriteBuffer};
+use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
 use crate::sharded::{ShardStorage, ShardedSequences, VersionOp, DEFAULT_SHARDS};
@@ -241,10 +241,10 @@ struct TxCore {
     gas_used: u64,
     /// Key ids whose versions this tx materialized in the sequences during
     /// the current attempt (for rollback on abort).
-    published: SortedIds,
+    published: SortedVec<KeyId>,
     /// All key ids this tx has entries for (predictions plus dynamic
     /// insertions), so aborts can reset them.
-    touched: SortedIds,
+    touched: SortedVec<KeyId>,
 }
 
 /// One transaction's immutable execution metadata: its slice of each of
@@ -255,45 +255,43 @@ struct TxMeta<'a> {
     /// Predicted reads as (id, key) pairs, sorted by key — the readiness
     /// probe.
     reads: &'a [(KeyId, StateKey)],
-    /// Predicted writes ∪ adds, sorted by id so the abort cascade can
-    /// binary-search membership (predicted and dynamically discovered
-    /// writes roll back differently).
-    predicted_wa: &'a [KeyId],
-    /// Last predicted write pc per key, sorted by id (binary search).
-    last_write_pc: &'a [(KeyId, usize)],
+    /// Predicted writes ∪ adds as (id, publish pc) — a buffered write of the
+    /// key may be published once execution is past the pc, [`CSag::NEVER`]
+    /// meaning only at the end — sorted by id: the host looks the pc up and
+    /// the abort cascade membership (predicted and dynamically discovered
+    /// writes roll back differently) by binary search.
+    predicted_wa: &'a [(KeyId, usize)],
     /// Release points as (pc, gas bound), sorted by pc, one per pc.
     release_bounds: &'a [(usize, u64)],
     /// pcs where the VM fires `on_release_point`, sorted: release points
-    /// plus one-past each key's last predicted write, so publication
-    /// happens as early as Algorithm 2 allows.
+    /// plus one-past each key's publish pc, so publication happens as early
+    /// as Algorithm 2 allows.
     release_set: &'a [usize],
 }
 
-/// Everything the engine derives from a block's C-SAGs, as five block-level
+/// Everything the engine derives from a block's C-SAGs, as four block-level
 /// arrays plus one row of offsets per transaction — no per-transaction heap
 /// block exists. Filled by [`BlockMeta::bind`], recycled across blocks.
 #[derive(Debug, Default)]
 struct BlockMeta {
     reads: Vec<(KeyId, StateKey)>,
-    predicted_wa: Vec<KeyId>,
-    last_write_pc: Vec<(KeyId, usize)>,
+    predicted_wa: Vec<(KeyId, usize)>,
     release_bounds: Vec<(usize, u64)>,
     release_set: Vec<usize>,
     /// Row `i`: where transaction `i`'s slice of each array above ends (it
     /// starts where row `i - 1` ends).
-    ends: Vec<[usize; 5]>,
+    ends: Vec<[usize; 4]>,
     /// Scratch of the walk: one bit per key id, set once some transaction
     /// seen so far predicts a write or an add to the key.
     written: Vec<u64>,
 }
 
-/// Sorts `vec[from..]` by `key` and keeps the first of each run of equal
-/// keys.
-fn sort_dedup_tail<T: Copy, K: Ord>(vec: &mut Vec<T>, from: usize, key: impl Fn(&T) -> K) {
-    vec[from..].sort_unstable_by_key(&key);
+/// Sorts `vec[from..]` and drops its duplicates.
+fn sort_dedup_tail(vec: &mut Vec<usize>, from: usize) {
+    vec[from..].sort_unstable();
     let mut kept = from;
     for i in from..vec.len() {
-        if kept == from || key(&vec[kept - 1]) != key(&vec[i]) {
+        if kept == from || vec[kept - 1] != vec[i] {
             vec[kept] = vec[i];
             kept += 1;
         }
@@ -303,11 +301,10 @@ fn sort_dedup_tail<T: Copy, K: Ord>(vec: &mut Vec<T>, from: usize, key: impl Fn(
 
 impl BlockMeta {
     /// The arrays' current lengths, in [`BlockMeta::ends`]' order.
-    fn lens(&self) -> [usize; 5] {
+    fn lens(&self) -> [usize; 4] {
         [
             self.reads.len(),
             self.predicted_wa.len(),
-            self.last_write_pc.len(),
             self.release_bounds.len(),
             self.release_set.len(),
         ]
@@ -315,20 +312,19 @@ impl BlockMeta {
 
     /// Transaction `tx`'s view of the arrays.
     fn tx(&self, tx: usize) -> TxMeta<'_> {
-        let from = if tx == 0 { [0; 5] } else { self.ends[tx - 1] };
+        let from = if tx == 0 { [0; 4] } else { self.ends[tx - 1] };
         let to = self.ends[tx];
         TxMeta {
             reads: &self.reads[from[0]..to[0]],
             predicted_wa: &self.predicted_wa[from[1]..to[1]],
-            last_write_pc: &self.last_write_pc[from[2]..to[2]],
-            release_bounds: &self.release_bounds[from[3]..to[3]],
-            release_set: &self.release_set[from[4]..to[4]],
+            release_bounds: &self.release_bounds[from[2]..to[2]],
+            release_set: &self.release_set[from[3]..to[3]],
         }
     }
 
     /// Empties the arrays for a new block and sizes them from the C-SAGs'
-    /// set sizes, so the walk never reallocates. Returns the heap bytes the
-    /// recycled buffers already held.
+    /// vector lengths, so the walk never reallocates. Returns the heap bytes
+    /// the recycled buffers already held.
     fn reset(&mut self, csags: &[CSag]) -> u64 {
         fn recycle<T>(vec: &mut Vec<T>, needed: usize) -> u64 {
             let held = vec.capacity() * std::mem::size_of::<T>();
@@ -336,20 +332,18 @@ impl BlockMeta {
             vec.reserve(needed);
             held as u64
         }
-        let mut sizes = [0usize; 4];
+        let mut sizes = [0usize; 3];
         for csag in csags {
             sizes[0] += csag.reads.len();
             sizes[1] += csag.writes.len() + csag.adds.len();
-            sizes[2] += csag.last_write_pc.len();
-            sizes[3] += csag.release_points.len();
+            sizes[2] += csag.release_points.len();
         }
         // Key occurrences: an upper bound on the ids the walk can assign.
-        let occurrences = sizes[0] + sizes[1] + sizes[2];
+        let occurrences = sizes[0] + sizes[1];
         let bytes = recycle(&mut self.reads, sizes[0])
             + recycle(&mut self.predicted_wa, sizes[1])
-            + recycle(&mut self.last_write_pc, sizes[2])
-            + recycle(&mut self.release_bounds, sizes[3])
-            + recycle(&mut self.release_set, sizes[2] + sizes[3])
+            + recycle(&mut self.release_bounds, sizes[2])
+            + recycle(&mut self.release_set, sizes[1] + sizes[2])
             + recycle(&mut self.ends, csags.len())
             + recycle(&mut self.written, occurrences.div_ceil(64));
         self.written.resize(occurrences.div_ceil(64), 0);
@@ -360,10 +354,12 @@ impl BlockMeta {
     /// any worker exists. Per transaction, in block order, it
     ///
     /// - interns the predicted keys, hashing each occurrence at most once:
-    ///   a write, add or last-write key that is one of the transaction's
-    ///   own reads (the read-modify-write majority) takes that id from the
-    ///   handful of pairs just pushed;
-    /// - appends the transaction's slices to the five arrays;
+    ///   a write or add key that is one of the transaction's own reads (the
+    ///   read-modify-write majority) takes that id from the handful of pairs
+    ///   just pushed;
+    /// - appends the transaction's slices to the four arrays (the record's
+    ///   vectors are sorted with one entry per key or pc and no key is both
+    ///   written and added, so only the ids need sorting);
     /// - registers its predicted accesses in `sequences` (exclusive access:
     ///   no shard lock exists to take yet);
     /// - seeds its `touched` set with every predicted key;
@@ -393,44 +389,41 @@ impl BlockMeta {
                 predict(id, i, AccessOp::Read);
                 ready &= self.written[id.index() / 64] >> (id.index() % 64) & 1 == 0;
             }
-            // A `BTreeSet` iterates in key order, so the pairs are sorted.
+            // The record's reads are in key order, so the pairs are sorted.
             let own_reads = &self.reads[from[0]..];
             let mut id_of = |key: &StateKey| match own_reads.binary_search_by(|(_, k)| k.cmp(key)) {
                 Ok(at) => own_reads[at].0,
                 Err(_) => interner.preintern(*key),
             };
             for (keys, op) in [(&csag.writes, AccessOp::Write), (&csag.adds, AccessOp::Add)] {
-                for key in keys {
+                for (key, pc) in keys {
                     let id = id_of(key);
-                    self.predicted_wa.push(id);
+                    self.predicted_wa.push((id, *pc));
                     predict(id, i, op);
                 }
             }
+            let predicted_wa = &mut self.predicted_wa[from[1]..];
             // Own writes do not block own reads: the bits go in only now.
-            for id in &self.predicted_wa[from[1]..] {
+            for (id, _) in predicted_wa.iter() {
                 self.written[id.index() / 64] |= 1 << (id.index() % 64);
             }
-            sort_dedup_tail(&mut self.predicted_wa, from[1], |&id| id);
-            let last_writes = csag.last_write_pc.iter();
-            self.last_write_pc
-                .extend(last_writes.map(|(key, &pc)| (id_of(key), pc)));
-            self.last_write_pc[from[2]..].sort_unstable_by_key(|&(id, _)| id);
+            predicted_wa.sort_unstable_by_key(|&(id, _)| id);
+            debug_assert!(predicted_wa.windows(2).all(|pair| pair[0].0 != pair[1].0));
             let release_points = csag.release_points.iter();
             self.release_bounds
                 .extend(release_points.map(|rp| (rp.pc, rp.gas_bound)));
-            sort_dedup_tail(&mut self.release_bounds, from[3], |&(pc, _)| pc);
-            let release_pcs = self.release_bounds[from[3]..].iter().map(|&(pc, _)| pc);
-            let past_last_writes = self.last_write_pc[from[2]..].iter();
+            let release_pcs = self.release_bounds[from[2]..].iter().map(|&(pc, _)| pc);
+            let publishable = predicted_wa.iter().filter(|&&(_, pc)| pc != CSag::NEVER);
             self.release_set
-                .extend(release_pcs.chain(past_last_writes.map(|&(_, pc)| pc.saturating_add(1))));
-            sort_dedup_tail(&mut self.release_set, from[4], |&pc| pc);
+                .extend(release_pcs.chain(publishable.map(|&(_, pc)| pc + 1)));
+            sort_dedup_tail(&mut self.release_set, from[3]);
             let to = self.lens();
             self.ends.push(to);
 
             let core = state.core.get_mut();
             let read_ids = self.reads[from[0]..].iter().map(|&(id, _)| id);
-            core.touched
-                .assign(read_ids.chain(self.predicted_wa[from[1]..].iter().copied()));
+            let written_ids = self.predicted_wa[from[1]..].iter().map(|&(id, _)| id);
+            core.touched.assign(read_ids.chain(written_ids));
             if ready {
                 core.phase = Phase::Ready;
             }
@@ -442,7 +435,7 @@ impl BlockMeta {
             csags.len(),
             |tx| csags[tx].predicted_gas,
             |tx| self.tx(tx).reads.iter().map(|&(id, _)| id),
-            |tx| self.tx(tx).predicted_wa.iter().copied(),
+            |tx| self.tx(tx).predicted_wa.iter().map(|&(id, _)| id),
         )
     }
 }
@@ -696,10 +689,11 @@ impl Shared<'_> {
                 // again, and a pending entry nothing fulfills wedges
                 // every later reader.
                 let predicted = self.meta.tx(victim).predicted_wa;
-                let touched = core.touched.as_slice().iter();
-                let resets = touched.map(|&id| match predicted.binary_search(&id) {
-                    Ok(_) => (id, VersionOp::Reset),
-                    Err(_) => (id, VersionOp::Rollback),
+                let resets = core.touched.iter().map(|&id| {
+                    match predicted.binary_search_by_key(&id, |&(k, _)| k) {
+                        Ok(_) => (id, VersionOp::Reset),
+                        Err(_) => (id, VersionOp::Rollback),
+                    }
                 });
                 (resets.collect(), next)
             };
@@ -872,13 +866,11 @@ impl ThreadHost<'_, '_> {
         Ok(())
     }
 
-    /// The last predicted write pc for `id`, if predicted.
-    fn last_write_pc(&self, id: KeyId) -> Option<usize> {
-        self.meta
-            .last_write_pc
-            .binary_search_by_key(&id, |&(k, _)| k)
-            .ok()
-            .map(|i| self.meta.last_write_pc[i].1)
+    /// The pc past which a write of `id` may be published, if predicted.
+    fn publish_pc(&self, id: KeyId) -> Option<usize> {
+        let predicted = self.meta.predicted_wa;
+        let at = predicted.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+        Some(predicted[at].1)
     }
 
     /// Publishes a batch of buffered keys (write versioning, Algorithm 3).
@@ -1089,7 +1081,7 @@ impl Host for ThreadHost<'_, '_> {
         batch.extend(
             self.buffer
                 .entries()
-                .filter(|&(id, _)| self.last_write_pc(id).is_some_and(|last| last < pc)),
+                .filter(|&(id, _)| self.publish_pc(id).is_some_and(|last| last < pc)),
         );
         let result = self.publish_batch(&mut batch);
         if result.is_ok() {
@@ -1334,8 +1326,8 @@ impl ParallelExecutor {
                 attempts: 0,
                 status: None,
                 gas_used: 0,
-                published: SortedIds::default(),
-                touched: SortedIds::default(),
+                published: SortedVec::default(),
+                touched: SortedVec::default(),
             }),
             event: Event::default(),
             demoted: AtomicBool::new(false),
@@ -1566,8 +1558,8 @@ fn finalize_success(host: &mut ThreadHost<'_, '_>, gas_used: u64) {
         }
         let unfulfilled = host.meta.predicted_wa.iter();
         unfulfilled
-            .filter(|&&id| !core.published.contains(id))
-            .map(|&id| (id, VersionOp::Drop))
+            .filter(|(id, _)| !core.published.contains(id))
+            .map(|&(id, _)| (id, VersionOp::Drop))
             .collect()
     };
     if host.apply_batch(&mut to_drop).is_err() {
@@ -1588,7 +1580,7 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
         if host.stale() {
             return;
         }
-        let ids = core.published.as_slice().to_vec();
+        let ids = core.published.to_vec();
         core.published.clear();
         ids
     };
@@ -1605,7 +1597,7 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
         }
     }
     // Unfulfilled predictions are dropped too: that unblocks their readers.
-    let predicted = host.meta.predicted_wa.iter().copied();
+    let predicted = host.meta.predicted_wa.iter().map(|&(id, _)| id);
     let mut to_drop: Vec<_> = published
         .into_iter()
         .chain(predicted)
@@ -1983,46 +1975,45 @@ mod tests {
 
         use super::*;
         use crate::access::AccessSequence;
-        use dmvcc_analysis::ReleasePoint;
+        use dmvcc_analysis::{AccessKind, ReleasePoint};
         use proptest::prelude::*;
 
         fn key(k: u8) -> StateKey {
             StateKey::storage(Address::from_u64(1 + k as u64 % 3), U256::from(k as u64))
         }
 
-        /// One transaction's C-SAG from raw draws: key sets that may
-        /// overlap any way they like (reads ∩ writes, a key in both `writes`
-        /// and `adds`, nothing at all), `last_write_pc` keys that need not be
-        /// written, release pcs that repeat.
-        type Draw = (Vec<u8>, Vec<u8>, Vec<u8>, Vec<(u8, usize)>, Vec<usize>, u64);
+        /// One transaction's C-SAG from raw draws: a run of (key, kind, pc)
+        /// accesses in which keys repeat under any mix of kinds, or nothing
+        /// at all, and release pcs that repeat. What the draws used to
+        /// contain and no longer can — a key in both `writes` and `adds`, a
+        /// publish pc for a key in neither — the record rules out: its
+        /// constructor folds an add into a full write of the same key, and
+        /// a pc exists only beside the write or add it belongs to.
+        type Draw = (Vec<(u8, u8, usize)>, Vec<usize>, u64);
 
-        fn csag((reads, writes, adds, last_writes, releases, gas): Draw) -> CSag {
-            let mut csag = CSag {
-                predicted_gas: gas,
-                ..CSag::default()
-            };
-            csag.reads.extend(reads.into_iter().map(key));
-            csag.writes.extend(writes.into_iter().map(key));
-            csag.adds.extend(adds.into_iter().map(key));
-            for (k, pc) in last_writes {
+        fn csag((accesses, releases, gas): Draw) -> CSag {
+            let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Add];
+            let accesses = accesses.into_iter().map(|(k, kind, pc)| {
                 // One pc in a few is "inside a nested frame".
-                let pc = if pc % 5 == 0 { usize::MAX } else { pc };
-                csag.last_write_pc.insert(key(k), pc);
-            }
+                let pc = if pc % 5 == 0 { CSag::NEVER } else { pc };
+                (key(k), kinds[kind as usize], pc)
+            });
             let point = |pc| ReleasePoint {
                 pc,
                 gas_bound: pc as u64 * 7,
             };
-            csag.release_points.extend(releases.into_iter().map(point));
-            csag
+            CSag {
+                release_points: releases.into_iter().map(point).collect(),
+                predicted_gas: gas,
+                ..CSag::from_accesses(accesses)
+            }
         }
 
         fn draws() -> impl Strategy<Value = Vec<Draw>> {
-            let keys = || prop::collection::vec(0u8..10, 0..4);
-            let last_writes = prop::collection::vec((0u8..12, 0usize..40), 0..4);
+            let accesses = prop::collection::vec((0u8..10, 0u8..3, 0usize..40), 0..10);
             let releases = prop::collection::vec(0usize..6, 0..4);
             let gas = 0u64..200_000;
-            prop::collection::vec((keys(), keys(), keys(), last_writes, releases, gas), 1..14)
+            prop::collection::vec((accesses, releases, gas), 1..14)
         }
 
         fn bound<'a>(
@@ -2111,41 +2102,33 @@ mod tests {
                     let meta = shared.meta.tx(tx);
                     let reads: Vec<_> = csag.reads.iter().map(|key| (id(key), *key)).collect();
                     prop_assert_eq!(meta.reads, &reads[..]);
-                    let mut predicted_wa: Vec<_> = csag.writes.union(&csag.adds).map(id).collect();
+                    let written = csag.writes.iter().chain(&csag.adds);
+                    let mut predicted_wa: Vec<_> = written.map(|(key, pc)| (id(key), *pc)).collect();
                     predicted_wa.sort_unstable();
                     prop_assert_eq!(meta.predicted_wa, &predicted_wa[..]);
-                    let last_writes = csag.last_write_pc.iter();
-                    let mut last_write_pc: Vec<_> = last_writes.map(|(k, &pc)| (id(k), pc)).collect();
-                    last_write_pc.sort_unstable();
-                    prop_assert_eq!(meta.last_write_pc, &last_write_pc[..]);
                     let points = csag.release_points.iter();
-                    let mut release_bounds: Vec<_> = points.map(|rp| (rp.pc, rp.gas_bound)).collect();
-                    release_bounds.sort_unstable();
-                    release_bounds.dedup();
+                    let release_bounds: Vec<_> = points.map(|rp| (rp.pc, rp.gas_bound)).collect();
                     prop_assert_eq!(meta.release_bounds, &release_bounds[..]);
                     let release_pcs = release_bounds.iter().map(|&(pc, _)| pc);
-                    let past_writes = last_write_pc.iter().map(|&(_, pc)| pc.saturating_add(1));
-                    let mut release_set: Vec<_> = release_pcs.chain(past_writes).collect();
+                    let publishable = predicted_wa.iter().filter(|&&(_, pc)| pc != CSag::NEVER);
+                    let mut release_set: Vec<_> =
+                        release_pcs.chain(publishable.map(|&(_, pc)| pc + 1)).collect();
                     release_set.sort_unstable();
                     release_set.dedup();
                     prop_assert_eq!(meta.release_set, &release_set[..]);
                     let mut touched: Vec<_> = reads.iter().map(|&(id, _)| id).collect();
-                    touched.extend(&predicted_wa);
+                    touched.extend(predicted_wa.iter().map(|&(id, _)| id));
                     touched.sort_unstable();
                     touched.dedup();
                     let core = shared.states[tx].core.lock();
-                    prop_assert_eq!(core.touched.as_slice(), &touched[..]);
-                    prop_assert!(core.published.as_slice().is_empty());
+                    prop_assert_eq!(&core.touched[..], &touched[..]);
+                    prop_assert!(core.published.is_empty());
 
-                    let accesses = [
-                        (&csag.reads, AccessOp::Read),
-                        (&csag.writes, AccessOp::Write),
-                        (&csag.adds, AccessOp::Add),
-                    ];
-                    for (keys, op) in accesses {
-                        for key in keys {
-                            sequences.entry(*key).or_default().predict(tx, op);
-                        }
+                    let reads = csag.reads.iter().map(|key| (key, AccessOp::Read));
+                    let writes = csag.writes.iter().map(|(key, _)| (key, AccessOp::Write));
+                    let adds = csag.adds.iter().map(|(key, _)| (key, AccessOp::Add));
+                    for (key, op) in reads.chain(writes).chain(adds) {
+                        sequences.entry(*key).or_default().predict(tx, op);
                     }
                 }
                 let tuple = |seq: &AccessSequence| -> Vec<_> {
@@ -2158,10 +2141,7 @@ mod tests {
                     prop_assert_eq!(tuple(got), tuple(expected));
                 }
                 prop_assert_eq!(interner.len(), {
-                    let all = csags.iter().flat_map(|c| {
-                        let sets = c.reads.iter().chain(&c.writes).chain(&c.adds);
-                        sets.chain(c.last_write_pc.keys())
-                    });
+                    let all = csags.iter().flat_map(CSag::touched);
                     all.collect::<std::collections::BTreeSet<_>>().len()
                 });
             }

@@ -448,7 +448,7 @@ impl StmExecutor {
         let mut sequences = self.sequences();
         let (interner, _) = sequences.bind();
         for sag in csags {
-            for key in sag.reads.iter().chain(&sag.writes).chain(&sag.adds) {
+            for key in sag.reads.iter().chain(sag.written()) {
                 interner.preintern(*key);
             }
         }

@@ -72,8 +72,7 @@ impl BlockDag {
         for csag in csags {
             ids.extend(csag.reads.iter().map(|key| interner.preintern(*key)));
             let reads_end = ids.len();
-            let written = csag.writes.union(&csag.adds);
-            ids.extend(written.map(|key| interner.preintern(*key)));
+            ids.extend(csag.written().map(|key| interner.preintern(*key)));
             spans.push((reads_end, ids.len()));
         }
         let start = |i: usize| if i == 0 { 0 } else { spans[i - 1].1 };
@@ -189,8 +188,10 @@ fn lane_for(rank_gas: u64, critical: u64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmvcc_primitives::Address;
-    use dmvcc_state::StateKey;
+    use dmvcc_analysis::{AccessKind, Analyzer};
+    use dmvcc_primitives::{Address, U256};
+    use dmvcc_state::{Snapshot, StateKey};
+    use dmvcc_vm::{calldata, contracts, BlockEnv, CodeRegistry, Transaction, TxEnv};
 
     fn key(id: u64) -> StateKey {
         StateKey::balance(Address::from_u64(id))
@@ -198,14 +199,19 @@ mod tests {
 
     /// A C-SAG with explicit key sets and predicted gas.
     fn sag(reads: &[u64], writes: &[u64], adds: &[u64], gas: u64) -> CSag {
-        let mut c = CSag {
+        fn of(
+            keys: &[u64],
+            kind: AccessKind,
+        ) -> impl Iterator<Item = (StateKey, AccessKind, usize)> + '_ {
+            keys.iter().map(move |&k| (key(k), kind, 0))
+        }
+        let accesses = of(reads, AccessKind::Read)
+            .chain(of(writes, AccessKind::Write))
+            .chain(of(adds, AccessKind::Add));
+        CSag {
             predicted_gas: gas,
-            ..CSag::default()
-        };
-        c.reads.extend(reads.iter().map(|&k| key(k)));
-        c.writes.extend(writes.iter().map(|&k| key(k)));
-        c.adds.extend(adds.iter().map(|&k| key(k)));
-        c
+            ..CSag::from_accesses(accesses)
+        }
     }
 
     const G: u64 = 50_000;
@@ -325,6 +331,51 @@ mod tests {
         let dag = BlockDag::build(&csags);
         assert_eq!(dag.ranks[0].rank_gas, 2 * G);
         assert_eq!(dag.ranks[0].dependents, 1);
+    }
+
+    /// The paper's Definition 3 on real predictions: a transaction conflicts
+    /// with an earlier one — hangs off it in the DAG — exactly when it reads
+    /// a key the earlier one writes or adds to.
+    #[test]
+    fn conflicts_follow_definition_3() {
+        let (token, counter) = (Address::from_u64(100), Address::from_u64(101));
+        let registry = CodeRegistry::builder()
+            .deploy(token, contracts::token())
+            .deploy(counter, contracts::counter())
+            .build();
+        let analyzer = Analyzer::new(registry);
+        let alice_slot = contracts::map_slot(Address::from_u64(1).to_u256(), 1);
+        let snapshot =
+            Snapshot::from_entries([(StateKey::storage(token, alice_slot), U256::from(1000u64))]);
+        let call = |caller: u64, contract: Address, selector: u64, args: &[U256]| {
+            let env = TxEnv::call(
+                Address::from_u64(caller),
+                contract,
+                calldata(selector, args),
+            );
+            analyzer.csag(&Transaction::call(env), &snapshot, &BlockEnv::default())
+        };
+        let depends = |earlier: &CSag, later: &CSag| {
+            let dag = BlockDag::build(&[earlier.clone(), later.clone()]);
+            dag.ranks[0].dependents == 1
+        };
+        let to = |who: u64| [Address::from_u64(who).to_u256(), U256::ONE];
+
+        // Two transfers from the same sender: read-write on its balance.
+        let t1 = call(1, token, contracts::token_fn::TRANSFER, &to(2));
+        let t2 = call(1, token, contracts::token_fn::TRANSFER, &to(3));
+        assert!(depends(&t1, &t2) && depends(&t2, &t1));
+        // Two mints to different accounts: adds commute, and the shared
+        // totalSupply is also an add.
+        let m1 = call(1, token, contracts::token_fn::MINT, &to(7));
+        let m2 = call(2, token, contracts::token_fn::MINT, &to(8));
+        assert!(!depends(&m1, &m2) && !depends(&m2, &m1));
+        // Counter increments (pure adds) never conflict with each other,
+        // but a checked increment (read-modify-write) reads what they add.
+        let add = call(1, counter, contracts::counter_fn::INCREMENT, &[]);
+        let checked = call(1, counter, contracts::counter_fn::INCREMENT_CHECKED, &[]);
+        assert!(!depends(&add, &add));
+        assert!(depends(&add, &checked));
     }
 
     #[test]

@@ -115,16 +115,16 @@ pub fn simulate_dmvcc(trace: &BlockTrace, csags: &[CSag], config: &DmvccConfig) 
     let readlike: Vec<Vec<StateKey>> = csags
         .iter()
         .map(|c| {
-            let mut keys: Vec<StateKey> = c.reads.iter().copied().collect();
+            let mut keys = c.reads.to_vec();
             if !config.commutative {
-                keys.extend(c.adds.iter().copied());
+                keys.extend(c.adds.iter().map(|&(key, _)| key));
             }
             keys
         })
         .collect();
     let writelike: Vec<Vec<StateKey>> = csags
         .iter()
-        .map(|c| c.writes.union(&c.adds).copied().collect())
+        .map(|c| c.written().copied().collect())
         .collect();
     let is_pred_writer =
         |i: usize, k: &StateKey| csags[i].writes.contains(k) || csags[i].adds.contains(k);

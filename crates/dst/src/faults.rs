@@ -28,8 +28,6 @@
 //! unchanged: a correct executor absorbs any such block without diverging
 //! from serial execution.
 
-use std::collections::BTreeSet;
-
 use dmvcc_analysis::CSag;
 use dmvcc_core::BlockTrace;
 use dmvcc_vm::{ExecStatus, Transaction, INTRINSIC_GAS};
@@ -133,22 +131,19 @@ impl FaultPlan {
     /// fulfilled with the other kind). Key coordinates come from the key's position in the
     /// *sorted* set, so perturbation is deterministic per seed.
     pub fn perturb_csags(&self, csags: &mut [CSag]) {
-        let all_writes: Vec<BTreeSet<_>> = csags.iter().map(|c| c.writes.clone()).collect();
+        let all_writes: Vec<_> = csags.iter().map(|c| c.writes.clone()).collect();
         for (tx, csag) in csags.iter_mut().enumerate() {
             let tx_coord = tx as u64;
-            let reads: Vec<_> = csag.reads.iter().copied().collect();
-            for (i, key) in reads.iter().enumerate() {
+            for (i, key) in csag.reads.to_vec().iter().enumerate() {
                 if self.roll(SITE_DROP_READ, tx_coord, i as u64, self.drop_read_ppm) {
                     csag.reads.remove(key);
                 }
             }
-            let writes: Vec<_> = csag.writes.iter().copied().collect();
-            for (i, key) in writes.iter().enumerate() {
+            for (i, (key, _)) in csag.writes.to_vec().iter().enumerate() {
                 if self.roll(SITE_DROP_WRITE, tx_coord, i as u64, self.drop_write_ppm) {
+                    // The publish pc goes with the key: a dropped key is
+                    // not published early.
                     csag.writes.remove(key);
-                    // Keep the publish schedule consistent with the
-                    // prediction: a dropped key must not be published early.
-                    csag.last_write_pc.remove(key);
                 }
             }
             if self.roll(SITE_PHANTOM, tx_coord, 0, self.phantom_ppm) {
@@ -157,17 +152,16 @@ impl FaultPlan {
                 // itself so the phantom is not a shadowed real access. A
                 // key it *adds* to may be hit: the prediction then names
                 // the wrong kind (a full write the execution fulfils with
-                // an ω̄ delta), and the key moves so `adds ∩ writes = ∅`.
+                // an ω̄ delta), published where the add would have been. A
+                // pure phantom is never publishable and is dropped when
+                // the transaction finalizes.
                 let donor = self.mix(SITE_PHANTOM, tx_coord, 1) as usize % all_writes.len();
-                if let Some(key) = all_writes[donor]
-                    .iter()
-                    .find(|k| !csag.reads.contains(*k) && !csag.writes.contains(*k))
+                let mut stolen = all_writes[donor].iter().map(|(key, _)| key);
+                if let Some(key) =
+                    stolen.find(|k| !csag.reads.contains(k) && !csag.writes.contains(k))
                 {
-                    csag.adds.remove(key);
-                    csag.writes.insert(*key);
-                    // No new `last_write_pc` entry: a pure phantom is
-                    // never publishable and is dropped when the tx
-                    // finalizes.
+                    let pc = csag.adds.get(key).map_or(CSag::NEVER, |&(_, pc)| pc);
+                    csag.predict_write(*key, pc);
                 }
             }
         }
@@ -210,19 +204,16 @@ mod tests {
 
     #[test]
     fn perturbation_is_deterministic_per_seed() {
+        use dmvcc_analysis::AccessKind;
         use dmvcc_primitives::{Address, U256};
         use dmvcc_state::StateKey;
 
         let base: Vec<CSag> = (0..8)
             .map(|i| {
-                let mut c = CSag::default();
-                for j in 0..6u64 {
-                    let key = StateKey::storage(Address::from_u64(i), U256::from(j));
-                    c.reads.insert(key);
-                    c.writes.insert(key);
-                    c.last_write_pc.insert(key, j as usize);
-                }
-                c
+                let key = |j| StateKey::storage(Address::from_u64(i), U256::from(j));
+                let reads = (0..6u64).map(|j| (key(j), AccessKind::Read, 0));
+                let writes = (0..6u64).map(|j| (key(j), AccessKind::Write, j as usize));
+                CSag::from_accesses(reads.chain(writes))
             })
             .collect();
         let plan = FaultPlan::standard(99);
@@ -240,13 +231,17 @@ mod tests {
             .zip(&base)
             .all(|(x, y)| x.reads == y.reads && x.writes == y.writes);
         assert!(!untouched, "standard plan left every C-SAG untouched");
-        // Dropped write keys must also leave the publish schedule.
-        for c in &a {
-            for key in c.last_write_pc.keys() {
-                assert!(
-                    c.writes.contains(key) || c.adds.contains(key),
-                    "last_write_pc retains a dropped key"
-                );
+        // A surviving write keeps its publish pc; a phantom (one of another
+        // transaction's keys) is never publishable.
+        for (i, c) in a.iter().enumerate() {
+            for &(key, pc) in c.writes.iter() {
+                let own = key.address == Address::from_u64(i as u64);
+                let expected = if own {
+                    key.slot.low_u64() as usize
+                } else {
+                    CSag::NEVER
+                };
+                assert_eq!(pc, expected);
             }
         }
     }

@@ -12,7 +12,7 @@
 //!   mispredicted C-SAG keys (dropped and phantom predictions), gas
 //!   squeezes forcing out-of-gas after every release point, and (via the
 //!   fuzz driver) stale-snapshot predictions.
-//! - [`fuzz`]: the differential fuzz engine — every seed runs the chosen
+//! - [`fuzz()`]: the differential fuzz engine — every seed runs the chosen
 //!   threaded engine ([`dmvcc_core::ExecutorKind`]) and the virtual-time
 //!   simulator against the serial oracle, shrinks any divergence to a
 //!   minimal `(seed, size)` prefix, and renders it as a deterministic,

@@ -32,6 +32,7 @@ mod key;
 mod lsm;
 mod mpt;
 mod snapshot;
+mod sorted;
 mod statedb;
 
 pub use backend::{BackendStats, MemBackend, StateBackend};
@@ -41,4 +42,5 @@ pub use key::{StateKey, BALANCE_SLOT, NONCE_SLOT};
 pub use lsm::{LsmBackend, LsmOptions};
 pub use mpt::{empty_root, index_root, Mpt};
 pub use snapshot::{Snapshot, WriteSet};
+pub use sorted::{Keyed, SortedVec};
 pub use statedb::{RootHandle, StateDb, DEFAULT_ROOT_WINDOW};

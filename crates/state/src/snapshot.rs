@@ -171,7 +171,7 @@ impl Snapshot {
     /// Copy-on-write: the parent's layers are shared via `Arc`, and the
     /// writes become a new top overlay (zeros recorded as tombstones,
     /// matching EVM storage-clearing semantics and the trie commitment in
-    /// [`crate::StateDb`]). Once the chain reaches [`MAX_OVERLAYS`] layers
+    /// [`crate::StateDb`]). Once the chain reaches `MAX_OVERLAYS` layers
     /// it is flattened into a fresh base.
     pub fn apply(&self, writes: &WriteSet) -> Snapshot {
         let mut next = Snapshot {

@@ -842,7 +842,7 @@ toobig: JUMPDEST
 /// `batch(start, amount)` reads the trip count from storage, debits the
 /// caller `amount × count` behind a balance check, and then credits each
 /// recipient in an abort-free down-counting loop. The trip bound is
-/// snapshot-derived ([`TripSource::Snapshot`] in the analysis crate's
+/// snapshot-derived (`TripSource::Snapshot` in the analysis crate's
 /// terms): no static cap exists, but C-SAG refinement still unrolls the
 /// loop at bind time against the concrete snapshot value.
 pub fn batch_transfer() -> Vec<u8> {

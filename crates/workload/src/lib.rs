@@ -122,7 +122,7 @@ pub struct WorkloadConfig {
     /// Flash-mint facilities (DeFi category; each binds one token).
     pub flash_contracts: usize,
     /// Price oracles ("other" category; each deploys its own
-    /// [`ORACLE_CONSUMERS`] consumers and fans out to them).
+    /// `ORACLE_CONSUMERS` consumers and fans out to them).
     pub oracle_contracts: usize,
     /// NFT drop collections (NFT category; each deploys its own royalty
     /// splitter and floor oracle — the call-family trio: DELEGATECALL

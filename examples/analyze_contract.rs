@@ -93,9 +93,8 @@ fn main() {
         sag.writes.len()
     );
     println!(
-        "snapshot dependencies (paper's D_I(V, E) set): {} keys — if another\n\
-         transaction overwrites one of them, this C-SAG is stale and the abort\n\
-         machinery recovers",
-        sag.snapshot_deps.len()
+        "the same transaction, a different key set: the prediction depends on the\n\
+         snapshot value of A[x] — if another transaction of the block overwrites\n\
+         it, this C-SAG is stale and the abort machinery recovers"
     );
 }

@@ -1,5 +1,5 @@
 //! Offline stand-in for `serde_json`: renders the serde shim's
-//! [`Content`](serde::Content) tree as JSON text.
+//! [`Content`] tree as JSON text.
 
 use serde::{Content, Serialize};
 

@@ -1,8 +1,9 @@
 //! Allocation budgets of the commitment path — sealing a block and hashing
 //! the state trie allocate a constant number of buffers per call, and a
 //! trie node is one allocation — and of the execute stage: the interpreter
-//! allocates per frame only what the frame's work needs, and the thread that
-//! calls the sharded engine allocates (next to) nothing per transaction.
+//! allocates per frame only what the frame's work needs, the thread that
+//! calls the sharded engine allocates (next to) nothing per transaction, and
+//! a C-SAG is four vectors.
 //!
 //! The counts come from a counting wrapper around the system allocator,
 //! installed for this test binary only (the library crates forbid unsafe
@@ -12,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dmvcc_analysis::Analyzer;
+use dmvcc_analysis::{AccessKind, Analyzer, CSag};
 use dmvcc_chain::{build_receipts, receipts_root, transactions_root, Receipt};
 use dmvcc_core::{refine_csags, ParallelConfig, ParallelExecutor};
 use dmvcc_primitives::{keccak256, Address, U256};
@@ -267,4 +268,65 @@ fn the_calling_thread_of_the_sharded_engine_allocates_per_block() {
         "{per_tx:.2} allocations per transaction on the calling thread \
          ({large} for 4 000 transfers, {small} for 1 000)"
     );
+}
+
+#[test]
+fn refining_allocates_for_the_walk_and_four_vectors() {
+    let (token, sender, recipient) = (
+        Address::from_u64(800),
+        Address::from_u64(1),
+        Address::from_u64(2),
+    );
+    let registry = CodeRegistry::builder()
+        .deploy(token, contracts::token())
+        .build();
+    let analyzer = Analyzer::new(registry);
+    let balance = StateKey::storage(token, contracts::map_slot(sender.to_u256(), 1));
+    let snapshot = Snapshot::from_entries([(balance, U256::from(100u64))]);
+    let input = calldata(
+        contracts::token_fn::TRANSFER,
+        &[recipient.to_u256(), U256::from(30u64)],
+    );
+    let call = Transaction::call(TxEnv::call(sender, token, input));
+    let ether = Transaction::transfer(sender, recipient, U256::from(3u64));
+    let env = BlockEnv::default();
+    // The token's summary is built and memoized by the first refinement.
+    analyzer.csag(&call, &snapshot, &env);
+
+    let (refined, sag) = allocations(|| analyzer.csag(&call, &snapshot, &env));
+    assert_eq!(sag.reads.len() + sag.writes.len() + sag.adds.len(), 3);
+    // The symbolic walk's overlay, deltas, bindings, accesses, release
+    // observations and return words, then the record: reads, writes, adds,
+    // release points. Three tree sets, the trace, the last-write map and the
+    // snapshot-dependency map made it 15.
+    assert!(
+        refined <= 12,
+        "{refined} allocations to refine a token transfer"
+    );
+    let (refined, transfer) = allocations(|| analyzer.csag(&ether, &snapshot, &env));
+    // Four one-entry vectors; 7 as sets, trace and map.
+    assert!(
+        refined <= 4,
+        "{refined} allocations to refine an Ether transfer"
+    );
+
+    // A clone is the four vectors, however many keys they hold (7 blocks for
+    // the token transfer's three keys, 6 for the Ether transfer's two).
+    let wide = CSag {
+        release_points: sag.release_points.clone(),
+        ..CSag::from_accesses((0..600u64).map(|i| {
+            let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Add][i as usize % 3];
+            (
+                StateKey::storage(token, U256::from(i / 2)),
+                kind,
+                i as usize,
+            )
+        }))
+    };
+    assert!(wide.reads.len() + wide.writes.len() + wide.adds.len() > 400);
+    for record in [&sag, &transfer, &wide] {
+        let (cloned, copy) = allocations(|| record.clone());
+        assert_eq!(&copy, record);
+        assert!(cloned <= 4, "{cloned} allocations to clone a C-SAG");
+    }
 }

@@ -6,13 +6,29 @@
 
 use proptest::prelude::*;
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer, RefinementMode, RefinementTier};
+use dmvcc_analysis::{AnalysisConfig, Analyzer, CSag, RefinementMode, RefinementTier};
 use dmvcc_core::execute_block_serial;
 use dmvcc_integration_tests::{
     analyzer, decode_drop_tx, decode_loop_tx, decode_router_tx, decode_tx, genesis, registry,
 };
-use dmvcc_state::Snapshot;
-use dmvcc_vm::{BlockEnv, ExecStatus, Transaction, TxKind};
+use dmvcc_primitives::Address;
+use dmvcc_state::{Snapshot, StateKey};
+use dmvcc_vm::{BlockEnv, ExecStatus, Transaction, TxEnv, TxKind};
+
+/// The keys of a record's `writes` or `adds`, in order.
+fn keys(written: &[(StateKey, usize)]) -> Vec<StateKey> {
+    written.iter().map(|&(key, _)| key).collect()
+}
+
+/// `fast` under `slow`'s tier tag: two refinement tiers must agree on every
+/// other public field of the record — the key sets with their publish pcs,
+/// the release points and their gas bounds, the verdict and the gas.
+fn same_but_for_tier(fast: &CSag, slow: &CSag) -> CSag {
+    CSag {
+        tier: slow.tier,
+        ..fast.clone()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -21,7 +37,14 @@ proptest! {
     fn csag_predicts_first_position_execution_exactly(
         (c, s, k, a, b) in (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
     ) {
-        let tx = decode_tx(c, s, k, a, b);
+        // One draw in eight calls an address that holds no code.
+        let tx = if c % 8 == 7 {
+            let caller = Address::from_u64(1 + k as u64 % 12);
+            let nowhere = Address::from_u64(9_000 + a as u64);
+            Transaction::call(TxEnv::call(caller, nowhere, vec![s, b]))
+        } else {
+            decode_tx(c, s, k, a, b)
+        };
         let snapshot = Snapshot::from_entries(genesis());
         let env = BlockEnv::new(1, 1_700_000_000);
         let reference = analyzer();
@@ -46,12 +69,10 @@ proptest! {
 
         if actual.status.is_success() {
             // Writes/adds sets match exactly.
-            let actual_writes: std::collections::BTreeSet<_> =
-                actual.writes.keys().copied().collect();
-            let actual_adds: std::collections::BTreeSet<_> =
-                actual.adds.keys().copied().collect();
-            prop_assert_eq!(&sag.writes, &actual_writes);
-            prop_assert_eq!(&sag.adds, &actual_adds);
+            let actual_writes: Vec<_> = actual.writes.keys().copied().collect();
+            let actual_adds: Vec<_> = actual.adds.keys().copied().collect();
+            prop_assert_eq!(keys(&sag.writes), actual_writes);
+            prop_assert_eq!(keys(&sag.adds), actual_adds);
             // Every actual read was predicted (the prediction may contain
             // extra reads only for transfers' fused read/write slots).
             for read in &actual.reads {
@@ -67,9 +88,9 @@ proptest! {
     /// The two-tier refinement (symbolic binding with speculative
     /// fallback) must be an optimization, never a semantic change: for any
     /// generated transaction its C-SAG is bit-identical to the one a
-    /// speculative-only analyzer produces — every key set, the access
-    /// trace, release gas bounds, snapshot dependencies, the success
-    /// verdict, and the gas estimate. Only the `tier` tag may differ.
+    /// speculative-only analyzer produces — every key set, the publish
+    /// pcs, release gas bounds, the success verdict, and the gas estimate.
+    /// Only the `tier` tag may differ.
     #[test]
     fn two_tier_and_speculative_only_predictions_agree(
         (c, s, k, a, b) in (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
@@ -88,15 +109,7 @@ proptest! {
         let fast = two_tier.csag(&tx, &snapshot, &env);
         let slow = spec_only.csag(&tx, &snapshot, &env);
 
-        prop_assert_eq!(&fast.reads, &slow.reads);
-        prop_assert_eq!(&fast.writes, &slow.writes);
-        prop_assert_eq!(&fast.adds, &slow.adds);
-        prop_assert_eq!(&fast.trace, &slow.trace);
-        prop_assert_eq!(&fast.release_points, &slow.release_points);
-        prop_assert_eq!(&fast.last_write_pc, &slow.last_write_pc);
-        prop_assert_eq!(&fast.snapshot_deps, &slow.snapshot_deps);
-        prop_assert_eq!(fast.predicted_success, slow.predicted_success);
-        prop_assert_eq!(fast.predicted_gas, slow.predicted_gas);
+        prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         if tx.kind == TxKind::Call {
             prop_assert_eq!(slow.tier, RefinementTier::Speculative);
         }
@@ -126,15 +139,7 @@ proptest! {
         let fast = two_tier.csag(&tx, &snapshot, &env);
         let slow = spec_only.csag(&tx, &snapshot, &env);
 
-        prop_assert_eq!(&fast.reads, &slow.reads);
-        prop_assert_eq!(&fast.writes, &slow.writes);
-        prop_assert_eq!(&fast.adds, &slow.adds);
-        prop_assert_eq!(&fast.trace, &slow.trace);
-        prop_assert_eq!(&fast.release_points, &slow.release_points);
-        prop_assert_eq!(&fast.last_write_pc, &slow.last_write_pc);
-        prop_assert_eq!(&fast.snapshot_deps, &slow.snapshot_deps);
-        prop_assert_eq!(fast.predicted_success, slow.predicted_success);
-        prop_assert_eq!(fast.predicted_gas, slow.predicted_gas);
+        prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         prop_assert_ne!(fast.tier, RefinementTier::Speculative);
         prop_assert_eq!(slow.tier, RefinementTier::Speculative);
     }
@@ -164,15 +169,7 @@ proptest! {
         let fast = two_tier.csag(&tx, &snapshot, &env);
         let slow = spec_only.csag(&tx, &snapshot, &env);
 
-        prop_assert_eq!(&fast.reads, &slow.reads);
-        prop_assert_eq!(&fast.writes, &slow.writes);
-        prop_assert_eq!(&fast.adds, &slow.adds);
-        prop_assert_eq!(&fast.trace, &slow.trace);
-        prop_assert_eq!(&fast.release_points, &slow.release_points);
-        prop_assert_eq!(&fast.last_write_pc, &slow.last_write_pc);
-        prop_assert_eq!(&fast.snapshot_deps, &slow.snapshot_deps);
-        prop_assert_eq!(fast.predicted_success, slow.predicted_success);
-        prop_assert_eq!(fast.predicted_gas, slow.predicted_gas);
+        prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         prop_assert_ne!(fast.tier, RefinementTier::Speculative);
         prop_assert_eq!(slow.tier, RefinementTier::Speculative);
     }
@@ -198,12 +195,10 @@ proptest! {
         prop_assert_eq!(sag.predicted_success, actual.status.is_success());
         prop_assert_eq!(sag.predicted_gas, actual.gas_used);
         if actual.status.is_success() {
-            let actual_writes: std::collections::BTreeSet<_> =
-                actual.writes.keys().copied().collect();
-            let actual_adds: std::collections::BTreeSet<_> =
-                actual.adds.keys().copied().collect();
-            prop_assert_eq!(&sag.writes, &actual_writes);
-            prop_assert_eq!(&sag.adds, &actual_adds);
+            let actual_writes: Vec<_> = actual.writes.keys().copied().collect();
+            let actual_adds: Vec<_> = actual.adds.keys().copied().collect();
+            prop_assert_eq!(keys(&sag.writes), actual_writes);
+            prop_assert_eq!(keys(&sag.adds), actual_adds);
             for read in &actual.reads {
                 prop_assert!(
                     sag.reads.contains(&read.key),
@@ -239,15 +234,7 @@ proptest! {
         let fast = two_tier.csag(&tx, &snapshot, &env);
         let slow = spec_only.csag(&tx, &snapshot, &env);
 
-        prop_assert_eq!(&fast.reads, &slow.reads);
-        prop_assert_eq!(&fast.writes, &slow.writes);
-        prop_assert_eq!(&fast.adds, &slow.adds);
-        prop_assert_eq!(&fast.trace, &slow.trace);
-        prop_assert_eq!(&fast.release_points, &slow.release_points);
-        prop_assert_eq!(&fast.last_write_pc, &slow.last_write_pc);
-        prop_assert_eq!(&fast.snapshot_deps, &slow.snapshot_deps);
-        prop_assert_eq!(fast.predicted_success, slow.predicted_success);
-        prop_assert_eq!(fast.predicted_gas, slow.predicted_gas);
+        prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         prop_assert_ne!(fast.tier, RefinementTier::Speculative);
         prop_assert_eq!(slow.tier, RefinementTier::Speculative);
         if s % 8 <= 4 {
@@ -280,12 +267,10 @@ proptest! {
         prop_assert_eq!(sag.predicted_success, actual.status.is_success());
         prop_assert_eq!(sag.predicted_gas, actual.gas_used);
         if actual.status.is_success() {
-            let actual_writes: std::collections::BTreeSet<_> =
-                actual.writes.keys().copied().collect();
-            let actual_adds: std::collections::BTreeSet<_> =
-                actual.adds.keys().copied().collect();
-            prop_assert_eq!(&sag.writes, &actual_writes);
-            prop_assert_eq!(&sag.adds, &actual_adds);
+            let actual_writes: Vec<_> = actual.writes.keys().copied().collect();
+            let actual_adds: Vec<_> = actual.adds.keys().copied().collect();
+            prop_assert_eq!(keys(&sag.writes), actual_writes);
+            prop_assert_eq!(keys(&sag.adds), actual_adds);
             for read in &actual.reads {
                 prop_assert!(
                     sag.reads.contains(&read.key),
@@ -318,12 +303,10 @@ proptest! {
         prop_assert_eq!(sag.predicted_success, actual.status.is_success());
         prop_assert_eq!(sag.predicted_gas, actual.gas_used);
         if actual.status.is_success() {
-            let actual_writes: std::collections::BTreeSet<_> =
-                actual.writes.keys().copied().collect();
-            let actual_adds: std::collections::BTreeSet<_> =
-                actual.adds.keys().copied().collect();
-            prop_assert_eq!(&sag.writes, &actual_writes);
-            prop_assert_eq!(&sag.adds, &actual_adds);
+            let actual_writes: Vec<_> = actual.writes.keys().copied().collect();
+            let actual_adds: Vec<_> = actual.adds.keys().copied().collect();
+            prop_assert_eq!(keys(&sag.writes), actual_writes);
+            prop_assert_eq!(keys(&sag.adds), actual_adds);
             for read in &actual.reads {
                 prop_assert!(
                     sag.reads.contains(&read.key),
@@ -506,9 +489,8 @@ fn fig1_prediction_tracks_snapshot_exactly() {
         let snapshot = Snapshot::from_entries(entries);
         let sag = reference.csag(&tx, &snapshot, &env);
         let trace = execute_block_serial(std::slice::from_ref(&tx), &snapshot, &reference, &env);
-        let actual_writes: std::collections::BTreeSet<_> =
-            trace.txs[0].writes.keys().copied().collect();
-        assert_eq!(sag.writes, actual_writes, "A[x] = {idx}");
+        let actual_writes: Vec<_> = trace.txs[0].writes.keys().copied().collect();
+        assert_eq!(keys(&sag.writes), actual_writes, "A[x] = {idx}");
         assert_eq!(sag.predicted_gas, trace.txs[0].gas_used, "A[x] = {idx}");
     }
 }

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use dmvcc_analysis::{AccessEvent, AccessKind, CSag, ReleasePoint};
+use dmvcc_analysis::{AccessKind, CSag, ReleasePoint};
 use dmvcc_core::{simulate_dmvcc, BlockTrace, DmvccConfig, ReadRecord, TxTrace};
 use dmvcc_primitives::{Address, U256};
 use dmvcc_state::StateKey;
@@ -44,36 +44,16 @@ fn build(specs: Vec<Spec>) -> (BlockTrace, Vec<CSag>) {
         let mut write_offsets = HashMap::new();
         let mut trace_writes = std::collections::BTreeMap::new();
         let mut trace_adds = std::collections::BTreeMap::new();
-        let mut csag = CSag {
-            predicted_success: true,
-            predicted_gas: G,
-            ..CSag::default()
-        };
-        csag.release_points.push(ReleasePoint {
-            pc: 100,
-            gas_bound: G - RELEASE_AT,
-        });
+        let mut accesses = Vec::new();
         for key in &spec.writes {
             write_offsets.insert(*key, WRITE_AT);
             trace_writes.insert(*key, U256::from(index as u64 + 1));
-            csag.writes.insert(*key);
-            csag.last_write_pc.insert(*key, 50);
-            csag.trace.push(AccessEvent {
-                pc: 50,
-                kind: AccessKind::Write,
-                key: *key,
-            });
+            accesses.push((*key, AccessKind::Write, 50));
         }
         for key in &spec.adds {
             write_offsets.insert(*key, WRITE_AT);
             trace_adds.insert(*key, U256::ONE);
-            csag.adds.insert(*key);
-            csag.last_write_pc.insert(*key, 50);
-            csag.trace.push(AccessEvent {
-                pc: 50,
-                kind: AccessKind::Add,
-                key: *key,
-            });
+            accesses.push((*key, AccessKind::Add, 50));
         }
         let mut reads = Vec::new();
         for (key, sources) in &spec.reads {
@@ -82,13 +62,18 @@ fn build(specs: Vec<Spec>) -> (BlockTrace, Vec<CSag>) {
                 sources: sources.clone(),
                 gas_offset: READ_AT,
             });
-            csag.reads.insert(*key);
-            csag.trace.push(AccessEvent {
-                pc: 20,
-                kind: AccessKind::Read,
-                key: *key,
-            });
+            accesses.push((*key, AccessKind::Read, 20));
         }
+        let release = ReleasePoint {
+            pc: 100,
+            gas_bound: G - RELEASE_AT,
+        };
+        let csag = CSag {
+            release_points: vec![release].into(),
+            predicted_success: true,
+            predicted_gas: G,
+            ..CSag::from_accesses(accesses)
+        };
         txs.push(TxTrace {
             index,
             status: ExecStatus::Success,
