@@ -5,9 +5,8 @@
 //!   cost as a [`SimReport`].
 //! - **DAG-based** ([`simulate_dag`]) — ParBlockchain-style dependency
 //!   graphs with write-write conflicts and transaction-level visibility.
-//! - **OCC-based** ([`simulate_occ`]) — optimistic batch rounds with
-//!   in-order validation and re-execution, as in execute-order-validate
-//!   blockchains.
+//! - **OCC-based** ([`simulate_occ`]) — optimistic execution against the
+//!   snapshot with eager in-order validation and re-execution.
 //!
 //! All three consume the same reference [`dmvcc_core::BlockTrace`] the
 //! DMVCC simulator uses, so comparisons share one cost model.
@@ -19,7 +18,7 @@ mod dag;
 mod occ;
 
 pub use dag::{simulate_dag, simulate_dag_coarse};
-pub use occ::{simulate_occ, simulate_occ_rounds};
+pub use occ::simulate_occ;
 
 use dmvcc_core::{BlockTrace, SimReport};
 

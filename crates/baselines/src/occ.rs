@@ -4,15 +4,11 @@
 //! transactions execute in parallel against a snapshot "without reading
 //! writes of other transactions"; afterwards, the ones that violate
 //! deterministic serializability are "aborted and re-executed until there
-//! is none to be aborted". Two variants are provided:
-//!
-//! - [`simulate_occ`] — an *eager* validator (Block-STM style): a stale
-//!   transaction is re-executed as soon as the invalidating writer
-//!   finishes; under contention this degenerates into retry chains, which
-//!   is exactly the paper's criticism ("a large number of transactions
-//!   need to be re-executed when the contention is high").
-//! - [`simulate_occ_rounds`] — the synchronized execute-order-validate
-//!   batch variant of Fabric-style designs, kept for ablation.
+//! is none to be aborted". [`simulate_occ`] is an *eager* validator
+//! (Block-STM style): a stale transaction is re-executed as soon as the
+//! invalidating writer finishes; under contention this degenerates into
+//! retry chains, which is exactly the paper's criticism ("a large number of
+//! transactions need to be re-executed when the contention is high").
 //!
 //! Commutativity is not understood: a commutative increment is an ordinary
 //! read-modify-write here, so hot-account credits conflict.
@@ -150,57 +146,6 @@ pub fn simulate_occ(trace: &BlockTrace, threads: usize) -> SimReport {
     }
 }
 
-/// Simulates the synchronized execute-order-validate variant: rounds of
-/// full re-execution with in-order validation (kept for comparison with
-/// Fabric-style systems).
-pub fn simulate_occ_rounds(trace: &BlockTrace, threads: usize) -> SimReport {
-    let n = trace.txs.len();
-    let (txs, writers) = occ_views(trace);
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut clock = 0u64;
-    let mut aborts = 0u64;
-    let mut attempts = 0u64;
-
-    while !remaining.is_empty() {
-        let mut timeline = ThreadTimeline::new(threads);
-        for &j in &remaining {
-            timeline.schedule(0, txs[j].cost);
-            attempts += 1;
-        }
-        let round_len = timeline.makespan();
-
-        // Validate in block order: a transaction reading a key written by a
-        // lower-indexed transaction committing in this same round is stale.
-        let committed: std::collections::HashSet<usize> = remaining.iter().copied().collect();
-        let mut next_round = Vec::new();
-        for &j in &remaining {
-            let stale = txs[j].reads.iter().any(|read| {
-                writers
-                    .get(&read.key)
-                    .is_some_and(|ws| ws.iter().any(|&i| i < j && committed.contains(&i)))
-            });
-            if stale {
-                aborts += 1;
-                next_round.push(j);
-            }
-        }
-        // Progress: the lowest remaining index always commits.
-        debug_assert!(next_round.len() < remaining.len());
-        clock += round_len;
-        remaining = next_round;
-    }
-
-    let busy_gas: u64 = txs.iter().map(|t| t.cost).sum::<u64>() + aborts_cost(&txs, aborts);
-    SimReport {
-        threads,
-        makespan: clock,
-        serial_cost: trace.total_gas,
-        aborts,
-        attempts,
-        busy_gas,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,23 +237,5 @@ mod tests {
         let report = simulate_occ(&t, 8);
         assert_eq!(report.aborts, 0);
         assert!(report.speedup() > 7.9);
-    }
-
-    #[test]
-    fn rounds_variant_aborts_per_round() {
-        let txs: Vec<_> = (0..5).map(|i| increment_checked(900 + i)).collect();
-        let t = trace(&txs);
-        let report = simulate_occ_rounds(&t, 8);
-        assert_eq!(report.aborts, 4 + 3 + 2 + 1);
-        assert_eq!(report.makespan, 5 * t.txs[0].gas_used);
-    }
-
-    #[test]
-    fn eager_beats_rounds_under_contention() {
-        let txs: Vec<_> = (0..8).map(|i| increment_checked(900 + i)).collect();
-        let t = trace(&txs);
-        let eager = simulate_occ(&t, 8);
-        let rounds = simulate_occ_rounds(&t, 8);
-        assert!(eager.makespan <= rounds.makespan);
     }
 }

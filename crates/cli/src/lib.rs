@@ -52,6 +52,38 @@ impl ParsedArgs {
     pub fn has(&self, key: &str) -> bool {
         self.options.contains_key(key)
     }
+
+    /// `--threads`, or `default`: a count of workers, so at least one (the
+    /// schedulers have no timeline to place work on with none).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag, with [`USAGE`], for `0` or an
+    /// unparsable value.
+    pub fn threads(&self, default: usize) -> Result<usize, String> {
+        match self.get_or("threads", default)? {
+            0 => Err(format!("--threads must be at least 1\n\n{USAGE}")),
+            threads => Ok(threads),
+        }
+    }
+
+    /// `--miss-rate`, or 0: the probability that a transaction reaches the
+    /// pool without its SAG.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag, with [`USAGE`], for a value
+    /// outside `[0, 1]` or an unparsable one.
+    pub fn miss_rate(&self) -> Result<f64, String> {
+        let rate = self.get_or("miss-rate", 0.0f64)?;
+        if (0.0..=1.0).contains(&rate) {
+            Ok(rate)
+        } else {
+            Err(format!(
+                "--miss-rate must lie in [0, 1], got {rate}\n\n{USAGE}"
+            ))
+        }
+    }
 }
 
 /// Parses an argument vector (without the program name).
@@ -296,6 +328,38 @@ mod tests {
         assert_eq!(parsed.get_or("blocks", 4usize).unwrap(), 4);
         let parsed = parse_args(&strs(&["run", "--threads", "lots"])).unwrap();
         assert!(parsed.get_or("threads", 1usize).is_err());
+    }
+
+    #[test]
+    fn a_thread_count_is_at_least_one() {
+        let threads = |args: &[&str]| parse_args(&strs(args)).unwrap().threads(3);
+        assert_eq!(threads(&["run"]), Ok(3));
+        assert_eq!(threads(&["chain", "--threads", "8"]), Ok(8));
+        let message = threads(&["run", "--threads", "0"]).unwrap_err();
+        assert!(message.starts_with("--threads must be at least 1"));
+        assert!(message.ends_with(USAGE));
+        assert!(threads(&["run", "--threads", "-1"]).is_err());
+    }
+
+    #[test]
+    fn a_miss_rate_is_a_probability() {
+        let rate = |raw: &str| {
+            let parsed = parse_args(&strs(&["chain", "--miss-rate", raw])).unwrap();
+            parsed.miss_rate()
+        };
+        assert_eq!(parse_args(&strs(&["chain"])).unwrap().miss_rate(), Ok(0.0));
+        assert_eq!(rate("0"), Ok(0.0));
+        assert_eq!(rate("0.25"), Ok(0.25));
+        assert_eq!(rate("1"), Ok(1.0));
+        for raw in ["2", "1.0001", "-0.1", "NaN", "inf"] {
+            let message = rate(raw).unwrap_err();
+            assert!(
+                message.starts_with("--miss-rate must lie in [0, 1]"),
+                "{raw}"
+            );
+            assert!(message.ends_with(USAGE));
+        }
+        assert!(rate("often").is_err());
     }
 
     #[test]

@@ -6,16 +6,15 @@ use dmvcc_analysis::{
     cfg_to_dot, lint_deployed, loop_gas_bounds, static_gas_bounds, Analyzer, CallGraph, PSag,
     Severity,
 };
-use dmvcc_baselines::{simulate_dag, simulate_occ};
 use dmvcc_chain::{
-    block_env, run_pipelined_chain, run_testnet, BackendKind, ChainConfig, ExecutorKind,
-    SchedulerKind, TestnetConfig,
+    block_env, run_pipelined_chain, run_testnet, schedule_block, BackendKind, ChainConfig,
+    ExecutorKind, SchedulerKind, TestnetConfig,
 };
 use dmvcc_cli::{
     contract_by_name, fixture_address, fixture_registry, parse_args, ParsedArgs, CONTRACT_NAMES,
     USAGE,
 };
-use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig};
+use dmvcc_core::{build_csags, execute_block_serial};
 use dmvcc_state::Snapshot;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -253,13 +252,33 @@ fn workload_from(parsed: &ParsedArgs) -> Result<WorkloadConfig, String> {
     })
 }
 
+/// `--scheduler`, or `default`: one scheduler, or `None` for `all`.
+fn scheduler_from(parsed: &ParsedArgs, default: &str) -> Result<Option<SchedulerKind>, String> {
+    let name: String = parsed.get_or("scheduler", default.to_string())?;
+    Ok(Some(match name.as_str() {
+        "serial" => SchedulerKind::Serial,
+        "dag" => SchedulerKind::Dag,
+        "occ" => SchedulerKind::Occ,
+        "dmvcc" => SchedulerKind::Dmvcc,
+        "all" => return Ok(None),
+        other => return Err(unknown_scheduler(other)),
+    }))
+}
+
+fn unknown_scheduler(name: &str) -> String {
+    format!("unknown scheduler `{name}` for --scheduler\n\n{USAGE}")
+}
+
 fn cmd_run(parsed: &ParsedArgs) -> Result<(), String> {
     let blocks = parsed.get_or("blocks", 2usize)?;
     let size = parsed.get_or("size", 500usize)?;
     // Default to one simulated thread per logical CPU (what the threaded
     // executor would use), overridable with --threads.
-    let threads = parsed.get_or("threads", dmvcc_core::ParallelConfig::default().threads)?;
-    let scheduler: String = parsed.get_or("scheduler", "all".to_string())?;
+    let threads = parsed.threads(dmvcc_core::ParallelConfig::default().threads)?;
+    let schedulers = match scheduler_from(parsed, "all")? {
+        Some(one) => vec![one],
+        None => vec![SchedulerKind::Dag, SchedulerKind::Occ, SchedulerKind::Dmvcc],
+    };
 
     let mut generator = WorkloadGenerator::new(workload_from(parsed)?);
     let analyzer = Analyzer::new(generator.registry().clone());
@@ -274,32 +293,16 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<(), String> {
         let env = block_env(height);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         let csags = build_csags(&txs, &snapshot, &analyzer, &env);
-        let report = |label: &str, r: dmvcc_core::SimReport| {
+        for &scheduler in &schedulers {
+            let r = schedule_block(scheduler, &trace, &csags, threads);
             println!(
-                "{height:>6} {:>10} {:>10} {label:>12} {:>9.2}x {:>8}",
+                "{height:>6} {:>10} {:>10} {:>12} {:>9.2}x {:>8}",
                 txs.len(),
                 trace.total_gas,
+                scheduler.label().to_lowercase(),
                 r.speedup(),
                 r.aborts
             );
-        };
-        match scheduler.as_str() {
-            "serial" => report("serial", dmvcc_baselines::serial_report(&trace)),
-            "dag" => report("dag", simulate_dag(&trace, threads)),
-            "occ" => report("occ", simulate_occ(&trace, threads)),
-            "dmvcc" => report(
-                "dmvcc",
-                simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads)),
-            ),
-            "all" => {
-                report("dag", simulate_dag(&trace, threads));
-                report("occ", simulate_occ(&trace, threads));
-                report(
-                    "dmvcc",
-                    simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads)),
-                );
-            }
-            other => return Err(format!("unknown scheduler `{other}`")),
         }
         snapshot = snapshot.apply(&trace.final_writes);
     }
@@ -307,13 +310,8 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
-    let scheduler = match parsed.get_or("scheduler", "dmvcc".to_string())?.as_str() {
-        "serial" => SchedulerKind::Serial,
-        "dag" => SchedulerKind::Dag,
-        "occ" => SchedulerKind::Occ,
-        "dmvcc" => SchedulerKind::Dmvcc,
-        other => return Err(format!("unknown scheduler `{other}`")),
-    };
+    // A chain is charged one scheduler's virtual time.
+    let scheduler = scheduler_from(parsed, "dmvcc")?.ok_or_else(|| unknown_scheduler("all"))?;
     let executor_name: String = parsed.get_or("executor", "sharded".to_string())?;
     let executor = ExecutorKind::parse(&executor_name)
         .ok_or_else(|| format!("unknown executor `{executor_name}` (sharded | stm | hybrid)"))?;
@@ -323,7 +321,7 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
     let chain = ChainConfig {
         block_size: parsed.get_or("size", 500usize)?,
         blocks: parsed.get_or("blocks", 3usize)?,
-        threads: parsed.get_or("threads", 8usize)?,
+        threads: parsed.threads(8)?,
         workload: workload_from(parsed)?,
         executor,
         backend,
@@ -359,7 +357,7 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
         chain,
         scheduler,
         mining_interval_secs: parsed.get_or("interval", 1.0f64)?,
-        pool_miss_rate: parsed.get_or("miss-rate", 0.0f64)?,
+        pool_miss_rate: parsed.miss_rate()?,
         rebuild_missing_sags: true,
     });
     println!("scheduler          : {}", scheduler.label());
@@ -394,7 +392,7 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
 fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     let blocks = parsed.get_or("blocks", 3usize)?;
     let size = parsed.get_or("size", 200usize)?;
-    let threads = parsed.get_or("threads", 1usize)?;
+    let threads = parsed.threads(1)?;
     let repeat = parsed.get_or("repeat", 20usize)?;
 
     let mut generator = WorkloadGenerator::new(workload_from(parsed)?);
@@ -489,4 +487,55 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
         stats.serial_nanos as f64 / execute_nanos.max(1) as f64
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Command = fn(&ParsedArgs) -> Result<(), String>;
+
+    /// The error a subcommand fails with before it does (or prints)
+    /// anything.
+    fn refused(command: Command, args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+        command(&parse_args(&args).expect("well-formed")).expect_err("refused")
+    }
+
+    #[test]
+    fn every_subcommand_refuses_zero_threads() {
+        let commands: [(Command, &str); 3] = [
+            (cmd_run, "run"),
+            (cmd_chain, "chain"),
+            (cmd_profile, "profile"),
+        ];
+        for (command, name) in commands {
+            let message = refused(command, &[name, "--threads", "0"]);
+            assert!(message.contains("--threads"), "{name}: {message}");
+            assert!(message.ends_with(USAGE), "{name}");
+        }
+    }
+
+    #[test]
+    fn chain_refuses_a_miss_rate_that_is_no_probability() {
+        let message = refused(cmd_chain, &["chain", "--miss-rate", "2"]);
+        assert!(message.contains("--miss-rate"), "{message}");
+        assert!(message.ends_with(USAGE));
+    }
+
+    #[test]
+    fn an_unknown_scheduler_is_refused_up_front() {
+        let commands: [(Command, &str); 2] = [(cmd_run, "run"), (cmd_chain, "chain")];
+        for (command, name) in commands {
+            let message = refused(command, &[name, "--scheduler", "foo"]);
+            assert!(
+                message.contains("`foo` for --scheduler"),
+                "{name}: {message}"
+            );
+            assert!(message.ends_with(USAGE), "{name}");
+        }
+        // `all` is `run`'s default and means nothing to a chain.
+        let message = refused(cmd_chain, &["chain", "--scheduler", "all"]);
+        assert!(message.contains("`all` for --scheduler"));
+    }
 }

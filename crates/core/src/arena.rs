@@ -1,99 +1,26 @@
 //! Block-arena memory recycling for the hot execution path.
 //!
 //! Without recycling the sharded executor pays the allocator on every
-//! block: fresh shard tables, fresh per-transaction scheduling state, and
-//! fresh sets for touched/published key tracking. The per-transaction sets
-//! and buffers are keyed by dense [`dmvcc_state::KeyId`] and are one sorted
-//! vector each (a transaction touches a handful of keys; binary search on a
-//! dense vector beats hashing, tree nodes, and a bitset as wide as the
-//! block's key space):
+//! block — fresh shard tables, fresh per-transaction scheduling state —
+//! and on every attempt: fresh write buffers, fresh publish batches. What
+//! describes one transaction or one attempt is a handful of entries keyed
+//! by dense [`dmvcc_state::KeyId`], so it is one [`dmvcc_state::SortedVec`]
+//! each (binary search on a dense vector beats hashing, tree nodes, and a
+//! bitset as wide as the block's key space; `clear` keeps the buffer): the
+//! ids a transaction touched without predicting them, the ids an attempt
+//! published, and the two maps of [`WriteBuffer`], which this module holds.
 //!
-//! - [`dmvcc_state::SortedVec`] of ids, the touched/published sets;
-//! - [`SmallMap`], the id→value write/add buffers of a running transaction.
-//!
-//! The executor-level pools (shard storage, per-tx states, the bound
-//! block's flat arrays) live next to their types in `sharded.rs` /
-//! `parallel.rs`; together with this module they form the "block arena":
-//! allocations made for block *N* are reset wholesale and serve block
-//! *N+1*. The bytes served from recycled memory are reported as
-//! `ExecutorStats::alloc_bytes_saved`.
+//! The pools live next to their types: the executor-level ones (shard
+//! storage, per-tx states, the bound block's flat arrays) in `sharded.rs` /
+//! `parallel.rs`, recycled from block *N* into block *N+1* and reported as
+//! `ExecutorStats::alloc_bytes_saved`; the per-attempt ones in the scratch
+//! value each `parallel.rs` worker owns, cleared from one attempt to the
+//! next.
 
 use dmvcc_primitives::U256;
-use dmvcc_state::KeyId;
+use dmvcc_state::{KeyId, SortedVec};
 
 use crate::sharded::VersionOp;
-
-/// A sorted `KeyId → U256` map backed by a single vector.
-///
-/// The per-attempt write/add buffers of a running transaction hold a
-/// handful of entries; binary search over a dense vector is faster than a
-/// `BTreeMap` and `clear` keeps capacity across attempts.
-#[derive(Debug, Default, Clone)]
-pub struct SmallMap {
-    entries: Vec<(KeyId, U256)>,
-}
-
-impl SmallMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        SmallMap::default()
-    }
-
-    fn position(&self, id: KeyId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&id, |(k, _)| *k)
-    }
-
-    /// The value for `id`, if present.
-    pub fn get(&self, id: KeyId) -> Option<U256> {
-        self.position(id).ok().map(|i| self.entries[i].1)
-    }
-
-    /// Mutable access to the value for `id`, if present.
-    pub fn get_mut(&mut self, id: KeyId) -> Option<&mut U256> {
-        self.position(id).ok().map(|i| &mut self.entries[i].1)
-    }
-
-    /// Sets `id` to `value`, replacing any existing entry.
-    pub fn insert(&mut self, id: KeyId, value: U256) {
-        match self.position(id) {
-            Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (id, value)),
-        }
-    }
-
-    /// Adds `delta` onto the entry for `id` (missing entries start at zero).
-    pub fn add(&mut self, id: KeyId, delta: U256) {
-        match self.position(id) {
-            Ok(i) => self.entries[i].1 = self.entries[i].1.wrapping_add(delta),
-            Err(i) => self.entries.insert(i, (id, delta)),
-        }
-    }
-
-    /// Removes the entry for `id`, returning its value.
-    pub fn remove(&mut self, id: KeyId) -> Option<U256> {
-        self.position(id).ok().map(|i| self.entries.remove(i).1)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Empties the map, keeping capacity for the next attempt.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Iterates `(id, value)` pairs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (KeyId, U256)> + '_ {
-        self.entries.iter().copied()
-    }
-}
 
 /// The write side of one execution attempt, shared by every engine's host:
 /// buffered full writes and ω̄ deltas keyed by interned id, with the serial
@@ -101,8 +28,8 @@ impl SmallMap {
 /// a delta after a full write extends it), so no key is ever in both maps.
 #[derive(Debug, Default)]
 pub(crate) struct WriteBuffer {
-    writes: SmallMap,
-    adds: SmallMap,
+    writes: SortedVec<(KeyId, U256)>,
+    adds: SortedVec<(KeyId, U256)>,
 }
 
 impl WriteBuffer {
@@ -110,30 +37,31 @@ impl WriteBuffer {
     /// otherwise `Err(delta)` — the attempt's own delta (zero if none), to
     /// be layered onto the value the store resolves.
     pub(crate) fn read(&self, id: KeyId) -> Result<U256, U256> {
-        match self.writes.get(id) {
-            Some(value) => Ok(value),
-            None => Err(self.adds.get(id).unwrap_or(U256::ZERO)),
+        match self.writes.get(&id) {
+            Some(&(_, value)) => Ok(value),
+            None => Err(self.adds.get(&id).map_or(U256::ZERO, |&(_, delta)| delta)),
         }
     }
 
     pub(crate) fn store(&mut self, id: KeyId, value: U256) {
-        self.adds.remove(id);
-        self.writes.insert(id, value);
+        self.adds.remove(&id);
+        self.writes.insert((id, value));
     }
 
     pub(crate) fn add(&mut self, id: KeyId, delta: U256) {
-        match self.writes.get_mut(id) {
-            Some(value) => *value = value.wrapping_add(delta),
-            None => self.adds.add(id, delta),
-        }
+        match self.read(id) {
+            Ok(value) => self.writes.insert((id, value.wrapping_add(delta))),
+            Err(held) => self.adds.insert((id, held.wrapping_add(delta))),
+        };
     }
 
     /// Forgets `id` (its buffered value was published early).
     pub(crate) fn remove(&mut self, id: KeyId) {
-        self.writes.remove(id);
-        self.adds.remove(id);
+        self.writes.remove(&id);
+        self.adds.remove(&id);
     }
 
+    /// Empties the buffer, keeping both maps' capacity for the next attempt.
     pub(crate) fn clear(&mut self) {
         self.writes.clear();
         self.adds.clear();
@@ -145,8 +73,8 @@ impl WriteBuffer {
         let writes = self.writes.iter();
         let adds = self.adds.iter();
         writes
-            .map(|(id, v)| (id, VersionOp::Publish(v, false)))
-            .chain(adds.map(|(id, v)| (id, VersionOp::Publish(v, true))))
+            .map(|&(id, v)| (id, VersionOp::Publish(v, false)))
+            .chain(adds.map(|&(id, v)| (id, VersionOp::Publish(v, true))))
     }
 }
 
@@ -155,19 +83,71 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_map_insert_add_remove() {
-        let mut map = SmallMap::new();
-        map.insert(KeyId::from_index(5), U256::from(50u64));
-        map.insert(KeyId::from_index(1), U256::from(10u64));
-        map.add(KeyId::from_index(5), U256::from(2u64));
-        map.add(KeyId::from_index(9), U256::from(9u64));
-        assert_eq!(map.get(KeyId::from_index(5)), Some(U256::from(52u64)));
-        assert_eq!(map.get(KeyId::from_index(9)), Some(U256::from(9u64)));
-        let ids: Vec<usize> = map.iter().map(|(id, _)| id.index()).collect();
-        assert_eq!(ids, vec![1, 5, 9]);
-        assert_eq!(map.remove(KeyId::from_index(1)), Some(U256::from(10u64)));
-        assert_eq!(map.len(), 2);
-        map.clear();
-        assert!(map.is_empty());
+    fn write_buffer_folds_stores_and_adds() {
+        let (id, u) = (KeyId::from_index, |v: u64| U256::from(v));
+        let entries = |buffer: &WriteBuffer| -> Vec<(usize, U256, bool)> {
+            let published = buffer.entries().map(|(id, op)| match op {
+                VersionOp::Publish(value, delta) => (id.index(), value, delta),
+                other => panic!("a buffer only publishes, got {other:?}"),
+            });
+            published.collect()
+        };
+        let mut buffer = WriteBuffer::default();
+        assert_eq!(buffer.read(id(5)), Err(U256::ZERO));
+
+        // Adds accumulate as a delta; a store after them absorbs them.
+        buffer.add(id(5), u(2));
+        buffer.add(id(5), u(3));
+        assert_eq!(buffer.read(id(5)), Err(u(5)));
+        buffer.store(id(5), u(50));
+        assert_eq!(buffer.read(id(5)), Ok(u(50)));
+        assert_eq!(entries(&buffer), [(5, u(50), false)]);
+
+        // An add after a store extends the write; it starts no delta.
+        buffer.add(id(5), u(2));
+        assert_eq!(buffer.read(id(5)), Ok(u(52)));
+        assert_eq!(entries(&buffer), [(5, u(52), false)]);
+
+        // Writes first, then deltas, each in id order, whatever the order
+        // they arrived in.
+        buffer.add(id(9), u(9));
+        buffer.store(id(1), u(10));
+        buffer.add(id(3), u(1));
+        buffer.add(id(3), U256::MAX); // wraps to 0, still a delta
+        assert_eq!(
+            entries(&buffer),
+            [
+                (1, u(10), false),
+                (5, u(52), false),
+                (3, u(0), true),
+                (9, u(9), true)
+            ]
+        );
+
+        // `remove` forgets the id in whichever map holds it.
+        buffer.remove(id(5));
+        buffer.remove(id(9));
+        buffer.remove(id(7)); // never buffered
+        assert_eq!(buffer.read(id(5)), Err(U256::ZERO));
+        assert_eq!(entries(&buffer), [(1, u(10), false), (3, u(0), true)]);
+
+        // No id is ever in both maps, through any order of the three.
+        let mut buffer = WriteBuffer::default();
+        for step in 0..64u64 {
+            let key = id((step % 4) as usize);
+            match (step / 4 + step) % 3 {
+                0 => buffer.store(key, u(step)),
+                1 => buffer.add(key, u(step)),
+                _ => buffer.remove(key),
+            }
+            let ids: Vec<usize> = entries(&buffer).iter().map(|entry| entry.0).collect();
+            let mut unique = ids.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), ids.len(), "an id in both maps: {ids:?}");
+        }
+
+        buffer.clear();
+        assert!(entries(&buffer).is_empty());
     }
 }

@@ -77,7 +77,6 @@ mod simulator;
 pub use access::{
     AccessEntry, AccessOp, AccessSequence, ReadResolution, Version, VersionWriteEffect,
 };
-pub use arena::SmallMap;
 pub use executor::{BlockExecutor, ExecutorKind};
 pub use hook::{NoopHook, SchedHook};
 pub use oracle::{build_csags, execute_block_serial, BlockTrace, ReadRecord, TxTrace};

@@ -20,10 +20,17 @@
 //!   into one of [`crate::NUM_LANES`] FIFO lanes — and workers pop the
 //!   highest-priority non-empty lane. There is one queue, shared by all
 //!   workers; nothing is discovered by arrival order or stealing.
-//! - **Per-transaction cores**: the scheduling state of a transaction
-//!   (phase, attempt count, touched/published keys) sits behind its own
-//!   small mutex, with the abort generation as an atomic for cheap
-//!   staleness checks.
+//! - **Per-transaction cores**: behind a transaction's own small mutex
+//!   sits only what a *different* thread needs to abort or report it —
+//!   phase, attempt count, status and gas, and the ids it touched that its
+//!   C-SAG did not predict — with the abort generation as an atomic for
+//!   cheap staleness checks. The predicted ids are in the block's read-only
+//!   metadata, where the host also finds a key's id without hashing it.
+//! - **Per-worker scratch**: what one thread alone reads and writes — an
+//!   attempt's write buffer, published set and op batches, the worker's
+//!   share of the counters — is a value the worker loop owns, clears per
+//!   attempt and returns at the join. An exactly predicted attempt takes
+//!   its core lock twice: at dequeue and to finish.
 //!
 //! What only the calling thread can do is kept small, because a second
 //! worker cannot shorten it. A block has three stages:
@@ -54,6 +61,7 @@
 //! roots over randomized workloads.
 
 use std::collections::{HashSet, VecDeque};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -189,9 +197,10 @@ pub struct ParallelOutcome {
     pub stats: ExecutorStats,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Phase {
     /// Not yet ready: some predicted read is unavailable.
+    #[default]
     Waiting,
     /// In the ready queue.
     Ready,
@@ -232,19 +241,18 @@ impl Event {
 }
 
 /// The lock-protected scheduling state of one transaction.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TxCore {
     phase: Phase,
     attempts: u32,
     status: Option<ExecStatus>,
     /// Gas charged by the execution that set `status`.
     gas_used: u64,
-    /// Key ids whose versions this tx materialized in the sequences during
-    /// the current attempt (for rollback on abort).
-    published: SortedVec<KeyId>,
-    /// All key ids this tx has entries for (predictions plus dynamic
-    /// insertions), so aborts can reset them.
-    touched: SortedVec<KeyId>,
+    /// Ids this tx has entries for that [`BlockMeta`] does not list for it:
+    /// keys an attempt read or published without the C-SAG predicting them.
+    /// An abort resets these next to the predicted ones; the set only grows
+    /// while the block runs.
+    unpredicted: SortedVec<KeyId>,
 }
 
 /// One transaction's immutable execution metadata: its slice of each of
@@ -267,6 +275,47 @@ struct TxMeta<'a> {
     /// plus one-past each key's publish pc, so publication happens as early
     /// as Algorithm 2 allows.
     release_set: &'a [usize],
+}
+
+impl TxMeta<'_> {
+    /// The pc past which a write of `id` may be published, if predicted.
+    fn publish_pc(&self, id: KeyId) -> Option<usize> {
+        let at = self.predicted_wa.binary_search_by_key(&id, |&(k, _)| k);
+        at.ok().map(|at| self.predicted_wa[at].1)
+    }
+
+    /// `key`'s id, and whether the C-SAG predicts the key, from the
+    /// transaction's own slices: a predicted read — most accesses — costs a
+    /// binary search over a handful of pairs and no hash. Only a key that
+    /// is not one goes to the block's interner, which assigns an id if no
+    /// transaction predicted the key at all.
+    fn locate(&self, sequences: &ShardedSequences, key: &StateKey) -> (KeyId, bool) {
+        if let Ok(at) = self.reads.binary_search_by(|(_, k)| k.cmp(key)) {
+            return (self.reads[at].0, true);
+        }
+        let id = sequences.intern(*key);
+        (id, self.publish_pc(id).is_some())
+    }
+
+    /// What an abort does to the transaction's entries: every predicted id
+    /// and every id of `unpredicted` (the core's set) once, in id order.
+    /// Predicted writes re-pend (the new attempt re-announces them);
+    /// everything else rolls back — a dynamically discovered write becomes
+    /// `Dropped`, because the new attempt may never write the key again and
+    /// a pending entry nothing fulfills wedges every later reader.
+    fn resets(&self, unpredicted: &[KeyId]) -> Vec<(KeyId, VersionOp)> {
+        let repended = self.predicted_wa.iter().map(|&(id, _)| id);
+        let reads = self.reads.iter().map(|&(id, _)| id);
+        let rolled_back = reads
+            .chain(unpredicted.iter().copied())
+            .filter(|&id| self.publish_pc(id).is_none());
+        let mut resets: Vec<_> = repended
+            .map(|id| (id, VersionOp::Reset))
+            .chain(rolled_back.map(|id| (id, VersionOp::Rollback)))
+            .collect();
+        resets.sort_unstable_by_key(|&(id, _)| id);
+        resets
+    }
 }
 
 /// Everything the engine derives from a block's C-SAGs, as four block-level
@@ -362,7 +411,6 @@ impl BlockMeta {
     ///   written and added, so only the ids need sorting);
     /// - registers its predicted accesses in `sequences` (exclusive access:
     ///   no shard lock exists to take yet);
-    /// - seeds its `touched` set with every predicted key;
     /// - decides whether it is *ready*: none of its read keys has a
     ///   predicted ω/θ/ω̄ entry of an earlier transaction — one bit per key
     ///   — which is what `resolve_read` answers while every entry is still
@@ -420,12 +468,8 @@ impl BlockMeta {
             let to = self.lens();
             self.ends.push(to);
 
-            let core = state.core.get_mut();
-            let read_ids = self.reads[from[0]..].iter().map(|&(id, _)| id);
-            let written_ids = self.predicted_wa[from[1]..].iter().map(|&(id, _)| id);
-            core.touched.assign(read_ids.chain(written_ids));
             if ready {
-                core.phase = Phase::Ready;
+                state.core.get_mut().phase = Phase::Ready;
             }
         }
         let keys = interner.frozen_len();
@@ -443,7 +487,7 @@ impl BlockMeta {
 /// One transaction's full concurrent state: the core behind its own small
 /// mutex, the abort generation as an atomic (checked far more often than
 /// the core is mutated), and the event its blocked reads park on.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TxState {
     generation: AtomicU32,
     core: Mutex<TxCore>,
@@ -454,29 +498,22 @@ struct TxState {
     demoted: AtomicBool,
 }
 
-/// Monotonic counters shared by all workers (see [`ExecutorStats`]).
+/// What one worker owns while it runs a block: the buffers of the attempt
+/// it is executing — cleared from one attempt to the next, so an attempt
+/// allocates only when it outgrows every earlier one — and the worker's
+/// share of the block's counters. No other thread reads or writes any of
+/// it; the counters are summed when the workers join.
 #[derive(Debug, Default)]
-struct AtomicStats {
-    publishes: AtomicU64,
-    targeted_wakeups: AtomicU64,
-    parks: AtomicU64,
-    rank_inversions: AtomicU64,
-    publish_batches: AtomicU64,
-}
-
-impl AtomicStats {
-    /// The shared counters; the caller fills in what it counts itself
-    /// (attempts, arena bytes, shard locks).
-    fn snapshot(&self) -> ExecutorStats {
-        ExecutorStats {
-            publishes: self.publishes.load(Ordering::Relaxed),
-            targeted_wakeups: self.targeted_wakeups.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            rank_inversions: self.rank_inversions.load(Ordering::Relaxed),
-            publish_batches: self.publish_batches.load(Ordering::Relaxed),
-            ..ExecutorStats::default()
-        }
-    }
+struct Scratch {
+    /// Buffered full writes and commutative deltas of the attempt.
+    buffer: WriteBuffer,
+    /// Ids whose versions the attempt has made visible in the sequences.
+    published: SortedVec<KeyId>,
+    /// The publish or drop batch being built and applied.
+    batch: Vec<(KeyId, VersionOp)>,
+    /// `publishes`, `publish_batches`, `targeted_wakeups`, `parks` and
+    /// `rank_inversions`, as this worker counted them.
+    stats: ExecutorStats,
 }
 
 /// A queued admission: `(tx, generation, lane)`. The lane the entry was
@@ -512,7 +549,6 @@ struct Shared<'a> {
     /// Entries currently sitting in the ready queue (stale ones included).
     ready_count: AtomicUsize,
     aborts: AtomicU64,
-    stats: AtomicStats,
     /// Parked idle workers wait here; signaled when work is admitted or
     /// the block completes.
     idle_event: Event,
@@ -574,18 +610,13 @@ impl Shared<'_> {
         self.lanes.iter().find_map(|lane| lane.lock().pop_front())
     }
 
-    /// Bookkeeping for a popped entry: lane occupancy down; if the entry
-    /// actually runs while a strictly higher-priority lane still has
-    /// queued work, that is a rank inversion.
-    fn note_dequeue(&self, lane: usize, runs: bool) {
+    /// Bookkeeping for a popped entry: lane occupancy down. Returns whether
+    /// this was a rank inversion — the entry actually runs while a strictly
+    /// higher-priority lane still has queued work.
+    fn note_dequeue(&self, lane: usize, runs: bool) -> bool {
         self.lane_counts[lane].fetch_sub(1, Ordering::SeqCst);
-        if runs
-            && self.lane_counts[..lane]
-                .iter()
-                .any(|count| count.load(Ordering::SeqCst) > 0)
-        {
-            self.stats.rank_inversions.fetch_add(1, Ordering::Relaxed);
-        }
+        let higher = &self.lane_counts[..lane];
+        runs && higher.iter().any(|count| count.load(Ordering::SeqCst) > 0)
     }
 
     /// Checks whether all predicted reads of `tx` resolve right now,
@@ -682,28 +713,15 @@ impl Shared<'_> {
                 // ever restores it (found by DST schedule fuzzing).
                 core.phase = Phase::Running;
                 core.status = None;
-                core.published.clear();
-                // Predicted writes re-pend (the new attempt re-announces
-                // them); dynamically discovered writes roll back to
-                // `Dropped` — the new attempt may never write the key
-                // again, and a pending entry nothing fulfills wedges
-                // every later reader.
-                let predicted = self.meta.tx(victim).predicted_wa;
-                let resets = core.touched.iter().map(|&id| {
-                    match predicted.binary_search_by_key(&id, |&(k, _)| k) {
-                        Ok(_) => (id, VersionOp::Reset),
-                        Err(_) => (id, VersionOp::Rollback),
-                    }
-                });
-                (resets.collect(), next)
+                (self.meta.tx(victim).resets(&core.unpredicted), next)
             };
             self.aborts.fetch_add(1, Ordering::Relaxed);
             let mut to_wake: Vec<usize> = Vec::new();
             // The batch stops early if a newer cascade owns the victim by
-            // now. Its `touched` snapshot is a superset of ours (the set
-            // only grows), so its resets cover the rest — and resetting
-            // here could clobber a version published by the attempt it
-            // re-admits.
+            // now. Its reset list is a superset of ours (the predicted ids
+            // are fixed, the unpredicted set only grows), so it covers the
+            // rest — and resetting here could clobber a version published
+            // by the attempt it re-admits.
             self.sequences.apply_batch(
                 victim,
                 &mut resets,
@@ -755,17 +773,13 @@ impl Shared<'_> {
         }
     }
 
-    /// Signals the waiters drained from a key after a version change.
-    fn wake_waiters(&self, waiters: Vec<usize>) {
-        if waiters.is_empty() {
-            return;
-        }
-        self.stats
-            .targeted_wakeups
-            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-        for waiter in waiters {
+    /// Signals the waiters drained from a key after a version change,
+    /// returning how many there were.
+    fn wake_waiters(&self, waiters: Vec<usize>) -> u64 {
+        for &waiter in &waiters {
             self.states[waiter].event.signal();
         }
+        waiters.len() as u64
     }
 
     /// Marks `tx` finished with `status` after charging `gas_used`. The
@@ -839,14 +853,12 @@ struct ThreadHost<'a, 'b> {
     shared: &'a Shared<'b>,
     tx: usize,
     generation: u32,
-    /// Buffered full writes and commutative deltas of this attempt.
-    buffer: WriteBuffer,
     /// `true` once a release point passed with sufficient gas.
     released: bool,
     /// Interned metadata: release bounds, publishable pcs, predictions.
     meta: TxMeta<'a>,
-    /// Reusable publish-batch buffer (capacity survives release points).
-    scratch: Vec<(KeyId, VersionOp)>,
+    /// The worker's scratch, its buffers emptied for this attempt.
+    own: &'a mut Scratch,
 }
 
 impl ThreadHost<'_, '_> {
@@ -854,58 +866,52 @@ impl ThreadHost<'_, '_> {
         self.shared.generation_of(self.tx) != self.generation
     }
 
-    /// Records `id` in this tx's touched set (so an abort resets it) —
-    /// must happen *before* the corresponding sequence mutation, so a
-    /// concurrent abort either sees the key or invalidates us first.
-    fn touch(&self, id: KeyId) -> Result<(), HostError> {
-        let mut core = self.shared.states[self.tx].core.lock();
-        if self.stale() {
-            return Err(HostError::Aborted);
+    /// `key`'s id, for any access. An id the C-SAG predicts is in the
+    /// record every abort resets since before the first worker started. One
+    /// it does not predict goes into the core's set here — where the attempt
+    /// first learns it, so *before* any sequence mutation under it: a
+    /// concurrent abort either sees the id or invalidates us first.
+    fn id_of(&self, key: &StateKey) -> Result<KeyId, HostError> {
+        let (id, predicted) = self.meta.locate(&self.shared.sequences, key);
+        if !predicted {
+            let mut core = self.shared.states[self.tx].core.lock();
+            if self.stale() {
+                return Err(HostError::Aborted);
+            }
+            core.unpredicted.insert(id);
         }
-        core.touched.insert(id);
-        Ok(())
+        Ok(id)
     }
 
-    /// The pc past which a write of `id` may be published, if predicted.
-    fn publish_pc(&self, id: KeyId) -> Option<usize> {
-        let predicted = self.meta.predicted_wa;
-        let at = predicted.binary_search_by_key(&id, |&(k, _)| k).ok()?;
-        Some(predicted[at].1)
-    }
-
-    /// Publishes a batch of buffered keys (write versioning, Algorithm 3).
-    /// Errors mean the generation went stale; the caller unwinds and the
-    /// abort's resets cover whatever was already written.
-    fn publish_batch(&self, entries: &mut [(KeyId, VersionOp)]) -> Result<(), HostError> {
-        if entries.is_empty() {
+    /// Publishes the scratch's batch of buffered keys (write versioning,
+    /// Algorithm 3). Errors mean the generation went stale; the caller
+    /// unwinds and the abort's resets cover whatever was already written.
+    fn publish_batch(&mut self) -> Result<(), HostError> {
+        if self.own.batch.is_empty() {
             return Ok(());
         }
         let shared = self.shared;
         // Publish decision points — observed before any lock so a stalling
         // hook models a delayed publish without blocking other workers.
         if let Some(hook) = shared.hook() {
-            for &(id, op) in entries.iter() {
+            for &(id, op) in self.own.batch.iter() {
                 if let VersionOp::Publish(_, delta) = op {
                     let key = shared.sequences.interner().resolve(id);
                     hook.on_publish(self.tx, &key, delta);
                 }
             }
         }
-        {
-            let mut core = shared.states[self.tx].core.lock();
-            if self.stale() {
-                return Err(HostError::Aborted);
-            }
-            for &(id, _) in entries.iter() {
-                core.touched.insert(id);
-                core.published.insert(id);
-            }
+        let Scratch {
+            batch, published, ..
+        } = &mut *self.own;
+        for &(id, _) in batch.iter() {
+            published.insert(id);
         }
-        self.apply_batch(entries)
+        self.apply_batch()
     }
 
-    /// Applies a batch of publishes, or of drops (misprediction or
-    /// deterministic abort), to this tx's versions — each involved shard
+    /// Applies the scratch's batch of publishes, or of drops (misprediction
+    /// or deterministic abort), to this tx's versions — each involved shard
     /// lock taken once, wakeups and effects (which may take core locks and
     /// other shard locks) applied after the unlock, so the flat lock
     /// discipline holds. The staleness re-check under each shard lock
@@ -913,23 +919,21 @@ impl ThreadHost<'_, '_> {
     /// a new attempt of this tx may already have re-published these keys,
     /// and dropping now would erase a version nothing would ever restore
     /// (found by DST schedule fuzzing).
-    fn apply_batch(&self, ops: &mut [(KeyId, VersionOp)]) -> Result<(), HostError> {
-        let shared = self.shared;
+    fn apply_batch(&mut self) -> Result<(), HostError> {
+        let (shared, tx, generation) = (self.shared, self.tx, self.generation);
+        let Scratch { batch, stats, .. } = &mut *self.own;
         let live = shared.sequences.apply_batch(
-            self.tx,
-            ops,
-            || !self.stale(),
+            tx,
+            batch,
+            || shared.generation_of(tx) == generation,
             |group, staged| {
                 let published = group
                     .iter()
                     .filter(|(_, op)| matches!(op, VersionOp::Publish(..)));
-                shared.stats.publish_batches.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .publishes
-                    .fetch_add(published.count() as u64, Ordering::Relaxed);
+                stats.publish_batches += 1;
+                stats.publishes += published.count() as u64;
                 for (effect, waiters) in staged.drain(..) {
-                    shared.wake_waiters(waiters);
+                    stats.targeted_wakeups += shared.wake_waiters(waiters);
                     shared.apply_effect(effect);
                 }
             },
@@ -940,13 +944,12 @@ impl ThreadHost<'_, '_> {
 
 impl Host for ThreadHost<'_, '_> {
     fn sload(&mut self, key: StateKey) -> Result<U256, HostError> {
-        let id = self.shared.sequences.intern(key);
+        let id = self.id_of(&key)?;
         // Own writes win (read-your-writes inside the attempt).
-        let own_delta = match self.buffer.read(id) {
+        let own_delta = match self.own.buffer.read(id) {
             Ok(value) => return Ok(value),
             Err(delta) => delta,
         };
-        self.touch(id)?;
         // Fast path: no epoch sampling, one shard lock, the slot's cached
         // snapshot value. The epoch only matters before *parking*, so it is
         // sampled exclusively on the blocked path below.
@@ -1026,7 +1029,7 @@ impl Host for ThreadHost<'_, '_> {
                     return Err(HostError::Aborted);
                 }
             }
-            self.shared.stats.parks.fetch_add(1, Ordering::Relaxed);
+            self.own.stats.parks += 1;
             if let Some(hook) = self.shared.hook() {
                 hook.on_park(Some(self.tx));
             }
@@ -1046,12 +1049,12 @@ impl Host for ThreadHost<'_, '_> {
     }
 
     fn sstore(&mut self, key: StateKey, value: U256) -> Result<(), HostError> {
-        self.buffer.store(self.shared.sequences.intern(key), value);
+        self.own.buffer.store(self.id_of(&key)?, value);
         Ok(())
     }
 
     fn sadd(&mut self, key: StateKey, delta: U256) -> Result<(), HostError> {
-        self.buffer.add(self.shared.sequences.intern(key), delta);
+        self.own.buffer.add(self.id_of(&key)?, delta);
         Ok(())
     }
 
@@ -1076,23 +1079,19 @@ impl Host for ThreadHost<'_, '_> {
         // Publish buffered keys whose last predicted write is behind us
         // (Algorithm 2: "no write of I in successor nodes"), batched so
         // each involved shard lock is taken once.
-        let mut batch = std::mem::take(&mut self.scratch);
-        batch.clear();
-        batch.extend(
-            self.buffer
-                .entries()
-                .filter(|&(id, _)| self.publish_pc(id).is_some_and(|last| last < pc)),
-        );
-        let result = self.publish_batch(&mut batch);
-        if result.is_ok() {
-            for &(id, _) in &batch {
-                self.buffer.remove(id);
+        let (meta, own) = (self.meta, &mut *self.own);
+        let behind = |id| meta.publish_pc(id).is_some_and(|last| last < pc);
+        own.batch.clear();
+        own.batch
+            .extend(own.buffer.entries().filter(|&(id, _)| behind(id)));
+        if self.publish_batch().is_ok() {
+            let Scratch { buffer, batch, .. } = &mut *self.own;
+            for &(id, _) in batch.iter() {
+                buffer.remove(id);
             }
         }
         // Stale generation: keep the buffers; the VM unwinds at the next
         // access and the abort's resets cover whatever was published.
-        batch.clear();
-        self.scratch = batch;
     }
 }
 
@@ -1144,17 +1143,14 @@ struct BlockPool {
 fn recycle_state(state: &mut TxState) -> u64 {
     state.generation = AtomicU32::new(0);
     let core = state.core.get_mut();
-    let saved = core.published.retained_bytes()
-        + core.touched.retained_bytes()
-        + std::mem::size_of::<TxState>() as u64;
     core.phase = Phase::Waiting;
     core.attempts = 0;
     core.status = None;
     core.gas_used = 0;
-    core.published.clear();
+    core.unpredicted.clear();
     *state.event.epoch.get_mut() = 0;
     *state.demoted.get_mut() = false;
-    saved
+    core.unpredicted.retained_bytes() + std::mem::size_of::<TxState>() as u64
 }
 
 impl ParallelExecutor {
@@ -1247,16 +1243,25 @@ impl ParallelExecutor {
         let (shared, bytes_saved) = self.bind_block(txs, snapshot, csags);
         let bound = Instant::now();
 
-        std::thread::scope(|scope| {
-            for _ in 0..shared.threads {
-                scope.spawn(|| self.worker(&shared, block_env));
+        // Each worker counts for itself; the counters meet at the join.
+        let mut stats = std::thread::scope(|scope| {
+            let spawn = |_| scope.spawn(|| self.worker(&shared, block_env));
+            let workers: Vec<_> = (0..shared.threads).map(spawn).collect();
+            let mut stats = ExecutorStats::default();
+            for worker in workers {
+                let counted = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
+                stats.publishes += counted.publishes;
+                stats.publish_batches += counted.publish_batches;
+                stats.targeted_wakeups += counted.targeted_wakeups;
+                stats.parks += counted.parks;
+                stats.rank_inversions += counted.rank_inversions;
             }
+            stats
         });
         let joined = Instant::now();
 
         // The workers flushed every shard on their way out.
         let final_writes = shared.sequences.flushed();
-        let mut stats = shared.stats.snapshot();
         stats.alloc_bytes_saved = bytes_saved;
         stats.shard_lock_acquisitions = shared.sequences.lock_acquisitions();
         let Shared {
@@ -1319,19 +1324,7 @@ impl ParallelExecutor {
         for state in &mut states {
             bytes_saved += recycle_state(state);
         }
-        states.resize_with(n, || TxState {
-            generation: AtomicU32::new(0),
-            core: Mutex::new(TxCore {
-                phase: Phase::Waiting,
-                attempts: 0,
-                status: None,
-                gas_used: 0,
-                published: SortedVec::default(),
-                touched: SortedVec::default(),
-            }),
-            event: Event::default(),
-            demoted: AtomicBool::new(false),
-        });
+        states.resize_with(n, TxState::default);
         let dag = meta.bind(csags, &mut sequences, &mut states, self.config.max_attempts);
 
         // Initial admission (Algorithm 1 line 1): the transactions the walk
@@ -1361,7 +1354,6 @@ impl ParallelExecutor {
             idle: AtomicUsize::new(0),
             ready_count: AtomicUsize::new(lane_counts.iter().sum()),
             aborts: AtomicU64::new(0),
-            stats: AtomicStats::default(),
             idle_event: Event::default(),
             snapshot,
             meta,
@@ -1376,12 +1368,14 @@ impl ParallelExecutor {
     }
 
     /// One worker: runs ready transactions until the block is finished,
-    /// then flushes its share of the store.
-    fn worker(&self, shared: &Shared<'_>, block_env: &BlockEnv) {
+    /// then flushes its share of the store. Returns what it counted.
+    fn worker(&self, shared: &Shared<'_>, block_env: &BlockEnv) -> ExecutorStats {
         let n = shared.txs.len();
+        let mut own = Scratch::default();
         loop {
             if shared.finished.load(Ordering::SeqCst) == n {
-                return shared.rest_and_flush();
+                shared.rest_and_flush();
+                return own.stats;
             }
             if let Some((tx, generation, lane)) = shared.pop_ready() {
                 shared.ready_count.fetch_sub(1, Ordering::SeqCst);
@@ -1395,7 +1389,7 @@ impl ParallelExecutor {
                         Some(core.attempts)
                     }
                 };
-                shared.note_dequeue(lane, run.is_some());
+                own.stats.rank_inversions += u64::from(shared.note_dequeue(lane, run.is_some()));
                 if let Some(attempt) = run {
                     if let Some(hook) = shared.hook() {
                         hook.on_dequeue(tx, attempt);
@@ -1408,7 +1402,7 @@ impl ParallelExecutor {
                             continue;
                         }
                     }
-                    self.run_attempt(shared, block_env, tx, generation);
+                    self.run_attempt(shared, block_env, tx, generation, &mut own);
                 }
                 continue;
             }
@@ -1431,7 +1425,7 @@ impl ParallelExecutor {
                 continue;
             }
             shared.idle.fetch_add(1, Ordering::SeqCst);
-            shared.stats.parks.fetch_add(1, Ordering::Relaxed);
+            own.stats.parks += 1;
             if let Some(hook) = shared.hook() {
                 hook.on_park(None);
             }
@@ -1443,18 +1437,28 @@ impl ParallelExecutor {
         }
     }
 
-    fn run_attempt(&self, shared: &Shared<'_>, block_env: &BlockEnv, tx: usize, generation: u32) {
+    fn run_attempt(
+        &self,
+        shared: &Shared<'_>,
+        block_env: &BlockEnv,
+        tx: usize,
+        generation: u32,
+        own: &mut Scratch,
+    ) {
         let transaction = &shared.txs[tx];
         let meta = shared.meta.tx(tx);
 
+        // Whatever the worker's last attempt left behind (one that went
+        // stale unwinds without tidying up) goes now.
+        own.buffer.clear();
+        own.published.clear();
         let mut host = ThreadHost {
             shared,
             tx,
             generation,
-            buffer: WriteBuffer::default(),
             released: false,
             meta,
-            scratch: Vec::new(),
+            own,
         };
         // Entry release point: the transaction cannot abort at all.
         if let Some(&(0, bound)) = meta.release_bounds.first() {
@@ -1542,30 +1546,26 @@ fn run_transfer<H: Host>(host: &mut H, tx: &Transaction) -> Result<ExecStatus, H
 
 /// Publishes remaining writes, drops unfulfilled predictions, marks done.
 fn finalize_success(host: &mut ThreadHost<'_, '_>, gas_used: u64) {
-    let shared = host.shared;
-    let tx = host.tx;
-    let mut batch: Vec<_> = host.buffer.entries().collect();
-    if host.publish_batch(&mut batch).is_err() {
+    let own = &mut *host.own;
+    own.batch.clear();
+    own.batch.extend(own.buffer.entries());
+    if host.publish_batch().is_err() {
         return;
     }
-    host.buffer.clear();
     // Predicted writes that never materialized: drop so readers pass
     // through (mispredicted branch).
-    let mut to_drop: Vec<_> = {
-        let core = shared.states[tx].core.lock();
-        if host.stale() {
-            return;
-        }
-        let unfulfilled = host.meta.predicted_wa.iter();
-        unfulfilled
-            .filter(|(id, _)| !core.published.contains(id))
-            .map(|&(id, _)| (id, VersionOp::Drop))
-            .collect()
-    };
-    if host.apply_batch(&mut to_drop).is_err() {
+    let Scratch {
+        batch, published, ..
+    } = &mut *host.own;
+    let predicted = host.meta.predicted_wa.iter();
+    let unfulfilled = predicted.filter(|(id, _)| !published.contains(id));
+    batch.clear();
+    batch.extend(unfulfilled.map(|&(id, _)| (id, VersionOp::Drop)));
+    if host.apply_batch().is_err() {
         return;
     }
-    shared.finish(tx, host.generation, ExecStatus::Success, gas_used);
+    let shared = host.shared;
+    shared.finish(host.tx, host.generation, ExecStatus::Success, gas_used);
 }
 
 /// Rolls back a deterministic abort (revert / out-of-gas / code fault):
@@ -1574,16 +1574,9 @@ fn finalize_success(host: &mut ThreadHost<'_, '_>, gas_used: u64) {
 fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatus, gas_used: u64) {
     let shared = host.shared;
     let tx = host.tx;
-    host.buffer.clear();
-    let published: Vec<KeyId> = {
-        let mut core = shared.states[tx].core.lock();
-        if host.stale() {
-            return;
-        }
-        let ids = core.published.to_vec();
-        core.published.clear();
-        ids
-    };
+    let Scratch {
+        batch, published, ..
+    } = &mut *host.own;
     // Mutation testing: `skip_rollback` (always false in production) leaks
     // the keys the hook names — they stay `Done` in their sequences and
     // reach the final write set even though the transaction failed.
@@ -1598,13 +1591,14 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
     }
     // Unfulfilled predictions are dropped too: that unblocks their readers.
     let predicted = host.meta.predicted_wa.iter().map(|&(id, _)| id);
-    let mut to_drop: Vec<_> = published
-        .into_iter()
-        .chain(predicted)
-        .filter(|id| !leaked.contains(id))
-        .map(|id| (id, VersionOp::Drop))
-        .collect();
-    if host.apply_batch(&mut to_drop).is_err() {
+    let dropped = published.iter().copied().chain(predicted);
+    batch.clear();
+    batch.extend(
+        dropped
+            .filter(|id| !leaked.contains(id))
+            .map(|id| (id, VersionOp::Drop)),
+    );
+    if host.apply_batch().is_err() {
         return;
     }
     shared.finish(tx, host.generation, status, gas_used);
@@ -1913,14 +1907,121 @@ mod tests {
         assert!(config.threads >= 1);
     }
 
+    /// What the per-worker and per-shard counters must add up to under any
+    /// interleaving, recomputed from the outcome.
+    fn check_counters(outcome: &ParallelOutcome) {
+        let stats = &outcome.stats;
+        // At least one attempt per transaction, plus one re-execution per
+        // abort.
+        assert!(stats.attempts >= outcome.statuses.len() as u64);
+        // Every final write was published at least once, every batch
+        // carried at least one op and took one shard lock.
+        assert!(stats.publishes >= outcome.final_writes.len() as u64);
+        assert!(stats.publish_batches > 0);
+        assert!(stats.shard_lock_acquisitions >= stats.publish_batches);
+    }
+
     #[test]
     fn stats_track_attempts_and_publishes() {
         let txs = vec![mint(900, 1, 100), transfer(1, 2, 30)];
         let outcome = executor(2).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        // At least one attempt per transaction, plus one re-execution per
-        // abort.
-        assert!(outcome.stats.attempts >= txs.len() as u64);
         assert!(outcome.stats.publishes > 0);
+        check_counters(&outcome);
+    }
+
+    #[test]
+    fn counters_of_all_workers_and_shards_reach_the_outcome() {
+        // Funded Ether transfers between distinct accounts: no conflicts, so
+        // every count is known — each transaction runs once, reads one
+        // balance from the store (one shard lock) and publishes two keys in
+        // one batch or two, each under one more lock.
+        let n = 200u64;
+        let account = |i: u64| Address::from_u64(i + 1);
+        let funded = (0..n).map(|i| (StateKey::balance(account(2 * i)), U256::from(9u64)));
+        let snapshot = Snapshot::from_entries(funded);
+        let txs: Vec<_> = (0..n)
+            .map(|i| Transaction::transfer(account(2 * i), account(2 * i + 1), U256::from(3u64)))
+            .collect();
+        for threads in [1, 3] {
+            let outcome = executor(threads).execute_block(&txs, &snapshot, &BlockEnv::default());
+            let stats = outcome.stats;
+            assert_eq!(outcome.final_writes.len() as u64, 2 * n);
+            assert_eq!((stats.attempts, outcome.aborts), (n, 0));
+            assert_eq!(stats.publishes, 2 * n);
+            assert!((n..=2 * n).contains(&stats.publish_batches));
+            assert_eq!(stats.shard_lock_acquisitions, n + stats.publish_batches);
+            check_counters(&outcome);
+        }
+    }
+
+    /// Binds and runs a block like `execute_block_with_csags`, but hands
+    /// back what the workers shared instead of the outcome.
+    fn run_bound<'a>(
+        exec: &ParallelExecutor,
+        txs: &'a [Transaction],
+        snapshot: &'a Snapshot,
+        csags: &[CSag],
+    ) -> Shared<'a> {
+        let (shared, _) = exec.bind_block(txs, snapshot, csags);
+        let env = BlockEnv::default();
+        std::thread::scope(|scope| {
+            for _ in 0..shared.threads {
+                scope.spawn(|| exec.worker(&shared, &env));
+            }
+        });
+        shared
+    }
+
+    #[test]
+    fn the_core_records_exactly_what_was_not_predicted() {
+        // Every sender is funded in the snapshot for whatever order the
+        // block runs in, so refinement predicts each transaction's keys
+        // exactly and every attempt, aborted or not, touches the same ones.
+        let token_balance = |holder: u64| {
+            let holder = Address::from_u64(holder).to_u256();
+            StateKey::storage(Address::from_u64(TOKEN), contracts::map_slot(holder, 1))
+        };
+        let ether_balance = |holder: u64| StateKey::balance(Address::from_u64(holder));
+        let funded = (1..7).map(token_balance).chain((20..26).map(ether_balance));
+        let snapshot = Snapshot::from_entries(funded.map(|key| (key, U256::from(100u64))));
+        let ether = |i: u64| {
+            let (from, to) = (
+                Address::from_u64(20 + i),
+                Address::from_u64(20 + (i + 1) % 6),
+            );
+            Transaction::transfer(from, to, U256::from(1 + i))
+        };
+        let mut txs: Vec<_> = (0..6).map(|i| mint(900 + i, 1 + i, 100)).collect();
+        txs.extend((0..6).map(|i| transfer(1 + i, 1 + (i + 1) % 6, 7 + i)));
+        txs.extend((0..6).map(ether));
+        let env = BlockEnv::default();
+        let analyzer = Analyzer::new(registry());
+        let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        assert!(trace.txs.iter().all(|t| t.status == ExecStatus::Success));
+        for threads in [1, 4] {
+            let exec = executor(threads);
+            // Exact predictions: the record an abort resets was complete
+            // before the first worker started.
+            let exact = crate::pipeline::refine_csags(&analyzer, &txs, &snapshot, &env, 1);
+            let shared = run_bound(&exec, &txs, &snapshot, &exact);
+            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            for state in &shared.states {
+                assert!(state.core.lock().unpredicted.is_empty());
+            }
+            // No predictions: every key the transaction read or wrote.
+            let blind = vec![CSag::optimistic(); txs.len()];
+            let shared = run_bound(&exec, &txs, &snapshot, &blind);
+            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            let interner = shared.sequences.interner();
+            for (state, traced) in shared.states.iter().zip(&trace.txs) {
+                let read = traced.reads.iter().map(|read| &read.key);
+                let written = traced.writes.keys().chain(traced.adds.keys());
+                let id = |key| interner.lookup(key).expect("touched, so interned");
+                let expected: SortedVec<KeyId> = read.chain(written).map(id).collect();
+                assert!(!expected.is_empty());
+                assert_eq!(&state.core.lock().unpredicted[..], &expected[..]);
+            }
+        }
     }
 
     #[test]
@@ -1944,6 +2045,7 @@ mod tests {
         assert_eq!(outcome.final_writes, trace.final_writes);
         let statuses: Vec<ExecStatus> = trace.txs.iter().map(|t| t.status.clone()).collect();
         assert_eq!(outcome.statuses, statuses);
+        check_counters(&outcome);
     }
 
     #[test]
@@ -2116,13 +2218,31 @@ mod tests {
                     release_set.sort_unstable();
                     release_set.dedup();
                     prop_assert_eq!(meta.release_set, &release_set[..]);
+                    // An abort right after the bind resets every predicted
+                    // id once, in id order — predicted writes re-pend, the
+                    // rest rolls back — and nothing else: the core's set is
+                    // empty, although the run before this bind filled it
+                    // (no draw predicts the mints' keys).
                     let mut touched: Vec<_> = reads.iter().map(|&(id, _)| id).collect();
                     touched.extend(predicted_wa.iter().map(|&(id, _)| id));
                     touched.sort_unstable();
                     touched.dedup();
-                    let core = shared.states[tx].core.lock();
-                    prop_assert_eq!(&core.touched[..], &touched[..]);
-                    prop_assert!(core.published.is_empty());
+                    let reset = |&id: &KeyId| match predicted_wa.iter().any(|&(k, _)| k == id) {
+                        true => (id, VersionOp::Reset),
+                        false => (id, VersionOp::Rollback),
+                    };
+                    let resets: Vec<_> = touched.iter().map(reset).collect();
+                    prop_assert_eq!(meta.resets(&[]), resets);
+                    prop_assert!(shared.states[tx].core.lock().unpredicted.is_empty());
+                    // The host finds in the transaction's own slices the id
+                    // the interner holds, and "predicted" for exactly the
+                    // keys of the C-SAG.
+                    let own = csag.touched();
+                    for key in csags.iter().flat_map(CSag::touched) {
+                        let (found, predicted) = meta.locate(&shared.sequences, &key);
+                        prop_assert_eq!(found, id(&key));
+                        prop_assert_eq!(predicted, own.contains(&key));
+                    }
 
                     let reads = csag.reads.iter().map(|key| (key, AccessOp::Read));
                     let writes = csag.writes.iter().map(|(key, _)| (key, AccessOp::Write));

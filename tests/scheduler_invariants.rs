@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use dmvcc_baselines::{simulate_dag, simulate_dag_coarse, simulate_occ, simulate_occ_rounds};
+use dmvcc_baselines::{simulate_dag, simulate_dag_coarse, simulate_occ};
 use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig};
 use dmvcc_integration_tests::{analyzer, decode_tx, genesis};
 use dmvcc_state::Snapshot;
@@ -45,7 +45,6 @@ proptest! {
             simulate_dag(&trace, threads),
             simulate_dag_coarse(&trace, threads),
             simulate_occ(&trace, threads),
-            simulate_occ_rounds(&trace, threads),
             simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads)),
         ];
         for report in &reports {
@@ -61,7 +60,7 @@ proptest! {
         // Non-optimistic schedulers never exceed serial.
         prop_assert!(reports[0].makespan <= trace.total_gas);
         prop_assert!(reports[1].makespan <= trace.total_gas);
-        prop_assert!(reports[4].makespan <= trace.total_gas);
+        prop_assert!(reports[3].makespan <= trace.total_gas);
     }
 
     #[test]
