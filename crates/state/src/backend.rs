@@ -26,12 +26,12 @@
 //!
 //! [`Snapshot`]: crate::Snapshot
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use dmvcc_primitives::U256;
 
+use crate::interner::FxKeyMap;
 use crate::snapshot::WriteSet;
 use crate::StateKey;
 
@@ -114,7 +114,8 @@ pub(crate) fn version_at(versions: &Versions, as_of: u64) -> Option<U256> {
     }
 }
 
-/// The in-memory backend: a versioned `HashMap` behind an `RwLock`.
+/// The in-memory backend: a versioned hash map behind an `RwLock`, hashed
+/// like the flat cache above it and the interner ([`FxKeyMap`]).
 ///
 /// Everything lives in RAM (the pre-backend status quo, made
 /// version-aware); it is the correctness baseline the LSM store is
@@ -135,7 +136,7 @@ pub(crate) fn version_at(versions: &Versions, as_of: u64) -> Option<U256> {
 /// ```
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    map: RwLock<HashMap<StateKey, Versions>>,
+    map: RwLock<FxKeyMap<Versions>>,
     tip: AtomicU64,
     reads: AtomicU64,
     batches: AtomicU64,

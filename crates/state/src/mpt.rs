@@ -1,4 +1,4 @@
-//! A persistent (structurally-shared) hexary Merkle Patricia Trie.
+//! A copy-on-write (structurally-shared) hexary Merkle Patricia Trie.
 //!
 //! The paper validates deterministic serializability by comparing the Merkle
 //! roots produced by parallel and serial execution (RQ1). This module
@@ -7,15 +7,27 @@
 //! inline-node rule and Keccak-256 hashing), so the canonical Ethereum trie
 //! test vectors hold.
 //!
-//! Nodes are immutable and shared via [`Arc`], so committing a block only
-//! rebuilds the paths it touched. A node is one allocation: a path of up to
-//! 64 nibbles and a value of up to 40 bytes live inline in it (longer ones
-//! spill to the heap), and the only thing it caches is its *reference* — what
-//! its parent embeds: the node's own RLP when shorter than 32 bytes, else
-//! `0xa0 ‖ keccak(RLP)` — held inline as well. The full RLP of a node is
-//! never stored: hashing appends it to one scratch buffer per hashing thread,
-//! takes the reference and pops it again, so computing a root allocates that
-//! buffer and nothing per node.
+//! Nodes are held through [`Arc`], and an update takes every node on its
+//! root-to-leaf path through [`Arc::make_mut`]: a node this trie alone holds
+//! is changed where it stands (a value replaced in its leaf, a child slot
+//! overwritten in its branch), and a node with another holder — a clone of
+//! the trie, or a thread still hashing the previous version — is copied
+//! first, children shared, and the copy changed. So a clone is O(1) and
+//! never sees a later write, the first write after a clone copies the paths
+//! it touches, and every write after that to the same paths copies nothing.
+//! New nodes are built only where the shape changes (a leaf or an extension
+//! splits, a branch collapses).
+//!
+//! A node is one allocation: a path of up to 64 nibbles and a value of up to
+//! 40 bytes live inline in it (longer ones spill to the heap), and the only
+//! thing it caches is its *reference* — what its parent embeds: the node's
+//! own RLP when shorter than 32 bytes, else `0xa0 ‖ keccak(RLP)` — held
+//! inline as well. An update clears the reference of every node it passes,
+//! and reaches a node only through a parent it has just made its own and
+//! cleared, so a set reference proves the whole subtree beneath it clean.
+//! The full RLP of a node is never stored: hashing appends it to one scratch
+//! buffer per hashing thread, takes the reference and pops it again, so
+//! computing a root allocates that buffer and nothing per node.
 //!
 //! [`index_root`] computes the root of an index-keyed list (a block's
 //! transactions or receipts) through the same node encoder without building
@@ -108,7 +120,7 @@ fn to_nibbles(key: &[u8]) -> Nibbles {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum NodeKind {
     Leaf {
         path: Nibbles,
@@ -127,9 +139,30 @@ enum NodeKind {
 #[derive(Debug)]
 struct Node {
     kind: NodeKind,
-    /// Cached reference as seen from the parent. Empty on a fresh node, so
-    /// a set cache proves the whole subtree beneath it is clean.
+    /// Cached reference as seen from the parent. Empty on a fresh node and
+    /// emptied by [`unshared`], so a set cache proves the whole subtree
+    /// beneath it is clean.
     reference: OnceLock<NodeRef>,
+}
+
+/// The only copy of a node there is: [`Arc::make_mut`] takes it when an
+/// update meets a node something else holds too. The children are shared,
+/// and the reference is left empty because the copy is about to change.
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        Node {
+            kind: self.kind.clone(),
+            reference: OnceLock::new(),
+        }
+    }
+}
+
+/// The node in `slot` for an update to change where it stands: copied first
+/// if `slot` is not its only holder, and without its cached reference.
+fn unshared(slot: &mut Arc<Node>) -> &mut NodeKind {
+    let node = Arc::make_mut(slot);
+    node.reference.take();
+    &mut node.kind
 }
 
 impl Node {
@@ -275,10 +308,11 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
-/// A persistent Merkle Patricia Trie mapping byte keys to byte values.
+/// A Merkle Patricia Trie mapping byte keys to byte values.
 ///
 /// Cloning is O(1): clones share structure and diverge copy-on-write as they
-/// are updated — exactly what per-block state versioning needs.
+/// are updated — exactly what per-block state versioning needs — and a trie
+/// with no clone alive is updated in place.
 #[derive(Debug, Clone, Default)]
 pub struct Mpt {
     root: Option<Arc<Node>>,
@@ -314,29 +348,25 @@ impl Mpt {
         assert!(!value.is_empty(), "Mpt::insert: empty value, use remove");
         let nibbles = to_nibbles(key);
         let value = Value::from_vec(value);
-        let new_root = match self.root.take() {
-            Some(node) => insert_at(&node, nibbles.as_slice(), value),
-            None => Node::leaf(nibbles.as_slice(), value),
-        };
-        self.root = Some(new_root);
+        match &mut self.root {
+            Some(root) => insert_at(root, nibbles.as_slice(), value),
+            None => self.root = Some(Node::leaf(nibbles.as_slice(), value)),
+        }
     }
 
     /// Removes `key` if present. Returns `true` if an entry was removed.
+    ///
+    /// Looks before it changes anything: an absent key leaves every cached
+    /// reference set and every shared node shared.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        let nibbles = to_nibbles(key);
-        match self.root.take() {
-            Some(node) => match remove_at(&node, nibbles.as_slice()) {
-                RemoveResult::NotFound => {
-                    self.root = Some(node);
-                    false
-                }
-                RemoveResult::Removed(new_root) => {
-                    self.root = new_root;
-                    true
-                }
-            },
-            None => false,
+        if self.get_ref(key).is_none() {
+            return false;
         }
+        let root = self.root.as_mut().expect("the key was found");
+        if remove_at(root, to_nibbles(key).as_slice()) {
+            self.root = None;
+        }
+        true
     }
 
     /// Looks up the value stored at `key`, copying it out.
@@ -406,9 +436,9 @@ impl Mpt {
     /// Number of top-level subtrees whose hashes must be recomputed for
     /// the next [`Mpt::root`] call.
     ///
-    /// Dirty tracking falls out of the persistent structure for free:
-    /// mutations build fresh nodes with empty `OnceLock` caches, so a
-    /// cached reference proves the entire subtree beneath it is clean.
+    /// An update empties the `OnceLock` cache of every node on its path
+    /// (copies and new nodes start empty), so a cached reference proves
+    /// the entire subtree beneath it is clean.
     pub fn dirty_top_subtrees(&self) -> usize {
         self.dirty_top().len()
     }
@@ -451,15 +481,17 @@ impl Mpt {
     }
 }
 
-fn insert_at(node: &Arc<Node>, path: &[u8], value: Value) -> Arc<Node> {
-    match &node.kind {
+/// Stores `value` at `path` beneath the node in `slot`.
+fn insert_at(slot: &mut Arc<Node>, path: &[u8], value: Value) {
+    let split = match unshared(slot) {
         NodeKind::Leaf {
             path: leaf_path,
             value: leaf_value,
         } => {
             let leaf_path = leaf_path.as_slice();
             if leaf_path == path {
-                return Node::leaf(path, value);
+                *leaf_value = value;
+                return;
             }
             let common = common_prefix_len(leaf_path, path);
             let branch = make_branch(
@@ -477,22 +509,16 @@ fn insert_at(node: &Arc<Node>, path: &[u8], value: Value) -> Arc<Node> {
             let ext_path = ext_path.as_slice();
             let common = common_prefix_len(ext_path, path);
             if common == ext_path.len() {
-                // Descend through the extension.
-                let new_child = insert_at(child, &path[common..], value);
-                return Node::extension(ext_path, new_child);
+                return insert_at(child, &path[common..], value);
             }
             // Split the extension at the divergence point.
             let mut children: [Option<Arc<Node>>; 16] = Default::default();
-            let ext_branch_nibble = ext_path[common];
-            let remaining_ext = &ext_path[common + 1..];
-            children[ext_branch_nibble as usize] =
-                Some(wrap_extension(remaining_ext, child.clone()));
+            children[ext_path[common] as usize] =
+                Some(wrap_extension(&ext_path[common + 1..], child.clone()));
             let mut branch_value = None;
-            if common == path.len() {
-                branch_value = Some(value);
-            } else {
-                let new_nibble = path[common];
-                children[new_nibble as usize] = Some(Node::leaf(&path[common + 1..], value));
+            match path[common..].split_first() {
+                Some((&nibble, rest)) => children[nibble as usize] = Some(Node::leaf(rest, value)),
+                None => branch_value = Some(value),
             }
             let branch = Node::new(NodeKind::Branch {
                 children,
@@ -504,24 +530,17 @@ fn insert_at(node: &Arc<Node>, path: &[u8], value: Value) -> Arc<Node> {
             children,
             value: branch_value,
         } => {
-            let Some((&nibble, rest)) = path.split_first() else {
-                return Node::new(NodeKind::Branch {
-                    children: children.clone(),
-                    value: Some(value),
-                });
-            };
-            let mut new_children = children.clone();
-            let slot = &mut new_children[nibble as usize];
-            *slot = Some(match slot.as_ref() {
-                Some(child) => insert_at(child, rest, value),
-                None => Node::leaf(rest, value),
-            });
-            Node::new(NodeKind::Branch {
-                children: new_children,
-                value: branch_value.clone(),
-            })
+            match path.split_first() {
+                Some((&nibble, rest)) => match &mut children[nibble as usize] {
+                    Some(child) => insert_at(child, rest, value),
+                    empty => *empty = Some(Node::leaf(rest, value)),
+                },
+                None => *branch_value = Some(value),
+            }
+            return;
         }
-    }
+    };
+    *slot = split;
 }
 
 /// Builds a branch holding two divergent suffixes (at least one non-empty).
@@ -549,66 +568,55 @@ fn wrap_extension(prefix: &[u8], node: Arc<Node>) -> Arc<Node> {
     }
 }
 
-enum RemoveResult {
-    NotFound,
-    Removed(Option<Arc<Node>>),
-}
-
-fn remove_at(node: &Arc<Node>, path: &[u8]) -> RemoveResult {
-    match &node.kind {
-        NodeKind::Leaf {
-            path: leaf_path, ..
-        } => {
-            if leaf_path.as_slice() == path {
-                RemoveResult::Removed(None)
-            } else {
-                RemoveResult::NotFound
-            }
-        }
+/// Removes `path`, which is present, from beneath the node in `slot`.
+/// Returns `true` if the node was the key's own leaf: the caller unlinks it.
+fn remove_at(slot: &mut Arc<Node>, path: &[u8]) -> bool {
+    let merged = match unshared(slot) {
+        NodeKind::Leaf { .. } => return true,
         NodeKind::Extension {
             path: ext_path,
             child,
         } => {
-            let Some(rest) = path.strip_prefix(ext_path.as_slice()) else {
-                return RemoveResult::NotFound;
-            };
-            match remove_at(child, rest) {
-                RemoveResult::NotFound => RemoveResult::NotFound,
-                RemoveResult::Removed(None) => RemoveResult::Removed(None),
-                RemoveResult::Removed(Some(new_child)) => {
-                    RemoveResult::Removed(Some(merge_extension(ext_path.as_slice(), new_child)))
-                }
+            // The child is a branch, which a removal never empties: it
+            // stays, or has collapsed into a node this extension absorbs.
+            let emptied = remove_at(child, &path[ext_path.as_slice().len()..]);
+            debug_assert!(!emptied, "an extension's child is a branch");
+            if matches!(child.kind, NodeKind::Branch { .. }) {
+                return false;
             }
+            merge_extension(ext_path.as_slice(), child)
         }
         NodeKind::Branch { children, value } => {
-            let (new_children, new_value) = if path.is_empty() {
-                if value.is_none() {
-                    return RemoveResult::NotFound;
-                }
-                (children.clone(), None)
-            } else {
-                let nibble = path[0] as usize;
-                let Some(child) = &children[nibble] else {
-                    return RemoveResult::NotFound;
-                };
-                match remove_at(child, &path[1..]) {
-                    RemoveResult::NotFound => return RemoveResult::NotFound,
-                    RemoveResult::Removed(replacement) => {
-                        let mut cs = children.clone();
-                        cs[nibble] = replacement;
-                        (cs, value.clone())
+            match path.split_first() {
+                Some((&nibble, rest)) => {
+                    let child = &mut children[nibble as usize];
+                    if remove_at(child.as_mut().expect("the key was found"), rest) {
+                        *child = None;
                     }
                 }
-            };
-            RemoveResult::Removed(Some(collapse_branch(new_children, new_value)))
+                None => *value = None,
+            }
+            // Canonical form: a branch left with one child and no value
+            // collapses into that child, one with only a value into a leaf.
+            let mut populated = (0..16).filter(|&i| children[i].is_some());
+            match (populated.next(), populated.next(), value.as_ref()) {
+                (None, _, Some(value)) => Node::leaf(&[], value.clone()),
+                (Some(nibble), None, None) => {
+                    let child = children[nibble].as_ref().expect("populated index");
+                    merge_extension(&[nibble as u8], child)
+                }
+                _ => return false,
+            }
         }
-    }
+    };
+    *slot = merged;
+    false
 }
 
-/// Re-attaches an extension prefix, merging chained extensions/leaves so the
-/// canonical-form invariants (no extension-of-extension, no empty branch)
-/// hold after a removal.
-fn merge_extension(prefix: &[u8], child: Arc<Node>) -> Arc<Node> {
+/// `child` with `prefix` put before its path: chained extensions and leaves
+/// merge, so the canonical-form invariants (no extension-of-extension, no
+/// extension-of-leaf) hold after a removal.
+fn merge_extension(prefix: &[u8], child: &Arc<Node>) -> Arc<Node> {
     match &child.kind {
         NodeKind::Leaf { path, value } => Node::new(NodeKind::Leaf {
             path: Nibbles::concat(prefix, path.as_slice()),
@@ -618,22 +626,7 @@ fn merge_extension(prefix: &[u8], child: Arc<Node>) -> Arc<Node> {
             path: Nibbles::concat(prefix, path.as_slice()),
             child: child.clone(),
         }),
-        NodeKind::Branch { .. } => Node::extension(prefix, child),
-    }
-}
-
-/// Normalizes a branch after a removal: a branch with a single remaining
-/// child (and no value) collapses into that child; one with only a value
-/// becomes a leaf.
-fn collapse_branch(children: [Option<Arc<Node>>; 16], value: Option<Value>) -> Arc<Node> {
-    let mut populated = (0..16).filter(|&i| children[i].is_some());
-    match (populated.next(), populated.next(), value) {
-        (None, _, Some(value)) => Node::leaf(&[], value),
-        (Some(nibble), None, None) => {
-            let child = children[nibble].clone().expect("populated index");
-            merge_extension(&[nibble as u8], child)
-        }
-        (_, _, value) => Node::new(NodeKind::Branch { children, value }),
+        NodeKind::Branch { .. } => Node::extension(prefix, child.clone()),
     }
 }
 

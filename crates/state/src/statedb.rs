@@ -15,8 +15,9 @@
 //!   `latest` onto it, so snapshot RAM stays O(recent writes) rather than
 //!   O(total state).
 //! - **Off-critical-path roots.** [`StateDb::commit_async`] applies the
-//!   block's structural trie updates (path copies: one allocation per
-//!   fresh, unhashed node) and returns a [`RootHandle`] immediately; the
+//!   block's structural trie updates (in place wherever this trie is a
+//!   node's only holder, a path copy where the previous root is still
+//!   hashing) and returns a [`RootHandle`] immediately; the
 //!   hashing — encoding each dirty node into the hashing thread's one
 //!   scratch buffer and running Keccak over it — happens on a background
 //!   thread, overlapping the next block's execution. The handle stalls
@@ -56,7 +57,9 @@ pub const DEFAULT_ROOT_WINDOW: usize = 1024;
 /// demanded before the root resolved" stall), [`RootHandle::try_root`]
 /// never blocks, and [`RootHandle::hash_nanos`] reports how long the
 /// hashing actually took once resolved — the latency a pipelined caller
-/// had the opportunity to hide.
+/// had the opportunity to hide. If the hashing thread dies before it has a
+/// root, all three panic with a message naming the block, and so do
+/// [`StateDb::root_at`] and [`StateDb::current_root`]; none parks for ever.
 #[derive(Debug, Clone)]
 pub struct RootHandle {
     slot: Arc<RootSlot>,
@@ -64,64 +67,126 @@ pub struct RootHandle {
 
 #[derive(Debug)]
 struct RootSlot {
-    /// `(root, hash_nanos)` once resolved.
-    state: Mutex<Option<(H256, u64)>>,
+    state: Mutex<RootState>,
     ready: Condvar,
 }
 
+#[derive(Debug, Clone, Copy)]
+enum RootState {
+    Pending,
+    /// `(root, hash_nanos)`.
+    Resolved(H256, u64),
+    /// The thread hashing the block at this height unwound before it had a
+    /// root.
+    Failed(u64),
+}
+
+impl RootState {
+    /// `(root, hash_nanos)` once resolved, `None` while pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hashing thread died. Call it with the slot unlocked, so
+    /// that every waiter gets this message and none a poisoned lock.
+    fn settled(self) -> Option<(H256, u64)> {
+        match self {
+            RootState::Pending => None,
+            RootState::Resolved(root, hash_nanos) => Some((root, hash_nanos)),
+            RootState::Failed(height) => panic!(
+                "the state root of block {height} was never computed: \
+                 its hashing thread panicked"
+            ),
+        }
+    }
+}
+
+/// The hashing thread's end of a pending [`RootHandle`]. Dropped without
+/// [`RootPromise::fulfill`] — the thread is unwinding — it marks the slot
+/// failed, so that waiters panic instead of parking for ever.
+struct RootPromise {
+    slot: Arc<RootSlot>,
+    height: u64,
+}
+
+impl RootPromise {
+    fn fulfill(self, root: H256, hash_nanos: u64) {
+        self.settle(RootState::Resolved(root, hash_nanos));
+    }
+
+    fn settle(&self, outcome: RootState) {
+        // A poisoned slot fails its waiters already, and `drop` must not
+        // panic.
+        let Ok(mut state) = self.slot.state.lock() else {
+            return;
+        };
+        if matches!(*state, RootState::Pending) {
+            *state = outcome;
+            self.slot.ready.notify_all();
+        }
+    }
+}
+
+impl Drop for RootPromise {
+    fn drop(&mut self) {
+        self.settle(RootState::Failed(self.height));
+    }
+}
+
 impl RootHandle {
+    fn new(state: RootState) -> Self {
+        RootHandle {
+            slot: Arc::new(RootSlot {
+                state: Mutex::new(state),
+                ready: Condvar::new(),
+            }),
+        }
+    }
+
     /// A handle that is already resolved (synchronous commits).
     pub fn ready(root: H256) -> Self {
-        RootHandle {
-            slot: Arc::new(RootSlot {
-                state: Mutex::new(Some((root, 0))),
-                ready: Condvar::new(),
-            }),
-        }
+        Self::new(RootState::Resolved(root, 0))
     }
 
-    fn pending() -> Self {
-        RootHandle {
-            slot: Arc::new(RootSlot {
-                state: Mutex::new(None),
-                ready: Condvar::new(),
-            }),
-        }
-    }
-
-    fn fulfill(&self, root: H256, hash_nanos: u64) {
-        let mut state = self.slot.state.lock().expect("root slot poisoned");
-        *state = Some((root, hash_nanos));
-        self.slot.ready.notify_all();
+    /// An unresolved handle for the root of block `height`, and the promise
+    /// that resolves it.
+    fn pending(height: u64) -> (Self, RootPromise) {
+        let handle = Self::new(RootState::Pending);
+        let slot = Arc::clone(&handle.slot);
+        (handle, RootPromise { slot, height })
     }
 
     /// The root if already resolved; never blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like every other read of the handle, if the background hash
+    /// died before it had a root.
     pub fn try_root(&self) -> Option<H256> {
-        self.slot
-            .state
-            .lock()
-            .expect("root slot poisoned")
-            .map(|(root, _)| root)
+        let state = *self.slot.state.lock().expect("root slot poisoned");
+        state.settled().map(|(root, _)| root)
+    }
+
+    /// Blocks until the slot is no longer pending.
+    fn resolved(&self) -> (H256, u64) {
+        let state = self.slot.state.lock().expect("root slot poisoned");
+        let state = *self
+            .slot
+            .ready
+            .wait_while(state, |state| matches!(state, RootState::Pending))
+            .expect("root slot poisoned");
+        state.settled().expect("no longer pending")
     }
 
     /// Blocks until the background hash completes and returns the root.
     pub fn wait(&self) -> H256 {
-        let mut state = self.slot.state.lock().expect("root slot poisoned");
-        while state.is_none() {
-            state = self.slot.ready.wait(state).expect("root slot poisoned");
-        }
-        state.expect("resolved").0
+        self.resolved().0
     }
 
     /// Nanoseconds the background hashing took. Blocks like
     /// [`RootHandle::wait`] if not yet resolved; `0` for handles created
     /// already-resolved.
     pub fn hash_nanos(&self) -> u64 {
-        let mut state = self.slot.state.lock().expect("root slot poisoned");
-        while state.is_none() {
-            state = self.slot.ready.wait(state).expect("root slot poisoned");
-        }
-        state.expect("resolved").1
+        self.resolved().1
     }
 }
 
@@ -396,21 +461,24 @@ impl StateDb {
     /// Equivalent to [`StateDb::commit`] root-for-root: both force the
     /// same shared node caches.
     ///
-    /// Back-to-back async commits are safe: the persistent trie is
-    /// cloned (O(1), `Arc`-shared) per commit, mutation never alters
-    /// existing nodes, and the nodes' `OnceLock` reference caches tolerate
-    /// concurrent forcing.
+    /// Back-to-back async commits are safe: the trie is cloned (O(1),
+    /// `Arc`-shared) per commit, an update never alters a node another
+    /// holder can reach (it copies the node first, see [`Mpt`]), and the
+    /// nodes' `OnceLock` reference caches tolerate concurrent forcing. The
+    /// background thread drops its clone as soon as it has the root, so a
+    /// block committed after that finds the trie unshared and updates it
+    /// in place; one committed sooner copies the paths it touches.
     pub fn commit_async(&mut self, writes: &WriteSet) -> RootHandle {
-        self.apply_writes(writes);
-        let handle = RootHandle::pending();
+        let height = self.apply_writes(writes);
+        let (handle, promise) = RootHandle::pending(height);
         self.roots.push(handle.clone());
         let trie = self.trie.clone();
         let threads = self.hash_threads;
-        let fulfill = handle.clone();
         std::thread::spawn(move || {
             let started = Instant::now();
             let root = trie.root_parallel(threads);
-            fulfill.fulfill(root, started.elapsed().as_nanos() as u64);
+            drop(trie);
+            promise.fulfill(root, started.elapsed().as_nanos() as u64);
         });
         handle
     }
@@ -562,6 +630,110 @@ mod tests {
                 assert_eq!(db.root_at(block), Some(expected));
             }
         }
+    }
+
+    /// The root of a trie built afresh from `model`: what a database that
+    /// holds exactly these values must report, whatever it copied or
+    /// changed in place on the way.
+    fn rebuilt_root(model: &WriteSet) -> H256 {
+        let mut trie = Mpt::new();
+        for (key, value) in model.iter().filter(|(_, value)| !value.is_zero()) {
+            trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(*value));
+        }
+        trie.root()
+    }
+
+    /// `count` writes a block, over keys that blocks share and clear.
+    fn wide_writes(block: u64, count: u64) -> WriteSet {
+        writes(
+            &(0..count)
+                .map(|i| (i * (1 + block % 3), (block + i) % 5 * (block + i)))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn a_replica_and_its_original_diverge_without_seeing_each_other() {
+        let mut model = wide_writes(0, 300);
+        let mut original = StateDb::with_genesis(model.clone());
+        let mut replica = original.clone();
+        let mut replica_model = model.clone();
+        for block in 1..=6u64 {
+            // The original first on odd blocks, the replica first on even:
+            // whichever writes a shared path first copies it, the other
+            // then holds the old nodes alone and changes them in place.
+            let (w, replica_w) = (wide_writes(block, 120), wide_writes(block + 50, 90));
+            model.extend(w.clone());
+            replica_model.extend(replica_w.clone());
+            if block % 2 == 1 {
+                original.commit(&w);
+                replica.commit(&replica_w);
+            } else {
+                replica.commit(&replica_w);
+                original.commit(&w);
+            }
+            let (root, replica_root) = (original.current_root(), replica.current_root());
+            assert_eq!(root, rebuilt_root(&model), "original, block {block}");
+            assert_eq!(
+                replica_root,
+                rebuilt_root(&replica_model),
+                "replica, block {block}"
+            );
+            assert_ne!(root, replica_root);
+        }
+    }
+
+    #[test]
+    fn sync_commit_while_the_previous_root_is_unresolved_matches_the_oracle() {
+        // By hand first, so that the interleaving is certain: the hashing
+        // thread's clone of the trie exists and has hashed nothing yet.
+        let mut model = wide_writes(0, 300);
+        let mut db = StateDb::with_genesis(model.clone());
+        db.set_hash_threads(2);
+        let first = wide_writes(1, 200);
+        model.extend(first.clone());
+        db.apply_writes(&first);
+        let still_hashing = db.trie.clone();
+        let first_root = rebuilt_root(&model);
+        let second = wide_writes(2, 200);
+        model.extend(second.clone());
+        assert_eq!(db.commit(&second), rebuilt_root(&model));
+        assert_eq!(still_hashing.root_parallel(2), first_root);
+        drop(still_hashing);
+        // Then the real thing, as fast as the calls return: each sync
+        // commit meets a background thread that is hashing, or done, or
+        // dropping the version it hashed.
+        for block in 3..=10u64 {
+            let (w_async, w_sync) = (wide_writes(block, 250), wide_writes(block + 20, 250));
+            model.extend(w_async.clone());
+            let async_root = rebuilt_root(&model);
+            model.extend(w_sync.clone());
+            let handle = db.commit_async(&w_async);
+            assert_eq!(db.commit(&w_sync), rebuilt_root(&model), "block {block}");
+            assert_eq!(handle.wait(), async_root, "block {block}");
+        }
+    }
+
+    #[test]
+    fn clearing_an_absent_key_leaves_a_hashed_trie_hashed() {
+        let mut db = StateDb::new();
+        let root = db.commit(&wide_writes(1, 100));
+        assert!(db.trie.root_cached());
+        // Zero writes to keys the trie never held: `Mpt::remove` looks
+        // before it clears any cached reference.
+        db.apply_writes(&writes(&[(5_000, 0), (5_001, 0)]));
+        assert!(db.trie.root_cached());
+        assert_eq!(db.trie.root(), root);
+    }
+
+    #[test]
+    #[should_panic(expected = "state root of block 7 was never computed")]
+    fn a_hashing_thread_that_dies_fails_its_waiters() {
+        let (handle, promise) = RootHandle::pending(7);
+        assert_eq!(handle.try_root(), None);
+        // What unwinding out of the spawned closure does.
+        drop(promise);
+        handle.wait();
     }
 
     #[test]

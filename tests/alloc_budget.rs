@@ -162,28 +162,44 @@ fn a_trie_node_is_one_allocation() {
     // A key that parts from it at the first nibble: a branch and two leaves
     // (the old leaf is rebuilt with a shorter path).
     assert_eq!(insert(key(0x21, 0), 1), 3);
-    // Replacing a value: the branch above and the leaf.
-    assert_eq!(insert(key(0x21, 0), 33), 2);
-    // A key that shares all but its last byte with the first: the top
-    // branch, an extension over the shared 61 nibbles, a branch, two leaves.
-    assert_eq!(insert(key(0x11, 0x20), 20), 5);
+    // Replacing a value: nothing, the leaf is changed where it stands.
+    assert_eq!(insert(key(0x21, 0), 33), 0);
+    // A key that shares all but its last byte with the first: an extension
+    // over the shared 61 nibbles, a branch, two leaves — under the top
+    // branch, which stays.
+    assert_eq!(insert(key(0x11, 0x20), 20), 4);
 
-    // At scale: replacing a value in a 50 000-key trie rebuilds the four or
-    // five nodes above it and the leaf, and allocates nothing else.
+    // At scale: replacing a value in a 50 000-key trie that nothing else
+    // holds allocates nothing.
     let mut trie = Mpt::new();
     for i in 0..50_000u32 {
         trie.insert(&state_key(i), vec![7; 33]);
     }
-    let values: Vec<Vec<u8>> = (0..2_000).map(|_| vec![8; 33]).collect();
-    let (replaced, ()) = allocations(|| {
-        for (i, value) in values.into_iter().enumerate() {
-            trie.insert(&state_key(i as u32 * 25), value);
-        }
-    });
+    let replace_2000 = |trie: &mut Mpt, byte: u8| {
+        let values: Vec<Vec<u8>> = (0..2_000).map(|_| vec![byte; 33]).collect();
+        let insert_all = || {
+            for (i, value) in values.into_iter().enumerate() {
+                trie.insert(&state_key(i as u32 * 25), value);
+            }
+        };
+        allocations(insert_all).0
+    };
+    assert_eq!(replace_2000(&mut trie, 8), 0);
+    // With a clone alive, removing an absent key still copies nothing, and
+    // a round of replacements copies each node on a touched path once —
+    // every leaf, and the branches above them, which the keys share — and
+    // allocates nothing else. The copies are the trie's alone, so a second
+    // round over the same keys is free again.
+    let version = trie.clone();
+    assert_eq!(allocations(|| trie.remove(&key(0x11, 0x11))), (0, false));
+    let replaced = replace_2000(&mut trie, 9);
     assert!(
-        (4 * 2_000..=7 * 2_000).contains(&replaced),
-        "{replaced} allocations for 2 000 replaced values"
+        (2_000..3 * 2_000).contains(&replaced),
+        "{replaced} allocations for 2 000 values replaced beside a clone"
     );
+    assert_eq!(replace_2000(&mut trie, 10), 0);
+    assert_eq!(version.get_ref(&state_key(25)), Some([8u8; 33].as_slice()));
+    assert_eq!(trie.get_ref(&state_key(25)), Some([10u8; 33].as_slice()));
 }
 
 #[test]

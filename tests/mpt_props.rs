@@ -1,7 +1,8 @@
 //! Property tests for the Merkle Patricia Trie: model equivalence against
 //! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), history
-//! independence of the root, and `index_root` against the trie it stands in
-//! for.
+//! independence of the root, clones that keep their version while the trie
+//! they came from is updated in place, and `index_root` against the trie it
+//! stands in for.
 
 use std::collections::BTreeMap;
 
@@ -127,7 +128,76 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// The root of a trie built afresh from `model`.
+fn rebuilt_root(model: &Model) -> dmvcc_primitives::H256 {
+    let mut trie = Mpt::new();
+    for (k, v) in model {
+        trie.insert(k, v.clone());
+    }
+    trie.root()
+}
+
+/// An update, a root (which fills the reference caches an update must
+/// clear), or a clone taken or dropped (which decides whether the next
+/// update copies a node or changes it where it stands).
+#[derive(Debug, Clone)]
+enum VersionOp {
+    Update(Op),
+    Root,
+    Fork,
+    DropFork(usize),
+}
+
+fn version_op_strategy() -> impl Strategy<Value = VersionOp> {
+    prop_oneof![
+        6 => op_strategy().prop_map(VersionOp::Update),
+        2 => Just(VersionOp::Root),
+        1 => Just(VersionOp::Fork),
+        1 => any::<usize>().prop_map(VersionOp::DropFork),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn clones_keep_their_version_and_no_cache_goes_stale(
+        ops in prop::collection::vec(version_op_strategy(), 0..160),
+    ) {
+        let mut trie = Mpt::new();
+        let mut model = Model::new();
+        let mut forks: Vec<(Mpt, dmvcc_primitives::H256, Model)> = Vec::new();
+        for op in &ops {
+            match op {
+                VersionOp::Update(Op::Insert(k, v)) => {
+                    trie.insert(k, v.clone());
+                    model.insert(k.clone(), v.clone());
+                }
+                VersionOp::Update(Op::Remove(k)) => {
+                    prop_assert_eq!(trie.remove(k), model.remove(k).is_some());
+                }
+                VersionOp::Root => prop_assert_eq!(trie.root(), rebuilt_root(&model)),
+                // The root a fork must report comes from its model, not
+                // from hashing it now: a fork taken between two `Root`s
+                // carries its dirty nodes along and hashes them at the end.
+                VersionOp::Fork => {
+                    forks.push((trie.clone(), rebuilt_root(&model), model.clone()));
+                }
+                VersionOp::DropFork(i) if !forks.is_empty() => {
+                    forks.swap_remove(i % forks.len());
+                }
+                VersionOp::DropFork(_) => {}
+            }
+        }
+        prop_assert_eq!(trie.root(), rebuilt_root(&model));
+        for (fork, root, entries) in &forks {
+            prop_assert_eq!(fork.root(), *root);
+            for (k, v) in entries {
+                prop_assert_eq!(fork.get_ref(k), Some(v.as_slice()));
+            }
+        }
+    }
+
     #[test]
     fn index_root_equals_the_built_trie(
         count in 0usize..700,
@@ -142,7 +212,7 @@ proptest! {
     #[test]
     fn matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 0..120)) {
         let mut trie = Mpt::new();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut model = Model::new();
         for op in &ops {
             match op {
                 Op::Insert(k, v) => {
@@ -161,11 +231,7 @@ proptest! {
         }
         // Canonical form: incremental updates reach the same root as a
         // fresh build from the final contents.
-        let mut rebuilt = Mpt::new();
-        for (k, v) in &model {
-            rebuilt.insert(k, v.clone());
-        }
-        prop_assert_eq!(trie.root(), rebuilt.root());
+        prop_assert_eq!(trie.root(), rebuilt_root(&model));
         if model.is_empty() {
             prop_assert_eq!(trie.root(), empty_root());
         }
