@@ -12,9 +12,10 @@
 //!
 //! The two per-block roots are computed, not built: [`transactions_root`]
 //! and [`receipts_root`] hand their values to [`dmvcc_state::index_root`],
-//! which derives the root such a trie would have from two flat buffers, so
-//! sealing a block allocates a handful of buffers and nothing per
-//! transaction.
+//! which derives the root such a trie would have from flat buffers, on
+//! every hashing thread the host has — each worker encodes and hashes the
+//! transactions of the subtrees it takes — so sealing a block allocates a
+//! handful of buffers per thread and nothing per transaction.
 
 use dmvcc_primitives::rlp::{close_list, put_bytes, put_uint};
 use dmvcc_primitives::{keccak256, H256};
@@ -173,11 +174,14 @@ pub fn seal_block(
 /// each transaction's hash (Ethereum's layout, with the hash standing in
 /// for the full body).
 pub fn transactions_root(txs: &[Transaction]) -> H256 {
-    let mut encoded = Vec::new();
     index_root(txs.len(), |index, out| {
-        encoded.clear();
-        txs[index].rlp_append(&mut encoded);
-        put_bytes(out, keccak256(&encoded).as_bytes());
+        // The transaction's RLP lives on the end of `out` for as long as it
+        // takes to hash it.
+        let start = out.len();
+        txs[index].rlp_append(out);
+        let hash = keccak256(&out[start..]);
+        out.truncate(start);
+        put_bytes(out, hash.as_bytes());
     })
 }
 

@@ -34,6 +34,7 @@ mod mpt;
 mod snapshot;
 mod sorted;
 mod statedb;
+mod workers;
 
 pub use backend::{BackendStats, MemBackend, StateBackend};
 pub use flat::{FlatCached, FlatStats, DEFAULT_FLAT_CAPACITY};
@@ -44,3 +45,4 @@ pub use mpt::{empty_root, index_root, Mpt};
 pub use snapshot::{Snapshot, WriteSet};
 pub use sorted::{Keyed, SortedVec};
 pub use statedb::{RootHandle, StateDb, DEFAULT_ROOT_WINDOW};
+pub use workers::default_hash_threads;

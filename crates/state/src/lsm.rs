@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,6 +207,49 @@ pub struct LsmBackend {
     segment_bytes_written: AtomicU64,
 }
 
+/// `error` with the file or directory it is about in its message.
+fn naming(path: &Path, error: io::Error) -> io::Error {
+    io::Error::new(error.kind(), format!("lsm: {}: {error}", path.display()))
+}
+
+/// Reads a segment file back, rebuilding its sparse index with one entry
+/// per `index_every` records.
+fn load_segment(path: &Path, index_every: usize) -> io::Result<Segment> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    if !len.is_multiple_of(RECORD_BYTES) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("truncated segment: {len} bytes end inside a {RECORD_BYTES}-byte record"),
+        ));
+    }
+    let records = len / RECORD_BYTES;
+    let mut index = Vec::new();
+    let mut min_height = u64::MAX;
+    let mut max_height = 0u64;
+    let mut buf = vec![0u8; len as usize];
+    file.read_exact_at(&mut buf, 0)?;
+    for (i, record) in buf.chunks_exact(RECORD_BYTES as usize).enumerate() {
+        let (key, height, _) = decode_record(record);
+        if i % index_every == 0 {
+            index.push((key, height, i as u64 * RECORD_BYTES));
+        }
+        min_height = min_height.min(height);
+        max_height = max_height.max(height);
+    }
+    if records == 0 {
+        min_height = 0;
+    }
+    Ok(Segment {
+        file,
+        path: path.to_path_buf(),
+        records,
+        index,
+        min_height,
+        max_height,
+    })
+}
+
 /// Process-unique suffix for auto-created temp directories.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -214,11 +257,6 @@ impl LsmBackend {
     /// Creates an empty store. With `opts.dir == None` a unique temp
     /// directory is created and removed when the backend drops.
     pub fn new(mut opts: LsmOptions) -> Self {
-        assert!(opts.index_every > 0, "lsm: index_every must be nonzero");
-        assert!(
-            opts.memtable_limit > 0,
-            "lsm: memtable_limit must be nonzero"
-        );
         let (dir, own_dir) = match opts.dir.take() {
             Some(dir) => {
                 fs::create_dir_all(&dir).expect("lsm: create dir");
@@ -239,6 +277,16 @@ impl LsmBackend {
                 (dir, true)
             }
         };
+        LsmBackend::at(dir, own_dir, opts)
+    }
+
+    /// An empty store over `dir`, which exists.
+    fn at(dir: PathBuf, own_dir: bool, opts: LsmOptions) -> Self {
+        assert!(opts.index_every > 0, "lsm: index_every must be nonzero");
+        assert!(
+            opts.memtable_limit > 0,
+            "lsm: memtable_limit must be nonzero"
+        );
         LsmBackend {
             dir,
             own_dir,
@@ -271,27 +319,30 @@ impl LsmBackend {
     }
 
     /// Reopens a store from an existing segment directory, rebuilding the
-    /// sparse indexes and tip from the files alone.
-    pub fn open(dir: PathBuf, opts: LsmOptions) -> Self {
-        let mut backend = LsmBackend::new(LsmOptions {
-            dir: Some(dir),
-            ..opts
-        });
-        let mut paths: Vec<PathBuf> = fs::read_dir(&backend.dir)
-            .expect("lsm: read dir")
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".dat"))
-            })
-            .collect();
+    /// sparse indexes and tip from the files alone (`opts.dir` is ignored).
+    ///
+    /// # Errors
+    ///
+    /// An error naming the directory if it cannot be listed, or the segment
+    /// file that cannot be read or whose length is not a whole number of
+    /// records (`InvalidData`: a flush that a crash cut short).
+    pub fn open(dir: PathBuf, opts: LsmOptions) -> io::Result<Self> {
+        let mut paths = Vec::new();
+        for entry in fs::read_dir(&dir).map_err(|e| naming(&dir, e))? {
+            let path = entry.map_err(|e| naming(&dir, e))?.path();
+            let name = path.file_name().and_then(|n| n.to_str());
+            if name.is_some_and(|n| n.starts_with("seg-") && n.ends_with(".dat")) {
+                paths.push(path);
+            }
+        }
         paths.sort();
+        let mut backend = LsmBackend::at(dir, false, opts);
         let mut inner = Inner::default();
         let mut tip = 0u64;
         let mut next_id = 0u64;
         for path in paths {
-            let segment = backend.load_segment(path);
+            let segment =
+                load_segment(&path, backend.opts.index_every).map_err(|e| naming(&path, e))?;
             tip = tip.max(segment.max_height);
             if let Some(id) = segment_id(&segment.path) {
                 next_id = next_id.max(id + 1);
@@ -301,7 +352,7 @@ impl LsmBackend {
         backend.inner = RwLock::new(inner);
         backend.tip = AtomicU64::new(tip);
         backend.next_segment_id = AtomicU64::new(next_id);
-        backend
+        Ok(backend)
     }
 
     /// The segment directory.
@@ -313,41 +364,6 @@ impl LsmBackend {
     pub fn flush(&self) {
         let mut inner = self.inner.write().expect("lsm lock poisoned");
         self.flush_locked(&mut inner);
-    }
-
-    /// Reads a segment file back, rebuilding its sparse index.
-    fn load_segment(&self, path: PathBuf) -> Segment {
-        let file = File::open(&path).expect("lsm: open segment");
-        let len = file.metadata().expect("lsm: segment metadata").len();
-        assert!(
-            len.is_multiple_of(RECORD_BYTES),
-            "lsm: truncated segment {path:?}"
-        );
-        let records = len / RECORD_BYTES;
-        let mut index = Vec::new();
-        let mut min_height = u64::MAX;
-        let mut max_height = 0u64;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact_at(&mut buf, 0).expect("lsm: segment read");
-        for (i, record) in buf.chunks_exact(RECORD_BYTES as usize).enumerate() {
-            let (key, height, _) = decode_record(record);
-            if i % self.opts.index_every == 0 {
-                index.push((key, height, i as u64 * RECORD_BYTES));
-            }
-            min_height = min_height.min(height);
-            max_height = max_height.max(height);
-        }
-        if records == 0 {
-            min_height = 0;
-        }
-        Segment {
-            file,
-            path,
-            records,
-            index,
-            min_height,
-            max_height,
-        }
     }
 
     /// Writes sorted `(key, height, value)` records as a new fsynced
@@ -611,13 +627,40 @@ mod tests {
             // Forget the temp dir so drop doesn't delete it.
             std::mem::forget(backend);
         }
-        let reopened = LsmBackend::open(dir.clone(), LsmOptions::tiny());
+        let reopened = LsmBackend::open(dir.clone(), LsmOptions::tiny()).expect("whole segments");
         assert_eq!(reopened.tip(), 2);
         assert_eq!(reopened.get(&key(1), 1), Some(U256::from(10u64)));
         assert_eq!(reopened.get(&key(1), 2), Some(U256::from(11u64)));
         assert_eq!(reopened.get(&key(2), 2), Some(U256::from(20u64)));
         std::mem::drop(reopened);
         let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn reopening_a_segment_cut_mid_record_or_a_missing_directory_is_an_error() {
+        let backend = LsmBackend::new(LsmOptions::tiny());
+        backend.apply_batch(1, &batch(&[(1, 10), (2, 20), (3, 30)]));
+        backend.flush();
+        let segment = backend.dir().join("seg-00000000.dat");
+        let whole = fs::metadata(&segment).expect("the flushed segment").len();
+        assert_eq!(whole, 3 * RECORD_BYTES);
+        // What a crash in the middle of the third record's write leaves.
+        let file = OpenOptions::new().write(true).open(&segment).expect("open");
+        file.set_len(whole - 40).expect("truncate");
+        drop(file);
+        let error = LsmBackend::open(backend.dir().to_path_buf(), LsmOptions::tiny())
+            .expect_err("a record is cut short");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let message = error.to_string();
+        assert!(
+            message.contains("seg-00000000.dat") && message.contains("truncated"),
+            "{message}"
+        );
+
+        let missing = backend.dir().join("no-such-directory");
+        let error = LsmBackend::open(missing, LsmOptions::tiny()).expect_err("nothing to list");
+        assert_eq!(error.kind(), io::ErrorKind::NotFound);
+        assert!(error.to_string().contains("no-such-directory"), "{error}");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! [`index_root`] computes the root of an index-keyed list (a block's
 //! transactions or receipts) through the same node encoder without building
-//! a trie at all.
+//! a trie at all, its subtrees shared out to the hashing threads.
 //!
 //! # Examples
 //!
@@ -52,6 +52,8 @@ use std::sync::{Arc, OnceLock};
 
 use dmvcc_primitives::rlp::{close_bytes, close_list, put_bytes, put_uint};
 use dmvcc_primitives::{keccak256, H256};
+
+use crate::workers::{default_hash_threads, on_workers, workers_for, Shares};
 
 /// Root hash of the empty trie: `keccak256(rlp(""))`.
 pub fn empty_root() -> H256 {
@@ -452,31 +454,24 @@ impl Mpt {
     }
 
     /// Computes the root, hashing dirty top-level subtrees on up to
-    /// `threads` worker threads.
+    /// `threads` workers (the caller is one of them).
     ///
     /// Identical to [`Mpt::root`] by construction — both force the same
-    /// thread-safe `OnceLock` caches, only the forcing order differs.
-    /// Keccak-derived keys spread uniformly over the 16-way fanout, so
-    /// partitioning the dirty children of the top branch balances well.
-    /// Serial fallback when `threads <= 1` or fewer than two subtrees are
-    /// dirty.
+    /// thread-safe `OnceLock` caches, only the forcing order differs. The
+    /// workers take the dirty children of the top branch one at a time, so
+    /// a worker that meets a light subtree, or whose core a neighbour is
+    /// using, takes fewer of them; one worker — asked for, or all that
+    /// fewer than two dirty subtrees can use — runs the same loop on the
+    /// caller and spawns nothing.
     pub fn root_parallel(&self, threads: usize) -> H256 {
-        if threads > 1 {
-            let dirty = self.dirty_top();
-            if dirty.len() > 1 {
-                let per_worker = dirty.len().div_ceil(threads.min(dirty.len()));
-                std::thread::scope(|scope| {
-                    for chunk in dirty.chunks(per_worker) {
-                        scope.spawn(move || {
-                            let mut buf = scratch();
-                            for child in chunk {
-                                child.reference(&mut buf);
-                            }
-                        });
-                    }
-                });
+        let dirty = self.dirty_top();
+        let shares = Shares::new(dirty.iter());
+        on_workers(threads.min(dirty.len()), || {
+            let mut buf = scratch();
+            while let Some(child) = shares.next() {
+                child.reference(&mut buf);
             }
-        }
+        });
         self.root()
     }
 }
@@ -630,68 +625,146 @@ fn merge_extension(prefix: &[u8], child: &Arc<Node>) -> Arc<Node> {
     }
 }
 
-/// One `(rlp(index), value)` pair of [`index_root`], as ranges into its two
-/// flat buffers.
-struct Item {
-    key: Range<usize>,
-    value: Range<usize>,
+/// The reference of the node that holds `items` — `(key, what hangs under
+/// it)` with the key a range into `nibbles`; sorted, at least one, all
+/// sharing their first `depth` nibbles, no key a prefix of another — as the
+/// trie built by inserting them would have it. `under(what, path, buf)` is
+/// the reference of the node a key that has the node to itself ends in:
+/// `path` is what is left of the key from that node on.
+fn list_ref<T>(
+    nibbles: &[u8],
+    items: &[(Range<usize>, T)],
+    depth: usize,
+    buf: &mut Vec<u8>,
+    under: &impl Fn(&T, &[u8], &mut Vec<u8>) -> NodeRef,
+) -> NodeRef {
+    let key = |item: &(Range<usize>, T)| &nibbles[item.0.clone()];
+    let first = &key(&items[0])[depth..];
+    if let [only] = items {
+        return under(&only.1, first, buf);
+    }
+    let last = &key(&items[items.len() - 1])[depth..];
+    let common = common_prefix_len(first, last);
+    if common > 0 {
+        let child = list_ref(nibbles, items, depth + common, buf, under);
+        return extension_ref(buf, &first[..common], &child);
+    }
+    // No key ends here, so the branch holds no value and every item has a
+    // nibble at `depth`.
+    let mut rest = items;
+    branch_ref(
+        buf,
+        |nibble, buf| {
+            let run = rest
+                .iter()
+                .take_while(|item| usize::from(key(item)[depth]) == nibble)
+                .count();
+            let (head, tail) = rest.split_at(run);
+            rest = tail;
+            (run > 0).then(|| list_ref(nibbles, head, depth + 1, buf, under))
+        },
+        &[],
+    )
 }
 
-/// The key nibbles and values of an index-keyed list, sorted by key.
-struct IndexTrie {
-    keys: Vec<u8>,
-    values: Vec<u8>,
+/// The keys `rlp(0) .. rlp(count - 1)` in byte order, by position:
+/// `rlp(1..=0x7f)` is the byte itself, `rlp(0)` is `0x80`, and from `0x80`
+/// up a length-tagged big-endian form that sorts numerically.
+#[derive(Clone, Copy)]
+struct IndexKeys {
+    count: usize,
 }
 
-impl IndexTrie {
-    fn key(&self, item: &Item) -> &[u8] {
-        &self.keys[item.key.clone()]
+impl IndexKeys {
+    /// How many of the indexes have a one-byte key (`0..=0x7f`).
+    fn one_byte(self) -> usize {
+        self.count.min(0x80)
     }
 
-    /// The reference of the node that holds `items` (sorted, at least one,
-    /// all sharing their first `depth` nibbles), as the trie built by
-    /// inserting them would have it.
-    fn reference(&self, items: &[Item], depth: usize, buf: &mut Vec<u8>) -> NodeRef {
-        let first = &self.key(&items[0])[depth..];
-        if let [only] = items {
-            return leaf_ref(buf, first, &self.values[only.value.clone()]);
+    /// The index whose key is the `position`-th smallest.
+    fn index_at(self, position: usize) -> usize {
+        match (position + 1).cmp(&self.one_byte()) {
+            std::cmp::Ordering::Less => position + 1,
+            std::cmp::Ordering::Equal => 0,
+            std::cmp::Ordering::Greater => position,
         }
-        let last = &self.key(&items[items.len() - 1])[depth..];
-        let common = common_prefix_len(first, last);
-        if common > 0 {
-            let child = self.reference(items, depth + common, buf);
-            return extension_ref(buf, &first[..common], &child);
+    }
+
+    /// Appends the nibbles of the `position`-th smallest key. `rlp` is
+    /// scratch.
+    fn put_key(self, position: usize, rlp: &mut Vec<u8>, nibbles: &mut Vec<u8>) {
+        rlp.clear();
+        put_uint(rlp, self.index_at(position) as u64);
+        nibbles.extend(rlp.iter().flat_map(|&b| [b >> 4, b & 0x0f]));
+    }
+
+    /// The positions cut into runs that are each everything beneath one node
+    /// of the trie, so that a run's reference can be computed without
+    /// looking at another: the one-byte keys by their high nibble (`rlp(0)`,
+    /// which sorts last of them, alone: it shares its high nibble with the
+    /// longer keys), then `0x81 xx`, then the longer keys by all but their
+    /// last byte — indexes `256 k .. 256 (k + 1)`.
+    fn runs(self) -> Vec<Range<usize>> {
+        let one_byte = self.one_byte();
+        let mut runs = Vec::with_capacity(10 + self.count / 256);
+        // Index `i` in `1..one_byte` sits at position `i - 1`.
+        runs.extend(
+            (0..one_byte)
+                .step_by(16)
+                .map(|low| low.max(1) - 1..(low + 16).min(one_byte) - 1)
+                .filter(|run| !run.is_empty()),
+        );
+        runs.push(one_byte - 1..one_byte);
+        let mut low = 0x80;
+        while low < self.count {
+            let high = ((low / 256 + 1) * 256).min(self.count);
+            runs.push(low..high);
+            low = high;
         }
-        // RLP is prefix-free: no key ends here, so the branch holds no
-        // value and every item has a nibble at `depth`.
-        let mut rest = items;
-        branch_ref(
-            buf,
-            |nibble, buf| {
-                let run = rest
-                    .iter()
-                    .take_while(|item| usize::from(self.key(item)[depth]) == nibble)
-                    .count();
-                let (head, tail) = rest.split_at(run);
-                rest = tail;
-                (run > 0).then(|| self.reference(head, depth + 1, buf))
-            },
-            &[],
-        )
+        runs
+    }
+
+    /// The depth at which the node holding exactly the keys at `run` (one
+    /// of [`IndexKeys::runs`]) hangs: one below the branch that tells it
+    /// from its nearest neighbour in key order, 0 if it has none.
+    fn depth_of(self, run: &Range<usize>, rlp: &mut Vec<u8>, nibbles: &mut Vec<u8>) -> usize {
+        [run.start, run.end]
+            .into_iter()
+            .filter(|&edge| 0 < edge && edge < self.count)
+            .map(|edge| {
+                nibbles.clear();
+                self.put_key(edge - 1, rlp, nibbles);
+                let split = nibbles.len();
+                self.put_key(edge, rlp, nibbles);
+                let (before, after) = nibbles.split_at(split);
+                1 + common_prefix_len(before, after)
+            })
+            .max()
+            .unwrap_or(0)
     }
 }
 
 /// The root of the trie mapping `rlp(i) → value i` for `i` in `0..count` —
 /// Ethereum's transactions-root / receipts-root layout — computed without
-/// building the trie.
+/// building the trie, on [`default_hash_threads`] threads.
 ///
-/// `value(i, out)` appends value `i` (non-empty) to `out`. Keys and values
-/// are laid out in two flat buffers in key order and the node references
-/// are computed bottom-up over slices of them (one item → leaf; a prefix
-/// common to the first and last → extension; else a 16-way split by
-/// nibble), through the node encoder [`Mpt`] hashes with. The result equals
-/// `Mpt::root` after `insert(rlp(i), value i)` for every `i`; the call
-/// allocates its handful of buffers and nothing per item.
+/// `value(i, out)` appends value `i` (non-empty) to `out`; it may use `out`
+/// beyond its length as scratch, and is called once per `i`, from any of the
+/// threads. The keys fall into runs that are each a whole subtree (256
+/// consecutive indexes, once the keys are three bytes long). Each worker
+/// takes the next run until none is left; for each, it lays the run's keys and
+/// values out in its own flat buffers and computes the subtree's reference
+/// bottom-up over slices of them (one item → leaf; a prefix common to the
+/// first and last → extension; else a 16-way split by nibble), through the
+/// node encoder [`Mpt`] hashes with. The caller — one of the workers, and
+/// the only one when the list is short — then runs the same computation
+/// over the runs' references, for the few nodes above them. The result
+/// equals `Mpt::root` after `insert(rlp(i), value i)` for every `i`; the
+/// call allocates a handful of buffers per thread and nothing per item.
+///
+/// # Panics
+///
+/// Panics if `value` does, on whichever thread.
 ///
 /// # Examples
 ///
@@ -707,34 +780,56 @@ impl IndexTrie {
 /// let root = index_root(values.len(), |i, out| out.extend_from_slice(&values[i]));
 /// assert_eq!(root, trie.root());
 /// ```
-pub fn index_root(count: usize, mut value: impl FnMut(usize, &mut Vec<u8>)) -> H256 {
+pub fn index_root(count: usize, value: impl Fn(usize, &mut Vec<u8>) + Sync) -> H256 {
+    index_root_on(workers_for(default_hash_threads(), count), count, value)
+}
+
+/// [`index_root`] on `workers` threads.
+fn index_root_on(workers: usize, count: usize, value: impl Fn(usize, &mut Vec<u8>) + Sync) -> H256 {
     if count == 0 {
         return empty_root();
     }
-    // Byte order of the keys: rlp(1..=0x7f) is the byte itself, rlp(0) is
-    // 0x80, and from 0x80 up a length-tagged big-endian form that sorts
-    // numerically.
-    let by_key = (1..count.min(0x80)).chain(0..1).chain(0x80..count);
-    let mut trie = IndexTrie {
-        keys: Vec::with_capacity(count * 6),
-        values: Vec::new(),
-    };
-    let mut items = Vec::with_capacity(count);
-    let mut key = Vec::with_capacity(9);
-    for i in by_key {
-        key.clear();
-        put_uint(&mut key, i as u64);
-        let key_start = trie.keys.len();
-        trie.keys
-            .extend(key.iter().flat_map(|&b| [b >> 4, b & 0x0f]));
-        let value_start = trie.values.len();
-        value(i, &mut trie.values);
-        items.push(Item {
-            key: key_start..trie.keys.len(),
-            value: value_start..trie.values.len(),
-        });
-    }
-    trie.reference(&items, 0, &mut scratch()).hash()
+    let keys = IndexKeys { count };
+    let runs = keys.runs();
+    // The reference of each run's subtree.
+    let mut references = vec![None; runs.len()];
+    let shares = Shares::new(runs.iter().zip(&mut references));
+    on_workers(workers.min(runs.len()), || {
+        let (mut rlp, mut nibbles, mut values) = (Vec::with_capacity(9), Vec::new(), Vec::new());
+        let mut items = Vec::new();
+        let mut buf = scratch();
+        while let Some((run, reference)) = shares.next() {
+            let depth = keys.depth_of(run, &mut rlp, &mut nibbles);
+            nibbles.clear();
+            values.clear();
+            items.clear();
+            for position in run.clone() {
+                let (key_start, value_start) = (nibbles.len(), values.len());
+                keys.put_key(position, &mut rlp, &mut nibbles);
+                value(keys.index_at(position), &mut values);
+                items.push((key_start..nibbles.len(), value_start..values.len()));
+            }
+            let leaf = |value: &Range<usize>, path: &[u8], buf: &mut Vec<u8>| {
+                leaf_ref(buf, path, &values[value.clone()])
+            };
+            *reference = Some(list_ref(&nibbles, &items, depth, &mut buf, &leaf));
+        }
+    });
+    // The nodes above the runs: each run stands as one key (its first) with
+    // its subtree's reference under it.
+    let (mut rlp, mut nibbles) = (Vec::with_capacity(9), Vec::with_capacity(runs.len() * 8));
+    let items: Vec<(Range<usize>, NodeRef)> = runs
+        .iter()
+        .zip(references)
+        .map(|(run, reference)| {
+            let key_start = nibbles.len();
+            keys.put_key(run.start, &mut rlp, &mut nibbles);
+            let reference = reference.expect("every run was taken");
+            (key_start..nibbles.len(), reference)
+        })
+        .collect();
+    let subtree = |reference: &NodeRef, _: &[u8], _: &mut Vec<u8>| *reference;
+    list_ref(&nibbles, &items, 0, &mut scratch(), &subtree).hash()
 }
 
 #[cfg(test)]
@@ -932,6 +1027,127 @@ mod tests {
         let mut one = Mpt::new();
         one.insert(b"k", b"v".to_vec());
         assert_eq!(one.root_parallel(8), one.root());
+    }
+
+    /// The root [`index_root`] must reproduce: an [`Mpt`] filled by
+    /// `insert(rlp(i), value(i))`.
+    fn built_root(count: usize, value: impl Fn(usize, &mut Vec<u8>)) -> H256 {
+        let mut trie = Mpt::new();
+        for i in 0..count {
+            let mut bytes = Vec::new();
+            value(i, &mut bytes);
+            trie.insert(&dmvcc_primitives::rlp::encode_uint(i as u64), bytes);
+        }
+        trie.root()
+    }
+
+    /// `index_root_on` at every worker count against the built trie.
+    fn assert_index_root(count: usize, value: impl Fn(usize, &mut Vec<u8>) + Sync) {
+        let expected = built_root(count, &value);
+        for workers in [1usize, 2, 3, 8] {
+            assert_eq!(
+                index_root_on(workers, count, &value),
+                expected,
+                "count {count}, {workers} workers"
+            );
+        }
+    }
+
+    /// Counts around every change of the key's RLP form (one byte, `0x81
+    /// xx`, `0x82 xx xx`, `0x83 ..`), of the top branch's fill and of the
+    /// number of 256-index runs.
+    const COUNTS: [usize; 14] = [
+        0, 1, 2, 127, 128, 129, 255, 256, 257, 1_023, 1_024, 1_025, 4_095, 10_000,
+    ];
+
+    #[test]
+    fn the_runs_of_an_index_list_cover_every_position_once_and_are_whole_subtrees() {
+        for count in COUNTS.into_iter().skip(1).chain([16, 17, 65_537]) {
+            let keys = IndexKeys { count };
+            let runs = keys.runs();
+            assert_eq!(runs[0].start, 0, "count {count}");
+            assert_eq!(runs[runs.len() - 1].end, count, "count {count}");
+            let mut seen = vec![false; count];
+            for (run, next) in runs.iter().zip(runs.iter().skip(1)) {
+                assert!(!run.is_empty() && run.end == next.start, "count {count}");
+            }
+            let (mut rlp, mut nibbles) = (Vec::new(), Vec::new());
+            for run in &runs {
+                // Inside a run the keys share more nibbles than the run
+                // shares with either neighbour: it is a node's whole subtree.
+                let depth = keys.depth_of(run, &mut rlp, &mut nibbles);
+                nibbles.clear();
+                keys.put_key(run.start, &mut rlp, &mut nibbles);
+                let split = nibbles.len();
+                keys.put_key(run.end - 1, &mut rlp, &mut nibbles);
+                let (first, last) = nibbles.split_at(split);
+                assert!(
+                    common_prefix_len(first, last) >= depth,
+                    "count {count}, run {run:?}"
+                );
+                for position in run.clone() {
+                    assert!(!std::mem::replace(&mut seen[keys.index_at(position)], true));
+                }
+            }
+            assert!(seen.iter().all(|&seen| seen), "count {count}");
+        }
+    }
+
+    #[test]
+    fn index_root_equals_the_built_trie_at_every_worker_count() {
+        // Value lengths 1–200 from a fixed stream, most of them short (an
+        // unoptimised Keccak sets this test's time), on both sides of the
+        // 32-byte inline-node rule; the property test below draws them.
+        let value = |i: usize, out: &mut Vec<u8>| {
+            let draw = i.wrapping_mul(2_654_435_761) >> 7;
+            let len = 1 + draw % if draw & 0xf00 == 0 { 200 } else { 40 };
+            out.extend(std::iter::repeat_n(1 + (i % 251) as u8, len));
+        };
+        for count in COUNTS.into_iter().chain([65_537]) {
+            assert_index_root(count, value);
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// One count of the grid above per case, under drawn lengths.
+            #[test]
+            fn index_root_equals_the_built_trie(
+                count in prop::sample::select(COUNTS.to_vec()),
+                lens in prop::collection::vec(1usize..=200, 1..24),
+                seed in any::<u8>(),
+            ) {
+                assert_index_root(count, |i, out| {
+                    let len = lens[(i ^ i >> 8) % lens.len()];
+                    out.extend(std::iter::repeat_n(seed ^ i as u8, len));
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no value for item")]
+    fn a_value_that_panics_on_a_spawned_worker_takes_the_caller_with_it() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        let worker_ran = AtomicBool::new(false);
+        index_root_on(2, 4_000, |i, out| {
+            if std::thread::current().id() == caller {
+                // Leave runs untaken until the spawned worker has one.
+                while !worker_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                out.push(1);
+            } else {
+                worker_ran.store(true, Ordering::Release);
+                panic!("no value for item {i}");
+            }
+        });
     }
 
     #[test]

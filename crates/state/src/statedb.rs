@@ -26,8 +26,12 @@
 //!
 //! There is one root path: [`StateDb::commit`] and the background thread
 //! of [`StateDb::commit_async`] both call [`Mpt::root_parallel`] with
-//! [`StateDb::set_hash_threads`] workers, which hashes serially for one
-//! thread or fewer than two dirty top-level subtrees.
+//! [`StateDb::set_hash_threads`] workers, which hashes on the caller alone
+//! for one thread or fewer than two dirty top-level subtrees. And one way
+//! a block's writes are applied before that: the trie keys hashed on the
+//! same number of workers, the backend batch landing beside the trie's
+//! in-place inserts — in `commit`, beside the root hash too — and `latest`
+//! advanced once both are back.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -40,6 +44,7 @@ use crate::backend::{BackendStats, StateBackend};
 use crate::flat::{FlatCached, FlatStats};
 use crate::mpt::Mpt;
 use crate::snapshot::{Snapshot, WriteSet};
+use crate::workers::{beside, default_hash_threads, on_workers, workers_for, Shares};
 use crate::StateKey;
 
 /// Default number of recent per-block roots [`StateDb`] retains.
@@ -309,12 +314,13 @@ impl StateDb {
         for (key, value) in snapshot.iter() {
             trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(value));
         }
+        let hash_threads = default_hash_threads();
         StateDb {
-            roots: RootHistory::new(trie.root(), DEFAULT_ROOT_WINDOW),
+            roots: RootHistory::new(trie.root_parallel(hash_threads), DEFAULT_ROOT_WINDOW),
             latest: snapshot,
             trie,
             backend: None,
-            hash_threads: default_hash_threads(),
+            hash_threads,
         }
     }
 
@@ -338,12 +344,13 @@ impl StateDb {
         for (key, value) in flat.iter_as_of(0) {
             trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(value));
         }
+        let hash_threads = default_hash_threads();
         StateDb {
             latest: Snapshot::from_backend(Arc::clone(&flat) as Arc<dyn StateBackend>, 0),
-            roots: RootHistory::new(trie.root(), DEFAULT_ROOT_WINDOW),
+            roots: RootHistory::new(trie.root_parallel(hash_threads), DEFAULT_ROOT_WINDOW),
             trie,
             backend: Some(flat),
-            hash_threads: default_hash_threads(),
+            hash_threads,
         }
     }
 
@@ -413,40 +420,61 @@ impl StateDb {
         self.latest.get(key)
     }
 
-    /// Applies a block's writes to the trie (structural inserts/removes
-    /// only — no hashing) and advances `latest`, landing the batch in the
-    /// backend when one is attached. Returns the new height.
-    fn apply_writes(&mut self, writes: &WriteSet) -> u64 {
-        for (key, value) in writes {
-            let trie_key = keccak256(&key.to_bytes());
-            if value.is_zero() {
-                self.trie.remove(trie_key.as_bytes());
-            } else {
-                self.trie.insert(trie_key.as_bytes(), trie_value(*value));
-            }
-        }
+    /// Applies a block's writes: the trie keys are hashed on the hashing
+    /// workers, then the trie takes its structural inserts and removes on
+    /// the caller — which goes on to run `then` over the updated trie —
+    /// while a thread beside it lands the batch in the backend (flat-cache
+    /// fills included) or, without one, stacks the next snapshot layer.
+    /// `latest` advances once both are done. Returns the new height and
+    /// what `then` returned.
+    fn apply_writes<R>(&mut self, writes: &WriteSet, then: impl FnOnce(&Mpt) -> R) -> (u64, R) {
+        let threads = self.hash_threads;
         let height = self.latest.height() + 1;
-        match &self.backend {
+        let keys: Vec<&StateKey> = writes.keys().collect();
+        let mut trie_keys = vec![H256::ZERO; keys.len()];
+        let shares = Shares::new(
+            keys.chunks(KEYS_PER_SHARE)
+                .zip(trie_keys.chunks_mut(KEYS_PER_SHARE)),
+        );
+        on_workers(workers_for(threads, keys.len()), || {
+            while let Some((keys, trie_keys)) = shares.next() {
+                for (key, trie_key) in keys.iter().zip(trie_keys) {
+                    *trie_key = keccak256(&key.to_bytes());
+                }
+            }
+        });
+        let (latest, backend, trie) = (&self.latest, &self.backend, &mut self.trie);
+        let advance = || match backend {
             Some(flat) => {
                 flat.apply_batch(height, writes);
                 // Rebase onto the backend: keeps in-memory layer RAM at
                 // O(1) per block instead of accumulating every write.
-                self.latest =
-                    Snapshot::from_backend(Arc::clone(flat) as Arc<dyn StateBackend>, height);
+                Snapshot::from_backend(Arc::clone(flat) as Arc<dyn StateBackend>, height)
             }
-            None => self.latest = self.latest.apply(writes),
-        }
-        height
+            None => latest.apply(writes),
+        };
+        let (next, out) = beside(threads, advance, || {
+            for (trie_key, value) in trie_keys.iter().zip(writes.values()) {
+                if value.is_zero() {
+                    trie.remove(trie_key.as_bytes());
+                } else {
+                    trie.insert(trie_key.as_bytes(), trie_value(*value));
+                }
+            }
+            then(trie)
+        });
+        self.latest = next;
+        (height, out)
     }
 
     /// Commits a block's final writes synchronously: updates the trie,
     /// produces the next snapshot and records its root hash, which is
     /// returned. The dirty subtrees are hashed on
     /// [`StateDb::set_hash_threads`] workers, as in
-    /// [`StateDb::commit_async`].
+    /// [`StateDb::commit_async`], while the backend batch lands beside them.
     pub fn commit(&mut self, writes: &WriteSet) -> H256 {
-        self.apply_writes(writes);
-        let root = self.trie.root_parallel(self.hash_threads);
+        let threads = self.hash_threads;
+        let (_, root) = self.apply_writes(writes, |trie| trie.root_parallel(threads));
         self.roots.push(RootHandle::ready(root));
         root
     }
@@ -455,9 +483,10 @@ impl StateDb {
     /// path.
     ///
     /// The structural trie update, snapshot advance and backend batch all
-    /// happen synchronously — the returned [`RootHandle`] resolves to the
-    /// root once a background thread finishes the Keccak work (parallel
-    /// subtree hashing across [`StateDb::set_hash_threads`] workers).
+    /// happen before the call returns — the returned [`RootHandle`]
+    /// resolves to the root once a background thread finishes the Keccak
+    /// work (parallel subtree hashing across
+    /// [`StateDb::set_hash_threads`] workers).
     /// Equivalent to [`StateDb::commit`] root-for-root: both force the
     /// same shared node caches.
     ///
@@ -469,10 +498,9 @@ impl StateDb {
     /// block committed after that finds the trie unshared and updates it
     /// in place; one committed sooner copies the paths it touches.
     pub fn commit_async(&mut self, writes: &WriteSet) -> RootHandle {
-        let height = self.apply_writes(writes);
+        let (height, trie) = self.apply_writes(writes, Mpt::clone);
         let (handle, promise) = RootHandle::pending(height);
         self.roots.push(handle.clone());
-        let trie = self.trie.clone();
         let threads = self.hash_threads;
         std::thread::spawn(move || {
             let started = Instant::now();
@@ -484,19 +512,14 @@ impl StateDb {
     }
 }
 
+/// Trie keys a hashing worker takes at a time (about 0.1 ms of work).
+const KEYS_PER_SHARE: usize = 256;
+
 /// The value the state trie stores for a non-zero slot: `rlp(value)`.
 fn trie_value(value: U256) -> Vec<u8> {
     let mut out = Vec::with_capacity(33);
     put_uint_be(&mut out, &value.to_be_bytes());
     out
-}
-
-/// Default hashing parallelism: the host's, capped at the 16-way trie
-/// fanout the partitioning operates on.
-fn default_hash_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(16))
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -692,7 +715,7 @@ mod tests {
         db.set_hash_threads(2);
         let first = wide_writes(1, 200);
         model.extend(first.clone());
-        db.apply_writes(&first);
+        db.apply_writes(&first, |_| ());
         let still_hashing = db.trie.clone();
         let first_root = rebuilt_root(&model);
         let second = wide_writes(2, 200);
@@ -714,6 +737,136 @@ mod tests {
         }
     }
 
+    /// A database over a fresh in-memory backend, hashing on `threads`.
+    fn mem_db(genesis: &WriteSet, threads: usize) -> StateDb {
+        let backend = Arc::new(crate::MemBackend::new()) as Arc<dyn StateBackend>;
+        let mut db = StateDb::with_backend(backend, genesis.clone());
+        db.set_hash_threads(threads);
+        db
+    }
+
+    /// Everything the backend holds, height by height.
+    fn backend_contents(db: &StateDb) -> Vec<Vec<(StateKey, U256)>> {
+        let backend = db.backend.as_ref().expect("a backend");
+        (0..=db.height())
+            .map(|height| {
+                let mut live = backend.iter_as_of(height);
+                live.sort_unstable();
+                live
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_hash_thread_count_commits_the_same_roots_backend_and_flat_stats() {
+        // Blocks wide enough that four threads each hash a share of the
+        // trie keys (`workers_for`); the same chain through `commit` and
+        // `commit_async`.
+        let mut model = wide_writes(0, 300);
+        let mut sync_dbs: Vec<StateDb> = [1, 2, 4].map(|t| mem_db(&model, t)).into();
+        let mut async_dbs: Vec<StateDb> = [1, 2, 4].map(|t| mem_db(&model, t)).into();
+        let mut handles: Vec<Vec<RootHandle>> = vec![Vec::new(); 3];
+        let mut expected = Vec::new();
+        for block in 1..=6u64 {
+            let w = wide_writes(block, 2_048);
+            model.extend(w.clone());
+            expected.push(rebuilt_root(&model));
+            for db in &mut sync_dbs {
+                assert_eq!(db.commit(&w), expected[block as usize - 1], "block {block}");
+            }
+            // Not waited for: the next commit may find this root pending.
+            for (db, handles) in async_dbs.iter_mut().zip(&mut handles) {
+                handles.push(db.commit_async(&w));
+            }
+        }
+        for handles in &handles {
+            let roots: Vec<H256> = handles.iter().map(RootHandle::wait).collect();
+            assert_eq!(roots, expected);
+        }
+        let contents = backend_contents(&sync_dbs[0]);
+        let stats = sync_dbs[0].flat_stats();
+        assert_eq!(contents.len(), 7);
+        for db in sync_dbs.iter().chain(&async_dbs) {
+            assert_eq!(backend_contents(db), contents);
+            assert_eq!(db.flat_stats(), stats);
+            assert_eq!(db.latest().height(), 6);
+        }
+    }
+
+    #[test]
+    fn an_async_commit_while_the_previous_root_is_pending_matches_the_oracle() {
+        // The interleaving by hand, so that it is certain: what the
+        // previous block's hashing thread holds — a clone of the trie with
+        // nothing hashed yet — is held here across the next `commit_async`.
+        for threads in [1usize, 2, 4] {
+            let mut model = wide_writes(0, 300);
+            let mut db = mem_db(&model, threads);
+            let first = wide_writes(1, 900);
+            model.extend(first.clone());
+            let first_root = rebuilt_root(&model);
+            let (height, pending) = db.apply_writes(&first, Mpt::clone);
+            assert_eq!(height, 1);
+            assert!(!pending.root_cached());
+            let second = wide_writes(2, 900);
+            model.extend(second.clone());
+            let handle = db.commit_async(&second);
+            assert_eq!(handle.wait(), rebuilt_root(&model), "{threads} threads");
+            assert_eq!(pending.root_parallel(threads), first_root);
+            assert_eq!(db.get(&key(7)), model[&key(7)]);
+        }
+    }
+
+    /// An in-memory backend that refuses the batch of one height.
+    #[derive(Debug)]
+    struct RefusesHeight(crate::MemBackend, u64);
+
+    impl StateBackend for RefusesHeight {
+        fn name(&self) -> &'static str {
+            "refuses"
+        }
+        fn get(&self, key: &StateKey, as_of: u64) -> Option<U256> {
+            self.0.get(key, as_of)
+        }
+        fn apply_batch(&self, height: u64, writes: &WriteSet) {
+            assert!(height != self.1, "the backend refuses block {height}");
+            self.0.apply_batch(height, writes);
+        }
+        fn tip(&self) -> u64 {
+            self.0.tip()
+        }
+        fn iter_as_of(&self, as_of: u64) -> Vec<(StateKey, U256)> {
+            self.0.iter_as_of(as_of)
+        }
+        fn stats(&self) -> BackendStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn a_backend_that_panics_beside_the_trie_update_fails_the_commit_and_leaves_latest() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for threads in [1usize, 2] {
+            let backend = Arc::new(RefusesHeight(crate::MemBackend::new(), 2));
+            let mut db = StateDb::with_backend(backend, wide_writes(0, 50));
+            db.set_hash_threads(threads);
+            let first = wide_writes(1, 600);
+            db.commit(&first);
+            let before = db.latest().clone();
+            let panic = catch_unwind(AssertUnwindSafe(|| db.commit(&wide_writes(2, 600))))
+                .expect_err("the batch of block 2 is refused");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("refuses block 2"), "{message}");
+            // `latest` is the snapshot of block 1 still, and no root was
+            // recorded for a block that did not commit.
+            assert_eq!(db.height(), 1);
+            assert_eq!(db.root_at(2), None);
+            for (key, value) in &first {
+                assert_eq!(db.get(key), *value);
+                assert_eq!(before.get(key), *value);
+            }
+        }
+    }
+
     #[test]
     fn clearing_an_absent_key_leaves_a_hashed_trie_hashed() {
         let mut db = StateDb::new();
@@ -721,7 +874,7 @@ mod tests {
         assert!(db.trie.root_cached());
         // Zero writes to keys the trie never held: `Mpt::remove` looks
         // before it clears any cached reference.
-        db.apply_writes(&writes(&[(5_000, 0), (5_001, 0)]));
+        db.apply_writes(&writes(&[(5_000, 0), (5_001, 0)]), |_| ());
         assert!(db.trie.root_cached());
         assert_eq!(db.trie.root(), root);
     }
