@@ -19,7 +19,7 @@
 
 use dmvcc_primitives::rlp::{close_list, put_bytes, put_uint};
 use dmvcc_primitives::{keccak256, H256};
-use dmvcc_state::index_root;
+use dmvcc_state::{index_root, index_root_hashed};
 use dmvcc_vm::{BlockEnv, ExecStatus, Transaction};
 
 /// Execution receipt of one transaction.
@@ -172,17 +172,10 @@ pub fn seal_block(
 
 /// The transactions root: the root of an MPT keyed by `rlp(index)` holding
 /// each transaction's hash (Ethereum's layout, with the hash standing in
-/// for the full body).
+/// for the full body); the bodies are hashed four at a time by the workers
+/// that take their subtrees.
 pub fn transactions_root(txs: &[Transaction]) -> H256 {
-    index_root(txs.len(), |index, out| {
-        // The transaction's RLP lives on the end of `out` for as long as it
-        // takes to hash it.
-        let start = out.len();
-        txs[index].rlp_append(out);
-        let hash = keccak256(&out[start..]);
-        out.truncate(start);
-        put_bytes(out, hash.as_bytes());
-    })
+    index_root_hashed(txs.len(), |index, out| txs[index].rlp_append(out))
 }
 
 /// The receipts root: the root of an MPT keyed by `rlp(index)` holding RLP

@@ -459,6 +459,10 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     let wall = start.elapsed().as_secs_f64();
 
     println!("threads                : {threads}");
+    println!(
+        "keccak256_x4 backend   : {}",
+        dmvcc_primitives::keccak_backend()
+    );
     println!("profiled work          : {repeat} passes x {blocks} blocks x {size} txs");
     println!("wall time              : {wall:.3}s");
     println!("throughput             : {:.0} tx/s", txs as f64 / wall);

@@ -41,7 +41,7 @@ pub use flat::{FlatCached, FlatStats, DEFAULT_FLAT_CAPACITY};
 pub use interner::{FxBuildHasher, FxHasher, FxKeyMap, KeyId, KeyInterner};
 pub use key::{StateKey, BALANCE_SLOT, NONCE_SLOT};
 pub use lsm::{LsmBackend, LsmOptions};
-pub use mpt::{empty_root, index_root, Mpt};
+pub use mpt::{empty_root, index_root, index_root_hashed, Mpt};
 pub use snapshot::{Snapshot, WriteSet};
 pub use sorted::{Keyed, SortedVec};
 pub use statedb::{RootHandle, StateDb, DEFAULT_ROOT_WINDOW};

@@ -25,13 +25,17 @@
 //! inline as well. An update clears the reference of every node it passes,
 //! and reaches a node only through a parent it has just made its own and
 //! cleared, so a set reference proves the whole subtree beneath it clean.
-//! The full RLP of a node is never stored: hashing appends it to one scratch
-//! buffer per hashing thread, takes the reference and pops it again, so
-//! computing a root allocates that buffer and nothing per node.
+//! The full RLP of a node is never stored. A dirty subtree is hashed level
+//! by level from the bottom: the nodes of a level do not depend on each
+//! other, so a hashing thread encodes a few hundred of them into its one
+//! buffer and hands the encodings to [`keccak256_x4`] four at a time, those
+//! of as many rate blocks together. Computing a root allocates that
+//! thread's handful of buffers and nothing per node.
 //!
 //! [`index_root`] computes the root of an index-keyed list (a block's
 //! transactions or receipts) through the same node encoder without building
-//! a trie at all, its subtrees shared out to the hashing threads.
+//! a trie at all, its subtrees shared out to the hashing threads; there a
+//! branch hashes its children four at a time.
 //!
 //! # Examples
 //!
@@ -51,7 +55,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use dmvcc_primitives::rlp::{close_bytes, close_list, put_bytes, put_uint};
-use dmvcc_primitives::{keccak256, H256};
+use dmvcc_primitives::{keccak256, keccak256_x4, H256};
 
 use crate::workers::{default_hash_threads, on_workers, workers_for, Shares};
 
@@ -189,21 +193,24 @@ impl Node {
         })
     }
 
-    /// This node's reference, hashing whatever beneath it is dirty. `buf`
-    /// is the hashing thread's scratch stack: left as it was found.
-    fn reference(&self, buf: &mut Vec<u8>) -> &NodeRef {
-        self.reference.get_or_init(|| match &self.kind {
-            NodeKind::Leaf { path, value } => leaf_ref(buf, path.as_slice(), value.as_slice()),
+    /// Appends this node's closed RLP to `buf`. Every child's reference is
+    /// set: whoever hashes a subtree hashes it from the bottom.
+    fn put_rlp(&self, buf: &mut Vec<u8>) {
+        fn hashed(child: &Node) -> &NodeRef {
+            let reference = child.reference.get();
+            reference.expect("a node is encoded after the level beneath it is hashed")
+        }
+        match &self.kind {
+            NodeKind::Leaf { path, value } => put_leaf(buf, path.as_slice(), value.as_slice()),
             NodeKind::Extension { path, child } => {
-                let child = *child.reference(buf);
-                extension_ref(buf, path.as_slice(), &child)
+                put_extension(buf, path.as_slice(), hashed(child));
             }
-            NodeKind::Branch { children, value } => branch_ref(
+            NodeKind::Branch { children, value } => put_branch(
                 buf,
-                |nibble, buf| children[nibble].as_ref().map(|c| *c.reference(buf)),
+                children.iter().map(|child| child.as_deref().map(hashed)),
                 value.as_ref().map_or(&[], Value::as_slice),
             ),
-        })
+        }
     }
 }
 
@@ -216,25 +223,32 @@ struct NodeRef {
 }
 
 impl NodeRef {
-    /// Closes the node whose RLP list payload is `buf[start..]`, takes its
-    /// reference and pops it off `buf`.
-    fn close(buf: &mut Vec<u8>, start: usize) -> NodeRef {
-        close_list(buf, start);
-        let rlp = &buf[start..];
-        let mut bytes = [0u8; 33];
-        let len = if rlp.len() < 32 {
-            bytes[..rlp.len()].copy_from_slice(rlp);
-            rlp.len()
+    /// The reference of the node whose closed RLP is `rlp`, one node at a
+    /// time: for a node that is all there is to hash — a root, the child of
+    /// an extension. Where there are several, [`references`] takes them.
+    fn of(rlp: &[u8]) -> NodeRef {
+        if rlp.len() < 32 {
+            NodeRef::inline(rlp)
         } else {
-            bytes[0] = 0xa0;
-            bytes[1..].copy_from_slice(keccak256(rlp).as_bytes());
-            33
-        };
-        buf.truncate(start);
+            NodeRef::hashed(keccak256(rlp))
+        }
+    }
+
+    /// A node shorter than 32 bytes is embedded as it is.
+    fn inline(rlp: &[u8]) -> NodeRef {
+        let mut bytes = [0u8; 33];
+        bytes[..rlp.len()].copy_from_slice(rlp);
         NodeRef {
-            len: len as u8,
+            len: rlp.len() as u8,
             bytes,
         }
+    }
+
+    /// `0xa0 ‖ hash`: the RLP of the 32-byte string.
+    fn hashed(hash: H256) -> NodeRef {
+        let mut bytes = [0xa0; 33];
+        bytes[1..].copy_from_slice(hash.as_bytes());
+        NodeRef { len: 33, bytes }
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -267,43 +281,178 @@ fn put_hex_prefix(buf: &mut Vec<u8>, nibbles: &[u8], leaf: bool) {
     close_bytes(buf, start);
 }
 
-fn leaf_ref(buf: &mut Vec<u8>, path: &[u8], value: &[u8]) -> NodeRef {
+/// Appends the closed RLP of a leaf.
+fn put_leaf(buf: &mut Vec<u8>, path: &[u8], value: &[u8]) {
     let start = buf.len();
     put_hex_prefix(buf, path, true);
     put_bytes(buf, value);
-    NodeRef::close(buf, start)
+    close_list(buf, start);
 }
 
-fn extension_ref(buf: &mut Vec<u8>, path: &[u8], child: &NodeRef) -> NodeRef {
+/// Appends the closed RLP of an extension.
+fn put_extension(buf: &mut Vec<u8>, path: &[u8], child: &NodeRef) {
     let start = buf.len();
     put_hex_prefix(buf, path, false);
     buf.extend_from_slice(child.as_slice());
-    NodeRef::close(buf, start)
+    close_list(buf, start);
 }
 
-/// `child(nibble, buf)` yields the reference of the child in that slot; it
-/// may use `buf` beyond its current length as scratch while the branch's
-/// own payload sits below.
-fn branch_ref(
+/// Appends the closed RLP of a branch with these sixteen children.
+fn put_branch<'a>(
     buf: &mut Vec<u8>,
-    mut child: impl FnMut(usize, &mut Vec<u8>) -> Option<NodeRef>,
+    children: impl Iterator<Item = Option<&'a NodeRef>>,
     value: &[u8],
-) -> NodeRef {
+) {
     let start = buf.len();
-    for nibble in 0..16 {
-        match child(nibble, buf) {
+    for child in children {
+        match child {
             Some(reference) => buf.extend_from_slice(reference.as_slice()),
             None => buf.push(0x80),
         }
     }
     put_bytes(buf, value);
-    NodeRef::close(buf, start)
+    close_list(buf, start);
 }
 
-/// A hashing thread's scratch buffer: a root-to-leaf stack of partly
-/// written branch payloads (at most 532 bytes each) fits without growing.
-fn scratch() -> Vec<u8> {
-    Vec::with_capacity(4096)
+/// The references of the nodes whose closed RLP lies at `spans` of `buf`,
+/// each handed to `set` with its index in `spans`; an empty span stands for
+/// no node. An encoding shorter than 32 bytes is its own reference; the
+/// others are hashed four at a time, those of as many rate blocks together
+/// so that no lane waits for a longer one, and what is left over at the end
+/// from the shortest up. Both the state trie (a level of dirty nodes) and an
+/// index-keyed list (the children of a branch) hash through here.
+fn references(buf: &[u8], spans: &[Range<usize>], mut set: impl FnMut(usize, NodeRef)) {
+    let mut hash = |group: &[usize]| {
+        if let [only] = *group {
+            return set(only, NodeRef::of(&buf[spans[only].clone()]));
+        }
+        let mut lanes: [&[u8]; 4] = [&[]; 4];
+        for (lane, &index) in lanes.iter_mut().zip(group) {
+            *lane = &buf[spans[index].clone()];
+        }
+        for (&index, digest) in group.iter().zip(keccak256_x4(lanes)) {
+            set(index, NodeRef::hashed(digest));
+        }
+    };
+    // One to four blocks — a full branch is 532 bytes — and anything longer.
+    let mut waiting = [[0usize; 4]; 5];
+    let mut filled = [0usize; 5];
+    for (index, span) in spans.iter().enumerate() {
+        match span.len() {
+            0 => {}
+            1..32 => hash(&[index]),
+            len => {
+                let blocks = (len / KECCAK_RATE).min(4);
+                waiting[blocks][filled[blocks]] = index;
+                filled[blocks] += 1;
+                if filled[blocks] == 4 {
+                    hash(&waiting[blocks]);
+                    filled[blocks] = 0;
+                }
+            }
+        }
+    }
+    let (mut rest, mut count) = ([0usize; 4], 0);
+    for (waiting, filled) in waiting.iter().zip(filled) {
+        for &index in &waiting[..filled] {
+            rest[count] = index;
+            count += 1;
+            if count == 4 {
+                hash(&rest);
+                count = 0;
+            }
+        }
+    }
+    if count > 0 {
+        hash(&rest[..count]);
+    }
+}
+
+/// Keccak-256's rate: an encoding of `len` bytes takes `len / 136 + 1`
+/// permutations.
+const KECCAK_RATE: usize = 136;
+
+/// What one hashing thread owns, for as many subtrees as it takes: the
+/// dirty nodes of the subtree in hand and the encodings of the nodes it is
+/// about to hash. All four grow to the widest they have met and are never
+/// handed back, so hashing allocates by levels and doublings, never by node.
+#[derive(Default)]
+struct Hasher<'a> {
+    /// The dirty nodes beneath (and with) the subtree's root, breadth
+    /// first: every level is one contiguous run.
+    nodes: Vec<&'a Node>,
+    /// Where each level starts in `nodes`, top down.
+    levels: Vec<usize>,
+    /// The closed RLP of up to [`Hasher::AT_ONCE`] nodes of one level.
+    buf: Vec<u8>,
+    /// Where each of them lies in `buf`.
+    spans: Vec<Range<usize>>,
+}
+
+impl<'a> Hasher<'a> {
+    /// Nodes encoded before their hashes are taken: enough that the lanes
+    /// left empty at the end are few among them, and 256 full branches still
+    /// fit the second-level cache.
+    const AT_ONCE: usize = 256;
+
+    /// `node`'s reference, hashing whatever beneath it is dirty, level by
+    /// level from the bottom: a level's nodes do not depend on each other,
+    /// so their encodings are hashed four at a time, and by the time a node
+    /// is encoded every child of it has its reference. Another thread may
+    /// be hashing nodes this one shares with it (the previous block's root
+    /// still resolving): both arrive at the same reference, and whose `set`
+    /// comes second changes nothing.
+    fn reference(&mut self, node: &'a Node) -> NodeRef {
+        if let Some(reference) = node.reference.get() {
+            return *reference;
+        }
+        self.nodes.clear();
+        self.levels.clear();
+        // No-ops once the buffers have met a subtree: from here they double.
+        self.nodes.reserve(Self::AT_ONCE);
+        self.spans.reserve(Self::AT_ONCE);
+        self.buf.reserve(64 * Self::AT_ONCE);
+        self.nodes.push(node);
+        let mut start = 0;
+        while start < self.nodes.len() {
+            self.levels.push(start);
+            let end = self.nodes.len();
+            for at in start..end {
+                // A set reference proves the subtree beneath it clean.
+                let dirty = |child: &&'a Node| child.reference.get().is_none();
+                match &self.nodes[at].kind {
+                    NodeKind::Leaf { .. } => {}
+                    NodeKind::Extension { child, .. } => {
+                        self.nodes.extend(Some(&**child).filter(dirty));
+                    }
+                    NodeKind::Branch { children, .. } => {
+                        let children = children.iter().flatten().map(|child| &**child);
+                        self.nodes.extend(children.filter(dirty));
+                    }
+                }
+            }
+            start = end;
+        }
+        let mut end = self.nodes.len();
+        for &start in self.levels.iter().rev() {
+            for nodes in self.nodes[start..end].chunks(Self::AT_ONCE) {
+                self.buf.clear();
+                self.spans.clear();
+                for node in nodes {
+                    let start = self.buf.len();
+                    if node.reference.get().is_none() {
+                        node.put_rlp(&mut self.buf);
+                    }
+                    self.spans.push(start..self.buf.len());
+                }
+                references(&self.buf, &self.spans, |index, reference| {
+                    let _ = nodes[index].reference.set(reference);
+                });
+            }
+            end = start;
+        }
+        *node.reference.get().expect("the top level was hashed last")
+    }
 }
 
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
@@ -329,7 +478,7 @@ impl Mpt {
     /// Returns the Keccak-256 root commitment of the current contents.
     pub fn root(&self) -> H256 {
         match &self.root {
-            Some(node) => node.reference(&mut scratch()).hash(),
+            Some(node) => Hasher::default().reference(node).hash(),
             None => empty_root(),
         }
     }
@@ -456,20 +605,20 @@ impl Mpt {
     /// Computes the root, hashing dirty top-level subtrees on up to
     /// `threads` workers (the caller is one of them).
     ///
-    /// Identical to [`Mpt::root`] by construction — both force the same
-    /// thread-safe `OnceLock` caches, only the forcing order differs. The
-    /// workers take the dirty children of the top branch one at a time, so
-    /// a worker that meets a light subtree, or whose core a neighbour is
-    /// using, takes fewer of them; one worker — asked for, or all that
-    /// fewer than two dirty subtrees can use — runs the same loop on the
-    /// caller and spawns nothing.
+    /// Identical to [`Mpt::root`] by construction — both fill the same
+    /// `OnceLock` caches, level by level from the bottom, and only who
+    /// fills which differs. The workers take the dirty children of the top
+    /// branch one at a time, so a worker that meets a light subtree, or
+    /// whose core a neighbour is using, takes fewer of them; one worker —
+    /// asked for, or all that fewer than two dirty subtrees can use — runs
+    /// the same loop on the caller and spawns nothing.
     pub fn root_parallel(&self, threads: usize) -> H256 {
         let dirty = self.dirty_top();
         let shares = Shares::new(dirty.iter());
         on_workers(threads.min(dirty.len()), || {
-            let mut buf = scratch();
+            let mut hasher = Hasher::default();
             while let Some(child) = shares.next() {
-                child.reference(&mut buf);
+                hasher.reference(child);
             }
         });
         self.root()
@@ -625,46 +774,62 @@ fn merge_extension(prefix: &[u8], child: &Arc<Node>) -> Arc<Node> {
     }
 }
 
-/// The reference of the node that holds `items` — `(key, what hangs under
-/// it)` with the key a range into `nibbles`; sorted, at least one, all
-/// sharing their first `depth` nibbles, no key a prefix of another — as the
-/// trie built by inserting them would have it. `under(what, path, buf)` is
-/// the reference of the node a key that has the node to itself ends in:
-/// `path` is what is left of the key from that node on.
-fn list_ref<T>(
+/// Appends to `buf` the closed RLP of the node that holds `items` — `(key,
+/// what hangs under it)` with the key a range into `nibbles`; sorted, at
+/// least one, all sharing their first `depth` nibbles, no key a prefix of
+/// another — as the trie built by inserting them would have it, and returns
+/// `None`: the node's parent, which sees all its children at once, takes
+/// their references together. `under(what, path, buf)` does the same for the
+/// node a key that has the node to itself ends in, `path` being what is left
+/// of the key from that node on — or, where what hangs there is a subtree
+/// hashed already, appends nothing and returns its reference.
+fn list_node<T>(
     nibbles: &[u8],
     items: &[(Range<usize>, T)],
     depth: usize,
     buf: &mut Vec<u8>,
-    under: &impl Fn(&T, &[u8], &mut Vec<u8>) -> NodeRef,
-) -> NodeRef {
+    under: &impl Fn(&T, &[u8], &mut Vec<u8>) -> Option<NodeRef>,
+) -> Option<NodeRef> {
     let key = |item: &(Range<usize>, T)| &nibbles[item.0.clone()];
     let first = &key(&items[0])[depth..];
     if let [only] = items {
         return under(&only.1, first, buf);
     }
     let last = &key(&items[items.len() - 1])[depth..];
+    let start = buf.len();
     let common = common_prefix_len(first, last);
     if common > 0 {
-        let child = list_ref(nibbles, items, depth + common, buf, under);
-        return extension_ref(buf, &first[..common], &child);
+        let child = list_node(nibbles, items, depth + common, buf, under)
+            .unwrap_or_else(|| NodeRef::of(&buf[start..]));
+        buf.truncate(start);
+        put_extension(buf, &first[..common], &child);
+        return None;
     }
     // No key ends here, so the branch holds no value and every item has a
-    // nibble at `depth`.
+    // nibble at `depth`. The children's encodings go on `buf` side by side,
+    // are hashed in fours, and make way for the branch's own.
+    let mut children = [None; 16];
+    let mut spans: [Range<usize>; 16] = std::array::from_fn(|_| start..start);
     let mut rest = items;
-    branch_ref(
-        buf,
-        |nibble, buf| {
-            let run = rest
-                .iter()
-                .take_while(|item| usize::from(key(item)[depth]) == nibble)
-                .count();
-            let (head, tail) = rest.split_at(run);
-            rest = tail;
-            (run > 0).then(|| list_ref(nibbles, head, depth + 1, buf, under))
-        },
-        &[],
-    )
+    for (nibble, (child, span)) in children.iter_mut().zip(&mut spans).enumerate() {
+        let run = rest
+            .iter()
+            .take_while(|item| usize::from(key(item)[depth]) == nibble)
+            .count();
+        let (head, tail) = rest.split_at(run);
+        rest = tail;
+        if run > 0 {
+            let child_start = buf.len();
+            *child = list_node(nibbles, head, depth + 1, buf, under);
+            *span = child_start..buf.len();
+        }
+    }
+    references(buf, &spans, |nibble, reference| {
+        children[nibble] = Some(reference);
+    });
+    buf.truncate(start);
+    put_branch(buf, children.iter().map(Option::as_ref), &[]);
+    None
 }
 
 /// The keys `rlp(0) .. rlp(count - 1)` in byte order, by position:
@@ -688,6 +853,13 @@ impl IndexKeys {
             std::cmp::Ordering::Equal => 0,
             std::cmp::Ordering::Greater => position,
         }
+    }
+
+    /// The indexes whose keys are at the positions of `run` (one of
+    /// [`IndexKeys::runs`]), in that order: within a run they are consecutive.
+    fn indexes(self, run: &Range<usize>) -> Range<usize> {
+        let first = self.index_at(run.start);
+        first..first + run.len()
     }
 
     /// Appends the nibbles of the `position`-th smallest key. `rlp` is
@@ -753,14 +925,16 @@ impl IndexKeys {
 /// threads. The keys fall into runs that are each a whole subtree (256
 /// consecutive indexes, once the keys are three bytes long). Each worker
 /// takes the next run until none is left; for each, it lays the run's keys and
-/// values out in its own flat buffers and computes the subtree's reference
-/// bottom-up over slices of them (one item → leaf; a prefix common to the
-/// first and last → extension; else a 16-way split by nibble), through the
-/// node encoder [`Mpt`] hashes with. The caller — one of the workers, and
-/// the only one when the list is short — then runs the same computation
-/// over the runs' references, for the few nodes above them. The result
-/// equals `Mpt::root` after `insert(rlp(i), value i)` for every `i`; the
-/// call allocates a handful of buffers per thread and nothing per item.
+/// values out in its own flat buffers and encodes the subtree bottom-up over
+/// slices of them (one item → leaf; a prefix common to the first and last →
+/// extension; else a 16-way split by nibble), through the node encoder
+/// [`Mpt`] hashes with: a branch leaves its children's encodings side by
+/// side on the worker's buffer and hashes them four at a time. The caller —
+/// one of the workers, and the only one when the list is short — then runs
+/// the same computation over the runs' references, for the few nodes above
+/// them. The result equals `Mpt::root` after `insert(rlp(i), value i)` for
+/// every `i`; the call allocates a handful of buffers per thread and nothing
+/// per item.
 ///
 /// # Panics
 ///
@@ -781,11 +955,87 @@ impl IndexKeys {
 /// assert_eq!(root, trie.root());
 /// ```
 pub fn index_root(count: usize, value: impl Fn(usize, &mut Vec<u8>) + Sync) -> H256 {
-    index_root_on(workers_for(default_hash_threads(), count), count, value)
+    index_root_on(
+        workers_for(default_hash_threads(), count),
+        count,
+        each(value),
+    )
 }
 
-/// [`index_root`] on `workers` threads.
-fn index_root_on(workers: usize, count: usize, value: impl Fn(usize, &mut Vec<u8>) + Sync) -> H256 {
+/// `value`, item by item, as [`index_root_on`] asks for a run's values.
+fn each(
+    value: impl Fn(usize, &mut Vec<u8>) + Sync,
+) -> impl Fn(Range<usize>, &mut Vec<u8>, &mut Vec<usize>) + Sync {
+    move |indexes, values, ends| {
+        for index in indexes {
+            value(index, values);
+            ends.push(values.len());
+        }
+    }
+}
+
+/// [`index_root`] of the list whose value `i` is `rlp(keccak256(body i))` —
+/// a transactions root with each transaction's hash standing in for it —
+/// where `body(i, out)` appends body `i` to `out`. The bodies are hashed on
+/// the workers that take their runs, four at a time, and none outlives its
+/// hash.
+///
+/// # Examples
+///
+/// ```
+/// use dmvcc_primitives::{keccak256, rlp::put_bytes};
+/// use dmvcc_state::{index_root, index_root_hashed};
+///
+/// let bodies: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 40 * i as usize]).collect();
+/// let hashed = index_root_hashed(9, |i, out| out.extend_from_slice(&bodies[i]));
+/// let by_hand = index_root(9, |i, out| put_bytes(out, keccak256(&bodies[i]).as_bytes()));
+/// assert_eq!(hashed, by_hand);
+/// ```
+pub fn index_root_hashed(count: usize, body: impl Fn(usize, &mut Vec<u8>) + Sync) -> H256 {
+    index_root_on(
+        workers_for(default_hash_threads(), count),
+        count,
+        hashed(body),
+    )
+}
+
+/// `rlp(keccak256(body i))` for a run's indexes, four bodies to a Keccak
+/// call, as [`index_root_on`] asks for a run's values.
+fn hashed(
+    body: impl Fn(usize, &mut Vec<u8>) + Sync,
+) -> impl Fn(Range<usize>, &mut Vec<u8>, &mut Vec<usize>) + Sync {
+    move |indexes, values, ends| {
+        for first in indexes.clone().step_by(4) {
+            // Four bodies on the end of `values` for as long as it takes to
+            // hash them.
+            let start = values.len();
+            let mut bounds = [start; 5];
+            for lane in 0..4 {
+                if first + lane < indexes.end {
+                    body(first + lane, values);
+                }
+                bounds[lane + 1] = values.len();
+            }
+            let bodies = std::array::from_fn(|lane| &values[bounds[lane]..bounds[lane + 1]]);
+            let hashes = keccak256_x4(bodies);
+            values.truncate(start);
+            for hash in hashes.iter().take(indexes.end - first) {
+                put_bytes(values, hash.as_bytes());
+                ends.push(values.len());
+            }
+        }
+    }
+}
+
+/// The root of an index-keyed list of `count` values on `workers` threads.
+/// `values_of(indexes, values, ends)` appends the values of those consecutive
+/// indexes to `values` and where each ends to `ends`; it may use `values`
+/// beyond its length as scratch.
+fn index_root_on(
+    workers: usize,
+    count: usize,
+    values_of: impl Fn(Range<usize>, &mut Vec<u8>, &mut Vec<usize>) + Sync,
+) -> H256 {
     if count == 0 {
         return empty_root();
     }
@@ -795,24 +1045,31 @@ fn index_root_on(workers: usize, count: usize, value: impl Fn(usize, &mut Vec<u8
     let mut references = vec![None; runs.len()];
     let shares = Shares::new(runs.iter().zip(&mut references));
     on_workers(workers.min(runs.len()), || {
-        let (mut rlp, mut nibbles, mut values) = (Vec::with_capacity(9), Vec::new(), Vec::new());
-        let mut items = Vec::new();
-        let mut buf = scratch();
+        let (mut rlp, mut nibbles) = (Vec::with_capacity(9), Vec::new());
+        let (mut values, mut ends, mut items) = (Vec::new(), Vec::new(), Vec::new());
+        let mut buf = Vec::new();
         while let Some((run, reference)) = shares.next() {
             let depth = keys.depth_of(run, &mut rlp, &mut nibbles);
             nibbles.clear();
             values.clear();
+            ends.clear();
             items.clear();
-            for position in run.clone() {
-                let (key_start, value_start) = (nibbles.len(), values.len());
+            values_of(keys.indexes(run), &mut values, &mut ends);
+            let mut value_start = 0;
+            for (position, &value_end) in run.clone().zip(&ends) {
+                let key_start = nibbles.len();
                 keys.put_key(position, &mut rlp, &mut nibbles);
-                value(keys.index_at(position), &mut values);
-                items.push((key_start..nibbles.len(), value_start..values.len()));
+                items.push((key_start..nibbles.len(), value_start..value_end));
+                value_start = value_end;
             }
             let leaf = |value: &Range<usize>, path: &[u8], buf: &mut Vec<u8>| {
-                leaf_ref(buf, path, &values[value.clone()])
+                put_leaf(buf, path, &values[value.clone()]);
+                None
             };
-            *reference = Some(list_ref(&nibbles, &items, depth, &mut buf, &leaf));
+            buf.clear();
+            // A run's top node is all there is left to hash of it.
+            *reference = list_node(&nibbles, &items, depth, &mut buf, &leaf)
+                .or_else(|| Some(NodeRef::of(&buf)));
         }
     });
     // The nodes above the runs: each run stands as one key (its first) with
@@ -828,8 +1085,12 @@ fn index_root_on(workers: usize, count: usize, value: impl Fn(usize, &mut Vec<u8
             (key_start..nibbles.len(), reference)
         })
         .collect();
-    let subtree = |reference: &NodeRef, _: &[u8], _: &mut Vec<u8>| *reference;
-    list_ref(&nibbles, &items, 0, &mut scratch(), &subtree).hash()
+    let subtree = |reference: &NodeRef, _: &[u8], _: &mut Vec<u8>| Some(*reference);
+    let mut buf = Vec::new();
+    match list_node(&nibbles, &items, 0, &mut buf, &subtree) {
+        Some(only_run) => only_run.hash(),
+        None => keccak256(&buf),
+    }
 }
 
 #[cfg(test)]
@@ -1046,7 +1307,7 @@ mod tests {
         let expected = built_root(count, &value);
         for workers in [1usize, 2, 3, 8] {
             assert_eq!(
-                index_root_on(workers, count, &value),
+                index_root_on(workers, count, each(&value)),
                 expected,
                 "count {count}, {workers} workers"
             );
@@ -1085,8 +1346,11 @@ mod tests {
                     common_prefix_len(first, last) >= depth,
                     "count {count}, run {run:?}"
                 );
-                for position in run.clone() {
-                    assert!(!std::mem::replace(&mut seen[keys.index_at(position)], true));
+                // And its indexes are consecutive, in key order.
+                let indexes: Vec<usize> = run.clone().map(|at| keys.index_at(at)).collect();
+                assert_eq!(indexes, keys.indexes(run).collect::<Vec<_>>());
+                for index in indexes {
+                    assert!(!std::mem::replace(&mut seen[index], true));
                 }
             }
             assert!(seen.iter().all(|&seen| seen), "count {count}");
@@ -1105,6 +1369,30 @@ mod tests {
         };
         for count in COUNTS.into_iter().chain([65_537]) {
             assert_index_root(count, value);
+        }
+    }
+
+    #[test]
+    fn index_root_hashed_is_index_root_over_the_hashes_at_every_worker_count() {
+        // Bodies of 0 to 299 bytes — one to three rate blocks, mixed within
+        // a call — and counts whose runs do not end on a multiple of four.
+        let body = |i: usize, out: &mut Vec<u8>| {
+            out.extend(std::iter::repeat_n(i as u8, i.wrapping_mul(7_919) % 300));
+        };
+        let hash_of = |i: usize, out: &mut Vec<u8>| {
+            let mut bytes = Vec::new();
+            body(i, &mut bytes);
+            put_bytes(out, keccak256(&bytes).as_bytes());
+        };
+        for count in [1usize, 2, 3, 5, 127, 130, 255, 1_026, 4_095] {
+            let expected = built_root(count, hash_of);
+            for workers in [1usize, 2, 3] {
+                assert_eq!(
+                    index_root_on(workers, count, hashed(body)),
+                    expected,
+                    "count {count}, {workers} workers"
+                );
+            }
         }
     }
 
@@ -1136,7 +1424,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let caller = std::thread::current().id();
         let worker_ran = AtomicBool::new(false);
-        index_root_on(2, 4_000, |i, out| {
+        let value = |i: usize, out: &mut Vec<u8>| {
             if std::thread::current().id() == caller {
                 // Leave runs untaken until the spawned worker has one.
                 while !worker_ran.load(Ordering::Acquire) {
@@ -1147,7 +1435,8 @@ mod tests {
                 worker_ran.store(true, Ordering::Release);
                 panic!("no value for item {i}");
             }
-        });
+        };
+        index_root_on(2, 4_000, each(value));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   block's structural trie updates (in place wherever this trie is a
 //!   node's only holder, a path copy where the previous root is still
 //!   hashing) and returns a [`RootHandle`] immediately; the
-//!   hashing — encoding each dirty node into the hashing thread's one
-//!   scratch buffer and running Keccak over it — happens on a background
-//!   thread, overlapping the next block's execution. The handle stalls
+//!   hashing — encoding the dirty nodes level by level into the hashing
+//!   thread's one buffer and running Keccak over four at a time — happens
+//!   on a background thread, overlapping the next block's execution. The
+//!   handle stalls
 //!   only a caller that demands the root before it resolves, and records
 //!   how long hashing took so callers can report how much of it they hid.
 //!
@@ -29,16 +30,16 @@
 //! [`StateDb::set_hash_threads`] workers, which hashes on the caller alone
 //! for one thread or fewer than two dirty top-level subtrees. And one way
 //! a block's writes are applied before that: the trie keys hashed on the
-//! same number of workers, the backend batch landing beside the trie's
-//! in-place inserts — in `commit`, beside the root hash too — and `latest`
-//! advanced once both are back.
+//! same number of workers (four to a call, as the keys of genesis are), the
+//! backend batch landing beside the trie's in-place inserts — in `commit`,
+//! beside the root hash too — and `latest` advanced once both are back.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use dmvcc_primitives::rlp::put_uint_be;
-use dmvcc_primitives::{keccak256, H256, U256};
+use dmvcc_primitives::{keccak256_x4, H256, U256};
 
 use crate::backend::{BackendStats, StateBackend};
 use crate::flat::{FlatCached, FlatStats};
@@ -310,11 +311,8 @@ impl StateDb {
         I: IntoIterator<Item = (StateKey, U256)>,
     {
         let snapshot = Snapshot::from_entries(entries);
-        let mut trie = Mpt::new();
-        for (key, value) in snapshot.iter() {
-            trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(value));
-        }
         let hash_threads = default_hash_threads();
+        let trie = genesis_trie(&snapshot.iter().collect::<Vec<_>>(), hash_threads);
         StateDb {
             roots: RootHistory::new(trie.root_parallel(hash_threads), DEFAULT_ROOT_WINDOW),
             latest: snapshot,
@@ -340,11 +338,8 @@ impl StateDb {
         if !genesis.is_empty() {
             flat.apply_batch(0, &genesis);
         }
-        let mut trie = Mpt::new();
-        for (key, value) in flat.iter_as_of(0) {
-            trie.insert(keccak256(&key.to_bytes()).as_bytes(), trie_value(value));
-        }
         let hash_threads = default_hash_threads();
+        let trie = genesis_trie(&flat.iter_as_of(0), hash_threads);
         StateDb {
             latest: Snapshot::from_backend(Arc::clone(&flat) as Arc<dyn StateBackend>, 0),
             roots: RootHistory::new(trie.root_parallel(hash_threads), DEFAULT_ROOT_WINDOW),
@@ -430,19 +425,7 @@ impl StateDb {
     fn apply_writes<R>(&mut self, writes: &WriteSet, then: impl FnOnce(&Mpt) -> R) -> (u64, R) {
         let threads = self.hash_threads;
         let height = self.latest.height() + 1;
-        let keys: Vec<&StateKey> = writes.keys().collect();
-        let mut trie_keys = vec![H256::ZERO; keys.len()];
-        let shares = Shares::new(
-            keys.chunks(KEYS_PER_SHARE)
-                .zip(trie_keys.chunks_mut(KEYS_PER_SHARE)),
-        );
-        on_workers(workers_for(threads, keys.len()), || {
-            while let Some((keys, trie_keys)) = shares.next() {
-                for (key, trie_key) in keys.iter().zip(trie_keys) {
-                    *trie_key = keccak256(&key.to_bytes());
-                }
-            }
-        });
+        let trie_keys = trie_keys(&writes.keys().collect::<Vec<_>>(), threads);
         let (latest, backend, trie) = (&self.latest, &self.backend, &mut self.trie);
         let advance = || match backend {
             Some(flat) => {
@@ -492,8 +475,9 @@ impl StateDb {
     ///
     /// Back-to-back async commits are safe: the trie is cloned (O(1),
     /// `Arc`-shared) per commit, an update never alters a node another
-    /// holder can reach (it copies the node first, see [`Mpt`]), and the
-    /// nodes' `OnceLock` reference caches tolerate concurrent forcing. The
+    /// holder can reach (it copies the node first, see [`Mpt`]), and two
+    /// threads that hash the same dirty node set the same reference in its
+    /// `OnceLock`, whichever comes first. The
     /// background thread drops its clone as soon as it has the root, so a
     /// block committed after that finds the trie unshared and updates it
     /// in place; one committed sooner copies the paths it touches.
@@ -512,8 +496,43 @@ impl StateDb {
     }
 }
 
-/// Trie keys a hashing worker takes at a time (about 0.1 ms of work).
+/// Trie keys a hashing worker takes at a time.
 const KEYS_PER_SHARE: usize = 256;
+
+/// Where the state trie keeps each of `keys`, `keccak256(address ‖ slot)`, in
+/// their order: hashed on up to `threads` workers, which take
+/// [`KEYS_PER_SHARE`] keys at a time and hash them four to a call. Genesis
+/// and every block's writes come through here.
+fn trie_keys(keys: &[&StateKey], threads: usize) -> Vec<H256> {
+    let mut trie_keys = vec![H256::ZERO; keys.len()];
+    let shares = Shares::new(
+        keys.chunks(KEYS_PER_SHARE)
+            .zip(trie_keys.chunks_mut(KEYS_PER_SHARE)),
+    );
+    on_workers(workers_for(threads, keys.len()), || {
+        while let Some((keys, trie_keys)) = shares.next() {
+            for (keys, trie_keys) in keys.chunks(4).zip(trie_keys.chunks_mut(4)) {
+                let mut preimages = [[0u8; 52]; 4];
+                for (preimage, key) in preimages.iter_mut().zip(keys) {
+                    *preimage = key.to_bytes();
+                }
+                let hashed = keccak256_x4(preimages.each_ref().map(|bytes| &bytes[..]));
+                trie_keys.copy_from_slice(&hashed[..trie_keys.len()]);
+            }
+        }
+    });
+    trie_keys
+}
+
+/// The state trie of a genesis allocation (no zero values among `entries`).
+fn genesis_trie(entries: &[(StateKey, U256)], threads: usize) -> Mpt {
+    let keys: Vec<&StateKey> = entries.iter().map(|(key, _)| key).collect();
+    let mut trie = Mpt::new();
+    for (trie_key, (_, value)) in trie_keys(&keys, threads).iter().zip(entries) {
+        trie.insert(trie_key.as_bytes(), trie_value(*value));
+    }
+    trie
+}
 
 /// The value the state trie stores for a non-zero slot: `rlp(value)`.
 fn trie_value(value: U256) -> Vec<u8> {
@@ -525,7 +544,7 @@ fn trie_value(value: U256) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmvcc_primitives::Address;
+    use dmvcc_primitives::{keccak256, Address};
 
     fn key(i: u64) -> StateKey {
         StateKey::storage(Address::from_u64(9), U256::from(i))

@@ -1,9 +1,11 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Provides the harness surface `benches/micro.rs` uses: `Criterion`,
-//! `benchmark_group` / `bench_function` / `sample_size` / `finish`,
+//! `benchmark_group` / `bench_function` / `sample_size` / `throughput` /
+//! `finish`,
 //! `Bencher::{iter, iter_batched}`, [`BatchSize`], and the
-//! `criterion_group!` / `criterion_main!` macros.
+//! [`Throughput::Elements`], and the `criterion_group!` /
+//! `criterion_main!` macros.
 //!
 //! Measurement is a plain monotonic-clock loop (no outlier rejection or
 //! HTML reports): each benchmark is calibrated to ~2 ms per sample, runs
@@ -24,6 +26,14 @@ pub enum BatchSize {
     LargeInput,
     /// One setup per iteration.
     PerIteration,
+}
+
+/// What one iteration processes, for a per-element figure beside the
+/// per-iteration one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements per iteration.
+    Elements(u64),
 }
 
 /// Top-level harness handle.
@@ -54,6 +64,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 50,
+            elements: None,
             criterion: self,
         }
     }
@@ -63,6 +74,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    elements: Option<u64>,
     criterion: &'a mut Criterion,
 }
 
@@ -70,6 +82,14 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
+        self
+    }
+
+    /// Sets what an iteration of the benchmarks that follow processes: their
+    /// reports add the minimum time per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        let Throughput::Elements(elements) = throughput;
+        self.elements = Some(elements);
         self
     }
 
@@ -90,7 +110,7 @@ impl BenchmarkGroup<'_> {
             samples_ns: Vec::new(),
         };
         f(&mut bencher);
-        bencher.report(&full);
+        bencher.report(&full, self.elements);
         self
     }
 
@@ -158,7 +178,7 @@ impl Bencher {
         }
     }
 
-    fn report(&self, id: &str) {
+    fn report(&self, id: &str, elements: Option<u64>) {
         if !self.bench_mode {
             println!("test {id} ... ok (smoke)");
             return;
@@ -175,7 +195,12 @@ impl Bencher {
             .iter()
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max);
-        println!("{id:<48} time: [{min:>12.1} ns  {mean:>12.1} ns  {max:>12.1} ns]/iter");
+        let per_element = elements.map_or(String::new(), |elements| {
+            format!("  min {:.1} ns/elem", min / elements as f64)
+        });
+        println!(
+            "{id:<48} time: [{min:>12.1} ns  {mean:>12.1} ns  {max:>12.1} ns]/iter{per_element}"
+        );
     }
 }
 

@@ -1,20 +1,20 @@
 //! Property tests for the Merkle Patricia Trie: model equivalence against
 //! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), history
 //! independence of the root, clones that keep their version while the trie
-//! they came from is updated in place, and `index_root` against the trie it
-//! stands in for.
+//! they came from is updated in place, two hashers meeting on the dirty
+//! nodes they share, and `index_root` against the trie it stands in for.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use dmvcc_primitives::keccak256;
 use dmvcc_primitives::rlp::encode_uint;
-use dmvcc_state::{empty_root, index_root, Mpt};
+use dmvcc_primitives::{keccak256, Address, H256, U256};
+use dmvcc_state::{empty_root, index_root, Mpt, StateDb, StateKey, WriteSet};
 
 /// The root `index_root` must reproduce: an `Mpt` filled by
 /// `insert(rlp(i), value(i))`.
-fn built_root(count: usize, value: impl Fn(usize) -> Vec<u8>) -> dmvcc_primitives::H256 {
+fn built_root(count: usize, value: impl Fn(usize) -> Vec<u8>) -> H256 {
     let mut trie = Mpt::new();
     for i in 0..count {
         trie.insert(&encode_uint(i as u64), value(i));
@@ -113,6 +113,125 @@ fn long_keys_and_values_round_trip_and_hash_as_before() {
     assert_eq!(trie.root(), rebuilt.root());
 }
 
+/// The root of a database built fresh from `model` and hashed on one thread.
+fn fresh_state_root(model: &WriteSet) -> H256 {
+    let mut db = StateDb::new();
+    db.set_hash_threads(1);
+    db.commit(model)
+}
+
+#[test]
+fn two_hashers_that_meet_on_shared_dirty_nodes_agree_with_a_fresh_trie() {
+    let key = |i: u64| StateKey::storage(Address::from_u64(1 + i % 3), U256::from(i));
+    let writes = |block: u64, count: u64| -> WriteSet {
+        (0..count)
+            .map(|i| (key(i * (1 + block % 4)), U256::from(block * 1_000 + i)))
+            .collect()
+    };
+    for threads in [1usize, 2, 4] {
+        let mut model = writes(0, 3_000);
+        let mut db = StateDb::with_genesis(model.clone());
+        db.set_hash_threads(threads);
+        for block in 1..=5u64 {
+            // Block N's dirty nodes go to a background hasher; the replica
+            // shares them, writes block N + 1 over them — copying the ones
+            // it touches — and hashes the rest itself, at the same time.
+            // Whichever `set` of a shared node's reference comes second
+            // finds the same reference there.
+            let (w, replica_w) = (writes(block, 1_500), writes(block + 7, 1_200));
+            model.extend(w.clone());
+            let mut replica_model = model.clone();
+            replica_model.extend(replica_w.clone());
+            let handle = db.commit_async(&w);
+            let mut replica = db.clone();
+            let replica_root = replica.commit(&replica_w);
+            assert_eq!(
+                replica_root,
+                fresh_state_root(&replica_model),
+                "replica, block {block}, {threads} threads"
+            );
+            assert_eq!(
+                handle.wait(),
+                fresh_state_root(&model),
+                "original, block {block}, {threads} threads"
+            );
+        }
+    }
+
+    // The same meeting on the trie itself, where a barrier can start both
+    // hashers at once: a dirty trie, a clone of it, and more writes to one.
+    for threads in [1usize, 2, 4] {
+        let entry = |i: u32| (keccak256(&i.to_be_bytes()).0, vec![1 + (i % 250) as u8; 33]);
+        let mut trie = Mpt::new();
+        let mut model = BTreeMap::new();
+        for (key, value) in (0..4_000).map(entry) {
+            trie.insert(&key, value.clone());
+            model.insert(key.to_vec(), value);
+        }
+        let earlier = trie.clone();
+        let earlier_root = rebuilt_root(&model);
+        for (key, value) in (3_900..4_300).map(entry) {
+            trie.insert(&key, vec![value[0]; 7]);
+            model.insert(key.to_vec(), vec![value[0]; 7]);
+        }
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let beside = scope.spawn(|| {
+                start.wait();
+                earlier.root_parallel(threads)
+            });
+            start.wait();
+            assert_eq!(trie.root_parallel(threads), rebuilt_root(&model));
+            assert_eq!(beside.join().expect("the other hasher"), earlier_root);
+        });
+    }
+}
+
+#[test]
+fn inline_nodes_extensions_and_branch_values_hash_level_by_level_as_a_fresh_trie() {
+    // Short keys under short values: most nodes are shorter than 32 bytes
+    // and embedded in their parents, `a` ⊂ `ab` ⊂ `abc` puts a value in a
+    // branch on three levels (nibble depths 2, 4 and 6), and the nibbles
+    // that `abc…`, `abcd…` and `x…` share hang extensions at depths 1, 3, 5
+    // and 7.
+    let pairs: Vec<(&[u8], &[u8])> = vec![
+        (b"a", b"1"),
+        (b"ab", b"22"),
+        (b"abc", b"333"),
+        (b"abcd\x01", b"four"),
+        (
+            b"abcd\x02",
+            b"a value that is longer than thirty-two bytes, hashed",
+        ),
+        (b"ac", b"5"),
+        (b"x\x00\x00\x01", b"6"),
+        (b"x\x00\x00\x02", b"7"),
+        (b"xy", b"another value that is longer than thirty-two bytes"),
+        (b"b", b"8"),
+    ];
+    for threads in [1usize, 2, 4] {
+        let mut trie = Mpt::new();
+        let mut model = Model::new();
+        // Hashed after every insert — one dirty path over clean siblings,
+        // some of them inline — then after overwrites and removals in bulk.
+        for (key, value) in &pairs {
+            trie.insert(key, value.to_vec());
+            model.insert(key.to_vec(), value.to_vec());
+            assert_eq!(trie.root_parallel(threads), rebuilt_root(&model));
+        }
+        for (key, _) in pairs.iter().step_by(2) {
+            trie.insert(key, b"rewritten".to_vec());
+            model.insert(key.to_vec(), b"rewritten".to_vec());
+        }
+        assert_eq!(trie.root_parallel(threads), rebuilt_root(&model));
+        for (key, _) in pairs.iter().skip(1).step_by(3) {
+            assert!(trie.remove(key));
+            model.remove(*key);
+        }
+        assert_eq!(trie.root_parallel(threads), rebuilt_root(&model));
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<u8>, Vec<u8>),
@@ -131,7 +250,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 
 /// The root of a trie built afresh from `model`.
-fn rebuilt_root(model: &Model) -> dmvcc_primitives::H256 {
+fn rebuilt_root(model: &Model) -> H256 {
     let mut trie = Mpt::new();
     for (k, v) in model {
         trie.insert(k, v.clone());
@@ -166,7 +285,7 @@ proptest! {
     ) {
         let mut trie = Mpt::new();
         let mut model = Model::new();
-        let mut forks: Vec<(Mpt, dmvcc_primitives::H256, Model)> = Vec::new();
+        let mut forks: Vec<(Mpt, H256, Model)> = Vec::new();
         for op in &ops {
             match op {
                 VersionOp::Update(Op::Insert(k, v)) => {
