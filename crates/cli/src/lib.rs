@@ -280,7 +280,8 @@ USAGE:
       Re-execute the same prepared blocks on the sharded executor in a
       tight loop (flamegraph-friendly: samples land in the hot path, not
       in setup) and print the hot-path counters — shard-lock
-      acquisitions, publish batching, recycled-arena bytes, wakeups.
+      acquisitions, publish batching, recycled-arena bytes, waiter
+      hand-backs, idle parks.
   dmvcc help
       Show this message.
 ";

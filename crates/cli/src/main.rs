@@ -481,8 +481,8 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
         "arena bytes recycled   : {:.1} MiB",
         stats.alloc_bytes_saved as f64 / (1u64 << 20) as f64
     );
-    println!("targeted wakeups       : {}", stats.targeted_wakeups);
-    println!("parks                  : {}", stats.parks);
+    println!("waiter hand-backs      : {}", stats.targeted_wakeups);
+    println!("idle parks             : {}", stats.parks);
     // What the calling thread does alone, before the first worker starts
     // and after the last one joins, as a share of the execute stage.
     let execute_nanos = block_nanos.saturating_sub(stats.refine_nanos);

@@ -5,10 +5,14 @@
 //! on it) and [`crate::StmExecutor`] consult an optional [`SchedHook`] at
 //! every scheduling decision point — dequeue, publish, park/wake, abort,
 //! commit, the shard critical section, the release-point gate, and the
-//! optimistic engine's reads and validations. Production runs install no
-//! hook ([`crate::ExecutorKind::build`] takes `None`): every call site is
-//! an `Option` that is `None`, so the disabled path costs one predicted
-//! branch and no virtual dispatch.
+//! optimistic engine's reads and validations. Only the optimistic engine
+//! parks inside a transaction; on the sharded engine a park is an idle
+//! worker's, and a read that meets a pending version shows as the reader
+//! aborting itself (`on_abort` with `root == victim`).
+//!
+//! Production runs install no hook ([`crate::ExecutorKind::build`] takes
+//! `None`): every call site is an `Option` that is `None`, so the disabled
+//! path costs one predicted branch and no virtual dispatch.
 //!
 //! The hook exists for *deterministic-simulation testing* (the `dmvcc-dst`
 //! crate): a seeded implementation can delay a publish, preempt a worker,
@@ -33,7 +37,7 @@
 //! `on_shard_lock` is called *inside* the shard critical section — stalling
 //! there is the documented way to force shard-lock contention. In the
 //! sharded executor every other `on_*` call site is outside the executor's
-//! locks (publishes and parks stage their effects first), so a slow hook
+//! locks (publishes stage their effects first), so a slow hook
 //! costs latency, not progress. The optimistic executor calls
 //! `on_validate` (and the re-execution it may trigger) under its commit
 //! lock, so a stalling hook there serializes the commit tail on purpose.
@@ -58,8 +62,9 @@ pub trait SchedHook: Send + Sync + std::fmt::Debug {
     /// delayed publish.
     fn on_publish(&self, _tx: usize, _key: &StateKey, _delta: bool) {}
 
-    /// A worker is about to park: blocked on a pending version read
-    /// (`tx = Some(reader)`) or idle with nothing to run (`None`).
+    /// A worker is about to park: idle with nothing to run (`None`), or —
+    /// from the optimistic engine only — a read of `tx = Some(reader)`
+    /// waiting out a re-pended version.
     fn on_park(&self, _tx: Option<usize>) {}
 
     /// A parked worker resumed (same `tx` convention as [`Self::on_park`]).

@@ -15,8 +15,9 @@
 //!   write versioning — the quantities behind the paper's figures.
 //! - [`ParallelExecutor`]: a real multi-threaded executor implementing
 //!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
-//!   waiter index for targeted wakeups, and one ready queue of
-//!   [`BlockDag`] rank lanes), validated against the serial state root.
+//!   waiter index that re-admits transactions suspended on a pending
+//!   version, and one ready queue of [`BlockDag`] rank lanes), validated
+//!   against the serial state root.
 //! - [`StmExecutor`]: a Block-STM-style optimistic scheduler over the same
 //!   store (optimistic execution, value-based validation in serial order)
 //!   that needs no access predictions at all, plus

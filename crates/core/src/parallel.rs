@@ -3,18 +3,21 @@
 //! Where [`crate::simulate_dmvcc`] evaluates the schedule in virtual time,
 //! this module actually runs the protocol concurrently: worker threads pop
 //! ready transactions (Algorithm 1), execute them on shared access
-//! sequences with per-version blocking reads, publish writes at release
-//! points (Algorithm 2) via write versioning (Algorithm 3), and abort and
-//! re-execute stale readers with cascades (Algorithm 4).
+//! sequences, publish writes at release points (Algorithm 2) via write
+//! versioning (Algorithm 3), and abort and re-execute stale readers with
+//! cascades (Algorithm 4).
 //!
 //! The synchronization is decomposed along the state it actually protects:
 //!
 //! - **Sharded sequences** ([`crate::ShardedSequences`]): access sequences
 //!   live in id-addressed shards, each behind its own lock, so
 //!   transactions over disjoint keys never contend.
-//! - **Targeted wakeups**: each shard keeps a reverse waiter index
-//!   (key → blocked readers); a publish drains and signals exactly the
-//!   transactions waiting on that key via their per-transaction event.
+//! - **Suspension**: a read that meets a pending version never waits. It
+//!   puts its transaction on the key's waiter list in the shard (under the
+//!   lock that failed the read), records the key in the transaction's core
+//!   and aborts its own attempt. Admission resolves that key like a
+//!   predicted read, and a publish, drop or reset of the key drains the
+//!   list into `try_admit`. No worker ever sleeps inside an attempt.
 //! - **Rank-lane ready queue**: the dispatch order is computed up front
 //!   from the batch — [`crate::BlockDag`] ranks bucket every transaction
 //!   into one of [`crate::NUM_LANES`] FIFO lanes — and workers pop the
@@ -53,8 +56,10 @@
 //! Lock discipline: a thread holds at most one shard lock and at most one
 //! transaction core lock at a time, and never acquires one kind while
 //! holding the other (effects are staged and applied after unlocking).
-//! Every timed wait carries a timeout backstop, so a missed wakeup costs
-//! latency, never progress.
+//!
+//! Liveness: a worker is either running an attempt, which never sleeps, or
+//! in the idle loop, whose self-heal sweep over the waiting transactions and
+//! timed park are the backstop for any admission nothing triggered.
 //!
 //! Correctness oracle: for any interleaving, the committed write set equals
 //! the serial execution's (Theorem 1) — integration tests compare Merkle
@@ -62,7 +67,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,23 +82,14 @@ use dmvcc_vm::{
 
 use dmvcc_analysis::{Analyzer, CSag};
 
-use crate::access::{AccessOp, ReadResolution, VersionWriteEffect};
+use crate::access::{AccessOp, ReadResolution};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
-use crate::sharded::{ShardStorage, ShardedSequences, VersionOp, DEFAULT_SHARDS};
-
-/// Backstop for a read blocked on a pending version: the waiter is signaled
-/// by the publisher, so this only bounds the cost of a (theoretically
-/// impossible, practically paranoid) missed wakeup.
-const BLOCKED_PARK: Duration = Duration::from_millis(1);
+use crate::sharded::{ShardStorage, ShardedSequences, Staged, VersionOp, DEFAULT_SHARDS};
 
 /// Backstop for an idle worker with nothing to run.
 const IDLE_PARK: Duration = Duration::from_millis(1);
-
-/// Consecutive signal-free park timeouts a blocked read tolerates before
-/// the deadlock breaker aborts it (see the breaker comment in `sload`).
-const STUCK_PARKS: u32 = 3;
 
 /// Configuration of the threaded executor.
 #[derive(Debug, Clone, Copy)]
@@ -133,13 +129,16 @@ pub struct ExecutorStats {
     pub attempts: u64,
     /// Versions made visible in the access sequences.
     pub publishes: u64,
-    /// Waiters signaled individually through the reverse waiter index.
+    /// Suspended transactions the reverse waiter index handed back to
+    /// admission when an attempt published or dropped the key they wait on.
     pub targeted_wakeups: u64,
     /// Always 0: the single rank-lane ready queue has nothing to steal
     /// from. The field survives only because the frozen e2e benchmark
     /// adapter reads it.
     pub steals: u64,
-    /// Times a worker went to sleep (idle or blocked on a read).
+    /// Times a worker went to sleep. On the sharded engine only an idle
+    /// worker does (a blocked read suspends its transaction instead); on
+    /// the optimistic engine also a read waiting out a re-pended version.
     pub parks: u64,
     /// Valid dequeues that ran a transaction while a strictly
     /// higher-priority lane still held entries — how far the actual
@@ -253,6 +252,9 @@ struct TxCore {
     /// An abort resets these next to the predicted ones; the set only grows
     /// while the block runs.
     unpredicted: SortedVec<KeyId>,
+    /// The key whose pending version suspended the last attempt: admission
+    /// waits for it like for a predicted read. Cleared at dequeue.
+    blocked_on: Option<KeyId>,
 }
 
 /// One transaction's immutable execution metadata: its slice of each of
@@ -485,17 +487,12 @@ impl BlockMeta {
 }
 
 /// One transaction's full concurrent state: the core behind its own small
-/// mutex, the abort generation as an atomic (checked far more often than
-/// the core is mutated), and the event its blocked reads park on.
+/// mutex, and the abort generation as an atomic (checked far more often
+/// than the core is mutated).
 #[derive(Debug, Default)]
 struct TxState {
     generation: AtomicU32,
     core: Mutex<TxCore>,
-    event: Event,
-    /// Set when the deadlock breaker aborts this transaction's own blocked
-    /// read: subsequent re-admissions enter at the lowest-priority lane so
-    /// the ready work the breaker yielded to actually runs first.
-    demoted: AtomicBool,
 }
 
 /// What one worker owns while it runs a block: the buffers of the attempt
@@ -516,11 +513,9 @@ struct Scratch {
     stats: ExecutorStats,
 }
 
-/// A queued admission: `(tx, generation, lane)`. The lane the entry was
-/// pushed to travels with it so dequeue-side occupancy accounting stays
-/// exact even when a transaction's lane changes between pushes (breaker
-/// demotion).
-type ReadyEntry = (usize, u32, usize);
+/// A queued admission: `(tx, generation)`, in the lane of the
+/// transaction's rank.
+type ReadyEntry = (usize, u32);
 
 struct Shared<'a> {
     sequences: ShardedSequences,
@@ -542,8 +537,6 @@ struct Shared<'a> {
     resting: AtomicUsize,
     /// Next shard of the store to flush.
     flush_cursor: AtomicUsize,
-    /// Workers currently sleeping inside a blocked read.
-    blocked: AtomicUsize,
     /// Workers currently parked with nothing to run.
     idle: AtomicUsize,
     /// Entries currently sitting in the ready queue (stale ones included).
@@ -583,22 +576,10 @@ impl Shared<'_> {
     /// worker if any. Re-admissions after an abort re-enter at their rank,
     /// not at the back.
     fn push_ready(&self, tx: usize, generation: u32) {
-        // Breaker-demoted transactions enter at the lowest priority: the
-        // breaker's self-abort exists to yield the worker to other queued
-        // ready work, and a re-admission at the victim's own (higher) rank
-        // would starve that work forever — the worker's lane scan keeps
-        // finding the victim first, it blocks on the same unpublished
-        // write, and the block storms to `max_attempts` (priority-
-        // inversion livelock, found by DST schedule fuzzing).
-        let lane = if self.states[tx].demoted.load(Ordering::SeqCst) {
-            NUM_LANES - 1
-        } else {
-            self.dag.lane_of(tx)
-        };
-        let entry: ReadyEntry = (tx, generation, lane);
+        let lane = self.dag.lane_of(tx);
         self.ready_count.fetch_add(1, Ordering::SeqCst);
         self.lane_counts[lane].fetch_add(1, Ordering::SeqCst);
-        self.lanes[lane].lock().push_back(entry);
+        self.lanes[lane].lock().push_back((tx, generation));
         if self.idle.load(Ordering::SeqCst) > 0 {
             self.idle_event.signal();
         }
@@ -610,18 +591,31 @@ impl Shared<'_> {
         self.lanes.iter().find_map(|lane| lane.lock().pop_front())
     }
 
-    /// Bookkeeping for a popped entry: lane occupancy down. Returns whether
-    /// this was a rank inversion — the entry actually runs while a strictly
-    /// higher-priority lane still has queued work.
-    fn note_dequeue(&self, lane: usize, runs: bool) -> bool {
+    /// Bookkeeping for `tx`'s popped entry: lane occupancy down. Returns
+    /// whether this was a rank inversion — the entry actually runs while a
+    /// strictly higher-priority lane still has queued work.
+    fn note_dequeue(&self, tx: usize, runs: bool) -> bool {
+        let lane = self.dag.lane_of(tx);
         self.lane_counts[lane].fetch_sub(1, Ordering::SeqCst);
         let higher = &self.lane_counts[..lane];
         runs && higher.iter().any(|count| count.load(Ordering::SeqCst) > 0)
     }
 
-    /// Checks whether all predicted reads of `tx` resolve right now,
-    /// taking one shard lock at a time.
-    fn is_ready(&self, tx: usize) -> bool {
+    /// Checks whether the key that suspended `tx` (`blocked_on`, if any)
+    /// and all its predicted reads resolve right now, taking one shard lock
+    /// at a time. A suspension key that is still blocked gets `tx` back on
+    /// its waiter list under the lock that failed it, so the change that
+    /// unblocks the key hands `tx` to [`Self::try_admit`].
+    fn is_ready(&self, tx: usize, blocked_on: Option<KeyId>) -> bool {
+        if let Some(id) = blocked_on {
+            let key = self.sequences.interner().resolve(id);
+            let mut shard = self.sequences.shard_for(id);
+            let resolution = shard.resolve_read(id, tx, &key, self.snapshot);
+            if matches!(resolution, ReadResolution::Blocked { .. }) {
+                shard.register_waiter(id, tx);
+                return false;
+            }
+        }
         for &(id, ref key) in self.meta.tx(tx).reads {
             let mut shard = self.sequences.shard_for(id);
             if matches!(
@@ -635,10 +629,10 @@ impl Shared<'_> {
     }
 
     /// Admits `tx` to the ready queue if it is waiting and its predicted
-    /// reads resolve. The readiness check runs without the core lock, so a
-    /// version appearing concurrently can cause a *spurious* admission —
-    /// harmless, the attempt just blocks (or aborts) like any mispredicted
-    /// read — but never a missed one.
+    /// reads and suspension key resolve. The readiness check runs without
+    /// the core lock, so a version appearing concurrently can cause a
+    /// *spurious* admission — harmless, the attempt just suspends (or
+    /// aborts) like any mispredicted read — but never a missed one.
     ///
     /// A transaction that has spent its `max_attempts` is held back until
     /// every earlier transaction has finished. Aborts only ever come from
@@ -647,19 +641,19 @@ impl Shared<'_> {
     /// Nothing signals the hold's end; the workers' self-heal sweep (which
     /// runs whenever a worker finds the ready queue empty) re-tries it.
     fn try_admit(&self, tx: usize) -> bool {
-        let spent = {
+        let (spent, blocked_on) = {
             let core = self.states[tx].core.lock();
             if core.phase != Phase::Waiting {
                 return false;
             }
-            core.attempts >= self.max_attempts
+            (core.attempts >= self.max_attempts, core.blocked_on)
         };
         // Checked in index order, so each `Finished` seen is final: every
         // transaction that could still abort it was seen finished first.
         if spent && !(0..tx).all(|i| self.states[i].core.lock().phase == Phase::Finished) {
             return false;
         }
-        if !self.is_ready(tx) {
+        if !self.is_ready(tx, blocked_on) {
             return false;
         }
         let generation = {
@@ -716,7 +710,6 @@ impl Shared<'_> {
                 (self.meta.tx(victim).resets(&core.unpredicted), next)
             };
             self.aborts.fetch_add(1, Ordering::Relaxed);
-            let mut to_wake: Vec<usize> = Vec::new();
             // The batch stops early if a newer cascade owns the victim by
             // now. Its reset list is a superset of ours (the predicted ids
             // are fixed, the unpredicted set only grows), so it covers the
@@ -731,17 +724,12 @@ impl Shared<'_> {
                         let stale = effect.aborted.into_iter();
                         worklist.extend(stale.filter(|&r| r != victim && !seen.contains(&r)));
                         admit_candidates.extend(effect.allowed);
-                        // A reset only re-pends the entry, but waiters are
-                        // drained and signaled anyway: one of them may be
-                        // the victim's own in-flight attempt, which must
-                        // wake to observe its stale generation and unwind.
-                        to_wake.extend(waiters);
+                        // `is_ready` puts back on the list the ones a
+                        // reset leaves blocked.
+                        admit_candidates.extend(waiters);
                     }
                 },
             );
-            for waiter in to_wake {
-                self.states[waiter].event.signal();
-            }
             // Resets done: make the victim admissible again — unless a
             // newer cascade superseded us, in which case its own flip
             // re-opens admission after *its* resets.
@@ -762,24 +750,16 @@ impl Shared<'_> {
         }
     }
 
-    /// Applies a version-write/drop effect: aborts stale readers, admits
-    /// the newly unblocked. Must be called with no shard lock held.
-    fn apply_effect(&self, effect: VersionWriteEffect) {
+    /// Applies what a publish or drop of one key did: aborts stale readers,
+    /// and hands the readers it unblocked and the transactions suspended on
+    /// the key to admission. Must be called with no shard lock held.
+    fn apply_effect(&self, (effect, waiters): Staged) {
         for reader in effect.aborted {
             self.abort_cascade(reader);
         }
-        for reader in effect.allowed {
-            self.try_admit(reader);
+        for tx in effect.allowed.into_iter().chain(waiters) {
+            self.try_admit(tx);
         }
-    }
-
-    /// Signals the waiters drained from a key after a version change,
-    /// returning how many there were.
-    fn wake_waiters(&self, waiters: Vec<usize>) -> u64 {
-        for &waiter in &waiters {
-            self.states[waiter].event.signal();
-        }
-        waiters.len() as u64
     }
 
     /// Marks `tx` finished with `status` after charging `gas_used`. The
@@ -815,18 +795,17 @@ impl Shared<'_> {
     /// cannot change that: every sequence mutation re-checks the attempt's
     /// generation under the shard lock. But a worker may also still hold an
     /// *abort it decided on earlier* — an effect staged under a shard lock
-    /// and applied after the unlock, the deadlock breaker's self-abort, an
-    /// injected abort — and a cascade passes its own generation check: it
-    /// would un-finish its victim, re-pend the victim's versions and
-    /// re-run it, under a flush that had already begun. Such a worker is
-    /// below the top of its loop, not here. So the last worker to arrive saw
+    /// and applied after the unlock, a suspension, an injected abort — and
+    /// a cascade passes its own generation check: it would un-finish its
+    /// victim, re-pend the victim's versions and re-run it, under a flush
+    /// that had already begun. Such a worker is below the top of its loop,
+    /// not here. So the last worker to arrive saw
     /// `finished == n` while all others were parked in this function, and
     /// from then on nothing runs that could start an abort or an attempt
     /// (a queue entry is only valid for a `Ready` transaction, and there is
     /// none): the store is quiescent, for good. A straggler that does
     /// un-finish a transaction finishes the block again by itself, as it
-    /// always had to once the others had seen it finished; the resting
-    /// workers count as idle, so its deadlock breaker still works.
+    /// always had to once the others had seen it finished.
     fn rest_and_flush(&self) {
         self.idle.fetch_add(1, Ordering::SeqCst);
         self.resting.fetch_add(1, Ordering::SeqCst);
@@ -912,7 +891,7 @@ impl ThreadHost<'_, '_> {
 
     /// Applies the scratch's batch of publishes, or of drops (misprediction
     /// or deterministic abort), to this tx's versions — each involved shard
-    /// lock taken once, wakeups and effects (which may take core locks and
+    /// lock taken once, admissions and effects (which may take core locks and
     /// other shard locks) applied after the unlock, so the flat lock
     /// discipline holds. The staleness re-check under each shard lock
     /// matters for drops as much as for publishes: after an abort cascade
@@ -932,9 +911,9 @@ impl ThreadHost<'_, '_> {
                     .filter(|(_, op)| matches!(op, VersionOp::Publish(..)));
                 stats.publish_batches += 1;
                 stats.publishes += published.count() as u64;
-                for (effect, waiters) in staged.drain(..) {
-                    stats.targeted_wakeups += shared.wake_waiters(waiters);
-                    shared.apply_effect(effect);
+                for staged in staged.drain(..) {
+                    stats.targeted_wakeups += staged.1.len() as u64;
+                    shared.apply_effect(staged);
                 }
             },
         );
@@ -950,102 +929,33 @@ impl Host for ThreadHost<'_, '_> {
             Ok(value) => return Ok(value),
             Err(delta) => delta,
         };
-        // Fast path: no epoch sampling, one shard lock, the slot's cached
-        // snapshot value. The epoch only matters before *parking*, so it is
-        // sampled exclusively on the blocked path below.
         {
             let mut shard = self.shared.sequences.shard_for(id);
             if self.stale() {
                 return Err(HostError::Aborted);
             }
-            if let ReadResolution::Ready(value) =
-                shard.resolve_read(id, self.tx, &key, self.shared.snapshot)
-            {
-                shard.mark_read(id, self.tx);
-                return Ok(value.wrapping_add(own_delta));
+            match shard.resolve_read(id, self.tx, &key, self.shared.snapshot) {
+                ReadResolution::Ready(value) => {
+                    shard.mark_read(id, self.tx);
+                    return Ok(value.wrapping_add(own_delta));
+                }
+                // A pending version: suspend. Registering under the lock
+                // that failed the read means the change that unblocks the
+                // key either sees us or comes before `is_ready`'s resolve.
+                ReadResolution::Blocked { .. } => shard.register_waiter(id, self.tx),
             }
         }
-        // Consecutive parks whose timeout elapsed with no event signal —
-        // the stuckness measure the deadlock breaker below keys off.
-        let mut stuck_parks = 0u32;
-        loop {
-            // Sample our event's epoch before resolving: a publish signal
-            // racing the registration below then prevents the sleep.
-            let seen_epoch = self.shared.states[self.tx].event.epoch();
-            let value = {
-                let mut shard = self.shared.sequences.shard_for(id);
-                if self.stale() {
-                    return Err(HostError::Aborted);
-                }
-                match shard.resolve_read(id, self.tx, &key, self.shared.snapshot) {
-                    ReadResolution::Ready(value) => {
-                        shard.mark_read(id, self.tx);
-                        Some(value)
-                    }
-                    ReadResolution::Blocked { .. } => {
-                        // Register in the reverse waiter index under the
-                        // same lock hold as the failed resolve.
-                        shard.register_waiter(id, self.tx);
-                        None
-                    }
-                }
-            };
-            if let Some(value) = value {
-                return Ok(value.wrapping_add(own_delta));
+        {
+            let mut core = self.shared.states[self.tx].core.lock();
+            if self.stale() {
+                return Err(HostError::Aborted);
             }
-            let blocked = self.shared.blocked.fetch_add(1, Ordering::SeqCst) + 1;
-            // Deadlock breaker, last resort only. Reads wait exclusively on
-            // *earlier* transactions, so the wait-for graph is acyclic: if
-            // any worker is idle (not blocked), it alone guarantees
-            // progress, and if our writer is running it will publish.
-            // Intervention is needed only when every worker is asleep,
-            // runnable work exists that none of them can reach, and our own
-            // event has been silent across several full park timeouts
-            // (`stuck_parks`). Aborting eagerly instead livelocks: the
-            // re-admitted transaction is itself the "runnable work" the
-            // next blocked reader sees, and the block storms with
-            // self-aborts until someone trips `max_attempts` (found by DST
-            // schedule fuzzing).
-            if blocked + self.shared.idle.load(Ordering::SeqCst) >= self.shared.threads {
-                if self.shared.ready_count.load(Ordering::SeqCst) == 0 {
-                    for i in 0..self.shared.txs.len() {
-                        self.shared.try_admit(i);
-                    }
-                }
-                if stuck_parks >= STUCK_PARKS && self.shared.ready_count.load(Ordering::SeqCst) > 0
-                {
-                    self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
-                    self.shared
-                        .sequences
-                        .shard_for(id)
-                        .unregister_waiter(id, self.tx);
-                    // Our re-admission goes to the lowest-priority lane:
-                    // this worker's next pop must find the stuck writer,
-                    // not our own just-re-admitted transaction.
-                    self.shared.states[self.tx]
-                        .demoted
-                        .store(true, Ordering::SeqCst);
-                    self.shared.abort_cascade(self.tx);
-                    return Err(HostError::Aborted);
-                }
-            }
-            self.own.stats.parks += 1;
-            if let Some(hook) = self.shared.hook() {
-                hook.on_park(Some(self.tx));
-            }
-            self.shared.states[self.tx]
-                .event
-                .wait_while(seen_epoch, BLOCKED_PARK);
-            self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
-            if self.shared.states[self.tx].event.epoch() == seen_epoch {
-                stuck_parks += 1;
-            } else {
-                stuck_parks = 0;
-            }
-            if let Some(hook) = self.shared.hook() {
-                hook.on_wake(Some(self.tx));
-            }
+            core.blocked_on = Some(id);
         }
+        // The worker goes back to the queue; the cascade's own `try_admit`
+        // or the drain of the key's waiters re-admits the transaction.
+        self.shared.abort_cascade(self.tx);
+        Err(HostError::Aborted)
     }
 
     fn sstore(&mut self, key: StateKey, value: U256) -> Result<(), HostError> {
@@ -1095,8 +1005,8 @@ impl Host for ThreadHost<'_, '_> {
     }
 }
 
-/// The multi-threaded DMVCC block executor (sharded locks, targeted
-/// wakeups, rank-lane dispatch — see the module docs).
+/// The multi-threaded DMVCC block executor (sharded locks, suspended
+/// reads, rank-lane dispatch — see the module docs).
 ///
 /// # Examples
 ///
@@ -1148,8 +1058,7 @@ fn recycle_state(state: &mut TxState) -> u64 {
     core.status = None;
     core.gas_used = 0;
     core.unpredicted.clear();
-    *state.event.epoch.get_mut() = 0;
-    *state.demoted.get_mut() = false;
+    core.blocked_on = None;
     core.unpredicted.retained_bytes() + std::mem::size_of::<TxState>() as u64
 }
 
@@ -1337,7 +1246,7 @@ impl ParallelExecutor {
         for (tx, state) in states.iter_mut().enumerate() {
             if state.core.get_mut().phase == Phase::Ready {
                 let lane = dag.lane_of(tx);
-                lanes[lane].get_mut().push_back((tx, 0, lane));
+                lanes[lane].get_mut().push_back((tx, 0));
                 lane_counts[lane] += 1;
             }
         }
@@ -1350,7 +1259,6 @@ impl ParallelExecutor {
             finished: AtomicUsize::new(0),
             resting: AtomicUsize::new(0),
             flush_cursor: AtomicUsize::new(0),
-            blocked: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
             ready_count: AtomicUsize::new(lane_counts.iter().sum()),
             aborts: AtomicU64::new(0),
@@ -1377,7 +1285,7 @@ impl ParallelExecutor {
                 shared.rest_and_flush();
                 return own.stats;
             }
-            if let Some((tx, generation, lane)) = shared.pop_ready() {
+            if let Some((tx, generation)) = shared.pop_ready() {
                 shared.ready_count.fetch_sub(1, Ordering::SeqCst);
                 let run: Option<u32> = {
                     let mut core = shared.states[tx].core.lock();
@@ -1386,10 +1294,11 @@ impl ParallelExecutor {
                     } else {
                         core.phase = Phase::Running;
                         core.attempts += 1;
+                        core.blocked_on = None;
                         Some(core.attempts)
                     }
                 };
-                own.stats.rank_inversions += u64::from(shared.note_dequeue(lane, run.is_some()));
+                own.stats.rank_inversions += u64::from(shared.note_dequeue(tx, run.is_some()));
                 if let Some(attempt) = run {
                     if let Some(hook) = shared.hook() {
                         hook.on_dequeue(tx, attempt);
@@ -1488,8 +1397,8 @@ impl ParallelExecutor {
         match status {
             ExecStatus::Success => finalize_success(&mut host, gas_used),
             ExecStatus::Interrupted => {
-                // The host returned Aborted (stale generation or deadlock
-                // yield); abort_cascade already handled the bookkeeping.
+                // The host returned Aborted (stale generation or a
+                // suspension); abort_cascade already handled the bookkeeping.
             }
             deterministic => finalize_deterministic_abort(&mut host, deterministic, gas_used),
         }
@@ -1705,6 +1614,53 @@ mod tests {
         assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
         assert_eq!(outcome.statuses, vec![ExecStatus::Success; txs.len()]);
         assert!(outcome.stats.attempts <= 2 * txs.len() as u64);
+    }
+
+    #[test]
+    fn a_read_of_a_pending_version_suspends_its_transaction() {
+        // tx 0 writes the counter; the readers' predictions omit the key and
+        // outweigh the writer, so the rank lanes dispatch every reader first
+        // and each meets the writer's pending version. On one worker a read
+        // that waited in place would wait for ever.
+        #[derive(Debug, Default)]
+        struct ParkWatch(std::sync::atomic::AtomicBool);
+        impl SchedHook for ParkWatch {
+            fn on_park(&self, tx: Option<usize>) {
+                if tx.is_some() {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        let call = |caller: u64, selector| {
+            let to = Address::from_u64(COUNTER);
+            let env = TxEnv::call(Address::from_u64(caller), to, calldata(selector, &[]));
+            Transaction::call(env)
+        };
+        let n = 6;
+        let mut txs = vec![call(900, contracts::counter_fn::INCREMENT_CHECKED)];
+        txs.extend((1..n).map(|i| call(900 + i as u64, contracts::counter_fn::GET)));
+        let (snapshot, env) = (Snapshot::empty(), BlockEnv::default());
+        let analyzer = Analyzer::new(registry());
+        let mut csags = crate::pipeline::refine_csags(&analyzer, &txs[..1], &snapshot, &env, 1);
+        assert_eq!(csags[0].writes.len(), 1);
+        let reader = CSag {
+            predicted_gas: 10 * csags[0].predicted_gas,
+            ..CSag::from_accesses([])
+        };
+        csags.resize(n, reader);
+        let dag = BlockDag::build(&csags);
+        assert!((1..n).all(|reader| dag.lane_of(reader) < dag.lane_of(0)));
+        let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        let statuses: Vec<ExecStatus> = trace.txs.iter().map(|t| t.status.clone()).collect();
+        for threads in [1, 2, 4] {
+            let watch = Arc::new(ParkWatch::default());
+            let exec = executor(threads).with_hook(watch.clone());
+            let outcome = exec.execute_block_with_csags(&txs, &snapshot, &env, &csags);
+            assert_eq!(outcome.final_writes, trace.final_writes);
+            assert_eq!(outcome.statuses, statuses);
+            assert!(!watch.0.load(Ordering::SeqCst), "a read parked its worker");
+            assert!(outcome.stats.attempts <= 2 * n as u64);
+        }
     }
 
     #[test]
@@ -2127,12 +2083,15 @@ mod tests {
             exec.bind_block(txs, snapshot, csags).0
         }
 
-        /// The queue's entries, lane by lane, front to back.
-        fn queued(shared: &Shared<'_>) -> Vec<ReadyEntry> {
-            let lanes = shared.lanes.iter();
-            lanes
-                .flat_map(|lane| lane.lock().iter().copied().collect::<Vec<_>>())
-                .collect()
+        /// The queue's entries as `(tx, generation, lane)`, lane by lane,
+        /// front to back.
+        fn queued(shared: &Shared<'_>) -> Vec<(usize, u32, usize)> {
+            let mut queue = Vec::new();
+            for (at, lane) in shared.lanes.iter().enumerate() {
+                let entries = lane.lock();
+                queue.extend(entries.iter().map(|&(tx, generation)| (tx, generation, at)));
+            }
+            queue
         }
 
         proptest! {
@@ -2156,7 +2115,7 @@ mod tests {
                 let outcome = exec.execute_block_with_csags(&txs, &snapshot, &env, &csags);
                 prop_assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
                 for lane in exec.pool.lock().lanes.iter_mut() {
-                    lane.get_mut().push_back((n + 7, 3, 0));
+                    lane.get_mut().push_back((n + 7, 3));
                 }
                 let shared = bound(&exec, &txs, &snapshot, &csags);
                 let interner = shared.sequences.interner();
@@ -2164,7 +2123,7 @@ mod tests {
                 // The first ready set is what `resolve_read` answers on the
                 // freshly predicted store, queued in block order, each entry
                 // in its rank's lane — and a sweep finds nothing to add.
-                let ready: Vec<usize> = (0..n).filter(|&tx| shared.is_ready(tx)).collect();
+                let ready: Vec<usize> = (0..n).filter(|&tx| shared.is_ready(tx, None)).collect();
                 let queue = queued(&shared);
                 let mut queued_txs: Vec<usize> = queue.iter().map(|entry| entry.0).collect();
                 for lane in shared.lanes.iter() {

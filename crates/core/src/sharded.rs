@@ -18,11 +18,11 @@
 //! bytes served from recycled memory are reported as
 //! `ExecutorStats::alloc_bytes_saved`.
 //!
-//! Each slot also carries the *reverse waiter index* for its key: the set
-//! of transactions whose read is currently blocked on a pending version of
-//! that key. A publisher drains exactly those waiters under the same lock
-//! hold that makes the version visible, which is what lets the executor
-//! wake only the transactions that can actually make progress.
+//! Each slot also carries the *reverse waiter index* for its key: the
+//! transactions suspended because a read of the key met a pending version.
+//! Any change to a version of the key drains them under the same lock hold
+//! that makes the change, which is what lets the executor re-admit exactly
+//! the transactions the change may have unblocked.
 //!
 //! A block's life in the store has three phases. It is *bound* by one
 //! thread with exclusive access ([`ShardedSequences::bind`]: predicted
@@ -52,7 +52,7 @@ use crate::hook::SchedHook;
 /// mutexes still fits comfortably in cache.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Per-key state within a shard: the access sequence, the blocked readers,
+/// Per-key state within a shard: the access sequence, the suspended readers,
 /// and a one-value snapshot cache (the block snapshot is immutable, so the
 /// first overlay-chain probe answers every later snapshot-base read).
 #[derive(Debug, Default)]
@@ -137,10 +137,10 @@ impl Shard {
         self.slot_mut(id).seq.mark_read(tx);
     }
 
-    /// Records that `tx`'s read is blocked on `id`. The registration must
-    /// happen under the same lock hold as the failed resolve, so a
-    /// concurrent publisher either sees the waiter or has already made the
-    /// version visible to the retry.
+    /// Records that `tx` is suspended until a version of `id` changes. The
+    /// registration must happen under the same lock hold as the resolve
+    /// that came back blocked, so a concurrent change either drains the
+    /// waiter or is visible to the next resolve.
     pub fn register_waiter(&mut self, id: KeyId, tx: usize) {
         let list = &mut self.slot_mut(id).waiters;
         if !list.contains(&tx) {
@@ -148,28 +148,13 @@ impl Shard {
         }
     }
 
-    /// Removes and returns the transactions blocked on `id`, if any.
+    /// Removes and returns the transactions suspended on `id`, if any.
     pub fn drain_waiters(&mut self, id: KeyId) -> Vec<usize> {
         let index = self.slot_index(id);
         match self.slots.get_mut(index) {
             Some(slot) => std::mem::take(&mut slot.waiters),
             None => Vec::new(),
         }
-    }
-
-    /// Drops a waiter registration (the reader gave up, e.g. self-abort).
-    pub fn unregister_waiter(&mut self, id: KeyId, tx: usize) {
-        let index = self.slot_index(id);
-        if let Some(slot) = self.slots.get_mut(index) {
-            slot.waiters.retain(|&t| t != tx);
-        }
-    }
-
-    /// `true` if any transaction is blocked on `id`.
-    pub fn has_waiters(&self, id: KeyId) -> bool {
-        self.slots
-            .get(self.slot_index(id))
-            .is_some_and(|slot| !slot.waiters.is_empty())
     }
 }
 
@@ -187,8 +172,8 @@ pub(crate) enum VersionOp {
     Rollback,
 }
 
-/// What one key's change did: the sequence's effect, and the readers that
-/// were parked on the key (drained under the same lock hold).
+/// What one key's change did: the sequence's effect, and the transactions
+/// that were suspended on the key (drained under the same lock hold).
 pub(crate) type Staged = (VersionWriteEffect, Vec<usize>);
 
 /// Recycled shard storage: the mutexes, slot arrays and flush buffers of a
@@ -489,13 +474,10 @@ mod tests {
             shard.register_waiter(k, 3);
             shard.register_waiter(k, 5);
             shard.register_waiter(k, 3);
-            assert!(shard.has_waiters(k));
         }
         {
             let mut shard = sharded.shard_for(k);
-            shard.unregister_waiter(k, 5);
-            assert_eq!(shard.drain_waiters(k), vec![3]);
-            assert!(!shard.has_waiters(k));
+            assert_eq!(shard.drain_waiters(k), vec![3, 5]);
             assert!(shard.drain_waiters(k).is_empty());
         }
         // `intern` takes no shard lock; the two blocks above took one each.

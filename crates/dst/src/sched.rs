@@ -102,7 +102,8 @@ pub struct SchedStats {
     pub dequeues: AtomicU64,
     /// Publishes observed.
     pub publishes: AtomicU64,
-    /// Parks observed (blocked reads and idle workers).
+    /// Parks observed: idle workers, and on the optimistic engine reads
+    /// waiting out a re-pended version (a sharded read never parks).
     pub parks: AtomicU64,
     /// Wakes observed.
     pub wakes: AtomicU64,

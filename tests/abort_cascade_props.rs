@@ -2,14 +2,13 @@
 //! lossy C-SAG predictions the cascading re-executions must still converge
 //! to the serial state, and the virtual-time simulator — configured with
 //! commutativity off and early writes on, the setting where every ω̄ becomes
-//! a chained read-modify-write — must report abort counts that grow with
-//! the misprediction rate.
+//! a chained read-modify-write — must account for every attempt and
+//! schedule exact predictions without an abort.
 //!
-//! The analyzer hides keys by thresholding a per-key hash roll against
-//! `hide_fraction`, so the hidden-key sets of an increasing ladder are
-//! nested: every misprediction present at a lower rung is present at the
-//! higher ones, which is what makes the abort-count comparison meaningful
-//! per case rather than only in aggregate.
+//! The simulator's abort count is *not* monotone in the hidden fraction:
+//! at 64 cases the generator finds inputs where a higher rung aborts less
+//! than a lower one. So the abort count is only pinned where it is exact
+//! (zero at the first rung).
 
 use proptest::prelude::*;
 
@@ -40,15 +39,12 @@ fn small(base: WorkloadConfig) -> WorkloadConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
     #[test]
-    fn cascades_converge_and_aborts_grow_with_misprediction(
+    fn cascades_converge_under_misprediction(
         seed in 0u64..10_000,
         size in 20usize..50,
     ) {
         let ladder = [0.0, 0.3, 0.6];
-        let mut previous_aborts = 0u64;
         for (rung, &hide) in ladder.iter().enumerate() {
             let mut generator =
                 WorkloadGenerator::new(small(WorkloadConfig::high_contention(seed)));
@@ -103,14 +99,6 @@ proptest! {
                     "exact predictions must schedule without any abort"
                 );
             }
-            prop_assert!(
-                report.aborts >= previous_aborts,
-                "abort count fell from {} to {} when hide rose to {}",
-                previous_aborts,
-                report.aborts,
-                hide
-            );
-            previous_aborts = report.aborts;
         }
     }
 }
