@@ -9,9 +9,8 @@
 #![forbid(unsafe_code)]
 
 use dmvcc_analysis::AnalysisConfig;
-use dmvcc_baselines::simulate_occ;
 use dmvcc_bench::{env_usize, prepare_blocks, write_json};
-use dmvcc_core::{simulate_dmvcc, DmvccConfig, SimReport};
+use dmvcc_sim::{simulate_dmvcc, simulate_occ, SimReport};
 use dmvcc_workload::WorkloadConfig;
 use serde::Serialize;
 
@@ -55,11 +54,7 @@ fn main() {
             let mut dmvcc = SimReport::zero(threads);
             let mut occ = SimReport::zero(threads);
             for block in &prepared {
-                dmvcc.accumulate(&simulate_dmvcc(
-                    &block.trace,
-                    &block.csags,
-                    &DmvccConfig::new(threads),
-                ));
+                dmvcc.accumulate(&simulate_dmvcc(&block.trace, &block.csags, threads));
                 occ.accumulate(&simulate_occ(&block.trace, threads));
             }
             let reduction = if occ.aborts > 0 {

@@ -3,8 +3,8 @@
 
 #![forbid(unsafe_code)]
 use dmvcc_analysis::Analyzer;
-use dmvcc_chain::{schedule_block, SchedulerKind};
-use dmvcc_core::{build_csags, execute_block_serial};
+use dmvcc_core::{execute_block_serial, refine_csags};
+use dmvcc_sim::SchedulerKind;
 use dmvcc_state::StateDb;
 use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -20,13 +20,13 @@ fn main() {
         let snapshot = db.latest().clone();
         let env = BlockEnv::new(1, 1_700_000_000);
         let txs = generator.block(1000);
-        let csags = build_csags(&txs, &snapshot, &analyzer, &env);
+        let csags = refine_csags(&analyzer, &txs, &snapshot, &env, 1);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         println!("== {name} ==");
         for threads in [1usize, 2, 4, 8, 16, 32] {
             print!("threads={threads:>2}");
             for s in [SchedulerKind::Dag, SchedulerKind::Occ, SchedulerKind::Dmvcc] {
-                let r = schedule_block(s, &trace, &csags, threads);
+                let r = s.simulate(&trace, &csags, threads);
                 print!("  {}={:6.2}x (ab {})", s.label(), r.speedup(), r.aborts);
             }
             println!();

@@ -5,9 +5,8 @@
 
 #![forbid(unsafe_code)]
 
-use dmvcc_baselines::{simulate_dag, simulate_occ};
 use dmvcc_bench::{env_usize, prepare_blocks, write_json};
-use dmvcc_core::{simulate_dmvcc, DmvccConfig, SimReport};
+use dmvcc_sim::{simulate_dag, simulate_dmvcc, simulate_occ, SimReport};
 use dmvcc_workload::WorkloadConfig;
 use serde::Serialize;
 
@@ -46,11 +45,7 @@ fn main() {
         for block in &prepared {
             dag.accumulate(&simulate_dag(&block.trace, threads));
             occ.accumulate(&simulate_occ(&block.trace, threads));
-            dmvcc.accumulate(&simulate_dmvcc(
-                &block.trace,
-                &block.csags,
-                &DmvccConfig::new(threads),
-            ));
+            dmvcc.accumulate(&simulate_dmvcc(&block.trace, &block.csags, threads));
         }
         println!(
             "{:>5.0}%{:>9.2}x{:>9.2}x{:>9.2}x{:>13.0}%{:>11.0}%",

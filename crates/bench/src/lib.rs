@@ -25,10 +25,11 @@ use std::io::Write as _;
 use serde::Serialize;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
-use dmvcc_baselines::{simulate_dag, simulate_dag_coarse, simulate_occ};
-use dmvcc_chain::block_env;
-use dmvcc_core::{
-    build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig, SimReport,
+use dmvcc_chain::{block_env, run_testnet, ChainConfig, TestnetConfig};
+use dmvcc_core::{execute_block_serial, refine_csags, BlockTrace};
+use dmvcc_sim::{
+    charge, contract_level, simulate_dag, simulate_dmvcc, without_commutativity,
+    without_early_writes, without_versioning, SchedulerKind, SimReport,
 };
 use dmvcc_state::Snapshot;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -84,7 +85,7 @@ pub fn prepare_blocks(
     for height in 1..=blocks as u64 {
         let txs = generator.block(block_size);
         let env = block_env(height);
-        let csags = build_csags(&txs, &snapshot, &analyzer, &env);
+        let csags = refine_csags(&analyzer, &txs, &snapshot, &env, 1);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
         snapshot = snapshot.apply(&trace.final_writes);
         out.push(PreparedBlock { trace, csags });
@@ -92,94 +93,133 @@ pub fn prepare_blocks(
     out
 }
 
-/// A boxed per-block scheduler runner.
-type SchedulerRun = Box<dyn Fn(&PreparedBlock) -> SimReport>;
+/// `run`'s reports over every block, accumulated into one point.
+fn point(
+    scheduler: &str,
+    threads: usize,
+    prepared: &[PreparedBlock],
+    run: impl Fn(&PreparedBlock) -> SimReport,
+) -> SpeedupPoint {
+    let mut total = SimReport::zero(threads);
+    for block in prepared {
+        total.accumulate(&run(block));
+    }
+    SpeedupPoint {
+        scheduler: scheduler.to_string(),
+        threads,
+        speedup: total.speedup(),
+        abort_rate: total.abort_rate(),
+        aborts: total.aborts,
+    }
+}
 
-/// The scheduler series plotted by Fig. 7/Fig. 8.
+/// The scheduler series plotted by Fig. 7.
 pub fn speedup_series(prepared: &[PreparedBlock], threads_sweep: &[usize]) -> Vec<SpeedupPoint> {
     let mut points = Vec::new();
     for &threads in threads_sweep {
-        let mut series: Vec<(&str, SchedulerRun)> = vec![
-            (
-                "DAG",
-                Box::new(move |p: &PreparedBlock| simulate_dag(&p.trace, threads)),
-            ),
-            (
-                "OCC",
-                Box::new(move |p: &PreparedBlock| simulate_occ(&p.trace, threads)),
-            ),
-            (
-                "DMVCC",
-                Box::new(move |p: &PreparedBlock| {
-                    simulate_dmvcc(&p.trace, &p.csags, &DmvccConfig::new(threads))
-                }),
-            ),
-        ];
-        for (label, run) in series.drain(..) {
-            let mut total = SimReport::zero(threads);
-            for block in prepared {
-                total.accumulate(&run(block));
-            }
-            points.push(SpeedupPoint {
-                scheduler: label.to_string(),
-                threads,
-                speedup: total.speedup(),
-                abort_rate: total.abort_rate(),
-                aborts: total.aborts,
-            });
+        for scheduler in [SchedulerKind::Dag, SchedulerKind::Occ, SchedulerKind::Dmvcc] {
+            points.push(point(scheduler.label(), threads, prepared, |p| {
+                scheduler.simulate(&p.trace, &p.csags, threads)
+            }));
         }
     }
     points
 }
 
-/// Ablation series: DMVCC with individual features disabled, plus the
-/// coarse-grained DAG.
+/// Ablation series: DMVCC with one feature taken out of its inputs at a
+/// time, plus the DAG baseline over contract-level sets.
 pub fn ablation_series(prepared: &[PreparedBlock], threads_sweep: &[usize]) -> Vec<SpeedupPoint> {
-    type Variant = (&'static str, fn(usize) -> DmvccConfig);
-    let variants: [Variant; 4] = [
-        ("DMVCC", DmvccConfig::new),
-        ("DMVCC -early-write", |t| DmvccConfig {
-            early_write: false,
-            ..DmvccConfig::new(t)
+    type Variant = (&'static str, fn(&PreparedBlock, usize) -> SimReport);
+    let variants: [Variant; 5] = [
+        ("DMVCC", |p, t| simulate_dmvcc(&p.trace, &p.csags, t)),
+        ("DMVCC -early-write", |p, t| {
+            simulate_dmvcc(&without_early_writes(&p.trace), &p.csags, t)
         }),
-        ("DMVCC -commutative", |t| DmvccConfig {
-            commutative: false,
-            ..DmvccConfig::new(t)
+        ("DMVCC -commutative", |p, t| {
+            simulate_dmvcc(&p.trace, &without_commutativity(&p.csags), t)
         }),
-        ("DMVCC -versioning", |t| DmvccConfig {
-            write_versioning: false,
-            ..DmvccConfig::new(t)
+        ("DMVCC -versioning", |p, t| {
+            simulate_dmvcc(&p.trace, &without_versioning(&p.csags), t)
+        }),
+        ("DAG (contract-level)", |p, t| {
+            simulate_dag(&contract_level(&p.trace), t)
         }),
     ];
     let mut points = Vec::new();
     for &threads in threads_sweep {
-        for (label, make) in variants {
-            let config = make(threads);
-            let mut total = SimReport::zero(threads);
-            for block in prepared {
-                total.accumulate(&simulate_dmvcc(&block.trace, &block.csags, &config));
-            }
-            points.push(SpeedupPoint {
-                scheduler: label.to_string(),
-                threads,
-                speedup: total.speedup(),
-                abort_rate: total.abort_rate(),
-                aborts: total.aborts,
-            });
+        for (label, run) in variants {
+            points.push(point(label, threads, prepared, |p| run(p, threads)));
         }
-        let mut coarse = SimReport::zero(threads);
-        for block in prepared {
-            coarse.accumulate(&simulate_dag_coarse(&block.trace, threads));
-        }
-        points.push(SpeedupPoint {
-            scheduler: "DAG (contract-level)".to_string(),
-            threads,
-            speedup: coarse.speedup(),
-            abort_rate: 0.0,
-            aborts: 0,
-        });
     }
     points
+}
+
+/// One data point of a testnet throughput figure.
+#[derive(Debug, Serialize)]
+struct ThroughputPoint {
+    scheduler: String,
+    threads: usize,
+    tps: f64,
+    throughput_speedup: f64,
+    aborts: u64,
+}
+
+/// A Fig. 8 panel: runs the execution-bound testnet once on `workload`
+/// (seed 42, `DMVCC_BLOCKS` blocks of `DMVCC_BLOCK_SIZE` transactions),
+/// asserts that every sealed header is the serial oracle's, and charges the
+/// chain to DAG, OCC and DMVCC at every thread count of [`THREAD_SWEEP`]
+/// with one block mined per second. Prints `heading(blocks, block_size)`,
+/// the throughput speedups over the serial chain and `paper_note`, and
+/// writes the points as `bench-results/<name>.json`.
+pub fn testnet_figure(
+    name: &str,
+    workload: fn(u64) -> WorkloadConfig,
+    heading: fn(usize, usize) -> String,
+    paper_note: &str,
+) {
+    const MINING_INTERVAL_SECS: f64 = 1.0;
+    let blocks = env_usize("DMVCC_BLOCKS", 2);
+    let block_size = env_usize("DMVCC_BLOCK_SIZE", 5_000);
+    let bound = TestnetConfig::execution_bound(42);
+    let report = run_testnet(&TestnetConfig {
+        chain: ChainConfig {
+            blocks,
+            block_size,
+            workload: workload(42),
+            ..bound.chain
+        },
+        ..bound
+    });
+    assert!(
+        report.roots_consistent(),
+        "a sealed header differs from the serial oracle's"
+    );
+    let serial = charge(&report, SchedulerKind::Serial, 1, MINING_INTERVAL_SECS);
+    println!("\n== {} ==", heading(blocks, block_size));
+    println!(
+        "serial: {:.0} TPS ({:.1}s execution)",
+        serial.tps, serial.execution_seconds
+    );
+    println!("{:>8}{:>16}{:>16}{:>16}", "threads", "DAG", "OCC", "DMVCC");
+    let mut points = Vec::new();
+    for threads in THREAD_SWEEP {
+        print!("{threads:>8}");
+        for scheduler in [SchedulerKind::Dag, SchedulerKind::Occ, SchedulerKind::Dmvcc] {
+            let charged = charge(&report, scheduler, threads, MINING_INTERVAL_SECS);
+            let speedup = charged.tps / serial.tps;
+            print!("{speedup:>14.2}x ");
+            points.push(ThroughputPoint {
+                scheduler: scheduler.label().to_string(),
+                threads,
+                tps: charged.tps,
+                throughput_speedup: speedup,
+                aborts: charged.aborts,
+            });
+        }
+        println!();
+    }
+    println!("{paper_note}");
+    write_json(name, &points);
 }
 
 /// Prints a speedup table grouped by thread count.

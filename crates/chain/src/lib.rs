@@ -17,14 +17,12 @@
 //! - [`run_testnet`] is the blockchain-environment evaluation (RQ3,
 //!   Fig. 8). The paper tunes mining to one block every 12 s (or 1 s),
 //!   raises the gas limit so a block packs up to 10 000 transactions, and
-//!   measures *throughput speedup*: with small blocks mining dominates and
-//!   parallel execution barely matters; with large blocks and fast mining
-//!   the scheduler's makespan bounds throughput. Transactions arrive
-//!   through a [`TxPool`] (some without a SAG), the blocks come from
-//!   [`produce_block`] with the pool's C-SAGs, and the block cycle is
-//!   `max(mining_interval, makespan)` where the makespan is the configured
-//!   scheduler's *virtual* time over the oracle's trace, converted at
-//!   [`GAS_PER_SECOND`].
+//!   measures *throughput speedup*. Transactions arrive through a
+//!   [`TxPool`] (some without a SAG), and the blocks come from
+//!   [`produce_block`] with the pool's C-SAGs. The report keeps each
+//!   block's oracle trace and C-SAGs; what a block costs under a scheduler
+//!   and a mining interval is computed from them in virtual time by the
+//!   `dmvcc-sim` crate, and does not change the chain.
 //! - [`run_pipelined_chain`] is the wall-clock front-end: block N executes
 //!   while block N+1's C-SAGs are refined and block N−1's state root is
 //!   hashed, and each block is sealed as its root resolves.
@@ -42,12 +40,8 @@ pub use block::{
 pub use pool::{PoolStats, TxPool};
 
 use dmvcc_analysis::{Analyzer, CSag};
-use dmvcc_baselines::{simulate_dag, simulate_occ};
 pub use dmvcc_core::ExecutorKind;
-use dmvcc_core::{
-    execute_block_serial, simulate_dmvcc, BlockExecutor, BlockPipeline, BlockTrace, DmvccConfig,
-    ParallelConfig, SimReport,
-};
+use dmvcc_core::{execute_block_serial, BlockExecutor, BlockPipeline, BlockTrace, ParallelConfig};
 use dmvcc_primitives::{H256, U256};
 use dmvcc_state::{
     LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb, StateKey,
@@ -56,47 +50,9 @@ use dmvcc_vm::{BlockEnv, Transaction};
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 use std::sync::Arc;
 
-/// Virtual-gas-to-wall-clock conversion of [`run_testnet`]: at 4 M gas/s a
-/// typical contract call costs 5–10 ms, the paper's observed
-/// "sub-milliseconds to tens of milliseconds".
-pub const GAS_PER_SECOND: u64 = 4_000_000;
-
-/// Which scheduler's virtual time [`run_testnet`] charges for a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Ordinary serial execution (the baseline EVM).
-    Serial,
-    /// DAG-based parallel execution.
-    Dag,
-    /// OCC-based parallel execution.
-    Occ,
-    /// DMVCC.
-    Dmvcc,
-}
-
-impl SchedulerKind {
-    /// All four schedulers, in the order the paper plots them.
-    pub const ALL: [SchedulerKind; 4] = [
-        SchedulerKind::Serial,
-        SchedulerKind::Dag,
-        SchedulerKind::Occ,
-        SchedulerKind::Dmvcc,
-    ];
-
-    /// Display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Serial => "Serial",
-            SchedulerKind::Dag => "DAG",
-            SchedulerKind::Occ => "OCC",
-            SchedulerKind::Dmvcc => "DMVCC",
-        }
-    }
-}
-
 /// Which persistent state backend the chain's [`StateDb`] commits to.
 ///
-/// Orthogonal to both [`SchedulerKind`] and [`ExecutorKind`]: the backend
+/// Orthogonal to [`ExecutorKind`]: the backend
 /// only changes where committed versions live (RAM vs the log-structured
 /// store), never execution results — every configuration must land on the
 /// same roots.
@@ -146,8 +102,8 @@ pub struct ChainConfig {
     pub block_size: usize,
     /// Number of blocks to produce.
     pub blocks: usize,
-    /// Worker threads: the virtual-time schedulers take the figure as is,
-    /// the threaded engine and root hashing take at most 8 of it.
+    /// Worker threads of the threaded engine and of root hashing, which
+    /// take at most 8.
     pub threads: usize,
     /// Workload shape.
     pub workload: WorkloadConfig,
@@ -174,16 +130,11 @@ impl ChainConfig {
 }
 
 /// [`run_testnet`]'s configuration: the chain plus what only the testnet
-/// has — a transaction pool, mining and a virtual-time scheduler.
+/// has — a transaction pool.
 #[derive(Debug, Clone)]
 pub struct TestnetConfig {
     /// The chain to run.
     pub chain: ChainConfig,
-    /// The scheduler whose virtual makespan is a block's execution time.
-    pub scheduler: SchedulerKind,
-    /// Mining interval in seconds (paper: 12 s, and 1 s for the
-    /// execution-bound configuration).
-    pub mining_interval_secs: f64,
     /// Fraction of transactions that reach the pool *without* a SAG
     /// (late propagation; the paper's pool-desync scenario).
     pub pool_miss_rate: f64,
@@ -193,20 +144,19 @@ pub struct TestnetConfig {
 }
 
 impl TestnetConfig {
-    /// The paper's execution-bound configuration: 10 000-tx blocks, 1 s
-    /// mining, on the realistic workload.
-    pub fn execution_bound(scheduler: SchedulerKind, threads: usize, seed: u64) -> Self {
+    /// The chain of the paper's execution-bound configuration: 10 000-tx
+    /// blocks on the realistic workload (the paper mines them at 1 s), on
+    /// one engine thread per core.
+    pub fn execution_bound(seed: u64) -> Self {
         TestnetConfig {
             chain: ChainConfig {
                 block_size: 10_000,
                 blocks: 4,
-                threads,
+                threads: ParallelConfig::default().threads,
                 workload: WorkloadConfig::ethereum_mix(seed),
                 executor: ExecutorKind::Sharded,
                 backend: BackendKind::Mem,
             },
-            scheduler,
-            mining_interval_secs: 1.0,
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
         }
@@ -282,17 +232,14 @@ pub struct ChainReport {
     /// Transactions committed (all packed transactions commit; reverted
     /// ones are committed as no-ops, as on Ethereum).
     pub committed_txs: u64,
-    /// Total wall-clock seconds of the simulated chain.
-    pub total_seconds: f64,
-    /// Seconds spent executing (the scheduler's share of each cycle).
-    pub execution_seconds: f64,
-    /// Throughput in transactions per second.
-    pub tps: f64,
     /// Number of the first block whose sealed header differs from the one
     /// the serial oracle seals, or that fails [`verify_chain`].
     pub diverged_at: Option<u64>,
-    /// Scheduler aborts accumulated over all blocks.
-    pub aborts: u64,
+    /// Per block, the serial oracle's trace: what a scheduler's virtual
+    /// time is charged over.
+    pub traces: Vec<BlockTrace>,
+    /// Per block, the C-SAGs the block was produced with.
+    pub csags: Vec<Vec<CSag>>,
     /// Final state root.
     pub final_root: H256,
     /// The mined chain.
@@ -309,31 +256,15 @@ impl ChainReport {
     }
 }
 
-/// Executes one block under `scheduler`, returning its virtual-time report.
-pub fn schedule_block(
-    scheduler: SchedulerKind,
-    trace: &BlockTrace,
-    csags: &[CSag],
-    threads: usize,
-) -> SimReport {
-    match scheduler {
-        SchedulerKind::Serial => dmvcc_baselines::serial_report(trace),
-        SchedulerKind::Dag => simulate_dag(trace, threads),
-        SchedulerKind::Occ => simulate_occ(trace, threads),
-        SchedulerKind::Dmvcc => simulate_dmvcc(trace, csags, &DmvccConfig::new(threads)),
-    }
-}
-
 /// Runs the micro testnet (RQ3, Fig. 8).
 ///
 /// Per block: transactions arrive in the pool (a `pool_miss_rate` share
 /// without a SAG), the packer takes a block and resolves its C-SAGs, and
 /// [`produce_block`] executes, commits and seals it on the configured
 /// engine with those C-SAGs. The serial oracle runs the same transactions
-/// for two purposes only: its trace is what the configured *virtual-time*
-/// scheduler is charged over (the block cycle is
-/// `max(mining_interval, makespan)`), and the header it seals is what the
-/// produced block's header must equal.
+/// for two purposes only: the header it seals is what the produced block's
+/// header must equal, and its trace, kept in the report beside the C-SAGs,
+/// is what a virtual-time scheduler is charged over.
 pub fn run_testnet(config: &TestnetConfig) -> ChainReport {
     use rand::{Rng, SeedableRng};
     let chain_config = &config.chain;
@@ -348,9 +279,8 @@ pub fn run_testnet(config: &TestnetConfig) -> ChainReport {
     let mut desync_rng = rand::rngs::StdRng::seed_from_u64(chain_config.workload.seed ^ 0xdead);
     let genesis = BlockHeader::genesis(db.current_root());
     let mut chain: Vec<Block> = Vec::with_capacity(chain_config.blocks);
-    let mut total_seconds = 0.0;
-    let mut execution_seconds = 0.0;
-    let mut aborts = 0u64;
+    let mut traces = Vec::with_capacity(chain_config.blocks);
+    let mut block_csags = Vec::with_capacity(chain_config.blocks);
     let mut differs_from_oracle = None;
 
     for height in 1..=chain_config.blocks as u64 {
@@ -383,29 +313,22 @@ pub fn run_testnet(config: &TestnetConfig) -> ChainReport {
             .collect();
 
         let (trace, expected) = oracle.next_block(&txs, &env);
-        let report = schedule_block(config.scheduler, &trace, &csags, chain_config.threads);
-        aborts += report.aborts;
-        let exec_secs = report.makespan as f64 / GAS_PER_SECOND as f64;
-        execution_seconds += exec_secs;
-        total_seconds += config.mining_interval_secs.max(exec_secs);
-
         let parent = chain.last().map_or(&genesis, |block| &block.header);
         let block = produce_block(&*executor, &mut db, parent, txs, Some(&csags), &env);
         if block.header != *expected {
             differs_from_oracle.get_or_insert(height);
         }
         chain.push(block);
+        traces.push(trace);
+        block_csags.push(csags);
     }
 
-    let committed: u64 = chain.iter().map(|block| block.txs.len() as u64).sum();
     ChainReport {
         blocks: chain_config.blocks,
-        committed_txs: committed,
-        total_seconds,
-        execution_seconds,
-        tps: committed as f64 / total_seconds.max(f64::EPSILON),
+        committed_txs: chain.iter().map(|block| block.txs.len() as u64).sum(),
         diverged_at: first_divergence(differs_from_oracle, &genesis, &chain),
-        aborts,
+        traces,
+        csags: block_csags,
         final_root: db.current_root(),
         chain,
         pool_stats: pool.stats(),
@@ -482,8 +405,8 @@ impl PipelinedChainReport {
 /// predictions, so for it the refinement stage is absent and only root
 /// hashing overlaps the next block.
 ///
-/// Unlike [`run_testnet`] this path bypasses the pool and the virtual-time
-/// schedulers: it measures the real front-end, wall-clock. Each block is
+/// Unlike [`run_testnet`] this path bypasses the pool and keeps no traces
+/// for virtual time: it measures the real front-end, wall-clock. Each block is
 /// sealed as its asynchronously hashed root resolves, and the sealed chain
 /// is then replayed on the serial oracle header by header.
 pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
@@ -574,7 +497,7 @@ mod tests {
         }
     }
 
-    fn tiny_config(scheduler: SchedulerKind) -> TestnetConfig {
+    fn tiny_config() -> TestnetConfig {
         TestnetConfig {
             chain: ChainConfig {
                 block_size: 40,
@@ -584,8 +507,6 @@ mod tests {
                 executor: ExecutorKind::Sharded,
                 backend: BackendKind::Mem,
             },
-            scheduler,
-            mining_interval_secs: 0.5,
             pool_miss_rate: 0.0,
             rebuild_missing_sags: true,
         }
@@ -593,17 +514,18 @@ mod tests {
 
     #[test]
     fn serial_testnet_runs_and_roots_agree() {
-        let report = run_testnet(&tiny_config(SchedulerKind::Serial));
+        let report = run_testnet(&tiny_config());
         assert_eq!(report.blocks, 3);
         assert_eq!(report.committed_txs, 120);
         assert!(report.roots_consistent());
-        assert!(report.tps > 0.0);
         assert_eq!(report.chain.len(), 3);
+        assert_eq!(report.traces.len(), 3);
+        assert_eq!(report.csags.len(), 3);
     }
 
     #[test]
     fn pool_misses_do_not_break_consistency() {
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
+        let mut config = tiny_config();
         config.pool_miss_rate = 0.5;
         config.rebuild_missing_sags = false; // OCC fallback for misses
         let report = run_testnet(&config);
@@ -611,13 +533,13 @@ mod tests {
         assert!(report.pool_stats.sag_misses > 0);
         assert!(report.pool_stats.sag_hits > 0);
         // Same chain as the fully-analyzed run.
-        let clean = run_testnet(&tiny_config(SchedulerKind::Dmvcc));
+        let clean = run_testnet(&tiny_config());
         assert_eq!(report.final_root, clean.final_root);
     }
 
     #[test]
     fn headers_form_a_verified_chain() {
-        let report = run_testnet(&tiny_config(SchedulerKind::Serial));
+        let report = run_testnet(&tiny_config());
         assert!(report.roots_consistent());
         for pair in report.chain.windows(2) {
             assert_eq!(pair[1].header.parent_hash, pair[0].header.hash());
@@ -636,41 +558,8 @@ mod tests {
     }
 
     #[test]
-    fn all_schedulers_produce_identical_chains() {
-        let roots: Vec<H256> = SchedulerKind::ALL
-            .iter()
-            .map(|&s| run_testnet(&tiny_config(s)).final_root)
-            .collect();
-        assert!(roots.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn dmvcc_not_slower_than_serial() {
-        let serial = run_testnet(&tiny_config(SchedulerKind::Serial));
-        let dmvcc = run_testnet(&tiny_config(SchedulerKind::Dmvcc));
-        assert!(dmvcc.execution_seconds <= serial.execution_seconds + 1e-9);
-        assert!(dmvcc.tps >= serial.tps - 1e-9);
-        assert!(dmvcc.roots_consistent());
-    }
-
-    #[test]
-    fn mining_floor_bounds_cycle_time() {
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
-        config.mining_interval_secs = 10.0;
-        let report = run_testnet(&config);
-        // Tiny blocks execute far faster than 10 s: mining dominates.
-        assert!((report.total_seconds - 30.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scheduler_labels() {
-        assert_eq!(SchedulerKind::Dmvcc.label(), "DMVCC");
-        assert_eq!(SchedulerKind::ALL.len(), 4);
-    }
-
-    #[test]
     fn pipelined_chain_matches_serial_oracle() {
-        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc).chain);
+        let report = run_pipelined_chain(&tiny_config().chain);
         assert!(report.roots_consistent());
         assert_eq!(report.blocks, 3);
         assert_eq!(report.committed_txs, 120);
@@ -684,8 +573,8 @@ mod tests {
     fn pipelined_chain_root_matches_testnet() {
         // Same workload seed → same transactions → the pipelined
         // real-executor chain must land on the virtual testnet's root.
-        let testnet = run_testnet(&tiny_config(SchedulerKind::Serial));
-        let pipelined = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc).chain);
+        let testnet = run_testnet(&tiny_config());
+        let pipelined = run_pipelined_chain(&tiny_config().chain);
         assert_eq!(pipelined.final_root, testnet.final_root);
     }
 
@@ -695,7 +584,7 @@ mod tests {
         let roots: Vec<H256> = ExecutorKind::ALL
             .iter()
             .map(|&kind| {
-                let mut config = tiny_config(SchedulerKind::Dmvcc);
+                let mut config = tiny_config();
                 config.chain.executor = kind;
                 let (consistent, root) = run(&config);
                 assert!(consistent, "{} diverged", kind.label());
@@ -739,7 +628,7 @@ mod tests {
             block_size: 120,
             blocks: 2,
             workload: tiny_workload(WorkloadConfig::high_contention(260)),
-            ..tiny_config(SchedulerKind::Dmvcc).chain
+            ..tiny_config().chain
         };
 
         let mut generator = WorkloadGenerator::new(base.workload.clone());
@@ -780,7 +669,6 @@ mod tests {
                     chain,
                     pool_miss_rate: 0.5,
                     rebuild_missing_sags: false,
-                    ..tiny_config(SchedulerKind::Dmvcc)
                 });
                 assert_eq!(testnet.diverged_at, None, "testnet, {label}");
                 assert!(testnet.pool_stats.sag_misses > 0);
@@ -791,7 +679,7 @@ mod tests {
 
     #[test]
     fn pipelined_commit_accounting_is_sane() {
-        let report = run_pipelined_chain(&tiny_config(SchedulerKind::Dmvcc).chain);
+        let report = run_pipelined_chain(&tiny_config().chain);
         assert!(report.roots_consistent());
         assert!(report.commit_seconds > 0.0);
         assert!(report.commit_hidden_seconds <= report.commit_seconds + 1e-12);
@@ -804,8 +692,8 @@ mod tests {
         // The backend only changes where committed versions live: both the
         // virtual testnet and the pipelined chain must land on identical
         // roots over the log-structured store.
-        let mem_testnet = run_testnet(&tiny_config(SchedulerKind::Dmvcc));
-        let mut config = tiny_config(SchedulerKind::Dmvcc);
+        let mem_testnet = run_testnet(&tiny_config());
+        let mut config = tiny_config();
         config.chain.backend = BackendKind::Lsm;
         let lsm_testnet = run_testnet(&config);
         assert!(lsm_testnet.roots_consistent());

@@ -7,14 +7,15 @@ use dmvcc_analysis::{
     Severity,
 };
 use dmvcc_chain::{
-    block_env, run_pipelined_chain, run_testnet, schedule_block, BackendKind, ChainConfig,
-    ExecutorKind, SchedulerKind, TestnetConfig,
+    block_env, run_pipelined_chain, run_testnet, BackendKind, ChainConfig, ExecutorKind,
+    TestnetConfig,
 };
 use dmvcc_cli::{
     contract_by_name, fixture_address, fixture_registry, parse_args, ParsedArgs, CONTRACT_NAMES,
     USAGE,
 };
-use dmvcc_core::{build_csags, execute_block_serial};
+use dmvcc_core::{execute_block_serial, refine_csags};
+use dmvcc_sim::{charge, SchedulerKind};
 use dmvcc_state::Snapshot;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -292,9 +293,9 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<(), String> {
         let txs = generator.block(size);
         let env = block_env(height);
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
-        let csags = build_csags(&txs, &snapshot, &analyzer, &env);
+        let csags = refine_csags(&analyzer, &txs, &snapshot, &env, 1);
         for &scheduler in &schedulers {
-            let r = schedule_block(scheduler, &trace, &csags, threads);
+            let r = scheduler.simulate(&trace, &csags, threads);
             println!(
                 "{height:>6} {:>10} {:>10} {:>12} {:>9.2}x {:>8}",
                 txs.len(),
@@ -353,22 +354,23 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
             .diverged_at
             .map_or(Ok(()), |block| Err(diverged(block)));
     }
+    let interval = parsed.get_or("interval", 1.0f64)?;
+    let threads = chain.threads;
     let report = run_testnet(&TestnetConfig {
         chain,
-        scheduler,
-        mining_interval_secs: parsed.get_or("interval", 1.0f64)?,
         pool_miss_rate: parsed.miss_rate()?,
         rebuild_missing_sags: true,
     });
+    let charged = charge(&report, scheduler, threads, interval);
     println!("scheduler          : {}", scheduler.label());
     println!("executor           : {}", executor.label());
     println!("backend            : {}", backend.label());
     println!("blocks             : {}", report.blocks);
     println!("transactions       : {}", report.committed_txs);
-    println!("execution time     : {:.2}s", report.execution_seconds);
-    println!("chain time         : {:.2}s", report.total_seconds);
-    println!("throughput         : {:.0} TPS", report.tps);
-    println!("scheduler aborts   : {}", report.aborts);
+    println!("execution time     : {:.2}s", charged.execution_seconds);
+    println!("chain time         : {:.2}s", charged.total_seconds);
+    println!("throughput         : {:.0} TPS", charged.tps);
+    println!("scheduler aborts   : {}", charged.aborts);
     println!(
         "pool SAG cache     : {} hits / {} misses",
         report.pool_stats.sag_hits, report.pool_stats.sag_misses

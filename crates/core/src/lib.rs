@@ -9,10 +9,8 @@
 //!   threaded engine reads and publishes through it, and an entry holds
 //!   what its transaction published ([`Version`]), not what was predicted.
 //! - [`execute_block_serial`]: the reference serial executor, which doubles
-//!   as the trace oracle for virtual-time scheduling.
-//! - [`simulate_dmvcc`]: the DMVCC scheduler in virtual time (gas), with
-//!   feature toggles for early-write visibility, commutative writes and
-//!   write versioning — the quantities behind the paper's figures.
+//!   as the trace oracle the `dmvcc-sim` crate schedules in virtual time
+//!   (gas) — the quantities behind the paper's figures.
 //! - [`ParallelExecutor`]: a real multi-threaded executor implementing
 //!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
 //!   waiter index that re-admits transactions suspended on a pending
@@ -42,7 +40,7 @@
 //! use dmvcc_state::Snapshot;
 //! use dmvcc_vm::{CodeRegistry, Transaction};
 //! use dmvcc_analysis::Analyzer;
-//! use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig};
+//! use dmvcc_core::{execute_block_serial, refine_csags, ParallelConfig, ParallelExecutor};
 //!
 //! let analyzer = Analyzer::new(CodeRegistry::default());
 //! let a = Address::from_u64(1);
@@ -54,9 +52,11 @@
 //!     .collect();
 //! let env = Default::default();
 //! let trace = execute_block_serial(&block, &snapshot, &analyzer, &env);
-//! let csags = build_csags(&block, &snapshot, &analyzer, &env);
-//! let report = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(4));
-//! assert!(report.speedup() >= 1.0);
+//! let csags = refine_csags(&analyzer, &block, &snapshot, &env, 1);
+//! let config = ParallelConfig { threads: 4, ..Default::default() };
+//! let outcome = ParallelExecutor::new(analyzer, config)
+//!     .execute_block_with_csags(&block, &snapshot, &env, &csags);
+//! assert_eq!(outcome.final_writes, trace.final_writes);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,19 +72,15 @@ mod parallel_stm;
 mod pipeline;
 mod rank;
 mod sharded;
-mod sim;
-mod simulator;
 
 pub use access::{
     AccessEntry, AccessOp, AccessSequence, ReadResolution, Version, VersionWriteEffect,
 };
 pub use executor::{BlockExecutor, ExecutorKind};
 pub use hook::{NoopHook, SchedHook};
-pub use oracle::{build_csags, execute_block_serial, BlockTrace, ReadRecord, TxTrace};
+pub use oracle::{execute_block_serial, BlockTrace, ReadRecord, TxTrace};
 pub use parallel::{ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
 pub use parallel_stm::{HybridExecutor, StmExecutor};
 pub use pipeline::{refine_csags, BlockPipeline, PipelineStats};
 pub use rank::{BlockDag, TxRank, NUM_LANES};
 pub use sharded::{Shard, ShardedSequences, DEFAULT_SHARDS};
-pub use sim::{SimReport, ThreadTimeline};
-pub use simulator::{simulate_dmvcc, DmvccConfig};

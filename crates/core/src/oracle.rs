@@ -4,7 +4,8 @@
 //! any correct schedule to the serial one; only timing, abort counts and
 //! thread utilization differ between schedulers. This module executes a
 //! block serially — it *is* the serial baseline — while recording, per
-//! transaction, everything the virtual-time schedulers need:
+//! transaction, everything the virtual-time schedulers of the `dmvcc-sim`
+//! crate need:
 //!
 //! - gas cost (the virtual-time unit),
 //! - every read with the transaction that produced the value
@@ -22,7 +23,7 @@ use dmvcc_vm::{
     TxKind, INTRINSIC_GAS,
 };
 
-use dmvcc_analysis::{Analyzer, CSag};
+use dmvcc_analysis::Analyzer;
 
 /// One recorded read with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -397,19 +398,6 @@ fn run_call(
             None
         },
     }
-}
-
-/// Convenience wrapper: a C-SAG batch for a block (the preprocessing step
-/// every scheduler shares).
-pub fn build_csags(
-    txs: &[Transaction],
-    snapshot: &Snapshot,
-    analyzer: &Analyzer,
-    block_env: &BlockEnv,
-) -> Vec<CSag> {
-    txs.iter()
-        .map(|tx| analyzer.csag(tx, snapshot, block_env))
-        .collect()
 }
 
 #[cfg(test)]

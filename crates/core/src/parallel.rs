@@ -1,7 +1,7 @@
 //! The sharded multi-threaded DMVCC executor.
 //!
-//! Where [`crate::simulate_dmvcc`] evaluates the schedule in virtual time,
-//! this module actually runs the protocol concurrently: worker threads pop
+//! Where `dmvcc_sim::simulate_dmvcc` evaluates the schedule in virtual
+//! time, this module actually runs the protocol concurrently: worker threads pop
 //! ready transactions (Algorithm 1), execute them on shared access
 //! sequences, publish writes at release points (Algorithm 2) via write
 //! versioning (Algorithm 3), and abort and re-execute stale readers with

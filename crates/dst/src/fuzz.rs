@@ -22,9 +22,9 @@ use std::time::{Duration, Instant};
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer, RefinementMode};
 use dmvcc_core::{
-    build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig, ExecutorKind,
-    ParallelConfig, ParallelOutcome,
+    execute_block_serial, refine_csags, BlockTrace, ExecutorKind, ParallelConfig, ParallelOutcome,
 };
+use dmvcc_sim::simulate_dmvcc;
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -171,8 +171,6 @@ pub struct FuzzConfig {
     pub quiet: bool,
     /// Active executor mutation (see [`Mutation`]).
     pub mutation: Mutation,
-    /// Check the virtual-time simulator's structural invariants too.
-    pub check_simulator: bool,
     /// Overrides the scheduler knobs (the per-case seed still replaces the
     /// template's); `None` uses [`SchedConfig::stormy`] (or `quiet`).
     pub sched_template: Option<SchedConfig>,
@@ -202,7 +200,6 @@ impl Default for FuzzConfig {
             stale_every: 4,
             quiet: false,
             mutation: Mutation::None,
-            check_simulator: true,
             sched_template: None,
             fault_template: None,
             refinement: RefinementMode::TwoTier,
@@ -430,7 +427,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         // scheduling metadata only — the serial oracle is unaffected.
         mark_unanalyzable(&mut txs, seed);
     }
-    let mut csags = build_csags(&txs, &prediction_snapshot, &analyzer, &env);
+    let mut csags = refine_csags(&analyzer, &txs, &prediction_snapshot, &env, 1);
     plan.perturb_csags(&mut csags);
 
     let parallel_config = ParallelConfig {
@@ -510,43 +507,40 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         }
     }
 
-    if config.check_simulator {
-        // The engines clamp `threads: 0` to one worker; the simulator
-        // panics on it, so hold it to the same floor.
-        let sim_config = DmvccConfig::new(config.threads.max(1));
-        let report = simulate_dmvcc(&trace, &csags, &sim_config);
-        let mut details = Vec::new();
-        let n = trace.txs.len() as u64;
-        if report.attempts != n + report.aborts {
-            details.push(format!(
-                "attempts {} != txs {} + aborts {}",
-                report.attempts, n, report.aborts
-            ));
-        }
-        let longest = trace.txs.iter().map(|t| t.gas_used).max().unwrap_or(0);
-        if report.makespan < longest {
-            details.push(format!(
-                "makespan {} < longest transaction {longest}",
-                report.makespan
-            ));
-        }
-        if report.busy_gas < report.serial_cost {
-            details.push(format!(
-                "busy_gas {} < serial cost {}",
-                report.busy_gas, report.serial_cost
-            ));
-        }
-        if !details.is_empty() {
-            return Some(Divergence {
-                seed,
-                size: config.size,
-                threads: config.threads,
-                executor: "simulator",
-                engine: config.engine.label(),
-                backend: config.backend.label(),
-                details,
-            });
-        }
+    // The engines clamp `threads: 0` to one worker; the simulator
+    // panics on it, so hold it to the same floor.
+    let report = simulate_dmvcc(&trace, &csags, config.threads.max(1));
+    let mut details = Vec::new();
+    let n = trace.txs.len() as u64;
+    if report.attempts != n + report.aborts {
+        details.push(format!(
+            "attempts {} != txs {} + aborts {}",
+            report.attempts, n, report.aborts
+        ));
+    }
+    let longest = trace.txs.iter().map(|t| t.gas_used).max().unwrap_or(0);
+    if report.makespan < longest {
+        details.push(format!(
+            "makespan {} < longest transaction {longest}",
+            report.makespan
+        ));
+    }
+    if report.busy_gas < report.serial_cost {
+        details.push(format!(
+            "busy_gas {} < serial cost {}",
+            report.busy_gas, report.serial_cost
+        ));
+    }
+    if !details.is_empty() {
+        return Some(Divergence {
+            seed,
+            size: config.size,
+            threads: config.threads,
+            executor: "simulator",
+            engine: config.engine.label(),
+            backend: config.backend.label(),
+            details,
+        });
     }
     None
 }

@@ -14,7 +14,8 @@
 //!   fuzz driver) stale-snapshot predictions.
 //! - [`fuzz()`]: the differential fuzz engine — every seed runs the chosen
 //!   threaded engine ([`dmvcc_core::ExecutorKind`]) and the virtual-time
-//!   simulator against the serial oracle, shrinks any divergence to a
+//!   simulator ([`dmvcc_sim::simulate_dmvcc`]) against the serial oracle,
+//!   shrinks any divergence to a
 //!   minimal `(seed, size)` prefix, and renders it as a deterministic,
 //!   replayable report.
 //! - [`Mutation`]: deliberately-broken executor variants used to prove the

@@ -4,11 +4,12 @@
 //!
 //! Run with: `cargo run --release -p dmvcc-examples --bin chain_demo`
 
-use dmvcc_chain::{run_testnet, verify_chain, ChainConfig, SchedulerKind, TestnetConfig};
+use dmvcc_chain::{run_testnet, verify_chain, ChainConfig, TestnetConfig};
+use dmvcc_sim::{charge, SchedulerKind};
 use dmvcc_workload::WorkloadConfig;
 
-fn config(scheduler: SchedulerKind) -> TestnetConfig {
-    TestnetConfig {
+fn main() {
+    let report = run_testnet(&TestnetConfig {
         chain: ChainConfig {
             block_size: 250,
             blocks: 5,
@@ -17,15 +18,9 @@ fn config(scheduler: SchedulerKind) -> TestnetConfig {
             executor: dmvcc_chain::ExecutorKind::Sharded,
             backend: dmvcc_chain::BackendKind::Mem,
         },
-        scheduler,
-        mining_interval_secs: 1.0,
         pool_miss_rate: 0.1,
         rebuild_missing_sags: true,
-    }
-}
-
-fn main() {
-    let report = run_testnet(&config(SchedulerKind::Dmvcc));
+    });
     println!("== mined chain (DMVCC, 8 threads, 10% pool desync) ==");
     for block in &report.chain {
         let header = &block.header;
@@ -54,14 +49,13 @@ fn main() {
 
     println!("\n== throughput by scheduler (same chain, same workload) ==");
     for scheduler in SchedulerKind::ALL {
-        let r = run_testnet(&config(scheduler));
+        let charged = charge(&report, scheduler, 8, 1.0);
         println!(
             "{:>8}: {:>7.0} TPS ({:.2}s execution, {} aborts)",
             scheduler.label(),
-            r.tps,
-            r.execution_seconds,
-            r.aborts
+            charged.tps,
+            charged.execution_seconds,
+            charged.aborts
         );
-        assert_eq!(r.final_root, report.final_root, "chains must agree");
     }
 }

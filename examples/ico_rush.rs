@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release -p dmvcc-examples --bin ico_rush`
 
 use dmvcc_analysis::Analyzer;
-use dmvcc_baselines::{simulate_dag, simulate_occ};
-use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig};
+use dmvcc_core::{execute_block_serial, refine_csags};
+use dmvcc_sim::{simulate_dag, simulate_dmvcc, simulate_occ, without_early_writes};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -22,7 +22,8 @@ fn main() {
     let block = generator.block(1_000);
 
     let trace = execute_block_serial(&block, &snapshot, &analyzer, &env);
-    let csags = build_csags(&block, &snapshot, &analyzer, &env);
+    let csags = refine_csags(&analyzer, &block, &snapshot, &env, 1);
+    let late = without_early_writes(&trace);
 
     println!(
         "ICO-rush block: {} txs, {} gas serial",
@@ -44,15 +45,8 @@ fn main() {
     for threads in [4, 8, 16, 32] {
         let dag = simulate_dag(&trace, threads);
         let occ = simulate_occ(&trace, threads);
-        let dmvcc = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads));
-        let no_early = simulate_dmvcc(
-            &trace,
-            &csags,
-            &DmvccConfig {
-                early_write: false,
-                ..DmvccConfig::new(threads)
-            },
-        );
+        let dmvcc = simulate_dmvcc(&trace, &csags, threads);
+        let no_early = simulate_dmvcc(&late, &csags, threads);
         println!(
             "{threads:>8}{:>9.2}x{:>9.2}x{:>11.2}x{:>17.2}x",
             dag.speedup(),

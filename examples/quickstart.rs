@@ -4,11 +4,9 @@
 //! Run with: `cargo run --release -p dmvcc-examples --bin quickstart`
 
 use dmvcc_analysis::Analyzer;
-use dmvcc_core::{
-    build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig, ParallelConfig,
-    ParallelExecutor,
-};
+use dmvcc_core::{execute_block_serial, refine_csags, ParallelConfig, ParallelExecutor};
 use dmvcc_primitives::{Address, U256};
+use dmvcc_sim::simulate_dmvcc;
 use dmvcc_state::StateDb;
 use dmvcc_vm::{calldata, contracts, BlockEnv, CodeRegistry, Transaction, TxEnv};
 
@@ -61,9 +59,9 @@ fn main() {
     println!("serial execution: {} gas total", trace.total_gas);
 
     // 4. DMVCC in virtual time: the paper's speedup metric.
-    let csags = build_csags(&block, &snapshot, &analyzer, &env);
+    let csags = refine_csags(&analyzer, &block, &snapshot, &env, 1);
     for threads in [1, 2, 4, 8] {
-        let report = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads));
+        let report = simulate_dmvcc(&trace, &csags, threads);
         println!(
             "DMVCC on {threads} thread(s): makespan {} gas, speedup {:.2}x, {} aborts",
             report.makespan,

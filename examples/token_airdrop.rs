@@ -7,9 +7,9 @@
 //! Run with: `cargo run --release -p dmvcc-examples --bin token_airdrop`
 
 use dmvcc_analysis::Analyzer;
-use dmvcc_baselines::{simulate_dag, simulate_occ};
-use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig};
+use dmvcc_core::{execute_block_serial, refine_csags};
 use dmvcc_primitives::{Address, U256};
+use dmvcc_sim::{simulate_dag, simulate_dmvcc, simulate_occ};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::{calldata, contracts, BlockEnv, CodeRegistry, Transaction, TxEnv};
 
@@ -37,7 +37,7 @@ fn main() {
     let snapshot = Snapshot::empty();
     let env = BlockEnv::new(1, 1_700_000_000);
     let trace = execute_block_serial(&block, &snapshot, &analyzer, &env);
-    let csags = build_csags(&block, &snapshot, &analyzer, &env);
+    let csags = refine_csags(&analyzer, &block, &snapshot, &env, 1);
 
     println!(
         "airdrop block: {} mints, {} gas serial\n",
@@ -48,7 +48,7 @@ fn main() {
     for threads in [1, 2, 4, 8, 16, 32] {
         let dag = simulate_dag(&trace, threads);
         let occ = simulate_occ(&trace, threads);
-        let dmvcc = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads));
+        let dmvcc = simulate_dmvcc(&trace, &csags, threads);
         println!(
             "{threads:>8}{:>11.2}x{:>11.2}x{:>11.2}x",
             dag.speedup(),

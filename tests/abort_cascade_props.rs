@@ -1,9 +1,9 @@
 //! Abort-cascade property test (paper Algorithm 4): under increasingly
 //! lossy C-SAG predictions the cascading re-executions must still converge
-//! to the serial state, and the virtual-time simulator — configured with
-//! commutativity off and early writes on, the setting where every ω̄ becomes
-//! a chained read-modify-write — must account for every attempt and
-//! schedule exact predictions without an abort.
+//! to the serial state, and the virtual-time simulator — fed predictions
+//! without commutativity and a trace with early writes, the setting where
+//! every ω̄ becomes a chained read-modify-write — must account for every
+//! attempt and schedule exact predictions without an abort.
 //!
 //! The simulator's abort count is *not* monotone in the hidden fraction:
 //! at 64 cases the generator finds inputs where a higher rung aborts less
@@ -13,10 +13,8 @@
 use proptest::prelude::*;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
-use dmvcc_core::{
-    build_csags, execute_block_serial, simulate_dmvcc, DmvccConfig, ParallelConfig,
-    ParallelExecutor,
-};
+use dmvcc_core::{execute_block_serial, refine_csags, ParallelConfig, ParallelExecutor};
+use dmvcc_sim::{simulate_dmvcc, without_commutativity};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -60,7 +58,7 @@ proptest! {
             let env = BlockEnv::new(1, 1_700_000_000);
             let txs = generator.block(size);
             let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
-            let csags = build_csags(&txs, &genesis, &analyzer, &env);
+            let csags = refine_csags(&analyzer, &txs, &genesis, &env, 1);
 
             // Cascading re-executions reach the serial state (Theorem 1),
             // no matter how lossy the predictions are.
@@ -81,12 +79,7 @@ proptest! {
 
             // The virtual-time scheduler with commutativity off: ω̄ chains
             // like ordinary writes, so mispredictions surface as aborts.
-            let config = DmvccConfig {
-                commutative: false,
-                ..DmvccConfig::new(4)
-            };
-            prop_assert!(config.early_write, "DmvccConfig::new must enable early writes");
-            let report = simulate_dmvcc(&trace, &csags, &config);
+            let report = simulate_dmvcc(&trace, &without_commutativity(&csags), 4);
             prop_assert_eq!(
                 report.attempts,
                 txs.len() as u64 + report.aborts,

@@ -17,8 +17,9 @@
 use std::collections::HashMap;
 
 use dmvcc_analysis::{AccessKind, CSag, ReleasePoint};
-use dmvcc_core::{simulate_dmvcc, BlockTrace, DmvccConfig, ReadRecord, TxTrace};
+use dmvcc_core::{BlockTrace, ReadRecord, TxTrace};
 use dmvcc_primitives::{Address, U256};
+use dmvcc_sim::{simulate_dmvcc, without_commutativity, without_early_writes, without_versioning};
 use dmvcc_state::StateKey;
 use dmvcc_vm::ExecStatus;
 
@@ -139,14 +140,10 @@ fn figure4() -> (BlockTrace, Vec<CSag>) {
     ])
 }
 
-fn config(threads: usize) -> DmvccConfig {
-    DmvccConfig::new(threads)
-}
-
 #[test]
 fn full_dmvcc_schedules_like_figure_6() {
     let (trace, csags) = figure4();
-    let report = simulate_dmvcc(&trace, &csags, &config(3));
+    let report = simulate_dmvcc(&trace, &csags, 3);
     assert_eq!(report.aborts, 0);
     // Wave 1: T1, T2, T4 or T5 — everything except T3, T6 is dependency-
     // free thanks to versioning + commutativity. Six uniform transactions
@@ -158,10 +155,11 @@ fn full_dmvcc_schedules_like_figure_6() {
         report.makespan
     );
     // Strictly better than the transaction-level schedule of Fig. 4(b).
-    let mut baseline = config(3);
-    baseline.early_write = false;
-    baseline.commutative = false;
-    let base = simulate_dmvcc(&trace, &csags, &baseline);
+    let base = simulate_dmvcc(
+        &without_early_writes(&trace),
+        &without_commutativity(&csags),
+        3,
+    );
     assert!(
         report.makespan < base.makespan,
         "features must improve over Fig. 4(b): {} vs {}",
@@ -173,10 +171,8 @@ fn full_dmvcc_schedules_like_figure_6() {
 #[test]
 fn write_versioning_lets_both_writers_of_i1_run_concurrently() {
     let (trace, csags) = figure4();
-    let with = simulate_dmvcc(&trace, &csags, &config(3));
-    let mut no_versioning = config(3);
-    no_versioning.write_versioning = false;
-    let without = simulate_dmvcc(&trace, &csags, &no_versioning);
+    let with = simulate_dmvcc(&trace, &csags, 3);
+    let without = simulate_dmvcc(&trace, &without_versioning(&csags), 3);
     // Without versioning T5 chains behind T1 (and T3's anti-dependency
     // ordering is moot since reads don't block writes even then — the ww
     // edge alone must show up).
@@ -189,10 +185,8 @@ fn commutative_writes_merge_for_the_reader() {
     // T6 depends on both T2 and T4. With commutativity the two adds run in
     // wave 1; without, T4 chains behind T2 and T6 behind T4. Six threads
     // isolate the dependency effect from thread-contention anomalies.
-    let mut no_commut = config(6);
-    no_commut.commutative = false;
-    let with = simulate_dmvcc(&trace, &csags, &config(6));
-    let without = simulate_dmvcc(&trace, &csags, &no_commut);
+    let with = simulate_dmvcc(&trace, &csags, 6);
+    let without = simulate_dmvcc(&trace, &without_commutativity(&csags), 6);
     // With: T4 publishes at WRITE_AT (8 000), T6 finishes at 18 000.
     assert_eq!(with.makespan, WRITE_AT + G);
     // Without: T4 waits for T2's publish, T6 for T4's — two extra hops.
@@ -204,16 +198,14 @@ fn early_visibility_starts_t3_before_t1_finishes() {
     let (trace, csags) = figure4();
     // Six threads: every dependency-free transaction starts at 0, so the
     // makespan is exactly the T1→T3 (or T2/T4→T6) chain length.
-    let mut no_early = config(6);
-    no_early.early_write = false;
-    let with = simulate_dmvcc(&trace, &csags, &config(6));
-    let without = simulate_dmvcc(&trace, &csags, &no_early);
+    let with = simulate_dmvcc(&trace, &csags, 6);
+    let without = simulate_dmvcc(&without_early_writes(&trace), &csags, 6);
     // T3 starts at T1's publish (8 000) instead of its finish (10 000).
     assert_eq!(with.makespan, WRITE_AT + G);
     assert_eq!(without.makespan, 2 * G);
     assert!(with.makespan < without.makespan);
     // And on one thread everything is serial regardless.
-    let serial = simulate_dmvcc(&trace, &csags, &config(1));
+    let serial = simulate_dmvcc(&trace, &csags, 1);
     assert_eq!(serial.makespan, trace.total_gas);
 }
 
@@ -253,7 +245,7 @@ fn figure5_unpredicted_writer_aborts_stale_reader() {
     trace.txs[1].release_offset = Some(RELEASE_AT);
     trace.total_gas = trace.txs.iter().map(|t| t.gas_used).sum();
 
-    let report = simulate_dmvcc(&trace, &csags, &config(3));
+    let report = simulate_dmvcc(&trace, &csags, 3);
     assert!(report.aborts >= 1, "the stale read must abort T3");
     assert_eq!(report.attempts, 3 + report.aborts);
     // T3's re-execution completes after T2 publishes.

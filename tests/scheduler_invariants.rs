@@ -9,9 +9,12 @@
 
 use proptest::prelude::*;
 
-use dmvcc_baselines::{simulate_dag, simulate_dag_coarse, simulate_occ};
-use dmvcc_core::{build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig};
+use dmvcc_core::{execute_block_serial, refine_csags, BlockTrace};
 use dmvcc_integration_tests::{analyzer, decode_tx, genesis};
+use dmvcc_sim::{
+    contract_level, simulate_dag, simulate_dmvcc, simulate_occ, without_commutativity,
+    without_early_writes, without_versioning,
+};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::{BlockEnv, Transaction};
 
@@ -24,7 +27,7 @@ fn prepare(raw: Vec<(u8, u8, u8, u8, u8)>) -> (BlockTrace, Vec<dmvcc_analysis::C
     let env = BlockEnv::new(1, 1_700_000_000);
     let reference = analyzer();
     let trace = execute_block_serial(&txs, &snapshot, &reference, &env);
-    let csags = build_csags(&txs, &snapshot, &reference, &env);
+    let csags = refine_csags(&reference, &txs, &snapshot, &env, 1);
     (trace, csags)
 }
 
@@ -43,9 +46,9 @@ proptest! {
         let critical = trace.txs.iter().map(|t| t.gas_used).max().unwrap_or(0);
         let reports = [
             simulate_dag(&trace, threads),
-            simulate_dag_coarse(&trace, threads),
+            simulate_dag(&contract_level(&trace), threads),
             simulate_occ(&trace, threads),
-            simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads)),
+            simulate_dmvcc(&trace, &csags, threads),
         ];
         for report in &reports {
             prop_assert!(report.makespan >= critical, "{report:?}");
@@ -69,11 +72,8 @@ proptest! {
     ) {
         let (trace, csags) = prepare(raw);
         prop_assert_eq!(simulate_dag(&trace, 1).makespan, trace.total_gas);
-        prop_assert_eq!(simulate_dag_coarse(&trace, 1).makespan, trace.total_gas);
-        prop_assert_eq!(
-            simulate_dmvcc(&trace, &csags, &DmvccConfig::new(1)).makespan,
-            trace.total_gas
-        );
+        prop_assert_eq!(simulate_dag(&contract_level(&trace), 1).makespan, trace.total_gas);
+        prop_assert_eq!(simulate_dmvcc(&trace, &csags, 1).makespan, trace.total_gas);
         // Eager OCC on one thread picks up txs in order: serial, no aborts.
         let occ = simulate_occ(&trace, 1);
         prop_assert_eq!(occ.makespan, trace.total_gas);
@@ -89,16 +89,15 @@ proptest! {
         // constraints can occasionally *shorten* a schedule. Dominance
         // therefore holds up to a bounded anomaly factor, not pointwise.
         let (trace, csags) = prepare(raw);
-        let full = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads));
-        for variant in [
-            DmvccConfig { early_write: false, ..DmvccConfig::new(threads) },
-            DmvccConfig { commutative: false, ..DmvccConfig::new(threads) },
-            DmvccConfig { write_versioning: false, ..DmvccConfig::new(threads) },
+        let full = simulate_dmvcc(&trace, &csags, threads);
+        for (variant, report) in [
+            ("-early-write", simulate_dmvcc(&without_early_writes(&trace), &csags, threads)),
+            ("-commutative", simulate_dmvcc(&trace, &without_commutativity(&csags), threads)),
+            ("-versioning", simulate_dmvcc(&trace, &without_versioning(&csags), threads)),
         ] {
-            let report = simulate_dmvcc(&trace, &csags, &variant);
             prop_assert!(
                 (report.makespan as f64) >= full.makespan as f64 * 0.8,
-                "ablation {variant:?} beat full DMVCC beyond anomaly bounds: {} < {}",
+                "ablation {variant} beat full DMVCC beyond anomaly bounds: {} < {}",
                 report.makespan,
                 full.makespan
             );
@@ -111,8 +110,8 @@ proptest! {
         threads in 1usize..9,
     ) {
         let (trace, csags) = prepare(raw);
-        let a = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads));
-        let b = simulate_dmvcc(&trace, &csags, &DmvccConfig::new(threads));
+        let a = simulate_dmvcc(&trace, &csags, threads);
+        let b = simulate_dmvcc(&trace, &csags, threads);
         prop_assert_eq!(a, b);
         prop_assert_eq!(simulate_occ(&trace, threads), simulate_occ(&trace, threads));
         prop_assert_eq!(simulate_dag(&trace, threads), simulate_dag(&trace, threads));
@@ -125,7 +124,7 @@ proptest! {
     ) {
         let (trace, _) = prepare(raw);
         let precise = simulate_dag(&trace, threads);
-        let coarse = simulate_dag_coarse(&trace, threads);
+        let coarse = simulate_dag(&contract_level(&trace), threads);
         // Modulo Graham anomalies of greedy list scheduling (see above).
         prop_assert!((coarse.makespan as f64) >= precise.makespan as f64 * 0.8);
         // On one thread both are exactly serial: no anomaly possible.

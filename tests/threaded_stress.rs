@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
 use dmvcc_chain::block_env;
 use dmvcc_core::{
-    build_csags, execute_block_serial, ExecutorKind, ParallelConfig, ParallelExecutor,
+    execute_block_serial, refine_csags, ExecutorKind, ParallelConfig, ParallelExecutor,
 };
 use dmvcc_dst::{FaultPlan, SchedConfig, VirtualScheduler};
 use dmvcc_state::{Snapshot, StateDb};
@@ -112,7 +112,7 @@ fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
     }
     let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
     let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
-    let mut csags = build_csags(&txs, &genesis, &analyzer, &env);
+    let mut csags = refine_csags(&analyzer, &txs, &genesis, &env, 1);
     FaultPlan::standard(fault_seed).perturb_csags(&mut csags);
 
     for kind in ExecutorKind::ALL {
@@ -214,7 +214,7 @@ fn stale_csags_from_previous_snapshot() {
     let txs = generator.block(100);
     let live_snapshot = db.latest().clone();
     // Predictions against the stale snapshot…
-    let stale_csags = build_csags(&txs, &stale_snapshot, &analyzer, &env2);
+    let stale_csags = refine_csags(&analyzer, &txs, &stale_snapshot, &env2, 1);
     // …executed against the live one.
     let trace = execute_block_serial(&txs, &live_snapshot, &analyzer, &env2);
     let outcome = executor.execute_block_with_csags(&txs, &live_snapshot, &env2, &stale_csags);
