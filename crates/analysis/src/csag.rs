@@ -20,13 +20,13 @@ use std::collections::{BTreeSet, HashMap};
 use dmvcc_primitives::{Address, U256};
 use dmvcc_state::{Keyed, Snapshot, SortedVec, StateKey};
 use dmvcc_vm::{
-    execute_traced, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Tracer,
-    Transaction, TxEnv, TxKind, CALL_DEPTH_LIMIT, INTRINSIC_GAS, MEMORY_LIMIT,
+    execute_traced, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, KeccakMemo,
+    Tracer, Transaction, TxEnv, TxKind, CALL_DEPTH_LIMIT, INTRINSIC_GAS, MEMORY_LIMIT,
 };
 
 use crate::absint::{CallTarget, KeyExpr, PlanCallKind};
 use crate::psag::{AccessKind, PSag};
-use crate::symbolic::BindCtx;
+use crate::symbolic::{digest, BindCtx};
 
 /// One state access a refinement tier observed, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,6 +311,8 @@ struct SpecHost<'a> {
     overlay: HashMap<StateKey, U256>,
     deltas: HashMap<StateKey, U256>,
     releases: Vec<(usize, u64)>,
+    /// The refining worker's digests, if it keeps any.
+    memo: Option<&'a mut KeccakMemo>,
 }
 
 impl Host for SpecHost<'_> {
@@ -337,6 +339,10 @@ impl Host for SpecHost<'_> {
 
     fn on_release_point(&mut self, pc: usize, gas_left: u64) {
         self.releases.push((pc, gas_left));
+    }
+
+    fn keccak(&mut self, data: &[u8]) -> U256 {
+        digest(self.memo.as_deref_mut(), data)
     }
 }
 
@@ -467,7 +473,34 @@ impl Analyzer {
     /// path leaves the statically-planned region. Calls to unknown
     /// contracts yield an empty C-SAG (the scheduler then falls back to
     /// OCC-style handling, as the paper prescribes for missing SAGs).
+    ///
+    /// Every digest the refinement needs is computed afresh; a worker that
+    /// refines many transactions keeps a [`KeccakMemo`] and calls
+    /// [`Analyzer::csag_with_memo`] instead.
     pub fn csag(&self, tx: &Transaction, snapshot: &Snapshot, block: &BlockEnv) -> CSag {
+        self.refine_one(tx, snapshot, block, None)
+    }
+
+    /// [`Analyzer::csag`], taking every digest — a mapping slot the
+    /// symbolic walk binds, a `SHA3` the speculative run executes — from
+    /// `memo`. The C-SAG is the same.
+    pub fn csag_with_memo(
+        &self,
+        tx: &Transaction,
+        snapshot: &Snapshot,
+        block: &BlockEnv,
+        memo: &mut KeccakMemo,
+    ) -> CSag {
+        self.refine_one(tx, snapshot, block, Some(memo))
+    }
+
+    fn refine_one(
+        &self,
+        tx: &Transaction,
+        snapshot: &Snapshot,
+        block: &BlockEnv,
+        memo: Option<&mut KeccakMemo>,
+    ) -> CSag {
         if !tx.analyzable {
             // Unanalyzable transactions (pool desync, obfuscated bytecode,
             // deliberate test poisoning) get no prediction at all — even
@@ -487,7 +520,7 @@ impl Analyzer {
             };
         };
         let psag = self.psag(&tx.to()).expect("code exists, psag builds");
-        let (raw, tier) = self.refine(tx, snapshot, block, &psag, deployed.code());
+        let (raw, tier) = self.refine(tx, snapshot, block, &psag, deployed.code(), memo);
         self.finish(raw, tx.env.gas_limit, &psag.release_pcs, tier)
     }
 
@@ -501,11 +534,12 @@ impl Analyzer {
         block: &BlockEnv,
         psag: &PSag,
         code: &[u8],
+        mut memo: Option<&mut KeccakMemo>,
     ) -> (RawPrediction, RefinementTier) {
         if self.config.refinement == RefinementMode::TwoTier {
             let resolver = |addr: &Address| self.psag(addr);
             if let Some((raw, looped, called, bounded)) =
-                bind_symbolic(psag, tx, block, snapshot, &resolver)
+                bind_symbolic(psag, tx, block, snapshot, &resolver, memo.as_deref_mut())
             {
                 let tier = if bounded {
                     RefinementTier::BoundedDynamic
@@ -525,6 +559,7 @@ impl Analyzer {
             overlay: HashMap::new(),
             deltas: HashMap::new(),
             releases: Vec::new(),
+            memo,
         };
         let mut recorder = AccessRecorder {
             events: Vec::new(),
@@ -647,6 +682,8 @@ struct BindWalk<'a> {
     resolver: &'a dyn Fn(&Address) -> Option<std::sync::Arc<PSag>>,
     /// Top-level transaction sender (`ORIGIN`), invariant across frames.
     origin: Address,
+    /// The refining worker's digests, if it keeps any.
+    memo: Option<&'a mut KeccakMemo>,
     overlay: HashMap<StateKey, U256>,
     deltas: HashMap<StateKey, U256>,
     events: Vec<Access>,
@@ -692,6 +729,7 @@ fn bind_symbolic(
     block: &BlockEnv,
     snapshot: &Snapshot,
     resolver: &dyn Fn(&Address) -> Option<std::sync::Arc<PSag>>,
+    memo: Option<&mut KeccakMemo>,
 ) -> Option<(RawPrediction, bool, bool, bool)> {
     let env = &tx.env;
     if env.gas_limit < INTRINSIC_GAS {
@@ -702,6 +740,7 @@ fn bind_symbolic(
         snapshot,
         resolver,
         origin: env.caller,
+        memo,
         overlay: HashMap::new(),
         deltas: HashMap::new(),
         events: Vec::new(),
@@ -770,14 +809,15 @@ impl BindWalk<'_> {
             // walk falls back).
             let mut charge = plan.static_gas;
             for term in &plan.exp_terms {
-                let ctx = BindCtx {
+                let mut ctx = BindCtx {
                     tx: env,
                     origin: self.origin,
                     block: self.block,
                     loads: &loads,
                     loop_vars: &loop_vars,
+                    memo: self.memo.as_deref_mut(),
                 };
-                let exponent = term.eval(&ctx)?;
+                let exponent = term.eval(&mut ctx)?;
                 charge += 50 * exponent.bits().div_ceil(8) as u64;
             }
             for &(offset, len) in &plan.mem_touches {
@@ -800,14 +840,15 @@ impl BindWalk<'_> {
                 if read_only && matches!(access.kind, AccessKind::Write | AccessKind::Add) {
                     return None;
                 }
-                let ctx = BindCtx {
+                let mut ctx = BindCtx {
                     tx: env,
                     origin: self.origin,
                     block: self.block,
                     loads: &loads,
                     loop_vars: &loop_vars,
+                    memo: self.memo.as_deref_mut(),
                 };
-                let key_value = access.key.expr().eval(&ctx)?;
+                let key_value = access.key.expr().eval(&mut ctx)?;
                 let key = match access.key {
                     KeyExpr::Storage(_) => StateKey::storage(contract, key_value),
                     KeyExpr::Balance(_) => StateKey::balance(Address::from_u256(key_value)),
@@ -826,12 +867,12 @@ impl BindWalk<'_> {
                         loads[access.load?] = Some(value);
                     }
                     AccessKind::Write => {
-                        let value = access.value.as_ref()?.eval(&ctx)?;
+                        let value = access.value.as_ref()?.eval(&mut ctx)?;
                         self.deltas.remove(&key);
                         self.overlay.insert(key, value);
                     }
                     AccessKind::Add => {
-                        let delta = access.value.as_ref()?.eval(&ctx)?;
+                        let delta = access.value.as_ref()?.eval(&mut ctx)?;
                         let entry = self.deltas.entry(key).or_insert(U256::ZERO);
                         *entry = entry.wrapping_add(delta);
                     }
@@ -855,14 +896,15 @@ impl BindWalk<'_> {
                     // success; let speculation price that path.
                     return None;
                 }
-                let ctx = BindCtx {
+                let mut ctx = BindCtx {
                     tx: env,
                     origin: self.origin,
                     block: self.block,
                     loads: &loads,
                     loop_vars: &loop_vars,
+                    memo: self.memo.as_deref_mut(),
                 };
-                let value = call.value.eval(&ctx)?;
+                let value = call.value.eval(&mut ctx)?;
                 if !value.is_zero() && read_only {
                     // Value transfer inside a static frame: the machine
                     // reverts this frame at the call pc. The call ends its
@@ -883,7 +925,7 @@ impl BindWalk<'_> {
                 };
                 let mut input = Vec::with_capacity(call.args.len() * 32);
                 for word in &call.args {
-                    input.extend_from_slice(&word.eval(&ctx)?.to_be_bytes());
+                    input.extend_from_slice(&word.eval(&mut ctx)?.to_be_bytes());
                 }
                 input.truncate(call.args_len);
                 // Value plumbing, exactly as the machine does it: traced
@@ -972,12 +1014,13 @@ impl BindWalk<'_> {
                         if call.ret_len > 0 {
                             let out = frame.output.as_ref()?;
                             let copy = (out.len() * 32).min(call.ret_len);
-                            let ctx = BindCtx {
+                            let mut ctx = BindCtx {
                                 tx: env,
                                 origin: self.origin,
                                 block: self.block,
                                 loads: &loads,
                                 loop_vars: &loop_vars,
+                                memo: self.memo.as_deref_mut(),
                             };
                             let mut bound = Vec::with_capacity(call.ret_loads.len());
                             for (w, prev) in call.prev_ret_words.iter().enumerate() {
@@ -986,7 +1029,7 @@ impl BindWalk<'_> {
                                 } else if 32 * w >= copy {
                                     // Short callee output: the word keeps
                                     // its pre-call memory content.
-                                    prev.eval(&ctx)?
+                                    prev.eval(&mut ctx)?
                                 } else {
                                     return None; // copy boundary splits the word
                                 });
@@ -1001,16 +1044,17 @@ impl BindWalk<'_> {
                         // code (trivial success): either way the callee is
                         // not entered — result 0 or 1, return region left
                         // with its pre-call contents.
-                        let ctx = BindCtx {
+                        let mut ctx = BindCtx {
                             tx: env,
                             origin: self.origin,
                             block: self.block,
                             loads: &loads,
                             loop_vars: &loop_vars,
+                            memo: self.memo.as_deref_mut(),
                         };
                         let mut bound = Vec::with_capacity(call.ret_loads.len());
                         for prev in &call.prev_ret_words {
-                            bound.push(prev.eval(&ctx)?);
+                            bound.push(prev.eval(&mut ctx)?);
                         }
                         for (&id, value) in call.ret_loads.iter().zip(bound) {
                             loads[id] = Some(value);
@@ -1036,28 +1080,30 @@ impl BindWalk<'_> {
                     // binds. `None` only hurts call sites that need the
                     // bytes (ret_len > 0) — they fall back.
                     let output = plan.output.as_ref().and_then(|words| {
-                        let ctx = BindCtx {
+                        let mut ctx = BindCtx {
                             tx: env,
                             origin: self.origin,
                             block: self.block,
                             loads: &loads,
                             loop_vars: &loop_vars,
+                            memo: self.memo.as_deref_mut(),
                         };
-                        words.iter().map(|w| w.eval(&ctx)).collect()
+                        words.iter().map(|w| w.eval(&mut ctx)).collect()
                     });
                     break (true, output);
                 }
                 BlockExit::Abort => break (false, None),
                 BlockExit::FallThrough(succ) | BlockExit::Jump(succ) => succ,
                 BlockExit::Branch(taken, fall) => {
-                    let ctx = BindCtx {
+                    let mut ctx = BindCtx {
                         tx: env,
                         origin: self.origin,
                         block: self.block,
                         loads: &loads,
                         loop_vars: &loop_vars,
+                        memo: self.memo.as_deref_mut(),
                     };
-                    let cond = plan.cond.as_ref()?.eval(&ctx)?;
+                    let cond = plan.cond.as_ref()?.eval(&mut ctx)?;
                     if cond.is_zero() {
                         fall
                     } else {
@@ -1082,17 +1128,18 @@ impl BindWalk<'_> {
             // falls back.
             if let Some(vars) = psag.plan.phi_heads.get(&next) {
                 let assigns = psag.plan.phi_edges.get(&(index, next))?;
-                let ctx = BindCtx {
+                let mut ctx = BindCtx {
                     tx: env,
                     origin: self.origin,
                     block: self.block,
                     loads: &loads,
                     loop_vars: &loop_vars,
+                    memo: self.memo.as_deref_mut(),
                 };
                 let mut committed = Vec::with_capacity(vars.len());
                 for var in vars {
                     let (_, expr) = assigns.iter().find(|(v, _)| v == var)?;
-                    committed.push((*var, expr.eval(&ctx)?));
+                    committed.push((*var, expr.eval(&mut ctx)?));
                 }
                 for (var, value) in committed {
                     loop_vars[var] = Some(value);
@@ -1361,7 +1408,7 @@ mod tests {
         let raw = |analyzer: &Analyzer| {
             let deployed = analyzer.registry().deployed(&tx.to()).expect("deployed");
             let psag = analyzer.psag(&tx.to()).expect("deployed");
-            analyzer.refine(tx, snapshot, &block, &psag, deployed.code())
+            analyzer.refine(tx, snapshot, &block, &psag, deployed.code(), None)
         };
         let ((symbolic, bound_tier), (measured, _)) = (raw(two_tier), raw(speculative));
         assert_ne!(bound_tier, RefinementTier::Speculative, "{what}: no bind");
@@ -1374,6 +1421,13 @@ mod tests {
             ..speculative.csag(tx, snapshot, &block)
         };
         assert_eq!(record, expected, "{what}");
+        // A memo both tiers share, filled by the other tier's digests,
+        // changes neither record.
+        let mut memo = KeccakMemo::default();
+        for analyzer in [two_tier, speculative, two_tier] {
+            let memoized = analyzer.csag_with_memo(tx, snapshot, &block, &mut memo);
+            assert_eq!(memoized, analyzer.csag(tx, snapshot, &block), "{what}");
+        }
         record
     }
 

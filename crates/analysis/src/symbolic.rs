@@ -16,7 +16,7 @@
 use core::fmt;
 
 use dmvcc_primitives::{keccak256, Address, U256};
-use dmvcc_vm::{word_at, BlockEnv, TxEnv};
+use dmvcc_vm::{word_at, BlockEnv, KeccakMemo, TxEnv};
 
 /// Unary operators of the symbolic domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,6 +134,17 @@ pub struct BindCtx<'a> {
     /// Current values of the loop-carried φ variables, by variable id
     /// (re-bound by the walk on every loop-head edge).
     pub loop_vars: &'a [Option<U256>],
+    /// The refining worker's digests, consulted by every
+    /// [`SymExpr::Keccak`]; `None` hashes every time.
+    pub memo: Option<&'a mut KeccakMemo>,
+}
+
+/// `keccak256(data)` as a word, from `memo` when there is one.
+pub(crate) fn digest(memo: Option<&mut KeccakMemo>, data: &[u8]) -> U256 {
+    match memo {
+        Some(memo) => memo.keccak(data),
+        None => keccak256(data).to_u256(),
+    }
 }
 
 /// Applies `op` to operands in pop order, mirroring the interpreter.
@@ -247,7 +258,7 @@ impl SymExpr {
     /// Evaluates the template against one transaction. `None` when the
     /// expression contains `Unknown` or references a load that has not
     /// been bound yet.
-    pub fn eval(&self, ctx: &BindCtx<'_>) -> Option<U256> {
+    pub fn eval(&self, ctx: &mut BindCtx<'_>) -> Option<U256> {
         match self {
             SymExpr::Unknown => None,
             SymExpr::Const(v) => Some(*v),
@@ -262,11 +273,19 @@ impl SymExpr {
             SymExpr::Load(id) => *ctx.loads.get(*id)?,
             SymExpr::LoopVar(id) => *ctx.loop_vars.get(*id)?,
             SymExpr::Keccak(words) => {
-                let mut bytes = Vec::with_capacity(words.len() * 32);
-                for word in words {
-                    bytes.extend_from_slice(&word.eval(ctx)?.to_be_bytes());
+                let mut stack = [0u8; KeccakMemo::MAX_PREIMAGE];
+                let mut heap = Vec::new();
+                let bytes = match stack.get_mut(..words.len() * 32) {
+                    Some(bytes) => bytes,
+                    None => {
+                        heap.resize(words.len() * 32, 0);
+                        &mut heap[..]
+                    }
+                };
+                for (word, out) in words.iter().zip(bytes.chunks_exact_mut(32)) {
+                    out.copy_from_slice(&word.eval(ctx)?.to_be_bytes());
                 }
-                Some(keccak256(&bytes).to_u256())
+                Some(digest(ctx.memo.as_deref_mut(), bytes))
             }
             SymExpr::Unary(op, a) => Some(apply_un(*op, a.eval(ctx)?)),
             SymExpr::Binary(op, a, b) => Some(apply_bin(*op, a.eval(ctx)?, b.eval(ctx)?)),
@@ -351,6 +370,7 @@ mod tests {
             block,
             loads,
             loop_vars: &[],
+            memo: None,
         }
     }
 
@@ -395,7 +415,9 @@ mod tests {
             gas_limit: 1_000_000,
         };
         let block = BlockEnv::default();
-        let bound = expr.eval(&ctx(&tx, &block, &[])).expect("template binds");
+        let bound = expr
+            .eval(&mut ctx(&tx, &block, &[]))
+            .expect("template binds");
 
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&key.to_be_bytes());
@@ -414,9 +436,9 @@ mod tests {
             gas_limit: 1_000_000,
         };
         let block = BlockEnv::default();
-        assert_eq!(e.eval(&ctx(&tx, &block, &[None])), None);
+        assert_eq!(e.eval(&mut ctx(&tx, &block, &[None])), None);
         assert_eq!(
-            e.eval(&ctx(&tx, &block, &[Some(U256::from(9u64))])),
+            e.eval(&mut ctx(&tx, &block, &[Some(U256::from(9u64))])),
             Some(U256::from(9u64))
         );
         assert!(e.is_template());

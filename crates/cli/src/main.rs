@@ -456,6 +456,8 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
             stats.alloc_bytes_saved += outcome.stats.alloc_bytes_saved;
             stats.targeted_wakeups += outcome.stats.targeted_wakeups;
             stats.parks += outcome.stats.parks;
+            stats.refine_digests += outcome.stats.refine_digests;
+            stats.execute_digests += outcome.stats.execute_digests;
         }
     }
     let wall = start.elapsed().as_secs_f64();
@@ -485,6 +487,21 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     );
     println!("waiter hand-backs      : {}", stats.targeted_wakeups);
     println!("idle parks             : {}", stats.parks);
+    // Keccak digests per block: what the workers' memos computed of what
+    // the bind walk (refine) and `SHA3` (execute) asked them for.
+    let profiled_blocks = (repeat * blocks).max(1) as u64;
+    for (stage, digests) in [
+        ("refine", stats.refine_digests),
+        ("execute", stats.execute_digests),
+    ] {
+        println!(
+            "digests ({stage}){:pad$}: computed {} of {} asked per block",
+            "",
+            digests.computed / profiled_blocks,
+            digests.asked / profiled_blocks,
+            pad = 13 - stage.len(),
+        );
+    }
     // What the calling thread does alone, before the first worker starts
     // and after the last one joins, as a share of the execute stage.
     let execute_nanos = block_nanos.saturating_sub(stats.refine_nanos);

@@ -76,8 +76,8 @@ use parking_lot::{Condvar, Mutex};
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, Snapshot, SortedVec, StateKey, WriteSet};
 use dmvcc_vm::{
-    execute, BlockEnv, CodeRegistry, ExecParams, ExecStatus, Host, HostError, Transaction, TxKind,
-    INTRINSIC_GAS,
+    execute, BlockEnv, CodeRegistry, DigestCounts, ExecParams, ExecStatus, Host, HostError,
+    KeccakMemo, Transaction, TxKind, INTRINSIC_GAS,
 };
 
 use dmvcc_analysis::{Analyzer, CSag};
@@ -177,6 +177,13 @@ pub struct ExecutorStats {
     /// subset for the hybrid dispatcher, zero for the purely predictive
     /// executors.
     pub optimistic_txs: u64,
+    /// Keccak digests the refine workers asked their memos for, and how
+    /// many of them were computed (`execute_block` only, like
+    /// `refine_nanos`).
+    pub refine_digests: DigestCounts,
+    /// Keccak digests the execute workers' `SHA3`s asked their memos for,
+    /// and how many of them were computed.
+    pub execute_digests: DigestCounts,
 }
 
 /// Result of a parallel block execution.
@@ -497,9 +504,10 @@ struct TxState {
 
 /// What one worker owns while it runs a block: the buffers of the attempt
 /// it is executing — cleared from one attempt to the next, so an attempt
-/// allocates only when it outgrows every earlier one — and the worker's
-/// share of the block's counters. No other thread reads or writes any of
-/// it; the counters are summed when the workers join.
+/// allocates only when it outgrows every earlier one — the digests its
+/// attempts have computed, and the worker's share of the block's counters.
+/// No other thread reads or writes any of it; the counters are summed when
+/// the workers join.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Buffered full writes and commutative deltas of the attempt.
@@ -508,8 +516,13 @@ struct Scratch {
     published: SortedVec<KeyId>,
     /// The publish or drop batch being built and applied.
     batch: Vec<(KeyId, VersionOp)>,
+    /// Every `SHA3` of the worker's attempts asks here first: a mapping
+    /// slot of a popular account, or of a transaction re-run after an
+    /// abort, is hashed once a block.
+    memo: KeccakMemo,
     /// `publishes`, `publish_batches`, `targeted_wakeups`, `parks` and
-    /// `rank_inversions`, as this worker counted them.
+    /// `rank_inversions`, as this worker counted them, and on its way out
+    /// its memo's `execute_digests`.
     stats: ExecutorStats,
 }
 
@@ -968,6 +981,10 @@ impl Host for ThreadHost<'_, '_> {
         Ok(())
     }
 
+    fn keccak(&mut self, data: &[u8]) -> U256 {
+        self.own.memo.keccak(data)
+    }
+
     fn on_release_point(&mut self, pc: usize, gas_left: u64) {
         if let Ok(i) = self
             .meta
@@ -1098,30 +1115,32 @@ impl ParallelExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let (csags, refine_nanos) = self.refine_timed(txs, snapshot, block_env);
+        let (csags, refine_nanos, refine_digests) = self.refine_timed(txs, snapshot, block_env);
         let mut outcome = self.execute_block_with_csags(txs, snapshot, block_env, &csags);
         outcome.stats.refine_nanos = refine_nanos;
+        outcome.stats.refine_digests = refine_digests;
         outcome
     }
 
     /// Refines the block's C-SAGs on this executor's threads, returning
     /// them with the wall-clock nanoseconds the phase took
-    /// ([`ExecutorStats::refine_nanos`]).
+    /// ([`ExecutorStats::refine_nanos`]) and the workers' digest counts
+    /// ([`ExecutorStats::refine_digests`]).
     pub(crate) fn refine_timed(
         &self,
         txs: &[Transaction],
         snapshot: &Snapshot,
         block_env: &BlockEnv,
-    ) -> (Vec<CSag>, u64) {
+    ) -> (Vec<CSag>, u64, DigestCounts) {
         let start = std::time::Instant::now();
-        let csags = crate::pipeline::refine_csags(
+        let (csags, digests) = crate::pipeline::refine_counted(
             &self.analyzer,
             txs,
             snapshot,
             block_env,
             self.config.threads,
         );
-        (csags, start.elapsed().as_nanos() as u64)
+        (csags, start.elapsed().as_nanos() as u64, digests)
     }
 
     /// Executes a block with precomputed C-SAGs.
@@ -1164,6 +1183,7 @@ impl ParallelExecutor {
                 stats.targeted_wakeups += counted.targeted_wakeups;
                 stats.parks += counted.parks;
                 stats.rank_inversions += counted.rank_inversions;
+                stats.execute_digests += counted.execute_digests;
             }
             stats
         });
@@ -1283,6 +1303,7 @@ impl ParallelExecutor {
         loop {
             if shared.finished.load(Ordering::SeqCst) == n {
                 shared.rest_and_flush();
+                own.stats.execute_digests = own.memo.counts();
                 return own.stats;
             }
             if let Some((tx, generation)) = shared.pop_ready() {
@@ -2025,6 +2046,48 @@ mod tests {
         assert!(dag.critical_path_gas > 0);
         assert!(dag.total_gas >= dag.critical_path_gas);
         assert!((1.0..=txs.len() as f64).contains(&dag.speedup_bound()));
+    }
+
+    #[test]
+    fn each_stage_hashes_every_distinct_preimage_once() {
+        // Token transfers among eight funded holders, each exactly
+        // predicted: every transfer derives its sender's and its
+        // recipient's balance slot, so the eight slots recur block-wide.
+        let holders = 1..=8u64;
+        let txs: Vec<Transaction> = (0..64)
+            .map(|i| transfer(1 + i % 8, 1 + (3 * i + 1) % 8, 1))
+            .collect();
+        let token = Address::from_u64(TOKEN);
+        let snapshot = Snapshot::from_entries(holders.clone().map(|holder| {
+            let slot = contracts::map_slot(Address::from_u64(holder).to_u256(), 1);
+            (StateKey::storage(token, slot), U256::from(1_000u64))
+        }));
+        let distinct = holders.count() as u64;
+        let config = ParallelConfig {
+            threads: 1,
+            ..ParallelConfig::default()
+        };
+        for kind in crate::ExecutorKind::ALL {
+            let engine = kind.build(Analyzer::new(registry()), config, None);
+            let outcome = engine.execute_block(&txs, &snapshot, &BlockEnv::default());
+            assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
+            assert_eq!(outcome.stats.attempts, txs.len() as u64);
+            let (refine, execute) = (outcome.stats.refine_digests, outcome.stats.execute_digests);
+            // Refinement binds each slot once per access (read and write
+            // of the sender's, add of the recipient's) — if the engine
+            // refines at all; execution's `SHA3` once per slot.
+            let refined = match engine.consumes_predictions() {
+                true => (3 * 64, distinct),
+                false => (0, 0),
+            };
+            assert_eq!((refine.asked, refine.computed), refined, "{}", kind.label());
+            assert_eq!(
+                (execute.asked, execute.computed),
+                (2 * 64, distinct),
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     mod binding {

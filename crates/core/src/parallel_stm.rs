@@ -53,6 +53,7 @@
 //! with stale-read aborts as validation), sharing the block's snapshot,
 //! interner, arenas and [`ExecutorStats`].
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +62,9 @@ use parking_lot::Mutex;
 
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, Snapshot, StateKey, WriteSet};
-use dmvcc_vm::{BlockEnv, ExecStatus, Host, HostError, Transaction, TxKind};
+use dmvcc_vm::{
+    BlockEnv, DigestCounts, ExecStatus, Host, HostError, KeccakMemo, Transaction, TxKind,
+};
 
 use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
 
@@ -183,6 +186,8 @@ struct StmHost<'a, 'b> {
     tx: usize,
     buffer: WriteBuffer,
     reads: Vec<(KeyId, U256)>,
+    /// The executing worker's digests.
+    memo: &'b mut KeccakMemo,
 }
 
 impl Host for StmHost<'_, '_> {
@@ -206,6 +211,10 @@ impl Host for StmHost<'_, '_> {
         self.buffer.add(self.shared.sequences.intern(key), delta);
         Ok(())
     }
+
+    fn keccak(&mut self, data: &[u8]) -> U256 {
+        self.memo.keccak(data)
+    }
 }
 
 /// The result of one optimistic execution.
@@ -218,13 +227,15 @@ struct TxRun {
     entries: Vec<(KeyId, VersionOp)>,
 }
 
-/// Executes `tx` once against the current multi-version state.
-fn execute_tx(shared: &StmShared<'_>, tx_index: usize) -> TxRun {
+/// Executes `tx` once against the current multi-version state, with the
+/// executing worker's digest memo.
+fn execute_tx(shared: &StmShared<'_>, tx_index: usize, memo: &mut KeccakMemo) -> TxRun {
     let mut host = StmHost {
         shared,
         tx: tx_index,
         buffer: WriteBuffer::default(),
         reads: Vec::new(),
+        memo,
     };
     // The optimistic engine never publishes early, so release-point
     // callbacks have nothing to gate.
@@ -280,7 +291,7 @@ fn publish(shared: &StmShared<'_>, tx: usize, mut ops: Vec<(KeyId, VersionOp)>, 
 /// Drains the commit tail if the commit lock is free: validate the next
 /// transaction in serial order, re-execute it in place on failure, commit,
 /// advance. Runs until the cursor hits an unexecuted transaction.
-fn try_commit(shared: &StmShared<'_>) {
+fn try_commit(shared: &StmShared<'_>, memo: &mut KeccakMemo) {
     let n = shared.txs.len();
     let Some(mut next) = shared.commit_next.try_lock() else {
         return;
@@ -306,7 +317,7 @@ fn try_commit(shared: &StmShared<'_>) {
             // turn: everything below is final, so this run is serial.
             let doomed = slot.published.iter().map(|&id| (id, VersionOp::Reset));
             apply_versions(shared, t, &mut doomed.collect::<Vec<_>>());
-            let run = execute_tx(shared, t);
+            let run = execute_tx(shared, t, memo);
             shared.attempts.fetch_add(1, Ordering::Relaxed);
             slot.execs += 1;
             slot.status = Some(run.status);
@@ -326,19 +337,21 @@ fn try_commit(shared: &StmShared<'_>) {
 
 /// One worker: alternate between draining the commit tail and claiming
 /// the next transaction for optimistic execution; park when both are dry.
-fn worker(shared: &StmShared<'_>) {
+/// Returns what the worker's digest memo was asked for and computed.
+fn worker(shared: &StmShared<'_>) -> DigestCounts {
     let n = shared.txs.len();
+    let mut memo = KeccakMemo::default();
     loop {
-        try_commit(shared);
+        try_commit(shared, &mut memo);
         if shared.committed.load(Ordering::Acquire) >= n {
-            return;
+            return memo.counts();
         }
         let t = shared.next_execute.fetch_add(1, Ordering::Relaxed);
         if t < n {
             if let Some(hook) = shared.hook {
                 hook.on_dequeue(t, 1);
             }
-            let run = execute_tx(shared, t);
+            let run = execute_tx(shared, t, &mut memo);
             shared.attempts.fetch_add(1, Ordering::Relaxed);
             let mut slot = shared.slots[t].lock();
             publish(shared, t, run.entries, &mut slot);
@@ -355,7 +368,7 @@ fn worker(shared: &StmShared<'_>) {
         // Nothing left to execute: wait for the commit tail to advance.
         let seen = shared.progress.epoch();
         if shared.committed.load(Ordering::Acquire) >= n {
-            return;
+            return memo.counts();
         }
         if let Some(hook) = shared.hook {
             hook.on_park(None);
@@ -504,11 +517,15 @@ impl StmExecutor {
         };
         let threads = self.config.threads.clamp(1, txs.len());
         let bound = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(|| worker(&shared));
+        let execute_digests = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads)
+                .map(|_| scope.spawn(|| worker(&shared)))
+                .collect();
+            let mut digests = worker(&shared);
+            for helper in helpers {
+                digests += helper.join().unwrap_or_else(|panic| resume_unwind(panic));
             }
-            worker(&shared);
+            digests
         });
         let joined = Instant::now();
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
@@ -531,6 +548,7 @@ impl StmExecutor {
             validation_failures: shared.validation_failures.load(Ordering::Relaxed),
             optimistic_txs: txs.len() as u64,
             serial_nanos: ((bound - start) + joined.elapsed()).as_nanos() as u64,
+            execute_digests,
             ..ExecutorStats::default()
         };
         ParallelOutcome {
@@ -610,12 +628,14 @@ impl HybridExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let (mut csags, refine_nanos) = self.inner.refine_timed(txs, snapshot, block_env);
+        let (mut csags, refine_nanos, refine_digests) =
+            self.inner.refine_timed(txs, snapshot, block_env);
         let optimistic = Self::route_csags(&mut csags);
         let mut outcome = self
             .inner
             .execute_block_with_csags(txs, snapshot, block_env, &csags);
         outcome.stats.refine_nanos = refine_nanos;
+        outcome.stats.refine_digests = refine_digests;
         outcome.stats.optimistic_txs = optimistic;
         outcome
     }

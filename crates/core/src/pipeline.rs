@@ -5,11 +5,12 @@
 //! previous block committed, so analysis and execution never overlap.
 //! This module removes both:
 //!
-//! - [`refine_csags`] fans the per-transaction `analyzer.csag` calls
-//!   across a thread pool. Refinement of one transaction never looks at
-//!   another's C-SAG, and the analyzer's hide/tier decisions are pure
-//!   per-key hashes, so the result is byte-identical to the serial loop
-//!   regardless of completion order.
+//! - [`refine_csags`] fans the per-transaction refinements across a
+//!   thread pool. Refinement of one transaction never looks at another's
+//!   C-SAG, and the analyzer's hide/tier decisions are pure per-key
+//!   hashes, so the result is byte-identical to the serial loop regardless
+//!   of completion order. Each worker keeps a digest memo for the block,
+//!   which changes what is hashed, not what is predicted.
 //! - [`BlockPipeline`] overlaps stages across blocks: while block N
 //!   executes, block N+1's C-SAGs are refined against the snapshot that
 //!   *preceded* block N (the latest committed state at the time the stage
@@ -26,7 +27,7 @@ use std::time::Instant;
 
 use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_state::Snapshot;
-use dmvcc_vm::{BlockEnv, Transaction};
+use dmvcc_vm::{BlockEnv, DigestCounts, KeccakMemo, Transaction};
 
 use crate::executor::BlockExecutor;
 use crate::parallel::ParallelOutcome;
@@ -35,10 +36,10 @@ use crate::parallel::ParallelOutcome;
 /// refine serially.
 const PARALLEL_REFINE_MIN: usize = 8;
 
-/// Refines one C-SAG per transaction, fanning the `analyzer.csag` calls
-/// across up to `threads` OS threads. Falls back to the plain serial loop
-/// for one thread or tiny blocks. The output is index-aligned with `txs`
-/// and identical to the serial loop's output.
+/// Refines one C-SAG per transaction, fanning the refinements across up
+/// to `threads` OS threads. Falls back to the plain serial loop for one
+/// thread or tiny blocks. The output is index-aligned with `txs` and
+/// identical to a loop of `analyzer.csag` calls.
 pub fn refine_csags(
     analyzer: &Analyzer,
     txs: &[Transaction],
@@ -46,43 +47,65 @@ pub fn refine_csags(
     block_env: &BlockEnv,
     threads: usize,
 ) -> Vec<CSag> {
+    refine_counted(analyzer, txs, snapshot, block_env, threads).0
+}
+
+/// [`refine_csags`], also returning what the refine workers' digest memos
+/// were asked for and computed, summed. Each worker keeps one
+/// [`KeccakMemo`] for the block: a mapping slot two of its transactions
+/// derive is hashed once.
+pub(crate) fn refine_counted(
+    analyzer: &Analyzer,
+    txs: &[Transaction],
+    snapshot: &Snapshot,
+    block_env: &BlockEnv,
+    threads: usize,
+) -> (Vec<CSag>, DigestCounts) {
     let threads = threads.min(txs.len());
     if threads <= 1 || txs.len() < PARALLEL_REFINE_MIN {
-        return txs
+        let mut memo = KeccakMemo::default();
+        let csags = txs
             .iter()
-            .map(|tx| analyzer.csag(tx, snapshot, block_env))
+            .map(|tx| analyzer.csag_with_memo(tx, snapshot, block_env, &mut memo))
             .collect();
+        return (csags, memo.counts());
     }
     // Claim indices from a shared counter: cheap dynamic load balancing
     // (speculative fallbacks are far more expensive than symbolic
     // bindings, so static chunking would straggle).
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<CSag>> = vec![None; txs.len()];
+    let mut counts = DigestCounts::default();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let next = &next;
             handles.push(scope.spawn(move || {
                 let mut mine: Vec<(usize, CSag)> = Vec::new();
+                let mut memo = KeccakMemo::default();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= txs.len() {
-                        return mine;
+                        return (mine, memo.counts());
                     }
-                    mine.push((i, analyzer.csag(&txs[i], snapshot, block_env)));
+                    let csag = analyzer.csag_with_memo(&txs[i], snapshot, block_env, &mut memo);
+                    mine.push((i, csag));
                 }
             }));
         }
         for handle in handles {
-            for (i, csag) in handle.join().expect("refine worker panicked") {
+            let (mine, worker) = handle.join().expect("refine worker panicked");
+            for (i, csag) in mine {
                 slots[i] = Some(csag);
             }
+            counts += worker;
         }
     });
-    slots
+    let csags = slots
         .into_iter()
         .map(|slot| slot.expect("every index claimed exactly once"))
-        .collect()
+        .collect();
+    (csags, counts)
 }
 
 /// Wall-clock accounting of a pipelined run, for the refine-vs-execute

@@ -8,7 +8,7 @@
 //! transaction's unfinished write, and a release point publishes buffered
 //! writes early).
 
-use dmvcc_primitives::U256;
+use dmvcc_primitives::{keccak256, U256};
 use dmvcc_state::StateKey;
 
 /// Why a host refused to continue an execution.
@@ -74,6 +74,15 @@ pub trait Host {
     /// The default does nothing (transaction-level visibility).
     fn on_release_point(&mut self, pc: usize, gas_left: u64) {
         let _ = (pc, gas_left);
+    }
+
+    /// `keccak256(data)` as a word — what `SHA3` pushes, over the machine's
+    /// memory in place.
+    ///
+    /// The default hashes every time; the engines' hosts override it to ask
+    /// their worker's [`crate::KeccakMemo`].
+    fn keccak(&mut self, data: &[u8]) -> U256 {
+        keccak256(data).to_u256()
     }
 }
 

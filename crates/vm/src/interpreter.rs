@@ -6,7 +6,7 @@
 //! *and* the analysis crate's speculative pre-execution (which records the
 //! access trace that becomes a C-SAG).
 
-use dmvcc_primitives::{keccak256, U256};
+use dmvcc_primitives::U256;
 use dmvcc_state::StateKey;
 
 use crate::env::{word_at, BlockEnv, TxEnv, INTRINSIC_GAS};
@@ -470,8 +470,9 @@ fn step(
         Sha3 => {
             let (offset, len) = (to_offset(m.pop()?)?, to_offset(m.pop()?)?);
             m.charge(6 * (len.div_ceil(32)) as u64)?;
-            let data = m.read_memory(offset, len)?;
-            m.push(keccak256(&data).to_u256())?;
+            m.touch_memory(offset, len)?;
+            let digest = host.keccak(&m.memory[offset..offset + len]);
+            m.push(digest)?;
         }
         Address => m.push(m.tx.contract.to_u256())?,
         Balance => {
@@ -771,7 +772,7 @@ mod tests {
     use super::*;
     use crate::assembler::assemble;
     use crate::host::MapHost;
-    use dmvcc_primitives::Address;
+    use dmvcc_primitives::{keccak256, Address};
     use std::collections::HashSet;
 
     fn run(source: &str) -> ExecOutcome {
@@ -882,6 +883,41 @@ mod tests {
         // keccak of 32 zero bytes.
         let expected = keccak256(&[0u8; 32]).to_u256();
         assert_eq!(returned("PUSH1 32 PUSH1 0 SHA3"), expected);
+    }
+
+    #[test]
+    fn sha3_asks_the_host_for_the_digest_of_memory() {
+        /// Answers every digest with the preimage's length and last byte.
+        #[derive(Default)]
+        struct Recording(Vec<Vec<u8>>);
+        impl Host for Recording {
+            fn sload(&mut self, _: StateKey) -> Result<U256, HostError> {
+                Ok(U256::ZERO)
+            }
+            fn sstore(&mut self, _: StateKey, _: U256) -> Result<(), HostError> {
+                Ok(())
+            }
+            fn keccak(&mut self, data: &[u8]) -> U256 {
+                self.0.push(data.to_vec());
+                U256::from(data.len() as u64 * 1000 + *data.last().unwrap_or(&0) as u64)
+            }
+        }
+        let code = assemble(
+            "PUSH1 9 PUSH1 63 MSTORE8 PUSH1 32 PUSH1 32 SHA3 \
+             PUSH1 0 MSTORE PUSH1 32 PUSH1 0 RETURN",
+        )
+        .expect("valid");
+        let tx = TxEnv::call(Address::from_u64(1), Address::from_u64(2), vec![]);
+        let mut host = Recording::default();
+        let outcome = execute(
+            &ExecParams::new(&code, &tx, &BlockEnv::default()),
+            &mut host,
+        );
+        assert!(outcome.status.is_success(), "{:?}", outcome.status);
+        assert_eq!(outcome.output_word(), U256::from(32_009u64));
+        let mut preimage = vec![0u8; 32];
+        preimage[31] = 9;
+        assert_eq!(host.0, vec![preimage]);
     }
 
     #[test]

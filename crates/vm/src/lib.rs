@@ -40,6 +40,7 @@ mod env;
 mod error;
 mod host;
 mod interpreter;
+mod memo;
 mod opcode;
 mod registry;
 mod tx;
@@ -52,6 +53,7 @@ pub use interpreter::{
     execute, execute_traced, ExecParams, JumpTable, NoopTracer, Tracer, CALL_DEPTH_LIMIT,
     MEMORY_LIMIT, STACK_LIMIT,
 };
+pub use memo::{DigestCounts, KeccakMemo};
 pub use opcode::Opcode;
 pub use registry::{CodeRegistry, CodeRegistryBuilder, Deployed, SummaryCache};
 pub use tx::{Transaction, TxKind};

@@ -339,6 +339,72 @@ impl WorkloadConfig {
 /// above this base so the two id spaces never collide.
 const CONTRACT_ID_BASE: u64 = 1 << 32;
 
+/// The contract-call categories of the mix, in the order `transaction()`
+/// rolls them.
+#[derive(Clone, Copy)]
+enum Category {
+    /// ERC20 tokens.
+    Token,
+    /// AMM pools and everything that routes into them.
+    Defi,
+    /// NFT collections and drops.
+    Nft,
+    /// Counters, ballots, Fig. 1, auctions, crowdsales, batch payments,
+    /// loops and oracles.
+    Other,
+}
+
+impl Category {
+    const ALL: [Category; 4] = [
+        Category::Token,
+        Category::Defi,
+        Category::Nft,
+        Category::Other,
+    ];
+
+    /// Whether direct traffic of this category may target `kind` (the
+    /// consumers, splitters and floor oracles receive none).
+    fn admits(self, kind: ContractKind) -> bool {
+        use ContractKind::*;
+        match self {
+            Category::Token => kind == Token,
+            Category::Defi => matches!(kind, Amm | Router | Router2 | Flash),
+            Category::Nft => matches!(kind, Nft | Drop),
+            Category::Other => matches!(
+                kind,
+                Counter
+                    | Ballot
+                    | Fig1
+                    | Auction
+                    | Crowdsale
+                    | BatchPay
+                    | Airdrop
+                    | BatchTransfer
+                    | Oracle
+            ),
+        }
+    }
+}
+
+/// The contracts one pick draws from, most popular first, with their Zipf
+/// popularity CDF. Empty when the category has no contract at all.
+#[derive(Debug)]
+struct Pool {
+    contracts: Vec<(Address, ContractKind)>,
+    cdf: Vec<f64>,
+}
+
+impl Pool {
+    fn new(contracts: Vec<(Address, ContractKind)>, zipf: f64) -> Self {
+        let cdf = if contracts.is_empty() {
+            Vec::new()
+        } else {
+            zipf_cdf(contracts.len(), zipf)
+        };
+        Pool { contracts, cdf }
+    }
+}
+
 /// The deterministic block generator.
 #[derive(Debug)]
 pub struct WorkloadGenerator {
@@ -355,7 +421,12 @@ pub struct WorkloadGenerator {
     /// `(drop, floor_oracle, creator)` per NFT drop deployment.
     drop_bindings: Vec<(Address, Address, Address)>,
     hot: Vec<usize>,
-    cold: Vec<usize>,
+    /// `pools[category][want_hot]`: the pool a pick of that category draws
+    /// from after its hot/cold roll (the other side when this one is empty).
+    pools: [[Pool; 2]; 4],
+    /// Account id `i + 1` at index `i`, covering every user account and
+    /// every hot account.
+    account_addresses: Vec<Address>,
     account_cdf: Vec<f64>,
 }
 
@@ -584,7 +655,28 @@ impl WorkloadGenerator {
         }
         let hot_set: std::collections::HashSet<usize> = hot.iter().copied().collect();
         let cold: Vec<usize> = (0..total).filter(|i| !hot_set.contains(i)).collect();
+        let pools = Category::ALL.map(|category| {
+            let side = |indices: &[usize]| -> Vec<(Address, ContractKind)> {
+                indices
+                    .iter()
+                    .map(|&i| by_kind[i])
+                    .filter(|&(_, kind)| category.admits(kind))
+                    .collect()
+            };
+            let (cold, hot) = (side(&cold), side(&hot));
+            let pool = |primary: &Vec<_>, fallback: &Vec<_>| {
+                let contracts = if primary.is_empty() {
+                    fallback
+                } else {
+                    primary
+                };
+                Pool::new(contracts.clone(), config.contract_zipf)
+            };
+            [pool(&cold, &hot), pool(&hot, &cold)]
+        });
 
+        let account_ids = config.accounts.max(config.hot_accounts).max(1) as u64;
+        let account_addresses = (1..=account_ids).map(Address::from_u64).collect();
         let account_cdf = zipf_cdf(config.accounts, config.account_zipf);
 
         WorkloadGenerator {
@@ -598,7 +690,8 @@ impl WorkloadGenerator {
             flash_bindings,
             drop_bindings,
             hot,
-            cold,
+            pools,
+            account_addresses,
             account_cdf,
         }
     }
@@ -628,19 +721,26 @@ impl WorkloadGenerator {
     /// transactions are executable (failed balance checks stay possible,
     /// as on mainnet, but rare).
     pub fn genesis_entries(&self) -> Vec<(StateKey, U256)> {
+        let accounts = &self.account_addresses[..self.config.accounts];
+        let owners: Vec<U256> = accounts.iter().map(Address::to_u256).collect();
+        // `balances[owner]` sits at mapping slot 1 of the token and the
+        // batch-transfer layouts, `deposits[owner]` at slot 0 of batch-pay.
+        let slots = |base| -> Vec<U256> {
+            owners
+                .iter()
+                .map(|&owner| contracts::map_slot(owner, base))
+                .collect()
+        };
+        let (balance_slots, deposit_slots) = (slots(1), slots(0));
         let mut entries = Vec::new();
         let ether = U256::from(1_000_000_000u64);
-        for id in 1..=self.config.accounts as u64 {
-            entries.push((StateKey::balance(Address::from_u64(id)), ether));
+        for &account in accounts {
+            entries.push((StateKey::balance(account), ether));
         }
         let token_balance = U256::from(1_000_000u64);
         for token in &self.tokens {
-            for id in 1..=self.config.accounts as u64 {
-                let owner = Address::from_u64(id).to_u256();
-                entries.push((
-                    StateKey::storage(*token, contracts::map_slot(owner, 1)),
-                    token_balance,
-                ));
+            for &slot in &balance_slots {
+                entries.push((StateKey::storage(*token, slot), token_balance));
             }
         }
         let reserve = U256::from(10_000_000u64);
@@ -659,24 +759,16 @@ impl WorkloadGenerator {
                     ));
                 }
                 ContractKind::BatchPay => {
-                    for id in 1..=self.config.accounts as u64 {
-                        let owner = Address::from_u64(id).to_u256();
-                        entries.push((
-                            StateKey::storage(*address, contracts::map_slot(owner, 0)),
-                            U256::from(100_000u64),
-                        ));
+                    for &slot in &deposit_slots {
+                        entries.push((StateKey::storage(*address, slot), U256::from(100_000u64)));
                     }
                 }
                 ContractKind::BatchTransfer => {
                     // Recipient count in slot 0 (the snapshot-derived trip
                     // bound) plus sender balances so most batches succeed.
                     entries.push((StateKey::storage(*address, U256::ZERO), U256::from(5u64)));
-                    for id in 1..=self.config.accounts as u64 {
-                        let owner = Address::from_u64(id).to_u256();
-                        entries.push((
-                            StateKey::storage(*address, contracts::map_slot(owner, 1)),
-                            U256::from(100_000u64),
-                        ));
+                    for &slot in &balance_slots {
+                        entries.push((StateKey::storage(*address, slot), U256::from(100_000u64)));
                     }
                 }
                 _ => {}
@@ -687,8 +779,7 @@ impl WorkloadGenerator {
         // output-token inventory for the payout leg.
         let approval = U256::from(1_000_000_000u64);
         for (router, token_a, token_b) in &self.router2_bindings {
-            for id in 1..=self.config.accounts as u64 {
-                let owner = Address::from_u64(id).to_u256();
+            for &owner in &owners {
                 entries.push((
                     StateKey::storage(*token_a, contracts::map_slot2(owner, router.to_u256(), 2)),
                     approval,
@@ -701,8 +792,7 @@ impl WorkloadGenerator {
         }
         // Flash facilities: every account pre-approves the repay pull.
         for (flash, token) in &self.flash_bindings {
-            for id in 1..=self.config.accounts as u64 {
-                let owner = Address::from_u64(id).to_u256();
+            for &owner in &owners {
                 entries.push((
                     StateKey::storage(*token, contracts::map_slot2(owner, flash.to_u256(), 2)),
                     approval,
@@ -730,39 +820,24 @@ impl WorkloadGenerator {
                 .gen_bool(self.config.hot_account_probability.clamp(0.0, 1.0))
         {
             let hot = self.rng.gen_range(0..self.config.hot_accounts as u64);
-            return Address::from_u64(1 + hot);
+            return self.account_addresses[hot as usize];
         }
         let rank = sample_cdf(&self.account_cdf, self.rng.gen());
-        Address::from_u64(1 + rank as u64)
+        self.account_addresses[rank]
     }
 
-    /// Picks a contract matching `kind_filter`, honoring the hot/cold skew.
-    fn pick_contract(&mut self, kind_filter: fn(ContractKind) -> bool) -> Option<Address> {
+    /// Picks a contract of `category`, honoring the hot/cold skew.
+    fn pick_contract(&mut self, category: Category) -> Option<(Address, ContractKind)> {
         let want_hot = !self.hot.is_empty()
             && self
                 .rng
                 .gen_bool(self.config.hot_access_probability.clamp(0.0, 1.0));
-        let primary = if want_hot { &self.hot } else { &self.cold };
-        let fallback = if want_hot { &self.cold } else { &self.hot };
-        let mut pool: Vec<usize> = primary
-            .iter()
-            .copied()
-            .filter(|&i| kind_filter(self.by_kind[i].1))
-            .collect();
-        if pool.is_empty() {
-            pool = fallback
-                .iter()
-                .copied()
-                .filter(|&i| kind_filter(self.by_kind[i].1))
-                .collect();
-        }
-        if pool.is_empty() {
+        let pool = &self.pools[category as usize][want_hot as usize];
+        if pool.contracts.is_empty() {
             return None;
         }
         // Heavy-tailed popularity within the pool (rank = position).
-        let cdf = zipf_cdf(pool.len(), self.config.contract_zipf);
-        let index = pool[sample_cdf(&cdf, self.rng.gen())];
-        Some(self.by_kind[index].0)
+        Some(pool.contracts[sample_cdf(&pool.cdf, self.rng.gen())])
     }
 
     fn ether_transfer(&mut self) -> Transaction {
@@ -1019,71 +1094,28 @@ impl WorkloadGenerator {
         let erc = self.config.erc20_share;
         let defi = erc + self.config.defi_share;
         let nft = defi + self.config.nft_share;
-        if roll < erc {
-            if let Some(c) = self.pick_contract(|k| k == ContractKind::Token) {
-                return self.token_tx(c);
-            }
+        let category = if roll < erc {
+            Category::Token
         } else if roll < defi {
-            if let Some(c) = self.pick_contract(|k| {
-                matches!(
-                    k,
-                    ContractKind::Amm
-                        | ContractKind::Router
-                        | ContractKind::Router2
-                        | ContractKind::Flash
-                )
-            }) {
-                let kind = self
-                    .by_kind
-                    .iter()
-                    .find(|(a, _)| *a == c)
-                    .map(|(_, k)| *k)
-                    .expect("picked contract is deployed");
-                return match kind {
-                    ContractKind::Router => self.router_tx(c),
-                    ContractKind::Router2 => self.router2_tx(c),
-                    ContractKind::Flash => self.flash_tx(c),
-                    _ => self.amm_tx(c),
-                };
-            }
+            Category::Defi
         } else if roll < nft {
-            if let Some(c) =
-                self.pick_contract(|k| matches!(k, ContractKind::Nft | ContractKind::Drop))
-            {
-                if self
-                    .by_kind
-                    .iter()
-                    .any(|(a, k)| *a == c && *k == ContractKind::Drop)
-                {
-                    return self.drop_tx(c);
-                }
-                return self.nft_tx(c);
-            }
-        } else if let Some(c) = self.pick_contract(|k| {
-            matches!(
-                k,
-                ContractKind::Counter
-                    | ContractKind::Ballot
-                    | ContractKind::Fig1
-                    | ContractKind::Auction
-                    | ContractKind::Crowdsale
-                    | ContractKind::BatchPay
-                    | ContractKind::Airdrop
-                    | ContractKind::BatchTransfer
-                    | ContractKind::Oracle
-            )
-        }) {
-            let kind = self
-                .by_kind
-                .iter()
-                .find(|(a, _)| *a == c)
-                .map(|(_, k)| *k)
-                .expect("picked contract is deployed");
-            return self.other_tx(c, kind);
+            Category::Nft
+        } else {
+            Category::Other
+        };
+        match self.pick_contract(category) {
+            Some((c, ContractKind::Token)) => self.token_tx(c),
+            Some((c, ContractKind::Amm)) => self.amm_tx(c),
+            Some((c, ContractKind::Router)) => self.router_tx(c),
+            Some((c, ContractKind::Router2)) => self.router2_tx(c),
+            Some((c, ContractKind::Flash)) => self.flash_tx(c),
+            Some((c, ContractKind::Nft)) => self.nft_tx(c),
+            Some((c, ContractKind::Drop)) => self.drop_tx(c),
+            Some((c, kind)) => self.other_tx(c, kind),
+            // Degenerate configs (a category with zero contracts): fall
+            // back to an Ether transfer.
+            None => self.ether_transfer(),
         }
-        // Degenerate configs (a category with zero contracts): fall back to
-        // an Ether transfer.
-        self.ether_transfer()
     }
 
     /// Generates a block of `size` transactions.
