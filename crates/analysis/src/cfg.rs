@@ -312,13 +312,6 @@ impl Cfg {
         points.sort_unstable();
         points
     }
-
-    /// The block containing `pc`, if any.
-    pub fn block_at(&self, pc: usize) -> Option<&BasicBlock> {
-        self.blocks
-            .iter()
-            .find(|b| b.instructions.iter().any(|i| i.pc == pc))
-    }
 }
 
 #[cfg(test)]

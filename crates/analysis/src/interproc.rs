@@ -326,20 +326,6 @@ impl CallGraph {
             verdicts,
         }
     }
-
-    /// Sites with the given verdict across the whole registry, as
-    /// `(contract, pc)` pairs in address order.
-    pub fn sites_with(&self, verdict: CallSiteVerdict) -> Vec<(Address, usize)> {
-        self.verdicts
-            .iter()
-            .flat_map(|(addr, v)| {
-                v.sites
-                    .iter()
-                    .filter(move |s| s.verdict == verdict)
-                    .map(move |s| (*addr, s.pc))
-            })
-            .collect()
-    }
 }
 
 /// Maps a call-family opcode to its plan kind.
@@ -497,11 +483,11 @@ mod tests {
         let a = Address::from_u64(1);
         let registry = CodeRegistry::builder().deploy(a, dynamic_caller()).build();
         let graph = CallGraph::build(&registry);
+        assert_eq!(graph.verdicts[&a].sites.len(), 1);
         assert_eq!(
             graph.verdicts[&a].sites[0].verdict,
             CallSiteVerdict::DynamicTarget
         );
-        assert_eq!(graph.sites_with(CallSiteVerdict::DynamicTarget).len(), 1);
     }
 
     #[test]

@@ -166,13 +166,6 @@ pub struct LoopInfo {
     pub irreducible_head_pcs: Vec<usize>,
 }
 
-impl LoopInfo {
-    /// The summary owning `head_pc`, if any.
-    pub fn by_head_pc(&self, head_pc: usize) -> Option<&LoopSummary> {
-        self.loops.iter().find(|l| l.head_pc == head_pc)
-    }
-}
-
 /// Detects and summarizes every loop of the (jump-patched) CFG.
 pub fn analyze_loops(cfg: &Cfg, plan: &ContractPlan) -> LoopInfo {
     let order = postorder(cfg);

@@ -136,7 +136,10 @@ pub struct TestnetConfig {
     /// The chain to run.
     pub chain: ChainConfig,
     /// Fraction of transactions that reach the pool *without* a SAG
-    /// (late propagation; the paper's pool-desync scenario).
+    /// (late propagation; the paper's pool-desync scenario). With
+    /// `rebuild_missing_sags` a miss is rebuilt at packing against the same
+    /// snapshot and environment as at arrival, and the pool is FIFO, so the
+    /// C-SAGs and the chain are identical to a run without misses.
     pub pool_miss_rate: f64,
     /// Whether missing SAGs are rebuilt on the fly (paper's first option)
     /// or executed with empty predictions "as what OCC does" (second).
@@ -535,6 +538,13 @@ mod tests {
         // Same chain as the fully-analyzed run.
         let clean = run_testnet(&tiny_config());
         assert_eq!(report.final_root, clean.final_root);
+        // Rebuilt misses see the arrival's snapshot and environment: the
+        // C-SAGs, and so the chain, are the clean run's exactly.
+        config.rebuild_missing_sags = true;
+        let report = run_testnet(&config);
+        assert!(report.pool_stats.sag_misses > 0);
+        assert_eq!(report.chain, clean.chain);
+        assert_eq!(report.csags, clean.csags);
     }
 
     #[test]

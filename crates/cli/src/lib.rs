@@ -268,13 +268,15 @@ USAGE:
       log-structured on-disk store) and sealed with the gas execution
       charged. Without --pipeline this is the micro testnet: transactions
       arrive through a pool (--miss-rate of them without a SAG, rebuilt
-      at packing), and throughput is reported in virtual time — the
-      --scheduler's makespan per block against a --interval mining
-      floor. --pipeline runs the wall-clock front-end instead: C-SAG
-      refinement one block ahead and root hashing one block behind, and
-      reports how much of each was hidden. Either way each sealed header
-      is compared with the one the serial oracle seals; the first block
-      that differs is named and the exit status is nonzero.
+      at packing against the arrival's snapshot, so the chain is the one
+      a run without misses produces), and throughput is reported in
+      virtual time — the --scheduler's makespan per block against a
+      --interval mining floor. --pipeline runs the wall-clock front-end
+      instead: C-SAG refinement one block ahead and root hashing one
+      block behind, and reports how much of each was hidden. Either way
+      each sealed header is compared with the one the serial oracle
+      seals; the first block that differs is named and the exit status
+      is nonzero.
   dmvcc profile [--hot] [--blocks N] [--size M] [--threads T]
                 [--repeat R] [--seed S]
       Re-execute the same prepared blocks on the sharded executor in a

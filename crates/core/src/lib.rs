@@ -83,4 +83,4 @@ pub use parallel::{ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutc
 pub use parallel_stm::{HybridExecutor, StmExecutor};
 pub use pipeline::{refine_csags, BlockPipeline, PipelineStats};
 pub use rank::{BlockDag, TxRank, NUM_LANES};
-pub use sharded::{Shard, ShardedSequences, DEFAULT_SHARDS};
+pub use sharded::{Shard, ShardedSequences};

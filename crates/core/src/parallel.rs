@@ -86,7 +86,7 @@ use crate::access::{AccessOp, ReadResolution};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
-use crate::sharded::{ShardStorage, ShardedSequences, Staged, VersionOp, DEFAULT_SHARDS};
+use crate::sharded::{ShardStorage, ShardedSequences, Staged, VersionOp, SHARDS};
 
 /// Backstop for an idle worker with nothing to run.
 const IDLE_PARK: Duration = Duration::from_millis(1);
@@ -832,7 +832,7 @@ impl Shared<'_> {
         }
         loop {
             let shard = self.flush_cursor.fetch_add(1, Ordering::Relaxed);
-            if shard >= self.sequences.shard_count() {
+            if shard >= SHARDS {
                 return;
             }
             self.sequences.flush_shard(shard, self.snapshot);
@@ -1247,7 +1247,7 @@ impl ParallelExecutor {
         } = std::mem::take(&mut *self.pool.lock());
         let mut bytes_saved = meta.reset(csags);
         let (mut sequences, storage_bytes) =
-            ShardedSequences::for_block(DEFAULT_SHARDS, storage, self.hook.clone());
+            ShardedSequences::for_block(storage, self.hook.clone());
         bytes_saved += storage_bytes;
         states.truncate(n);
         for state in &mut states {
@@ -1722,7 +1722,7 @@ mod tests {
             .collect();
         let outcome = executor(1).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
         let expected = serial_writes(&txs, &Snapshot::empty());
-        assert!(expected.len() > DEFAULT_SHARDS);
+        assert!(expected.len() > SHARDS);
         assert_eq!(outcome.final_writes, expected);
         assert!(outcome.stats.serial_nanos > 0);
     }

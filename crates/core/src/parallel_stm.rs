@@ -74,7 +74,7 @@ use crate::hook::SchedHook;
 use crate::parallel::{
     run_tx, Event, ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome,
 };
-use crate::sharded::{ShardedSequences, VersionOp, DEFAULT_SHARDS};
+use crate::sharded::{ShardedSequences, VersionOp};
 
 /// Backstop for a reader parked on a re-pended version or an idle worker
 /// parked on the commit tail; both are signaled on every commit, so the
@@ -470,7 +470,7 @@ impl StmExecutor {
 
     /// A block's empty store (no storage recycling in this engine).
     fn sequences(&self) -> ShardedSequences {
-        ShardedSequences::for_block(DEFAULT_SHARDS, None, self.hook.clone()).0
+        ShardedSequences::for_block(None, self.hook.clone()).0
     }
 
     /// Runs the block over `sequences`, whose interner the caller filled.

@@ -17,7 +17,7 @@
 //!   starts). Predictions are therefore one block stale; any key block N
 //!   actually changed shows up as a misprediction and lands in the
 //!   executor's existing abort path — the same machinery the DST layer
-//!   exercises with its `stale_every` scenarios, so pipelining buys
+//!   exercises with its stale-snapshot seeds, so pipelining buys
 //!   overlap without new correctness surface. The pipeline is generic over
 //!   [`BlockExecutor`]; an engine that consumes no predictions has no
 //!   refinement stage to run, and its blocks simply execute back to back.
@@ -176,16 +176,6 @@ impl<E: BlockExecutor> BlockPipeline<E> {
     /// Returns one outcome per block plus the final snapshot and the
     /// overlap accounting. `env_of` maps a block index to its
     /// [`BlockEnv`].
-    pub fn run_blocks(
-        &self,
-        blocks: &[Vec<Transaction>],
-        snapshot: &Snapshot,
-        env_of: impl Fn(usize) -> BlockEnv,
-    ) -> (Vec<ParallelOutcome>, Snapshot, PipelineStats) {
-        self.run_blocks_with(blocks, snapshot, env_of, |_, _| {})
-    }
-
-    /// [`BlockPipeline::run_blocks`] with a per-block hook.
     ///
     /// `on_block(i, outcome)` fires after block `i`'s writes are applied
     /// to the pipeline snapshot and **before** block `i+1` executes —
@@ -382,7 +372,7 @@ mod tests {
         );
         let pipeline = BlockPipeline::new(executor);
         let (outcomes, final_snapshot, stats) =
-            pipeline.run_blocks(&blocks, &Snapshot::empty(), env_of);
+            pipeline.run_blocks_with(&blocks, &Snapshot::empty(), env_of, |_, _| {});
         assert_eq!(outcomes.len(), blocks.len());
         assert_eq!(stats.blocks, blocks.len() as u64);
         assert!(stats.refine_nanos > 0);
@@ -441,7 +431,7 @@ mod tests {
             ParallelConfig::default(),
         ));
         let (outcomes, snapshot, stats) =
-            pipeline.run_blocks(&[], &Snapshot::empty(), |_| BlockEnv::default());
+            pipeline.run_blocks_with(&[], &Snapshot::empty(), |_| BlockEnv::default(), |_, _| {});
         assert!(outcomes.is_empty());
         assert_eq!(stats, PipelineStats::default());
         assert!(snapshot.is_empty());
@@ -457,9 +447,9 @@ mod tests {
                 ..ParallelConfig::default()
             },
         ));
-        let (_, _, stats) = pipeline.run_blocks(&blocks, &Snapshot::empty(), |i| {
-            BlockEnv::new(1 + i as u64, 1_700_000_000)
-        });
+        let env_of = |i: usize| BlockEnv::new(1 + i as u64, 1_700_000_000);
+        let (_, _, stats) =
+            pipeline.run_blocks_with(&blocks, &Snapshot::empty(), env_of, |_, _| {});
         let fraction = stats.overlap_fraction();
         assert!((0.0..=1.0).contains(&fraction), "fraction {fraction}");
         assert!(stats.overlapped_refine_nanos <= stats.refine_nanos);

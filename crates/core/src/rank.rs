@@ -34,9 +34,6 @@ pub const NUM_LANES: usize = 8;
 pub struct TxRank {
     /// Own predicted gas plus the heaviest downstream gas path.
     pub rank_gas: u64,
-    /// Direct downstream readers across all written/added keys (the
-    /// tie-break: more dependents unblock more work).
-    pub dependents: u64,
     /// Priority lane (0 = highest) derived from `rank_gas`.
     pub lane: u8,
 }
@@ -104,37 +101,28 @@ impl BlockDag {
         let mut ranks = vec![
             TxRank {
                 rank_gas: 0,
-                dependents: 0,
                 lane: 0,
             };
             txs
         ];
-        // Per key id: (max rank, count) over the *readers with a higher
-        // index than the transaction currently being processed* —
-        // maintained by the backward sweep.
-        let mut suffix: Vec<(u64, u64)> = vec![(0, 0); keys];
+        // Per key id: the max rank over the *readers with a higher index
+        // than the transaction currently being processed* — maintained by
+        // the backward sweep.
+        let mut suffix: Vec<u64> = vec![0; keys];
         let mut critical = 0u64;
         let mut total = 0u64;
         for i in (0..txs).rev() {
             let gas = gas(i).max(dmvcc_vm::INTRINSIC_GAS);
             total += gas;
-            let mut downstream = 0u64;
-            let mut dependents = 0u64;
-            for id in written(i) {
-                let (max_rank, count) = suffix[id.index()];
-                downstream = downstream.max(max_rank);
-                dependents += count;
-            }
+            let downstream = written(i).map(|id| suffix[id.index()]).max().unwrap_or(0);
             let rank = gas + downstream;
             critical = critical.max(rank);
             ranks[i].rank_gas = rank;
-            ranks[i].dependents = dependents;
             // Register this transaction's reads *after* computing its own
             // rank, so an RMW transaction never depends on itself.
             for id in reads(i) {
                 let entry = &mut suffix[id.index()];
-                entry.0 = entry.0.max(rank);
-                entry.1 += 1;
+                *entry = (*entry).max(rank);
             }
         }
         for rank in &mut ranks {
@@ -151,16 +139,6 @@ impl BlockDag {
     #[inline]
     pub fn lane_of(&self, tx: usize) -> usize {
         self.ranks.get(tx).map_or(0, |r| r.lane as usize)
-    }
-
-    /// Exact dispatch order: higher is served first. Rank gas dominates,
-    /// dependent count breaks ties, and the *lower* transaction index wins
-    /// remaining ties (deterministic, and index order is always a valid
-    /// topological order here).
-    #[inline]
-    pub fn priority(&self, tx: usize) -> (u64, u64, std::cmp::Reverse<usize>) {
-        let rank = &self.ranks[tx];
-        (rank.rank_gas, rank.dependents, std::cmp::Reverse(tx))
     }
 
     /// Upper bound on achievable speedup: total gas over critical-path gas
@@ -238,10 +216,6 @@ mod tests {
         assert_eq!(dag.ranks[0].rank_gas, 3 * G);
         assert_eq!(dag.critical_path_gas, 3 * G);
         assert_eq!(dag.total_gas, 3 * G);
-        // One direct reader each, none for the tail.
-        assert_eq!(dag.ranks[0].dependents, 1);
-        assert_eq!(dag.ranks[1].dependents, 1);
-        assert_eq!(dag.ranks[2].dependents, 0);
         // The chain head is the critical path: lane 0; the tail is the
         // lightest transaction in the block.
         assert_eq!(dag.ranks[0].lane, 0);
@@ -266,28 +240,21 @@ mod tests {
         assert_eq!(dag.ranks[0].rank_gas, 6 * G); // source through shoulder 1
         assert_eq!(dag.critical_path_gas, 6 * G);
         assert_eq!(dag.total_gas, 7 * G);
-        // The source feeds both shoulders.
-        assert_eq!(dag.ranks[0].dependents, 2);
-        // Both shoulders feed only the sink.
-        assert_eq!(dag.ranks[1].dependents, 1);
-        assert_eq!(dag.ranks[2].dependents, 1);
         assert!(dag.speedup_bound() > 1.0);
     }
 
     #[test]
     fn hot_key_fans_out_without_quadratic_edges() {
         // One writer of a hot key, many readers: the writer's rank tops
-        // every reader's, and its dependent count equals the fan-out.
+        // every reader's by exactly one reader's gas, not the fan-out's.
         let mut csags = vec![sag(&[], &[7], &[], G)];
         for _ in 0..64 {
             csags.push(sag(&[7], &[], &[], G));
         }
         let dag = BlockDag::build(&csags);
         assert_eq!(dag.ranks[0].rank_gas, 2 * G);
-        assert_eq!(dag.ranks[0].dependents, 64);
         for reader in 1..=64 {
             assert_eq!(dag.ranks[reader].rank_gas, G);
-            assert_eq!(dag.ranks[reader].dependents, 0);
             assert!(dag.ranks[reader].lane >= dag.ranks[0].lane);
         }
         assert_eq!(dag.critical_path_gas, 2 * G);
@@ -297,11 +264,10 @@ mod tests {
     #[test]
     fn rmw_transaction_does_not_self_depend() {
         // A single read-modify-write of one key: rank is its own gas, no
-        // dependents, no infinite self-edge.
+        // infinite self-edge.
         let csags = vec![sag(&[5], &[5], &[], G)];
         let dag = BlockDag::build(&csags);
         assert_eq!(dag.ranks[0].rank_gas, G);
-        assert_eq!(dag.ranks[0].dependents, 0);
     }
 
     #[test]
@@ -317,7 +283,6 @@ mod tests {
         let dag = BlockDag::build(&csags);
         for rank in &dag.ranks {
             assert_eq!(rank.rank_gas, G);
-            assert_eq!(rank.dependents, 0);
         }
         assert_eq!(dag.critical_path_gas, G);
         assert!((dag.speedup_bound() - 4.0).abs() < 1e-12);
@@ -330,7 +295,6 @@ mod tests {
         let csags = vec![sag(&[], &[], &[9], G), sag(&[9], &[], &[], G)];
         let dag = BlockDag::build(&csags);
         assert_eq!(dag.ranks[0].rank_gas, 2 * G);
-        assert_eq!(dag.ranks[0].dependents, 1);
     }
 
     /// The paper's Definition 3 on real predictions: a transaction conflicts
@@ -355,9 +319,11 @@ mod tests {
             );
             analyzer.csag(&Transaction::call(env), &snapshot, &BlockEnv::default())
         };
+        // An edge makes the earlier transaction rank its own gas plus the
+        // later one's, which is then the whole block's gas.
         let depends = |earlier: &CSag, later: &CSag| {
             let dag = BlockDag::build(&[earlier.clone(), later.clone()]);
-            dag.ranks[0].dependents == 1
+            dag.ranks[0].rank_gas == dag.total_gas
         };
         let to = |who: u64| [Address::from_u64(who).to_u256(), U256::ONE];
 
@@ -383,21 +349,6 @@ mod tests {
         let dag = BlockDag::build(&[CSag::default()]);
         assert_eq!(dag.ranks[0].rank_gas, dmvcc_vm::INTRINSIC_GAS);
         assert_eq!(dag.total_gas, dmvcc_vm::INTRINSIC_GAS);
-    }
-
-    #[test]
-    fn priority_orders_rank_then_dependents_then_index() {
-        // 0 and 2: same rank, but 0 has a dependent; 1 is heaviest.
-        let csags = vec![
-            sag(&[], &[], &[4], G),
-            sag(&[], &[1], &[], 3 * G),
-            sag(&[], &[], &[], G),
-            sag(&[4], &[], &[], G),
-        ];
-        let dag = BlockDag::build(&csags);
-        let mut order: Vec<usize> = (0..4).collect();
-        order.sort_by_key(|&tx| std::cmp::Reverse(dag.priority(tx)));
-        assert_eq!(order, vec![1, 0, 2, 3]);
     }
 
     #[test]

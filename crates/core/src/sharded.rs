@@ -4,14 +4,14 @@
 //!
 //! One lock over every [`AccessSequence`] would serialize transactions
 //! that touch disjoint state items. This module spreads the sequences over
-//! `N` power-of-two shards, each a `parking_lot::Mutex` over a dense slot
-//! array: transactions touching different shards proceed fully in
-//! parallel, and contention only appears for keys that genuinely collide.
+//! [`SHARDS`] shards, each a `parking_lot::Mutex` over a dense slot array:
+//! transactions touching different shards proceed fully in parallel, and
+//! contention only appears for keys that genuinely collide.
 //!
 //! Shards are addressed by interned [`KeyId`]s, not hashed [`StateKey`]s:
 //! the block's [`KeyInterner`] assigns dense u32 ids at C-SAG bind time,
-//! the shard is `id & (shards-1)` and the slot within the shard is
-//! `id >> log2(shards)` — a direct vector index, no 52-byte hash per
+//! the shard is `id & (SHARDS-1)` and the slot within the shard is
+//! `id >> log2(SHARDS)` — a direct vector index, no 52-byte hash per
 //! probe. Shard storage — the slots, the interner's tables, the flush
 //! buffers — is recycled across blocks ([`ShardedSequences::for_block`]):
 //! everything is cleared in place, keeping every buffer's capacity, and the
@@ -47,10 +47,14 @@ use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
 use crate::access::{AccessOp, AccessSequence, ReadResolution, VersionWriteEffect};
 use crate::hook::SchedHook;
 
-/// Default shard count. Sixteen shards keep the collision probability low
-/// for realistic working sets (a few hundred hot keys) while the array of
-/// mutexes still fits comfortably in cache.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Shard count. Sixteen shards keep the collision probability low for
+/// realistic working sets (a few hundred hot keys) while the array of
+/// mutexes still fits comfortably in cache. A power of two, so the shard
+/// index is a mask and the slot index a shift.
+pub(crate) const SHARDS: usize = 16;
+const MASK: usize = SHARDS - 1;
+const BITS: u32 = SHARDS.trailing_zeros();
+const _: () = assert!(SHARDS.is_power_of_two());
 
 /// Per-key state within a shard: the access sequence, the suspended readers,
 /// and a one-value snapshot cache (the block snapshot is immutable, so the
@@ -77,8 +81,6 @@ impl SeqSlot {
 /// One shard: the slots of the key ids that map here.
 #[derive(Debug, Default)]
 pub struct Shard {
-    /// log2(shard count) — slot index = `id >> bits`.
-    bits: u32,
     slots: Vec<SeqSlot>,
     /// The shard's run of the commit flush, sorted by key
     /// ([`ShardedSequences::flush_shard`]).
@@ -92,7 +94,7 @@ pub struct Shard {
 impl Shard {
     #[inline]
     fn slot_index(&self, id: KeyId) -> usize {
-        id.index() >> self.bits
+        id.index() >> BITS
     }
 
     #[inline]
@@ -180,7 +182,7 @@ pub(crate) type Staged = (VersionWriteEffect, Vec<usize>);
 /// finished block and its interner's tables, handed back to the executor's
 /// block arena ([`ShardedSequences::into_storage`]) and reused by the next
 /// [`ShardedSequences::for_block`] with every buffer's capacity intact.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShardStorage {
     shards: Vec<Mutex<Shard>>,
     interner: KeyInterner,
@@ -190,8 +192,6 @@ pub struct ShardStorage {
 #[derive(Debug)]
 pub struct ShardedSequences {
     shards: Vec<Mutex<Shard>>,
-    mask: usize,
-    bits: u32,
     interner: KeyInterner,
     /// Optional scheduling hook, consulted inside the shard critical
     /// section (`None` in production — one predicted-not-taken branch).
@@ -199,37 +199,25 @@ pub struct ShardedSequences {
 }
 
 impl ShardedSequences {
-    /// Creates an empty set with [`DEFAULT_SHARDS`] shards and a fresh
-    /// interner.
+    /// Creates an empty set with `SHARDS` shards and a fresh interner.
     pub fn new() -> Self {
-        ShardedSequences::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty set with at least `shards` shards (rounded up to a
-    /// power of two so the shard index is a mask, not a modulo) and a fresh
-    /// interner.
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedSequences::for_block(shards, None, None).0
+        ShardedSequences::for_block(None, None).0
     }
 
     /// Builds the empty sequence set for one block, its interner included:
-    /// `recycled` is the previous block's storage (reused in place when the
-    /// shard count matches). Returns the set and the heap bytes served from
-    /// recycled buffers instead of the allocator.
+    /// `recycled` is the previous block's storage, reused in place. Returns
+    /// the set and the heap bytes served from recycled buffers instead of
+    /// the allocator.
     pub fn for_block(
-        shards: usize,
         recycled: Option<ShardStorage>,
         hook: Option<Arc<dyn SchedHook>>,
     ) -> (Self, u64) {
-        let count = shards.max(1).next_power_of_two();
-        let bits = count.trailing_zeros();
         let mut bytes_saved = 0u64;
         let storage = match recycled {
-            Some(mut storage) if storage.shards.len() == count => {
+            Some(mut storage) => {
                 bytes_saved += storage.interner.reset();
                 for shard in &mut storage.shards {
                     let shard = shard.get_mut();
-                    shard.bits = bits;
                     shard.locks = 0;
                     bytes_saved += (shard.slots.capacity() * std::mem::size_of::<SeqSlot>()
                         + shard.flushed.capacity() * std::mem::size_of::<(StateKey, U256)>())
@@ -241,22 +229,14 @@ impl ShardedSequences {
                 }
                 storage
             }
-            _ => {
-                let shard = || Shard {
-                    bits,
-                    ..Shard::default()
-                };
-                ShardStorage {
-                    shards: (0..count).map(|_| Mutex::new(shard())).collect(),
-                    interner: KeyInterner::new(),
-                }
-            }
+            None => ShardStorage {
+                shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+                interner: KeyInterner::new(),
+            },
         };
         (
             ShardedSequences {
                 shards: storage.shards,
-                mask: count - 1,
-                bits,
                 interner: storage.interner,
                 hook,
             },
@@ -270,11 +250,6 @@ impl ShardedSequences {
             shards: self.shards,
             interner: self.interner,
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The block's key interner.
@@ -291,7 +266,7 @@ impl ShardedSequences {
     /// The shard index owning `id` — a mask, not a hash.
     #[inline]
     pub fn shard_index_of(&self, id: KeyId) -> usize {
-        id.index() & self.mask
+        id.index() & MASK
     }
 
     /// Locks and returns the shard owning `id`. Callers must not acquire
@@ -346,12 +321,6 @@ impl ShardedSequences {
         true
     }
 
-    /// `true` when `a` and `b` live in the same shard (and thus contend on
-    /// the same lock even though the keys differ).
-    pub fn same_shard(&self, a: KeyId, b: KeyId) -> bool {
-        self.shard_index_of(a) == self.shard_index_of(b)
-    }
-
     /// Total [`Self::shard_for`] acquisitions so far, summed over the
     /// shards (`ExecutorStats::shard_lock_acquisitions`).
     pub fn lock_acquisitions(&self) -> u64 {
@@ -364,9 +333,9 @@ impl ShardedSequences {
     /// §IV-A). Exclusive access is the synchronization — no shard lock is
     /// taken, so none is counted and the hook sees none.
     pub fn bind(&mut self) -> (&mut KeyInterner, impl FnMut(KeyId, usize, AccessOp) + '_) {
-        let (interner, shards, mask) = (&mut self.interner, &mut self.shards, self.mask);
+        let (interner, shards) = (&mut self.interner, &mut self.shards);
         let predict = move |id: KeyId, tx, op| {
-            let shard = shards[id.index() & mask].get_mut();
+            let shard = shards[id.index() & MASK].get_mut();
             shard.sequence_mut(id).predict(tx, op);
         };
         (interner, predict)
@@ -392,7 +361,7 @@ impl ShardedSequences {
             if slot.seq.entries().is_empty() {
                 continue;
             }
-            let id = KeyId::from_index((slot_index << self.bits) | shard_index);
+            let id = KeyId::from_index((slot_index << BITS) | shard_index);
             let key = self.interner.resolve(id);
             let mut snap = slot.snap;
             let mut base = || *snap.get_or_insert_with(|| snapshot.get(&key));
@@ -419,7 +388,7 @@ impl ShardedSequences {
 
     /// The commit-phase flush of every shard, as one sorted [`WriteSet`].
     pub fn final_writes(&self, snapshot: &Snapshot) -> WriteSet {
-        for shard_index in 0..self.shards.len() {
+        for shard_index in 0..SHARDS {
             self.flush_shard(shard_index, snapshot);
         }
         self.flushed()
@@ -443,25 +412,30 @@ mod tests {
         StateKey::storage(Address::from_u64(1 + i % 3), U256::from(i))
     }
 
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedSequences::with_shards(1).shard_count(), 1);
-        assert_eq!(ShardedSequences::with_shards(3).shard_count(), 4);
-        assert_eq!(ShardedSequences::with_shards(16).shard_count(), 16);
+    /// `n` keys interned so that key `k` gets id `k * SHARDS / 4`: four
+    /// shards in use, and keys `k` and `k + 4` a full `SHARDS` apart, so
+    /// they share a shard lock (different slots).
+    fn colliding_keys(sharded: &ShardedSequences, n: usize) -> Vec<StateKey> {
+        let stride = SHARDS / 4;
+        let keys: Vec<StateKey> = (0..(n * stride) as u64).map(key).collect();
+        for &k in &keys {
+            sharded.intern(k);
+        }
+        keys.into_iter().step_by(stride).collect()
     }
 
     #[test]
     fn ids_partition_without_collisions() {
         // The id→(shard, slot) mapping is bijective: distinct ids never
         // share a slot, and the same id always routes identically.
-        let sharded = ShardedSequences::with_shards(4);
+        let sharded = ShardedSequences::new();
         let mut seen = std::collections::BTreeSet::new();
-        for i in 0..64 {
+        for i in 0..4 * SHARDS as u64 {
             let id = sharded.intern(key(i));
             let shard = sharded.shard_index_of(id);
-            let slot = id.index() >> 2;
+            let slot = id.index() / SHARDS;
             assert!(seen.insert((shard, slot)), "collision at id {id:?}");
-            assert!(sharded.same_shard(id, sharded.intern(key(i))));
+            assert_eq!(sharded.shard_index_of(sharded.intern(key(i))), shard);
         }
     }
 
@@ -486,7 +460,7 @@ mod tests {
 
     #[test]
     fn recycled_storage_reuses_buffers_and_resets_state() {
-        let mut sharded = ShardedSequences::with_shards(4);
+        let mut sharded = ShardedSequences::new();
         let id = {
             let (interner, mut predict) = sharded.bind();
             let id = interner.preintern(key(1));
@@ -498,9 +472,9 @@ mod tests {
             .sequence_mut(id)
             .version_write(0, U256::from(9u64), false);
         let storage = sharded.into_storage();
-        // Rebuild for a "next block": same shard count → buffers reused,
-        // all sequence state gone.
-        let (next, bytes) = ShardedSequences::for_block(4, Some(storage), None);
+        // Rebuild for a "next block": buffers reused, all sequence state
+        // gone.
+        let (next, bytes) = ShardedSequences::for_block(Some(storage), None);
         assert!(bytes > 0, "recycling should report reused bytes");
         assert_eq!(next.lock_acquisitions(), 0, "a block counts its own locks");
         let id = next.intern(key(1));
@@ -513,7 +487,7 @@ mod tests {
 
     #[test]
     fn snapshot_cache_serves_repeated_reads() {
-        let sharded = ShardedSequences::with_shards(2);
+        let sharded = ShardedSequences::new();
         let snapshot = Snapshot::from_entries([(key(5), U256::from(77u64))]);
         let id = sharded.intern(key(5));
         for tx in 0..3 {
@@ -567,7 +541,7 @@ mod tests {
         /// Sharding is a pure partitioning of the key space: replaying any
         /// operation stream against [`ShardedSequences`] and a flat
         /// per-key map of sequences yields identical final write sets and
-        /// identical per-key read resolutions.
+        /// identical per-key read resolutions, with keys that share shards.
         #[test]
         fn sharded_equals_unsharded(
             ops in prop::collection::vec(
@@ -575,11 +549,12 @@ mod tests {
                 1..80,
             ),
         ) {
+            let sharded = ShardedSequences::new();
+            let keys = colliding_keys(&sharded, 12);
             let snapshot = Snapshot::from_entries(
-                (0..12).map(|i| (key(i), U256::from(1000 + i))),
+                keys.iter().zip(1000u64..).map(|(&k, v)| (k, U256::from(v))),
             );
             let mut flat: BTreeMap<StateKey, AccessSequence> = BTreeMap::new();
-            let sharded = ShardedSequences::with_shards(4);
             for (k, tx, opcode, predict_op, value, delta) in ops {
                 let op = match opcode {
                     0 => Op::Predict(predict_op),
@@ -588,7 +563,7 @@ mod tests {
                     3 => Op::DropVersion,
                     _ => Op::Reset,
                 };
-                let state_key = key(k);
+                let state_key = keys[k as usize];
                 let id = sharded.intern(state_key);
                 apply(op, tx, flat.entry(state_key).or_default());
                 apply(op, tx, sharded.shard_for(id).sequence_mut(id));
@@ -601,7 +576,7 @@ mod tests {
             // The flush shard by shard, in any order, is the same set. No
             // read has resolved yet, so every base comes from the snapshot.
             let per_shard = |sharded: &ShardedSequences| {
-                for shard in (0..sharded.shard_count()).rev() {
+                for shard in (0..SHARDS).rev() {
                     sharded.flush_shard(shard, &snapshot);
                     let run = &sharded.shards[shard].lock().flushed;
                     assert!(run.is_sorted_by(|a, b| a.0 < b.0));
@@ -613,8 +588,7 @@ mod tests {
             // An untouched key has no flat sequence; an empty one resolves
             // the same way (to the snapshot).
             let untouched = AccessSequence::new();
-            for k in 0..12 {
-                let state_key = key(k);
+            for &state_key in &keys {
                 let id = sharded.intern(state_key);
                 for tx in 0..8 {
                     let expected = flat

@@ -151,6 +151,14 @@ impl BackendUnderTest {
     }
 }
 
+/// Fraction of accesses hidden from the analyzer in every case (organic
+/// mispredictions, on top of the fault plan's injected ones).
+const HIDE_FRACTION: f64 = 0.15;
+
+/// Every `STALE_EVERY`-th seed builds its C-SAGs against the previous
+/// block's snapshot (the mempool scenario).
+const STALE_EVERY: u64 = 4;
+
 /// One fuzz campaign's fixed parameters (the seed varies per case).
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
@@ -160,23 +168,12 @@ pub struct FuzzConfig {
     pub size: usize,
     /// Workload contention profile.
     pub profile: Profile,
-    /// Fraction of accesses hidden from the analyzer (organic
-    /// mispredictions, on top of the fault plan's injected ones).
-    pub hide_fraction: f64,
-    /// Every `stale_every`-th seed builds its C-SAGs against the previous
-    /// block's snapshot (the mempool scenario); `0` disables.
-    pub stale_every: u64,
-    /// Disables schedule perturbation and input faults (differential
-    /// testing only).
+    /// Runs [`SchedConfig::quiet`] and [`FaultPlan::none`] instead of
+    /// [`SchedConfig::stormy`] and [`FaultPlan::standard`]: no schedule
+    /// perturbation and no input faults (differential testing only).
     pub quiet: bool,
     /// Active executor mutation (see [`Mutation`]).
     pub mutation: Mutation,
-    /// Overrides the scheduler knobs (the per-case seed still replaces the
-    /// template's); `None` uses [`SchedConfig::stormy`] (or `quiet`).
-    pub sched_template: Option<SchedConfig>,
-    /// Overrides the input-fault knobs (per-case seed applied on top);
-    /// `None` uses [`FaultPlan::standard`] (or `none`).
-    pub fault_template: Option<FaultPlan>,
     /// C-SAG refinement strategy (two-tier symbolic binding by default;
     /// `SpeculativeOnly` pins the paper's baseline path).
     pub refinement: RefinementMode,
@@ -196,12 +193,8 @@ impl Default for FuzzConfig {
             threads: 4,
             size: 60,
             profile: Profile::HighContention,
-            hide_fraction: 0.15,
-            stale_every: 4,
             quiet: false,
             mutation: Mutation::None,
-            sched_template: None,
-            fault_template: None,
             refinement: RefinementMode::TwoTier,
             engine: ExecutorKind::Sharded,
             backend: BackendUnderTest::None,
@@ -211,10 +204,10 @@ impl Default for FuzzConfig {
 
 impl FuzzConfig {
     fn sched_config(&self, seed: u64) -> SchedConfig {
-        let mut config = match self.sched_template {
-            Some(template) => SchedConfig { seed, ..template },
-            None if self.quiet => SchedConfig::quiet(seed),
-            None => SchedConfig::stormy(seed),
+        let mut config = if self.quiet {
+            SchedConfig::quiet(seed)
+        } else {
+            SchedConfig::stormy(seed)
         };
         if self.mutation == Mutation::SkipReleaseGasBound {
             // The mutation under test: every release gate passes and the
@@ -228,10 +221,10 @@ impl FuzzConfig {
     fn fault_plan(&self, seed: u64) -> FaultPlan {
         // Decorrelate the fault streams from the scheduler streams.
         let seed = seed ^ 0x5EED_5EED;
-        match self.fault_template {
-            Some(template) => FaultPlan { seed, ..template },
-            None if self.quiet => FaultPlan::none(seed),
-            None => FaultPlan::standard(seed),
+        if self.quiet {
+            FaultPlan::none(seed)
+        } else {
+            FaultPlan::standard(seed)
         }
     }
 }
@@ -381,7 +374,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     let analyzer = Analyzer::with_config(
         generator.registry().clone(),
         AnalysisConfig {
-            hide_fraction: config.hide_fraction,
+            hide_fraction: HIDE_FRACTION,
             seed: seed ^ 0xA11A,
             refinement: config.refinement,
         },
@@ -391,7 +384,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     // The mempool scenario on a seeded subset of cases: predictions are
     // built against the previous block's snapshot, execution runs on the
     // current one.
-    let stale = config.stale_every != 0 && seed.is_multiple_of(config.stale_every);
+    let stale = seed.is_multiple_of(STALE_EVERY);
     let (live, prediction_snapshot, env, warmup_writes) = if stale {
         let warmup = generator.block(config.size / 2 + 1);
         let env1 = BlockEnv::new(1, 1_700_000_000);
@@ -689,7 +682,7 @@ mod tests {
 
     #[test]
     fn backend_cross_check_seeds_agree() {
-        // Seed 0 hits the stale-snapshot path (stale_every=4), so both
+        // Seed 0 hits the stale-snapshot path (`STALE_EVERY`), so both
         // backends replay a two-block history; the LSM's tiny thresholds
         // force segment flushes and compactions inside the case.
         for backend in [BackendUnderTest::Mem, BackendUnderTest::Lsm] {

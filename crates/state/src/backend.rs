@@ -81,11 +81,6 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
     /// The newest version of `key` at or below height `as_of`.
     fn get(&self, key: &StateKey, as_of: u64) -> Option<U256>;
 
-    /// Batched point reads, index-aligned with `keys`.
-    fn multi_get(&self, keys: &[StateKey], as_of: u64) -> Vec<Option<U256>> {
-        keys.iter().map(|key| self.get(key, as_of)).collect()
-    }
-
     /// Applies one block's final writes at `height` (no-op if `height <=
     /// tip()`; see the trait contract).
     fn apply_batch(&self, height: u64, writes: &WriteSet);
@@ -278,16 +273,5 @@ mod tests {
         assert_eq!(backend.get(&key(3), 0), Some(U256::from(7u64)));
         assert_eq!(backend.get(&key(4), 0), None);
         assert_eq!(backend.iter_as_of(0).len(), 1);
-    }
-
-    #[test]
-    fn multi_get_aligns_with_keys() {
-        let backend = MemBackend::new();
-        backend.apply_batch(1, &batch(&[(1, 10), (3, 30)]));
-        let got = backend.multi_get(&[key(1), key(2), key(3)], 1);
-        assert_eq!(
-            got,
-            vec![Some(U256::from(10u64)), None, Some(U256::from(30u64))]
-        );
     }
 }

@@ -67,11 +67,6 @@ impl StateKey {
         }
     }
 
-    /// Returns `true` if this key is the reserved balance pseudo-slot.
-    pub fn is_balance(&self) -> bool {
-        self.slot == BALANCE_SLOT
-    }
-
     /// Serializes to the 52-byte `address ++ slot` preimage used for trie
     /// key derivation.
     pub fn to_bytes(&self) -> [u8; 52] {
@@ -109,8 +104,6 @@ mod tests {
         assert_ne!(BALANCE_SLOT, NONCE_SLOT);
         let a = Address::from_u64(1);
         assert_ne!(StateKey::balance(a), StateKey::nonce(a));
-        assert!(StateKey::balance(a).is_balance());
-        assert!(!StateKey::nonce(a).is_balance());
     }
 
     #[test]

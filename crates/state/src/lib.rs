@@ -44,5 +44,5 @@ pub use lsm::{LsmBackend, LsmOptions};
 pub use mpt::{empty_root, index_root, index_root_hashed, Mpt};
 pub use snapshot::{Snapshot, WriteSet};
 pub use sorted::{Keyed, SortedVec};
-pub use statedb::{RootHandle, StateDb, DEFAULT_ROOT_WINDOW};
+pub use statedb::{RootHandle, StateDb};
 pub use workers::default_hash_threads;

@@ -131,12 +131,6 @@ impl Snapshot {
         }
     }
 
-    /// Returns `true` if a persistent backend sits beneath the in-memory
-    /// layers.
-    pub fn has_cold_base(&self) -> bool {
-        self.cold.is_some()
-    }
-
     /// Returns `true` if the key holds a nonzero value.
     pub fn contains(&self, key: &StateKey) -> bool {
         !self.get(key).is_zero()
@@ -315,7 +309,6 @@ mod tests {
         w.insert(key(1), U256::from(10u64));
         backend.apply_batch(1, &w);
         let snapshot = Snapshot::from_backend(backend.clone(), 1);
-        assert!(snapshot.has_cold_base());
         assert_eq!(snapshot.height(), 1);
         assert_eq!(snapshot.get(&key(1)), U256::from(10u64));
         assert_eq!(snapshot.get(&key(2)), U256::ZERO);

@@ -48,12 +48,12 @@ use crate::snapshot::{Snapshot, WriteSet};
 use crate::workers::{beside, default_hash_threads, on_workers, workers_for, Shares};
 use crate::StateKey;
 
-/// Default number of recent per-block roots [`StateDb`] retains.
+/// Number of recent per-block roots [`StateDb`] retains.
 ///
 /// Headers older than this are sealed and gossiped long ago; keeping the
 /// window bounded stops root history from growing by 32 bytes per block
 /// forever.
-pub const DEFAULT_ROOT_WINDOW: usize = 1024;
+const ROOT_WINDOW: usize = 1024;
 
 /// A handle to a state root that may still be computing on a background
 /// thread.
@@ -197,30 +197,24 @@ impl RootHandle {
 }
 
 /// Bounded per-block root history: a sliding window of the most recent
-/// [`StateDb::root_window`] roots (some possibly still resolving).
+/// [`ROOT_WINDOW`] roots (some possibly still resolving).
 #[derive(Debug, Clone)]
 struct RootHistory {
     /// Height of `entries[0]`.
     base: u64,
     entries: VecDeque<RootHandle>,
-    window: usize,
 }
 
 impl RootHistory {
-    fn new(genesis: H256, window: usize) -> Self {
-        assert!(window >= 1, "root window must hold at least one root");
+    fn new(genesis: H256) -> Self {
         let mut entries = VecDeque::new();
         entries.push_back(RootHandle::ready(genesis));
-        RootHistory {
-            base: 0,
-            entries,
-            window,
-        }
+        RootHistory { base: 0, entries }
     }
 
     fn push(&mut self, handle: RootHandle) {
         self.entries.push_back(handle);
-        while self.entries.len() > self.window {
+        while self.entries.len() > ROOT_WINDOW {
             self.entries.pop_front();
             self.base += 1;
         }
@@ -298,7 +292,7 @@ impl StateDb {
         let trie = Mpt::new();
         StateDb {
             latest: Snapshot::empty(),
-            roots: RootHistory::new(trie.root(), DEFAULT_ROOT_WINDOW),
+            roots: RootHistory::new(trie.root()),
             trie,
             backend: None,
             hash_threads: default_hash_threads(),
@@ -314,7 +308,7 @@ impl StateDb {
         let hash_threads = default_hash_threads();
         let trie = genesis_trie(&snapshot.iter().collect::<Vec<_>>(), hash_threads);
         StateDb {
-            roots: RootHistory::new(trie.root_parallel(hash_threads), DEFAULT_ROOT_WINDOW),
+            roots: RootHistory::new(trie.root_parallel(hash_threads)),
             latest: snapshot,
             trie,
             backend: None,
@@ -342,7 +336,7 @@ impl StateDb {
         let trie = genesis_trie(&flat.iter_as_of(0), hash_threads);
         StateDb {
             latest: Snapshot::from_backend(Arc::clone(&flat) as Arc<dyn StateBackend>, 0),
-            roots: RootHistory::new(trie.root_parallel(hash_threads), DEFAULT_ROOT_WINDOW),
+            roots: RootHistory::new(trie.root_parallel(hash_threads)),
             trie,
             backend: Some(flat),
             hash_threads,
@@ -379,20 +373,6 @@ impl StateDb {
     /// [`StateDb::commit_async`] alike (clamped to at least 1).
     pub fn set_hash_threads(&mut self, threads: usize) {
         self.hash_threads = threads.max(1);
-    }
-
-    /// Shrinks (or grows) the root-history window, pruning immediately.
-    pub fn set_root_window(&mut self, window: usize) {
-        self.roots.window = window.max(1);
-        while self.roots.entries.len() > self.roots.window {
-            self.roots.entries.pop_front();
-            self.roots.base += 1;
-        }
-    }
-
-    /// The current root-history window size.
-    pub fn root_window(&self) -> usize {
-        self.roots.window
     }
 
     /// Root hash after block `height` (`0` = genesis root).
@@ -619,24 +599,21 @@ mod tests {
     #[test]
     fn root_history_window_prunes_old_heights() {
         let mut db = StateDb::new();
-        db.set_root_window(4);
         let mut roots = vec![db.current_root()];
-        for i in 1..=10u64 {
-            roots.push(db.commit(&writes(&[(i, i)])));
+        let last = ROOT_WINDOW as u64 + 3;
+        for i in 1..=last {
+            roots.push(db.commit(&writes(&[(i % 8, i)])));
         }
-        assert_eq!(db.height(), 10);
-        // Heights 0..=6 fell out of the 4-entry window.
-        for height in 0..=6u64 {
+        assert_eq!(db.height(), last);
+        // Heights 0..=3 fell out of the window; the newest ROOT_WINDOW
+        // are all still there.
+        for height in 0..=3u64 {
             assert_eq!(db.root_at(height), None, "height {height}");
         }
-        for height in 7..=10u64 {
+        for height in [4, last / 2, last] {
             assert_eq!(db.root_at(height), Some(roots[height as usize]));
         }
-        // Shrinking further prunes immediately.
-        db.set_root_window(1);
-        assert_eq!(db.root_at(9), None);
-        assert_eq!(db.root_at(10), Some(roots[10]));
-        assert_eq!(db.current_root(), roots[10]);
+        assert_eq!(db.current_root(), roots[last as usize]);
     }
 
     #[test]

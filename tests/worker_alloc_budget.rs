@@ -127,7 +127,7 @@ fn an_attempt_reuses_its_workers_buffers() {
             ether <= 1.5,
             "{ether:.2} allocations per Ether transfer at {threads} thread(s)"
         );
-        // The interpreter's frame (13, `alloc_budget.rs`), and a second
+        // The interpreter's frame (11, `alloc_budget.rs`), and a second
         // publish batch at the release point; 18.18 with per-attempt
         // buffers.
         let token = per_transaction(token_transfer, threads);
