@@ -85,13 +85,25 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
     /// tip()`; see the trait contract).
     fn apply_batch(&self, height: u64, writes: &WriteSet);
 
+    /// Applies a genesis allocation as the height-0 batch: `entries` are
+    /// non-zero and, of equal keys, the last wins. This default collects
+    /// them into a [`WriteSet`] and calls [`StateBackend::apply_batch`]
+    /// (not at all for an empty allocation); a backend that can take the
+    /// run as it is overrides it and leaves the same contents and counters.
+    fn load_genesis(&self, entries: &[(StateKey, U256)]) {
+        let batch: WriteSet = entries.iter().copied().collect();
+        if !batch.is_empty() {
+            self.apply_batch(0, &batch);
+        }
+    }
+
     /// The highest height whose batch has been applied (`0` = genesis
     /// only).
     fn tip(&self) -> u64;
 
     /// Materializes every key live (nonzero) at height `as_of`, in
-    /// unspecified order. A cold full-scan path: genesis trie builds and
-    /// test oracles, never block execution.
+    /// unspecified order. A cold full-scan path: a snapshot's full listing
+    /// and test oracles, never block execution or genesis.
     fn iter_as_of(&self, as_of: u64) -> Vec<(StateKey, U256)>;
 
     /// Current counters.
@@ -143,23 +155,6 @@ impl MemBackend {
     pub fn new() -> Self {
         MemBackend::default()
     }
-
-    /// Creates a backend whose genesis (height 0) holds `entries`.
-    pub fn with_genesis<I>(entries: I) -> Self
-    where
-        I: IntoIterator<Item = (StateKey, U256)>,
-    {
-        let backend = MemBackend::new();
-        {
-            let mut map = backend.map.write().expect("fresh lock");
-            for (key, value) in entries {
-                if !value.is_zero() {
-                    map.insert(key, vec![(0, value)]);
-                }
-            }
-        }
-        backend
-    }
 }
 
 impl StateBackend for MemBackend {
@@ -190,6 +185,25 @@ impl StateBackend for MemBackend {
         self.writes
             .fetch_add(writes.len() as u64, Ordering::Relaxed);
         self.tip.fetch_max(height, Ordering::AcqRel);
+    }
+
+    /// Into an empty backend, the run goes straight into the map, with room
+    /// reserved for it: no [`WriteSet`] is built.
+    fn load_genesis(&self, entries: &[(StateKey, U256)]) {
+        let mut map = self.map.write().expect("backend lock poisoned");
+        if !map.is_empty() {
+            drop(map);
+            self.apply_batch(0, &entries.iter().copied().collect());
+            return;
+        }
+        map.reserve(entries.len());
+        for &(key, value) in entries {
+            map.insert(key, vec![(0, value)]);
+        }
+        if !map.is_empty() {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.writes.fetch_add(map.len() as u64, Ordering::Relaxed);
+        }
     }
 
     fn tip(&self) -> u64 {
@@ -267,11 +281,47 @@ mod tests {
         assert_eq!(backend.stats().batches, 1);
     }
 
+    /// A genesis load is the height-0 batch it stands for: the same
+    /// versions and counters, into an empty backend or not.
     #[test]
     fn genesis_entries_visible_at_height_zero() {
-        let backend = MemBackend::with_genesis([(key(3), U256::from(7u64)), (key(4), U256::ZERO)]);
-        assert_eq!(backend.get(&key(3), 0), Some(U256::from(7u64)));
-        assert_eq!(backend.get(&key(4), 0), None);
-        assert_eq!(backend.iter_as_of(0).len(), 1);
+        let v = |value: u64| U256::from(value);
+        let genesis = [
+            (key(3), v(7)),
+            (key(4), v(1)),
+            (key(3), v(8)),
+            (key(9), v(2)),
+        ];
+        for (entries, before) in [
+            (&genesis[..], &[][..]),
+            (&[], &[]),
+            // Into a backend that holds something already.
+            (&genesis[..], &[(1, v(5)), (4, v(6))][..]),
+        ] {
+            let (loaded, batched) = (MemBackend::new(), MemBackend::new());
+            for backend in [&loaded, &batched] {
+                if !before.is_empty() {
+                    backend.apply_batch(0, &before.iter().map(|&(k, v)| (key(k), v)).collect());
+                }
+            }
+            loaded.load_genesis(entries);
+            // What the trait's default does: the run as one `WriteSet`.
+            if !entries.is_empty() {
+                batched.apply_batch(0, &entries.iter().copied().collect());
+            }
+            for as_of in [0, 1] {
+                let mut contents = [&loaded, &batched].map(|backend| backend.iter_as_of(as_of));
+                contents.iter_mut().for_each(|live| live.sort_unstable());
+                assert_eq!(contents[0], contents[1]);
+            }
+            assert_eq!(loaded.stats(), batched.stats());
+            assert_eq!(loaded.tip(), 0);
+        }
+        let loaded = MemBackend::new();
+        loaded.load_genesis(&genesis);
+        assert_eq!(loaded.get(&key(3), 0), Some(v(8)));
+        assert_eq!(loaded.get(&key(5), 0), None);
+        assert_eq!(loaded.iter_as_of(0).len(), 3);
+        assert_eq!(loaded.stats().writes, 3);
     }
 }

@@ -10,7 +10,8 @@
 //! A cache entry `(h, v)` asserts "`v` is the newest version of this key,
 //! and it was written at (or observed as latest at) height `h`". That
 //! assertion stays true because every write is routed through
-//! [`FlatCached::apply_batch`], which refreshes the entry for each
+//! [`FlatCached::apply_batch`] — the genesis allocation through
+//! [`FlatCached::load_genesis`] — which refreshes the entry for each
 //! written key before any reader can observe the new tip. A read at
 //! `as_of ≥ h` can therefore be served from the cache; a read at
 //! `as_of < h` is historical and falls through to the backend (and is not
@@ -125,10 +126,14 @@ impl FlatCached {
         }
     }
 
-    fn shard(&self, key: &StateKey) -> &Shard {
+    fn shard_index(key: &StateKey) -> usize {
         let mut hasher = FxHasher::default();
         hasher.write(&key.to_bytes());
-        &self.shards[(hasher.finish() as usize) & (SHARDS - 1)]
+        (hasher.finish() as usize) & (SHARDS - 1)
+    }
+
+    fn shard(&self, key: &StateKey) -> &Shard {
+        &self.shards[Self::shard_index(key)]
     }
 
     /// Installs `(height, value)` unless a fresher entry is present.
@@ -183,6 +188,56 @@ impl StateBackend for FlatCached {
         if height > pre_tip || height == 0 {
             for (key, value) in writes {
                 self.fill(key, height, *value);
+            }
+        }
+    }
+
+    /// The backend takes the run through its own `load_genesis`. An empty
+    /// cache is then filled as per-key fills of the batch would leave it —
+    /// per shard, the keys in order, the shard cleared whenever it is full —
+    /// with every shard locked once and room reserved for its keys; a shard
+    /// holding more keys than it has room for keeps those after its last
+    /// clear. A cache that holds entries already takes the per-key fills.
+    fn load_genesis(&self, entries: &[(StateKey, U256)]) {
+        self.inner.load_genesis(entries);
+        let mut shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.write().expect("flat lock poisoned"))
+            .collect();
+        if shards.iter().any(|shard| !shard.is_empty()) {
+            drop(shards);
+            for (key, value) in &entries.iter().copied().collect::<WriteSet>() {
+                self.fill(key, 0, *value);
+            }
+            return;
+        }
+        let shard_of: Vec<u8> = entries
+            .iter()
+            .map(|(key, _)| Self::shard_index(key) as u8)
+            .collect();
+        let mut counts = [0usize; SHARDS];
+        for &at in &shard_of {
+            counts[usize::from(at)] += 1;
+        }
+        for (shard, count) in shards.iter_mut().zip(counts) {
+            shard.reserve(count);
+        }
+        for (&(key, value), &at) in entries.iter().zip(&shard_of) {
+            shards[usize::from(at)].insert(key, (0, value));
+        }
+        let capacity = self.capacity_per_shard;
+        for shard in &mut shards {
+            let distinct = shard.len();
+            self.fills.fetch_add(distinct as u64, Ordering::Relaxed);
+            if distinct > capacity {
+                // Per-key fills in key order clear the shard whenever a
+                // key finds it full: the keys after the last clear stay.
+                let evicted = (distinct - 1) / capacity * capacity;
+                let mut keys: Vec<StateKey> = shard.keys().copied().collect();
+                let (_, &mut first_kept, _) = keys.select_nth_unstable(evicted);
+                shard.retain(|key, _| *key >= first_kept);
+                self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
             }
         }
     }
@@ -261,6 +316,81 @@ mod tests {
         flat.apply_batch(2, &batch(&[(1, 0)]));
         assert_eq!(flat.get(&key(1), 2), Some(U256::ZERO));
         assert_eq!(flat.flat_stats().hits, 1);
+    }
+
+    /// Every cached entry, in key order.
+    fn cached(flat: &FlatCached) -> Vec<(StateKey, (u64, U256))> {
+        let mut entries: Vec<_> = flat
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                let shard = shard.read().expect("flat lock poisoned");
+                shard.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+            })
+            .collect();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        entries
+    }
+
+    /// Loads `genesis` into one cache by `load_genesis` and into a twin by
+    /// the per-key fills of `apply_batch(0, …)` — per shard, key order, the
+    /// shard cleared when full; no batch for an empty genesis — after
+    /// `before` landed in both at height 1, and checks that both leave the
+    /// same cache and backend.
+    fn assert_load_is_per_key_fills(
+        capacity: usize,
+        before: &WriteSet,
+        genesis: &[(StateKey, U256)],
+    ) {
+        let [loaded, filled] =
+            [(); 2].map(|()| FlatCached::with_capacity(Arc::new(MemBackend::new()), capacity));
+        for flat in [&loaded, &filled] {
+            if !before.is_empty() {
+                flat.apply_batch(1, before);
+            }
+        }
+        loaded.load_genesis(genesis);
+        if !genesis.is_empty() {
+            filled.apply_batch(0, &genesis.iter().copied().collect());
+        }
+        assert_eq!(
+            loaded.flat_stats(),
+            filled.flat_stats(),
+            "capacity {capacity}"
+        );
+        assert_eq!(cached(&loaded), cached(&filled), "capacity {capacity}");
+        for as_of in [0, 1] {
+            let mut contents = [&loaded, &filled].map(|flat| flat.iter_as_of(as_of));
+            contents.iter_mut().for_each(|live| live.sort_unstable());
+            assert_eq!(contents[0], contents[1]);
+        }
+        assert_eq!(loaded.stats(), filled.stats());
+    }
+
+    #[test]
+    fn a_genesis_past_the_capacity_leaves_what_per_key_fills_leave() {
+        // 1 024 entries over 800 keys, so that equal keys come up (of
+        // which the last wins), into a cache of 256 — 16 a shard — and
+        // into caches of other sizes, down to one entry a shard.
+        let genesis: Vec<(StateKey, U256)> = (0..1_024u64)
+            .map(|i| (key(i * 7 % 800), U256::from(i + 1)))
+            .collect();
+        let distinct = genesis
+            .iter()
+            .map(|(key, _)| key)
+            .collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(distinct.len(), 800);
+        for capacity in [256, SHARDS, 16 * 49, 16 * 50, 4_096] {
+            assert_load_is_per_key_fills(capacity, &WriteSet::new(), &genesis);
+        }
+        let filled = FlatCached::with_capacity(Arc::new(MemBackend::new()), 256);
+        filled.load_genesis(&genesis);
+        let stats = filled.flat_stats();
+        assert_eq!(stats.fills, 800);
+        assert!(stats.evictions > 0 && stats.entries <= 256, "{stats:?}");
+        // A cache that holds entries already takes the per-key fills.
+        assert_load_is_per_key_fills(256, &batch(&[(7, 1), (900, 2)]), &genesis);
+        assert_load_is_per_key_fills(256, &WriteSet::new(), &[]);
     }
 
     #[test]

@@ -623,6 +623,153 @@ impl Mpt {
         });
         self.root()
     }
+
+    /// The trie that inserting `value(i)` at `keys[i]`, for every `i` in
+    /// order, would leave — of equal keys the last wins — built bottom up
+    /// instead, each node once and none of them hashed.
+    ///
+    /// The keys are counted out by their first nibble into the top-level
+    /// subtrees, and up to `threads` workers (the caller is one of them)
+    /// take one subtree at a time: sort its keys, keep the last of equal
+    /// ones and build it from the bottom (one key → leaf; a prefix common
+    /// to the first and last → extension; else a 16-way split by nibble).
+    /// The caller then puts the subtrees under the root branch. A trie
+    /// whose keys all share their first nibble has no root branch: its one
+    /// subtree is built from the top, with an extension or a leaf for root.
+    /// Besides its nodes the call allocates the grouped keys and a value
+    /// buffer per worker.
+    ///
+    /// `value(i, out)` appends value `i` (non-empty) to `out`; it is called
+    /// once per distinct key, from any of the threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` does, on whichever thread.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dmvcc_primitives::keccak256;
+    /// use dmvcc_state::Mpt;
+    ///
+    /// let keys: Vec<_> = (0u32..100).map(|i| keccak256(&(i % 60).to_be_bytes())).collect();
+    /// let mut inserted = Mpt::new();
+    /// for (i, key) in keys.iter().enumerate() {
+    ///     inserted.insert(key.as_bytes(), vec![i as u8]);
+    /// }
+    /// let built = Mpt::from_keys(&keys, 2, |i, out| out.push(i as u8));
+    /// assert_eq!(built.root(), inserted.root());
+    /// ```
+    pub fn from_keys(
+        keys: &[H256],
+        threads: usize,
+        value: impl Fn(usize, &mut Vec<u8>) + Sync,
+    ) -> Mpt {
+        let len = u32::try_from(keys.len()).expect("fewer than 2^32 keys");
+        let first_nibble = |key: &H256| usize::from(key.0[0] >> 4);
+        let mut counts = [0usize; 16];
+        for key in keys {
+            counts[first_nibble(key)] += 1;
+        }
+        let mut next = [0usize; 16];
+        for nibble in 1..16 {
+            next[nibble] = next[nibble - 1] + counts[nibble - 1];
+        }
+        // Each key with its index, grouped by first nibble.
+        let mut items = vec![(H256::ZERO, 0u32); keys.len()];
+        for (i, key) in (0..len).zip(keys) {
+            let at = &mut next[first_nibble(key)];
+            items[*at] = (*key, i);
+            *at += 1;
+        }
+        let subtrees = counts.iter().filter(|&&count| count > 0).count();
+        let depth = usize::from(subtrees > 1);
+        let mut children: [Option<Arc<Node>>; 16] = Default::default();
+        let mut rest = items.as_mut_slice();
+        let shares = Shares::new(
+            counts
+                .iter()
+                .zip(&mut children)
+                .filter_map(|(&count, child)| {
+                    let (bucket, tail) = std::mem::take(&mut rest).split_at_mut(count);
+                    rest = tail;
+                    (count > 0).then_some((bucket, child))
+                }),
+        );
+        on_workers(workers_for(threads, keys.len()).min(subtrees), || {
+            let mut out = Vec::new();
+            while let Some((bucket, child)) = shares.next() {
+                // Equal keys sort by index, so the last of them is the last
+                // inserted.
+                bucket.sort_unstable();
+                let distinct = keep_last(bucket);
+                *child = Some(build_node(&bucket[..distinct], depth, &value, &mut out));
+            }
+        });
+        let root = match depth {
+            1 => Some(Node::new(NodeKind::Branch {
+                children,
+                value: None,
+            })),
+            _ => children.into_iter().flatten().next(),
+        };
+        Mpt { root }
+    }
+}
+
+/// Moves the last item of every run of equal keys in the sorted `items` to
+/// the front, in order, and returns how many there are.
+fn keep_last(items: &mut [(H256, u32)]) -> usize {
+    let mut kept = 0;
+    for at in 0..items.len() {
+        if items.get(at + 1).is_none_or(|next| next.0 != items[at].0) {
+            items[kept] = items[at];
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// Nibble `depth` of a 32-byte key.
+fn nibble_at(key: &H256, depth: usize) -> usize {
+    usize::from(key.0[depth / 2] >> (4 * (1 - depth % 2)) & 0x0f)
+}
+
+/// The node that holds `items` — sorted, distinct 32-byte keys, all sharing
+/// their first `depth` nibbles, each with the index of its value — as the
+/// trie built by inserting them would have it. `out` is the buffer values
+/// are written to before they are copied into their leaves.
+fn build_node(
+    items: &[(H256, u32)],
+    depth: usize,
+    value: &impl Fn(usize, &mut Vec<u8>),
+    out: &mut Vec<u8>,
+) -> Arc<Node> {
+    let first = to_nibbles(items[0].0.as_bytes());
+    let first = &first.as_slice()[depth..];
+    if let [(_, index)] = items {
+        out.clear();
+        value(*index as usize, out);
+        return Node::leaf(first, Value::concat(out, &[]));
+    }
+    let last = to_nibbles(items[items.len() - 1].0.as_bytes());
+    let common = common_prefix_len(first, &last.as_slice()[depth..]);
+    if common > 0 {
+        let child = build_node(items, depth + common, value, out);
+        return Node::extension(&first[..common], child);
+    }
+    let mut children: [Option<Arc<Node>>; 16] = Default::default();
+    let mut rest = items;
+    while let Some((key, _)) = rest.first() {
+        let nibble = nibble_at(key, depth);
+        let run = rest.partition_point(|(key, _)| nibble_at(key, depth) == nibble);
+        children[nibble] = Some(build_node(&rest[..run], depth + 1, value, out));
+        rest = &rest[run..];
+    }
+    Node::new(NodeKind::Branch {
+        children,
+        value: None,
+    })
 }
 
 /// Stores `value` at `path` beneath the node in `slot`.
@@ -1437,6 +1584,145 @@ mod tests {
             }
         };
         index_root_on(2, 4_000, each(value));
+    }
+
+    /// The value [`Mpt::from_keys`] is handed for key `i` in these tests:
+    /// from 1 to 45 bytes, so that some leaves are short enough to be
+    /// embedded and some values too long to be held inline.
+    fn built_value(i: usize, out: &mut Vec<u8>) {
+        out.extend(std::iter::repeat_n((i as u8).wrapping_add(1), 1 + i % 45));
+    }
+
+    /// The trie [`Mpt::from_keys`] must reproduce: `keys[i] → built_value(i)`
+    /// inserted in order.
+    fn inserted(keys: &[H256]) -> Mpt {
+        let mut trie = Mpt::new();
+        for (i, key) in keys.iter().enumerate() {
+            let mut value = Vec::new();
+            built_value(i, &mut value);
+            trie.insert(key.as_bytes(), value);
+        }
+        trie
+    }
+
+    /// Builds `keys` at every worker count and checks the roots and every
+    /// key's value against the inserted trie.
+    fn assert_built_is_inserted(keys: &[H256]) {
+        let inserted = inserted(keys);
+        for threads in [1usize, 2, 3, 8] {
+            let built = Mpt::from_keys(keys, threads, built_value);
+            assert_eq!(
+                built.root_parallel(threads),
+                inserted.root(),
+                "{threads} threads"
+            );
+            for key in keys {
+                assert_eq!(
+                    built.get_ref(key.as_bytes()),
+                    inserted.get_ref(key.as_bytes())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_trie_built_from_few_keys_has_the_inserted_root() {
+        let key = |first: u8, last: u8| {
+            let mut key = [0x37u8; 32];
+            key[0] = first;
+            key[31] = last;
+            H256(key)
+        };
+        // None, one, two, two that differ in the last nibble alone (an
+        // extension root), all under one first nibble, and a duplicate.
+        for keys in [
+            vec![],
+            vec![key(0x10, 0)],
+            vec![key(0x10, 0), key(0xf0, 0)],
+            vec![key(0x10, 0), key(0x10, 1)],
+            vec![key(0x10, 0), key(0x11, 0), key(0x1f, 9), key(0x10, 0x20)],
+            vec![key(0x10, 0), key(0x20, 0), key(0x10, 0)],
+        ] {
+            assert_built_is_inserted(&keys);
+        }
+        assert!(Mpt::from_keys(&[], 4, built_value).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "no value for key")]
+    fn a_value_that_panics_while_building_takes_the_caller_with_it() {
+        let keys: Vec<H256> = (0u32..4_000).map(|i| keccak256(&i.to_be_bytes())).collect();
+        Mpt::from_keys(&keys, 2, |i, _| panic!("no value for key {i}"));
+    }
+
+    mod built {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Keys that share long prefixes: each is one of three bases up to
+        /// a drawn nibble and drawn bytes after it — its base at 64 nibbles,
+        /// a key that differs from it in the last nibble alone at 63.
+        fn prefixed(drawn: &[(usize, usize, [u8; 32])]) -> Vec<H256> {
+            let bases = [[0u8; 32], [0x5a; 32], keccak256(b"base").0];
+            drawn
+                .iter()
+                .map(|&(base, shared, mut key)| {
+                    for nibble in 0..shared {
+                        let (byte, high) = (nibble / 2, nibble % 2 == 0);
+                        let mask = if high { 0xf0 } else { 0x0f };
+                        key[byte] = key[byte] & !mask | bases[base][byte] & mask;
+                    }
+                    H256(key)
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+            /// A built trie is the inserted trie: the same root and values
+            /// at every worker count, and it takes a block of updates —
+            /// first in place, then beside a clone that keeps the genesis
+            /// version — to the same roots as the inserted one.
+            #[test]
+            fn a_built_trie_is_the_inserted_trie(
+                drawn in prop::collection::vec((0usize..3, 0usize..=64, any::<[u8; 32]>()), 0..300),
+                block in prop::collection::vec((0usize..400, 0u8..4), 0..40),
+            ) {
+                let keys = prefixed(&drawn);
+                let fresh = inserted(&keys);
+                let genesis = fresh.root();
+                let mut model = fresh.clone();
+                let update = |trie: &mut Mpt, &(at, op): &(usize, u8)| {
+                    let key = keys.get(at).copied().unwrap_or_else(|| keccak256(&at.to_be_bytes()));
+                    match op {
+                        0 => {
+                            trie.remove(key.as_bytes());
+                        }
+                        _ => trie.insert(key.as_bytes(), vec![op; at % 50 + 1]),
+                    }
+                };
+                let (in_place, beside_a_clone) = block.split_at(block.len() / 2);
+                let mut roots = Vec::new();
+                for updates in [in_place, beside_a_clone] {
+                    updates.iter().for_each(|op| update(&mut model, op));
+                    roots.push(model.root());
+                }
+                for threads in [1usize, 2, 3, 8] {
+                    let mut built = Mpt::from_keys(&keys, threads, built_value);
+                    prop_assert_eq!(built.root_parallel(threads), genesis);
+                    for key in &keys {
+                        prop_assert_eq!(built.get_ref(key.as_bytes()), fresh.get_ref(key.as_bytes()));
+                    }
+                    in_place.iter().for_each(|op| update(&mut built, op));
+                    prop_assert_eq!(built.root_parallel(threads), roots[0]);
+                    let version = built.clone();
+                    beside_a_clone.iter().for_each(|op| update(&mut built, op));
+                    prop_assert_eq!(built.root_parallel(threads), roots[1]);
+                    prop_assert_eq!(version.root(), roots[0]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Allocation budgets of the commitment path — sealing a block and hashing
 //! the state trie allocate a constant number of buffers per call, and a
-//! trie node is one allocation — and of the execute stage: the interpreter
+//! trie node is one allocation, whether a key's insert made it or a genesis
+//! build — and of the execute stage: the interpreter
 //! allocates per frame only what the frame's work needs, the thread that
 //! calls the sharded engine allocates (next to) nothing per transaction, and
 //! a C-SAG is four vectors.
@@ -241,6 +242,54 @@ fn a_trie_node_is_one_allocation() {
     assert_eq!(replace_2000(&mut trie, 10), 0);
     assert_eq!(version.get_ref(&state_key(25)), Some([8u8; 33].as_slice()));
     assert_eq!(trie.get_ref(&state_key(25)), Some([10u8; 33].as_slice()));
+}
+
+/// How many nodes the trie over `keys` — sorted, distinct, as nibbles — has
+/// from the node that holds them all, `depth` nibbles down: a leaf for one
+/// key, an extension over a prefix they share, else a branch.
+fn trie_nodes(keys: &[Vec<u8>], depth: usize) -> u64 {
+    let [first, .., last] = keys else {
+        return 1;
+    };
+    let common = first[depth..]
+        .iter()
+        .zip(&last[depth..])
+        .take_while(|(a, b)| a == b)
+        .count();
+    if common > 0 {
+        return 1 + trie_nodes(keys, depth + common);
+    }
+    1 + keys
+        .chunk_by(|a, b| a[depth] == b[depth])
+        .map(|under| trie_nodes(under, depth + 1))
+        .sum::<u64>()
+}
+
+#[test]
+fn a_genesis_trie_is_one_allocation_a_node() {
+    for (count, distinct) in [(5_000u32, 4_000u32), (50_000, 45_000)] {
+        // Every tenth key or so comes twice; the last of them wins.
+        let keys: Vec<_> = (0..count)
+            .map(|i| keccak256(&(i % distinct).to_be_bytes()))
+            .collect();
+        let mut nibbles: Vec<Vec<u8>> = keys
+            .iter()
+            .map(|key| key.0.iter().flat_map(|&b| [b >> 4, b & 0x0f]).collect())
+            .collect();
+        nibbles.sort_unstable();
+        nibbles.dedup();
+        let nodes = trie_nodes(&nibbles, 0);
+        let value = |i: usize, out: &mut Vec<u8>| out.extend_from_slice(&[1 + (i % 200) as u8; 33]);
+        let (allocated, trie) = allocations(|| Mpt::from_keys(&keys, 1, value));
+        // Per call: the keys grouped by first nibble, the value buffer and
+        // the worker scope.
+        assert_eq!(
+            allocated,
+            nodes + 3,
+            "{allocated} allocations for a trie of {nodes} nodes over {distinct} keys"
+        );
+        assert_eq!(trie.get_ref(keys[0].as_bytes()), Some([1u8; 33].as_slice()));
+    }
 }
 
 #[test]
