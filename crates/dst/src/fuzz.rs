@@ -25,7 +25,9 @@ use dmvcc_core::{
     execute_block_serial, refine_csags, BlockTrace, ExecutorKind, ParallelConfig, ParallelOutcome,
 };
 use dmvcc_sim::simulate_dmvcc;
-use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
+use dmvcc_state::{
+    FlatCached, LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet,
+};
 use dmvcc_vm::{BlockEnv, Transaction};
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -123,10 +125,12 @@ pub enum BackendUnderTest {
     /// No backend axis (the default): only the executors are fuzzed.
     #[default]
     None,
-    /// In-memory versioned backend behind the flat-state cache.
+    /// In-memory versioned backend, as `BackendKind::Mem` builds it: no
+    /// cache over it.
     Mem,
     /// Log-structured on-disk store with tiny thresholds, so every case
-    /// crosses segment flushes and compactions.
+    /// crosses segment flushes and compactions, behind the flat-state cache
+    /// as `BackendKind::Lsm` builds it.
     Lsm,
 }
 
@@ -441,15 +445,17 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     }
 
     // State-backend differential: replay the case's serial history through
-    // a backend-backed StateDb (async root commits, flat-state reads, and —
-    // for the LSM — segment flushes and compactions at tiny thresholds) and
-    // compare every per-height root and final read against the plain
-    // snapshot-stack StateDb.
+    // a backend-backed StateDb (async root commits and — for the LSM —
+    // flat-state reads, segment flushes and compactions at tiny
+    // thresholds) and compare every per-height root and final read against
+    // the plain snapshot-stack StateDb.
     if config.backend != BackendUnderTest::None {
         let entries = generator.genesis_entries();
         let backend: Arc<dyn StateBackend> = match config.backend {
             BackendUnderTest::Mem => Arc::new(MemBackend::new()),
-            _ => Arc::new(LsmBackend::new(LsmOptions::tiny())),
+            _ => Arc::new(FlatCached::new(Arc::new(LsmBackend::new(
+                LsmOptions::tiny(),
+            )))),
         };
         let mut plain = StateDb::with_genesis(entries.clone());
         let mut backed = StateDb::with_backend(backend, entries);

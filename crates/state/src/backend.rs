@@ -13,25 +13,27 @@
 //!
 //! Two implementations ship:
 //!
-//! - [`MemBackend`] — the existing in-memory map, now version-aware. The
-//!   default; zero I/O, the baseline every other backend is measured
-//!   against.
+//! - [`MemBackend`] — the in-memory store and the default: zero I/O, the
+//!   baseline every other backend is measured against. It answers a
+//!   latest-state read itself, from the one sharded slot that holds each
+//!   key's newest version; nothing is cached over it.
 //! - [`crate::LsmBackend`] — an in-repo log-structured store (append-only
 //!   segment files, sparse in-memory index, merge compaction) for state
-//!   that outlives the process and outgrows RAM.
-//!
-//! The hot-read path on top of either is [`crate::FlatCached`], the
-//! flat-state cache: repeat SLOADs of a warm key are one sharded hash
-//! probe, never a trie walk or a segment search.
+//!   that outlives the process and outgrows RAM. Its read path is
+//!   [`crate::FlatCached`], the flat-state cache, which the caller puts over
+//!   it: repeat SLOADs of a warm key are one sharded hash probe, never a
+//!   segment search.
 //!
 //! [`Snapshot`]: crate::Snapshot
 
+use std::hash::BuildHasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use dmvcc_primitives::U256;
 
-use crate::interner::FxKeyMap;
+use crate::flat::FlatStats;
+use crate::interner::{FxBuildHasher, FxKeyMap};
 use crate::snapshot::WriteSet;
 use crate::StateKey;
 
@@ -108,26 +110,103 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
 
     /// Current counters.
     fn stats(&self) -> BackendStats;
-}
 
-/// Ascending version list for one key; the `u64` is the commit height.
-type Versions = Vec<(u64, U256)>;
-
-/// Returns the newest version at or below `as_of` from an ascending list.
-pub(crate) fn version_at(versions: &Versions, as_of: u64) -> Option<U256> {
-    match versions.partition_point(|&(h, _)| h <= as_of) {
-        0 => None,
-        n => Some(versions[n - 1].1),
+    /// The counters of the flat-state cache this backend reads through, if
+    /// it is one ([`crate::FlatCached`]); `None` by default.
+    fn flat_stats(&self) -> Option<FlatStats> {
+        None
     }
 }
 
-/// The in-memory backend: a versioned hash map behind an `RwLock`, hashed
-/// like the flat cache above it and the interner ([`FxKeyMap`]).
+/// Shards of [`MemBackend`] and of [`crate::FlatCached`]; a power of two.
+pub(crate) const SHARDS: usize = 16;
+const _: () = assert!(SHARDS.is_power_of_two());
+
+/// The shard of `key`: four bits of the FxHash its shard's map computes for
+/// it. The map takes a bucket from the hash's low bits and a tag from its top
+/// seven, so the shard takes bits between the two, and the keys of one shard
+/// still spread over every bucket and tag.
+pub(crate) fn shard_of(key: &StateKey) -> usize {
+    (FxBuildHasher::default().hash_one(key) >> 48) as usize & (SHARDS - 1)
+}
+
+/// The shard of each entry's key, in order, and how many entries each
+/// shard takes: a genesis load reserves room in every shard before it
+/// fills them.
+pub(crate) fn shards_of(entries: &[(StateKey, U256)]) -> (Vec<u8>, [usize; SHARDS]) {
+    let shard_at: Vec<u8> = entries.iter().map(|(key, _)| shard_of(key) as u8).collect();
+    let mut counts = [0usize; SHARDS];
+    for &at in &shard_at {
+        counts[usize::from(at)] += 1;
+    }
+    (shard_at, counts)
+}
+
+/// No older version: the end of a key's history.
+const NO_OLDER: u32 = u32::MAX;
+
+/// One version of a key: the value written at `height`, and the index in
+/// its shard's history of the key's next older version ([`NO_OLDER`] if it
+/// has none).
+#[derive(Debug, Clone, Copy)]
+struct Version {
+    value: U256,
+    height: u64,
+    older: u32,
+}
+
+/// One shard of [`MemBackend`]: a slot per key with its newest version, and
+/// the versions that newer ones replaced.
+#[derive(Debug, Default)]
+struct Shard {
+    latest: FxKeyMap<Version>,
+    /// Append-only; each key's versions are linked newest first through
+    /// [`Version::older`], starting at its slot in `latest`.
+    history: Vec<Version>,
+}
+
+impl Shard {
+    /// The value of the newest version at or below `as_of`, walking back
+    /// from `newest`.
+    fn value_at<'a>(&'a self, mut newest: &'a Version, as_of: u64) -> Option<U256> {
+        while newest.height > as_of {
+            newest = self.history.get(newest.older as usize)?;
+        }
+        Some(newest.value)
+    }
+
+    /// Writes `value` at `height`: over the newest version if that is of the
+    /// same height, else as the new newest, the old one moved to the history.
+    fn write(&mut self, key: StateKey, height: u64, value: U256) {
+        let newest = self.latest.entry(key).or_insert(Version {
+            value,
+            height,
+            older: NO_OLDER,
+        });
+        if newest.height != height {
+            let older = self.history.len();
+            assert!(older < NO_OLDER as usize, "a shard's history is full");
+            self.history.push(*newest);
+            newest.height = height;
+            newest.older = older as u32;
+        }
+        newest.value = value;
+    }
+}
+
+/// The in-memory backend: 16 shards, chosen by the key's FxHash,
+/// each a map from key to a slot that holds the key's newest version, and
+/// an append-only history log of the versions newer ones replaced. No key
+/// has a heap allocation of its own.
 ///
-/// Everything lives in RAM (the pre-backend status quo, made
-/// version-aware); it is the correctness baseline the LSM store is
-/// differentially tested against, and the latency baseline the
-/// `state_backend` bench compares cold reads against.
+/// A latest-state read is one shard read lock and one probe; an older
+/// height walks the key's versions back through the log. A batch takes
+/// each shard's write lock once; a reader pinned below the batch's height
+/// skips the versions it writes, so no snapshot sees part of a batch, and
+/// the tip moves once every shard has its writes. Everything lives
+/// in RAM; it is the correctness baseline the LSM store is differentially
+/// tested against, and the latency baseline the `state_backend` bench
+/// compares cold reads against.
 ///
 /// # Examples
 ///
@@ -143,7 +222,7 @@ pub(crate) fn version_at(versions: &Versions, as_of: u64) -> Option<U256> {
 /// ```
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    map: RwLock<FxKeyMap<Versions>>,
+    shards: [RwLock<Shard>; SHARDS],
     tip: AtomicU64,
     reads: AtomicU64,
     batches: AtomicU64,
@@ -164,21 +243,30 @@ impl StateBackend for MemBackend {
 
     fn get(&self, key: &StateKey, as_of: u64) -> Option<U256> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let map = self.map.read().expect("backend lock poisoned");
-        map.get(key)
-            .and_then(|versions| version_at(versions, as_of))
+        let shard = self.shards[shard_of(key)]
+            .read()
+            .expect("backend lock poisoned");
+        shard
+            .latest
+            .get(key)
+            .and_then(|newest| shard.value_at(newest, as_of))
     }
 
     fn apply_batch(&self, height: u64, writes: &WriteSet) {
         if height <= self.tip.load(Ordering::Acquire) && height != 0 {
             return; // replica re-commit
         }
-        let mut map = self.map.write().expect("backend lock poisoned");
-        for (key, value) in writes {
-            let versions = map.entry(*key).or_default();
-            match versions.last_mut() {
-                Some((h, v)) if *h == height => *v = *value,
-                _ => versions.push((height, *value)),
+        let mut by_shard: Vec<(usize, &StateKey, &U256)> = writes
+            .iter()
+            .map(|(key, value)| (shard_of(key), key, value))
+            .collect();
+        by_shard.sort_unstable_by_key(|&(at, ..)| at);
+        for run in by_shard.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.shards[run[0].0]
+                .write()
+                .expect("backend lock poisoned");
+            for &(_, key, value) in run {
+                shard.write(*key, height, *value);
             }
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -187,22 +275,30 @@ impl StateBackend for MemBackend {
         self.tip.fetch_max(height, Ordering::AcqRel);
     }
 
-    /// Into an empty backend, the run goes straight into the map, with room
-    /// reserved for it: no [`WriteSet`] is built.
+    /// Into an empty backend, the run goes straight into the shards, each
+    /// locked once with room reserved for its keys: no [`WriteSet`] is built.
     fn load_genesis(&self, entries: &[(StateKey, U256)]) {
-        let mut map = self.map.write().expect("backend lock poisoned");
-        if !map.is_empty() {
-            drop(map);
+        let mut shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.write().expect("backend lock poisoned"))
+            .collect();
+        if shards.iter().any(|shard| !shard.latest.is_empty()) {
+            drop(shards);
             self.apply_batch(0, &entries.iter().copied().collect());
             return;
         }
-        map.reserve(entries.len());
-        for &(key, value) in entries {
-            map.insert(key, vec![(0, value)]);
+        let (shard_at, counts) = shards_of(entries);
+        for (shard, count) in shards.iter_mut().zip(counts) {
+            shard.latest.reserve(count);
         }
-        if !map.is_empty() {
+        for (&(key, value), &at) in entries.iter().zip(&shard_at) {
+            shards[usize::from(at)].write(key, 0, value);
+        }
+        let keys: usize = shards.iter().map(|shard| shard.latest.len()).sum();
+        if keys > 0 {
             self.batches.fetch_add(1, Ordering::Relaxed);
-            self.writes.fetch_add(map.len() as u64, Ordering::Relaxed);
+            self.writes.fetch_add(keys as u64, Ordering::Relaxed);
         }
     }
 
@@ -211,13 +307,17 @@ impl StateBackend for MemBackend {
     }
 
     fn iter_as_of(&self, as_of: u64) -> Vec<(StateKey, U256)> {
-        let map = self.map.read().expect("backend lock poisoned");
-        map.iter()
-            .filter_map(|(key, versions)| match version_at(versions, as_of) {
-                Some(value) if !value.is_zero() => Some((*key, value)),
-                _ => None,
-            })
-            .collect()
+        let mut live = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.read().expect("backend lock poisoned");
+            live.extend(shard.latest.iter().filter_map(|(key, newest)| {
+                match shard.value_at(newest, as_of) {
+                    Some(value) if !value.is_zero() => Some((*key, value)),
+                    _ => None,
+                }
+            }));
+        }
+        live
     }
 
     fn stats(&self) -> BackendStats {

@@ -1,9 +1,14 @@
-//! The flat-state cache: O(1) hot SLOADs over any [`StateBackend`].
+//! The flat-state cache: O(1) hot SLOADs over a slow [`StateBackend`].
 //!
-//! Trie walks and LSM segment searches are fine for cold reads but far
-//! too slow for the SLOAD inner loop. [`FlatCached`] wraps a backend with
-//! a sharded hash map holding each key's **latest** version as a
-//! `(height, value)` pair, so a warm read is one FxHash probe.
+//! LSM segment searches are fine for cold reads but far too slow for the
+//! SLOAD inner loop. [`FlatCached`] wraps a backend with a sharded hash map
+//! holding each key's **latest** version as a `(height, value)` pair, so a
+//! warm read is one FxHash probe: the shard is taken from the same hash the
+//! shard's map uses. It is the read path of the LSM store
+//! (`BackendKind::Lsm` in `dmvcc-chain` builds it); the in-memory
+//! [`crate::MemBackend`] serves latest-state reads from its own slots and is
+//! not wrapped, since a cache over it would be a second copy of the same
+//! values.
 //!
 //! # Invalidation
 //!
@@ -27,16 +32,12 @@ use std::sync::{Arc, RwLock};
 
 use dmvcc_primitives::U256;
 
-use crate::backend::{BackendStats, StateBackend};
-use crate::interner::{FxBuildHasher, FxHasher};
+use crate::backend::{shard_of, shards_of, BackendStats, StateBackend, SHARDS};
+use crate::interner::FxBuildHasher;
 use crate::snapshot::WriteSet;
 use crate::StateKey;
 
 use std::collections::HashMap;
-use std::hash::Hasher as _;
-
-/// Shard count; power of two so shard selection is a mask.
-const SHARDS: usize = 16;
 
 /// Counters specific to the flat cache (backend I/O counters live in
 /// [`BackendStats`]).
@@ -126,14 +127,8 @@ impl FlatCached {
         }
     }
 
-    fn shard_index(key: &StateKey) -> usize {
-        let mut hasher = FxHasher::default();
-        hasher.write(&key.to_bytes());
-        (hasher.finish() as usize) & (SHARDS - 1)
-    }
-
     fn shard(&self, key: &StateKey) -> &Shard {
-        &self.shards[Self::shard_index(key)]
+        &self.shards[shard_of(key)]
     }
 
     /// Installs `(height, value)` unless a fresher entry is present.
@@ -212,18 +207,11 @@ impl StateBackend for FlatCached {
             }
             return;
         }
-        let shard_of: Vec<u8> = entries
-            .iter()
-            .map(|(key, _)| Self::shard_index(key) as u8)
-            .collect();
-        let mut counts = [0usize; SHARDS];
-        for &at in &shard_of {
-            counts[usize::from(at)] += 1;
-        }
+        let (shard_at, counts) = shards_of(entries);
         for (shard, count) in shards.iter_mut().zip(counts) {
             shard.reserve(count);
         }
-        for (&(key, value), &at) in entries.iter().zip(&shard_of) {
+        for (&(key, value), &at) in entries.iter().zip(&shard_at) {
             shards[usize::from(at)].insert(key, (0, value));
         }
         let capacity = self.capacity_per_shard;
@@ -252,6 +240,10 @@ impl StateBackend for FlatCached {
 
     fn stats(&self) -> BackendStats {
         self.inner.stats()
+    }
+
+    fn flat_stats(&self) -> Option<FlatStats> {
+        Some(FlatCached::flat_stats(self))
     }
 }
 

@@ -38,9 +38,20 @@ use std::sync::RwLock;
 
 use dmvcc_primitives::{Address, U256};
 
-use crate::backend::{version_at, BackendStats, StateBackend};
+use crate::backend::{BackendStats, StateBackend};
 use crate::snapshot::WriteSet;
 use crate::StateKey;
+
+/// Ascending version list for one key; the `u64` is the commit height.
+type Versions = Vec<(u64, U256)>;
+
+/// Returns the newest version at or below `as_of` from an ascending list.
+fn version_at(versions: &Versions, as_of: u64) -> Option<U256> {
+    match versions.partition_point(|&(h, _)| h <= as_of) {
+        0 => None,
+        n => Some(versions[n - 1].1),
+    }
+}
 
 /// Fixed on-disk record: `key (52) | height (8) | value (32)`.
 const RECORD_BYTES: u64 = 92;

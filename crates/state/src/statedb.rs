@@ -9,11 +9,12 @@
 //! Two things changed since the first version of this module:
 //!
 //! - **Pluggable persistence.** [`StateDb::with_backend`] puts a
-//!   [`StateBackend`] (in-memory or LSM) under the snapshots, wrapped in
-//!   the [`FlatCached`] flat-state cache so hot SLOADs are one hash probe.
-//!   Each commit lands the block's batch in the backend and rebases
-//!   `latest` onto it, so snapshot RAM stays O(recent writes) rather than
-//!   O(total state).
+//!   [`StateBackend`] under the snapshots as it is handed: the in-memory
+//!   store, which answers latest reads from its own slots, or the LSM store
+//!   behind the [`FlatCached`](crate::FlatCached) flat-state cache, so that
+//!   hot SLOADs are one hash probe either way. Each commit lands the
+//!   block's batch in the backend and rebases `latest` onto it, so
+//!   snapshot RAM stays O(recent writes) rather than O(total state).
 //! - **Off-critical-path roots.** [`StateDb::commit_async`] applies the
 //!   block's structural trie updates (in place wherever this trie is a
 //!   node's only holder, a path copy where the previous root is still
@@ -42,7 +43,7 @@ use dmvcc_primitives::rlp::put_uint_be;
 use dmvcc_primitives::{keccak256_x4, H256, U256};
 
 use crate::backend::{BackendStats, StateBackend};
-use crate::flat::{FlatCached, FlatStats};
+use crate::flat::FlatStats;
 use crate::mpt::Mpt;
 use crate::snapshot::{Snapshot, WriteSet};
 use crate::workers::{beside, default_hash_threads, on_workers, workers_for, Shares};
@@ -273,9 +274,9 @@ pub struct StateDb {
     latest: Snapshot,
     trie: Mpt,
     roots: RootHistory,
-    /// Persistent store + flat cache; `None` keeps the classic pure
-    /// in-memory snapshot chain.
-    backend: Option<Arc<FlatCached>>,
+    /// Persistent store; `None` keeps the classic pure in-memory snapshot
+    /// chain.
+    backend: Option<Arc<dyn StateBackend>>,
     /// Worker threads for background/parallel subtree hashing.
     hash_threads: usize,
 }
@@ -311,8 +312,9 @@ impl StateDb {
     /// Creates a StateDB over a persistent backend, seeding `entries` as
     /// the height-0 genesis batch.
     ///
-    /// The backend is wrapped in the [`FlatCached`] flat-state cache, and
-    /// `latest` reads fall through the (empty) in-memory layers to it.
+    /// The backend is used as it is handed — a slow one comes wrapped in
+    /// its cache ([`FlatCached`](crate::FlatCached)) — and `latest` reads
+    /// fall through the (empty) in-memory layers to it.
     /// The trie is built from the same entries the backend is handed, so
     /// the genesis root matches [`StateDb::with_genesis`] for the same
     /// entries.
@@ -325,10 +327,10 @@ impl StateDb {
 
     /// The database at genesis: `entries` become one run — zeros dropped,
     /// of equal keys the last winning — and the caller lays the run into
-    /// the snapshot, or loads it into `backend` and the flat cache as the
-    /// height-0 batch ([`StateBackend::load_genesis`]), while a thread
-    /// beside it builds the trie from the same run on `threads` workers
-    /// ([`Mpt::from_keys`]) and hashes its root.
+    /// the snapshot, or loads it into `backend` as the height-0 batch
+    /// ([`StateBackend::load_genesis`]), while a thread beside it builds the
+    /// trie from the same run on `threads` workers ([`Mpt::from_keys`]) and
+    /// hashes its root.
     fn genesis<I>(entries: I, backend: Option<Arc<dyn StateBackend>>, threads: usize) -> Self
     where
         I: IntoIterator<Item = (StateKey, U256)>,
@@ -339,10 +341,11 @@ impl StateDb {
             .collect();
         let load = || match backend {
             Some(backend) => {
-                let flat = Arc::new(FlatCached::new(backend));
-                flat.load_genesis(&run);
-                let cold = Arc::clone(&flat) as Arc<dyn StateBackend>;
-                (Snapshot::from_backend(cold, 0), Some(flat))
+                backend.load_genesis(&run);
+                (
+                    Snapshot::from_backend(Arc::clone(&backend), 0),
+                    Some(backend),
+                )
             }
             None => (Snapshot::from_entries(run.iter().copied()), None),
         };
@@ -386,9 +389,10 @@ impl StateDb {
         self.backend.as_ref().map(|b| b.stats())
     }
 
-    /// Flat-state cache counters, if a backend is attached.
+    /// Flat-state cache counters, if the backend is read through one
+    /// ([`StateBackend::flat_stats`]).
     pub fn flat_stats(&self) -> Option<FlatStats> {
-        self.backend.as_ref().map(|b| b.flat_stats())
+        self.backend.as_ref().and_then(|b| b.flat_stats())
     }
 
     /// Sets how many worker threads root hashing may use, in
@@ -421,8 +425,9 @@ impl StateDb {
     /// Applies a block's writes: the trie keys are hashed on the hashing
     /// workers, then the trie takes its structural inserts and removes on
     /// the caller — which goes on to run `then` over the updated trie —
-    /// while a thread beside it lands the batch in the backend (flat-cache
-    /// fills included) or, without one, stacks the next snapshot layer.
+    /// while a thread beside it lands the batch in the backend (a flat
+    /// cache's fills included) or, without one, stacks the next snapshot
+    /// layer.
     /// `latest` advances once both are done. Returns the new height and
     /// what `then` returned.
     fn apply_writes<R>(&mut self, writes: &WriteSet, then: impl FnOnce(&Mpt) -> R) -> (u64, R) {
@@ -431,11 +436,11 @@ impl StateDb {
         let trie_keys = trie_keys(&writes.keys().collect::<Vec<_>>(), threads);
         let (latest, backend, trie) = (&self.latest, &self.backend, &mut self.trie);
         let advance = || match backend {
-            Some(flat) => {
-                flat.apply_batch(height, writes);
+            Some(backend) => {
+                backend.apply_batch(height, writes);
                 // Rebase onto the backend: keeps in-memory layer RAM at
                 // O(1) per block instead of accumulating every write.
-                Snapshot::from_backend(Arc::clone(flat) as Arc<dyn StateBackend>, height)
+                Snapshot::from_backend(Arc::clone(backend), height)
             }
             None => latest.apply(writes),
         };
@@ -941,7 +946,7 @@ mod tests {
 
     #[test]
     fn backend_db_matches_plain_db() {
-        use crate::{LsmBackend, LsmOptions, MemBackend};
+        use crate::{FlatCached, LsmBackend, LsmOptions, MemBackend};
         let genesis = vec![(key(1), U256::from(5u64)), (key(2), U256::from(6u64))];
         let mut plain = StateDb::with_genesis(genesis.clone());
         let mut mem = StateDb::with_backend(
@@ -949,7 +954,9 @@ mod tests {
             genesis.clone(),
         );
         let mut lsm = StateDb::with_backend(
-            Arc::new(LsmBackend::new(LsmOptions::tiny())) as Arc<dyn StateBackend>,
+            Arc::new(FlatCached::new(Arc::new(LsmBackend::new(
+                LsmOptions::tiny(),
+            )))),
             genesis,
         );
         assert_eq!(plain.current_root(), mem.current_root());
@@ -967,7 +974,10 @@ mod tests {
             }
         }
         assert!(lsm.backend_stats().expect("stats").writes > 0);
-        assert!(mem.flat_stats().expect("stats").fills > 0);
+        // The LSM store reads through its flat cache; the in-memory store
+        // has none.
+        assert!(lsm.flat_stats().expect("stats").fills > 0);
+        assert_eq!(mem.flat_stats(), None);
     }
 
     mod genesis {

@@ -2,7 +2,10 @@
 //! stack — the flat cache, the trie-backed [`StateDb`] snapshots, and the
 //! raw backends — must agree under random insert/remove/commit
 //! interleavings, and the async root pipeline must land on exactly the
-//! sync roots.
+//! sync roots. The three backends a database can stand on — the bare
+//! sharded in-memory store, the same behind the flat cache, and the LSM
+//! store — answer every read at every height alike and commit the roots of
+//! the plain database.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -130,4 +133,135 @@ proptest! {
         }
         prop_assert_eq!(async_db.current_root(), sync_db.current_root());
     }
+
+    /// The three backends agree on every key at every height — before the
+    /// first write, at each block, past the tip — through zeros, keys a
+    /// block writes again and replica re-commits below the tip (ignored),
+    /// and on what they count and list.
+    #[test]
+    fn every_backend_answers_every_height_alike(
+        genesis in prop::collection::vec(((0u64..12), (0u64..4), (1u64..5)), 0..24),
+        blocks in prop::collection::vec(
+            (block_strategy(), prop::collection::vec(((0u64..3), block_strategy()), 0..2)),
+            1..10,
+        ),
+    ) {
+        let genesis: Vec<(StateKey, U256)> = genesis
+            .iter()
+            .map(|&(addr, slot, value)| (key(addr, slot), U256::from(value)))
+            .collect();
+        let backends = backends();
+        for backend in &backends {
+            backend.load_genesis(&genesis);
+        }
+        // The model: every key's value as of each height, zeros included.
+        let mut states: Vec<WriteSet> = vec![genesis.iter().copied().collect()];
+        for (i, (block, recommits)) in blocks.iter().enumerate() {
+            let height = 1 + i as u64;
+            let writes = write_set(block);
+            for backend in &backends {
+                backend.apply_batch(height, &writes);
+            }
+            for (back, other) in recommits {
+                // A replica's commit of some other batch at or below the tip.
+                let at = height.saturating_sub(*back).max(1);
+                for backend in &backends {
+                    backend.apply_batch(at, &write_set(other));
+                }
+            }
+            let mut state = states[i].clone();
+            state.extend(writes);
+            states.push(state);
+            for as_of in 0..=height + 1 {
+                let state = &states[as_of.min(height) as usize];
+                for k in pool() {
+                    let want = state.get(&k).copied();
+                    for backend in &backends {
+                        prop_assert_eq!(backend.get(&k, as_of), want, "{} as of {}", backend.name(), as_of);
+                    }
+                }
+                let mut live: Vec<(StateKey, U256)> =
+                    state.iter().map(|(k, v)| (*k, *v)).filter(|(_, v)| !v.is_zero()).collect();
+                live.sort_unstable();
+                for backend in &backends {
+                    let mut listed = backend.iter_as_of(as_of);
+                    listed.sort_unstable();
+                    prop_assert_eq!(&listed, &live, "{} as of {}", backend.name(), as_of);
+                }
+            }
+            for backend in &backends {
+                prop_assert_eq!(backend.tip(), height);
+                let (stats, first) = (backend.stats(), backends[0].stats());
+                prop_assert_eq!((stats.batches, stats.writes), (first.batches, first.writes));
+            }
+        }
+    }
+
+    /// A database over each backend commits the roots of the plain one on
+    /// one to three hashing threads, and a clone taken at a height keeps
+    /// reading as of that height while the original commits on — and, as
+    /// a replica, re-commits the next block to the same root.
+    #[test]
+    fn every_backend_commits_the_plain_roots_and_keeps_old_heights(
+        genesis in prop::collection::vec(((0u64..12), (0u64..4), (0u64..5)), 0..24),
+        blocks in prop::collection::vec(block_strategy(), 1..8),
+        clone_at in 0usize..8,
+    ) {
+        let genesis: Vec<(StateKey, U256)> = genesis
+            .iter()
+            .map(|&(addr, slot, value)| (key(addr, slot), U256::from(value)))
+            .collect();
+        let writes: Vec<WriteSet> = blocks.iter().map(|block| write_set(block)).collect();
+        let mut plain = StateDb::with_genesis(genesis.clone());
+        let mut roots = vec![plain.current_root()];
+        let mut states = vec![pool().map(|k| plain.get(&k)).collect::<Vec<_>>()];
+        for w in &writes {
+            roots.push(plain.commit(w));
+            states.push(pool().map(|k| plain.get(&k)).collect());
+        }
+        let clone_at = clone_at.min(writes.len() - 1);
+        for threads in [1usize, 2, 3] {
+            for backend in backends() {
+                let name = backend.name();
+                let mut db = StateDb::with_backend(backend, genesis.clone());
+                db.set_hash_threads(threads);
+                prop_assert_eq!(db.current_root(), roots[0]);
+                let mut replica = None;
+                for (i, w) in writes.iter().enumerate() {
+                    if i == clone_at {
+                        replica = Some(db.clone());
+                    }
+                    prop_assert_eq!(db.commit(w), roots[i + 1], "{} on {} threads", name, threads);
+                }
+                let mut replica = replica.expect("cloned before the last block");
+                let reads = |db: &StateDb| pool().map(|k| db.get(&k)).collect::<Vec<_>>();
+                prop_assert_eq!(replica.height(), clone_at as u64);
+                prop_assert_eq!(reads(&replica), states[clone_at].clone(), "{}", name);
+                prop_assert_eq!(replica.commit(&writes[clone_at]), roots[clone_at + 1]);
+                prop_assert_eq!(reads(&replica), states[clone_at + 1].clone(), "{}", name);
+                prop_assert_eq!(reads(&db), states[writes.len()].clone(), "{}", name);
+            }
+        }
+    }
+}
+
+/// One block's writes: (addr, slot, value) over the key pool, value 0 a
+/// tombstone.
+fn block_strategy() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+    prop::collection::vec(((0u64..12), (0u64..4), (0u64..5)), 1..12)
+}
+
+/// Every key the strategies draw.
+fn pool() -> impl Iterator<Item = StateKey> {
+    (0..12).flat_map(|addr| (0..4).map(move |slot| key(addr, slot)))
+}
+
+/// A bare sharded in-memory store, one behind the flat cache, and an LSM
+/// store at tiny thresholds (flushes and compactions inside a case).
+fn backends() -> [Arc<dyn StateBackend>; 3] {
+    [
+        Arc::new(MemBackend::new()),
+        Arc::new(FlatCached::new(Arc::new(MemBackend::new()))),
+        Arc::new(LsmBackend::new(LsmOptions::tiny())),
+    ]
 }

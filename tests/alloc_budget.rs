@@ -4,13 +4,16 @@
 //! build — and of the execute stage: the interpreter
 //! allocates per frame only what the frame's work needs, the thread that
 //! calls the sharded engine allocates (next to) nothing per transaction, and
-//! a C-SAG is four vectors.
+//! a C-SAG is four vectors. And a memory budget: the live heap bytes a key
+//! costs the in-memory database, its backend and its trie apiece.
 //!
 //! The counts come from a counting wrapper around the system allocator,
 //! installed for this test binary only (the library crates forbid unsafe
-//! code and install no allocator). It counts per thread, so the tests of
-//! this file can run in parallel, and once more for the whole process, for
-//! the one test whose work is spread over threads it does not start itself.
+//! code and install no allocator). It counts allocations per thread, so the
+//! tests of this file can run in parallel, and allocations and live bytes
+//! once more for the whole process, for the tests whose work is spread over
+//! threads they do not start themselves; those run alone, in a process of
+//! their own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,10 +21,12 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dmvcc_analysis::{AccessKind, Analyzer, CSag};
-use dmvcc_chain::{build_receipts, receipts_root, transactions_root, Receipt};
+use dmvcc_chain::{build_receipts, receipts_root, transactions_root, BackendKind, Receipt};
 use dmvcc_core::{refine_csags, ParallelConfig, ParallelExecutor};
 use dmvcc_primitives::{keccak256, Address, U256};
-use dmvcc_state::{default_hash_threads, Mpt, Snapshot, StateKey};
+use dmvcc_state::{
+    default_hash_threads, MemBackend, Mpt, Snapshot, StateBackend, StateKey, WriteSet,
+};
 use dmvcc_vm::{
     calldata, contracts, execute, BlockEnv, CodeRegistry, ExecParams, ExecStatus, MapHost,
     Transaction, TxEnv,
@@ -36,38 +41,48 @@ thread_local! {
 /// Allocations and reallocations made by every thread of the process.
 static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated and not yet freed, by every thread of the process.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     // `try_with`: a thread's last frees can run after its locals are gone.
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
 }
 
+fn count_free(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
-// that neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the counters are atomics and a
+// thread-local `Cell`, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free(layout.size());
         // SAFETY: `ptr` and `layout` come from the caller, who got `ptr`
         // from this allocator, that is from `System`, with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
+        count_free(layout.size());
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -81,6 +96,35 @@ fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = work();
     (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Bytes that every thread of the process allocated and did not free while
+/// `work` ran.
+fn live_bytes<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let result = work();
+    (LIVE_BYTES.load(Ordering::Relaxed) - before, result)
+}
+
+/// Whether the test `name` runs alone in this process. If it does not, this
+/// runs it alone — this binary again, asked for exactly that test — checks
+/// that it passed, and returns `false`: the process-wide counters see the
+/// work of every test running beside the one that reads them.
+fn alone(name: &str) -> bool {
+    if std::env::args().any(|arg| arg == "--exact") {
+        return true;
+    }
+    let alone = std::process::Command::new(std::env::current_exe().expect("this binary"))
+        .args(["--exact", name, "--test-threads", "1"])
+        .output()
+        .expect("run the test alone");
+    assert!(
+        alone.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&alone.stdout),
+        String::from_utf8_lossy(&alone.stderr)
+    );
+    false
 }
 
 fn block(size: u64) -> (Vec<Transaction>, Vec<Receipt>) {
@@ -109,22 +153,9 @@ fn block(size: u64) -> (Vec<Transaction>, Vec<Receipt>) {
 #[test]
 fn sealing_allocates_per_call_not_per_transaction() {
     // The two roots are hashed on worker threads, whose allocations this
-    // thread's counter never sees. The process's counter does, along with
-    // those of every other test running beside this one — so the counting
-    // is done in a process where this test runs alone: this binary again,
-    // asked for exactly this test.
-    const NAME: &str = "sealing_allocates_per_call_not_per_transaction";
-    if !std::env::args().any(|arg| arg == "--exact") {
-        let alone = std::process::Command::new(std::env::current_exe().expect("this binary"))
-            .args(["--exact", NAME, "--test-threads", "1"])
-            .output()
-            .expect("run this test alone");
-        assert!(
-            alone.status.success(),
-            "{}{}",
-            String::from_utf8_lossy(&alone.stdout),
-            String::from_utf8_lossy(&alone.stderr)
-        );
+    // thread's counter never sees. The process's counter does, so the
+    // counting is done in a process where this test runs alone.
+    if !alone("sealing_allocates_per_call_not_per_transaction") {
         return;
     }
     let seal = |size| {
@@ -437,4 +468,111 @@ fn refining_allocates_for_the_walk_and_four_vectors() {
         assert_eq!(&copy, record);
         assert!(cloned <= 4, "{cloned} allocations to clone a C-SAG");
     }
+}
+
+/// The in-memory database's genesis in the memory budget: 16 000 keys, a
+/// thousand a shard, so that its maps are half full, as the 262 k keys of
+/// the `ethereum_mix` genesis leave them.
+const BUDGET_KEYS: u64 = 16_000;
+
+/// The budget's blocks: 1 000 writes each, three in four to keys the
+/// genesis holds and one in four to a new key; every eighth write a zero.
+fn budget_blocks() -> Vec<WriteSet> {
+    (1..=16u64)
+        .map(|block| {
+            (0..1_000u64)
+                .map(|i| {
+                    let key = if i % 4 == 3 {
+                        BUDGET_KEYS + (block - 1) * 250 + i / 4
+                    } else {
+                        (block * 7_919 + i * 13) % BUDGET_KEYS
+                    };
+                    let value = if i % 8 == 5 { 0 } else { block * i + 1 };
+                    (budget_key(key), U256::from(value))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn budget_key(i: u64) -> StateKey {
+    StateKey::storage(Address::from_u64(i % 1_000), U256::from(i))
+}
+
+#[test]
+fn the_memory_database_keeps_each_key_within_its_byte_budget() {
+    // The trie is built and hashed on worker threads, so the bytes are the
+    // process's, counted where this test runs alone.
+    if !alone("the_memory_database_keeps_each_key_within_its_byte_budget") {
+        return;
+    }
+    let genesis: Vec<(StateKey, U256)> = (0..BUDGET_KEYS)
+        .map(|i| (budget_key(i), U256::from(i + 1)))
+        .collect();
+    let blocks = budget_blocks();
+    let keys_after = BUDGET_KEYS + 16 * 250;
+
+    // The backend alone, as `BackendKind::Mem.build_db` loads it and as its
+    // commits land their batches in it.
+    let (backend_genesis, backend) = live_bytes(|| {
+        let backend = MemBackend::new();
+        backend.load_genesis(&genesis);
+        backend
+    });
+    let (backend_blocks, ()) = live_bytes(|| {
+        for (height, writes) in (1..).zip(&blocks) {
+            backend.apply_batch(height, writes);
+        }
+    });
+    // The whole database; less the backend, that is the trie and the few
+    // bytes a block of root history and snapshot holds.
+    let (db_genesis, mut db) = live_bytes(|| BackendKind::Mem.build_db(genesis.clone()));
+    let (db_blocks, ()) = live_bytes(|| {
+        for writes in &blocks {
+            db.commit(writes);
+        }
+    });
+    let per_key = |bytes: u64, keys: u64| bytes as f64 / keys as f64;
+    let backend_at = [
+        per_key(backend_genesis, BUDGET_KEYS),
+        per_key(backend_genesis + backend_blocks, keys_after),
+    ];
+    let trie_at = [
+        per_key(db_genesis - backend_genesis, BUDGET_KEYS),
+        per_key(
+            db_genesis + db_blocks - backend_genesis - backend_blocks,
+            keys_after,
+        ),
+    ];
+    // Measured (bytes a key, at genesis / after the blocks): the backend
+    // 215.1 / 211.4 — a slot and its map's share of empty ones; then also
+    // the replaced versions in each shard's log — and the trie 315.6 /
+    // 287.8. The counts are exact, the same on every host and thread count;
+    // the slack is 5 %. A cache over the backend (some 170 bytes a key), an
+    // allocation per key or a trie node grown by 16 bytes breaks it.
+    let budget = |measured: f64| measured * 1.05;
+    for (at, (backend, trie)) in ["genesis", "the blocks"]
+        .iter()
+        .zip(backend_at.into_iter().zip(trie_at))
+    {
+        println!("after {at}: backend {backend:.1} bytes a key, trie {trie:.1}");
+    }
+    assert!(
+        backend_at[0] <= budget(215.1) && backend_at[1] <= budget(211.4),
+        "the backend holds {backend_at:?} bytes a key"
+    );
+    assert!(
+        trie_at[0] <= budget(315.6) && trie_at[1] <= budget(287.8),
+        "the trie holds {trie_at:?} bytes a key"
+    );
+    assert_eq!(
+        db.get(&budget_key(3)),
+        backend.get(&budget_key(3), 16).unwrap_or_default()
+    );
+
+    // No flat cache copies the in-memory backend; the LSM store reads
+    // through one.
+    assert_eq!(db.flat_stats(), None);
+    let lsm = BackendKind::Lsm.build_db(genesis[..100].to_vec());
+    assert!(lsm.flat_stats().is_some());
 }
