@@ -8,29 +8,37 @@
 //! test vectors hold.
 //!
 //! Nodes are held through [`Arc`], and an update takes every node on its
-//! root-to-leaf path through [`Arc::make_mut`]: a node this trie alone holds
-//! is changed where it stands (a value replaced in its leaf, a child slot
-//! overwritten in its branch), and a node with another holder — a clone of
-//! the trie, or a thread still hashing the previous version — is copied
-//! first, children shared, and the copy changed. So a clone is O(1) and
-//! never sees a later write, the first write after a clone copies the paths
-//! it touches, and every write after that to the same paths copies nothing.
-//! New nodes are built only where the shape changes (a leaf or an extension
-//! splits, a branch collapses).
+//! root-to-leaf path for its own: a node this trie alone holds is changed
+//! where it stands (a value replaced in its leaf, a child replaced in its
+//! branch), and a node with another holder — a clone of the trie, or a
+//! thread still hashing the previous version — is copied first, children
+//! shared, and the copy changed. So a clone is O(1) and never sees a later
+//! write, the first write after a clone copies the paths it touches, and
+//! every write after that to the same paths copies nothing. New nodes are
+//! built only where the shape changes: a leaf or an extension splits, a
+//! branch gains or loses a child, a branch collapses.
 //!
-//! A node is one allocation: a path of up to 64 nibbles and a value of up to
-//! 40 bytes live inline in it (longer ones spill to the heap), and the only
-//! thing it caches is its *reference* — what its parent embeds: the node's
-//! own RLP when shorter than 32 bytes, else `0xa0 ‖ keccak(RLP)` — held
-//! inline as well. An update clears the reference of every node it passes,
-//! and reaches a node only through a parent it has just made its own and
-//! cleared, so a set reference proves the whole subtree beneath it clean.
-//! The full RLP of a node is never stored. A dirty subtree is hashed level
-//! by level from the bottom: the nodes of a level do not depend on each
-//! other, so a hashing thread encodes a few hundred of them into its one
-//! buffer and hands the encodings to [`keccak256_x4`] four at a time, those
-//! of as many rate blocks together. Computing a root allocates that
-//! thread's handful of buffers and nothing per node.
+//! Each kind of node has its own size, and a node is one allocation. A leaf
+//! holds its path and its value in one buffer, an extension its path and its
+//! child; a path is packed two nibbles a byte, and up to 69 bytes of path and
+//! value (a leaf's) or 37 of path (an extension's) live inline, longer ones
+//! on the heap. A branch holds exactly the children it has, in a slice
+//! allocated with it, so a branch that gains or loses a child is rebuilt
+//! one wider or narrower; the 16-bit mask of their nibbles is held by its
+//! parent, beside the pointer to it, so that a walk down the trie knows
+//! where the next child lies before the branch is loaded. A parent holds
+//! each child in 24 bytes. The only thing a node caches is its *reference*
+//! — what its parent embeds: the node's own RLP when shorter than 32 bytes,
+//! else `0xa0 ‖ keccak(RLP)` — held inline as well. An update clears the
+//! reference of every node it passes, and reaches a node only through a
+//! parent it has just made its own and cleared, so a set reference proves
+//! the whole subtree beneath it clean. The full RLP of a node is never
+//! stored. A dirty subtree is hashed level by level from the bottom: the
+//! nodes of a level do not depend on each other, so a hashing thread encodes
+//! a few hundred of them into its one buffer and hands the encodings to
+//! [`keccak256_x4`] four at a time, those of as many rate blocks together.
+//! Computing a root allocates that thread's handful of buffers and nothing
+//! per node.
 //!
 //! [`index_root`] computes the root of an index-keyed list (a block's
 //! transactions or receipts) through the same node encoder without building
@@ -64,153 +72,479 @@ pub fn empty_root() -> H256 {
     keccak256(&[0x80])
 }
 
-/// A byte string held inline up to `N` bytes and on the heap beyond.
-#[derive(Debug, Clone)]
-enum Small<const N: usize> {
-    Inline { len: u8, bytes: [u8; N] },
-    Heap(Vec<u8>),
+/// A run of nibbles inside packed bytes, high nibble first: nibble `i` of
+/// the run is nibble `start + i` of `bytes`. A key is the run of all its
+/// nibbles, and what is left of it below a node ends, as every path a node
+/// holds does, at the end of a byte.
+#[derive(Debug, Clone, Copy)]
+struct Nibbles<'a> {
+    bytes: &'a [u8],
+    start: usize,
+    len: usize,
 }
 
-/// A nibble path: every trie key of this repo is a 32-byte digest.
-type Nibbles = Small<64>;
-/// A stored value: `rlp(U256)` and `rlp(H256)` are at most 33 bytes.
-type Value = Small<40>;
+impl<'a> Nibbles<'a> {
+    /// Every nibble of `key`.
+    fn of(key: &'a [u8]) -> Self {
+        Nibbles {
+            bytes: key,
+            start: 0,
+            len: 2 * key.len(),
+        }
+    }
 
-impl<const N: usize> Small<N> {
-    /// `head ‖ tail`.
-    fn concat(head: &[u8], tail: &[u8]) -> Self {
-        let len = head.len() + tail.len();
+    fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn at(self, i: usize) -> u8 {
+        debug_assert!(i < self.len);
+        let at = self.start + i;
+        self.bytes[at / 2] >> (4 * (1 - at % 2)) & 0x0f
+    }
+
+    /// The run without its first `n` nibbles.
+    fn skip(self, n: usize) -> Self {
+        debug_assert!(n <= self.len);
+        let at = self.start + n;
+        Nibbles {
+            bytes: &self.bytes[at / 2..],
+            start: at % 2,
+            len: self.len - n,
+        }
+    }
+
+    /// The first `n` nibbles of the run.
+    fn take(self, n: usize) -> Self {
+        debug_assert!(n <= self.len);
+        Nibbles { len: n, ..self }
+    }
+
+    fn split_first(self) -> Option<(u8, Self)> {
+        (!self.is_empty()).then(|| (self.at(0), self.skip(1)))
+    }
+
+    /// How many nibbles the two runs share from their first. Runs that
+    /// start at the same half of a byte — a key and the path of a leaf it
+    /// reaches — are compared a byte at a time.
+    fn common_prefix_len(self, other: Nibbles) -> usize {
+        let max = self.len.min(other.len);
+        let mut same = 0;
+        if self.start == other.start {
+            if self.start == 1 {
+                if max == 0 || self.at(0) != other.at(0) {
+                    return 0;
+                }
+                same = 1;
+            }
+            let at = (self.start + same) / 2;
+            let whole = (max - same) / 2;
+            let (a, b) = (&self.bytes[at..at + whole], &other.bytes[at..at + whole]);
+            same += 2 * a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        }
+        same + (same..max)
+            .take_while(|&i| self.at(i) == other.at(i))
+            .count()
+    }
+
+    /// The run after `prefix`, if it starts with it.
+    fn strip_prefix(self, prefix: Nibbles) -> Option<Self> {
+        (self.common_prefix_len(prefix) == prefix.len).then(|| self.skip(prefix.len))
+    }
+}
+
+impl PartialEq for Nibbles<'_> {
+    /// Two runs that start at the same half of a byte and end at the end of
+    /// one — a key below a leaf and the leaf's path — compare the half byte
+    /// they may start with, then their bytes as slices.
+    fn eq(&self, other: &Self) -> bool {
+        let end = self.start + self.len;
+        if self.len != other.len || self.start != other.start || end % 2 == 1 {
+            return self.len == other.len && self.common_prefix_len(*other) == self.len;
+        }
+        let whole = self.start..end / 2;
+        (self.start == 0 || self.at(0) == other.at(0))
+            && self.bytes[whole.clone()] == other.bytes[whole]
+    }
+}
+
+/// Sets nibble `at` of `out`, whose half byte there is zero.
+fn set_nibble(out: &mut [u8], at: usize, nibble: u8) {
+    out[at / 2] |= nibble << (4 * (1 - at % 2));
+}
+
+/// Writes `path` into the zeroed `out` from nibble `at` on, and returns the
+/// nibble after it: a byte at a time where the two are at the same half of
+/// a byte.
+fn pack(out: &mut [u8], mut at: usize, path: Nibbles) -> usize {
+    let mut i = 0;
+    if at % 2 == path.start {
+        if path.start == 1 && !path.is_empty() {
+            set_nibble(out, at, path.at(0));
+            (at, i) = (at + 1, 1);
+        }
+        let (to, from, whole) = (at / 2, (path.start + i) / 2, (path.len - i) / 2);
+        out[to..to + whole].copy_from_slice(&path.bytes[from..from + whole]);
+        (at, i) = (at + 2 * whole, i + 2 * whole);
+    }
+    for i in i..path.len {
+        set_nibble(out, at, path.at(i));
+        at += 1;
+    }
+    at
+}
+
+/// A nibble path and the bytes after it (a leaf's value; an extension has
+/// none), the path packed two nibbles a byte so that it ends at the end of
+/// a byte: inline up to `N` bytes in all, on the heap beyond.
+#[derive(Debug)]
+enum Packed<const N: usize> {
+    Inline {
+        nibbles: u8,
+        len: u8,
+        bytes: [u8; N],
+    },
+    Heap {
+        nibbles: usize,
+        bytes: Box<[u8]>,
+    },
+}
+
+impl<const N: usize> Packed<N> {
+    /// The paths of `parts` one after the other, then `tail`.
+    fn new(parts: &[Nibbles], tail: &[u8]) -> Self {
+        let nibbles: usize = parts.iter().map(|part| part.len).sum();
+        let path_len = nibbles.div_ceil(2);
+        let len = path_len + tail.len();
+        let fill = |bytes: &mut [u8]| {
+            let mut at = nibbles % 2;
+            for &part in parts {
+                at = pack(bytes, at, part);
+            }
+            bytes[path_len..len].copy_from_slice(tail);
+        };
         if len <= N {
-            let mut bytes = [0u8; N];
-            bytes[..head.len()].copy_from_slice(head);
-            bytes[head.len()..len].copy_from_slice(tail);
-            Small::Inline {
+            let mut bytes = [0; N];
+            fill(&mut bytes);
+            Packed::Inline {
+                nibbles: nibbles as u8,
                 len: len as u8,
                 bytes,
             }
         } else {
-            Small::Heap([head, tail].concat())
+            let mut bytes = vec![0; len].into_boxed_slice();
+            fill(&mut bytes);
+            Packed::Heap { nibbles, bytes }
         }
     }
 
-    fn from_vec(bytes: Vec<u8>) -> Self {
-        if bytes.len() <= N {
-            Self::concat(&bytes, &[])
-        } else {
-            Small::Heap(bytes)
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Small::Inline { len, bytes } => &bytes[..*len as usize],
-            Small::Heap(bytes) => bytes,
-        }
-    }
-}
-
-/// Expands a key into nibbles (high nibble first).
-fn to_nibbles(key: &[u8]) -> Nibbles {
-    if key.len() * 2 <= 64 {
-        let mut bytes = [0u8; 64];
-        for (pair, &b) in bytes.chunks_exact_mut(2).zip(key) {
-            pair[0] = b >> 4;
-            pair[1] = b & 0x0f;
-        }
-        Small::Inline {
-            len: (key.len() * 2) as u8,
-            bytes,
-        }
-    } else {
-        Small::Heap(key.iter().flat_map(|&b| [b >> 4, b & 0x0f]).collect())
+    /// The path and the bytes after it.
+    fn parts(&self) -> (Nibbles<'_>, &[u8]) {
+        let (nibbles, bytes) = match self {
+            Packed::Inline {
+                nibbles,
+                len,
+                bytes,
+            } => (usize::from(*nibbles), &bytes[..usize::from(*len)]),
+            Packed::Heap { nibbles, bytes } => (*nibbles, &bytes[..]),
+        };
+        let (path, tail) = bytes.split_at(nibbles.div_ceil(2));
+        let path = Nibbles {
+            bytes: path,
+            start: nibbles % 2,
+            len: nibbles,
+        };
+        (path, tail)
     }
 }
 
+/// A node of the trie, as its parent (or the trie, for the root) holds it.
 #[derive(Debug, Clone)]
-enum NodeKind {
-    Leaf {
-        path: Nibbles,
-        value: Value,
-    },
-    Extension {
-        path: Nibbles, // never empty
-        child: Arc<Node>,
-    },
-    Branch {
-        children: [Option<Arc<Node>>; 16],
-        value: Option<Value>,
-    },
+enum Node {
+    Leaf(Arc<Leaf>),
+    Extension(Arc<Extension>),
+    /// A branch, and which of its nibbles have a child: held here, beside
+    /// the pointer, rather than in the branch, so that a walk down the trie
+    /// knows where the next child lies before the branch is loaded.
+    Branch(Mask, Arc<Branch>),
 }
 
-#[derive(Debug)]
-struct Node {
-    kind: NodeKind,
-    /// Cached reference as seen from the parent. Empty on a fresh node and
-    /// emptied by [`unshared`], so a set cache proves the whole subtree
-    /// beneath it is clean.
-    reference: OnceLock<NodeRef>,
-}
+/// Which nibbles of a branch have a child: bit `n` for nibble `n`.
+#[derive(Debug, Clone, Copy)]
+struct Mask(u16);
 
-/// The only copy of a node there is: [`Arc::make_mut`] takes it when an
-/// update meets a node something else holds too. The children are shared,
-/// and the reference is left empty because the copy is about to change.
-impl Clone for Node {
-    fn clone(&self) -> Self {
-        Node {
-            kind: self.kind.clone(),
-            reference: OnceLock::new(),
+impl Mask {
+    /// The nibbles of the children in `slots`.
+    fn of(slots: &[Option<Node>; 16]) -> Mask {
+        let mut mask = Mask(0);
+        for nibble in (0..16).filter(|&nibble| slots[usize::from(nibble)].is_some()) {
+            mask = mask.with(nibble);
         }
+        mask
+    }
+
+    fn count(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    fn has(self, nibble: u8) -> bool {
+        self.0 >> nibble & 1 == 1
+    }
+
+    /// How many children come before `nibble`'s: where in the branch's
+    /// children it is, or would go. Counted by table, a byte at a time:
+    /// baseline x86-64 has no population count instruction, and a walk
+    /// down the trie waits for this at every branch.
+    fn before(self, nibble: u8) -> usize {
+        const ONES: [u8; 256] = {
+            let mut ones = [0; 256];
+            let mut byte = 0;
+            while byte < 256 {
+                ones[byte] = (byte as u8).count_ones() as u8;
+                byte += 1;
+            }
+            ones
+        };
+        let [low, high] = (self.0 & ((1 << nibble) - 1)).to_le_bytes();
+        usize::from(ONES[usize::from(low)] + ONES[usize::from(high)])
+    }
+
+    /// Where in the branch's children the child at `nibble` is, if it has
+    /// one.
+    fn slot(self, nibble: u8) -> Option<usize> {
+        self.has(nibble).then(|| self.before(nibble))
+    }
+
+    fn with(self, nibble: u8) -> Mask {
+        Mask(self.0 | 1 << nibble)
+    }
+
+    fn without(self, nibble: u8) -> Mask {
+        Mask(self.0 & !(1 << nibble))
+    }
+
+    fn nibbles(self) -> impl Iterator<Item = u8> {
+        (0..16).filter(move |&nibble| self.has(nibble))
     }
 }
 
-/// The node in `slot` for an update to change where it stands: copied first
-/// if `slot` is not its only holder, and without its cached reference.
-fn unshared(slot: &mut Arc<Node>) -> &mut NodeKind {
-    let node = Arc::make_mut(slot);
-    node.reference.take();
-    &mut node.kind
+/// What is left of a key's path below its parent, and the key's value.
+#[derive(Debug)]
+struct Leaf {
+    /// See [`Node::reference`].
+    reference: OnceLock<NodeRef>,
+    /// The path, then the value: a leaf of the state trie — 63 nibbles
+    /// below the root and an `rlp(U256)` of up to 33 bytes — is held
+    /// inline.
+    body: Packed<69>,
 }
+
+/// A path that every key beneath shares, and the branch where they part.
+#[derive(Debug)]
+struct Extension {
+    /// See [`Node::reference`].
+    reference: OnceLock<NodeRef>,
+    /// Never empty.
+    path: Packed<37>,
+    /// Always a branch.
+    child: Node,
+}
+
+/// A branch sized by the children it has: built as a `BranchOf<[Node; N]>`
+/// and held as a [`Branch`], one allocation either way. Which nibbles the
+/// children are at, its parent holds ([`Node::Branch`]).
+#[derive(Debug)]
+struct BranchOf<C: ?Sized> {
+    /// See [`Node::reference`].
+    reference: OnceLock<NodeRef>,
+    /// The value of a key that ends here — no key of the state trie does —
+    /// held as the leaf of empty path that the branch collapses into when
+    /// its children go.
+    value: Option<Arc<Leaf>>,
+    /// The children, in nibble order.
+    children: C,
+}
+
+type Branch = BranchOf<[Node]>;
+
+// What a node holds beside its reference cache (40 bytes on Linux), on a
+// 64-bit host: a leaf 72 bytes, an extension 64 and a branch 8, plus 24 a
+// child. A field added to a node fails the build here.
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    let reference = size_of::<OnceLock<NodeRef>>();
+    assert!(size_of::<Node>() == 24);
+    assert!(size_of::<Leaf>() == reference + 72);
+    assert!(size_of::<Extension>() == reference + 64);
+    assert!(size_of::<BranchOf<[Node; 0]>>() == reference + 8);
+    assert!(size_of::<BranchOf<[Node; 2]>>() == reference + 8 + 2 * 24);
+};
 
 impl Node {
-    fn new(kind: NodeKind) -> Arc<Node> {
-        Arc::new(Node {
-            kind,
-            reference: OnceLock::new(),
-        })
-    }
-
-    fn leaf(path: &[u8], value: Value) -> Arc<Node> {
-        Node::new(NodeKind::Leaf {
-            path: Nibbles::concat(path, &[]),
-            value,
-        })
-    }
-
-    fn extension(path: &[u8], child: Arc<Node>) -> Arc<Node> {
-        Node::new(NodeKind::Extension {
-            path: Nibbles::concat(path, &[]),
-            child,
-        })
+    /// The node's reference as seen from its parent. Empty on a fresh node
+    /// and emptied by whatever update passes the node, so a set cache
+    /// proves the whole subtree beneath it is clean.
+    fn reference(&self) -> &OnceLock<NodeRef> {
+        match self {
+            Node::Leaf(leaf) => &leaf.reference,
+            Node::Extension(extension) => &extension.reference,
+            Node::Branch(_, branch) => &branch.reference,
+        }
     }
 
     /// Appends this node's closed RLP to `buf`. Every child's reference is
     /// set: whoever hashes a subtree hashes it from the bottom.
     fn put_rlp(&self, buf: &mut Vec<u8>) {
         fn hashed(child: &Node) -> &NodeRef {
-            let reference = child.reference.get();
+            let reference = child.reference().get();
             reference.expect("a node is encoded after the level beneath it is hashed")
         }
-        match &self.kind {
-            NodeKind::Leaf { path, value } => put_leaf(buf, path.as_slice(), value.as_slice()),
-            NodeKind::Extension { path, child } => {
-                put_extension(buf, path.as_slice(), hashed(child));
+        match self {
+            Node::Leaf(leaf) => put_leaf(buf, leaf.path(), leaf.value()),
+            Node::Extension(extension) => {
+                put_extension(buf, extension.path(), hashed(&extension.child));
             }
-            NodeKind::Branch { children, value } => put_branch(
+            Node::Branch(mask, branch) => put_branch(
                 buf,
-                children.iter().map(|child| child.as_deref().map(hashed)),
-                value.as_ref().map_or(&[], Value::as_slice),
+                branch.slots(*mask).map(|child| child.map(hashed)),
+                branch.value.as_deref().map_or(&[], Leaf::value),
             ),
         }
+    }
+}
+
+impl Leaf {
+    /// The leaf of the paths of `parts`, one after the other, and `value`.
+    fn new(parts: &[Nibbles], value: &[u8]) -> Arc<Leaf> {
+        Arc::new(Leaf {
+            reference: OnceLock::new(),
+            body: Packed::new(parts, value),
+        })
+    }
+
+    fn path(&self) -> Nibbles<'_> {
+        self.body.parts().0
+    }
+
+    fn value(&self) -> &[u8] {
+        self.body.parts().1
+    }
+}
+
+/// Whether `slot` is the only holder of its node. Nothing makes a `Weak`
+/// of a node, and another holder can only be made from this one, which
+/// the caller holds mutably: a count of one stays one.
+fn unique<T: ?Sized>(slot: &Arc<T>) -> bool {
+    Arc::strong_count(slot) == 1
+}
+
+impl Extension {
+    /// The extension of the paths of `parts`, one after the other, over
+    /// `child`.
+    fn new(parts: &[Nibbles], child: Node) -> Arc<Extension> {
+        Arc::new(Extension {
+            reference: OnceLock::new(),
+            path: Packed::new(parts, &[]),
+            child,
+        })
+    }
+
+    fn path(&self) -> Nibbles<'_> {
+        self.path.parts().0
+    }
+
+    /// The extension in `slot` for an update to change where it stands:
+    /// copied first, child shared, if `slot` is not its only holder, and
+    /// without its cached reference.
+    fn unshared(slot: &mut Arc<Extension>) -> &mut Extension {
+        if !unique(slot) {
+            *slot = Extension::new(&[slot.path()], slot.child.clone());
+        }
+        let extension = Arc::get_mut(slot).expect("a copy is its slot's alone");
+        extension.reference.take();
+        extension
+    }
+}
+
+impl Branch {
+    /// The branch of `count` children, allocated at its size.
+    fn new(
+        value: Option<Arc<Leaf>>,
+        children: impl Iterator<Item = Node>,
+        count: usize,
+    ) -> Arc<Branch> {
+        fn sized<const N: usize>(
+            value: Option<Arc<Leaf>>,
+            mut children: impl Iterator<Item = Node>,
+        ) -> Arc<Branch> {
+            let children: [Node; N] =
+                std::array::from_fn(|_| children.next().expect("as many children as the count"));
+            Arc::new(BranchOf {
+                reference: OnceLock::new(),
+                value,
+                children,
+            })
+        }
+        macro_rules! by_count {
+            ($($count:literal)*) => {
+                match count {
+                    $($count => sized::<$count>(value, children),)*
+                    _ => unreachable!("a branch has one to sixteen children"),
+                }
+            };
+        }
+        by_count!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    }
+
+    /// The node of the branch with a child at each nibble of `mask` —
+    /// `children`, in nibble order.
+    fn node(mask: Mask, value: Option<Arc<Leaf>>, children: impl Iterator<Item = Node>) -> Node {
+        Node::Branch(mask, Branch::new(value, children, mask.count()))
+    }
+
+    /// The branch of the children in `slots`, nibble by nibble.
+    fn collect(slots: [Option<Node>; 16], value: Option<Arc<Leaf>>) -> Node {
+        Branch::node(Mask::of(&slots), value, slots.into_iter().flatten())
+    }
+
+    /// The sixteen slots of this branch, whose children are at the nibbles
+    /// of `mask`.
+    fn slots(&self, mask: Mask) -> impl Iterator<Item = Option<&Node>> {
+        let mut children = self.children.iter();
+        (0..16).map(move |nibble| match mask.has(nibble) {
+            true => children.next(),
+            false => None,
+        })
+    }
+
+    /// A copy of this branch, children shared, with `child` at `nibble`,
+    /// where it has none.
+    fn with(&self, mask: Mask, nibble: u8, child: Node) -> Node {
+        let (before, after) = self.children.split_at(mask.before(nibble));
+        let children = before.iter().cloned().chain([child]);
+        let children = children.chain(after.iter().cloned());
+        Branch::node(mask.with(nibble), self.value.clone(), children)
+    }
+
+    /// A copy of this branch, children shared, without its child at
+    /// `nibble`.
+    fn without(&self, mask: Mask, nibble: u8) -> Node {
+        let at = mask.slot(nibble).expect("a child to leave out");
+        let children = self.children[..at].iter().chain(&self.children[at + 1..]);
+        Branch::node(mask.without(nibble), self.value.clone(), children.cloned())
+    }
+
+    /// The branch in `slot` for an update to change where it stands: copied
+    /// first at its size, children shared, if `slot` is not its only
+    /// holder, and without its cached reference.
+    fn unshared(slot: &mut Arc<Branch>) -> &mut Branch {
+        if !unique(slot) {
+            let children = slot.children.iter().cloned();
+            *slot = Branch::new(slot.value.clone(), children, slot.children.len());
+        }
+        let branch = Arc::get_mut(slot).expect("a copy is its slot's alone");
+        branch.reference.take();
+        branch
     }
 }
 
@@ -266,23 +600,27 @@ impl NodeRef {
     }
 }
 
-/// Appends the hex-prefix encoding of a nibble path, as an RLP string.
-fn put_hex_prefix(buf: &mut Vec<u8>, nibbles: &[u8], leaf: bool) {
+/// Appends the hex-prefix encoding of a nibble path, as an RLP string: a
+/// path that ends at the end of a byte, as a node's does, is copied as it
+/// is packed.
+fn put_hex_prefix(buf: &mut Vec<u8>, path: Nibbles, leaf: bool) {
     let start = buf.len();
     let flag: u8 = if leaf { 2 } else { 0 };
-    let even = if nibbles.len() % 2 == 1 {
-        buf.push(((flag | 1) << 4) | nibbles[0]);
-        &nibbles[1..]
+    let odd = path.len % 2;
+    let first = if odd == 1 { path.at(0) } else { 0 };
+    buf.push((flag | odd as u8) << 4 | first);
+    let even = path.skip(odd);
+    if even.start == 0 {
+        buf.extend_from_slice(&even.bytes[..even.len / 2]);
     } else {
-        buf.push(flag << 4);
-        nibbles
-    };
-    buf.extend(even.chunks_exact(2).map(|pair| (pair[0] << 4) | pair[1]));
+        let pairs = (0..even.len).step_by(2);
+        buf.extend(pairs.map(|i| even.at(i) << 4 | even.at(i + 1)));
+    }
     close_bytes(buf, start);
 }
 
 /// Appends the closed RLP of a leaf.
-fn put_leaf(buf: &mut Vec<u8>, path: &[u8], value: &[u8]) {
+fn put_leaf(buf: &mut Vec<u8>, path: Nibbles, value: &[u8]) {
     let start = buf.len();
     put_hex_prefix(buf, path, true);
     put_bytes(buf, value);
@@ -290,7 +628,7 @@ fn put_leaf(buf: &mut Vec<u8>, path: &[u8], value: &[u8]) {
 }
 
 /// Appends the closed RLP of an extension.
-fn put_extension(buf: &mut Vec<u8>, path: &[u8], child: &NodeRef) {
+fn put_extension(buf: &mut Vec<u8>, path: Nibbles, child: &NodeRef) {
     let start = buf.len();
     put_hex_prefix(buf, path, false);
     buf.extend_from_slice(child.as_slice());
@@ -403,7 +741,7 @@ impl<'a> Hasher<'a> {
     /// still resolving): both arrive at the same reference, and whose `set`
     /// comes second changes nothing.
     fn reference(&mut self, node: &'a Node) -> NodeRef {
-        if let Some(reference) = node.reference.get() {
+        if let Some(reference) = node.reference().get() {
             return *reference;
         }
         self.nodes.clear();
@@ -419,15 +757,15 @@ impl<'a> Hasher<'a> {
             let end = self.nodes.len();
             for at in start..end {
                 // A set reference proves the subtree beneath it clean.
-                let dirty = |child: &&'a Node| child.reference.get().is_none();
-                match &self.nodes[at].kind {
-                    NodeKind::Leaf { .. } => {}
-                    NodeKind::Extension { child, .. } => {
-                        self.nodes.extend(Some(&**child).filter(dirty));
+                let dirty = |child: &&'a Node| child.reference().get().is_none();
+                let node: &'a Node = self.nodes[at];
+                match node {
+                    Node::Leaf(_) => {}
+                    Node::Extension(extension) => {
+                        self.nodes.extend(Some(&extension.child).filter(dirty));
                     }
-                    NodeKind::Branch { children, .. } => {
-                        let children = children.iter().flatten().map(|child| &**child);
-                        self.nodes.extend(children.filter(dirty));
+                    Node::Branch(_, branch) => {
+                        self.nodes.extend(branch.children.iter().filter(dirty));
                     }
                 }
             }
@@ -440,23 +778,22 @@ impl<'a> Hasher<'a> {
                 self.spans.clear();
                 for node in nodes {
                     let start = self.buf.len();
-                    if node.reference.get().is_none() {
+                    if node.reference().get().is_none() {
                         node.put_rlp(&mut self.buf);
                     }
                     self.spans.push(start..self.buf.len());
                 }
                 references(&self.buf, &self.spans, |index, reference| {
-                    let _ = nodes[index].reference.set(reference);
+                    let _ = nodes[index].reference().set(reference);
                 });
             }
             end = start;
         }
-        *node.reference.get().expect("the top level was hashed last")
+        *node
+            .reference()
+            .get()
+            .expect("the top level was hashed last")
     }
-}
-
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 /// A Merkle Patricia Trie mapping byte keys to byte values.
@@ -466,7 +803,7 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// with no clone alive is updated in place.
 #[derive(Debug, Clone, Default)]
 pub struct Mpt {
-    root: Option<Arc<Node>>,
+    root: Option<Node>,
 }
 
 impl Mpt {
@@ -497,11 +834,10 @@ impl Mpt {
     /// missing key).
     pub fn insert(&mut self, key: &[u8], value: Vec<u8>) {
         assert!(!value.is_empty(), "Mpt::insert: empty value, use remove");
-        let nibbles = to_nibbles(key);
-        let value = Value::from_vec(value);
+        let path = Nibbles::of(key);
         match &mut self.root {
-            Some(root) => insert_at(root, nibbles.as_slice(), value),
-            None => self.root = Some(Node::leaf(nibbles.as_slice(), value)),
+            Some(root) => insert_at(root, path, &value),
+            None => self.root = Some(Node::Leaf(Leaf::new(&[path], &value))),
         }
     }
 
@@ -514,7 +850,7 @@ impl Mpt {
             return false;
         }
         let root = self.root.as_mut().expect("the key was found");
-        if remove_at(root, to_nibbles(key).as_slice()) {
+        if remove_at(root, Nibbles::of(key)) {
             self.root = None;
         }
         true
@@ -530,29 +866,32 @@ impl Mpt {
 
     /// Looks up the value stored at `key`, borrowing it from the trie.
     ///
-    /// Allocation-free for keys up to 32 bytes (every trie key in this
-    /// repo is a 32-byte Keccak digest): the nibble expansion lives on the
-    /// stack and the returned slice aliases the `Arc`-shared node, so an
-    /// oracle-path SLOAD compare costs zero heap traffic.
+    /// Allocation-free: the key is walked in its own bytes, two nibbles a
+    /// byte as the nodes hold their paths, and the returned slice aliases
+    /// the `Arc`-shared node, so an oracle-path SLOAD compare costs zero
+    /// heap traffic.
     pub fn get_ref(&self, key: &[u8]) -> Option<&[u8]> {
-        let nibbles = to_nibbles(key);
-        let mut node = self.root.as_deref()?;
-        let mut path = nibbles.as_slice();
+        let key = Nibbles::of(key);
+        let mut depth = 0;
+        let mut node = self.root.as_ref()?;
         loop {
-            match &node.kind {
-                NodeKind::Leaf { path: p, value } => {
-                    return (p.as_slice() == path).then(|| value.as_slice());
+            match node {
+                Node::Leaf(leaf) => {
+                    let (path, value) = leaf.body.parts();
+                    return (path == key.skip(depth)).then_some(value);
                 }
-                NodeKind::Extension { path: p, child } => {
-                    path = path.strip_prefix(p.as_slice())?;
-                    node = child;
+                Node::Extension(extension) => {
+                    let path = extension.path();
+                    key.skip(depth).strip_prefix(path)?;
+                    depth += path.len;
+                    node = &extension.child;
                 }
-                NodeKind::Branch { children, value } => {
-                    let Some((&nibble, rest)) = path.split_first() else {
-                        return value.as_ref().map(Value::as_slice);
-                    };
-                    node = children[nibble as usize].as_deref()?;
-                    path = rest;
+                Node::Branch(mask, branch) => {
+                    if depth == key.len {
+                        return branch.value.as_deref().map(Leaf::value);
+                    }
+                    node = &branch.children[mask.slot(key.at(depth))?];
+                    depth += 1;
                 }
             }
         }
@@ -560,27 +899,26 @@ impl Mpt {
 
     /// The top-level branch node (descending through a root extension),
     /// if any: the fanout that parallel hashing partitions across workers.
-    fn top_branch(&self) -> Option<&Arc<Node>> {
+    fn top_branch(&self) -> Option<&Branch> {
         let mut node = self.root.as_ref()?;
         loop {
-            match &node.kind {
-                NodeKind::Branch { .. } => return Some(node),
-                NodeKind::Extension { child, .. } => node = child,
-                NodeKind::Leaf { .. } => return None,
+            match node {
+                Node::Branch(_, branch) => return Some(branch),
+                Node::Extension(extension) => node = &extension.child,
+                Node::Leaf(_) => return None,
             }
         }
     }
 
     /// The children of the top-level branch whose references are not
     /// cached yet (the root itself when there is no branch).
-    fn dirty_top(&self) -> Vec<&Arc<Node>> {
-        let top = match self.top_branch().map(|branch| &branch.kind) {
-            Some(NodeKind::Branch { children, .. }) => children.as_slice(),
-            _ => std::slice::from_ref(&self.root),
+    fn dirty_top(&self) -> Vec<&Node> {
+        let top = match self.top_branch() {
+            Some(branch) => &branch.children,
+            None => self.root.as_slice(),
         };
         top.iter()
-            .flatten()
-            .filter(|node| node.reference.get().is_none())
+            .filter(|node| node.reference().get().is_none())
             .collect()
     }
 
@@ -599,7 +937,7 @@ impl Mpt {
     pub fn root_cached(&self) -> bool {
         self.root
             .as_ref()
-            .is_none_or(|node| node.reference.get().is_some())
+            .is_none_or(|node| node.reference().get().is_some())
     }
 
     /// Computes the root, hashing dirty top-level subtrees on up to
@@ -632,12 +970,12 @@ impl Mpt {
     /// subtrees, and up to `threads` workers (the caller is one of them)
     /// take one subtree at a time: sort its keys, keep the last of equal
     /// ones and build it from the bottom (one key → leaf; a prefix common
-    /// to the first and last → extension; else a 16-way split by nibble).
-    /// The caller then puts the subtrees under the root branch. A trie
-    /// whose keys all share their first nibble has no root branch: its one
-    /// subtree is built from the top, with an extension or a leaf for root.
-    /// Besides its nodes the call allocates the grouped keys and a value
-    /// buffer per worker.
+    /// to the first and last → extension; else a split by nibble into a
+    /// branch of as many children as there are nibbles). The caller then
+    /// puts the subtrees under the root branch. A trie whose keys all share
+    /// their first nibble has no root branch: its one subtree is built from
+    /// the top, with an extension or a leaf for root. Besides its nodes the
+    /// call allocates the grouped keys and a value buffer per worker.
     ///
     /// `value(i, out)` appends value `i` (non-empty) to `out`; it is called
     /// once per distinct key, from any of the threads.
@@ -684,7 +1022,7 @@ impl Mpt {
         }
         let subtrees = counts.iter().filter(|&&count| count > 0).count();
         let depth = usize::from(subtrees > 1);
-        let mut children: [Option<Arc<Node>>; 16] = Default::default();
+        let mut children: [Option<Node>; 16] = Default::default();
         let mut rest = items.as_mut_slice();
         let shares = Shares::new(
             counts
@@ -707,10 +1045,7 @@ impl Mpt {
             }
         });
         let root = match depth {
-            1 => Some(Node::new(NodeKind::Branch {
-                children,
-                value: None,
-            })),
+            1 => Some(Branch::collect(children, None)),
             _ => children.into_iter().flatten().next(),
         };
         Mpt { root }
@@ -732,7 +1067,7 @@ fn keep_last(items: &mut [(H256, u32)]) -> usize {
 
 /// Nibble `depth` of a 32-byte key.
 fn nibble_at(key: &H256, depth: usize) -> usize {
-    usize::from(key.0[depth / 2] >> (4 * (1 - depth % 2)) & 0x0f)
+    usize::from(Nibbles::of(key.as_bytes()).at(depth))
 }
 
 /// The node that holds `items` — sorted, distinct 32-byte keys, all sharing
@@ -744,159 +1079,172 @@ fn build_node(
     depth: usize,
     value: &impl Fn(usize, &mut Vec<u8>),
     out: &mut Vec<u8>,
-) -> Arc<Node> {
-    let first = to_nibbles(items[0].0.as_bytes());
-    let first = &first.as_slice()[depth..];
+) -> Node {
+    let first = Nibbles::of(items[0].0.as_bytes()).skip(depth);
     if let [(_, index)] = items {
         out.clear();
         value(*index as usize, out);
-        return Node::leaf(first, Value::concat(out, &[]));
+        return Node::Leaf(Leaf::new(&[first], out));
     }
-    let last = to_nibbles(items[items.len() - 1].0.as_bytes());
-    let common = common_prefix_len(first, &last.as_slice()[depth..]);
+    let last = Nibbles::of(items[items.len() - 1].0.as_bytes()).skip(depth);
+    let common = first.common_prefix_len(last);
     if common > 0 {
         let child = build_node(items, depth + common, value, out);
-        return Node::extension(&first[..common], child);
+        return Node::Extension(Extension::new(&[first.take(common)], child));
     }
-    let mut children: [Option<Arc<Node>>; 16] = Default::default();
+    let mut slots: [Option<Node>; 16] = Default::default();
     let mut rest = items;
     while let Some((key, _)) = rest.first() {
         let nibble = nibble_at(key, depth);
         let run = rest.partition_point(|(key, _)| nibble_at(key, depth) == nibble);
-        children[nibble] = Some(build_node(&rest[..run], depth + 1, value, out));
+        slots[nibble] = Some(build_node(&rest[..run], depth + 1, value, out));
         rest = &rest[run..];
     }
-    Node::new(NodeKind::Branch {
-        children,
-        value: None,
-    })
+    Branch::collect(slots, None)
 }
 
 /// Stores `value` at `path` beneath the node in `slot`.
-fn insert_at(slot: &mut Arc<Node>, path: &[u8], value: Value) {
-    let split = match unshared(slot) {
-        NodeKind::Leaf {
-            path: leaf_path,
-            value: leaf_value,
-        } => {
-            let leaf_path = leaf_path.as_slice();
+fn insert_at(slot: &mut Node, path: Nibbles, value: &[u8]) {
+    let split = match slot {
+        Node::Leaf(leaf) => {
+            let leaf_path = leaf.path();
             if leaf_path == path {
-                *leaf_value = value;
+                match Arc::get_mut(leaf) {
+                    Some(leaf) => {
+                        leaf.reference.take();
+                        leaf.body = Packed::new(&[path], value);
+                    }
+                    None => *leaf = Leaf::new(&[path], value),
+                }
                 return;
             }
-            let common = common_prefix_len(leaf_path, path);
+            let common = leaf_path.common_prefix_len(path);
             let branch = make_branch(
-                &leaf_path[common..],
-                leaf_value.clone(),
-                &path[common..],
-                value,
+                (leaf_path.skip(common), leaf.value()),
+                (path.skip(common), value),
             );
-            wrap_extension(&path[..common], branch)
+            wrap_extension(path.take(common), branch)
         }
-        NodeKind::Extension {
-            path: ext_path,
-            child,
-        } => {
-            let ext_path = ext_path.as_slice();
-            let common = common_prefix_len(ext_path, path);
-            if common == ext_path.len() {
-                return insert_at(child, &path[common..], value);
+        Node::Extension(extension) => {
+            let ext_path = extension.path();
+            let common = ext_path.common_prefix_len(path);
+            if common == ext_path.len {
+                let child = &mut Extension::unshared(extension).child;
+                return insert_at(child, path.skip(common), value);
             }
             // Split the extension at the divergence point.
-            let mut children: [Option<Arc<Node>>; 16] = Default::default();
-            children[ext_path[common] as usize] =
-                Some(wrap_extension(&ext_path[common + 1..], child.clone()));
+            let mut slots: [Option<Node>; 16] = Default::default();
+            let kept = wrap_extension(ext_path.skip(common + 1), extension.child.clone());
+            slots[usize::from(ext_path.at(common))] = Some(kept);
             let mut branch_value = None;
-            match path[common..].split_first() {
-                Some((&nibble, rest)) => children[nibble as usize] = Some(Node::leaf(rest, value)),
-                None => branch_value = Some(value),
+            match path.skip(common).split_first() {
+                Some((nibble, rest)) => {
+                    slots[usize::from(nibble)] = Some(Node::Leaf(Leaf::new(&[rest], value)));
+                }
+                None => branch_value = Some(Leaf::new(&[], value)),
             }
-            let branch = Node::new(NodeKind::Branch {
-                children,
-                value: branch_value,
-            });
-            wrap_extension(&path[..common], branch)
+            let branch = Branch::collect(slots, branch_value);
+            wrap_extension(path.take(common), branch)
         }
-        NodeKind::Branch {
-            children,
-            value: branch_value,
-        } => {
-            match path.split_first() {
-                Some((&nibble, rest)) => match &mut children[nibble as usize] {
-                    Some(child) => insert_at(child, rest, value),
-                    empty => *empty = Some(Node::leaf(rest, value)),
-                },
-                None => *branch_value = Some(value),
+        Node::Branch(mask, branch) => {
+            let Some((nibble, rest)) = path.split_first() else {
+                Branch::unshared(branch).value = Some(Leaf::new(&[], value));
+                return;
+            };
+            match mask.slot(nibble) {
+                Some(at) => {
+                    let child = &mut Branch::unshared(branch).children[at];
+                    return insert_at(child, rest, value);
+                }
+                // A new child: the branch rebuilt one wider, and not copied
+                // first even if it is shared.
+                None => branch.with(*mask, nibble, Node::Leaf(Leaf::new(&[rest], value))),
             }
-            return;
         }
     };
     *slot = split;
 }
 
-/// Builds a branch holding two divergent suffixes (at least one non-empty).
-fn make_branch(a_path: &[u8], a_value: Value, b_path: &[u8], b_value: Value) -> Arc<Node> {
-    let mut children: [Option<Arc<Node>>; 16] = Default::default();
-    let mut value = None;
+/// Builds a branch holding two divergent suffixes (at least one non-empty)
+/// and their values.
+fn make_branch(a: (Nibbles, &[u8]), b: (Nibbles, &[u8])) -> Node {
     debug_assert!(
-        !(a_path.is_empty() && b_path.is_empty()),
+        !(a.0.is_empty() && b.0.is_empty()),
         "identical paths must be handled by the caller"
     );
-    for (path, leaf_value) in [(a_path, a_value), (b_path, b_value)] {
+    let mut slots: [Option<Node>; 16] = Default::default();
+    let mut value = None;
+    for (path, leaf_value) in [a, b] {
         match path.split_first() {
-            Some((&nibble, rest)) => children[nibble as usize] = Some(Node::leaf(rest, leaf_value)),
-            None => value = Some(leaf_value),
+            Some((nibble, rest)) => {
+                slots[usize::from(nibble)] = Some(Node::Leaf(Leaf::new(&[rest], leaf_value)));
+            }
+            None => value = Some(Leaf::new(&[], leaf_value)),
         }
     }
-    Node::new(NodeKind::Branch { children, value })
+    Branch::collect(slots, value)
 }
 
-fn wrap_extension(prefix: &[u8], node: Arc<Node>) -> Arc<Node> {
+fn wrap_extension(prefix: Nibbles, node: Node) -> Node {
     if prefix.is_empty() {
         node
     } else {
-        Node::extension(prefix, node)
+        Node::Extension(Extension::new(&[prefix], node))
     }
 }
 
 /// Removes `path`, which is present, from beneath the node in `slot`.
 /// Returns `true` if the node was the key's own leaf: the caller unlinks it.
-fn remove_at(slot: &mut Arc<Node>, path: &[u8]) -> bool {
-    let merged = match unshared(slot) {
-        NodeKind::Leaf { .. } => return true,
-        NodeKind::Extension {
-            path: ext_path,
-            child,
-        } => {
+fn remove_at(slot: &mut Node, path: Nibbles) -> bool {
+    let merged = match slot {
+        Node::Leaf(_) => return true,
+        Node::Extension(extension) => {
             // The child is a branch, which a removal never empties: it
             // stays, or has collapsed into a node this extension absorbs.
-            let emptied = remove_at(child, &path[ext_path.as_slice().len()..]);
+            let extension = Extension::unshared(extension);
+            let rest = path.skip(extension.path().len);
+            let emptied = remove_at(&mut extension.child, rest);
             debug_assert!(!emptied, "an extension's child is a branch");
-            if matches!(child.kind, NodeKind::Branch { .. }) {
+            if matches!(extension.child, Node::Branch(..)) {
                 return false;
             }
-            merge_extension(ext_path.as_slice(), child)
+            merge_extension(extension.path(), &extension.child)
         }
-        NodeKind::Branch { children, value } => {
-            match path.split_first() {
-                Some((&nibble, rest)) => {
-                    let child = &mut children[nibble as usize];
-                    if remove_at(child.as_mut().expect("the key was found"), rest) {
-                        *child = None;
+        Node::Branch(mask, branch) => {
+            let mask = *mask;
+            // The nibble whose child goes with the key, if the key's leaf
+            // hangs right here; `None` if the key ends here.
+            let gone = match path.split_first() {
+                Some((nibble, rest)) => {
+                    let at = mask.slot(nibble).expect("the key was found");
+                    if !matches!(branch.children[at], Node::Leaf(_)) {
+                        let child = &mut Branch::unshared(branch).children[at];
+                        let emptied = remove_at(child, rest);
+                        debug_assert!(!emptied, "a leaf on the key's path is the key's");
+                        return false;
                     }
+                    Some(nibble)
                 }
-                None => *value = None,
-            }
+                None => None,
+            };
             // Canonical form: a branch left with one child and no value
             // collapses into that child, one with only a value into a leaf.
-            let mut populated = (0..16).filter(|&i| children[i].is_some());
-            match (populated.next(), populated.next(), value.as_ref()) {
-                (None, _, Some(value)) => Node::leaf(&[], value.clone()),
+            let value = gone.and(branch.value.as_ref());
+            let mut left = mask.nibbles().filter(|&nibble| Some(nibble) != gone);
+            match (left.next(), left.next(), value) {
+                (None, _, Some(value)) => Node::Leaf(value.clone()),
                 (Some(nibble), None, None) => {
-                    let child = children[nibble].as_ref().expect("populated index");
-                    merge_extension(&[nibble as u8], child)
+                    let child = &branch.children[mask.before(nibble)];
+                    merge_extension(Nibbles::of(&[nibble]).skip(1), child)
                 }
-                _ => return false,
+                _ => match gone {
+                    // The branch rebuilt one narrower, and not copied first.
+                    Some(nibble) => branch.without(mask, nibble),
+                    None => {
+                        Branch::unshared(branch).value = None;
+                        return false;
+                    }
+                },
             }
         }
     };
@@ -907,49 +1255,46 @@ fn remove_at(slot: &mut Arc<Node>, path: &[u8]) -> bool {
 /// `child` with `prefix` put before its path: chained extensions and leaves
 /// merge, so the canonical-form invariants (no extension-of-extension, no
 /// extension-of-leaf) hold after a removal.
-fn merge_extension(prefix: &[u8], child: &Arc<Node>) -> Arc<Node> {
-    match &child.kind {
-        NodeKind::Leaf { path, value } => Node::new(NodeKind::Leaf {
-            path: Nibbles::concat(prefix, path.as_slice()),
-            value: value.clone(),
-        }),
-        NodeKind::Extension { path, child } => Node::new(NodeKind::Extension {
-            path: Nibbles::concat(prefix, path.as_slice()),
-            child: child.clone(),
-        }),
-        NodeKind::Branch { .. } => Node::extension(prefix, child.clone()),
+fn merge_extension(prefix: Nibbles, child: &Node) -> Node {
+    match child {
+        Node::Leaf(leaf) => Node::Leaf(Leaf::new(&[prefix, leaf.path()], leaf.value())),
+        Node::Extension(extension) => {
+            let parts = [prefix, extension.path()];
+            Node::Extension(Extension::new(&parts, extension.child.clone()))
+        }
+        Node::Branch(..) => Node::Extension(Extension::new(&[prefix], child.clone())),
     }
 }
 
 /// Appends to `buf` the closed RLP of the node that holds `items` — `(key,
-/// what hangs under it)` with the key a range into `nibbles`; sorted, at
-/// least one, all sharing their first `depth` nibbles, no key a prefix of
-/// another — as the trie built by inserting them would have it, and returns
-/// `None`: the node's parent, which sees all its children at once, takes
-/// their references together. `under(what, path, buf)` does the same for the
-/// node a key that has the node to itself ends in, `path` being what is left
-/// of the key from that node on — or, where what hangs there is a subtree
-/// hashed already, appends nothing and returns its reference.
+/// what hangs under it)` with the key a range of the packed `keys`; sorted,
+/// at least one, all sharing their first `depth` nibbles, no key a prefix
+/// of another — as the trie built by inserting them would have it, and
+/// returns `None`: the node's parent, which sees all its children at once,
+/// takes their references together. `under(what, path, buf)` does the same
+/// for the node a key that has the node to itself ends in, `path` being what
+/// is left of the key from that node on — or, where what hangs there is a
+/// subtree hashed already, appends nothing and returns its reference.
 fn list_node<T>(
-    nibbles: &[u8],
+    keys: &[u8],
     items: &[(Range<usize>, T)],
     depth: usize,
     buf: &mut Vec<u8>,
-    under: &impl Fn(&T, &[u8], &mut Vec<u8>) -> Option<NodeRef>,
+    under: &impl Fn(&T, Nibbles, &mut Vec<u8>) -> Option<NodeRef>,
 ) -> Option<NodeRef> {
-    let key = |item: &(Range<usize>, T)| &nibbles[item.0.clone()];
-    let first = &key(&items[0])[depth..];
+    let key = |item: &(Range<usize>, T)| Nibbles::of(&keys[item.0.clone()]);
+    let first = key(&items[0]).skip(depth);
     if let [only] = items {
         return under(&only.1, first, buf);
     }
-    let last = &key(&items[items.len() - 1])[depth..];
+    let last = key(&items[items.len() - 1]).skip(depth);
     let start = buf.len();
-    let common = common_prefix_len(first, last);
+    let common = first.common_prefix_len(last);
     if common > 0 {
-        let child = list_node(nibbles, items, depth + common, buf, under)
+        let child = list_node(keys, items, depth + common, buf, under)
             .unwrap_or_else(|| NodeRef::of(&buf[start..]));
         buf.truncate(start);
-        put_extension(buf, &first[..common], &child);
+        put_extension(buf, first.take(common), &child);
         return None;
     }
     // No key ends here, so the branch holds no value and every item has a
@@ -961,13 +1306,13 @@ fn list_node<T>(
     for (nibble, (child, span)) in children.iter_mut().zip(&mut spans).enumerate() {
         let run = rest
             .iter()
-            .take_while(|item| usize::from(key(item)[depth]) == nibble)
+            .take_while(|item| usize::from(key(item).at(depth)) == nibble)
             .count();
         let (head, tail) = rest.split_at(run);
         rest = tail;
         if run > 0 {
             let child_start = buf.len();
-            *child = list_node(nibbles, head, depth + 1, buf, under);
+            *child = list_node(keys, head, depth + 1, buf, under);
             *span = child_start..buf.len();
         }
     }
@@ -1009,12 +1354,9 @@ impl IndexKeys {
         first..first + run.len()
     }
 
-    /// Appends the nibbles of the `position`-th smallest key. `rlp` is
-    /// scratch.
-    fn put_key(self, position: usize, rlp: &mut Vec<u8>, nibbles: &mut Vec<u8>) {
-        rlp.clear();
-        put_uint(rlp, self.index_at(position) as u64);
-        nibbles.extend(rlp.iter().flat_map(|&b| [b >> 4, b & 0x0f]));
+    /// Appends the `position`-th smallest key.
+    fn put_key(self, position: usize, keys: &mut Vec<u8>) {
+        put_uint(keys, self.index_at(position) as u64);
     }
 
     /// The positions cut into runs that are each everything beneath one node
@@ -1045,24 +1387,24 @@ impl IndexKeys {
 
     /// The depth at which the node holding exactly the keys at `run` (one
     /// of [`IndexKeys::runs`]) hangs: one below the branch that tells it
-    /// from its nearest neighbour in key order, 0 if it has none.
-    fn depth_of(self, run: &Range<usize>, rlp: &mut Vec<u8>, nibbles: &mut Vec<u8>) -> usize {
+    /// from its nearest neighbour in key order, 0 if it has none. `keys` is
+    /// scratch.
+    fn depth_of(self, run: &Range<usize>, keys: &mut Vec<u8>) -> usize {
         [run.start, run.end]
             .into_iter()
             .filter(|&edge| 0 < edge && edge < self.count)
             .map(|edge| {
-                nibbles.clear();
-                self.put_key(edge - 1, rlp, nibbles);
-                let split = nibbles.len();
-                self.put_key(edge, rlp, nibbles);
-                let (before, after) = nibbles.split_at(split);
-                1 + common_prefix_len(before, after)
+                keys.clear();
+                self.put_key(edge - 1, keys);
+                let split = keys.len();
+                self.put_key(edge, keys);
+                let (before, after) = keys.split_at(split);
+                1 + Nibbles::of(before).common_prefix_len(Nibbles::of(after))
             })
             .max()
             .unwrap_or(0)
     }
 }
-
 /// The root of the trie mapping `rlp(i) → value i` for `i` in `0..count` —
 /// Ethereum's transactions-root / receipts-root layout — computed without
 /// building the trie, on [`default_hash_threads`] threads.
@@ -1192,49 +1534,49 @@ fn index_root_on(
     let mut references = vec![None; runs.len()];
     let shares = Shares::new(runs.iter().zip(&mut references));
     on_workers(workers.min(runs.len()), || {
-        let (mut rlp, mut nibbles) = (Vec::with_capacity(9), Vec::new());
+        let mut key_bytes = Vec::new();
         let (mut values, mut ends, mut items) = (Vec::new(), Vec::new(), Vec::new());
         let mut buf = Vec::new();
         while let Some((run, reference)) = shares.next() {
-            let depth = keys.depth_of(run, &mut rlp, &mut nibbles);
-            nibbles.clear();
+            let depth = keys.depth_of(run, &mut key_bytes);
+            key_bytes.clear();
             values.clear();
             ends.clear();
             items.clear();
             values_of(keys.indexes(run), &mut values, &mut ends);
             let mut value_start = 0;
             for (position, &value_end) in run.clone().zip(&ends) {
-                let key_start = nibbles.len();
-                keys.put_key(position, &mut rlp, &mut nibbles);
-                items.push((key_start..nibbles.len(), value_start..value_end));
+                let key_start = key_bytes.len();
+                keys.put_key(position, &mut key_bytes);
+                items.push((key_start..key_bytes.len(), value_start..value_end));
                 value_start = value_end;
             }
-            let leaf = |value: &Range<usize>, path: &[u8], buf: &mut Vec<u8>| {
+            let leaf = |value: &Range<usize>, path: Nibbles, buf: &mut Vec<u8>| {
                 put_leaf(buf, path, &values[value.clone()]);
                 None
             };
             buf.clear();
             // A run's top node is all there is left to hash of it.
-            *reference = list_node(&nibbles, &items, depth, &mut buf, &leaf)
+            *reference = list_node(&key_bytes, &items, depth, &mut buf, &leaf)
                 .or_else(|| Some(NodeRef::of(&buf)));
         }
     });
     // The nodes above the runs: each run stands as one key (its first) with
     // its subtree's reference under it.
-    let (mut rlp, mut nibbles) = (Vec::with_capacity(9), Vec::with_capacity(runs.len() * 8));
+    let mut key_bytes = Vec::with_capacity(runs.len() * 4);
     let items: Vec<(Range<usize>, NodeRef)> = runs
         .iter()
         .zip(references)
         .map(|(run, reference)| {
-            let key_start = nibbles.len();
-            keys.put_key(run.start, &mut rlp, &mut nibbles);
+            let key_start = key_bytes.len();
+            keys.put_key(run.start, &mut key_bytes);
             let reference = reference.expect("every run was taken");
-            (key_start..nibbles.len(), reference)
+            (key_start..key_bytes.len(), reference)
         })
         .collect();
-    let subtree = |reference: &NodeRef, _: &[u8], _: &mut Vec<u8>| Some(*reference);
+    let subtree = |reference: &NodeRef, _: Nibbles, _: &mut Vec<u8>| Some(*reference);
     let mut buf = Vec::new();
-    match list_node(&nibbles, &items, 0, &mut buf, &subtree) {
+    match list_node(&key_bytes, &items, 0, &mut buf, &subtree) {
         Some(only_run) => only_run.hash(),
         None => keccak256(&buf),
     }
@@ -1479,18 +1821,18 @@ mod tests {
             for (run, next) in runs.iter().zip(runs.iter().skip(1)) {
                 assert!(!run.is_empty() && run.end == next.start, "count {count}");
             }
-            let (mut rlp, mut nibbles) = (Vec::new(), Vec::new());
+            let mut key_bytes = Vec::new();
             for run in &runs {
                 // Inside a run the keys share more nibbles than the run
                 // shares with either neighbour: it is a node's whole subtree.
-                let depth = keys.depth_of(run, &mut rlp, &mut nibbles);
-                nibbles.clear();
-                keys.put_key(run.start, &mut rlp, &mut nibbles);
-                let split = nibbles.len();
-                keys.put_key(run.end - 1, &mut rlp, &mut nibbles);
-                let (first, last) = nibbles.split_at(split);
+                let depth = keys.depth_of(run, &mut key_bytes);
+                key_bytes.clear();
+                keys.put_key(run.start, &mut key_bytes);
+                let split = key_bytes.len();
+                keys.put_key(run.end - 1, &mut key_bytes);
+                let (first, last) = key_bytes.split_at(split);
                 assert!(
-                    common_prefix_len(first, last) >= depth,
+                    Nibbles::of(first).common_prefix_len(Nibbles::of(last)) >= depth,
                     "count {count}, run {run:?}"
                 );
                 // And its indexes are consecutive, in key order.

@@ -241,6 +241,17 @@ fn a_trie_node_is_one_allocation() {
     // over the shared 61 nibbles, a branch, two leaves — under the top
     // branch, which stays.
     assert_eq!(insert(key(0x11, 0x20), 20), 4);
+    // A key under an empty slot of the top branch: its leaf, and the branch
+    // rebuilt one child wider.
+    assert_eq!(insert(key(0x31, 0), 33), 2);
+    // With a clone alive, removing one of the top branch's three keys
+    // rebuilds it one child narrower, without copying it first, and
+    // allocates nothing else.
+    let version = trie.clone();
+    assert_eq!(allocations(|| trie.remove(&key(0x31, 0))), (1, true));
+    assert_eq!(trie.get_ref(&key(0x31, 0)), None);
+    assert_eq!(version.get_ref(&key(0x31, 0)), Some([0xab; 33].as_slice()));
+    assert_eq!(trie.get_ref(&key(0x11, 0x20)), Some([0xab; 20].as_slice()));
 
     // At scale: replacing a value in a 50 000-key trie that nothing else
     // holds allocates nothing.
@@ -258,6 +269,12 @@ fn a_trie_node_is_one_allocation() {
         allocations(insert_all).0
     };
     assert_eq!(replace_2000(&mut trie, 8), 0);
+    // Reading walks the key in its own bytes and borrows the value.
+    let found = || {
+        let keys = (0..50_000u32).step_by(25).map(state_key);
+        keys.filter(|key| trie.get_ref(key).is_some()).count()
+    };
+    assert_eq!(allocations(found), (0, 2_000));
     // With a clone alive, removing an absent key still copies nothing, and
     // a round of replacements copies each node on a touched path once —
     // every leaf, and the branches above them, which the keys share — and
@@ -546,10 +563,12 @@ fn the_memory_database_keeps_each_key_within_its_byte_budget() {
     ];
     // Measured (bytes a key, at genesis / after the blocks): the backend
     // 215.1 / 211.4 — a slot and its map's share of empty ones; then also
-    // the replaced versions in each shard's log — and the trie 315.6 /
-    // 287.8. The counts are exact, the same on every host and thread count;
-    // the slack is 5 %. A cache over the backend (some 170 bytes a key), an
-    // allocation per key or a trie node grown by 16 bytes breaks it.
+    // the replaced versions in each shard's log — and the trie 184.0 /
+    // 168.3: a 128-byte leaf a key, and branches of 64 bytes and 24 a
+    // child. The counts are exact, the same on every host and thread count;
+    // the slack is 5 %. A cache over the backend (some 170 bytes a
+    // key), an allocation per key or every trie node grown by 8 bytes
+    // breaks it.
     let budget = |measured: f64| measured * 1.05;
     for (at, (backend, trie)) in ["genesis", "the blocks"]
         .iter()
@@ -562,7 +581,7 @@ fn the_memory_database_keeps_each_key_within_its_byte_budget() {
         "the backend holds {backend_at:?} bytes a key"
     );
     assert!(
-        trie_at[0] <= budget(315.6) && trie_at[1] <= budget(287.8),
+        trie_at[0] <= budget(184.0) && trie_at[1] <= budget(168.3),
         "the trie holds {trie_at:?} bytes a key"
     );
     assert_eq!(

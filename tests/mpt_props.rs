@@ -1,8 +1,9 @@
 //! Property tests for the Merkle Patricia Trie: model equivalence against
 //! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), history
 //! independence of the root, clones that keep their version while the trie
-//! they came from is updated in place, two hashers meeting on the dirty
-//! nodes they share, and `index_root` against the trie it stands in for.
+//! they came from is updated in place, branches that fill to sixteen
+//! children and collapse again, two hashers meeting on the dirty nodes they
+//! share, and `index_root` against the trie it stands in for.
 
 use std::collections::BTreeMap;
 
@@ -278,7 +279,126 @@ fn version_op_strategy() -> impl Strategy<Value = VersionOp> {
     ]
 }
 
+/// Four families of sixteen 32-byte keys: family `f` is a digest with its
+/// nibble `WIDE_DEPTHS[f]` set to each of the sixteen values, so that the
+/// family fills a branch at that depth — the root's, and deeper ones at even
+/// and odd depths.
+const WIDE_DEPTHS: [usize; 4] = [0, 1, 4, 7];
+
+fn wide_key(family: usize, nibble: u8) -> Vec<u8> {
+    let mut key = keccak256(&[family as u8]).0;
+    let (byte, shift) = (WIDE_DEPTHS[family] / 2, 4 * (1 - WIDE_DEPTHS[family] % 2));
+    key[byte] = key[byte] & !(0x0f << shift) | nibble << shift;
+    key.to_vec()
+}
+
+/// A key of the wide pool, or a short key from a small alphabet: short keys
+/// are prefixes of each other, so that some end at a branch and hold its
+/// value.
+fn wide_key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        3 => (0usize..4, 0u8..16).prop_map(|(family, nibble)| wide_key(family, nibble)),
+        1 => prop::collection::vec(prop::sample::select(vec![0x00u8, 0x01, 0x10, 0xab]), 0..4),
+    ]
+}
+
+/// The updates of [`wide_fanout_shapes_hash_and_read_as_a_fresh_trie`]:
+/// single keys, and whole families filled (a branch of sixteen) or drained
+/// down to one key (a full branch collapsing into its last child), between
+/// roots and forks taken and dropped.
+#[derive(Debug, Clone)]
+enum WideOp {
+    Insert(Vec<u8>, Vec<u8>),
+    Remove(Vec<u8>),
+    Fill(usize, u8),
+    Drain(usize, u8),
+    Root { parallel: bool },
+    Fork,
+    DropFork(usize),
+}
+
+fn wide_op_strategy() -> impl Strategy<Value = WideOp> {
+    let value = prop::collection::vec(any::<u8>(), 1..40);
+    prop_oneof![
+        4 => (wide_key_strategy(), value).prop_map(|(k, v)| WideOp::Insert(k, v)),
+        3 => wide_key_strategy().prop_map(WideOp::Remove),
+        1 => (0usize..4, 1u8..40).prop_map(|(family, len)| WideOp::Fill(family, len)),
+        1 => (0usize..4, 0u8..16).prop_map(|(family, keep)| WideOp::Drain(family, keep)),
+        2 => any::<bool>().prop_map(|parallel| WideOp::Root { parallel }),
+        1 => Just(WideOp::Fork),
+        1 => any::<usize>().prop_map(WideOp::DropFork),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn wide_fanout_shapes_hash_and_read_as_a_fresh_trie(
+        ops in prop::collection::vec(wide_op_strategy(), 0..120),
+    ) {
+        let mut trie = Mpt::new();
+        let mut model = Model::new();
+        let mut forks: Vec<(Mpt, H256, Model)> = Vec::new();
+        for op in &ops {
+            match op {
+                WideOp::Insert(k, v) => {
+                    trie.insert(k, v.clone());
+                    model.insert(k.clone(), v.clone());
+                }
+                WideOp::Remove(k) => {
+                    prop_assert_eq!(trie.remove(k), model.remove(k).is_some());
+                }
+                WideOp::Fill(family, len) => {
+                    for nibble in 0..16 {
+                        let value = vec![nibble ^ len; usize::from(*len)];
+                        trie.insert(&wide_key(*family, nibble), value.clone());
+                        model.insert(wide_key(*family, nibble), value);
+                    }
+                }
+                WideOp::Drain(family, keep) => {
+                    for nibble in (0..16).filter(|nibble| nibble != keep) {
+                        let key = wide_key(*family, nibble);
+                        prop_assert_eq!(trie.remove(&key), model.remove(&key).is_some());
+                    }
+                }
+                WideOp::Root { parallel } => {
+                    let root = if *parallel { trie.root_parallel(2) } else { trie.root() };
+                    prop_assert_eq!(root, rebuilt_root(&model));
+                }
+                WideOp::Fork => forks.push((trie.clone(), rebuilt_root(&model), model.clone())),
+                WideOp::DropFork(i) if !forks.is_empty() => {
+                    forks.swap_remove(i % forks.len());
+                }
+                WideOp::DropFork(_) => {}
+            }
+        }
+        prop_assert_eq!(trie.root_parallel(2), rebuilt_root(&model));
+        prop_assert_eq!(trie.root(), rebuilt_root(&model));
+        for (k, v) in &model {
+            prop_assert_eq!(trie.get_ref(k), Some(v.as_slice()));
+        }
+        for family in 0..4 {
+            for nibble in 0..16 {
+                let key = wide_key(family, nibble);
+                prop_assert_eq!(trie.get_ref(&key), model.get(&key).map(Vec::as_slice));
+            }
+        }
+        for (fork, root, entries) in &forks {
+            prop_assert_eq!(fork.root(), *root);
+            for (k, v) in entries {
+                prop_assert_eq!(fork.get_ref(k), Some(v.as_slice()));
+            }
+        }
+        // The 32-byte keys built bottom up are the same trie as inserted.
+        let wide: Vec<(H256, &Vec<u8>)> = model
+            .iter()
+            .filter_map(|(k, v)| Some((H256(k.as_slice().try_into().ok()?), v)))
+            .collect();
+        let keys: Vec<H256> = wide.iter().map(|(k, _)| *k).collect();
+        let built = Mpt::from_keys(&keys, 2, |i, out| out.extend_from_slice(wide[i].1));
+        let inserted: Model = wide.iter().map(|(k, v)| (k.0.to_vec(), (*v).clone())).collect();
+        prop_assert_eq!(built.root(), rebuilt_root(&inserted));
+    }
+
     #[test]
     fn clones_keep_their_version_and_no_cache_goes_stale(
         ops in prop::collection::vec(version_op_strategy(), 0..160),
