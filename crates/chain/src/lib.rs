@@ -58,7 +58,8 @@ use std::sync::Arc;
 /// same roots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// In-memory versioned map (the default).
+    /// In-memory versioned map (the default): the store
+    /// [`StateDb::with_genesis`] and `Snapshot::from_entries` build too.
     #[default]
     Mem,
     /// Log-structured on-disk store (append-only segments + compaction).
@@ -480,7 +481,7 @@ pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
         aborts,
         diverged_at: first_divergence(differs_from_oracle, &genesis, &chain),
         final_root: db.current_root(),
-        backend: db.backend_name().unwrap_or("none"),
+        backend: db.backend_name(),
         chain,
     }
 }

@@ -118,15 +118,19 @@ impl Profile {
     }
 }
 
-/// Which persistent state backend the campaign cross-checks against the
-/// plain snapshot-stack [`StateDb`] (the root oracle).
+/// Which state backend the campaign replays each case's serial history
+/// through, committing asynchronously. The root oracle is a
+/// [`StateDb::with_genesis`] database over its own in-memory backend,
+/// committed synchronously; reads are checked against the serial trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendUnderTest {
-    /// No backend axis (the default): only the executors are fuzzed.
+    /// No backend axis (the default, spelled `plain`): only the executors
+    /// are fuzzed.
     #[default]
     None,
     /// In-memory versioned backend, as `BackendKind::Mem` builds it: no
-    /// cache over it.
+    /// cache over it. The store is the oracle's, so this axis checks the
+    /// asynchronous root path against the synchronous one.
     Mem,
     /// Log-structured on-disk store with tiny thresholds, so every case
     /// crosses segment flushes and compactions, behind the flat-state cache
@@ -445,10 +449,11 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     }
 
     // State-backend differential: replay the case's serial history through
-    // a backend-backed StateDb (async root commits and — for the LSM —
-    // flat-state reads, segment flushes and compactions at tiny
-    // thresholds) and compare every per-height root and final read against
-    // the plain snapshot-stack StateDb.
+    // a StateDb over the backend under test (async root commits and — for
+    // the LSM — flat-state reads, segment flushes and compactions at tiny
+    // thresholds), compare every per-height root against a synchronously
+    // committed `with_genesis` database, and every final read against the
+    // serial trace.
     if config.backend != BackendUnderTest::None {
         let entries = generator.genesis_entries();
         let backend: Arc<dyn StateBackend> = match config.backend {
@@ -457,13 +462,13 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
                 LsmOptions::tiny(),
             )))),
         };
-        let mut plain = StateDb::with_genesis(entries.clone());
+        let mut oracle = StateDb::with_genesis(entries.clone());
         let mut backed = StateDb::with_backend(backend, entries);
         let mut details = Vec::new();
-        if backed.current_root() != plain.current_root() {
+        if backed.current_root() != oracle.current_root() {
             details.push(format!(
-                "genesis root: plain={} backend={}",
-                plain.current_root(),
+                "genesis root: oracle={} backend={}",
+                oracle.current_root(),
                 backed.current_root()
             ));
         }
@@ -473,11 +478,11 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
             .collect();
         for (i, writes) in history.iter().enumerate() {
             let height = 1 + i as u64;
-            let expected = plain.commit(writes);
+            let expected = oracle.commit(writes);
             let got = backed.commit_async(writes).wait();
             if got != expected {
                 details.push(format!(
-                    "root at height {height}: plain={expected} backend={got}"
+                    "root at height {height}: oracle={expected} backend={got}"
                 ));
             }
             if backed.root_at(height) != Some(expected) {

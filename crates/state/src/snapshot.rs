@@ -6,31 +6,34 @@
 //! A [`Snapshot`] is therefore immutable and cheap to share across the many
 //! concurrent EVM instances of a block execution.
 //!
+//! A snapshot is a [`StateBackend`] read at a pinned height, `as_of`, plus
+//! the write layers of the blocks applied on top of it since.
 //! [`Snapshot::apply`] is copy-on-write: instead of cloning the full state
-//! map per block (O(state) work and memory for a block that wrote a handful
-//! of keys), the new snapshot layers the block's writes as an overlay over
-//! the `Arc`-shared parent state. Reads scan overlays newest → oldest and
-//! fall through to the base; a zero value in an overlay is a tombstone
+//! per block (O(state) work and memory for a block that wrote a handful of
+//! keys), the new snapshot layers the block's writes as an overlay over the
+//! `Arc`-shared parent layers. Reads scan overlays newest → oldest and fall
+//! through to the backend; a zero value in an overlay is a tombstone
 //! (EVM storage-clearing), indistinguishable from absence as required.
-//! After [`MAX_OVERLAYS`] layers the chain is flattened into a fresh base
-//! so read cost stays O(1) amortized rather than growing with chain length.
+//! Past [`MAX_OVERLAYS`] layers the overlays collapse into one, zeros kept
+//! as tombstones over the backend, so read cost stays bounded rather than
+//! growing with chain length.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dmvcc_primitives::U256;
 
-use crate::backend::StateBackend;
+use crate::backend::{MemBackend, StateBackend};
 use crate::StateKey;
 
 /// The set of final writes a block execution produces, keyed
 /// deterministically so that applying it is order-independent.
 pub type WriteSet = BTreeMap<StateKey, U256>;
 
-/// Overlay depth at which [`Snapshot::apply`] flattens the layer chain back
-/// into a single base map. Small enough that a read never scans more than a
-/// handful of maps, large enough that flattening cost is amortized over
-/// many cheap block applications.
+/// Overlay depth past which [`Snapshot::apply`] collapses the overlays into
+/// one layer. Small enough that a read never scans more than a handful of
+/// maps, large enough that collapsing is amortized over many cheap block
+/// applications.
 const MAX_OVERLAYS: usize = 8;
 
 /// An immutable point-in-time view of all state items.
@@ -50,68 +53,60 @@ const MAX_OVERLAYS: usize = 8;
 /// assert_eq!(genesis.get(&key), U256::from(100u64));
 /// assert_eq!(genesis.get(&StateKey::balance(Address::from_u64(2))), U256::ZERO);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    /// The flattened bottom layer. Never contains zero values unless a
-    /// cold backend sits beneath, in which case zeros are tombstones
-    /// shadowing backend versions.
-    base: Arc<HashMap<StateKey, U256>>,
-    /// Write layers, oldest → newest. Zero values are tombstones.
-    overlays: Vec<Arc<HashMap<StateKey, U256>>>,
-    height: u64,
-    /// Persistent backend beneath the in-memory layers, pinned to the
-    /// version the snapshot was taken at.
-    cold: Option<ColdBase>,
-}
-
-/// A [`StateBackend`] read through at a fixed height.
-///
-/// Pinning `as_of` is what keeps snapshots immutable over a *shared*
-/// mutable backend: newer batches land in the backend, but this snapshot
-/// keeps resolving every fallthrough read at its own height.
 #[derive(Debug, Clone)]
-struct ColdBase {
+pub struct Snapshot {
+    /// The store beneath the overlays, read at height `as_of`. Pinning
+    /// `as_of` is what keeps a snapshot immutable over a *shared* backend:
+    /// newer batches land in it, but this snapshot keeps resolving every
+    /// fallthrough read at its own height.
     backend: Arc<dyn StateBackend>,
     as_of: u64,
+    /// Write layers of the blocks applied above `as_of`, oldest → newest.
+    /// Zero values are tombstones.
+    overlays: Vec<Arc<HashMap<StateKey, U256>>>,
+    height: u64,
+}
+
+impl Default for Snapshot {
+    fn default() -> Self {
+        Snapshot::empty()
+    }
 }
 
 impl Snapshot {
     /// Creates the empty snapshot at height zero (pre-genesis).
     pub fn empty() -> Self {
-        Snapshot::default()
+        Snapshot::from_entries([])
     }
 
-    /// Builds a snapshot from initial entries (genesis allocation).
+    /// Builds a snapshot from initial entries (genesis allocation): a fresh
+    /// [`MemBackend`] that holds them as its height-0 batch.
     ///
-    /// Zero values are dropped: they are indistinguishable from absence.
+    /// Zero values are dropped: they are indistinguishable from absence. Of
+    /// equal keys the last wins.
     pub fn from_entries<I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (StateKey, U256)>,
     {
-        let map: HashMap<StateKey, U256> =
+        let run: Vec<(StateKey, U256)> =
             entries.into_iter().filter(|(_, v)| !v.is_zero()).collect();
-        Snapshot {
-            base: Arc::new(map),
-            overlays: Vec::new(),
-            height: 0,
-            cold: None,
-        }
+        let backend = MemBackend::new();
+        backend.load_genesis(&run);
+        Snapshot::from_backend(Arc::new(backend), 0)
     }
 
-    /// Builds a snapshot whose bottom layer is a persistent backend read
-    /// at height `as_of`.
+    /// Builds a snapshot that reads `backend` at height `as_of`.
     ///
-    /// The in-memory layers start empty: reads fall through to
+    /// The overlays start empty: reads fall through to
     /// `backend.get(key, as_of)`, and [`Snapshot::apply`] layers block
-    /// writes above the backend exactly as it does above an in-memory
-    /// base. The snapshot stays immutable even as newer batches land in
-    /// the shared backend, because `as_of` is pinned.
+    /// writes above it. The snapshot stays immutable even as newer batches
+    /// land in the shared backend, because `as_of` is pinned.
     pub fn from_backend(backend: Arc<dyn StateBackend>, as_of: u64) -> Self {
         Snapshot {
-            base: Arc::new(HashMap::new()),
+            backend,
+            as_of,
             overlays: Vec::new(),
             height: as_of,
-            cold: Some(ColdBase { backend, as_of }),
         }
     }
 
@@ -122,13 +117,7 @@ impl Snapshot {
                 return value; // a stored zero is a tombstone — reads as zero
             }
         }
-        if let Some(&value) = self.base.get(key) {
-            return value; // with a cold base, a stored zero is a tombstone
-        }
-        match &self.cold {
-            Some(cold) => cold.backend.get(key, cold.as_of).unwrap_or(U256::ZERO),
-            None => U256::ZERO,
-        }
+        self.backend.get(key, self.as_of).unwrap_or(U256::ZERO)
     }
 
     /// Returns `true` if the key holds a nonzero value.
@@ -155,7 +144,7 @@ impl Snapshot {
         self.height
     }
 
-    /// Number of copy-on-write layers above the base (0 when flat).
+    /// Number of copy-on-write layers above the backend.
     pub fn overlay_depth(&self) -> usize {
         self.overlays.len()
     }
@@ -165,37 +154,36 @@ impl Snapshot {
     /// Copy-on-write: the parent's layers are shared via `Arc`, and the
     /// writes become a new top overlay (zeros recorded as tombstones,
     /// matching EVM storage-clearing semantics and the trie commitment in
-    /// [`crate::StateDb`]). Once the chain reaches `MAX_OVERLAYS` layers
-    /// it is flattened into a fresh base.
+    /// [`crate::StateDb`]). Past `MAX_OVERLAYS` layers the overlays
+    /// collapse into one; the backend stays beneath, untouched, so this
+    /// never materializes the backend's state in RAM.
     pub fn apply(&self, writes: &WriteSet) -> Snapshot {
-        let mut next = Snapshot {
-            base: Arc::clone(&self.base),
-            overlays: self.overlays.clone(),
-            height: self.height + 1,
-            cold: self.cold.clone(),
-        };
-        let layer: HashMap<StateKey, U256> = writes.iter().map(|(k, v)| (*k, *v)).collect();
-        next.overlays.push(Arc::new(layer));
-        if next.overlays.len() > MAX_OVERLAYS {
-            // Flatten only the in-memory layers; the cold backend (if
-            // any) stays beneath, untouched, so flattening never
-            // materializes the full persistent state into RAM.
-            next.base = Arc::new(next.flattened_layers());
-            next.overlays.clear();
+        let mut overlays = self.overlays.clone();
+        overlays.push(Arc::new(writes.iter().map(|(k, v)| (*k, *v)).collect()));
+        if overlays.len() > MAX_OVERLAYS {
+            // Zeros stay: they shadow the backend's versions of the keys.
+            let mut collapsed = (*overlays[0]).clone();
+            for overlay in &overlays[1..] {
+                collapsed.extend(overlay.iter().map(|(k, v)| (*k, *v)));
+            }
+            overlays = vec![Arc::new(collapsed)];
         }
-        next
+        Snapshot {
+            backend: Arc::clone(&self.backend),
+            as_of: self.as_of,
+            overlays,
+            height: self.height + 1,
+        }
     }
 
-    /// Base plus overlays merged into one map, *excluding* the cold
-    /// backend. Without a cold base, zeros are dropped (absence and zero
-    /// are identical); with one, zeros are kept as tombstones so deleted
-    /// keys do not resurface from the backend.
-    fn flattened_layers(&self) -> HashMap<StateKey, U256> {
-        let keep_zeros = self.cold.is_some();
-        let mut map = (*self.base).clone();
+    /// The fully-merged view: the backend at `as_of` and the overlays,
+    /// tombstones resolved. Materializes everything — cold path only.
+    fn merged(&self) -> HashMap<StateKey, U256> {
+        let mut map: HashMap<StateKey, U256> =
+            self.backend.iter_as_of(self.as_of).into_iter().collect();
         for overlay in &self.overlays {
             for (key, value) in overlay.iter() {
-                if value.is_zero() && !keep_zeros {
+                if value.is_zero() {
                     map.remove(key);
                 } else {
                     map.insert(*key, *value);
@@ -205,27 +193,10 @@ impl Snapshot {
         map
     }
 
-    /// The fully-merged view: cold backend, base and overlays, tombstones
-    /// resolved. Materializes everything — cold path only.
-    fn merged(&self) -> HashMap<StateKey, U256> {
-        let mut map: HashMap<StateKey, U256> = match &self.cold {
-            Some(cold) => cold.backend.iter_as_of(cold.as_of).into_iter().collect(),
-            None => return self.flattened_layers(),
-        };
-        for (key, value) in self.flattened_layers() {
-            if value.is_zero() {
-                map.remove(&key);
-            } else {
-                map.insert(key, value);
-            }
-        }
-        map
-    }
-
     /// Iterates over all nonzero entries (unspecified order).
     ///
-    /// Materializes the merged view — a cold path used for genesis
-    /// commitment, not block execution.
+    /// Materializes the merged view — a cold path for listings and test
+    /// oracles, not block execution.
     pub fn iter(&self) -> impl Iterator<Item = (StateKey, U256)> {
         self.merged().into_iter()
     }
@@ -295,8 +266,10 @@ mod tests {
         let mut writes = WriteSet::new();
         writes.insert(key(2), U256::from(7u64));
         let s1 = s0.apply(&writes);
-        // The parent's base map is shared, not copied.
-        assert!(Arc::ptr_eq(&s0.base, &s1.base));
+        let s2 = s1.apply(&WriteSet::new());
+        // The backend and the parent's layers are shared, not copied.
+        assert!(Arc::ptr_eq(&s0.backend, &s1.backend));
+        assert!(Arc::ptr_eq(&s1.overlays[0], &s2.overlays[0]));
         assert_eq!(s1.overlay_depth(), 1);
         assert_eq!(s1.get(&key(1)), U256::from(5u64));
     }

@@ -8,11 +8,12 @@
 //!
 //! Two things changed since the first version of this module:
 //!
-//! - **Pluggable persistence.** [`StateDb::with_backend`] puts a
-//!   [`StateBackend`] under the snapshots as it is handed: the in-memory
-//!   store, which answers latest reads from its own slots, or the LSM store
-//!   behind the [`FlatCached`](crate::FlatCached) flat-state cache, so that
-//!   hot SLOADs are one hash probe either way. Each commit lands the
+//! - **Pluggable persistence.** Every database stands on a
+//!   [`StateBackend`]: [`StateDb::with_genesis`] on a fresh
+//!   [`MemBackend`], which answers latest reads from its own slots, and
+//!   [`StateDb::with_backend`] on the one it is handed, such as the LSM
+//!   store behind the [`FlatCached`](crate::FlatCached) flat-state cache, so
+//!   that hot SLOADs are one hash probe either way. Each commit lands the
 //!   block's batch in the backend and rebases `latest` onto it, so
 //!   snapshot RAM stays O(recent writes) rather than O(total state).
 //! - **Off-critical-path roots.** [`StateDb::commit_async`] applies the
@@ -42,7 +43,7 @@ use std::time::Instant;
 use dmvcc_primitives::rlp::put_uint_be;
 use dmvcc_primitives::{keccak256_x4, H256, U256};
 
-use crate::backend::{BackendStats, StateBackend};
+use crate::backend::{BackendStats, MemBackend, StateBackend};
 use crate::flat::FlatStats;
 use crate::mpt::Mpt;
 use crate::snapshot::{Snapshot, WriteSet};
@@ -234,11 +235,17 @@ impl RootHistory {
 /// The versioned state store of a single validator.
 ///
 /// Holds the latest [`Snapshot`], the trie over all state items, a
-/// bounded window of per-block root hashes, and optionally a persistent
-/// [`StateBackend`] under the snapshots. A *flat* trie layout is used —
-/// the key is `keccak256(address ++ slot)` — rather than Ethereum's
-/// two-level account/storage trie; root equality between two executions
-/// remains an equally strong oracle (documented in `DESIGN.md`).
+/// bounded window of per-block root hashes, and the [`StateBackend`] the
+/// snapshots read through. A *flat* trie layout is used — the key is
+/// `keccak256(address ++ slot)` — rather than Ethereum's two-level
+/// account/storage trie; root equality between two executions remains an
+/// equally strong oracle (documented in `DESIGN.md`).
+///
+/// A clone shares the backend and forks the trie. The backend takes one
+/// batch a height and skips a batch at or below its tip, so a clone must
+/// commit the same batches as the original — a replica re-committing the
+/// chain — or its reads are the original's: the trie, and so the roots,
+/// fork either way.
 ///
 /// # Examples
 ///
@@ -274,9 +281,8 @@ pub struct StateDb {
     latest: Snapshot,
     trie: Mpt,
     roots: RootHistory,
-    /// Persistent store; `None` keeps the classic pure in-memory snapshot
-    /// chain.
-    backend: Option<Arc<dyn StateBackend>>,
+    /// The store every snapshot reads through; shared by clones.
+    backend: Arc<dyn StateBackend>,
     /// Worker threads for background/parallel subtree hashing.
     hash_threads: usize,
 }
@@ -288,25 +294,19 @@ impl Default for StateDb {
 }
 
 impl StateDb {
-    /// Creates an empty StateDB (empty genesis).
+    /// Creates an empty StateDB (empty genesis) over a fresh
+    /// [`MemBackend`].
     pub fn new() -> Self {
-        let trie = Mpt::new();
-        StateDb {
-            latest: Snapshot::empty(),
-            roots: RootHistory::new(trie.root()),
-            trie,
-            backend: None,
-            hash_threads: default_hash_threads(),
-        }
+        StateDb::with_genesis([])
     }
 
     /// Creates a StateDB pre-loaded with a genesis allocation (zero values
-    /// dropped; of equal keys the last wins).
+    /// dropped; of equal keys the last wins) over a fresh [`MemBackend`].
     pub fn with_genesis<I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (StateKey, U256)>,
     {
-        StateDb::genesis(entries, None, default_hash_threads())
+        StateDb::with_backend(Arc::new(MemBackend::new()), entries)
     }
 
     /// Creates a StateDB over a persistent backend, seeding `entries` as
@@ -314,24 +314,22 @@ impl StateDb {
     ///
     /// The backend is used as it is handed — a slow one comes wrapped in
     /// its cache ([`FlatCached`](crate::FlatCached)) — and `latest` reads
-    /// fall through the (empty) in-memory layers to it.
+    /// fall through the (empty) overlays to it.
     /// The trie is built from the same entries the backend is handed, so
-    /// the genesis root matches [`StateDb::with_genesis`] for the same
-    /// entries.
+    /// the genesis root is the same over every backend.
     pub fn with_backend<I>(backend: Arc<dyn StateBackend>, entries: I) -> Self
     where
         I: IntoIterator<Item = (StateKey, U256)>,
     {
-        StateDb::genesis(entries, Some(backend), default_hash_threads())
+        StateDb::genesis(entries, backend, default_hash_threads())
     }
 
     /// The database at genesis: `entries` become one run — zeros dropped,
-    /// of equal keys the last winning — and the caller lays the run into
-    /// the snapshot, or loads it into `backend` as the height-0 batch
-    /// ([`StateBackend::load_genesis`]), while a thread beside it builds the
-    /// trie from the same run on `threads` workers ([`Mpt::from_keys`]) and
-    /// hashes its root.
-    fn genesis<I>(entries: I, backend: Option<Arc<dyn StateBackend>>, threads: usize) -> Self
+    /// of equal keys the last winning — which the caller loads into
+    /// `backend` as the height-0 batch ([`StateBackend::load_genesis`]),
+    /// while a thread beside it builds the trie from the same run on
+    /// `threads` workers ([`Mpt::from_keys`]) and hashes its root.
+    fn genesis<I>(entries: I, backend: Arc<dyn StateBackend>, threads: usize) -> Self
     where
         I: IntoIterator<Item = (StateKey, U256)>,
     {
@@ -339,15 +337,9 @@ impl StateDb {
             .into_iter()
             .filter(|(_, value)| !value.is_zero())
             .collect();
-        let load = || match backend {
-            Some(backend) => {
-                backend.load_genesis(&run);
-                (
-                    Snapshot::from_backend(Arc::clone(&backend), 0),
-                    Some(backend),
-                )
-            }
-            None => (Snapshot::from_entries(run.iter().copied()), None),
+        let load = || {
+            backend.load_genesis(&run);
+            Snapshot::from_backend(Arc::clone(&backend), 0)
         };
         let build = || {
             let trie = genesis_trie(&run, threads);
@@ -358,8 +350,7 @@ impl StateDb {
         // LSM backend's batch and memtable) stays in the caller's allocator
         // arena, which later allocations reuse. Made on a thread beside, it
         // lay unused once freed: `cold-state`'s peak RSS rose by a quarter.
-        let ((trie, root), (latest, backend)) =
-            beside(workers_for(threads, run.len()), build, load);
+        let ((trie, root), latest) = beside(workers_for(threads, run.len()), build, load);
         StateDb {
             latest,
             trie,
@@ -379,20 +370,21 @@ impl StateDb {
         self.latest.height()
     }
 
-    /// Short label of the persistent backend (`"mem"`, `"lsm"`), if any.
-    pub fn backend_name(&self) -> Option<&'static str> {
-        self.backend.as_ref().map(|b| b.name())
+    /// Short label of the backend (`"mem"`, `"lsm"`).
+    pub fn backend_name(&self) -> &'static str {
+        self.backend.name()
     }
 
-    /// Persistent-backend I/O counters, if a backend is attached.
+    /// The backend's I/O counters. Always `Some`: every database has a
+    /// backend.
     pub fn backend_stats(&self) -> Option<BackendStats> {
-        self.backend.as_ref().map(|b| b.stats())
+        Some(self.backend.stats())
     }
 
     /// Flat-state cache counters, if the backend is read through one
     /// ([`StateBackend::flat_stats`]).
     pub fn flat_stats(&self) -> Option<FlatStats> {
-        self.backend.as_ref().and_then(|b| b.flat_stats())
+        self.backend.flat_stats()
     }
 
     /// Sets how many worker threads root hashing may use, in
@@ -426,23 +418,18 @@ impl StateDb {
     /// workers, then the trie takes its structural inserts and removes on
     /// the caller — which goes on to run `then` over the updated trie —
     /// while a thread beside it lands the batch in the backend (a flat
-    /// cache's fills included) or, without one, stacks the next snapshot
-    /// layer.
-    /// `latest` advances once both are done. Returns the new height and
-    /// what `then` returned.
+    /// cache's fills included). `latest` advances once both are done.
+    /// Returns the new height and what `then` returned.
     fn apply_writes<R>(&mut self, writes: &WriteSet, then: impl FnOnce(&Mpt) -> R) -> (u64, R) {
         let threads = self.hash_threads;
         let height = self.latest.height() + 1;
         let trie_keys = trie_keys(&writes.keys().collect::<Vec<_>>(), threads);
-        let (latest, backend, trie) = (&self.latest, &self.backend, &mut self.trie);
-        let advance = || match backend {
-            Some(backend) => {
-                backend.apply_batch(height, writes);
-                // Rebase onto the backend: keeps in-memory layer RAM at
-                // O(1) per block instead of accumulating every write.
-                Snapshot::from_backend(Arc::clone(backend), height)
-            }
-            None => latest.apply(writes),
+        let (backend, trie) = (&self.backend, &mut self.trie);
+        let advance = || {
+            backend.apply_batch(height, writes);
+            // Rebase onto the backend: keeps in-memory layer RAM at O(1)
+            // per block instead of accumulating every write.
+            Snapshot::from_backend(Arc::clone(backend), height)
         };
         let (next, out) = beside(threads, advance, || {
             for (trie_key, value) in trie_keys.iter().zip(writes.values()) {
@@ -775,10 +762,9 @@ mod tests {
 
     /// Everything the backend holds, height by height.
     fn backend_contents(db: &StateDb) -> Vec<Vec<(StateKey, U256)>> {
-        let backend = db.backend.as_ref().expect("a backend");
         (0..=db.height())
             .map(|height| {
-                let mut live = backend.iter_as_of(height);
+                let mut live = db.backend.iter_as_of(height);
                 live.sort_unstable();
                 live
             })
@@ -946,34 +932,34 @@ mod tests {
 
     #[test]
     fn backend_db_matches_plain_db() {
-        use crate::{FlatCached, LsmBackend, LsmOptions, MemBackend};
+        use crate::{FlatCached, LsmBackend, LsmOptions};
         let genesis = vec![(key(1), U256::from(5u64)), (key(2), U256::from(6u64))];
-        let mut plain = StateDb::with_genesis(genesis.clone());
-        let mut mem = StateDb::with_backend(
-            Arc::new(MemBackend::new()) as Arc<dyn StateBackend>,
-            genesis.clone(),
-        );
+        let mut model: WriteSet = genesis.iter().copied().collect();
+        let mut mem = StateDb::with_genesis(genesis.clone());
         let mut lsm = StateDb::with_backend(
             Arc::new(FlatCached::new(Arc::new(LsmBackend::new(
                 LsmOptions::tiny(),
             )))),
             genesis,
         );
-        assert_eq!(plain.current_root(), mem.current_root());
-        assert_eq!(plain.current_root(), lsm.current_root());
-        assert_eq!(mem.backend_name(), Some("mem"));
-        assert_eq!(lsm.backend_name(), Some("lsm"));
+        assert_eq!(mem.current_root(), rebuilt_root(&model));
+        assert_eq!(lsm.current_root(), rebuilt_root(&model));
+        assert_eq!(mem.backend_name(), "mem");
+        assert_eq!(lsm.backend_name(), "lsm");
         for block in 1..=20u64 {
             let w = writes(&[(block % 7, block), (block % 3, block * 2), (50 + block, 1)]);
-            let r = plain.commit(&w);
+            model.extend(w.clone());
+            let r = rebuilt_root(&model);
             assert_eq!(mem.commit(&w), r, "mem block {block}");
             assert_eq!(lsm.commit(&w), r, "lsm block {block}");
             for i in 0..8u64 {
-                assert_eq!(mem.get(&key(i)), plain.get(&key(i)), "mem key {i}");
-                assert_eq!(lsm.get(&key(i)), plain.get(&key(i)), "lsm key {i}");
+                let want = model.get(&key(i)).copied().unwrap_or(U256::ZERO);
+                assert_eq!(mem.get(&key(i)), want, "mem key {i}");
+                assert_eq!(lsm.get(&key(i)), want, "lsm key {i}");
             }
         }
-        assert!(lsm.backend_stats().expect("stats").writes > 0);
+        assert_eq!(mem.backend_stats().expect("always some").batches, 21);
+        assert!(lsm.backend_stats().expect("always some").writes > 0);
         // The LSM store reads through its flat cache; the in-memory store
         // has none.
         assert!(lsm.flat_stats().expect("stats").fills > 0);
@@ -1024,7 +1010,7 @@ mod tests {
                 let committed = rebuilt_root(&model);
                 let trie_keys: Vec<H256> = (0..150).map(|k| keccak256(&key(k).to_bytes())).collect();
                 for threads in [1usize, 2, 3, 8] {
-                    let mut db = StateDb::genesis(entries.clone(), None, threads);
+                    let mut db = StateDb::genesis(entries.clone(), Arc::new(MemBackend::new()), threads);
                     prop_assert_eq!(db.current_root(), genesis);
                     for trie_key in &trie_keys {
                         prop_assert_eq!(

@@ -5,16 +5,17 @@
 //! sync roots. The three backends a database can stand on — the bare
 //! sharded in-memory store, the same behind the flat cache, and the LSM
 //! store — answer every read at every height alike and commit the roots of
-//! the plain database.
+//! a trie rebuilt from a model of the state.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use dmvcc_primitives::{Address, U256};
+use dmvcc_primitives::rlp::put_uint_be;
+use dmvcc_primitives::{keccak256, Address, H256, U256};
 use dmvcc_state::{
-    FlatCached, LsmBackend, LsmOptions, MemBackend, StateBackend, StateDb, StateKey, WriteSet,
+    FlatCached, LsmBackend, LsmOptions, MemBackend, Mpt, StateBackend, StateDb, StateKey, WriteSet,
 };
 
 fn key(addr: u64, slot: u64) -> StateKey {
@@ -40,29 +41,26 @@ fn write_set(block: &[(u64, u64, u64)]) -> WriteSet {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The plain snapshot-stack StateDb, a MemBackend-backed StateDb, an
+    /// A `with_genesis` StateDb (over its in-memory backend), an
     /// LsmBackend-backed StateDb (tiny thresholds: flushes + compactions
-    /// inside the case), and a flat model map all agree — on every root
-    /// and on every key's value — after every block of a random history.
+    /// inside the case), and a flat model map all agree — on every key's
+    /// value — after every block of a random history, and the two commit
+    /// the same roots.
     #[test]
-    fn plain_mem_lsm_and_model_agree(blocks in blocks_strategy()) {
+    fn mem_lsm_and_model_agree(blocks in blocks_strategy()) {
         let genesis = vec![(key(0, 0), U256::from(77u64))];
-        let mut plain = StateDb::with_genesis(genesis.clone());
-        let mut mem = StateDb::with_backend(Arc::new(MemBackend::new()), genesis.clone());
+        let mut mem = StateDb::with_genesis(genesis.clone());
         let mut lsm = StateDb::with_backend(
             Arc::new(LsmBackend::new(LsmOptions::tiny())),
             genesis.clone(),
         );
         let mut model: BTreeMap<StateKey, U256> = genesis.into_iter().collect();
 
-        prop_assert_eq!(plain.current_root(), mem.current_root());
-        prop_assert_eq!(plain.current_root(), lsm.current_root());
+        prop_assert_eq!(mem.current_root(), lsm.current_root());
 
         for block in &blocks {
             let writes = write_set(block);
-            let expected = plain.commit(&writes);
-            prop_assert_eq!(mem.commit(&writes), expected);
-            prop_assert_eq!(lsm.commit(&writes), expected);
+            prop_assert_eq!(lsm.commit(&writes), mem.commit(&writes));
             for (k, v) in &writes {
                 if v.is_zero() {
                     model.remove(k);
@@ -70,13 +68,12 @@ proptest! {
                     model.insert(*k, *v);
                 }
             }
-            // Every key the history ever touched reads identically on all
-            // three snapshot surfaces and matches the model.
+            // Every key the history ever touched reads identically on both
+            // snapshot surfaces and matches the model.
             for addr in 0..12 {
                 for slot in 0..4 {
                     let k = key(addr, slot);
                     let want = model.get(&k).copied().unwrap_or(U256::ZERO);
-                    prop_assert_eq!(plain.latest().get(&k), want);
                     prop_assert_eq!(mem.latest().get(&k), want);
                     prop_assert_eq!(lsm.latest().get(&k), want);
                 }
@@ -197,12 +194,13 @@ proptest! {
         }
     }
 
-    /// A database over each backend commits the roots of the plain one on
-    /// one to three hashing threads, and a clone taken at a height keeps
-    /// reading as of that height while the original commits on — and, as
-    /// a replica, re-commits the next block to the same root.
+    /// A database over each backend commits the roots of a trie rebuilt
+    /// from the model on one to three hashing threads, and a clone taken at
+    /// a height keeps reading the model as of that height while the
+    /// original commits on — and, as a replica, re-commits the next block
+    /// to the same root.
     #[test]
-    fn every_backend_commits_the_plain_roots_and_keeps_old_heights(
+    fn every_backend_commits_the_model_roots_and_keeps_old_heights(
         genesis in prop::collection::vec(((0u64..12), (0u64..4), (0u64..5)), 0..24),
         blocks in prop::collection::vec(block_strategy(), 1..8),
         clone_at in 0usize..8,
@@ -212,12 +210,17 @@ proptest! {
             .map(|&(addr, slot, value)| (key(addr, slot), U256::from(value)))
             .collect();
         let writes: Vec<WriteSet> = blocks.iter().map(|block| write_set(block)).collect();
-        let mut plain = StateDb::with_genesis(genesis.clone());
-        let mut roots = vec![plain.current_root()];
-        let mut states = vec![pool().map(|k| plain.get(&k)).collect::<Vec<_>>()];
+        // Genesis drops zero values; of equal keys the last wins.
+        let mut model: WriteSet = genesis.iter().copied().filter(|(_, v)| !v.is_zero()).collect();
+        let read = |model: &WriteSet| {
+            pool().map(|k| model.get(&k).copied().unwrap_or(U256::ZERO)).collect::<Vec<_>>()
+        };
+        let mut roots = vec![rebuilt_root(&model)];
+        let mut states = vec![read(&model)];
         for w in &writes {
-            roots.push(plain.commit(w));
-            states.push(pool().map(|k| plain.get(&k)).collect());
+            model.extend(w.clone());
+            roots.push(rebuilt_root(&model));
+            states.push(read(&model));
         }
         let clone_at = clone_at.min(writes.len() - 1);
         for threads in [1usize, 2, 3] {
@@ -249,6 +252,18 @@ proptest! {
 /// tombstone.
 fn block_strategy() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     prop::collection::vec(((0u64..12), (0u64..4), (0u64..5)), 1..12)
+}
+
+/// The root of a trie built afresh from `model`: `keccak256(key)` to
+/// `rlp(value)` for every nonzero value, as the state trie lays them out.
+fn rebuilt_root(model: &WriteSet) -> H256 {
+    let mut trie = Mpt::new();
+    for (key, value) in model.iter().filter(|(_, value)| !value.is_zero()) {
+        let mut rlp = Vec::with_capacity(33);
+        put_uint_be(&mut rlp, &value.to_be_bytes());
+        trie.insert(keccak256(&key.to_bytes()).as_bytes(), rlp);
+    }
+    trie.root()
 }
 
 /// Every key the strategies draw.
