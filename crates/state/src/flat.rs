@@ -32,7 +32,7 @@ use std::sync::{Arc, RwLock};
 
 use dmvcc_primitives::U256;
 
-use crate::backend::{shard_of, shards_of, BackendStats, StateBackend, SHARDS};
+use crate::backend::{shard_of, shards_of, BackendStats, HeightPin, StateBackend, SHARDS};
 use crate::interner::FxBuildHasher;
 use crate::snapshot::WriteSet;
 use crate::StateKey;
@@ -232,6 +232,12 @@ impl StateBackend for FlatCached {
 
     fn tip(&self) -> u64 {
         self.inner.tip()
+    }
+
+    /// The wrapped backend's pin: the cache holds only newest versions,
+    /// which no compaction drops.
+    fn pin(&self, as_of: u64) -> Option<HeightPin> {
+        self.inner.pin(as_of)
     }
 
     fn iter_as_of(&self, as_of: u64) -> Vec<(StateKey, U256)> {

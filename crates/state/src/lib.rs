@@ -36,7 +36,7 @@ mod sorted;
 mod statedb;
 mod workers;
 
-pub use backend::{BackendStats, MemBackend, StateBackend};
+pub use backend::{BackendStats, HeightPin, MemBackend, StateBackend};
 pub use flat::{FlatCached, FlatStats, DEFAULT_FLAT_CAPACITY};
 pub use interner::{FxBuildHasher, FxHasher, FxKeyMap, KeyId, KeyInterner};
 pub use key::{StateKey, BALANCE_SLOT, NONCE_SLOT};

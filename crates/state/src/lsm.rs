@@ -591,6 +591,9 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
+        // The in-memory store keeps an old height readable while it is
+        // pinned: the heights read below are pinned as the tip.
+        let mut pins = vec![mem.pin(0)];
         for height in 1..=60u64 {
             let mut writes = WriteSet::new();
             for _ in 0..(next() % 6 + 1) {
@@ -604,6 +607,9 @@ mod tests {
             }
             lsm.apply_batch(height, &writes);
             mem.apply_batch(height, &writes);
+            if [1, 13, 37].contains(&height) {
+                pins.push(mem.pin(height));
+            }
         }
         assert!(lsm.stats().flushes > 0, "tiny opts must hit the flush path");
         assert!(

@@ -7,7 +7,11 @@
 //! concurrent EVM instances of a block execution.
 //!
 //! A snapshot is a [`StateBackend`] read at a pinned height, `as_of`, plus
-//! the write layers of the blocks applied on top of it since.
+//! the write layers of the blocks applied on top of it since. The pin is a
+//! [`HeightPin`] the snapshot's clones and its [`Snapshot::apply`]
+//! descendants share: the backend keeps what a read at `as_of` sees until
+//! the last of them drops.
+//!
 //! [`Snapshot::apply`] is copy-on-write: instead of cloning the full state
 //! per block (O(state) work and memory for a block that wrote a handful of
 //! keys), the new snapshot layers the block's writes as an overlay over the
@@ -23,7 +27,7 @@ use std::sync::Arc;
 
 use dmvcc_primitives::U256;
 
-use crate::backend::{MemBackend, StateBackend};
+use crate::backend::{HeightPin, MemBackend, StateBackend};
 use crate::StateKey;
 
 /// The set of final writes a block execution produces, keyed
@@ -61,6 +65,9 @@ pub struct Snapshot {
     /// fallthrough read at its own height.
     backend: Arc<dyn StateBackend>,
     as_of: u64,
+    /// What keeps `as_of` readable while this snapshot, a clone or a
+    /// descendant lives (`None` over a backend that keeps every version).
+    pin: Option<Arc<HeightPin>>,
     /// Write layers of the blocks applied above `as_of`, oldest → newest.
     /// Zero values are tombstones.
     overlays: Vec<Arc<HashMap<StateKey, U256>>>,
@@ -99,10 +106,14 @@ impl Snapshot {
     ///
     /// The overlays start empty: reads fall through to
     /// `backend.get(key, as_of)`, and [`Snapshot::apply`] layers block
-    /// writes above it. The snapshot stays immutable even as newer batches
-    /// land in the shared backend, because `as_of` is pinned.
+    /// writes above it. The snapshot pins `as_of` ([`StateBackend::pin`]),
+    /// so it stays immutable even as newer batches land in the shared
+    /// backend and reclaim what no pin reads. `as_of` must be the backend's
+    /// tip or a height a live snapshot pins already: below the tip, an
+    /// unpinned height may have lost versions (a debug build panics).
     pub fn from_backend(backend: Arc<dyn StateBackend>, as_of: u64) -> Self {
         Snapshot {
+            pin: backend.pin(as_of).map(Arc::new),
             backend,
             as_of,
             overlays: Vec::new(),
@@ -149,6 +160,12 @@ impl Snapshot {
         self.overlays.len()
     }
 
+    /// Whether this snapshot is its backend read at `height`, with nothing
+    /// layered over it.
+    pub(crate) fn is_unlayered_at(&self, height: u64) -> bool {
+        self.overlays.is_empty() && self.as_of == height
+    }
+
     /// Produces the next snapshot by applying a block's final writes.
     ///
     /// Copy-on-write: the parent's layers are shared via `Arc`, and the
@@ -171,6 +188,7 @@ impl Snapshot {
         Snapshot {
             backend: Arc::clone(&self.backend),
             as_of: self.as_of,
+            pin: self.pin.clone(),
             overlays,
             height: self.height + 1,
         }

@@ -15,7 +15,10 @@
 //!   store behind the [`FlatCached`](crate::FlatCached) flat-state cache, so
 //!   that hot SLOADs are one hash probe either way. Each commit lands the
 //!   block's batch in the backend and rebases `latest` onto it, so
-//!   snapshot RAM stays O(recent writes) rather than O(total state).
+//!   snapshot RAM stays O(recent writes) rather than O(total state). The
+//!   backend keeps an old height only while a snapshot pins it; a replica,
+//!   which finds the chain landed already, layers its commits over its own
+//!   snapshot ([`StateDb`] says when).
 //! - **Off-critical-path roots.** [`StateDb::commit_async`] applies the
 //!   block's structural trie updates (in place wherever this trie is a
 //!   node's only holder, a path copy where the previous root is still
@@ -241,11 +244,14 @@ impl RootHistory {
 /// account/storage trie; root equality between two executions remains an
 /// equally strong oracle (documented in `DESIGN.md`).
 ///
-/// A clone shares the backend and forks the trie. The backend takes one
-/// batch a height and skips a batch at or below its tip, so a clone must
-/// commit the same batches as the original — a replica re-committing the
-/// chain — or its reads are the original's: the trie, and so the roots,
-/// fork either way.
+/// A clone shares the backend and forks the trie. A commit lands its batch
+/// in the backend only when `latest` is the backend's tip, unlayered — this
+/// database wrote the backend's chain so far — and rebases `latest` onto
+/// it. Any other commit — a replica re-committing the chain, or a clone
+/// that went its own way — layers the writes over its own `latest`
+/// ([`Snapshot::apply`]), whose pin keeps the height it reads the backend
+/// at readable. So each database reads its own chain, and the backend keeps
+/// only the heights that live snapshots pin ([`StateBackend::pin`]).
 ///
 /// # Examples
 ///
@@ -418,14 +424,21 @@ impl StateDb {
     /// workers, then the trie takes its structural inserts and removes on
     /// the caller — which goes on to run `then` over the updated trie —
     /// while a thread beside it lands the batch in the backend (a flat
-    /// cache's fills included). `latest` advances once both are done.
+    /// cache's fills included) or, if `latest` is not the backend's tip,
+    /// layers it over `latest`. `latest` advances once both are done.
     /// Returns the new height and what `then` returned.
     fn apply_writes<R>(&mut self, writes: &WriteSet, then: impl FnOnce(&Mpt) -> R) -> (u64, R) {
         let threads = self.hash_threads;
         let height = self.latest.height() + 1;
         let trie_keys = trie_keys(&writes.keys().collect::<Vec<_>>(), threads);
-        let (backend, trie) = (&self.backend, &mut self.trie);
+        let (backend, trie, latest) = (&self.backend, &mut self.trie, &self.latest);
         let advance = || {
+            if !latest.is_unlayered_at(backend.tip()) {
+                // The backend's tip is another database's chain, and the
+                // heights below it only pins keep readable: this one reads
+                // its own.
+                return latest.apply(writes);
+            }
             backend.apply_batch(height, writes);
             // Rebase onto the backend: keeps in-memory layer RAM at O(1)
             // per block instead of accumulating every write.
@@ -775,10 +788,16 @@ mod tests {
     fn every_hash_thread_count_commits_the_same_roots_backend_and_flat_stats() {
         // Blocks wide enough that four threads each hash a share of the
         // trie keys (`workers_for`); the same chain through `commit` and
-        // `commit_async`.
+        // `commit_async`. A snapshot of each height pins it, so that every
+        // height's contents stay readable.
         let mut model = wide_writes(0, 300);
         let mut sync_dbs: Vec<StateDb> = [1, 2, 4].map(|t| mem_db(&model, t)).into();
         let mut async_dbs: Vec<StateDb> = [1, 2, 4].map(|t| mem_db(&model, t)).into();
+        let mut pins: Vec<Snapshot> = sync_dbs
+            .iter()
+            .chain(&async_dbs)
+            .map(|db| db.latest().clone())
+            .collect();
         let mut handles: Vec<Vec<RootHandle>> = vec![Vec::new(); 3];
         let mut expected = Vec::new();
         for block in 1..=6u64 {
@@ -792,6 +811,12 @@ mod tests {
             for (db, handles) in async_dbs.iter_mut().zip(&mut handles) {
                 handles.push(db.commit_async(&w));
             }
+            pins.extend(
+                sync_dbs
+                    .iter()
+                    .chain(&async_dbs)
+                    .map(|db| db.latest().clone()),
+            );
         }
         for handles in &handles {
             let roots: Vec<H256> = handles.iter().map(RootHandle::wait).collect();
@@ -1045,7 +1070,8 @@ mod tests {
             genesis,
         );
         // A clone shares the backend Arc and re-commits identical batches
-        // — apply_batch must be idempotent.
+        // after the original has landed them: it layers them over its own
+        // snapshot, and reads and roots agree.
         let mut clone = db.clone();
         for block in 1..=5u64 {
             let w = writes(&[(block, block * 10)]);

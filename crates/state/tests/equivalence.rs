@@ -5,7 +5,9 @@
 //! sync roots. The three backends a database can stand on — the bare
 //! sharded in-memory store, the same behind the flat cache, and the LSM
 //! store — answer every read at every height alike and commit the roots of
-//! a trie rebuilt from a model of the state.
+//! a trie rebuilt from a model of the state. The in-memory store keeps an
+//! old height readable exactly while a snapshot pins it: what every pinned
+//! height reads is checked while the rest is reclaimed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,7 +17,8 @@ use proptest::prelude::*;
 use dmvcc_primitives::rlp::put_uint_be;
 use dmvcc_primitives::{keccak256, Address, H256, U256};
 use dmvcc_state::{
-    FlatCached, LsmBackend, LsmOptions, MemBackend, Mpt, StateBackend, StateDb, StateKey, WriteSet,
+    FlatCached, LsmBackend, LsmOptions, MemBackend, Mpt, Snapshot, StateBackend, StateDb, StateKey,
+    WriteSet,
 };
 
 fn key(addr: u64, slot: u64) -> StateKey {
@@ -134,7 +137,8 @@ proptest! {
     /// The three backends agree on every key at every height — before the
     /// first write, at each block, past the tip — through zeros, keys a
     /// block writes again and replica re-commits below the tip (ignored),
-    /// and on what they count and list.
+    /// and on what they count and list. A snapshot of every height pins it,
+    /// so that the in-memory store keeps what each height reads.
     #[test]
     fn every_backend_answers_every_height_alike(
         genesis in prop::collection::vec(((0u64..12), (0u64..4), (1u64..5)), 0..24),
@@ -148,8 +152,10 @@ proptest! {
             .map(|&(addr, slot, value)| (key(addr, slot), U256::from(value)))
             .collect();
         let backends = backends();
+        let mut pins = Vec::new();
         for backend in &backends {
             backend.load_genesis(&genesis);
+            pins.push(Snapshot::from_backend(Arc::clone(backend), 0));
         }
         // The model: every key's value as of each height, zeros included.
         let mut states: Vec<WriteSet> = vec![genesis.iter().copied().collect()];
@@ -158,6 +164,7 @@ proptest! {
             let writes = write_set(block);
             for backend in &backends {
                 backend.apply_batch(height, &writes);
+                pins.push(Snapshot::from_backend(Arc::clone(backend), height));
             }
             for (back, other) in recommits {
                 // A replica's commit of some other batch at or below the tip.
@@ -177,9 +184,7 @@ proptest! {
                         prop_assert_eq!(backend.get(&k, as_of), want, "{} as of {}", backend.name(), as_of);
                     }
                 }
-                let mut live: Vec<(StateKey, U256)> =
-                    state.iter().map(|(k, v)| (*k, *v)).filter(|(_, v)| !v.is_zero()).collect();
-                live.sort_unstable();
+                let live = live(state);
                 for backend in &backends {
                     let mut listed = backend.iter_as_of(as_of);
                     listed.sort_unstable();
@@ -246,6 +251,127 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Reclamation over the bare in-memory store and the same behind the
+    /// flat cache: snapshots are taken at the tip and dropped at random,
+    /// replicas cloned at the tip re-commit the chain behind it, falling
+    /// further behind, and stale batches below the tip are ignored. After every
+    /// block each live snapshot reads the model as of its height — key by
+    /// key, zeros and absences told apart, and in its listing — and each
+    /// replica reads the model as of its own height, while the store
+    /// compacts what nothing pins. Then, with every snapshot, replica and
+    /// the database gone, batches that rewrite the whole pool bring the
+    /// history down to no more than twice a batch's writes — the versions
+    /// the previous tip reads, doubled — and keep it there.
+    #[test]
+    fn pinned_heights_read_the_model_while_the_rest_is_reclaimed(
+        genesis in prop::collection::vec(((0u64..12), (0u64..4), (1u64..5)), 0..24),
+        steps in prop::collection::vec((block_strategy(), any::<u8>()), 8..24),
+    ) {
+        let genesis: Vec<(StateKey, U256)> = genesis
+            .iter()
+            .map(|&(addr, slot, value)| (key(addr, slot), U256::from(value)))
+            .collect();
+        // The model: every key's value as of each height, zeros included.
+        let mut states: Vec<WriteSet> = vec![genesis.iter().copied().collect()];
+        for (block, _) in &steps {
+            let mut state = states.last().expect("genesis").clone();
+            state.extend(write_set(block));
+            states.push(state);
+        }
+        for flat in [false, true] {
+            let mem = Arc::new(MemBackend::new());
+            let backend: Arc<dyn StateBackend> = if flat {
+                Arc::new(FlatCached::new(mem.clone()))
+            } else {
+                mem.clone()
+            };
+            let mut db = StateDb::with_backend(Arc::clone(&backend), genesis.clone());
+            db.set_hash_threads(1);
+            let mut pins: Vec<Snapshot> = Vec::new();
+            let mut replicas: Vec<StateDb> = Vec::new();
+            for (i, (block, action)) in steps.iter().enumerate() {
+                let height = 1 + i as u64;
+                db.commit(&write_set(block));
+                // On every other block, so that the replicas fall behind.
+                if action % 2 == 0 {
+                    for replica in &mut replicas {
+                        let next = replica.height() as usize;
+                        replica.commit(&write_set(&steps[next].0));
+                    }
+                }
+                if action % 3 == 0 {
+                    pins.push(Snapshot::from_backend(Arc::clone(&backend), height));
+                }
+                if action % 4 == 0 && replicas.len() < 3 {
+                    replicas.push(db.clone());
+                }
+                if (action / 4) % 3 == 0 && !pins.is_empty() {
+                    pins.remove(usize::from(*action) % pins.len());
+                }
+                if (action / 16) % 4 == 0 && !replicas.is_empty() {
+                    replicas.remove(usize::from(*action) % replicas.len());
+                }
+                if action % 5 == 0 {
+                    // A stale batch below the tip: ignored.
+                    let stale = write_set(&steps[usize::from(*action) % steps.len()].0);
+                    backend.apply_batch(height.div_ceil(2), &stale);
+                }
+                prop_assert_eq!(backend.tip(), height);
+                for pin in &pins {
+                    let (as_of, state) = (pin.height(), &states[pin.height() as usize]);
+                    for k in pool() {
+                        prop_assert_eq!(backend.get(&k, as_of), state.get(&k).copied(), "as of {}", as_of);
+                        prop_assert_eq!(pin.get(&k), state.get(&k).copied().unwrap_or_default());
+                    }
+                    let mut listed = backend.iter_as_of(as_of);
+                    listed.sort_unstable();
+                    prop_assert_eq!(listed, live(state), "as of {}", as_of);
+                }
+                for db in replicas.iter().chain([&db]) {
+                    let state = &states[db.height() as usize];
+                    for k in pool() {
+                        prop_assert_eq!(db.get(&k), state.get(&k).copied().unwrap_or_default());
+                    }
+                }
+            }
+            prop_assert!(backend.stats().compactions >= 1, "no compaction in {} blocks", steps.len());
+
+            // Nothing pins a height any more. A shard compacts once its log
+            // doubles what it held here, so within twice that many
+            // rewrites every shard has, and from then on holds no more
+            // than what its previous tip reads, doubled.
+            drop((pins, replicas, db));
+            let held = mem.replaced_versions();
+            let settled = 2 * held as u64 + 2;
+            let rewrite: WriteSet = pool().map(|k| (k, U256::from(7u64))).collect();
+            for round in 1..=settled + 4 {
+                backend.apply_batch(backend.tip() + 1, &rewrite);
+                if round > settled {
+                    prop_assert!(
+                        mem.replaced_versions() <= 2 * pool().count(),
+                        "{} versions held after {} rewrites, {} before them",
+                        mem.replaced_versions(), round, held
+                    );
+                }
+            }
+            prop_assert!(pool().all(|k| backend.get(&k, backend.tip()) == Some(U256::from(7u64))));
+        }
+    }
+}
+
+/// The nonzero entries of `state`, sorted: what a listing at its height
+/// holds.
+fn live(state: &WriteSet) -> Vec<(StateKey, U256)> {
+    state
+        .iter()
+        .map(|(k, v)| (*k, *v))
+        .filter(|(_, v)| !v.is_zero())
+        .collect()
 }
 
 /// One block's writes: (addr, slot, value) over the key pool, value 0 a
