@@ -44,7 +44,7 @@ pub use dmvcc_core::ExecutorKind;
 use dmvcc_core::{execute_block_serial, BlockExecutor, BlockPipeline, BlockTrace, ParallelConfig};
 use dmvcc_primitives::{H256, U256};
 use dmvcc_state::{
-    FlatCached, LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb, StateKey,
+    LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb, StateKey,
 };
 use dmvcc_vm::{BlockEnv, Transaction};
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -85,14 +85,12 @@ impl BackendKind {
     }
 
     /// Builds a [`StateDb`] over this backend, seeded with `entries`: the
-    /// in-memory store as it is, which answers latest reads itself, and the
-    /// LSM store behind its flat-state cache ([`FlatCached`]).
+    /// in-memory store, which answers latest reads from its own slots, or
+    /// the LSM store, which answers them from its own flat-state cache.
     pub fn build_db(&self, entries: Vec<(StateKey, U256)>) -> StateDb {
         let backend: Arc<dyn StateBackend> = match self {
             BackendKind::Mem => Arc::new(MemBackend::new()),
-            BackendKind::Lsm => Arc::new(FlatCached::new(Arc::new(LsmBackend::new(
-                LsmOptions::default(),
-            )))),
+            BackendKind::Lsm => Arc::new(LsmBackend::new(LsmOptions::default())),
         };
         StateDb::with_backend(backend, entries)
     }

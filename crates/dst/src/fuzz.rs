@@ -25,9 +25,7 @@ use dmvcc_core::{
     execute_block_serial, refine_csags, BlockTrace, ExecutorKind, ParallelConfig, ParallelOutcome,
 };
 use dmvcc_sim::simulate_dmvcc;
-use dmvcc_state::{
-    FlatCached, LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet,
-};
+use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -133,8 +131,8 @@ pub enum BackendUnderTest {
     /// asynchronous root path against the synchronous one.
     Mem,
     /// Log-structured on-disk store with tiny thresholds, so every case
-    /// crosses segment flushes and compactions, behind the flat-state cache
-    /// as `BackendKind::Lsm` builds it.
+    /// crosses segment flushes and compactions, reading through its own
+    /// flat-state cache as `BackendKind::Lsm` builds it.
     Lsm,
 }
 
@@ -458,9 +456,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         let entries = generator.genesis_entries();
         let backend: Arc<dyn StateBackend> = match config.backend {
             BackendUnderTest::Mem => Arc::new(MemBackend::new()),
-            _ => Arc::new(FlatCached::new(Arc::new(LsmBackend::new(
-                LsmOptions::tiny(),
-            )))),
+            _ => Arc::new(LsmBackend::new(LsmOptions::tiny())),
         };
         let mut oracle = StateDb::with_genesis(entries.clone());
         let mut backed = StateDb::with_backend(backend, entries);

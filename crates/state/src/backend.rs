@@ -21,10 +21,9 @@
 //!   ([`StateBackend::pin`]).
 //! - [`crate::LsmBackend`] — an in-repo log-structured store (append-only
 //!   segment files, sparse in-memory index, merge compaction) for state
-//!   that outlives the process and outgrows RAM. Its read path is
-//!   [`crate::FlatCached`], the flat-state cache, which the caller puts over
-//!   it: repeat SLOADs of a warm key are one sharded hash probe, never a
-//!   segment search.
+//!   that outlives the process and outgrows RAM. It reads through a
+//!   flat-state cache of its own: repeat SLOADs of a warm key are one
+//!   sharded hash probe, never a segment search.
 //!
 //! [`Snapshot`]: crate::Snapshot
 
@@ -133,13 +132,14 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
     fn stats(&self) -> BackendStats;
 
     /// The counters of the flat-state cache this backend reads through, if
-    /// it is one ([`crate::FlatCached`]); `None` by default.
+    /// it keeps one (the LSM store does); `None` by default.
     fn flat_stats(&self) -> Option<FlatStats> {
         None
     }
 }
 
-/// Shards of [`MemBackend`] and of [`crate::FlatCached`]; a power of two.
+/// Shards of [`MemBackend`] and of the LSM store's flat cache; a power of
+/// two.
 pub(crate) const SHARDS: usize = 16;
 const _: () = assert!(SHARDS.is_power_of_two());
 

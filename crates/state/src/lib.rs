@@ -37,7 +37,7 @@ mod statedb;
 mod workers;
 
 pub use backend::{BackendStats, HeightPin, MemBackend, StateBackend};
-pub use flat::{FlatCached, FlatStats, DEFAULT_FLAT_CAPACITY};
+pub use flat::FlatStats;
 pub use interner::{FxBuildHasher, FxHasher, FxKeyMap, KeyId, KeyInterner};
 pub use key::{StateKey, BALANCE_SLOT, NONCE_SLOT};
 pub use lsm::{LsmBackend, LsmOptions};

@@ -20,8 +20,12 @@
 //!   (versions are kept — the store is the MVCC history), bounding the
 //!   per-read segment fan-out.
 //!
-//! Point reads binary-search the sparse index and then scan at most one
-//! index stride (`index_every × 92` bytes) with a single positioned read.
+//! A latest-state read is first a probe of the store's flat-state cache
+//! (`flat.rs`): the newest version of each recently read or written key,
+//! one sharded hash probe, taken before the store's lock. A miss, or a read
+//! below the tip, binary-searches the sparse index and then scans at most
+//! one index stride (`index_every × 92` bytes) with a single positioned
+//! read.
 //! Crash durability is per-flush: [`LsmBackend::flush`] fsyncs the new
 //! segment, and [`LsmBackend::open`] rebuilds the sparse indexes and tip
 //! from the segment files alone. Unflushed memtable contents are lost on
@@ -39,6 +43,7 @@ use std::sync::RwLock;
 use dmvcc_primitives::{Address, U256};
 
 use crate::backend::{BackendStats, StateBackend};
+use crate::flat::{FlatCache, FlatStats};
 use crate::snapshot::WriteSet;
 use crate::StateKey;
 
@@ -196,8 +201,10 @@ struct Inner {
 /// }
 /// // Every historical version survives the flushes and compactions.
 /// assert_eq!(backend.get(&key, 7), Some(U256::from(7u64)));
+/// // The latest version is one cache probe away.
 /// assert_eq!(backend.get(&key, 20), Some(U256::from(20u64)));
 /// assert!(backend.stats().flushes > 0);
+/// assert_eq!(backend.flat_stats().map(|flat| flat.hits), Some(1));
 /// ```
 #[derive(Debug)]
 pub struct LsmBackend {
@@ -206,6 +213,9 @@ pub struct LsmBackend {
     own_dir: bool,
     opts: LsmOptions,
     inner: RwLock<Inner>,
+    /// The latest-state read path; filled only under `inner` (see the
+    /// invalidation argument in `flat.rs`).
+    pub(crate) cache: FlatCache,
     tip: AtomicU64,
     next_segment_id: AtomicU64,
     reads: AtomicU64,
@@ -303,6 +313,7 @@ impl LsmBackend {
             own_dir,
             opts,
             inner: RwLock::new(Inner::default()),
+            cache: FlatCache::default(),
             tip: AtomicU64::new(0),
             next_segment_id: AtomicU64::new(0),
             reads: AtomicU64::new(0),
@@ -314,19 +325,6 @@ impl LsmBackend {
             compactions: AtomicU64::new(0),
             segment_bytes_written: AtomicU64::new(0),
         }
-    }
-
-    /// Creates a store with `entries` as the height-0 genesis batch.
-    pub fn with_genesis<I>(opts: LsmOptions, entries: I) -> Self
-    where
-        I: IntoIterator<Item = (StateKey, U256)>,
-    {
-        let backend = LsmBackend::new(opts);
-        let batch: WriteSet = entries.into_iter().filter(|(_, v)| !v.is_zero()).collect();
-        if !batch.is_empty() {
-            backend.apply_batch(0, &batch);
-        }
-        backend
     }
 
     /// Reopens a store from an existing segment directory, rebuilding the
@@ -456,16 +454,11 @@ impl LsmBackend {
         }
         self.compactions.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-impl StateBackend for LsmBackend {
-    fn name(&self) -> &'static str {
-        "lsm"
-    }
-
-    fn get(&self, key: &StateKey, as_of: u64) -> Option<U256> {
+    /// The newest version of `key` at or below `as_of` in the memtable and
+    /// the segments, counted in [`BackendStats`].
+    fn read_locked(&self, inner: &Inner, key: &StateKey, as_of: u64) -> Option<U256> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let inner = self.inner.read().expect("lsm lock poisoned");
         // Memtable versions are strictly newer than every segment record,
         // so a hit here is globally the newest version <= as_of.
         if let Some(versions) = inner.memtable.get(key) {
@@ -484,6 +477,27 @@ impl StateBackend for LsmBackend {
         }
         None
     }
+}
+
+impl StateBackend for LsmBackend {
+    fn name(&self) -> &'static str {
+        "lsm"
+    }
+
+    fn get(&self, key: &StateKey, as_of: u64) -> Option<U256> {
+        if let Some(value) = self.cache.get(key, as_of) {
+            return Some(value);
+        }
+        let inner = self.inner.read().expect("lsm lock poisoned");
+        let value = self.read_locked(&inner, key, as_of);
+        // No batch lands under the read lock: at the tip, what the store
+        // answered is the key's newest version.
+        let tip = self.tip.load(Ordering::Acquire);
+        if let Some(value) = value.filter(|_| as_of >= tip) {
+            self.cache.fill(key, tip, value);
+        }
+        value
+    }
 
     fn apply_batch(&self, height: u64, writes: &WriteSet) {
         if height <= self.tip.load(Ordering::Acquire) && height != 0 {
@@ -500,6 +514,9 @@ impl StateBackend for LsmBackend {
                 }
             }
         }
+        // Before the tip moves: a reader that sees the new tip finds every
+        // written key's entry refreshed.
+        self.cache.fill_batch(height, writes);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.writes
             .fetch_add(writes.len() as u64, Ordering::Relaxed);
@@ -544,6 +561,10 @@ impl StateBackend for LsmBackend {
             compactions: self.compactions.load(Ordering::Relaxed),
             segment_bytes_written: self.segment_bytes_written.load(Ordering::Relaxed),
         }
+    }
+
+    fn flat_stats(&self) -> Option<FlatStats> {
+        Some(self.cache.stats())
     }
 }
 

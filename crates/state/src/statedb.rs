@@ -12,8 +12,8 @@
 //!   [`StateBackend`]: [`StateDb::with_genesis`] on a fresh
 //!   [`MemBackend`], which answers latest reads from its own slots, and
 //!   [`StateDb::with_backend`] on the one it is handed, such as the LSM
-//!   store behind the [`FlatCached`](crate::FlatCached) flat-state cache, so
-//!   that hot SLOADs are one hash probe either way. Each commit lands the
+//!   store, which reads through a flat-state cache of its own, so that hot
+//!   SLOADs are one hash probe either way. Each commit lands the
 //!   block's batch in the backend and rebases `latest` onto it, so
 //!   snapshot RAM stays O(recent writes) rather than O(total state). The
 //!   backend keeps an old height only while a snapshot pins it; a replica,
@@ -318,9 +318,8 @@ impl StateDb {
     /// Creates a StateDB over a persistent backend, seeding `entries` as
     /// the height-0 genesis batch.
     ///
-    /// The backend is used as it is handed — a slow one comes wrapped in
-    /// its cache ([`FlatCached`](crate::FlatCached)) — and `latest` reads
-    /// fall through the (empty) overlays to it.
+    /// The backend is used as it is handed, and `latest` reads fall
+    /// through the (empty) overlays to it.
     /// The trie is built from the same entries the backend is handed, so
     /// the genesis root is the same over every backend.
     pub fn with_backend<I>(backend: Arc<dyn StateBackend>, entries: I) -> Self
@@ -957,16 +956,11 @@ mod tests {
 
     #[test]
     fn backend_db_matches_plain_db() {
-        use crate::{FlatCached, LsmBackend, LsmOptions};
+        use crate::{LsmBackend, LsmOptions};
         let genesis = vec![(key(1), U256::from(5u64)), (key(2), U256::from(6u64))];
         let mut model: WriteSet = genesis.iter().copied().collect();
         let mut mem = StateDb::with_genesis(genesis.clone());
-        let mut lsm = StateDb::with_backend(
-            Arc::new(FlatCached::new(Arc::new(LsmBackend::new(
-                LsmOptions::tiny(),
-            )))),
-            genesis,
-        );
+        let mut lsm = StateDb::with_backend(Arc::new(LsmBackend::new(LsmOptions::tiny())), genesis);
         assert_eq!(mem.current_root(), rebuilt_root(&model));
         assert_eq!(lsm.current_root(), rebuilt_root(&model));
         assert_eq!(mem.backend_name(), "mem");
@@ -985,8 +979,8 @@ mod tests {
         }
         assert_eq!(mem.backend_stats().expect("always some").batches, 21);
         assert!(lsm.backend_stats().expect("always some").writes > 0);
-        // The LSM store reads through its flat cache; the in-memory store
-        // has none.
+        // The LSM store reads through its own flat cache; the in-memory
+        // store has none.
         assert!(lsm.flat_stats().expect("stats").fills > 0);
         assert_eq!(mem.flat_stats(), None);
     }

@@ -1,13 +1,13 @@
 //! Cross-layer equivalence proptests: every read surface of the state
-//! stack — the flat cache, the trie-backed [`StateDb`] snapshots, and the
-//! raw backends — must agree under random insert/remove/commit
-//! interleavings, and the async root pipeline must land on exactly the
-//! sync roots. The three backends a database can stand on — the bare
-//! sharded in-memory store, the same behind the flat cache, and the LSM
-//! store — answer every read at every height alike and commit the roots of
-//! a trie rebuilt from a model of the state. The in-memory store keeps an
-//! old height readable exactly while a snapshot pins it: what every pinned
-//! height reads is checked while the rest is reclaimed.
+//! stack — the LSM store's flat cache, the trie-backed [`StateDb`]
+//! snapshots, and the raw backends — must agree under random
+//! insert/remove/commit interleavings, and the async root pipeline must
+//! land on exactly the sync roots. The two backends a database can stand
+//! on — the sharded in-memory store and the LSM store — answer every read
+//! at every height alike and commit the roots of a trie rebuilt from a
+//! model of the state. The in-memory store keeps an old height readable
+//! exactly while a snapshot pins it: what every pinned height reads is
+//! checked while the rest is reclaimed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,8 +17,7 @@ use proptest::prelude::*;
 use dmvcc_primitives::rlp::put_uint_be;
 use dmvcc_primitives::{keccak256, Address, H256, U256};
 use dmvcc_state::{
-    FlatCached, LsmBackend, LsmOptions, MemBackend, Mpt, Snapshot, StateBackend, StateDb, StateKey,
-    WriteSet,
+    LsmBackend, LsmOptions, MemBackend, Mpt, Snapshot, StateBackend, StateDb, StateKey, WriteSet,
 };
 
 fn key(addr: u64, slot: u64) -> StateKey {
@@ -84,30 +83,35 @@ proptest! {
         }
     }
 
-    /// The flat cache is transparent: a FlatCached wrapper over a backend
-    /// returns exactly the uncached backend's answer for any (key, as_of)
-    /// — including historical heights, which bypass the cache — across a
-    /// random batch history.
+    /// The LSM store's flat cache is transparent: the store answers every
+    /// key at every height — the tip, past it and every historical height,
+    /// which bypass the cache — as the in-memory store does, across a
+    /// random batch history that crosses flushes and compactions. Every
+    /// key is probed twice, so that a read that fills the cache is followed
+    /// by one that hits it.
     #[test]
-    fn flat_cache_is_transparent(blocks in blocks_strategy(), probes in prop::collection::vec(((0u64..12), (0u64..4), (0u64..10)), 1..32)) {
-        let plain_backend = Arc::new(MemBackend::new());
-        let cached_backend: Arc<dyn StateBackend> = Arc::new(MemBackend::new());
-        let flat = FlatCached::new(cached_backend);
+    fn flat_cache_is_transparent(blocks in blocks_strategy()) {
+        let lsm = LsmBackend::new(LsmOptions::tiny());
+        let mem = MemBackend::new();
+        // The in-memory store keeps a height readable while it is pinned.
+        let mut pins = vec![mem.pin(0)];
         for (i, block) in blocks.iter().enumerate() {
             let height = 1 + i as u64;
             let writes = write_set(block);
-            plain_backend.apply_batch(height, &writes);
-            flat.apply_batch(height, &writes);
+            lsm.apply_batch(height, &writes);
+            mem.apply_batch(height, &writes);
+            pins.push(mem.pin(height));
         }
-        let tip = plain_backend.tip();
-        for (addr, slot, as_of) in probes {
-            let k = key(addr, slot);
-            let as_of = as_of.min(tip + 1);
-            // Probe twice: the first read may fill the cache, the second
-            // must hit it — both must equal the uncached backend.
-            prop_assert_eq!(flat.get(&k, as_of), plain_backend.get(&k, as_of));
-            prop_assert_eq!(flat.get(&k, as_of), plain_backend.get(&k, as_of));
+        let tip = mem.tip();
+        for as_of in (0..=tip + 1).rev() {
+            for k in pool() {
+                let want = mem.get(&k, as_of);
+                prop_assert_eq!(lsm.get(&k, as_of), want, "as of {}", as_of);
+                prop_assert_eq!(lsm.get(&k, as_of), want, "as of {}", as_of);
+            }
         }
+        let flat = lsm.flat_stats().expect("the LSM store keeps a cache");
+        prop_assert!(flat.hits > 0, "{:?}", flat);
     }
 
     /// Async commits resolve to exactly the sync-commit roots, block by
@@ -256,8 +260,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Reclamation over the bare in-memory store and the same behind the
-    /// flat cache: snapshots are taken at the tip and dropped at random,
+    /// Reclamation in the in-memory store: snapshots are taken at the tip
+    /// and dropped at random,
     /// replicas cloned at the tip re-commit the chain behind it, falling
     /// further behind, and stale batches below the tip are ignored. After every
     /// block each live snapshot reads the model as of its height — key by
@@ -283,84 +287,78 @@ proptest! {
             state.extend(write_set(block));
             states.push(state);
         }
-        for flat in [false, true] {
-            let mem = Arc::new(MemBackend::new());
-            let backend: Arc<dyn StateBackend> = if flat {
-                Arc::new(FlatCached::new(mem.clone()))
-            } else {
-                mem.clone()
-            };
-            let mut db = StateDb::with_backend(Arc::clone(&backend), genesis.clone());
-            db.set_hash_threads(1);
-            let mut pins: Vec<Snapshot> = Vec::new();
-            let mut replicas: Vec<StateDb> = Vec::new();
-            for (i, (block, action)) in steps.iter().enumerate() {
-                let height = 1 + i as u64;
-                db.commit(&write_set(block));
-                // On every other block, so that the replicas fall behind.
-                if action % 2 == 0 {
-                    for replica in &mut replicas {
-                        let next = replica.height() as usize;
-                        replica.commit(&write_set(&steps[next].0));
-                    }
-                }
-                if action % 3 == 0 {
-                    pins.push(Snapshot::from_backend(Arc::clone(&backend), height));
-                }
-                if action % 4 == 0 && replicas.len() < 3 {
-                    replicas.push(db.clone());
-                }
-                if (action / 4) % 3 == 0 && !pins.is_empty() {
-                    pins.remove(usize::from(*action) % pins.len());
-                }
-                if (action / 16) % 4 == 0 && !replicas.is_empty() {
-                    replicas.remove(usize::from(*action) % replicas.len());
-                }
-                if action % 5 == 0 {
-                    // A stale batch below the tip: ignored.
-                    let stale = write_set(&steps[usize::from(*action) % steps.len()].0);
-                    backend.apply_batch(height.div_ceil(2), &stale);
-                }
-                prop_assert_eq!(backend.tip(), height);
-                for pin in &pins {
-                    let (as_of, state) = (pin.height(), &states[pin.height() as usize]);
-                    for k in pool() {
-                        prop_assert_eq!(backend.get(&k, as_of), state.get(&k).copied(), "as of {}", as_of);
-                        prop_assert_eq!(pin.get(&k), state.get(&k).copied().unwrap_or_default());
-                    }
-                    let mut listed = backend.iter_as_of(as_of);
-                    listed.sort_unstable();
-                    prop_assert_eq!(listed, live(state), "as of {}", as_of);
-                }
-                for db in replicas.iter().chain([&db]) {
-                    let state = &states[db.height() as usize];
-                    for k in pool() {
-                        prop_assert_eq!(db.get(&k), state.get(&k).copied().unwrap_or_default());
-                    }
+        let mem = Arc::new(MemBackend::new());
+        let backend: Arc<dyn StateBackend> = mem.clone();
+        let mut db = StateDb::with_backend(Arc::clone(&backend), genesis.clone());
+        db.set_hash_threads(1);
+        let mut pins: Vec<Snapshot> = Vec::new();
+        let mut replicas: Vec<StateDb> = Vec::new();
+        for (i, (block, action)) in steps.iter().enumerate() {
+            let height = 1 + i as u64;
+            db.commit(&write_set(block));
+            // On every other block, so that the replicas fall behind.
+            if action % 2 == 0 {
+                for replica in &mut replicas {
+                    let next = replica.height() as usize;
+                    replica.commit(&write_set(&steps[next].0));
                 }
             }
-            prop_assert!(backend.stats().compactions >= 1, "no compaction in {} blocks", steps.len());
-
-            // Nothing pins a height any more. A shard compacts once its log
-            // doubles what it held here, so within twice that many
-            // rewrites every shard has, and from then on holds no more
-            // than what its previous tip reads, doubled.
-            drop((pins, replicas, db));
-            let held = mem.replaced_versions();
-            let settled = 2 * held as u64 + 2;
-            let rewrite: WriteSet = pool().map(|k| (k, U256::from(7u64))).collect();
-            for round in 1..=settled + 4 {
-                backend.apply_batch(backend.tip() + 1, &rewrite);
-                if round > settled {
-                    prop_assert!(
-                        mem.replaced_versions() <= 2 * pool().count(),
-                        "{} versions held after {} rewrites, {} before them",
-                        mem.replaced_versions(), round, held
-                    );
+            if action % 3 == 0 {
+                pins.push(Snapshot::from_backend(Arc::clone(&backend), height));
+            }
+            if action % 4 == 0 && replicas.len() < 3 {
+                replicas.push(db.clone());
+            }
+            if (action / 4) % 3 == 0 && !pins.is_empty() {
+                pins.remove(usize::from(*action) % pins.len());
+            }
+            if (action / 16) % 4 == 0 && !replicas.is_empty() {
+                replicas.remove(usize::from(*action) % replicas.len());
+            }
+            if action % 5 == 0 {
+                // A stale batch below the tip: ignored.
+                let stale = write_set(&steps[usize::from(*action) % steps.len()].0);
+                backend.apply_batch(height.div_ceil(2), &stale);
+            }
+            prop_assert_eq!(backend.tip(), height);
+            for pin in &pins {
+                let (as_of, state) = (pin.height(), &states[pin.height() as usize]);
+                for k in pool() {
+                    prop_assert_eq!(backend.get(&k, as_of), state.get(&k).copied(), "as of {}", as_of);
+                    prop_assert_eq!(pin.get(&k), state.get(&k).copied().unwrap_or_default());
+                }
+                let mut listed = backend.iter_as_of(as_of);
+                listed.sort_unstable();
+                prop_assert_eq!(listed, live(state), "as of {}", as_of);
+            }
+            for db in replicas.iter().chain([&db]) {
+                let state = &states[db.height() as usize];
+                for k in pool() {
+                    prop_assert_eq!(db.get(&k), state.get(&k).copied().unwrap_or_default());
                 }
             }
-            prop_assert!(pool().all(|k| backend.get(&k, backend.tip()) == Some(U256::from(7u64))));
         }
+        prop_assert!(backend.stats().compactions >= 1, "no compaction in {} blocks", steps.len());
+
+        // Nothing pins a height any more. A shard compacts once its log
+        // doubles what it held here, so within twice that many
+        // rewrites every shard has, and from then on holds no more
+        // than what its previous tip reads, doubled.
+        drop((pins, replicas, db));
+        let held = mem.replaced_versions();
+        let settled = 2 * held as u64 + 2;
+        let rewrite: WriteSet = pool().map(|k| (k, U256::from(7u64))).collect();
+        for round in 1..=settled + 4 {
+            backend.apply_batch(backend.tip() + 1, &rewrite);
+            if round > settled {
+                prop_assert!(
+                    mem.replaced_versions() <= 2 * pool().count(),
+                    "{} versions held after {} rewrites, {} before them",
+                    mem.replaced_versions(), round, held
+                );
+            }
+        }
+        prop_assert!(pool().all(|k| backend.get(&k, backend.tip()) == Some(U256::from(7u64))));
     }
 }
 
@@ -397,12 +395,11 @@ fn pool() -> impl Iterator<Item = StateKey> {
     (0..12).flat_map(|addr| (0..4).map(move |slot| key(addr, slot)))
 }
 
-/// A bare sharded in-memory store, one behind the flat cache, and an LSM
-/// store at tiny thresholds (flushes and compactions inside a case).
-fn backends() -> [Arc<dyn StateBackend>; 3] {
+/// A sharded in-memory store and an LSM store at tiny thresholds (flushes
+/// and compactions inside a case).
+fn backends() -> [Arc<dyn StateBackend>; 2] {
     [
         Arc::new(MemBackend::new()),
-        Arc::new(FlatCached::new(Arc::new(MemBackend::new()))),
         Arc::new(LsmBackend::new(LsmOptions::tiny())),
     ]
 }

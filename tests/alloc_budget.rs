@@ -591,7 +591,7 @@ fn the_memory_database_keeps_each_key_within_its_byte_budget() {
     );
 
     // No flat cache copies the in-memory backend; the LSM store reads
-    // through one.
+    // through its own.
     assert_eq!(db.flat_stats(), None);
     let lsm = BackendKind::Lsm.build_db(genesis[..100].to_vec());
     assert!(lsm.flat_stats().is_some());
