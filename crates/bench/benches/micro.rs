@@ -369,6 +369,30 @@ fn bench_access_sequence(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // A hot counter's shape: 1 000 predicted adds published in block
+    // order, then the trailing reader they block. Each publication's walk
+    // for woken and stale readers is what this measures — to the next
+    // pending add, or (a walk to the next full barrier) past every pending
+    // add still above it, which is quadratic in the chain.
+    group.bench_function("add_chain_1k", |b| {
+        b.iter_batched(
+            || {
+                let mut seq = AccessSequence::new();
+                for tx in 0..1_000 {
+                    seq.predict(tx, AccessOp::Add);
+                }
+                seq.predict(1_000, AccessOp::Read);
+                seq
+            },
+            |mut seq| {
+                for tx in 0..1_000 {
+                    black_box(seq.version_write(tx, U256::ONE, true));
+                }
+                seq.resolve_read(1_000, || snapshot.get(&key))
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

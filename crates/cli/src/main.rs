@@ -456,6 +456,8 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
             stats.alloc_bytes_saved += outcome.stats.alloc_bytes_saved;
             stats.targeted_wakeups += outcome.stats.targeted_wakeups;
             stats.parks += outcome.stats.parks;
+            stats.admission_checks += outcome.stats.admission_checks;
+            stats.entries_visited += outcome.stats.entries_visited;
             stats.refine_digests += outcome.stats.refine_digests;
             stats.execute_digests += outcome.stats.execute_digests;
         }
@@ -487,9 +489,19 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
     );
     println!("waiter hand-backs      : {}", stats.targeted_wakeups);
     println!("idle parks             : {}", stats.parks);
+    let profiled_blocks = (repeat * blocks).max(1) as u64;
+    // Exact counts, per block: the admission checks publications and drops
+    // triggered, and the sequence entries their effects visited.
+    println!(
+        "admission checks       : {} per block",
+        stats.admission_checks / profiled_blocks
+    );
+    println!(
+        "entries visited        : {} per block",
+        stats.entries_visited / profiled_blocks
+    );
     // Keccak digests per block: what the workers' memos computed of what
     // the bind walk (refine) and `SHA3` (execute) asked them for.
-    let profiled_blocks = (repeat * blocks).max(1) as u64;
     for (stage, digests) in [
         ("refine", stats.refine_digests),
         ("execute", stats.execute_digests),

@@ -14,6 +14,32 @@
 //! - **Aborts** (§IV-E): inserting a write that post-dates completed reads
 //!   returns those readers for cascading abort; dropping a version does the
 //!   same for its readers.
+//!
+//! # What a change costs
+//!
+//! A change to one entry reports what it did to the entries above it
+//! ([`VersionWriteEffect`]) and costs what it reports, not what the
+//! sequence holds:
+//!
+//! - The entries are searched through a packed array of `u32` transaction
+//!   indices, never through the entries themselves, and
+//!   [`AccessSequence::read`] resolves and marks a read in one search.
+//! - A change is seen by the readers between it and the next entry that
+//!   hides it: a full write, or a pending ω/θ/ω̄ entry. Only those readers
+//!   can turn from blocked to ready or back, and they all turn together.
+//!   Readers beyond a pending ω̄ entry stay blocked by it, so the walk for
+//!   transitions stops there, and goes on towards the next full barrier
+//!   only while a consumed read may lie ahead (an upper bound on the
+//!   transactions with one is kept).
+//! - Whether a pending entry lies below the change — between it and the
+//!   closest full write — is answered from the *settled prefix*: the
+//!   longest run of leading entries holding no pending ω/θ/ω̄ entry. A
+//!   change inside it needs no walk at all; the prefix only grows past an
+//!   entry once, until a reset re-pends one inside it.
+//!
+//! On a chain of adds published in block order each publication visits
+//! O(1) entries, where a walk to the next full barrier visited the whole
+//! rest of the chain.
 
 use dmvcc_primitives::U256;
 
@@ -49,8 +75,9 @@ pub enum Version {
     Dropped,
 }
 
-/// One entry of an access sequence.
-#[derive(Debug, Clone)]
+/// One entry of an access sequence, as [`AccessSequence::entries`] lists
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessEntry {
     /// Index of the owning transaction within the block.
     pub tx: usize,
@@ -63,13 +90,38 @@ pub struct AccessEntry {
     pub read_done: bool,
 }
 
-impl AccessEntry {
-    fn predicted(tx: usize, op: AccessOp) -> Self {
-        AccessEntry {
-            tx,
+/// An entry's state, stored apart from its transaction index.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    op: AccessOp,
+    version: Version,
+    read_done: bool,
+    /// A ρ or θ was predicted: the read whose turns between blocked and
+    /// ready an effect reports.
+    predicted_read: bool,
+}
+
+impl Slot {
+    fn pending(op: AccessOp) -> Self {
+        Slot {
             op,
             version: Version::Pending,
             read_done: false,
+            predicted_read: matches!(op, AccessOp::Read | AccessOp::ReadWrite),
+        }
+    }
+
+    /// A pending ω/θ/ω̄ entry: every read above it that reaches it blocks.
+    fn blocks(&self) -> bool {
+        self.version == Version::Pending && self.op != AccessOp::Read
+    }
+
+    /// What the entry shows the readers above it: its version, with a
+    /// pending ρ entry as transparent as a dropped one.
+    fn shown(&self) -> Version {
+        match self.version {
+            Version::Pending if self.op == AccessOp::Read => Version::Dropped,
+            version => version,
         }
     }
 }
@@ -88,20 +140,60 @@ pub enum ReadResolution {
     },
 }
 
-/// Outcome of [`AccessSequence::version_write`] — the paper's Algorithm 3.
+/// Outcome of a change to one entry — for a publication, the paper's
+/// Algorithm 3. Every list is in block order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionWriteEffect {
-    /// Readers of this version that had not yet read: they may now proceed.
+    /// Predicted readers whose read of the item the change turned from
+    /// blocked to ready: exactly those, whether or not they already read.
     pub allowed: Vec<usize>,
     /// Readers that already consumed a now-stale version: abort them.
     pub aborted: Vec<usize>,
+    /// Predicted readers whose read of the item the change turned from
+    /// ready to blocked (a reset re-pending a version below them).
+    pub blocked: Vec<usize>,
+}
+
+impl VersionWriteEffect {
+    /// Empties the lists, keeping their capacity.
+    pub fn clear(&mut self) {
+        self.allowed.clear();
+        self.aborted.clear();
+        self.blocked.clear();
+    }
+}
+
+/// One change to a transaction's version of a key
+/// ([`AccessSequence::apply`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum VersionOp {
+    /// [`AccessSequence::version_write`]; the flag marks an ω̄ delta.
+    Publish(U256, bool),
+    /// [`AccessSequence::drop_version`].
+    Drop,
+    /// [`AccessSequence::reset`].
+    Reset,
+    /// [`AccessSequence::rollback_unpredicted`].
+    Rollback,
 }
 
 /// The access sequence of a single state item.
 #[derive(Debug, Clone, Default)]
 pub struct AccessSequence {
-    /// Entries sorted by transaction index (at most one per transaction).
-    entries: Vec<AccessEntry>,
+    /// The transaction of each entry, ascending (at most one entry per
+    /// transaction): what every lookup searches.
+    txs: Vec<u32>,
+    /// The entries, index-aligned with `txs`.
+    slots: Vec<Slot>,
+    /// No entry below this index blocks ([`Slot::blocks`]); the entry at it
+    /// does, unless it is the length.
+    settled: usize,
+    /// One past the highest transaction with a consumed read (0: none).
+    consumed_below: usize,
+}
+
+fn tx_index(tx: usize) -> u32 {
+    u32::try_from(tx).expect("transaction index fits in u32")
 }
 
 impl AccessSequence {
@@ -110,30 +202,94 @@ impl AccessSequence {
         AccessSequence::default()
     }
 
-    /// The entries in block order (read-only view).
-    pub fn entries(&self) -> &[AccessEntry] {
-        &self.entries
+    /// The entries in block order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = AccessEntry> + '_ {
+        self.txs
+            .iter()
+            .zip(&self.slots)
+            .map(|(&tx, slot)| AccessEntry {
+                tx: tx as usize,
+                op: slot.op,
+                version: slot.version,
+                read_done: slot.read_done,
+            })
+    }
+
+    /// `true` if nothing was predicted, read or published.
+    pub fn is_empty(&self) -> bool {
+        self.txs.is_empty()
     }
 
     fn position(&self, tx: usize) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&tx, |e| e.tx)
+        self.txs.binary_search(&tx_index(tx))
+    }
+
+    /// Inserts an entry for `tx` at `at`, keeping the settled prefix.
+    fn insert(&mut self, at: usize, tx: usize, slot: Slot) {
+        self.txs.insert(at, tx_index(tx));
+        self.slots.insert(at, slot);
+        if at <= self.settled {
+            self.settled += 1;
+        }
+        self.settle(at);
+    }
+
+    /// Restores the settled prefix after the entry at `at` changed,
+    /// returning the entries the prefix grew over.
+    fn settle(&mut self, at: usize) -> usize {
+        if self.slots[at].blocks() {
+            self.settled = self.settled.min(at);
+            return 0;
+        }
+        if at != self.settled {
+            return 0;
+        }
+        let from = self.settled;
+        let len = self.slots.len();
+        while self.settled < len && !self.slots[self.settled].blocks() {
+            self.settled += 1;
+        }
+        self.settled - from
     }
 
     /// Registers a predicted access from a C-SAG. Merges with an existing
-    /// prediction for the same transaction (read + write → θ).
+    /// prediction for the same transaction (read + write → θ). Predictions
+    /// are made before anything is read or published, so they report no
+    /// effect.
     pub fn predict(&mut self, tx: usize, op: AccessOp) {
         // Binding walks the block in order: the common case is an append.
-        if self.entries.last().is_none_or(|last| last.tx < tx) {
-            self.entries.push(AccessEntry::predicted(tx, op));
+        if self.txs.last().is_none_or(|&last| (last as usize) < tx) {
+            self.insert(self.txs.len(), tx, Slot::pending(op));
             return;
         }
         match self.position(tx) {
-            Ok(i) => {
-                let existing = &mut self.entries[i];
-                existing.op = merge_ops(existing.op, op);
+            Ok(at) => {
+                let slot = &mut self.slots[at];
+                slot.op = merge_ops(slot.op, op);
+                slot.predicted_read |= matches!(op, AccessOp::Read | AccessOp::ReadWrite);
+                self.settle(at);
             }
-            Err(i) => self.entries.insert(i, AccessEntry::predicted(tx, op)),
+            Err(at) => self.insert(at, tx, Slot::pending(op)),
         }
+    }
+
+    /// The resolution of a read at entry index `upper` (of an entry there
+    /// or of a transaction that would be inserted there).
+    fn resolve_at(&self, upper: usize, base: impl FnOnce() -> U256) -> ReadResolution {
+        let mut delta = U256::ZERO;
+        for (slot, &tx) in self.slots[..upper].iter().zip(&self.txs[..upper]).rev() {
+            match slot.shown() {
+                Version::Write(value) => return ReadResolution::Ready(value.wrapping_add(delta)),
+                Version::Delta(d) => delta = delta.wrapping_add(d),
+                Version::Pending => {
+                    return ReadResolution::Blocked {
+                        writer: tx as usize,
+                    }
+                }
+                Version::Dropped => {}
+            }
+        }
+        ReadResolution::Ready(base().wrapping_add(delta))
     }
 
     /// Resolves the value transaction `tx` should read (paper §III-B2):
@@ -141,119 +297,83 @@ impl AccessSequence {
     /// finished ω̄ deltas in between. `base` supplies the snapshot value
     /// lazily, so reads that resolve to a version never probe the snapshot.
     ///
-    /// Does **not** mark the read as done — call [`Self::mark_read`] once
-    /// the reader actually consumes the value.
+    /// Does **not** mark the read as done — [`Self::read`] resolves and
+    /// marks in one lookup.
     pub fn resolve_read(&self, tx: usize, base: impl FnOnce() -> U256) -> ReadResolution {
-        let upper = match self.position(tx) {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        let mut delta = U256::ZERO;
-        for entry in self.entries[..upper].iter().rev() {
-            match entry.version {
-                Version::Write(value) => return ReadResolution::Ready(value.wrapping_add(delta)),
-                Version::Delta(d) => delta = delta.wrapping_add(d),
-                Version::Pending if entry.op != AccessOp::Read => {
-                    return ReadResolution::Blocked { writer: entry.tx };
-                }
-                Version::Pending | Version::Dropped => continue,
-            }
-        }
-        ReadResolution::Ready(base().wrapping_add(delta))
+        let upper = self.position(tx).unwrap_or_else(|at| at);
+        self.resolve_at(upper, base)
     }
 
-    /// Empties the sequence, keeping the entry buffer's capacity — block
+    /// [`Self::resolve_read`], marking the read as performed if it resolves
+    /// ([`Self::mark_read`]) — one search for both.
+    pub fn read(&mut self, tx: usize, base: impl FnOnce() -> U256) -> ReadResolution {
+        let at = self.position(tx);
+        let resolution = self.resolve_at(at.unwrap_or_else(|at| at), base);
+        if matches!(resolution, ReadResolution::Ready(_)) {
+            self.mark_at(at, tx);
+        }
+        resolution
+    }
+
+    /// Empties the sequence, keeping the entry buffers' capacity — block
     /// arena reuse ([`crate::ShardedSequences`] recycles shard storage
     /// across blocks).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.txs.clear();
+        self.slots.clear();
+        self.settled = 0;
+        self.consumed_below = 0;
     }
 
-    /// Heap bytes retained by the entry buffer (arena accounting).
+    /// Heap bytes retained by the entry buffers (arena accounting).
     pub fn retained_bytes(&self) -> u64 {
-        (self.entries.capacity() * std::mem::size_of::<AccessEntry>()) as u64
+        (self.txs.capacity() * std::mem::size_of::<u32>()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()) as u64
     }
 
     /// Marks transaction `tx`'s read side as performed (inserting a ρ entry
     /// if the read was not predicted).
     pub fn mark_read(&mut self, tx: usize) {
-        match self.position(tx) {
-            Ok(i) => self.entries[i].read_done = true,
-            Err(i) => {
-                let mut entry = AccessEntry::predicted(tx, AccessOp::Read);
-                entry.read_done = true;
-                self.entries.insert(i, entry);
+        self.mark_at(self.position(tx), tx);
+    }
+
+    fn mark_at(&mut self, at: Result<usize, usize>, tx: usize) {
+        match at {
+            Ok(at) => self.slots[at].read_done = true,
+            Err(at) => {
+                let slot = Slot {
+                    read_done: true,
+                    predicted_read: false,
+                    ..Slot::pending(AccessOp::Read)
+                };
+                self.insert(at, tx, slot);
             }
         }
+        self.consumed_below = self.consumed_below.max(tx + 1);
     }
 
     /// The paper's Algorithm 3 (`Version_Write`): records the value written
     /// by `tx` (inserting an ω entry if unpredicted, upgrading ρ → θ), and
-    /// returns which later readers of this version may proceed (`allowed`)
-    /// and which already read a stale version (`aborted`).
+    /// returns which later readers it unblocked (`allowed`) and which
+    /// already read a stale version (`aborted`).
     ///
     /// Pass `delta = true` for a commutative ω̄ value.
     pub fn version_write(&mut self, tx: usize, value: U256, delta: bool) -> VersionWriteEffect {
-        let pos = match self.position(tx) {
-            Ok(i) => i,
-            Err(i) => {
-                let op = if delta {
-                    AccessOp::Add
-                } else {
-                    AccessOp::Write
-                };
-                self.entries.insert(i, AccessEntry::predicted(tx, op));
-                i
-            }
-        };
-        let entry = &mut self.entries[pos];
-        if delta {
-            // A delta folds onto whatever version this transaction already
-            // holds (repeated adds accumulate; an add after the
-            // transaction's own full write extends that write). A pending
-            // or dropped entry holds nothing: the delta starts fresh,
-            // whatever the entry was predicted as.
-            if entry.op == AccessOp::Read {
-                entry.op = AccessOp::Add;
-            }
-            entry.version = match entry.version {
-                Version::Write(v) => Version::Write(v.wrapping_add(value)),
-                Version::Delta(d) => Version::Delta(d.wrapping_add(value)),
-                Version::Pending | Version::Dropped => Version::Delta(value),
-            };
-        } else {
-            entry.op = merge_ops(entry.op, AccessOp::Write);
-            entry.version = Version::Write(value);
-        }
-        self.downstream_effect(pos)
+        self.effect_of(tx, VersionOp::Publish(value, delta))
     }
 
     /// Drops transaction `tx`'s version (deterministic abort, rollback of a
     /// misprediction, or the `null` write of the paper's Algorithm 4),
     /// returning readers that consumed it and must abort.
     pub fn drop_version(&mut self, tx: usize) -> VersionWriteEffect {
-        let Ok(pos) = self.position(tx) else {
-            return VersionWriteEffect::default();
-        };
-        self.entries[pos].version = Version::Dropped;
-        self.downstream_effect(pos)
+        self.effect_of(tx, VersionOp::Drop)
     }
 
     /// Resets `tx`'s entry to pending (re-execution of an aborted
     /// transaction re-announces its predicted accesses), returning affected
     /// downstream readers.
     pub fn reset(&mut self, tx: usize) -> VersionWriteEffect {
-        let Ok(pos) = self.position(tx) else {
-            return VersionWriteEffect::default();
-        };
-        let entry = &mut self.entries[pos];
-        entry.version = Version::Pending;
-        entry.read_done = false;
-        if entry.op != AccessOp::Read {
-            self.downstream_effect(pos)
-        } else {
-            VersionWriteEffect::default()
-        }
+        self.effect_of(tx, VersionOp::Reset)
     }
 
     /// Rolls back `tx`'s entry for a key whose write was *not* predicted:
@@ -265,48 +385,173 @@ impl AccessSequence {
     /// does write the key again, [`Self::version_write`] revives the
     /// dropped entry in place.
     pub fn rollback_unpredicted(&mut self, tx: usize) -> VersionWriteEffect {
-        let Ok(pos) = self.position(tx) else {
-            return VersionWriteEffect::default();
-        };
-        let entry = &mut self.entries[pos];
-        entry.read_done = false;
-        if entry.op != AccessOp::Read {
-            entry.version = Version::Dropped;
-            self.downstream_effect(pos)
-        } else {
-            VersionWriteEffect::default()
-        }
+        self.effect_of(tx, VersionOp::Rollback)
     }
 
-    /// Scans forward from `pos` classifying affected readers: readers whose
-    /// resolution includes the version at `pos` are `allowed` (if still
-    /// waiting) or `aborted` (if they already read). The scan stops at the
-    /// next full write — published, or pending on a predicted ω/θ entry —
-    /// whose readers observe that version instead; deltas are transparent
-    /// whatever their entry was predicted as.
-    ///
-    /// The stale-read check keys on `read_done` for *every* entry op, not
-    /// just ρ/θ: [`Self::mark_read`] records unpredicted reads on existing
-    /// ω/ω̄ entries without changing their op, so a pure-write or add entry
-    /// can carry a consumed read that this version invalidates.
-    fn downstream_effect(&self, pos: usize) -> VersionWriteEffect {
+    fn effect_of(&mut self, tx: usize, op: VersionOp) -> VersionWriteEffect {
         let mut effect = VersionWriteEffect::default();
-        for entry in &self.entries[pos + 1..] {
-            if entry.read_done {
-                effect.aborted.push(entry.tx);
-            } else if matches!(entry.op, AccessOp::Read | AccessOp::ReadWrite) {
-                effect.allowed.push(entry.tx);
+        self.apply(tx, op, &mut effect);
+        effect
+    }
+
+    /// Applies `op` to `tx`'s entry and appends what it did to `effect`;
+    /// returns the entries visited beyond the entry itself. Only a
+    /// publication creates an entry: the other changes leave a transaction
+    /// without one untouched.
+    pub(crate) fn apply(
+        &mut self,
+        tx: usize,
+        op: VersionOp,
+        effect: &mut VersionWriteEffect,
+    ) -> usize {
+        let at = match (self.position(tx), op) {
+            (Ok(at), _) => at,
+            (Err(at), VersionOp::Publish(value, delta)) => {
+                // An unpredicted publication: the entry is inserted as
+                // published, and before it existed it showed nothing.
+                let (op, version) = match delta {
+                    true => (AccessOp::Add, Version::Delta(value)),
+                    false => (AccessOp::Write, Version::Write(value)),
+                };
+                self.insert(
+                    at,
+                    tx,
+                    Slot {
+                        version,
+                        ..Slot::pending(op)
+                    },
+                );
+                return self.downstream_effect(at, Version::Dropped, version, effect);
             }
-            let barrier = match entry.version {
-                Version::Write(_) => true,
-                Version::Pending => matches!(entry.op, AccessOp::Write | AccessOp::ReadWrite),
-                Version::Delta(_) | Version::Dropped => false,
-            };
-            if barrier {
-                break;
+            (Err(_), _) => return 0,
+        };
+        let before = self.slots[at].shown();
+        let slot = &mut self.slots[at];
+        match op {
+            VersionOp::Publish(value, true) => {
+                // A delta folds onto whatever version this transaction
+                // already holds (repeated adds accumulate; an add after the
+                // transaction's own full write extends that write). A
+                // pending or dropped entry holds nothing: the delta starts
+                // fresh, whatever the entry was predicted as.
+                if slot.op == AccessOp::Read {
+                    slot.op = AccessOp::Add;
+                }
+                slot.version = match slot.version {
+                    Version::Write(v) => Version::Write(v.wrapping_add(value)),
+                    Version::Delta(d) => Version::Delta(d.wrapping_add(value)),
+                    Version::Pending | Version::Dropped => Version::Delta(value),
+                };
+            }
+            VersionOp::Publish(value, false) => {
+                slot.op = merge_ops(slot.op, AccessOp::Write);
+                slot.version = Version::Write(value);
+            }
+            VersionOp::Drop => slot.version = Version::Dropped,
+            VersionOp::Reset => {
+                slot.version = Version::Pending;
+                slot.read_done = false;
+            }
+            VersionOp::Rollback => {
+                slot.read_done = false;
+                if slot.op != AccessOp::Read {
+                    slot.version = Version::Dropped;
+                }
             }
         }
-        effect
+        let after = slot.shown();
+        let visited = self.settle(at);
+        if before == after {
+            return visited;
+        }
+        visited + self.downstream_effect(at, before, after, effect)
+    }
+
+    /// What the entry at `at` showing `after` instead of `before` does to
+    /// the entries above it, appended to `effect`; returns the entries
+    /// visited.
+    ///
+    /// The *window* is the entries up to and including the first that is a
+    /// full write or blocks: every predicted read in it passes through `at`
+    /// and nothing else that may block, so all of them turn together, and
+    /// reads beyond it do not turn at all. A consumed read is stale up to
+    /// the next *barrier* — a full write or a pending ω/θ entry; a pending
+    /// ω̄ entry hides no value, only blocks. The stale-read check keys on
+    /// `read_done` for *every* entry op, not just ρ/θ: [`Self::mark_read`]
+    /// records unpredicted reads on existing ω/ω̄ entries without changing
+    /// their op, so a pure-write or add entry can carry a consumed read
+    /// that this change invalidates.
+    fn downstream_effect(
+        &self,
+        at: usize,
+        before: Version,
+        after: Version,
+        effect: &mut VersionWriteEffect,
+    ) -> usize {
+        let readers = effect.allowed.len();
+        let mut in_window = true;
+        let mut visited = 0;
+        for (slot, &tx) in self.slots[at + 1..].iter().zip(&self.txs[at + 1..]) {
+            let tx = tx as usize;
+            if !in_window && tx >= self.consumed_below {
+                break;
+            }
+            visited += 1;
+            if slot.read_done {
+                effect.aborted.push(tx);
+            }
+            if in_window && slot.predicted_read {
+                effect.allowed.push(tx);
+            }
+            match slot.shown() {
+                Version::Write(_) => break,
+                Version::Pending if matches!(slot.op, AccessOp::Write | AccessOp::ReadWrite) => {
+                    break
+                }
+                Version::Pending => in_window = false,
+                Version::Delta(_) | Version::Dropped => {}
+            }
+        }
+        if effect.allowed.len() == readers {
+            return visited;
+        }
+        let mut below = None;
+        let mut blocked = |shown: Version| match shown {
+            Version::Write(_) => false,
+            Version::Pending => true,
+            Version::Delta(_) | Version::Dropped => {
+                *below.get_or_insert_with(|| self.blocked_below(at, &mut visited))
+            }
+        };
+        match (blocked(before), blocked(after)) {
+            (true, false) => {}
+            (false, true) => {
+                let turned = effect.allowed.drain(readers..);
+                effect.blocked.extend(turned);
+            }
+            _ => effect.allowed.truncate(readers),
+        }
+        visited
+    }
+
+    /// Whether a read passing down through entry `at` blocks below it: a
+    /// pending ω/θ/ω̄ entry lies between `at` and the closest full write
+    /// under it (or the start). Inside the settled prefix no walk is
+    /// needed; above it the walk ends at the prefix's blocking entry at the
+    /// latest. Counts the entries it visits into `visited`.
+    fn blocked_below(&self, at: usize, visited: &mut usize) -> bool {
+        if at <= self.settled {
+            return false;
+        }
+        for slot in self.slots[self.settled..at].iter().rev() {
+            *visited += 1;
+            match slot.shown() {
+                Version::Write(_) => return false,
+                Version::Pending => return true,
+                Version::Delta(_) | Version::Dropped => {}
+            }
+        }
+        unreachable!("the entry at the settled index blocks")
     }
 
     /// The committed value of this item after all transactions finish: the
@@ -316,8 +561,8 @@ impl AccessSequence {
     pub(crate) fn final_value(&self, base: impl FnOnce() -> U256) -> Option<U256> {
         let mut delta = U256::ZERO;
         let mut any = false;
-        for entry in self.entries.iter().rev() {
-            match entry.version {
+        for slot in self.slots.iter().rev() {
+            match slot.version {
                 Version::Write(value) => return Some(value.wrapping_add(delta)),
                 Version::Delta(d) => {
                     delta = delta.wrapping_add(d);
@@ -482,6 +727,7 @@ mod tests {
     #[test]
     fn version_write_scan_stops_at_next_write() {
         let mut seq = AccessSequence::new();
+        seq.predict(1, AccessOp::Write);
         seq.predict(3, AccessOp::Read);
         seq.predict(5, AccessOp::Write);
         seq.predict(7, AccessOp::Read);
@@ -497,9 +743,18 @@ mod tests {
         seq.predict(4, AccessOp::Write);
         seq.predict(6, AccessOp::Read);
         seq.drop_version(4);
+        // Reader 6 is still blocked by the pending add at 2: a version
+        // below it turns no read of 6 ready.
         let effect = seq.version_write(1, u(10), false);
-        // The dropped write at 4 is transparent; 6 reads my version.
+        assert_eq!(effect, VersionWriteEffect::default());
+        // The add's publication clears the last blocker: the dropped write
+        // at 4 is transparent, and 6 reads my version plus the delta.
+        let effect = seq.version_write(2, u(5), true);
         assert_eq!(effect.allowed, vec![6]);
+        assert_eq!(
+            resolve(&seq, 6, &Snapshot::empty()),
+            ReadResolution::Ready(u(15))
+        );
     }
 
     #[test]
@@ -550,8 +805,9 @@ mod tests {
         let mut seq = AccessSequence::new();
         seq.predict(2, AccessOp::Read);
         seq.version_write(2, u(9), false);
-        assert_eq!(seq.entries()[0].op, AccessOp::ReadWrite);
-        assert_eq!(seq.entries()[0].version, Version::Write(u(9)));
+        let entry = seq.entries().next().unwrap();
+        assert_eq!(entry.op, AccessOp::ReadWrite);
+        assert_eq!(entry.version, Version::Write(u(9)));
     }
 
     #[test]
@@ -618,10 +874,11 @@ mod tests {
         seq.predict(2, AccessOp::Read);
         seq.mark_read(2);
         seq.rollback_unpredicted(2);
-        // The cleared read is no longer a stale-read abort candidate.
+        // The cleared read is no longer a stale-read abort candidate. Nor
+        // is it woken: the snapshot served it before tx 1's write
+        // appeared, so the write turned nothing from blocked to ready.
         let effect = seq.version_write(1, u(5), false);
-        assert!(effect.aborted.is_empty());
-        assert_eq!(effect.allowed, vec![2]);
+        assert_eq!(effect, VersionWriteEffect::default());
     }
 
     #[test]
@@ -728,9 +985,10 @@ mod tests {
     fn unpredicted_read_inserts_entry() {
         let mut seq = AccessSequence::new();
         seq.mark_read(4);
-        assert_eq!(seq.entries().len(), 1);
-        assert_eq!(seq.entries()[0].op, AccessOp::Read);
-        assert!(seq.entries()[0].read_done);
+        let entries: Vec<AccessEntry> = seq.entries().collect();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].op, AccessOp::Read);
+        assert!(entries[0].read_done);
     }
 
     #[test]
@@ -740,9 +998,9 @@ mod tests {
             seq.predict(tx, AccessOp::Read);
         }
         let bytes = seq.retained_bytes();
-        assert!(bytes >= (8 * std::mem::size_of::<AccessEntry>()) as u64);
+        assert!(bytes >= (8 * (std::mem::size_of::<u32>() + std::mem::size_of::<Slot>())) as u64);
         seq.clear();
-        assert!(seq.entries().is_empty());
+        assert!(seq.is_empty());
         assert_eq!(seq.retained_bytes(), bytes);
     }
 
@@ -751,11 +1009,149 @@ mod tests {
         let mut seq = AccessSequence::new();
         seq.predict(1, AccessOp::Read);
         seq.predict(1, AccessOp::Write);
-        assert_eq!(seq.entries()[0].op, AccessOp::ReadWrite);
+        assert_eq!(seq.entries().next().unwrap().op, AccessOp::ReadWrite);
         let mut seq2 = AccessSequence::new();
         seq2.predict(1, AccessOp::Add);
         seq2.predict(1, AccessOp::Add);
-        assert_eq!(seq2.entries()[0].op, AccessOp::Add);
-        assert_eq!(seq2.entries().len(), 1);
+        let entries: Vec<AccessEntry> = seq2.entries().collect();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].op, AccessOp::Add);
+    }
+
+    #[test]
+    fn the_publication_that_clears_the_last_add_wakes_the_reader() {
+        // Four pending adds, then a reader: whatever the order the adds
+        // publish in, the reader is listed by exactly the last one.
+        let orders = permutations(&[1, 2, 3, 4]);
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            let mut seq = AccessSequence::new();
+            for tx in 1..=4 {
+                seq.predict(tx, AccessOp::Add);
+            }
+            seq.predict(9, AccessOp::Read);
+            for (i, &tx) in order.iter().enumerate() {
+                let effect = seq.version_write(tx, u(tx as u64), true);
+                let expected: Vec<usize> = if i == 3 { vec![9] } else { vec![] };
+                assert_eq!(effect.allowed, expected, "order {order:?}");
+                assert!(effect.aborted.is_empty() && effect.blocked.is_empty());
+            }
+            assert_eq!(
+                resolve(&seq, 9, &Snapshot::empty()),
+                ReadResolution::Ready(u(10))
+            );
+        }
+    }
+
+    fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        let mut all = Vec::new();
+        for (i, &first) in items.iter().enumerate() {
+            let mut rest = items.to_vec();
+            rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                all.push(tail);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn a_pending_write_below_the_change_suppresses_the_wake() {
+        let mut seq = AccessSequence::new();
+        seq.predict(1, AccessOp::Write);
+        seq.predict(3, AccessOp::Add);
+        seq.predict(5, AccessOp::Read);
+        // The add publishes, but the write at 1 still blocks reader 5.
+        assert_eq!(
+            seq.version_write(3, u(2), true),
+            VersionWriteEffect::default()
+        );
+        // A drop is no different.
+        seq.reset(3);
+        assert_eq!(seq.drop_version(3), VersionWriteEffect::default());
+        // A full write between the two hides the pending one: 5 turns
+        // ready, and the add above the full write wakes no one.
+        assert_eq!(seq.version_write(2, u(40), false).allowed, vec![5]);
+        assert_eq!(
+            seq.version_write(3, u(2), true),
+            VersionWriteEffect::default()
+        );
+        assert_eq!(
+            resolve(&seq, 5, &Snapshot::empty()),
+            ReadResolution::Ready(u(42))
+        );
+    }
+
+    #[test]
+    fn a_reset_re_blocks_and_the_republication_wakes_again() {
+        let mut seq = AccessSequence::new();
+        seq.predict(1, AccessOp::Write);
+        seq.predict(3, AccessOp::Read);
+        seq.predict(4, AccessOp::ReadWrite);
+        seq.predict(6, AccessOp::Read);
+        assert_eq!(seq.version_write(1, u(10), false).allowed, vec![3, 4]);
+        seq.mark_read(3);
+        // The reset re-blocks both readers up to the θ entry, consumed or
+        // not, and aborts the one that consumed; 6 belongs to the θ.
+        let effect = seq.reset(1);
+        assert_eq!(effect.blocked, vec![3, 4]);
+        assert_eq!(effect.aborted, vec![3]);
+        assert!(effect.allowed.is_empty());
+        // Resetting a pending entry again changes nothing.
+        assert_eq!(seq.reset(1), VersionWriteEffect::default());
+        seq.reset(3);
+        let effect = seq.version_write(1, u(11), false);
+        assert_eq!((effect.allowed, effect.blocked), (vec![3, 4], vec![]));
+    }
+
+    #[test]
+    fn read_resolves_and_marks_in_one_call() {
+        let mut seq = AccessSequence::new();
+        seq.predict(1, AccessOp::Write);
+        seq.predict(3, AccessOp::Read);
+        let base = || u(7);
+        // Blocked: nothing is marked.
+        assert_eq!(seq.read(3, base), ReadResolution::Blocked { writer: 1 });
+        assert!(seq.entries().all(|entry| !entry.read_done));
+        seq.version_write(1, u(10), false);
+        assert_eq!(seq.read(3, base), ReadResolution::Ready(u(10)));
+        // An unpredicted read inserts its ρ entry, marked.
+        assert_eq!(seq.read(5, base), ReadResolution::Ready(u(10)));
+        let marked: Vec<usize> = seq
+            .entries()
+            .filter(|e| e.read_done)
+            .map(|e| e.tx)
+            .collect();
+        assert_eq!(marked, vec![3, 5]);
+        assert_eq!(seq.version_write(2, u(20), false).aborted, vec![3, 5]);
+    }
+
+    #[test]
+    fn an_add_chain_published_in_order_is_visited_once() {
+        // 1 000 predicted adds published in block order, then a reader:
+        // each publication visits the next pending add and nothing else,
+        // and the last one the reader.
+        let k = 1_000;
+        let mut seq = AccessSequence::new();
+        for tx in 0..k {
+            seq.predict(tx, AccessOp::Add);
+        }
+        seq.predict(k, AccessOp::Read);
+        let mut visited = 0;
+        let mut effect = VersionWriteEffect::default();
+        for tx in 0..k {
+            effect.clear();
+            visited += seq.apply(tx, VersionOp::Publish(u(1), true), &mut effect);
+            assert_eq!(effect.allowed.len(), usize::from(tx == k - 1));
+        }
+        assert!(visited <= 2 * (k + 1), "{visited} entries visited");
+        assert_eq!(
+            resolve(&seq, k, &Snapshot::empty()),
+            ReadResolution::Ready(u(k as u64))
+        );
     }
 }

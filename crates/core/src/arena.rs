@@ -20,7 +20,7 @@
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, SortedVec};
 
-use crate::sharded::VersionOp;
+use crate::access::VersionOp;
 
 /// The write side of one execution attempt, shared by every engine's host:
 /// buffered full writes and ω̄ deltas keyed by interned id, with the serial

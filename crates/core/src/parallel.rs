@@ -15,9 +15,13 @@
 //! - **Suspension**: a read that meets a pending version never waits. It
 //!   puts its transaction on the key's waiter list in the shard (under the
 //!   lock that failed the read), records the key in the transaction's core
-//!   and aborts its own attempt. Admission resolves that key like a
-//!   predicted read, and a publish, drop or reset of the key drains the
-//!   list into `try_admit`. No worker ever sleeps inside an attempt.
+//!   and aborts its own attempt. Admission resolves that key, and a
+//!   publish, drop or reset of the key drains the list into `try_admit`.
+//!   No worker ever sleeps inside an attempt.
+//! - **Counted readiness**: a transaction's predicted reads are never
+//!   re-resolved to admit it. Its core counts how many of them are blocked,
+//!   and every change to a key reports exactly the predicted readers it
+//!   turned (see "Wakes and admission" below).
 //! - **Rank-lane ready queue**: the dispatch order is computed up front
 //!   from the batch — [`crate::BlockDag`] ranks bucket every transaction
 //!   into one of [`crate::NUM_LANES`] FIFO lanes — and workers pop the
@@ -57,9 +61,49 @@
 //! transaction core lock at a time, and never acquires one kind while
 //! holding the other (effects are staged and applied after unlocking).
 //!
+//! Wakes and admission. A transaction waits for its predicted reads and,
+//! after a suspension, for the key that suspended it (`blocked_on`).
+//!
+//! - Bind sets each transaction's `blocked_reads` to the number of its
+//!   predicted reads that an earlier transaction's predicted write or add
+//!   blocks — what `resolve_read` answers on the fresh store.
+//! - A change to a key lists the predicted readers it turned from blocked
+//!   to ready (`allowed`) and from ready to blocked (`blocked`), each turn
+//!   exactly once, in the change that made it. After the shard unlock the
+//!   worker adds one per re-blocked reader, then takes one off per woken
+//!   reader ([`Shared::wake`]), atomically and without the core lock.
+//!   Turns of one key are made in shard-lock
+//!   order but applied in any, so the count is signed: it may pass below
+//!   zero on its way to its true value, never stay off it.
+//! - A decrement that leaves the count at or below zero checks admission,
+//!   and so does the end of an abort's resets (the victim's return to
+//!   `Waiting`). Either admits under the same core-lock hold when nothing
+//!   else is owed — no suspension key, attempts left — and otherwise calls
+//!   `try_admit`, which resolves the suspension key alone (one shard lock)
+//!   and re-registers the transaction on its waiter list if it is still
+//!   blocked. An increment never admits.
+//!
+//! Why no wake is lost. Take a `Waiting` transaction whose predicted reads
+//! are all ready, with every turn reported so far applied, so its count
+//! is 0. Its last check — the last decrement, or its last return to
+//! `Waiting`, whichever came later (a decrement precedes its core lock and
+//! the return reads the count under that lock, so the later of the two
+//! sees the earlier) — saw the count at 0 less the increments applied
+//! since, so at or below zero, and saw it `Waiting`:
+//! the check admitted it, unless a suspension key or spent attempts sent
+//! it to `try_admit`. There the key is either ready (admitted) or the
+//! transaction is back on the key's waiter list under the lock that saw
+//! it blocked, and the change that unblocks the key drains the list into
+//! `try_admit` again. A count that is transiently low — a turn not yet
+//! applied — only admits early, and that attempt suspends on the blocked
+//! read like any mispredicted one.
+//!
 //! Liveness: a worker is either running an attempt, which never sleeps, or
 //! in the idle loop, whose self-heal sweep over the waiting transactions and
-//! timed park are the backstop for any admission nothing triggered.
+//! timed park are the backstop. By the argument above the sweep only ever
+//! finds a transaction that has spent its attempts (nothing signals the end
+//! of its hold), or one whose suspension key a concurrent change is
+//! already handing to `try_admit`.
 //!
 //! Correctness oracle: for any interleaving, the committed write set equals
 //! the serial execution's (Theorem 1) — integration tests compare Merkle
@@ -67,7 +111,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,11 +126,11 @@ use dmvcc_vm::{
 
 use dmvcc_analysis::{Analyzer, CSag};
 
-use crate::access::{AccessOp, ReadResolution};
+use crate::access::{AccessOp, ReadResolution, VersionOp};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
-use crate::sharded::{ShardStorage, ShardedSequences, Staged, VersionOp, SHARDS};
+use crate::sharded::{Effects, ShardStorage, ShardedSequences, SHARDS};
 
 /// Backstop for an idle worker with nothing to run.
 const IDLE_PARK: Duration = Duration::from_millis(1);
@@ -184,6 +228,16 @@ pub struct ExecutorStats {
     /// Keccak digests the execute workers' `SHA3`s asked their memos for,
     /// and how many of them were computed.
     pub execute_digests: DigestCounts,
+    /// Admission checks the workers' publish and drop batches triggered,
+    /// each one lock of a transaction's core: one per woken reader whose
+    /// count of blocked reads the wake released, and one per suspended
+    /// transaction drained from a changed key's waiter list (an abort
+    /// cascade's own are not counted).
+    pub admission_checks: u64,
+    /// Sequence entries the changes to the block's access sequences
+    /// visited beyond the changed entries — the walks for woken and stale
+    /// readers and the growth of the settled prefix, abort resets included.
+    pub entries_visited: u64,
 }
 
 /// Result of a parallel block execution.
@@ -420,13 +474,12 @@ impl BlockMeta {
     ///   written and added, so only the ids need sorting);
     /// - registers its predicted accesses in `sequences` (exclusive access:
     ///   no shard lock exists to take yet);
-    /// - decides whether it is *ready*: none of its read keys has a
-    ///   predicted ω/θ/ω̄ entry of an earlier transaction — one bit per key
-    ///   — which is what `resolve_read` answers while every entry is still
-    ///   pending, so the transactions marked [`Phase::Ready`] here are
-    ///   exactly those a `try_admit` sweep over the fresh store would
-    ///   admit. (With `max_attempts == 0` every transaction has "spent" its
-    ///   attempts and waits for all earlier ones: only the first is ready.)
+    /// - counts its *blocked reads*: the read keys with a predicted ω/θ/ω̄
+    ///   entry of an earlier transaction — one bit per key — which is what
+    ///   `resolve_read` answers while every entry is still pending; with
+    ///   none it is [`Phase::Ready`]. (With `max_attempts == 0` every
+    ///   transaction has "spent" its attempts and waits for all earlier
+    ///   ones: only the first is ready.)
     ///
     /// The ranks are then swept backwards over the same ids.
     fn bind(
@@ -439,12 +492,12 @@ impl BlockMeta {
         let (interner, mut predict) = sequences.bind();
         for (i, (csag, state)) in csags.iter().zip(states).enumerate() {
             let from = self.lens();
-            let mut ready = max_attempts > 0 || i == 0;
+            let mut blocked_reads = 0;
             for key in &csag.reads {
                 let id = interner.preintern(*key);
                 self.reads.push((id, *key));
                 predict(id, i, AccessOp::Read);
-                ready &= self.written[id.index() / 64] >> (id.index() % 64) & 1 == 0;
+                blocked_reads += (self.written[id.index() / 64] >> (id.index() % 64) & 1) as i32;
             }
             // The record's reads are in key order, so the pairs are sorted.
             let own_reads = &self.reads[from[0]..];
@@ -477,7 +530,8 @@ impl BlockMeta {
             let to = self.lens();
             self.ends.push(to);
 
-            if ready {
+            *state.blocked_reads.get_mut() = blocked_reads;
+            if blocked_reads == 0 && (max_attempts > 0 || i == 0) {
                 state.core.get_mut().phase = Phase::Ready;
             }
         }
@@ -494,11 +548,16 @@ impl BlockMeta {
 }
 
 /// One transaction's full concurrent state: the core behind its own small
-/// mutex, and the abort generation as an atomic (checked far more often
-/// than the core is mutated).
+/// mutex, and beside it as atomics the abort generation (checked far more
+/// often than the core is mutated) and the count of blocked reads (changed
+/// far more often than it releases the transaction).
 #[derive(Debug, Default)]
 struct TxState {
     generation: AtomicU32,
+    /// Predicted reads that are blocked, as the turns applied so far count
+    /// them (see the module docs): signed, because turns of one key may be
+    /// applied out of order.
+    blocked_reads: AtomicI32,
     core: Mutex<TxCore>,
 }
 
@@ -516,13 +575,15 @@ struct Scratch {
     published: SortedVec<KeyId>,
     /// The publish or drop batch being built and applied.
     batch: Vec<(KeyId, VersionOp)>,
+    /// What each shard's run of the batch did, read after the unlock.
+    effects: Effects,
     /// Every `SHA3` of the worker's attempts asks here first: a mapping
     /// slot of a popular account, or of a transaction re-run after an
     /// abort, is hashed once a block.
     memo: KeccakMemo,
-    /// `publishes`, `publish_batches`, `targeted_wakeups`, `parks` and
-    /// `rank_inversions`, as this worker counted them, and on its way out
-    /// its memo's `execute_digests`.
+    /// `publishes`, `publish_batches`, `targeted_wakeups`,
+    /// `admission_checks`, `parks` and `rank_inversions`, as this worker
+    /// counted them, and on its way out its memo's `execute_digests`.
     stats: ExecutorStats,
 }
 
@@ -571,6 +632,11 @@ struct Shared<'a> {
     /// Optional scheduling hook (`None` in production; see
     /// [`crate::SchedHook`]).
     hook: Option<Arc<dyn SchedHook>>,
+    /// Transactions the idle sweep admitted that neither waited on a
+    /// suspension key nor had spent their attempts: wakes the exact
+    /// admission path lost.
+    #[cfg(test)]
+    lost_wakes: AtomicUsize,
 }
 
 impl Shared<'_> {
@@ -583,6 +649,11 @@ impl Shared<'_> {
 
     fn generation_of(&self, tx: usize) -> u32 {
         self.states[tx].generation.load(Ordering::SeqCst)
+    }
+
+    /// Whether some predicted read of `tx` is counted blocked.
+    fn counted_blocked(&self, tx: usize) -> bool {
+        self.states[tx].blocked_reads.load(Ordering::SeqCst) > 0
     }
 
     /// Enqueues a ready transaction into its rank lane and wakes a parked
@@ -614,38 +685,63 @@ impl Shared<'_> {
         runs && higher.iter().any(|count| count.load(Ordering::SeqCst) > 0)
     }
 
-    /// Checks whether the key that suspended `tx` (`blocked_on`, if any)
-    /// and all its predicted reads resolve right now, taking one shard lock
-    /// at a time. A suspension key that is still blocked gets `tx` back on
-    /// its waiter list under the lock that failed it, so the change that
-    /// unblocks the key hands `tx` to [`Self::try_admit`].
-    fn is_ready(&self, tx: usize, blocked_on: Option<KeyId>) -> bool {
-        if let Some(id) = blocked_on {
-            let key = self.sequences.interner().resolve(id);
-            let mut shard = self.sequences.shard_for(id);
-            let resolution = shard.resolve_read(id, tx, &key, self.snapshot);
-            if matches!(resolution, ReadResolution::Blocked { .. }) {
-                shard.register_waiter(id, tx);
-                return false;
-            }
+    /// Under `tx`'s core lock: queues nothing, but marks a `Waiting`
+    /// transaction `Ready` and returns its generation if admitting it needs
+    /// no check beyond the lock — no predicted read counted blocked, no
+    /// suspension key, attempts left.
+    fn admit_locked(&self, tx: usize, core: &mut TxCore) -> Option<u32> {
+        let owes = core.blocked_on.is_some() || core.attempts >= self.max_attempts;
+        if core.phase != Phase::Waiting || self.counted_blocked(tx) || owes {
+            return None;
         }
-        for &(id, ref key) in self.meta.tx(tx).reads {
-            let mut shard = self.sequences.shard_for(id);
-            if matches!(
-                shard.resolve_read(id, tx, key, self.snapshot),
-                ReadResolution::Blocked { .. }
-            ) {
-                return false;
+        core.phase = Phase::Ready;
+        // Generation read under the core lock: an abort (which holds this
+        // lock to bump it) cannot interleave, so the queue entry is
+        // coherent.
+        Some(self.generation_of(tx))
+    }
+
+    /// An exact wake: one of `tx`'s predicted reads turned ready. The count
+    /// goes down without a lock; only a decrement that releases the
+    /// transaction checks admission — under the core lock, which queues it
+    /// under the same hold or, if it also waits on a suspension key or has
+    /// spent its attempts, hands it to [`Self::try_admit`]. Returns whether
+    /// it checked. (The decrement comes before the lock, and the return to
+    /// `Waiting` reads the count under it: one of the two sees the other.)
+    fn wake(&self, tx: usize) -> bool {
+        if self.states[tx].blocked_reads.fetch_sub(1, Ordering::SeqCst) > 1 {
+            return false;
+        }
+        let queued = {
+            let mut core = self.states[tx].core.lock();
+            if core.phase != Phase::Waiting {
+                return true;
+            }
+            self.admit_locked(tx, &mut core)
+        };
+        match queued {
+            Some(generation) => self.push_ready(tx, generation),
+            None => {
+                self.try_admit(tx);
             }
         }
         true
     }
 
-    /// Admits `tx` to the ready queue if it is waiting and its predicted
-    /// reads and suspension key resolve. The readiness check runs without
-    /// the core lock, so a version appearing concurrently can cause a
-    /// *spurious* admission — harmless, the attempt just suspends (or
-    /// aborts) like any mispredicted read — but never a missed one.
+    /// One of `tx`'s predicted reads turned blocked.
+    fn reblock(&self, tx: usize) {
+        self.states[tx].blocked_reads.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Admits `tx` to the ready queue if it is waiting, none of its
+    /// predicted reads is counted blocked and the key that suspended it
+    /// (`blocked_on`, if any) resolves. Only that key is resolved, under
+    /// its shard lock and without the core lock; if it is still blocked
+    /// `tx` goes back on its waiter list under the lock that failed it, so
+    /// the change that unblocks the key hands `tx` back here. A version
+    /// appearing concurrently can cause a *spurious* admission — harmless,
+    /// the attempt just suspends (or aborts) like any mispredicted read —
+    /// but never a missed one.
     ///
     /// A transaction that has spent its `max_attempts` is held back until
     /// every earlier transaction has finished. Aborts only ever come from
@@ -656,7 +752,7 @@ impl Shared<'_> {
     fn try_admit(&self, tx: usize) -> bool {
         let (spent, blocked_on) = {
             let core = self.states[tx].core.lock();
-            if core.phase != Phase::Waiting {
+            if core.phase != Phase::Waiting || self.counted_blocked(tx) {
                 return false;
             }
             (core.attempts >= self.max_attempts, core.blocked_on)
@@ -666,22 +762,45 @@ impl Shared<'_> {
         if spent && !(0..tx).all(|i| self.states[i].core.lock().phase == Phase::Finished) {
             return false;
         }
-        if !self.is_ready(tx, blocked_on) {
-            return false;
+        if let Some(id) = blocked_on {
+            let key = self.sequences.interner().resolve(id);
+            let mut shard = self.sequences.shard_for(id);
+            let resolution = shard.resolve_read(id, tx, &key, self.snapshot);
+            if matches!(resolution, ReadResolution::Blocked { .. }) {
+                shard.register_waiter(id, tx);
+                return false;
+            }
         }
         let generation = {
             let mut core = self.states[tx].core.lock();
-            if core.phase != Phase::Waiting {
+            if core.phase != Phase::Waiting || self.counted_blocked(tx) {
                 return false;
             }
             core.phase = Phase::Ready;
-            // Generation read under the core lock: an abort (which holds
-            // this lock to bump it) cannot interleave, so the queue entry
-            // is coherent.
             self.generation_of(tx)
         };
         self.push_ready(tx, generation);
         true
+    }
+
+    /// The idle worker's self-heal sweep: [`Self::try_admit`] over every
+    /// transaction. Returns whether it admitted any.
+    fn sweep(&self) -> bool {
+        let mut admitted = false;
+        for tx in 0..self.txs.len() {
+            #[cfg(test)]
+            let owned_by_wakes = {
+                let core = self.states[tx].core.lock();
+                core.blocked_on.is_none() && core.attempts < self.max_attempts
+            };
+            let now = self.try_admit(tx);
+            #[cfg(test)]
+            if now && owned_by_wakes {
+                self.lost_wakes.fetch_add(1, Ordering::SeqCst);
+            }
+            admitted |= now;
+        }
+        admitted
     }
 
     /// Aborts `root` (Algorithm 4) and cascades to readers of its
@@ -692,7 +811,9 @@ impl Shared<'_> {
     fn abort_cascade(&self, root: usize) {
         let mut worklist = vec![root];
         let mut seen = HashSet::new();
-        let mut admit_candidates: Vec<usize> = Vec::new();
+        let mut wakes: Vec<usize> = Vec::new();
+        let mut waiters: Vec<usize> = Vec::new();
+        let mut effects = Effects::default();
         while let Some(victim) = worklist.pop() {
             if !seen.insert(victim) {
                 continue;
@@ -732,47 +853,71 @@ impl Shared<'_> {
                 victim,
                 &mut resets,
                 || self.generation_of(victim) == aborted_generation,
-                |_, staged| {
-                    for (effect, waiters) in staged.drain(..) {
-                        let stale = effect.aborted.into_iter();
-                        worklist.extend(stale.filter(|&r| r != victim && !seen.contains(&r)));
-                        admit_candidates.extend(effect.allowed);
-                        // `is_ready` puts back on the list the ones a
-                        // reset leaves blocked.
-                        admit_candidates.extend(waiters);
+                &mut effects,
+                |_, effects| {
+                    // Counted now, before anything the cascade admits.
+                    for &reader in &effects.change.blocked {
+                        self.reblock(reader);
                     }
+                    let stale = effects.change.aborted.iter().copied();
+                    worklist.extend(stale.filter(|&r| r != victim && !seen.contains(&r)));
+                    wakes.extend(&effects.change.allowed);
+                    // `try_admit` puts back on the list the ones a reset
+                    // leaves blocked.
+                    waiters.extend(&effects.waiters);
                 },
             );
-            // Resets done: make the victim admissible again — unless a
-            // newer cascade superseded us, in which case its own flip
-            // re-opens admission after *its* resets.
-            {
+            // Resets done: make the victim admissible again, and admit it
+            // under the same hold if nothing else is owed — unless a newer
+            // cascade superseded us, in which case its own flip re-opens
+            // admission after *its* resets.
+            let queued = {
                 let mut core = self.states[victim].core.lock();
-                if self.generation_of(victim) == aborted_generation && core.phase == Phase::Running
-                {
+                let ours = self.generation_of(victim) == aborted_generation;
+                if ours && core.phase == Phase::Running {
                     core.phase = Phase::Waiting;
+                    self.admit_locked(victim, &mut core)
+                } else {
+                    None
                 }
+            };
+            if let Some(generation) = queued {
+                self.push_ready(victim, generation);
             }
         }
         // Re-admit everything the cascade touched or unblocked.
         for victim in seen {
             self.try_admit(victim);
         }
-        for reader in admit_candidates {
-            self.try_admit(reader);
+        for reader in wakes {
+            self.wake(reader);
+        }
+        for tx in waiters {
+            self.try_admit(tx);
         }
     }
 
-    /// Applies what a publish or drop of one key did: aborts stale readers,
-    /// and hands the readers it unblocked and the transactions suspended on
-    /// the key to admission. Must be called with no shard lock held.
-    fn apply_effect(&self, (effect, waiters): Staged) {
-        for reader in effect.aborted {
+    /// Applies what one shard's run of a publish or drop batch did: counts
+    /// the readers it re-blocked, aborts the stale ones, wakes the ones it
+    /// unblocked and hands the transactions suspended on its keys to
+    /// admission. Must be called with no shard lock held. Returns the
+    /// admission checks it made: wakes that released their transaction, and
+    /// suspended transactions handed to admission.
+    fn apply_effects(&self, effects: &Effects) -> u64 {
+        for &reader in &effects.change.blocked {
+            self.reblock(reader);
+        }
+        for &reader in &effects.change.aborted {
             self.abort_cascade(reader);
         }
-        for tx in effect.allowed.into_iter().chain(waiters) {
+        let mut checks = 0;
+        for &reader in &effects.change.allowed {
+            checks += u64::from(self.wake(reader));
+        }
+        for &tx in &effects.waiters {
             self.try_admit(tx);
         }
+        checks + effects.waiters.len() as u64
     }
 
     /// Marks `tx` finished with `status` after charging `gas_used`. The
@@ -913,21 +1058,25 @@ impl ThreadHost<'_, '_> {
     /// (found by DST schedule fuzzing).
     fn apply_batch(&mut self) -> Result<(), HostError> {
         let (shared, tx, generation) = (self.shared, self.tx, self.generation);
-        let Scratch { batch, stats, .. } = &mut *self.own;
+        let Scratch {
+            batch,
+            effects,
+            stats,
+            ..
+        } = &mut *self.own;
         let live = shared.sequences.apply_batch(
             tx,
             batch,
             || shared.generation_of(tx) == generation,
-            |group, staged| {
+            effects,
+            |group, effects| {
                 let published = group
                     .iter()
                     .filter(|(_, op)| matches!(op, VersionOp::Publish(..)));
                 stats.publish_batches += 1;
                 stats.publishes += published.count() as u64;
-                for staged in staged.drain(..) {
-                    stats.targeted_wakeups += staged.1.len() as u64;
-                    shared.apply_effect(staged);
-                }
+                stats.targeted_wakeups += effects.waiters.len() as u64;
+                stats.admission_checks += shared.apply_effects(effects);
             },
         );
         live.then_some(()).ok_or(HostError::Aborted)
@@ -947,14 +1096,11 @@ impl Host for ThreadHost<'_, '_> {
             if self.stale() {
                 return Err(HostError::Aborted);
             }
-            match shard.resolve_read(id, self.tx, &key, self.shared.snapshot) {
-                ReadResolution::Ready(value) => {
-                    shard.mark_read(id, self.tx);
-                    return Ok(value.wrapping_add(own_delta));
-                }
+            match shard.read(id, self.tx, &key, self.shared.snapshot) {
+                ReadResolution::Ready(value) => return Ok(value.wrapping_add(own_delta)),
                 // A pending version: suspend. Registering under the lock
                 // that failed the read means the change that unblocks the
-                // key either sees us or comes before `is_ready`'s resolve.
+                // key either sees us or comes before `try_admit`'s resolve.
                 ReadResolution::Blocked { .. } => shard.register_waiter(id, self.tx),
             }
         }
@@ -1076,6 +1222,7 @@ fn recycle_state(state: &mut TxState) -> u64 {
     core.gas_used = 0;
     core.unpredicted.clear();
     core.blocked_on = None;
+    *state.blocked_reads.get_mut() = 0;
     core.unpredicted.retained_bytes() + std::mem::size_of::<TxState>() as u64
 }
 
@@ -1183,6 +1330,7 @@ impl ParallelExecutor {
                 stats.targeted_wakeups += counted.targeted_wakeups;
                 stats.parks += counted.parks;
                 stats.rank_inversions += counted.rank_inversions;
+                stats.admission_checks += counted.admission_checks;
                 stats.execute_digests += counted.execute_digests;
             }
             stats
@@ -1193,6 +1341,7 @@ impl ParallelExecutor {
         let final_writes = shared.sequences.flushed();
         stats.alloc_bytes_saved = bytes_saved;
         stats.shard_lock_acquisitions = shared.sequences.lock_acquisitions();
+        stats.entries_visited = shared.sequences.entries_visited();
         let Shared {
             sequences,
             mut states,
@@ -1291,6 +1440,8 @@ impl ParallelExecutor {
             threads: self.config.threads.clamp(1, n),
             max_attempts: self.config.max_attempts,
             hook: self.hook.clone(),
+            #[cfg(test)]
+            lost_wakes: AtomicUsize::new(0),
         };
         (shared, bytes_saved)
     }
@@ -1337,13 +1488,8 @@ impl ParallelExecutor {
                 continue;
             }
             // Self-heal: re-check all waiting transactions before idling
-            // (covers admissions whose `allowed` effect never fired, e.g.
-            // dynamically discovered keys).
-            let mut admitted = false;
-            for i in 0..n {
-                admitted |= shared.try_admit(i);
-            }
-            if admitted {
+            // (the backstop of the module docs' liveness note).
+            if shared.sweep() {
                 continue;
             }
             let seen = shared.idle_event.epoch();
@@ -1950,6 +2096,59 @@ mod tests {
     }
 
     #[test]
+    fn exact_wakes_leave_the_idle_sweep_nothing_to_admit() {
+        // A high-contention block: token transfers among eight funded
+        // holders, mints to them, and hot counter increments, checked and
+        // commutative. Every admission after the bind must come from a
+        // wake, a cascade's own re-admission or a suspension key's waiter
+        // list — never from the idle sweep behind the 1 ms park.
+        let token_balance = |holder: u64| {
+            let holder = Address::from_u64(holder).to_u256();
+            StateKey::storage(Address::from_u64(TOKEN), contracts::map_slot(holder, 1))
+        };
+        let snapshot =
+            Snapshot::from_entries((1..=8).map(|h| (token_balance(h), U256::from(1u64 << 40))));
+        let counter = |caller: u64, selector| {
+            let env = TxEnv::call(
+                Address::from_u64(caller),
+                Address::from_u64(COUNTER),
+                calldata(selector, &[]),
+            );
+            Transaction::call(env)
+        };
+        let txs: Vec<Transaction> = (0..2_000u64)
+            .map(|i| match i % 5 {
+                0 => mint(900 + i, 1 + i % 8, 10),
+                1 | 2 => transfer(1 + i % 8, 1 + (3 * i + 1) % 8, 1),
+                3 => counter(900 + i, contracts::counter_fn::INCREMENT),
+                _ => counter(900 + i, contracts::counter_fn::INCREMENT_CHECKED),
+            })
+            .collect();
+        let env = BlockEnv::default();
+        let analyzer = Analyzer::new(registry());
+        let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        let csags = crate::pipeline::refine_csags(&analyzer, &txs, &snapshot, &env, 1);
+        let (bound, _) = executor(1).bind_block(&txs, &snapshot, &csags);
+        let waiting = bound
+            .states
+            .iter()
+            .filter(|state| state.core.lock().phase == Phase::Waiting);
+        assert!(
+            waiting.count() > 1_000,
+            "most of the block waits at the bind"
+        );
+        for threads in [1, 2] {
+            let shared = run_bound(&executor(threads), &txs, &snapshot, &csags);
+            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            assert_eq!(
+                shared.lost_wakes.load(Ordering::SeqCst),
+                0,
+                "{threads} workers"
+            );
+        }
+    }
+
+    #[test]
     fn the_core_records_exactly_what_was_not_predicted() {
         // Every sender is funded in the snapshot for whatever order the
         // block runs in, so refinement predicts each transaction's keys
@@ -2183,10 +2382,21 @@ mod tests {
                 let shared = bound(&exec, &txs, &snapshot, &csags);
                 let interner = shared.sequences.interner();
 
-                // The first ready set is what `resolve_read` answers on the
-                // freshly predicted store, queued in block order, each entry
-                // in its rank's lane — and a sweep finds nothing to add.
-                let ready: Vec<usize> = (0..n).filter(|&tx| shared.is_ready(tx, None)).collect();
+                // Each transaction's count of blocked reads is what
+                // `resolve_read` answers on the freshly predicted store; the
+                // first ready set, those with none, is queued in block
+                // order, each entry in its rank's lane — and a sweep finds
+                // nothing to add.
+                let blocked = |tx: usize| {
+                    let reads = shared.meta.tx(tx).reads.iter();
+                    let blocked = reads.filter(|&&(id, ref key)| {
+                        let mut shard = shared.sequences.shard_for(id);
+                        let resolution = shard.resolve_read(id, tx, key, &snapshot);
+                        matches!(resolution, ReadResolution::Blocked { .. })
+                    });
+                    blocked.count() as i32
+                };
+                let ready: Vec<usize> = (0..n).filter(|&tx| blocked(tx) == 0).collect();
                 let queue = queued(&shared);
                 let mut queued_txs: Vec<usize> = queue.iter().map(|entry| entry.0).collect();
                 for lane in shared.lanes.iter() {
@@ -2205,8 +2415,10 @@ mod tests {
                 prop_assert_eq!(shared.ready_count.load(Ordering::SeqCst), ready.len());
                 for tx in 0..n {
                     let phase = shared.states[tx].core.lock().phase;
+                    let blocked_reads = shared.states[tx].blocked_reads.load(Ordering::SeqCst);
                     let expected = if ready.contains(&tx) { Phase::Ready } else { Phase::Waiting };
                     prop_assert_eq!(phase, expected);
+                    prop_assert_eq!(blocked_reads, blocked(tx));
                     prop_assert!(!shared.try_admit(tx));
                 }
 
@@ -2273,10 +2485,7 @@ mod tests {
                         sequences.entry(*key).or_default().predict(tx, op);
                     }
                 }
-                let tuple = |seq: &AccessSequence| -> Vec<_> {
-                    let entries = seq.entries().iter();
-                    entries.map(|e| (e.tx, e.op, e.version, e.read_done)).collect()
-                };
+                let tuple = |seq: &AccessSequence| -> Vec<_> { seq.entries().collect() };
                 for (key, expected) in &sequences {
                     let shard = shared.sequences.shard_for(id(key));
                     let got = shard.sequence(id(key)).expect("predicted");

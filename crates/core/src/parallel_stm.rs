@@ -68,13 +68,13 @@ use dmvcc_vm::{
 
 use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
 
-use crate::access::ReadResolution;
+use crate::access::{ReadResolution, VersionOp};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::parallel::{
     run_tx, Event, ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome,
 };
-use crate::sharded::{ShardedSequences, VersionOp};
+use crate::sharded::{Effects, ShardedSequences};
 
 /// Backstop for a reader parked on a re-pended version or an idle worker
 /// parked on the commit tail; both are signaled on every commit, so the
@@ -264,8 +264,10 @@ fn execute_tx(shared: &StmShared<'_>, tx_index: usize, memo: &mut KeccakMemo) ->
 /// the predictive scheduler's business: this engine validates by value at
 /// the commit turn and parks on the progress event instead.
 fn apply_versions(shared: &StmShared<'_>, tx: usize, ops: &mut [(KeyId, VersionOp)]) {
-    let ignore = |_: &[(KeyId, VersionOp)], staged: &mut Vec<_>| staged.clear();
-    shared.sequences.apply_batch(tx, ops, || true, ignore);
+    let mut ignored = Effects::default();
+    shared
+        .sequences
+        .apply_batch(tx, ops, || true, &mut ignored, |_, _| {});
 }
 
 /// Publishes an execution's versions under the slot lock: writes the new

@@ -22,7 +22,9 @@
 //! transactions suspended because a read of the key met a pending version.
 //! Any change to a version of the key drains them under the same lock hold
 //! that makes the change, which is what lets the executor re-admit exactly
-//! the transactions the change may have unblocked.
+//! the transactions the change may have unblocked. A batch of changes
+//! reports what it did into the caller's [`Effects`], which a worker keeps
+//! from one batch to the next: a publication allocates nothing.
 //!
 //! A block's life in the store has three phases. It is *bound* by one
 //! thread with exclusive access ([`ShardedSequences::bind`]: predicted
@@ -44,7 +46,7 @@ use parking_lot::{Mutex, MutexGuard};
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
 
-use crate::access::{AccessOp, AccessSequence, ReadResolution, VersionWriteEffect};
+use crate::access::{AccessOp, AccessSequence, ReadResolution, VersionOp, VersionWriteEffect};
 use crate::hook::SchedHook;
 
 /// Shard count. Sixteen shards keep the collision probability low for
@@ -89,6 +91,9 @@ pub struct Shard {
     /// under the lock it counts, so counting shares no cache line that the
     /// lock does not already move.
     locks: u64,
+    /// Sequence entries the changes of [`ShardedSequences::apply_batch`]
+    /// visited here beyond the changed ones, counted the same way.
+    visited: u64,
 }
 
 impl Shard {
@@ -119,8 +124,8 @@ impl Shard {
 
     /// [`AccessSequence::resolve_read`] with the slot's cached snapshot
     /// value as the base (probing the snapshot's overlay chain at most once
-    /// per key per block). Does **not** mark the read — call
-    /// [`Self::mark_read`] once the value is consumed.
+    /// per key per block). Does **not** mark the read — [`Self::read`]
+    /// resolves and marks in one search.
     pub fn resolve_read(
         &mut self,
         id: KeyId,
@@ -134,9 +139,19 @@ impl Shard {
             .resolve_read(tx, || *snap.get_or_insert_with(|| snapshot.get(key)))
     }
 
-    /// Marks `tx`'s read on `id` as performed.
-    pub fn mark_read(&mut self, id: KeyId, tx: usize) {
-        self.slot_mut(id).seq.mark_read(tx);
+    /// [`Self::resolve_read`], marking the read as performed if it
+    /// resolves — [`AccessSequence::read`], one search for both.
+    pub fn read(
+        &mut self,
+        id: KeyId,
+        tx: usize,
+        key: &StateKey,
+        snapshot: &Snapshot,
+    ) -> ReadResolution {
+        let slot = self.slot_mut(id);
+        let snap = &mut slot.snap;
+        slot.seq
+            .read(tx, || *snap.get_or_insert_with(|| snapshot.get(key)))
     }
 
     /// Records that `tx` is suspended until a version of `id` changes. The
@@ -150,33 +165,25 @@ impl Shard {
         }
     }
 
-    /// Removes and returns the transactions suspended on `id`, if any.
-    pub fn drain_waiters(&mut self, id: KeyId) -> Vec<usize> {
+    /// Moves the transactions suspended on `id` into `into`, keeping the
+    /// list's capacity for the next suspension.
+    pub fn drain_waiters(&mut self, id: KeyId, into: &mut Vec<usize>) {
         let index = self.slot_index(id);
-        match self.slots.get_mut(index) {
-            Some(slot) => std::mem::take(&mut slot.waiters),
-            None => Vec::new(),
+        if let Some(slot) = self.slots.get_mut(index) {
+            into.append(&mut slot.waiters);
         }
     }
 }
 
-/// One change to a transaction's version of a key, batched through
-/// [`ShardedSequences::apply_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum VersionOp {
-    /// [`AccessSequence::version_write`]; the flag marks an ω̄ delta.
-    Publish(U256, bool),
-    /// [`AccessSequence::drop_version`].
-    Drop,
-    /// [`AccessSequence::reset`].
-    Reset,
-    /// [`AccessSequence::rollback_unpredicted`].
-    Rollback,
+/// What one shard's run of a batch did ([`ShardedSequences::apply_batch`]):
+/// the sequences' effects, and the transactions that were suspended on the
+/// changed keys, drained under the same lock hold. Owned by the caller and
+/// reused, so a batch allocates only when it outgrows every earlier one.
+#[derive(Debug, Default)]
+pub(crate) struct Effects {
+    pub(crate) change: VersionWriteEffect,
+    pub(crate) waiters: Vec<usize>,
 }
-
-/// What one key's change did: the sequence's effect, and the transactions
-/// that were suspended on the key (drained under the same lock hold).
-pub(crate) type Staged = (VersionWriteEffect, Vec<usize>);
 
 /// Recycled shard storage: the mutexes, slot arrays and flush buffers of a
 /// finished block and its interner's tables, handed back to the executor's
@@ -219,6 +226,7 @@ impl ShardedSequences {
                 for shard in &mut storage.shards {
                     let shard = shard.get_mut();
                     shard.locks = 0;
+                    shard.visited = 0;
                     bytes_saved += (shard.slots.capacity() * std::mem::size_of::<SeqSlot>()
                         + shard.flushed.capacity() * std::mem::size_of::<(StateKey, U256)>())
                         as u64;
@@ -289,34 +297,32 @@ impl ShardedSequences {
     /// shard lock — an abort that got in between must not have its resets
     /// overwritten — and a `false` stops the batch, which then returns
     /// `false`. `after` runs strictly after each shard unlock with the run
-    /// and what it did, so it may take other locks.
+    /// and what it did (`effects`, emptied before each run), so it may take
+    /// other locks.
     pub(crate) fn apply_batch(
         &self,
         tx: usize,
         ops: &mut [(KeyId, VersionOp)],
         live: impl Fn() -> bool,
-        mut after: impl FnMut(&[(KeyId, VersionOp)], &mut Vec<Staged>),
+        effects: &mut Effects,
+        mut after: impl FnMut(&[(KeyId, VersionOp)], &Effects),
     ) -> bool {
         ops.sort_by_key(|&(id, _)| self.shard_index_of(id));
-        let mut staged: Vec<Staged> = Vec::with_capacity(ops.len());
         for group in ops.chunk_by(|a, b| self.shard_index_of(a.0) == self.shard_index_of(b.0)) {
+            effects.change.clear();
+            effects.waiters.clear();
             {
                 let mut shard = self.shard_for(group[0].0);
                 if !live() {
                     return false;
                 }
                 for &(id, op) in group {
-                    let seq = shard.sequence_mut(id);
-                    let effect = match op {
-                        VersionOp::Publish(value, delta) => seq.version_write(tx, value, delta),
-                        VersionOp::Drop => seq.drop_version(tx),
-                        VersionOp::Reset => seq.reset(tx),
-                        VersionOp::Rollback => seq.rollback_unpredicted(tx),
-                    };
-                    staged.push((effect, shard.drain_waiters(id)));
+                    let visited = shard.sequence_mut(id).apply(tx, op, &mut effects.change);
+                    shard.visited += visited as u64;
+                    shard.drain_waiters(id, &mut effects.waiters);
                 }
             }
-            after(group, &mut staged);
+            after(group, effects);
         }
         true
     }
@@ -325,6 +331,12 @@ impl ShardedSequences {
     /// shards (`ExecutorStats::shard_lock_acquisitions`).
     pub fn lock_acquisitions(&self) -> u64 {
         self.shards.iter().map(|shard| shard.lock().locks).sum()
+    }
+
+    /// Sequence entries the changes applied so far visited beyond the
+    /// changed ones, summed over the shards (`ExecutorStats::entries_visited`).
+    pub fn entries_visited(&self) -> u64 {
+        self.shards.iter().map(|shard| shard.lock().visited).sum()
     }
 
     /// Bind-time access for the one thread that builds the block, before
@@ -358,7 +370,7 @@ impl ShardedSequences {
         let Shard { slots, flushed, .. } = &mut *shard;
         flushed.clear();
         for (slot_index, slot) in slots.iter().enumerate() {
-            if slot.seq.entries().is_empty() {
+            if slot.seq.is_empty() {
                 continue;
             }
             let id = KeyId::from_index((slot_index << BITS) | shard_index);
@@ -451,8 +463,12 @@ mod tests {
         }
         {
             let mut shard = sharded.shard_for(k);
-            assert_eq!(shard.drain_waiters(k), vec![3, 5]);
-            assert!(shard.drain_waiters(k).is_empty());
+            let mut drained = vec![9];
+            shard.drain_waiters(k, &mut drained);
+            assert_eq!(drained, vec![9, 3, 5]);
+            drained.clear();
+            shard.drain_waiters(k, &mut drained);
+            assert!(drained.is_empty());
         }
         // `intern` takes no shard lock; the two blocks above took one each.
         assert_eq!(sharded.lock_acquisitions(), 2);
@@ -481,7 +497,7 @@ mod tests {
         assert!(next
             .shard_for(id)
             .sequence(id)
-            .is_none_or(|seq| seq.entries().is_empty()));
+            .is_none_or(AccessSequence::is_empty));
         assert!(next.final_writes(&Snapshot::empty()).is_empty());
     }
 

@@ -159,12 +159,12 @@ impl KeyInterner {
     /// Interns `key` into the frozen tier. Requires exclusive access — call
     /// while binding predictions, before the interner is shared.
     pub fn preintern(&mut self, key: StateKey) -> KeyId {
-        if let Some(&id) = self.frozen.get(&key) {
-            return KeyId(id);
+        // One probe: the entry either holds the key's id or takes the next.
+        let next = self.frozen_keys.len() as u32;
+        let id = *self.frozen.entry(key).or_insert(next);
+        if id == next {
+            self.frozen_keys.push(key);
         }
-        let id = self.frozen_keys.len() as u32;
-        self.frozen.insert(key, id);
-        self.frozen_keys.push(key);
         KeyId(id)
     }
 
@@ -205,12 +205,12 @@ impl KeyInterner {
             return KeyId(id);
         }
         let mut tail = self.tail.lock().unwrap();
-        if let Some(&id) = tail.map.get(&key) {
-            return KeyId(id);
+        let DynamicTail { map, keys } = &mut *tail;
+        let next = (self.frozen_keys.len() + keys.len()) as u32;
+        let id = *map.entry(key).or_insert(next);
+        if id == next {
+            keys.push(key);
         }
-        let id = (self.frozen_keys.len() + tail.keys.len()) as u32;
-        tail.map.insert(key, id);
-        tail.keys.push(key);
         KeyId(id)
     }
 
