@@ -487,7 +487,7 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), String> {
         "arena bytes recycled   : {:.1} MiB",
         stats.alloc_bytes_saved as f64 / (1u64 << 20) as f64
     );
-    println!("waiter hand-backs      : {}", stats.targeted_wakeups);
+    println!("suspensions            : {}", stats.targeted_wakeups);
     println!("idle parks             : {}", stats.parks);
     let profiled_blocks = (repeat * blocks).max(1) as u64;
     // Exact counts, per block: the admission checks publications and drops

@@ -24,6 +24,9 @@
 //! - The entries are searched through a packed array of `u32` transaction
 //!   indices, never through the entries themselves, and
 //!   [`AccessSequence::read`] resolves and marks a read in one search.
+//! - The readers whose turns a change reports are the *counted* ones: the
+//!   reads a C-SAG predicted, and every read that met a pending version
+//!   ([`AccessSequence::read`] flags it, for the rest of the block).
 //! - A change is seen by the readers between it and the next entry that
 //!   hides it: a full write, or a pending ω/θ/ω̄ entry. Only those readers
 //!   can turn from blocked to ready or back, and they all turn together.
@@ -96,8 +99,9 @@ struct Slot {
     op: AccessOp,
     version: Version,
     read_done: bool,
-    /// A ρ or θ was predicted: the read whose turns between blocked and
-    /// ready an effect reports.
+    /// A counted read: a ρ or θ was predicted, or a read of the entry's
+    /// transaction met a pending version. An effect reports its turns
+    /// between blocked and ready; no change clears it.
     predicted_read: bool,
 }
 
@@ -144,12 +148,12 @@ pub enum ReadResolution {
 /// Algorithm 3. Every list is in block order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionWriteEffect {
-    /// Predicted readers whose read of the item the change turned from
+    /// Counted readers whose read of the item the change turned from
     /// blocked to ready: exactly those, whether or not they already read.
     pub allowed: Vec<usize>,
     /// Readers that already consumed a now-stale version: abort them.
     pub aborted: Vec<usize>,
-    /// Predicted readers whose read of the item the change turned from
+    /// Counted readers whose read of the item the change turned from
     /// ready to blocked (a reset re-pending a version below them).
     pub blocked: Vec<usize>,
 }
@@ -304,15 +308,29 @@ impl AccessSequence {
         self.resolve_at(upper, base)
     }
 
-    /// [`Self::resolve_read`], marking the read as performed if it resolves
-    /// ([`Self::mark_read`]) — one search for both.
-    pub fn read(&mut self, tx: usize, base: impl FnOnce() -> U256) -> ReadResolution {
+    /// [`Self::resolve_read`] and what the read does to `tx`'s entry, in
+    /// one search. A read that resolves is marked as performed
+    /// ([`Self::mark_read`]). A read that blocks becomes a counted read:
+    /// its entry, a ρ entry inserted if there is none, is flagged, and every
+    /// later change reports its turns like a predicted read's. The `bool`
+    /// is `true` for exactly such a read that was not counted before.
+    pub fn read(&mut self, tx: usize, base: impl FnOnce() -> U256) -> (ReadResolution, bool) {
         let at = self.position(tx);
         let resolution = self.resolve_at(at.unwrap_or_else(|at| at), base);
-        if matches!(resolution, ReadResolution::Ready(_)) {
-            self.mark_at(at, tx);
-        }
-        resolution
+        let newly_counted = match (resolution, at) {
+            (ReadResolution::Ready(_), _) => {
+                self.mark_at(at, tx);
+                false
+            }
+            (ReadResolution::Blocked { .. }, Ok(at)) => {
+                !std::mem::replace(&mut self.slots[at].predicted_read, true)
+            }
+            (ReadResolution::Blocked { .. }, Err(at)) => {
+                self.insert(at, tx, Slot::pending(AccessOp::Read));
+                true
+            }
+        };
+        (resolution, newly_counted)
     }
 
     /// Empties the sequence, keeping the entry buffers' capacity — block
@@ -1114,13 +1132,15 @@ mod tests {
         seq.predict(1, AccessOp::Write);
         seq.predict(3, AccessOp::Read);
         let base = || u(7);
-        // Blocked: nothing is marked.
-        assert_eq!(seq.read(3, base), ReadResolution::Blocked { writer: 1 });
+        // Blocked: nothing is marked, and a predicted read is counted
+        // already.
+        let blocked = ReadResolution::Blocked { writer: 1 };
+        assert_eq!(seq.read(3, base), (blocked, false));
         assert!(seq.entries().all(|entry| !entry.read_done));
         seq.version_write(1, u(10), false);
-        assert_eq!(seq.read(3, base), ReadResolution::Ready(u(10)));
+        assert_eq!(seq.read(3, base), (ReadResolution::Ready(u(10)), false));
         // An unpredicted read inserts its ρ entry, marked.
-        assert_eq!(seq.read(5, base), ReadResolution::Ready(u(10)));
+        assert_eq!(seq.read(5, base), (ReadResolution::Ready(u(10)), false));
         let marked: Vec<usize> = seq
             .entries()
             .filter(|e| e.read_done)
@@ -1128,6 +1148,32 @@ mod tests {
             .collect();
         assert_eq!(marked, vec![3, 5]);
         assert_eq!(seq.version_write(2, u(20), false).aborted, vec![3, 5]);
+    }
+
+    #[test]
+    fn a_read_that_blocks_becomes_a_counted_read() {
+        let mut seq = AccessSequence::new();
+        seq.predict(1, AccessOp::Write);
+        seq.predict(4, AccessOp::Read);
+        seq.predict(6, AccessOp::Write);
+        let base = || u(7);
+        let blocked = ReadResolution::Blocked { writer: 1 };
+        // An unpredicted read that blocks is counted from then on: once,
+        // whether it inserts a ρ entry (3) or flags a write's entry (6).
+        assert_eq!(seq.read(3, base), (blocked, true));
+        assert_eq!(seq.read(3, base), (blocked, false));
+        assert_eq!(seq.read(6, base), (blocked, true));
+        // A predicted read never becomes counted: it was all along.
+        assert_eq!(seq.read(4, base), (blocked, false));
+        // The publication that unblocks them lists every counted reader,
+        // and a reset below them lists them all as blocked again.
+        assert_eq!(seq.version_write(1, u(10), false).allowed, vec![3, 4, 6]);
+        assert_eq!(seq.reset(1).blocked, vec![3, 4, 6]);
+        // Their own resets and rollbacks keep them counted.
+        seq.rollback_unpredicted(3);
+        seq.reset(6);
+        assert_eq!(seq.version_write(1, u(11), false).allowed, vec![3, 4, 6]);
+        assert_eq!(seq.read(3, base), (ReadResolution::Ready(u(11)), false));
     }
 
     #[test]

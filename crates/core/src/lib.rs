@@ -12,9 +12,9 @@
 //!   as the trace oracle the `dmvcc-sim` crate schedules in virtual time
 //!   (gas) — the quantities behind the paper's figures.
 //! - [`ParallelExecutor`]: a real multi-threaded executor implementing
-//!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
-//!   waiter index that re-admits transactions suspended on a pending
-//!   version, and one ready queue of [`BlockDag`] rank lanes), validated
+//!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, one exact
+//!   wake for every counted read — predicted, or suspended on a pending
+//!   version — and one ready queue of [`BlockDag`] rank lanes), validated
 //!   against the serial state root.
 //! - [`StmExecutor`]: a Block-STM-style optimistic scheduler over the same
 //!   store (optimistic execution, value-based validation in serial order)

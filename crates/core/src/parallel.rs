@@ -13,15 +13,15 @@
 //!   live in id-addressed shards, each behind its own lock, so
 //!   transactions over disjoint keys never contend.
 //! - **Suspension**: a read that meets a pending version never waits. It
-//!   puts its transaction on the key's waiter list in the shard (under the
-//!   lock that failed the read), records the key in the transaction's core
-//!   and aborts its own attempt. Admission resolves that key, and a
-//!   publish, drop or reset of the key drains the list into `try_admit`.
-//!   No worker ever sleeps inside an attempt.
-//! - **Counted readiness**: a transaction's predicted reads are never
-//!   re-resolved to admit it. Its core counts how many of them are blocked,
-//!   and every change to a key reports exactly the predicted readers it
-//!   turned (see "Wakes and admission" below).
+//!   becomes a *counted read* of its key, under the shard lock that saw it
+//!   blocked, and aborts its own attempt: the transaction then waits for
+//!   the key exactly as for a predicted read. No worker ever sleeps inside
+//!   an attempt.
+//! - **Counted readiness**: a transaction's counted reads — the predicted
+//!   ones and the suspended ones — are never re-resolved to admit it. Its
+//!   state counts how many of them are blocked, and every change to a key
+//!   reports exactly the counted readers it turned (see "Wakes and
+//!   admission" below).
 //! - **Rank-lane ready queue**: the dispatch order is computed up front
 //!   from the batch — [`crate::BlockDag`] ranks bucket every transaction
 //!   into one of [`crate::NUM_LANES`] FIFO lanes — and workers pop the
@@ -61,13 +61,27 @@
 //! transaction core lock at a time, and never acquires one kind while
 //! holding the other (effects are staged and applied after unlocking).
 //!
-//! Wakes and admission. A transaction waits for its predicted reads and,
-//! after a suspension, for the key that suspended it (`blocked_on`).
+//! Wakes and admission. A transaction waits for its counted reads: the
+//! reads its C-SAG predicted, and each read of the block that met a
+//! pending version.
 //!
 //! - Bind sets each transaction's `blocked_reads` to the number of its
 //!   predicted reads that an earlier transaction's predicted write or add
 //!   blocks — what `resolve_read` answers on the fresh store.
-//! - A change to a key lists the predicted readers it turned from blocked
+//! - A suspension flags the transaction's entry for the key as a counted
+//!   read (inserting a ρ entry if there is none) under the shard-lock hold
+//!   that saw the read blocked ([`crate::AccessSequence::read`]). A newly
+//!   counted read adds exactly one to `blocked_reads` after the unlock,
+//!   before the attempt's abort returns the transaction to `Waiting` — even
+//!   if the attempt went stale after the unlock, because the count must
+//!   match the flags. A read that was already counted adds nothing: a
+//!   predicted read admitted early on a transiently low count. An abort's
+//!   `Reset` or `Rollback` keeps the flag (a rollback of a ρ entry only
+//!   clears its consumed read), so a counted read lasts for the rest of the
+//!   block: a later attempt that no longer reads the key still waits for
+//!   it, which changes scheduling but not results. The STM engine never
+//!   reads through [`crate::sharded::Shard::read`], so it counts nothing.
+//! - A change to a key lists the counted readers it turned from blocked
 //!   to ready (`allowed`) and from ready to blocked (`blocked`), each turn
 //!   exactly once, in the change that made it. After the shard unlock the
 //!   worker adds one per re-blocked reader, then takes one off per woken
@@ -77,33 +91,28 @@
 //!   zero on its way to its true value, never stay off it.
 //! - A decrement that leaves the count at or below zero checks admission,
 //!   and so does the end of an abort's resets (the victim's return to
-//!   `Waiting`). Either admits under the same core-lock hold when nothing
-//!   else is owed — no suspension key, attempts left — and otherwise calls
-//!   `try_admit`, which resolves the suspension key alone (one shard lock)
-//!   and re-registers the transaction on its waiter list if it is still
-//!   blocked. An increment never admits.
+//!   `Waiting`). Either admits under the same core-lock hold if the
+//!   transaction has attempts left, and otherwise calls `try_admit`, which
+//!   holds it until every earlier transaction has finished. An increment
+//!   never admits.
 //!
-//! Why no wake is lost. Take a `Waiting` transaction whose predicted reads
-//! are all ready, with every turn reported so far applied, so its count
-//! is 0. Its last check — the last decrement, or its last return to
+//! Why no wake is lost. Take a `Waiting` transaction whose counted reads
+//! are all ready, with every turn reported so far applied — a suspension's
+//! flag is a turn to blocked, and its increment the application — so its
+//! count is 0. Its last check — the last decrement, or its last return to
 //! `Waiting`, whichever came later (a decrement precedes its core lock and
 //! the return reads the count under that lock, so the later of the two
 //! sees the earlier) — saw the count at 0 less the increments applied
-//! since, so at or below zero, and saw it `Waiting`:
-//! the check admitted it, unless a suspension key or spent attempts sent
-//! it to `try_admit`. There the key is either ready (admitted) or the
-//! transaction is back on the key's waiter list under the lock that saw
-//! it blocked, and the change that unblocks the key drains the list into
-//! `try_admit` again. A count that is transiently low — a turn not yet
-//! applied — only admits early, and that attempt suspends on the blocked
-//! read like any mispredicted one.
+//! since, so at or below zero, and saw it `Waiting`: the check admitted
+//! it, unless spent attempts sent it to `try_admit`. A count that is
+//! transiently low — a turn not yet applied — only admits early, and that
+//! attempt suspends on the blocked read like any mispredicted one.
 //!
 //! Liveness: a worker is either running an attempt, which never sleeps, or
 //! in the idle loop, whose self-heal sweep over the waiting transactions and
 //! timed park are the backstop. By the argument above the sweep only ever
-//! finds a transaction that has spent its attempts (nothing signals the end
-//! of its hold), or one whose suspension key a concurrent change is
-//! already handing to `try_admit`.
+//! finds a transaction that has spent its attempts: nothing signals the
+//! end of its hold.
 //!
 //! Correctness oracle: for any interleaving, the committed write set equals
 //! the serial execution's (Theorem 1) — integration tests compare Merkle
@@ -126,11 +135,11 @@ use dmvcc_vm::{
 
 use dmvcc_analysis::{Analyzer, CSag};
 
-use crate::access::{AccessOp, ReadResolution, VersionOp};
+use crate::access::{AccessOp, ReadResolution, VersionOp, VersionWriteEffect};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
-use crate::sharded::{Effects, ShardStorage, ShardedSequences, SHARDS};
+use crate::sharded::{ShardStorage, ShardedSequences, SHARDS};
 
 /// Backstop for an idle worker with nothing to run.
 const IDLE_PARK: Duration = Duration::from_millis(1);
@@ -173,8 +182,10 @@ pub struct ExecutorStats {
     pub attempts: u64,
     /// Versions made visible in the access sequences.
     pub publishes: u64,
-    /// Suspended transactions the reverse waiter index handed back to
-    /// admission when an attempt published or dropped the key they wait on.
+    /// Suspensions: reads that met a pending version and became counted
+    /// reads of their key (a read counted already is not counted again).
+    /// The field keeps its name only because the frozen e2e benchmark
+    /// adapter reads it.
     pub targeted_wakeups: u64,
     /// Always 0: the single rank-lane ready queue has nothing to steal
     /// from. The field survives only because the frozen e2e benchmark
@@ -230,9 +241,8 @@ pub struct ExecutorStats {
     pub execute_digests: DigestCounts,
     /// Admission checks the workers' publish and drop batches triggered,
     /// each one lock of a transaction's core: one per woken reader whose
-    /// count of blocked reads the wake released, and one per suspended
-    /// transaction drained from a changed key's waiter list (an abort
-    /// cascade's own are not counted).
+    /// count of blocked reads the wake released (an abort cascade's own are
+    /// not counted).
     pub admission_checks: u64,
     /// Sequence entries the changes to the block's access sequences
     /// visited beyond the changed entries — the walks for woken and stale
@@ -313,9 +323,6 @@ struct TxCore {
     /// An abort resets these next to the predicted ones; the set only grows
     /// while the block runs.
     unpredicted: SortedVec<KeyId>,
-    /// The key whose pending version suspended the last attempt: admission
-    /// waits for it like for a predicted read. Cleared at dequeue.
-    blocked_on: Option<KeyId>,
 }
 
 /// One transaction's immutable execution metadata: its slice of each of
@@ -554,7 +561,7 @@ impl BlockMeta {
 #[derive(Debug, Default)]
 struct TxState {
     generation: AtomicU32,
-    /// Predicted reads that are blocked, as the turns applied so far count
+    /// Counted reads that are blocked, as the turns applied so far count
     /// them (see the module docs): signed, because turns of one key may be
     /// applied out of order.
     blocked_reads: AtomicI32,
@@ -576,12 +583,12 @@ struct Scratch {
     /// The publish or drop batch being built and applied.
     batch: Vec<(KeyId, VersionOp)>,
     /// What each shard's run of the batch did, read after the unlock.
-    effects: Effects,
+    effect: VersionWriteEffect,
     /// Every `SHA3` of the worker's attempts asks here first: a mapping
     /// slot of a popular account, or of a transaction re-run after an
     /// abort, is hashed once a block.
     memo: KeccakMemo,
-    /// `publishes`, `publish_batches`, `targeted_wakeups`,
+    /// `publishes`, `publish_batches`, `targeted_wakeups` (suspensions),
     /// `admission_checks`, `parks` and `rank_inversions`, as this worker
     /// counted them, and on its way out its memo's `execute_digests`.
     stats: ExecutorStats,
@@ -632,9 +639,8 @@ struct Shared<'a> {
     /// Optional scheduling hook (`None` in production; see
     /// [`crate::SchedHook`]).
     hook: Option<Arc<dyn SchedHook>>,
-    /// Transactions the idle sweep admitted that neither waited on a
-    /// suspension key nor had spent their attempts: wakes the exact
-    /// admission path lost.
+    /// Transactions the idle sweep admitted that had attempts left: wakes
+    /// the exact admission path lost.
     #[cfg(test)]
     lost_wakes: AtomicUsize,
 }
@@ -651,7 +657,7 @@ impl Shared<'_> {
         self.states[tx].generation.load(Ordering::SeqCst)
     }
 
-    /// Whether some predicted read of `tx` is counted blocked.
+    /// Whether some counted read of `tx` is blocked.
     fn counted_blocked(&self, tx: usize) -> bool {
         self.states[tx].blocked_reads.load(Ordering::SeqCst) > 0
     }
@@ -687,11 +693,10 @@ impl Shared<'_> {
 
     /// Under `tx`'s core lock: queues nothing, but marks a `Waiting`
     /// transaction `Ready` and returns its generation if admitting it needs
-    /// no check beyond the lock — no predicted read counted blocked, no
-    /// suspension key, attempts left.
+    /// no check beyond the lock — no counted read blocked, attempts left.
     fn admit_locked(&self, tx: usize, core: &mut TxCore) -> Option<u32> {
-        let owes = core.blocked_on.is_some() || core.attempts >= self.max_attempts;
-        if core.phase != Phase::Waiting || self.counted_blocked(tx) || owes {
+        let spent = core.attempts >= self.max_attempts;
+        if core.phase != Phase::Waiting || self.counted_blocked(tx) || spent {
             return None;
         }
         core.phase = Phase::Ready;
@@ -701,13 +706,13 @@ impl Shared<'_> {
         Some(self.generation_of(tx))
     }
 
-    /// An exact wake: one of `tx`'s predicted reads turned ready. The count
+    /// An exact wake: one of `tx`'s counted reads turned ready. The count
     /// goes down without a lock; only a decrement that releases the
     /// transaction checks admission — under the core lock, which queues it
-    /// under the same hold or, if it also waits on a suspension key or has
-    /// spent its attempts, hands it to [`Self::try_admit`]. Returns whether
-    /// it checked. (The decrement comes before the lock, and the return to
-    /// `Waiting` reads the count under it: one of the two sees the other.)
+    /// under the same hold or, if it has spent its attempts, hands it to
+    /// [`Self::try_admit`]. Returns whether it checked. (The decrement
+    /// comes before the lock, and the return to `Waiting` reads the count
+    /// under it: one of the two sees the other.)
     fn wake(&self, tx: usize) -> bool {
         if self.states[tx].blocked_reads.fetch_sub(1, Ordering::SeqCst) > 1 {
             return false;
@@ -728,48 +733,32 @@ impl Shared<'_> {
         true
     }
 
-    /// One of `tx`'s predicted reads turned blocked.
+    /// One of `tx`'s counted reads turned blocked, or a read became counted
+    /// while blocked.
     fn reblock(&self, tx: usize) {
         self.states[tx].blocked_reads.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Admits `tx` to the ready queue if it is waiting, none of its
-    /// predicted reads is counted blocked and the key that suspended it
-    /// (`blocked_on`, if any) resolves. Only that key is resolved, under
-    /// its shard lock and without the core lock; if it is still blocked
-    /// `tx` goes back on its waiter list under the lock that failed it, so
-    /// the change that unblocks the key hands `tx` back here. A version
-    /// appearing concurrently can cause a *spurious* admission — harmless,
-    /// the attempt just suspends (or aborts) like any mispredicted read —
-    /// but never a missed one.
-    ///
-    /// A transaction that has spent its `max_attempts` is held back until
-    /// every earlier transaction has finished. Aborts only ever come from
-    /// an earlier transaction's version changing, so that run is final:
-    /// an abort storm costs re-executions, never the block's completion.
-    /// Nothing signals the hold's end; the workers' self-heal sweep (which
-    /// runs whenever a worker finds the ready queue empty) re-tries it.
+    /// Admits `tx` to the ready queue if it is waiting and none of its
+    /// counted reads is blocked, holding back a transaction that has spent
+    /// its `max_attempts` until every earlier transaction has finished.
+    /// Aborts only ever come from an earlier transaction's version
+    /// changing, so that run is final: an abort storm costs re-executions,
+    /// never the block's completion. Nothing signals the hold's end; the
+    /// workers' self-heal sweep (which runs whenever a worker finds the
+    /// ready queue empty) re-tries it.
     fn try_admit(&self, tx: usize) -> bool {
-        let (spent, blocked_on) = {
+        let spent = {
             let core = self.states[tx].core.lock();
             if core.phase != Phase::Waiting || self.counted_blocked(tx) {
                 return false;
             }
-            (core.attempts >= self.max_attempts, core.blocked_on)
+            core.attempts >= self.max_attempts
         };
         // Checked in index order, so each `Finished` seen is final: every
         // transaction that could still abort it was seen finished first.
         if spent && !(0..tx).all(|i| self.states[i].core.lock().phase == Phase::Finished) {
             return false;
-        }
-        if let Some(id) = blocked_on {
-            let key = self.sequences.interner().resolve(id);
-            let mut shard = self.sequences.shard_for(id);
-            let resolution = shard.resolve_read(id, tx, &key, self.snapshot);
-            if matches!(resolution, ReadResolution::Blocked { .. }) {
-                shard.register_waiter(id, tx);
-                return false;
-            }
         }
         let generation = {
             let mut core = self.states[tx].core.lock();
@@ -789,10 +778,7 @@ impl Shared<'_> {
         let mut admitted = false;
         for tx in 0..self.txs.len() {
             #[cfg(test)]
-            let owned_by_wakes = {
-                let core = self.states[tx].core.lock();
-                core.blocked_on.is_none() && core.attempts < self.max_attempts
-            };
+            let owned_by_wakes = self.states[tx].core.lock().attempts < self.max_attempts;
             let now = self.try_admit(tx);
             #[cfg(test)]
             if now && owned_by_wakes {
@@ -812,8 +798,7 @@ impl Shared<'_> {
         let mut worklist = vec![root];
         let mut seen = HashSet::new();
         let mut wakes: Vec<usize> = Vec::new();
-        let mut waiters: Vec<usize> = Vec::new();
-        let mut effects = Effects::default();
+        let mut effect = VersionWriteEffect::default();
         while let Some(victim) = worklist.pop() {
             if !seen.insert(victim) {
                 continue;
@@ -853,18 +838,15 @@ impl Shared<'_> {
                 victim,
                 &mut resets,
                 || self.generation_of(victim) == aborted_generation,
-                &mut effects,
-                |_, effects| {
+                &mut effect,
+                |_, effect| {
                     // Counted now, before anything the cascade admits.
-                    for &reader in &effects.change.blocked {
+                    for &reader in &effect.blocked {
                         self.reblock(reader);
                     }
-                    let stale = effects.change.aborted.iter().copied();
+                    let stale = effect.aborted.iter().copied();
                     worklist.extend(stale.filter(|&r| r != victim && !seen.contains(&r)));
-                    wakes.extend(&effects.change.allowed);
-                    // `try_admit` puts back on the list the ones a reset
-                    // leaves blocked.
-                    waiters.extend(&effects.waiters);
+                    wakes.extend(&effect.allowed);
                 },
             );
             // Resets done: make the victim admissible again, and admit it
@@ -892,32 +874,24 @@ impl Shared<'_> {
         for reader in wakes {
             self.wake(reader);
         }
-        for tx in waiters {
-            self.try_admit(tx);
-        }
     }
 
     /// Applies what one shard's run of a publish or drop batch did: counts
-    /// the readers it re-blocked, aborts the stale ones, wakes the ones it
-    /// unblocked and hands the transactions suspended on its keys to
-    /// admission. Must be called with no shard lock held. Returns the
-    /// admission checks it made: wakes that released their transaction, and
-    /// suspended transactions handed to admission.
-    fn apply_effects(&self, effects: &Effects) -> u64 {
-        for &reader in &effects.change.blocked {
+    /// the readers it re-blocked, aborts the stale ones and wakes the ones
+    /// it unblocked. Must be called with no shard lock held. Returns the
+    /// admission checks it made: wakes that released their transaction.
+    fn apply_effect(&self, effect: &VersionWriteEffect) -> u64 {
+        for &reader in &effect.blocked {
             self.reblock(reader);
         }
-        for &reader in &effects.change.aborted {
+        for &reader in &effect.aborted {
             self.abort_cascade(reader);
         }
         let mut checks = 0;
-        for &reader in &effects.change.allowed {
+        for &reader in &effect.allowed {
             checks += u64::from(self.wake(reader));
         }
-        for &tx in &effects.waiters {
-            self.try_admit(tx);
-        }
-        checks + effects.waiters.len() as u64
+        checks
     }
 
     /// Marks `tx` finished with `status` after charging `gas_used`. The
@@ -1060,7 +1034,7 @@ impl ThreadHost<'_, '_> {
         let (shared, tx, generation) = (self.shared, self.tx, self.generation);
         let Scratch {
             batch,
-            effects,
+            effect,
             stats,
             ..
         } = &mut *self.own;
@@ -1068,15 +1042,14 @@ impl ThreadHost<'_, '_> {
             tx,
             batch,
             || shared.generation_of(tx) == generation,
-            effects,
-            |group, effects| {
+            effect,
+            |group, effect| {
                 let published = group
                     .iter()
                     .filter(|(_, op)| matches!(op, VersionOp::Publish(..)));
                 stats.publish_batches += 1;
                 stats.publishes += published.count() as u64;
-                stats.targeted_wakeups += effects.waiters.len() as u64;
-                stats.admission_checks += shared.apply_effects(effects);
+                stats.admission_checks += shared.apply_effect(effect);
             },
         );
         live.then_some(()).ok_or(HostError::Aborted)
@@ -1091,28 +1064,31 @@ impl Host for ThreadHost<'_, '_> {
             Ok(value) => return Ok(value),
             Err(delta) => delta,
         };
-        {
+        let newly_counted = {
             let mut shard = self.shared.sequences.shard_for(id);
             if self.stale() {
                 return Err(HostError::Aborted);
             }
             match shard.read(id, self.tx, &key, self.shared.snapshot) {
-                ReadResolution::Ready(value) => return Ok(value.wrapping_add(own_delta)),
-                // A pending version: suspend. Registering under the lock
-                // that failed the read means the change that unblocks the
-                // key either sees us or comes before `try_admit`'s resolve.
-                ReadResolution::Blocked { .. } => shard.register_waiter(id, self.tx),
+                (ReadResolution::Ready(value), _) => return Ok(value.wrapping_add(own_delta)),
+                // A pending version: suspend. The read is now a counted
+                // read of the key, flagged under the lock that saw it
+                // blocked, so the change that unblocks it lists it in
+                // `allowed` like a predicted read.
+                (ReadResolution::Blocked { .. }, newly_counted) => newly_counted,
             }
+        };
+        if newly_counted {
+            // Even if the attempt went stale since the unlock: the count
+            // must match the flags.
+            self.shared.reblock(self.tx);
+            self.own.stats.targeted_wakeups += 1;
         }
-        {
-            let mut core = self.shared.states[self.tx].core.lock();
-            if self.stale() {
-                return Err(HostError::Aborted);
-            }
-            core.blocked_on = Some(id);
+        if self.stale() {
+            return Err(HostError::Aborted);
         }
-        // The worker goes back to the queue; the cascade's own `try_admit`
-        // or the drain of the key's waiters re-admits the transaction.
+        // The worker goes back to the queue; the exact wake of the read
+        // re-admits the transaction.
         self.shared.abort_cascade(self.tx);
         Err(HostError::Aborted)
     }
@@ -1221,7 +1197,6 @@ fn recycle_state(state: &mut TxState) -> u64 {
     core.status = None;
     core.gas_used = 0;
     core.unpredicted.clear();
-    core.blocked_on = None;
     *state.blocked_reads.get_mut() = 0;
     core.unpredicted.retained_bytes() + std::mem::size_of::<TxState>() as u64
 }
@@ -1466,7 +1441,6 @@ impl ParallelExecutor {
                     } else {
                         core.phase = Phase::Running;
                         core.attempts += 1;
-                        core.blocked_on = None;
                         Some(core.attempts)
                     }
                 };
@@ -1783,27 +1757,16 @@ mod tests {
         assert!(outcome.stats.attempts <= 2 * txs.len() as u64);
     }
 
-    #[test]
-    fn a_read_of_a_pending_version_suspends_its_transaction() {
-        // tx 0 writes the counter; the readers' predictions omit the key and
-        // outweigh the writer, so the rank lanes dispatch every reader first
-        // and each meets the writer's pending version. On one worker a read
-        // that waited in place would wait for ever.
-        #[derive(Debug, Default)]
-        struct ParkWatch(std::sync::atomic::AtomicBool);
-        impl SchedHook for ParkWatch {
-            fn on_park(&self, tx: Option<usize>) {
-                if tx.is_some() {
-                    self.0.store(true, Ordering::SeqCst);
-                }
-            }
-        }
+    /// A block built to suspend: tx 0 writes the counter, and the `n - 1`
+    /// readers' predictions omit the key and outweigh the writer, so the
+    /// rank lanes dispatch every reader first and each meets the writer's
+    /// pending version.
+    fn suspension_block(n: usize) -> (Vec<Transaction>, Vec<CSag>) {
         let call = |caller: u64, selector| {
             let to = Address::from_u64(COUNTER);
             let env = TxEnv::call(Address::from_u64(caller), to, calldata(selector, &[]));
             Transaction::call(env)
         };
-        let n = 6;
         let mut txs = vec![call(900, contracts::counter_fn::INCREMENT_CHECKED)];
         txs.extend((1..n).map(|i| call(900 + i as u64, contracts::counter_fn::GET)));
         let (snapshot, env) = (Snapshot::empty(), BlockEnv::default());
@@ -1817,6 +1780,25 @@ mod tests {
         csags.resize(n, reader);
         let dag = BlockDag::build(&csags);
         assert!((1..n).all(|reader| dag.lane_of(reader) < dag.lane_of(0)));
+        (txs, csags)
+    }
+
+    #[test]
+    fn a_read_of_a_pending_version_suspends_its_transaction() {
+        // On one worker a read that waited in place would wait for ever.
+        #[derive(Debug, Default)]
+        struct ParkWatch(std::sync::atomic::AtomicBool);
+        impl SchedHook for ParkWatch {
+            fn on_park(&self, tx: Option<usize>) {
+                if tx.is_some() {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        let n = 6;
+        let (txs, csags) = suspension_block(n);
+        let (snapshot, env) = (Snapshot::empty(), BlockEnv::default());
+        let analyzer = Analyzer::new(registry());
         let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
         let statuses: Vec<ExecStatus> = trace.txs.iter().map(|t| t.status.clone()).collect();
         for threads in [1, 2, 4] {
@@ -1827,6 +1809,13 @@ mod tests {
             assert_eq!(outcome.statuses, statuses);
             assert!(!watch.0.load(Ordering::SeqCst), "a read parked its worker");
             assert!(outcome.stats.attempts <= 2 * n as u64);
+            // Each reader's read of the key becomes counted at most once,
+            // and on one worker every reader meets the pending version.
+            let suspensions = outcome.stats.targeted_wakeups;
+            assert!(suspensions < n as u64, "{suspensions} suspensions");
+            if threads == 1 {
+                assert_eq!(suspensions, n as u64 - 1);
+            }
         }
     }
 
@@ -1977,8 +1966,8 @@ mod tests {
         // Arena-reset safety: one executor re-running the same block must
         // produce identical final writes — the second run executes entirely
         // on recycled shard storage and tx states, so any state leaking
-        // across the block boundary (stale versions, uncleared waiter
-        // lists, cached snapshot values) would corrupt the result.
+        // across the block boundary (stale versions, counted-read flags,
+        // cached snapshot values) would corrupt the result.
         let txs = vec![
             mint(900, 1, 100),
             transfer(1, 2, 30),
@@ -2099,9 +2088,9 @@ mod tests {
     fn exact_wakes_leave_the_idle_sweep_nothing_to_admit() {
         // A high-contention block: token transfers among eight funded
         // holders, mints to them, and hot counter increments, checked and
-        // commutative. Every admission after the bind must come from a
-        // wake, a cascade's own re-admission or a suspension key's waiter
-        // list — never from the idle sweep behind the 1 ms park.
+        // commutative. Every admission after the bind of a transaction with
+        // attempts left must come from a wake or a cascade's own
+        // re-admission — never from the idle sweep behind the 1 ms park.
         let token_balance = |holder: u64| {
             let holder = Address::from_u64(holder).to_u256();
             StateKey::storage(Address::from_u64(TOKEN), contracts::map_slot(holder, 1))
@@ -2145,6 +2134,17 @@ mod tests {
                 0,
                 "{threads} workers"
             );
+        }
+        // Nor does the sweep re-admit a suspended transaction: the wake of
+        // its counted read does.
+        let (txs, csags) = suspension_block(6);
+        let snapshot = Snapshot::empty();
+        let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        for threads in [1, 2, 4] {
+            let shared = run_bound(&executor(threads), &txs, &snapshot, &csags);
+            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            let lost = shared.lost_wakes.load(Ordering::SeqCst);
+            assert_eq!(lost, 0, "suspension block, {threads} workers");
         }
     }
 

@@ -68,13 +68,13 @@ use dmvcc_vm::{
 
 use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
 
-use crate::access::{ReadResolution, VersionOp};
+use crate::access::{ReadResolution, VersionOp, VersionWriteEffect};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::parallel::{
     run_tx, Event, ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome,
 };
-use crate::sharded::{Effects, ShardedSequences};
+use crate::sharded::ShardedSequences;
 
 /// Backstop for a reader parked on a re-pended version or an idle worker
 /// parked on the commit tail; both are signaled on every commit, so the
@@ -260,11 +260,11 @@ fn execute_tx(shared: &StmShared<'_>, tx_index: usize, memo: &mut KeccakMemo) ->
 }
 
 /// Applies `ops` to `tx`'s versions, one lock hold per involved shard. What
-/// the store reports back (readers to abort or admit, parked waiters) is
-/// the predictive scheduler's business: this engine validates by value at
-/// the commit turn and parks on the progress event instead.
+/// the store reports back (readers to abort or admit) is the predictive
+/// scheduler's business: this engine validates by value at the commit turn
+/// and parks on the progress event instead.
 fn apply_versions(shared: &StmShared<'_>, tx: usize, ops: &mut [(KeyId, VersionOp)]) {
-    let mut ignored = Effects::default();
+    let mut ignored = VersionWriteEffect::default();
     shared
         .sequences
         .apply_batch(tx, ops, || true, &mut ignored, |_, _| {});

@@ -18,13 +18,12 @@
 //! bytes served from recycled memory are reported as
 //! `ExecutorStats::alloc_bytes_saved`.
 //!
-//! Each slot also carries the *reverse waiter index* for its key: the
-//! transactions suspended because a read of the key met a pending version.
-//! Any change to a version of the key drains them under the same lock hold
-//! that makes the change, which is what lets the executor re-admit exactly
-//! the transactions the change may have unblocked. A batch of changes
-//! reports what it did into the caller's [`Effects`], which a worker keeps
-//! from one batch to the next: a publication allocates nothing.
+//! A read that meets a pending version becomes a counted read of its key
+//! under the lock hold that saw it blocked ([`Shard::read`]), so the
+//! sequence itself says who waits on what: a batch of changes reports the
+//! readers it turned into the caller's [`VersionWriteEffect`], which a
+//! worker keeps from one batch to the next, so a publication allocates
+//! nothing.
 //!
 //! A block's life in the store has three phases. It is *bound* by one
 //! thread with exclusive access ([`ShardedSequences::bind`]: predicted
@@ -58,23 +57,20 @@ const MASK: usize = SHARDS - 1;
 const BITS: u32 = SHARDS.trailing_zeros();
 const _: () = assert!(SHARDS.is_power_of_two());
 
-/// Per-key state within a shard: the access sequence, the suspended readers,
-/// and a one-value snapshot cache (the block snapshot is immutable, so the
-/// first overlay-chain probe answers every later snapshot-base read).
+/// Per-key state within a shard: the access sequence and a one-value
+/// snapshot cache (the block snapshot is immutable, so the first
+/// overlay-chain probe answers every later snapshot-base read).
 #[derive(Debug, Default)]
 struct SeqSlot {
     seq: AccessSequence,
-    waiters: Vec<usize>,
     snap: Option<U256>,
 }
 
 impl SeqSlot {
     /// Clears for block reuse, returning the heap bytes kept alive.
     fn reset(&mut self) -> u64 {
-        let bytes = self.seq.retained_bytes()
-            + (self.waiters.capacity() * std::mem::size_of::<usize>()) as u64;
+        let bytes = self.seq.retained_bytes();
         self.seq.clear();
-        self.waiters.clear();
         self.snap = None;
         bytes
     }
@@ -139,50 +135,21 @@ impl Shard {
             .resolve_read(tx, || *snap.get_or_insert_with(|| snapshot.get(key)))
     }
 
-    /// [`Self::resolve_read`], marking the read as performed if it
-    /// resolves — [`AccessSequence::read`], one search for both.
+    /// [`Self::resolve_read`], marking a read that resolves as performed
+    /// and counting one that blocks — [`AccessSequence::read`], one search
+    /// for all of it. The `bool` is `true` for a read counted only now.
     pub fn read(
         &mut self,
         id: KeyId,
         tx: usize,
         key: &StateKey,
         snapshot: &Snapshot,
-    ) -> ReadResolution {
+    ) -> (ReadResolution, bool) {
         let slot = self.slot_mut(id);
         let snap = &mut slot.snap;
         slot.seq
             .read(tx, || *snap.get_or_insert_with(|| snapshot.get(key)))
     }
-
-    /// Records that `tx` is suspended until a version of `id` changes. The
-    /// registration must happen under the same lock hold as the resolve
-    /// that came back blocked, so a concurrent change either drains the
-    /// waiter or is visible to the next resolve.
-    pub fn register_waiter(&mut self, id: KeyId, tx: usize) {
-        let list = &mut self.slot_mut(id).waiters;
-        if !list.contains(&tx) {
-            list.push(tx);
-        }
-    }
-
-    /// Moves the transactions suspended on `id` into `into`, keeping the
-    /// list's capacity for the next suspension.
-    pub fn drain_waiters(&mut self, id: KeyId, into: &mut Vec<usize>) {
-        let index = self.slot_index(id);
-        if let Some(slot) = self.slots.get_mut(index) {
-            into.append(&mut slot.waiters);
-        }
-    }
-}
-
-/// What one shard's run of a batch did ([`ShardedSequences::apply_batch`]):
-/// the sequences' effects, and the transactions that were suspended on the
-/// changed keys, drained under the same lock hold. Owned by the caller and
-/// reused, so a batch allocates only when it outgrows every earlier one.
-#[derive(Debug, Default)]
-pub(crate) struct Effects {
-    pub(crate) change: VersionWriteEffect,
-    pub(crate) waiters: Vec<usize>,
 }
 
 /// Recycled shard storage: the mutexes, slot arrays and flush buffers of a
@@ -292,37 +259,35 @@ impl ShardedSequences {
     /// Applies `ops` to `tx`'s entries, taking each involved shard lock
     /// **once**: the ops are sorted by shard (stably — same-shard keys keep
     /// their order, so the outcome is deterministic given a deterministic
-    /// schedule) and each shard's run is applied, and its keys' waiters
-    /// drained, under a single lock hold. `live` is re-checked under every
-    /// shard lock — an abort that got in between must not have its resets
-    /// overwritten — and a `false` stops the batch, which then returns
-    /// `false`. `after` runs strictly after each shard unlock with the run
-    /// and what it did (`effects`, emptied before each run), so it may take
-    /// other locks.
+    /// schedule) and each shard's run is applied under a single lock hold.
+    /// `live` is re-checked under every shard lock — an abort that got in
+    /// between must not have its resets overwritten — and a `false` stops
+    /// the batch, which then returns `false`. `after` runs strictly after
+    /// each shard unlock with the run and what it did (`effect`, emptied
+    /// before each run and owned by the caller, so a batch allocates only
+    /// when it outgrows every earlier one), so it may take other locks.
     pub(crate) fn apply_batch(
         &self,
         tx: usize,
         ops: &mut [(KeyId, VersionOp)],
         live: impl Fn() -> bool,
-        effects: &mut Effects,
-        mut after: impl FnMut(&[(KeyId, VersionOp)], &Effects),
+        effect: &mut VersionWriteEffect,
+        mut after: impl FnMut(&[(KeyId, VersionOp)], &VersionWriteEffect),
     ) -> bool {
         ops.sort_by_key(|&(id, _)| self.shard_index_of(id));
         for group in ops.chunk_by(|a, b| self.shard_index_of(a.0) == self.shard_index_of(b.0)) {
-            effects.change.clear();
-            effects.waiters.clear();
+            effect.clear();
             {
                 let mut shard = self.shard_for(group[0].0);
                 if !live() {
                     return false;
                 }
                 for &(id, op) in group {
-                    let visited = shard.sequence_mut(id).apply(tx, op, &mut effects.change);
+                    let visited = shard.sequence_mut(id).apply(tx, op, effect);
                     shard.visited += visited as u64;
-                    shard.drain_waiters(id, &mut effects.waiters);
                 }
             }
-            after(group, effects);
+            after(group, effect);
         }
         true
     }
@@ -452,29 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn waiters_register_dedup_and_drain() {
-        let sharded = ShardedSequences::new();
-        let k = sharded.intern(key(1));
-        {
-            let mut shard = sharded.shard_for(k);
-            shard.register_waiter(k, 3);
-            shard.register_waiter(k, 5);
-            shard.register_waiter(k, 3);
-        }
-        {
-            let mut shard = sharded.shard_for(k);
-            let mut drained = vec![9];
-            shard.drain_waiters(k, &mut drained);
-            assert_eq!(drained, vec![9, 3, 5]);
-            drained.clear();
-            shard.drain_waiters(k, &mut drained);
-            assert!(drained.is_empty());
-        }
-        // `intern` takes no shard lock; the two blocks above took one each.
-        assert_eq!(sharded.lock_acquisitions(), 2);
-    }
-
-    #[test]
     fn recycled_storage_reuses_buffers_and_resets_state() {
         let mut sharded = ShardedSequences::new();
         let id = {
@@ -512,6 +454,8 @@ mod tests {
                 .resolve_read(id, tx, &key(5), &snapshot);
             assert_eq!(got, ReadResolution::Ready(U256::from(77u64)));
         }
+        // `intern` takes no shard lock; each `shard_for` hold counts once.
+        assert_eq!(sharded.lock_acquisitions(), 3);
     }
 
     /// One random operation against both representations.

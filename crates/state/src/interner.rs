@@ -2,8 +2,8 @@
 //!
 //! A `StateKey` is 52 bytes (20-byte address + 256-bit slot); hashing one
 //! with the default SipHash costs more than the shard probe it guards, and
-//! every hot-path structure keyed by `StateKey` (shard maps, waiter
-//! indexes, DAG suffix maps) pays that tax per access. The interner maps
+//! every hot-path structure keyed by `StateKey` (shard maps, DAG suffix
+//! maps) pays that tax per access. The interner maps
 //! each key touched by a block to a dense `u32` id **once** at C-SAG bind
 //! time; everything downstream indexes plain vectors by id.
 //!

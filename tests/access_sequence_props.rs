@@ -1,8 +1,9 @@
 //! Model-based property test for access sequences: a random stream of
 //! predict / write / add / drop / reset / rollback / read operations is
 //! mirrored against a simple sequential model; read resolutions must
-//! agree, and every change must report exactly the readers it turned and
-//! the consumed reads it made stale.
+//! agree, a read that blocks must become a counted read exactly when the
+//! model's entry was not one, and every change must report exactly the
+//! readers it turned and the consumed reads it made stale.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +33,7 @@ enum Op {
     Reset(usize),
     /// Roll back tx `t`'s unpredicted write: dropped, not pending.
     Rollback(usize),
-    /// A read by tx `t`, marked if it resolves.
+    /// A read by tx `t`, marked if it resolves and counted if it blocks.
     Read(usize),
 }
 
@@ -73,7 +74,7 @@ struct ModelTx {
     /// Announced and neither published nor dropped.
     pending: bool,
     published: Option<ModelEntry>,
-    /// A ρ or θ was predicted.
+    /// A counted read: a ρ or θ was predicted, or a read blocked.
     predicted_read: bool,
     /// The read side was performed.
     read_done: bool,
@@ -138,7 +139,7 @@ fn model_read(model: &BTreeMap<usize, ModelTx>, tx: usize, snapshot: u64) -> Rea
     ReadResolution::Ready(U256::from(snapshot.wrapping_add(delta)))
 }
 
-/// The predicted readers whose read resolves blocked.
+/// The counted readers whose read resolves blocked.
 fn blocked_readers(model: &BTreeMap<usize, ModelTx>) -> Vec<usize> {
     let readers = model.iter().filter(|(_, entry)| entry.predicted_read);
     let blocked = readers
@@ -250,6 +251,9 @@ fn apply_model(model: &mut BTreeMap<usize, ModelTx>, op: &Op, snapshot: u64) -> 
                     ..ModelTx::announced(AccessOp::Read)
                 });
                 entry.read_done = true;
+            } else {
+                let entry = model.entry(t).or_insert(ModelTx::announced(AccessOp::Read));
+                entry.predicted_read = true;
             }
             None
         }
@@ -276,6 +280,17 @@ proptest! {
         for op in &ops {
             let before = blocked_readers(&model);
             let shown_before = op_tx(op).and_then(|t| model.get(&t)).map(ModelTx::shown);
+            // What a read resolves to, and whether it becomes a counted
+            // read only now: it blocks, and its entry was not one.
+            let expected_read = match *op {
+                Op::Read(t) => {
+                    let resolution = model_read(&model, t, snapshot_value);
+                    let blocked = matches!(resolution, ReadResolution::Blocked { .. });
+                    let counted = model.get(&t).is_some_and(|entry| entry.predicted_read);
+                    Some((resolution, blocked && !counted))
+                }
+                _ => None,
+            };
             let changed = apply_model(&mut model, op, snapshot_value);
             let effect = match *op {
                 Op::Predict(t, kind) => {
@@ -288,8 +303,7 @@ proptest! {
                 Op::Reset(t) => Some(seq.reset(t)),
                 Op::Rollback(t) => Some(seq.rollback_unpredicted(t)),
                 Op::Read(t) => {
-                    // A marked read changes no resolution.
-                    prop_assert_eq!(seq.read(t, base), model_read(&model, t, snapshot_value));
+                    prop_assert_eq!(Some(seq.read(t, base)), expected_read, "{:?}", op);
                     None
                 }
             };

@@ -162,7 +162,7 @@ fn hot_chain_with_lossy_analysis() {
 #[test]
 fn hot_chain_eight_threads_matches_serial_roots() {
     // Oversubscribed high-contention stress: eight workers hammer the
-    // sharded sequences, the waiter index and the abort cascades far past
+    // sharded sequences, the exact wakes and the abort cascades far past
     // the physical core count; the MPT root chain must still match serial
     // block for block.
     run_chain(small(WorkloadConfig::high_contention(25)), 3, 150, 0.0, 8);
