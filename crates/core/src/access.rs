@@ -334,7 +334,7 @@ impl AccessSequence {
     }
 
     /// Empties the sequence, keeping the entry buffers' capacity — block
-    /// arena reuse ([`crate::ShardedSequences`] recycles shard storage
+    /// arena reuse (`ShardedSequences` recycles shard storage
     /// across blocks).
     pub fn clear(&mut self) {
         self.txs.clear();
@@ -632,7 +632,7 @@ mod tests {
         let sharded = crate::sharded::ShardedSequences::new();
         let id = sharded.intern(key());
         build(sharded.shard_for(id).sequence_mut(id));
-        sharded.final_writes(snapshot)
+        sharded.final_writes(snapshot, 1)
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub trait SchedHook: Send + Sync + std::fmt::Debug {
     fn on_commit(&self, _tx: usize) {}
 
     /// An engine entered the critical section of shard `index` of the
-    /// block's [`crate::ShardedSequences`] (every engine reads and publishes
+    /// block's `ShardedSequences` (every engine reads and publishes
     /// through that store). Called with the shard lock held: stalling here
     /// is the way to force shard-lock contention.
     fn on_shard_lock(&self, _index: usize) {}

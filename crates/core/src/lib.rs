@@ -5,14 +5,14 @@
 //!
 //! - [`AccessSequence`]: the per-state-item version buffer with write
 //!   versioning and commutative merges (Definition 4, Algorithm 3), and
-//!   [`ShardedSequences`], the block's one multi-version store: every
+//!   `ShardedSequences`, the block's one multi-version store: every
 //!   threaded engine reads and publishes through it, and an entry holds
 //!   what its transaction published ([`Version`]), not what was predicted.
 //! - [`execute_block_serial`]: the reference serial executor, which doubles
 //!   as the trace oracle the `dmvcc-sim` crate schedules in virtual time
 //!   (gas) — the quantities behind the paper's figures.
 //! - [`ParallelExecutor`]: a real multi-threaded executor implementing
-//!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, one exact
+//!   Algorithms 1–4 over `ShardedSequences` (per-shard locks, one exact
 //!   wake for every counted read — predicted, or suspended on a pending
 //!   version — and one ready queue of [`BlockDag`] rank lanes), validated
 //!   against the serial state root.
@@ -23,6 +23,9 @@
 //!   the sharded predictive engine and strips the predictions of
 //!   speculative/unanalyzable ones so they run optimistically inside the
 //!   same block execution.
+//! - Every parallel stage — refinement, the engines' workers, the store's
+//!   flush, [`BlockPipeline`]'s refine-ahead — goes onto threads through
+//!   `dmvcc_primitives::workers`.
 //! - [`BlockExecutor`]: the object-safe trait all three engines implement,
 //!   and [`ExecutorKind`], whose `build` is the one place a kind becomes an
 //!   engine. [`BlockPipeline`] is generic over the trait and overlaps
@@ -82,5 +85,4 @@ pub use oracle::{execute_block_serial, BlockTrace, ReadRecord, TxTrace};
 pub use parallel::{ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
 pub use parallel_stm::{HybridExecutor, StmExecutor};
 pub use pipeline::{refine_csags, BlockPipeline, PipelineStats};
-pub use rank::{BlockDag, TxRank, NUM_LANES};
-pub use sharded::{Shard, ShardedSequences};
+pub use rank::BlockDag;

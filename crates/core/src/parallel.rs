@@ -9,7 +9,7 @@
 //!
 //! The synchronization is decomposed along the state it actually protects:
 //!
-//! - **Sharded sequences** ([`crate::ShardedSequences`]): access sequences
+//! - **Sharded sequences** ([`crate::sharded::ShardedSequences`]): access sequences
 //!   live in id-addressed shards, each behind its own lock, so
 //!   transactions over disjoint keys never contend.
 //! - **Suspension**: a read that meets a pending version never waits. It
@@ -24,7 +24,7 @@
 //!   admission" below).
 //! - **Rank-lane ready queue**: the dispatch order is computed up front
 //!   from the batch — [`crate::BlockDag`] ranks bucket every transaction
-//!   into one of [`crate::NUM_LANES`] FIFO lanes — and workers pop the
+//!   into one of [`crate::rank::NUM_LANES`] FIFO lanes — and workers pop the
 //!   highest-priority non-empty lane. There is one queue, shared by all
 //!   workers; nothing is discovered by arrival order or stealing.
 //! - **Per-transaction cores**: behind a transaction's own small mutex
@@ -40,7 +40,9 @@
 //!   its core lock twice: at dequeue and to finish.
 //!
 //! What only the calling thread can do is kept small, because a second
-//! worker cannot shorten it. A block has three stages:
+//! worker cannot shorten it. A block has three stages, and `threads`
+//! workers are the calling thread and `threads - 1` spawned ones in each
+//! ([`dmvcc_primitives::workers::on_workers`]):
 //!
 //! 1. **Bind** (calling thread, before any worker exists): one walk over
 //!    the C-SAGs (`BlockMeta::bind`) interns the predicted keys, lays
@@ -48,14 +50,24 @@
 //!    registers the predicted accesses in the store through exclusive
 //!    access (no lock), sweeps the ranks over the same ids and queues the
 //!    first ready set. All of it lands in recycled buffers.
-//! 2. **Execute** (workers): the protocol above.
-//! 3. **Flush** (workers): once every worker has seen the block finished
-//!    and come to rest (`Shared::rest_and_flush`), they flush the store
-//!    shard by shard; the calling thread only merges the sorted runs into
-//!    the outcome's write set.
+//! 2. **Execute** (workers): the protocol above, until every worker has
+//!    returned.
+//! 3. **Flush** (workers, then the calling thread): the store is flushed
+//!    shard by shard ([`ShardedSequences::flush`]), and the calling thread
+//!    merges the sorted runs into the outcome's write set.
 //!
 //! [`ExecutorStats::serial_nanos`] is the wall time of stages 1 and 3's
 //! merge.
+//!
+//! The join. A worker returns when it sees `finished == n` at the top of
+//! its loop, with no attempt, cascade or staged effect of its own in
+//! flight. A straggler still holding such an abort — an effect staged
+//! under a shard lock, a suspension, an injected abort — may un-finish a
+//! transaction after others have returned; it then runs the block to its
+//! end by itself, and returns only once it too sees `finished == n`. So
+//! when the workers' call returns, `finished == n` holds and nothing is
+//! left that could start an attempt or an abort: the store is quiescent,
+//! and the flush needs no barrier of its own.
 //!
 //! Lock discipline: a thread holds at most one shard lock and at most one
 //! transaction core lock at a time, and never acquires one kind while
@@ -119,13 +131,13 @@
 //! roots over randomized workloads.
 
 use std::collections::{HashSet, VecDeque};
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use dmvcc_primitives::workers::on_workers;
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, Snapshot, SortedVec, StateKey, WriteSet};
 use dmvcc_vm::{
@@ -139,7 +151,7 @@ use crate::access::{AccessOp, ReadResolution, VersionOp, VersionWriteEffect};
 use crate::arena::WriteBuffer;
 use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
-use crate::sharded::{ShardStorage, ShardedSequences, SHARDS};
+use crate::sharded::{ShardStorage, ShardedSequences};
 
 /// Backstop for an idle worker with nothing to run.
 const IDLE_PARK: Duration = Duration::from_millis(1);
@@ -147,8 +159,8 @@ const IDLE_PARK: Duration = Duration::from_millis(1);
 /// Configuration of the threaded executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
-    /// Number of OS worker threads (clamped per block to
-    /// `1..=transactions`).
+    /// Number of workers, the calling thread one of them (clamped per
+    /// block to `1..=transactions`).
     pub threads: usize,
     /// Speculative attempts per transaction. A transaction that has spent
     /// them — an abort storm: most of the block mispredicted on a hot key
@@ -208,10 +220,11 @@ pub struct ExecutorStats {
     /// the first block an executor runs; the steady state recycles nearly
     /// everything.
     pub alloc_bytes_saved: u64,
-    /// Wall-clock nanoseconds `execute_block_with_csags` spent outside the
-    /// worker scope — binding the block before the first worker starts,
-    /// assembling the outcome after the last one joins — i.e. the part of
-    /// the execute stage a second thread cannot shorten.
+    /// Wall-clock nanoseconds `execute_block_with_csags` spent on the
+    /// calling thread alone — binding the block before the first worker
+    /// starts, merging the flushed runs into the outcome after the flush's
+    /// workers return — i.e. the part of the execute stage a second thread
+    /// cannot shorten. (The optimistic engine also counts its flush here.)
     pub serial_nanos: u64,
     /// Shard mutex acquisitions by the workers across the block — the
     /// contention surface batched publishing shrinks. Binding the block
@@ -242,11 +255,16 @@ pub struct ExecutorStats {
     /// Admission checks the workers' publish and drop batches triggered,
     /// each one lock of a transaction's core: one per woken reader whose
     /// count of blocked reads the wake released (an abort cascade's own are
-    /// not counted).
+    /// not counted). Exact at one worker; at more, the order in which
+    /// turns of one key are applied could move it, though it has read the
+    /// same at one and two workers on both benchmark mixes.
     pub admission_checks: u64,
     /// Sequence entries the changes to the block's access sequences
     /// visited beyond the changed entries — the walks for woken and stale
     /// readers and the growth of the settled prefix, abort resets included.
+    /// Exact at one worker; at more it moves from run to run (about 0.1 %
+    /// on the benchmark mixes at two), because the order in which
+    /// concurrent publications land decides how far a change walks.
     pub entries_visited: u64,
 }
 
@@ -612,12 +630,8 @@ struct Shared<'a> {
     /// Transactions currently in phase `Finished` whose finalization
     /// completed (incremented/decremented strictly under the tx's core
     /// lock, so `finished == n` means every transaction is final *at that
-    /// instant*; see [`Shared::rest_and_flush`] for what makes it stay so).
+    /// instant*; the module docs' "The join" says what makes it stay so).
     finished: AtomicUsize,
-    /// Workers that saw the block finished and stopped taking work.
-    resting: AtomicUsize,
-    /// Next shard of the store to flush.
-    flush_cursor: AtomicUsize,
     /// Workers currently parked with nothing to run.
     idle: AtomicUsize,
     /// Entries currently sitting in the ready queue (stale ones included).
@@ -631,8 +645,8 @@ struct Shared<'a> {
     /// bounds), built once per block.
     meta: BlockMeta,
     txs: &'a [Transaction],
-    /// Worker threads running this block (the configured count clamped to
-    /// `1..=txs.len()`).
+    /// Workers running this block, the calling thread one of them (the
+    /// configured count clamped to `1..=txs.len()`).
     threads: usize,
     /// [`ParallelConfig::max_attempts`].
     max_attempts: u32,
@@ -913,48 +927,6 @@ impl Shared<'_> {
         let done = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
         if done == self.txs.len() {
             self.idle_event.signal();
-        }
-    }
-
-    /// The end of a worker's block: called from the top of its loop — so
-    /// with no attempt, cascade or staged effect of its own in flight —
-    /// once it has seen `finished == n`. The worker stops taking work, waits
-    /// until every worker has done the same, and then flushes shards of the
-    /// store, claimed off a cursor.
-    ///
-    /// Why wait. `finished == n` says every transaction is final at that
-    /// instant, and a *stale attempt* still unwinding on another worker
-    /// cannot change that: every sequence mutation re-checks the attempt's
-    /// generation under the shard lock. But a worker may also still hold an
-    /// *abort it decided on earlier* — an effect staged under a shard lock
-    /// and applied after the unlock, a suspension, an injected abort — and
-    /// a cascade passes its own generation check: it would un-finish its
-    /// victim, re-pend the victim's versions and re-run it, under a flush
-    /// that had already begun. Such a worker is below the top of its loop,
-    /// not here. So the last worker to arrive saw
-    /// `finished == n` while all others were parked in this function, and
-    /// from then on nothing runs that could start an abort or an attempt
-    /// (a queue entry is only valid for a `Ready` transaction, and there is
-    /// none): the store is quiescent, for good. A straggler that does
-    /// un-finish a transaction finishes the block again by itself, as it
-    /// always had to once the others had seen it finished.
-    fn rest_and_flush(&self) {
-        self.idle.fetch_add(1, Ordering::SeqCst);
-        self.resting.fetch_add(1, Ordering::SeqCst);
-        self.idle_event.signal();
-        loop {
-            let seen = self.idle_event.epoch();
-            if self.resting.load(Ordering::SeqCst) == self.threads {
-                break;
-            }
-            self.idle_event.wait_while(seen, IDLE_PARK);
-        }
-        loop {
-            let shard = self.flush_cursor.fetch_add(1, Ordering::Relaxed);
-            if shard >= SHARDS {
-                return;
-            }
-            self.sequences.flush_shard(shard, self.snapshot);
         }
     }
 }
@@ -1294,25 +1266,19 @@ impl ParallelExecutor {
         let bound = Instant::now();
 
         // Each worker counts for itself; the counters meet at the join.
-        let mut stats = std::thread::scope(|scope| {
-            let spawn = |_| scope.spawn(|| self.worker(&shared, block_env));
-            let workers: Vec<_> = (0..shared.threads).map(spawn).collect();
-            let mut stats = ExecutorStats::default();
-            for worker in workers {
-                let counted = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
-                stats.publishes += counted.publishes;
-                stats.publish_batches += counted.publish_batches;
-                stats.targeted_wakeups += counted.targeted_wakeups;
-                stats.parks += counted.parks;
-                stats.rank_inversions += counted.rank_inversions;
-                stats.admission_checks += counted.admission_checks;
-                stats.execute_digests += counted.execute_digests;
-            }
-            stats
-        });
+        let mut stats = ExecutorStats::default();
+        for counted in on_workers(shared.threads, || self.worker(&shared, block_env)) {
+            stats.publishes += counted.publishes;
+            stats.publish_batches += counted.publish_batches;
+            stats.targeted_wakeups += counted.targeted_wakeups;
+            stats.parks += counted.parks;
+            stats.rank_inversions += counted.rank_inversions;
+            stats.admission_checks += counted.admission_checks;
+            stats.execute_digests += counted.execute_digests;
+        }
+        // Every worker has returned: nothing can change the store any more.
+        shared.sequences.flush(snapshot, shared.threads);
         let joined = Instant::now();
-
-        // The workers flushed every shard on their way out.
         let final_writes = shared.sequences.flushed();
         stats.alloc_bytes_saved = bytes_saved;
         stats.shard_lock_acquisitions = shared.sequences.lock_acquisitions();
@@ -1401,8 +1367,6 @@ impl ParallelExecutor {
             lanes,
             lane_counts: lane_counts.into_iter().map(AtomicUsize::new).collect(),
             finished: AtomicUsize::new(0),
-            resting: AtomicUsize::new(0),
-            flush_cursor: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
             ready_count: AtomicUsize::new(lane_counts.iter().sum()),
             aborts: AtomicU64::new(0),
@@ -1421,14 +1385,14 @@ impl ParallelExecutor {
         (shared, bytes_saved)
     }
 
-    /// One worker: runs ready transactions until the block is finished,
-    /// then flushes its share of the store. Returns what it counted.
+    /// One worker: runs ready transactions until it sees the block
+    /// finished at the top of its loop, with nothing of its own in flight.
+    /// Returns what it counted.
     fn worker(&self, shared: &Shared<'_>, block_env: &BlockEnv) -> ExecutorStats {
         let n = shared.txs.len();
         let mut own = Scratch::default();
         loop {
             if shared.finished.load(Ordering::SeqCst) == n {
-                shared.rest_and_flush();
                 own.stats.execute_digests = own.memo.counts();
                 return own.stats;
             }
@@ -1657,6 +1621,7 @@ fn finalize_deterministic_abort(host: &mut ThreadHost<'_, '_>, status: ExecStatu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::SHARDS;
     use dmvcc_primitives::Address;
     use dmvcc_vm::{calldata, contracts, CodeRegistry, TxEnv};
 
@@ -1846,20 +1811,24 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_flushes_every_shard() {
-        // `threads: 1`: the only worker is the last to rest, and its flush
-        // has to cover the whole store — more keys here than shards.
+    fn the_flush_after_the_join_covers_every_shard() {
+        // Once the workers have returned, the flush's own workers — one to
+        // four of them — have to cover the whole store between them: more
+        // keys here than shards.
         let txs: Vec<_> = (0..40)
             .map(|i| match i % 4 {
                 0 => mint(900 + i, 1 + i, 50),
                 _ => transfer(i - i % 4 + 1, 100 + i, 3),
             })
             .collect();
-        let outcome = executor(1).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
         let expected = serial_writes(&txs, &Snapshot::empty());
         assert!(expected.len() > SHARDS);
-        assert_eq!(outcome.final_writes, expected);
-        assert!(outcome.stats.serial_nanos > 0);
+        for threads in [1, 2, 4] {
+            let outcome =
+                executor(threads).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
+            assert_eq!(outcome.final_writes, expected, "{threads} workers");
+            assert!(outcome.stats.serial_nanos > 0);
+        }
     }
 
     #[test]
@@ -2076,11 +2045,7 @@ mod tests {
     ) -> Shared<'a> {
         let (shared, _) = exec.bind_block(txs, snapshot, csags);
         let env = BlockEnv::default();
-        std::thread::scope(|scope| {
-            for _ in 0..shared.threads {
-                scope.spawn(|| exec.worker(&shared, &env));
-            }
-        });
+        on_workers(shared.threads, || exec.worker(&shared, &env));
         shared
     }
 
@@ -2128,7 +2093,10 @@ mod tests {
         );
         for threads in [1, 2] {
             let shared = run_bound(&executor(threads), &txs, &snapshot, &csags);
-            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            assert_eq!(
+                shared.sequences.final_writes(&snapshot, threads),
+                trace.final_writes
+            );
             assert_eq!(
                 shared.lost_wakes.load(Ordering::SeqCst),
                 0,
@@ -2142,7 +2110,10 @@ mod tests {
         let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
         for threads in [1, 2, 4] {
             let shared = run_bound(&executor(threads), &txs, &snapshot, &csags);
-            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            assert_eq!(
+                shared.sequences.final_writes(&snapshot, threads),
+                trace.final_writes
+            );
             let lost = shared.lost_wakes.load(Ordering::SeqCst);
             assert_eq!(lost, 0, "suspension block, {threads} workers");
         }
@@ -2180,14 +2151,20 @@ mod tests {
             // before the first worker started.
             let exact = crate::pipeline::refine_csags(&analyzer, &txs, &snapshot, &env, 1);
             let shared = run_bound(&exec, &txs, &snapshot, &exact);
-            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            assert_eq!(
+                shared.sequences.final_writes(&snapshot, threads),
+                trace.final_writes
+            );
             for state in &shared.states {
                 assert!(state.core.lock().unpredicted.is_empty());
             }
             // No predictions: every key the transaction read or wrote.
             let blind = vec![CSag::optimistic(); txs.len()];
             let shared = run_bound(&exec, &txs, &snapshot, &blind);
-            assert_eq!(shared.sequences.final_writes(&snapshot), trace.final_writes);
+            assert_eq!(
+                shared.sequences.final_writes(&snapshot, threads),
+                trace.final_writes
+            );
             let interner = shared.sequences.interner();
             for (state, traced) in shared.states.iter().zip(&trace.txs) {
                 let read = traced.reads.iter().map(|read| &read.key);
@@ -2487,9 +2464,8 @@ mod tests {
                 }
                 let tuple = |seq: &AccessSequence| -> Vec<_> { seq.entries().collect() };
                 for (key, expected) in &sequences {
-                    let shard = shared.sequences.shard_for(id(key));
-                    let got = shard.sequence(id(key)).expect("predicted");
-                    prop_assert_eq!(tuple(got), tuple(expected));
+                    let mut shard = shared.sequences.shard_for(id(key));
+                    prop_assert_eq!(tuple(shard.sequence_mut(id(key))), tuple(expected));
                 }
                 prop_assert_eq!(interner.len(), {
                     let all = csags.iter().flat_map(CSag::touched);

@@ -53,13 +53,13 @@
 //! with stale-read aborts as validation), sharing the block's snapshot,
 //! interner, arenas and [`ExecutorStats`].
 
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use dmvcc_primitives::workers::on_workers;
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, Snapshot, StateKey, WriteSet};
 use dmvcc_vm::{
@@ -477,7 +477,7 @@ impl StmExecutor {
 
     /// Runs the block over `sequences`, whose interner the caller filled.
     /// `start` is when it began to: what lies between that and the workers'
-    /// start, and the flush after their end, is
+    /// start, and the flush and merge after their end, is
     /// [`ExecutorStats::serial_nanos`].
     fn run(
         &self,
@@ -519,20 +519,14 @@ impl StmExecutor {
         };
         let threads = self.config.threads.clamp(1, txs.len());
         let bound = Instant::now();
-        let execute_digests = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads)
-                .map(|_| scope.spawn(|| worker(&shared)))
-                .collect();
-            let mut digests = worker(&shared);
-            for helper in helpers {
-                digests += helper.join().unwrap_or_else(|panic| resume_unwind(panic));
-            }
-            digests
-        });
+        let mut execute_digests = DigestCounts::default();
+        for digests in on_workers(threads, || worker(&shared)) {
+            execute_digests += digests;
+        }
         let joined = Instant::now();
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
 
-        let final_writes = shared.sequences.final_writes(snapshot);
+        let final_writes = shared.sequences.final_writes(snapshot, threads);
         let (statuses, gas_used) = shared
             .slots
             .iter()

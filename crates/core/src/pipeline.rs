@@ -5,8 +5,8 @@
 //! previous block committed, so analysis and execution never overlap.
 //! This module removes both:
 //!
-//! - [`refine_csags`] fans the per-transaction refinements across a
-//!   thread pool. Refinement of one transaction never looks at another's
+//! - [`refine_csags`] shares the per-transaction refinements out to the
+//!   workers of [`dmvcc_primitives::workers::on_workers`]. Refinement of one transaction never looks at another's
 //!   C-SAG, and the analyzer's hide/tier decisions are pure per-key
 //!   hashes, so the result is byte-identical to the serial loop regardless
 //!   of completion order. Each worker keeps a digest memo for the block,
@@ -22,24 +22,23 @@
 //!   [`BlockExecutor`]; an engine that consumes no predictions has no
 //!   refinement stage to run, and its blocks simply execute back to back.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dmvcc_analysis::{Analyzer, CSag};
+use dmvcc_primitives::workers::{beside, on_workers, Shares};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::{BlockEnv, DigestCounts, KeccakMemo, Transaction};
 
 use crate::executor::BlockExecutor;
 use crate::parallel::ParallelOutcome;
 
-/// Below this block size the per-thread spawn cost outweighs the win;
-/// refine serially.
+/// Below this block size a second worker costs more than it saves: one
+/// worker, the caller, refines the block.
 const PARALLEL_REFINE_MIN: usize = 8;
 
-/// Refines one C-SAG per transaction, fanning the refinements across up
-/// to `threads` OS threads. Falls back to the plain serial loop for one
-/// thread or tiny blocks. The output is index-aligned with `txs` and
-/// identical to a loop of `analyzer.csag` calls.
+/// Refines one C-SAG per transaction on up to `threads` workers. The
+/// output is index-aligned with `txs` and identical to a loop of
+/// `analyzer.csag` calls.
 pub fn refine_csags(
     analyzer: &Analyzer,
     txs: &[Transaction],
@@ -61,51 +60,25 @@ pub(crate) fn refine_counted(
     block_env: &BlockEnv,
     threads: usize,
 ) -> (Vec<CSag>, DigestCounts) {
-    let threads = threads.min(txs.len());
-    if threads <= 1 || txs.len() < PARALLEL_REFINE_MIN {
+    let workers = if txs.len() < PARALLEL_REFINE_MIN {
+        1
+    } else {
+        threads.min(txs.len())
+    };
+    let mut csags = vec![CSag::default(); txs.len()];
+    // One transaction a share: a speculative fallback costs far more than
+    // a symbolic binding, so equal chunks would straggle.
+    let shares = Shares::new(txs.iter().zip(&mut csags));
+    let counts = on_workers(workers, || {
         let mut memo = KeccakMemo::default();
-        let csags = txs
-            .iter()
-            .map(|tx| analyzer.csag_with_memo(tx, snapshot, block_env, &mut memo))
-            .collect();
-        return (csags, memo.counts());
-    }
-    // Claim indices from a shared counter: cheap dynamic load balancing
-    // (speculative fallbacks are far more expensive than symbolic
-    // bindings, so static chunking would straggle).
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<CSag>> = vec![None; txs.len()];
-    let mut counts = DigestCounts::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut mine: Vec<(usize, CSag)> = Vec::new();
-                let mut memo = KeccakMemo::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= txs.len() {
-                        return (mine, memo.counts());
-                    }
-                    let csag = analyzer.csag_with_memo(&txs[i], snapshot, block_env, &mut memo);
-                    mine.push((i, csag));
-                }
-            }));
+        while let Some((tx, csag)) = shares.next() {
+            *csag = analyzer.csag_with_memo(tx, snapshot, block_env, &mut memo);
         }
-        for handle in handles {
-            let (mine, worker) = handle.join().expect("refine worker panicked");
-            for (i, csag) in mine {
-                slots[i] = Some(csag);
-            }
-            counts += worker;
-        }
+        memo.counts()
     });
-    let csags = slots
-        .into_iter()
-        .map(|slot| slot.expect("every index claimed exactly once"))
-        .collect();
-    (csags, counts)
+    let mut sum = DigestCounts::default();
+    counts.into_iter().for_each(|counts| sum += counts);
+    (csags, sum)
 }
 
 /// Wall-clock accounting of a pipelined run, for the refine-vs-execute
@@ -219,25 +192,21 @@ impl<E: BlockExecutor> BlockPipeline<E> {
 
         for i in 0..blocks.len() {
             let env = env_of(i);
+            let ahead = blocks
+                .get(i + 1)
+                .filter(|_| refines)
+                .map(|next_txs| (next_txs, env_of(i + 1)));
             // The refinement stage for block i+1 deliberately reads the
             // snapshot from *before* block i commits — that staleness is
             // the price of overlap, absorbed by the abort path.
-            let stale_snapshot = &snapshot;
-            let (outcome, next_csags, exec_nanos, refine_nanos) = std::thread::scope(|scope| {
-                let ahead = blocks.get(i + 1).filter(|_| refines).map(|next_txs| {
-                    let next_env = env_of(i + 1);
-                    scope.spawn(move || {
-                        let start = Instant::now();
-                        let csags = refine_csags(
-                            analyzer,
-                            next_txs,
-                            stale_snapshot,
-                            &next_env,
-                            self.refine_threads,
-                        );
-                        (csags, start.elapsed().as_nanos() as u64)
-                    })
-                });
+            let refine_ahead = || {
+                let (next_txs, next_env) = ahead.as_ref()?;
+                let start = Instant::now();
+                let csags =
+                    refine_csags(analyzer, next_txs, &snapshot, next_env, self.refine_threads);
+                Some((csags, start.elapsed().as_nanos() as u64))
+            };
+            let execute = || {
                 let start = Instant::now();
                 let outcome = match &csags {
                     Some(csags) => self
@@ -245,16 +214,14 @@ impl<E: BlockExecutor> BlockPipeline<E> {
                         .execute_block_with_csags(&blocks[i], &snapshot, &env, csags),
                     None => self.executor.execute_block(&blocks[i], &snapshot, &env),
                 };
-                let exec_nanos = start.elapsed().as_nanos() as u64;
-                let (next_csags, refine_nanos) = match ahead {
-                    Some(handle) => {
-                        let (csags, nanos) = handle.join().expect("refine stage panicked");
-                        (Some(csags), nanos)
-                    }
-                    None => (None, 0),
-                };
-                (outcome, next_csags, exec_nanos, refine_nanos)
-            });
+                (outcome, start.elapsed().as_nanos() as u64)
+            };
+            // The refinement runs on a thread of its own whenever there is
+            // one to run.
+            let (next, (outcome, exec_nanos)) =
+                beside(1 + usize::from(ahead.is_some()), refine_ahead, execute);
+            let (next_csags, refine_nanos) = next.unzip();
+            let refine_nanos = refine_nanos.unwrap_or(0);
             stats.execute_nanos += exec_nanos;
             stats.refine_nanos += refine_nanos;
             stats.overlapped_refine_nanos += refine_nanos.min(exec_nanos);

@@ -27,11 +27,11 @@ use dmvcc_state::{KeyId, KeyInterner};
 /// Number of priority lanes the sharded executor's ready queue is bucketed
 /// into. Lane 0 holds the highest-ranked transactions; workers drain lanes
 /// in order.
-pub const NUM_LANES: usize = 8;
+pub(crate) const NUM_LANES: usize = 8;
 
 /// One transaction's scheduling priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxRank {
+pub(crate) struct TxRank {
     /// Own predicted gas plus the heaviest downstream gas path.
     pub rank_gas: u64,
     /// Priority lane (0 = highest) derived from `rank_gas`.
@@ -43,7 +43,7 @@ pub struct TxRank {
 #[derive(Debug, Clone, Default)]
 pub struct BlockDag {
     /// Per-transaction ranks, indexed by transaction position.
-    pub ranks: Vec<TxRank>,
+    pub(crate) ranks: Vec<TxRank>,
     /// The heaviest gas path through the block (max rank).
     pub critical_path_gas: u64,
     /// Sum of predicted gas over all transactions.
@@ -137,7 +137,7 @@ impl BlockDag {
 
     /// Priority lane of a transaction (0 = dispatch first).
     #[inline]
-    pub fn lane_of(&self, tx: usize) -> usize {
+    pub(crate) fn lane_of(&self, tx: usize) -> usize {
         self.ranks.get(tx).map_or(0, |r| r.lane as usize)
     }
 

@@ -31,17 +31,18 @@
 //! shown to the hook). It is then shared, and every access goes through
 //! [`ShardedSequences::shard_for`], which counts the acquisition in the shard
 //! it just locked — the workers share no counter, only the sum read at the
-//! end ([`ShardedSequences::lock_acquisitions`]). Once nothing can change it
-//! any more it is *flushed* one shard at a time
-//! ([`ShardedSequences::flush_shard`], each shard into its own recycled
-//! buffer) — shards are independent, so the engine's workers flush them in
-//! parallel, [`ShardedSequences::flushed`] merges the runs, and
+//! end ([`ShardedSequences::lock_acquisitions`]). Once the engine's workers
+//! have returned nothing can change it any more, and it is *flushed*
+//! ([`ShardedSequences::flush`]): shards are independent, so workers take
+//! them one at a time, each into the shard's own recycled buffer;
+//! [`ShardedSequences::flushed`] merges the runs, and
 //! [`ShardedSequences::final_writes`] is the two in sequence.
 
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
+use dmvcc_primitives::workers::{on_workers, Shares};
 use dmvcc_primitives::U256;
 use dmvcc_state::{KeyId, KeyInterner, Snapshot, StateKey, WriteSet};
 
@@ -81,7 +82,7 @@ impl SeqSlot {
 pub struct Shard {
     slots: Vec<SeqSlot>,
     /// The shard's run of the commit flush, sorted by key
-    /// ([`ShardedSequences::flush_shard`]).
+    /// ([`ShardedSequences::flush`]).
     flushed: Vec<(StateKey, U256)>,
     /// Times [`ShardedSequences::shard_for`] locked this shard — written
     /// under the lock it counts, so counting shares no cache line that the
@@ -94,13 +95,8 @@ pub struct Shard {
 
 impl Shard {
     #[inline]
-    fn slot_index(&self, id: KeyId) -> usize {
-        id.index() >> BITS
-    }
-
-    #[inline]
     fn slot_mut(&mut self, id: KeyId) -> &mut SeqSlot {
-        let index = self.slot_index(id);
+        let index = id.index() >> BITS;
         if index >= self.slots.len() {
             self.slots.resize_with(index + 1, SeqSlot::default);
         }
@@ -110,12 +106,6 @@ impl Shard {
     /// The sequence for `id`, creating its slot on first use.
     pub fn sequence_mut(&mut self, id: KeyId) -> &mut AccessSequence {
         &mut self.slot_mut(id).seq
-    }
-
-    /// The sequence for `id`, if its slot exists. A missing slot means no
-    /// access was recorded or predicted — reads resolve to the snapshot.
-    pub fn sequence(&self, id: KeyId) -> Option<&AccessSequence> {
-        self.slots.get(self.slot_index(id)).map(|slot| &slot.seq)
     }
 
     /// [`AccessSequence::resolve_read`] with the slot's cached snapshot
@@ -318,19 +308,32 @@ impl ShardedSequences {
         (interner, predict)
     }
 
-    /// The commit-phase flush of one shard (paper Algorithm 1 line 20):
-    /// the final write of each of its sequences, merged with trailing
-    /// deltas, into the shard's own buffer, sorted by key.
+    /// The commit-phase flush (paper Algorithm 1 line 20): every shard's
+    /// final writes into the shard's own buffer, sorted by key, on up to
+    /// `threads` workers ([`on_workers`]), one shard a share. Read the
+    /// result with [`Self::flushed`].
+    ///
+    /// The store must be quiescent: every transaction final, no attempt
+    /// able to touch it again — what the return of the workers' own
+    /// [`on_workers`] call guarantees.
+    pub fn flush(&self, snapshot: &Snapshot, threads: usize) {
+        let shares = Shares::new(0..SHARDS);
+        on_workers(threads.min(SHARDS), || {
+            while let Some(shard) = shares.next() {
+                self.flush_shard(shard, snapshot);
+            }
+        });
+    }
+
+    /// The flush of one shard: the final write of each of its sequences,
+    /// merged with trailing deltas.
     ///
     /// Writes whose value equals the snapshot value are omitted — they are
     /// no-ops for both the snapshot map and the trie, and omitting them
     /// keeps this flush byte-identical with the serial executor's. The
     /// snapshot value is the slot's cached one whenever a read of the block
     /// resolved to the base, and is looked up at most once otherwise.
-    ///
-    /// The shard must be quiescent: every transaction final, no attempt
-    /// able to touch it again.
-    pub fn flush_shard(&self, shard_index: usize, snapshot: &Snapshot) {
+    fn flush_shard(&self, shard_index: usize, snapshot: &Snapshot) {
         let mut shard = self.shards[shard_index].lock();
         let Shard { slots, flushed, .. } = &mut *shard;
         flushed.clear();
@@ -351,7 +354,7 @@ impl ShardedSequences {
         flushed.sort_unstable_by_key(|&(key, _)| key);
     }
 
-    /// What [`Self::flush_shard`] left in the shards, as one sorted
+    /// What [`Self::flush`] left in the shards, as one sorted
     /// [`WriteSet`]: the runs are sorted, so the map's bulk build merges
     /// them.
     pub fn flushed(&self) -> WriteSet {
@@ -363,11 +366,9 @@ impl ShardedSequences {
         writes.into_iter().collect()
     }
 
-    /// The commit-phase flush of every shard, as one sorted [`WriteSet`].
-    pub fn final_writes(&self, snapshot: &Snapshot) -> WriteSet {
-        for shard_index in 0..SHARDS {
-            self.flush_shard(shard_index, snapshot);
-        }
+    /// [`Self::flush`] on up to `threads` workers, then [`Self::flushed`].
+    pub fn final_writes(&self, snapshot: &Snapshot, threads: usize) -> WriteSet {
+        self.flush(snapshot, threads);
         self.flushed()
     }
 }
@@ -436,11 +437,8 @@ mod tests {
         assert!(bytes > 0, "recycling should report reused bytes");
         assert_eq!(next.lock_acquisitions(), 0, "a block counts its own locks");
         let id = next.intern(key(1));
-        assert!(next
-            .shard_for(id)
-            .sequence(id)
-            .is_none_or(AccessSequence::is_empty));
-        assert!(next.final_writes(&Snapshot::empty()).is_empty());
+        assert!(next.shard_for(id).sequence_mut(id).is_empty());
+        assert!(next.final_writes(&Snapshot::empty(), 1).is_empty());
     }
 
     #[test]
@@ -543,7 +541,7 @@ mod tests {
                 }
                 sharded.flushed()
             };
-            prop_assert_eq!(sharded.final_writes(&snapshot), flat_writes.clone());
+            prop_assert_eq!(sharded.final_writes(&snapshot, 2), flat_writes.clone());
             prop_assert_eq!(per_shard(&sharded), flat_writes.clone());
             // An untouched key has no flat sequence; an empty one resolves
             // the same way (to the snapshot).
@@ -563,7 +561,7 @@ mod tests {
             }
             // The reads above left their base in every slot's cache: the
             // flush now takes it from there and must not change.
-            prop_assert_eq!(sharded.final_writes(&snapshot), flat_writes.clone());
+            prop_assert_eq!(sharded.final_writes(&snapshot, 2), flat_writes.clone());
             prop_assert_eq!(per_shard(&sharded), flat_writes);
         }
     }

@@ -32,6 +32,8 @@ use dmvcc_analysis::CSag;
 use dmvcc_core::BlockTrace;
 use dmvcc_vm::{ExecStatus, Transaction, INTRINSIC_GAS};
 
+use crate::sched::{mix, roll};
+
 // Site identifiers for the fault plane's decision streams (disjoint from
 // the scheduler's sites by construction — different consumer, same mixer).
 const SITE_DROP_READ: u64 = 0xF1;
@@ -107,23 +109,6 @@ impl FaultPlan {
         }
     }
 
-    fn mix(&self, site: u64, a: u64, b: u64) -> u64 {
-        let mut x = self
-            .seed
-            .wrapping_add(site.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    fn roll(&self, site: u64, a: u64, b: u64, ppm: u32) -> bool {
-        ppm > 0 && self.mix(site, a, b) % 1_000_000 < u64::from(ppm)
-    }
-
     /// Perturbs the predictions in place: drops predicted keys (surfacing
     /// as runtime mispredictions) and grafts phantom predicted writes from
     /// other transactions' write sets (never materialized and dropped at
@@ -135,18 +120,30 @@ impl FaultPlan {
         for (tx, csag) in csags.iter_mut().enumerate() {
             let tx_coord = tx as u64;
             for (i, key) in csag.reads.to_vec().iter().enumerate() {
-                if self.roll(SITE_DROP_READ, tx_coord, i as u64, self.drop_read_ppm) {
+                if roll(
+                    self.seed,
+                    SITE_DROP_READ,
+                    tx_coord,
+                    i as u64,
+                    self.drop_read_ppm,
+                ) {
                     csag.reads.remove(key);
                 }
             }
             for (i, (key, _)) in csag.writes.to_vec().iter().enumerate() {
-                if self.roll(SITE_DROP_WRITE, tx_coord, i as u64, self.drop_write_ppm) {
+                if roll(
+                    self.seed,
+                    SITE_DROP_WRITE,
+                    tx_coord,
+                    i as u64,
+                    self.drop_write_ppm,
+                ) {
                     // The publish pc goes with the key: a dropped key is
                     // not published early.
                     csag.writes.remove(key);
                 }
             }
-            if self.roll(SITE_PHANTOM, tx_coord, 0, self.phantom_ppm) {
+            if roll(self.seed, SITE_PHANTOM, tx_coord, 0, self.phantom_ppm) {
                 // Steal a write key from a pseudo-randomly chosen other
                 // transaction; skip keys this transaction reads or writes
                 // itself so the phantom is not a shadowed real access. A
@@ -155,7 +152,7 @@ impl FaultPlan {
                 // an ω̄ delta), published where the add would have been. A
                 // pure phantom is never publishable and is dropped when
                 // the transaction finalizes.
-                let donor = self.mix(SITE_PHANTOM, tx_coord, 1) as usize % all_writes.len();
+                let donor = mix(self.seed, SITE_PHANTOM, tx_coord, 1) as usize % all_writes.len();
                 let mut stolen = all_writes[donor].iter().map(|(key, _)| key);
                 if let Some(key) =
                     stolen.find(|k| !csag.reads.contains(k) && !csag.writes.contains(k))
@@ -179,7 +176,7 @@ impl FaultPlan {
             if t.status != ExecStatus::Success || t.gas_used <= INTRINSIC_GAS + 1 {
                 continue;
             }
-            if self.roll(SITE_SQUEEZE, i as u64, 0, self.gas_squeeze_ppm) {
+            if roll(self.seed, SITE_SQUEEZE, i as u64, 0, self.gas_squeeze_ppm) {
                 tx.env.gas_limit = t.gas_used - 1;
                 changed = true;
             }

@@ -139,6 +139,27 @@ pub struct VirtualScheduler {
     pub stats: SchedStats,
 }
 
+/// The decision mixer of every seeded decision in this crate — the
+/// scheduler's and the fault plan's: a splitmix64 finalizer over the seed,
+/// a site identifier and two coordinates of the event.
+pub(crate) fn mix(seed: u64, site: u64, a: u64, b: u64) -> u64 {
+    let mut x = seed
+        .wrapping_add(site.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// `true` with probability `ppm / 1e6`, deterministically in the seed, the
+/// site and the coordinates.
+pub(crate) fn roll(seed: u64, site: u64, a: u64, b: u64, ppm: u32) -> bool {
+    ppm > 0 && mix(seed, site, a, b) % 1_000_000 < u64::from(ppm)
+}
+
 impl VirtualScheduler {
     /// A scheduler over `config`.
     pub fn new(config: SchedConfig) -> Self {
@@ -148,27 +169,6 @@ impl VirtualScheduler {
         }
     }
 
-    /// The decision mixer (splitmix64 finalizer over seed ⊕ site ⊕ coords).
-    fn mix(&self, site: u64, a: u64, b: u64) -> u64 {
-        let mut x = self
-            .config
-            .seed
-            .wrapping_add(site.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    /// `true` with probability `ppm / 1e6`, deterministically in the
-    /// coordinates.
-    fn roll(&self, site: u64, a: u64, b: u64, ppm: u32) -> bool {
-        ppm > 0 && self.mix(site, a, b) % 1_000_000 < u64::from(ppm)
-    }
-
     /// A short yield burst (1–4 yields, length derived from the same roll).
     fn stall(&self, entropy: u64) {
         for _ in 0..(entropy % 4) + 1 {
@@ -176,37 +176,41 @@ impl VirtualScheduler {
         }
     }
 
+    /// [`roll`] at `(site, a, b)`, and on a hit a [`Self::stall`] whose
+    /// length derives from the same mix. Returns the hit.
+    fn roll_stall(&self, site: u64, a: u64, b: u64, ppm: u32) -> bool {
+        let hit = roll(self.config.seed, site, a, b, ppm);
+        if hit {
+            self.stall(mix(self.config.seed, site, a, b));
+        }
+        hit
+    }
+
     /// `true` when this transaction's release gates are forced open.
     pub fn release_forced(&self, tx: usize) -> bool {
-        self.roll(SITE_RELEASE, tx as u64, 0, self.config.force_release_ppm)
+        roll(
+            self.config.seed,
+            SITE_RELEASE,
+            tx as u64,
+            0,
+            self.config.force_release_ppm,
+        )
     }
 }
 
 impl SchedHook for VirtualScheduler {
     fn on_dequeue(&self, tx: usize, attempt: u32) {
         self.stats.dequeues.fetch_add(1, Ordering::Relaxed);
-        if self.roll(
-            SITE_DEQUEUE,
-            tx as u64,
-            u64::from(attempt),
-            self.config.preempt_ppm,
-        ) {
+        let (tx, attempt) = (tx as u64, u64::from(attempt));
+        if self.roll_stall(SITE_DEQUEUE, tx, attempt, self.config.preempt_ppm) {
             self.stats.preemptions.fetch_add(1, Ordering::Relaxed);
-            self.stall(self.mix(SITE_DEQUEUE, tx as u64, u64::from(attempt)));
         }
     }
 
     fn on_publish(&self, tx: usize, key: &StateKey, _delta: bool) {
         self.stats.publishes.fetch_add(1, Ordering::Relaxed);
-        let coord = key_coord(key);
-        if self.roll(
-            SITE_PUBLISH,
-            tx as u64,
-            coord,
-            self.config.delay_publish_ppm,
-        ) {
-            self.stall(self.mix(SITE_PUBLISH, tx as u64, coord));
-        }
+        let ppm = self.config.delay_publish_ppm;
+        self.roll_stall(SITE_PUBLISH, tx as u64, key_coord(key), ppm);
     }
 
     fn on_park(&self, _tx: Option<usize>) {
@@ -229,8 +233,14 @@ impl SchedHook for VirtualScheduler {
         self.stats.shard_locks.fetch_add(1, Ordering::Relaxed);
         // The stall runs with the shard lock held on purpose: that is the
         // documented way to force shard-lock contention.
-        if self.roll(SITE_SHARD, index as u64, 0, self.config.shard_stall_ppm) {
-            self.stall(self.mix(SITE_SHARD, index as u64, 1));
+        if roll(
+            self.config.seed,
+            SITE_SHARD,
+            index as u64,
+            0,
+            self.config.shard_stall_ppm,
+        ) {
+            self.stall(mix(self.config.seed, SITE_SHARD, index as u64, 1));
         }
     }
 
@@ -242,15 +252,8 @@ impl SchedHook for VirtualScheduler {
         // Reuse the delayed-publish probability: stalling a resolved read
         // widens the window in which the observed value goes stale before
         // validation — the STM analogue of a delayed publish.
-        let coord = key_coord(key);
-        if self.roll(
-            SITE_STM_READ,
-            tx as u64,
-            coord,
-            self.config.delay_publish_ppm,
-        ) {
-            self.stall(self.mix(SITE_STM_READ, tx as u64, coord));
-        }
+        let ppm = self.config.delay_publish_ppm;
+        self.roll_stall(SITE_STM_READ, tx as u64, key_coord(key), ppm);
     }
 
     fn on_validate(&self, tx: usize, attempt: u32, ok: bool) {
@@ -263,14 +266,9 @@ impl SchedHook for VirtualScheduler {
         // Reuse the preemption probability: this stall runs with the commit
         // lock held, serializing the commit tail while optimistic workers
         // race ahead — the schedule corner where stale reads accumulate.
-        if self.roll(
-            SITE_VALIDATE,
-            tx as u64,
-            u64::from(attempt),
-            self.config.preempt_ppm,
-        ) {
+        let (tx, attempt) = (tx as u64, u64::from(attempt));
+        if self.roll_stall(SITE_VALIDATE, tx, attempt, self.config.preempt_ppm) {
             self.stats.preemptions.fetch_add(1, Ordering::Relaxed);
-            self.stall(self.mix(SITE_VALIDATE, tx as u64, u64::from(attempt)));
         }
     }
 
@@ -286,7 +284,8 @@ impl SchedHook for VirtualScheduler {
         if attempt > self.config.inject_abort_max_attempt {
             return false;
         }
-        let inject = self.roll(
+        let inject = roll(
+            self.config.seed,
             SITE_INJECT,
             tx as u64,
             u64::from(attempt),
@@ -318,6 +317,21 @@ fn key_coord(key: &StateKey) -> u64 {
 mod tests {
     use super::*;
     use dmvcc_primitives::Address;
+
+    #[test]
+    fn the_mixer_is_pinned() {
+        // Every seed's faults and perturbations derive from these values: a
+        // change here changes the case each `replay --seed …` line names.
+        assert_eq!(mix(0, 0, 0, 0), 0);
+        assert_eq!(mix(7, SITE_DEQUEUE, 3, 2), 0x92e5_d50b_e903_01a8);
+        assert_eq!(mix(42, 0xF3, 11, 1), 0x65a9_6878_04fa_4641);
+        assert_eq!(
+            mix(u64::MAX, SITE_VALIDATE, u64::MAX, 5),
+            0xfcb0_c261_3bec_9d0a
+        );
+        assert!(roll(7, SITE_DEQUEUE, 3, 2, 1_000_000));
+        assert!(!roll(7, SITE_DEQUEUE, 3, 2, 0));
+    }
 
     #[test]
     fn decisions_are_pure_in_seed_and_coordinates() {

@@ -1,5 +1,6 @@
 //! Foundational types for the DMVCC reproduction: 256-bit words, addresses,
-//! Keccak-256 hashing, hexadecimal utilities and RLP serialization.
+//! Keccak-256 hashing, hexadecimal utilities and RLP serialization, and the
+//! scoped worker threads every parallel stage runs on ([`workers`]).
 //!
 //! These are the primitives every other crate in the workspace builds on:
 //! the EVM interpreter ([`U256`] words), the state database ([`Address`],
@@ -31,6 +32,7 @@ pub mod hex;
 mod keccak;
 pub mod rlp;
 mod u256;
+pub mod workers;
 
 pub use hash::{Address, H256};
 pub use hex::{decode_hex, encode_hex, ParseHexError};

@@ -63,9 +63,10 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use dmvcc_primitives::rlp::{close_bytes, close_list, put_bytes, put_uint};
+use dmvcc_primitives::workers::{on_workers, Shares};
 use dmvcc_primitives::{keccak256, keccak256_x4, H256};
 
-use crate::workers::{default_hash_threads, on_workers, workers_for, Shares};
+use crate::workers::{default_hash_threads, workers_for};
 
 /// Root hash of the empty trie: `keccak256(rlp(""))`.
 pub fn empty_root() -> H256 {

@@ -44,13 +44,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use dmvcc_primitives::rlp::put_uint_be;
+use dmvcc_primitives::workers::{beside, on_workers, Shares};
 use dmvcc_primitives::{keccak256_x4, H256, U256};
 
 use crate::backend::{BackendStats, MemBackend, StateBackend};
 use crate::flat::FlatStats;
 use crate::mpt::Mpt;
 use crate::snapshot::{Snapshot, WriteSet};
-use crate::workers::{beside, default_hash_threads, on_workers, workers_for, Shares};
+use crate::workers::{default_hash_threads, workers_for};
 use crate::StateKey;
 
 /// Number of recent per-block roots [`StateDb`] retains.

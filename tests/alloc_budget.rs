@@ -401,7 +401,8 @@ fn the_calling_thread_of_the_sharded_engine_allocates_per_block() {
     let executor = ParallelExecutor::new(Analyzer::new(CodeRegistry::default()), config);
     // The counter is per thread, so around `execute_block_with_csags` it
     // sees exactly what the calling thread does: binding the block before
-    // the workers start, assembling the outcome after they join.
+    // the workers start, running one of the two workers, flushing a share
+    // of the store and assembling the outcome after the workers return.
     let calling_thread = |size: u64| {
         let txs = block(size);
         let csags = refine_csags(executor.analyzer(), &txs, &snapshot, &env, 1);
