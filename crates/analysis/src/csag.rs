@@ -11,9 +11,10 @@
 //!
 //! The resulting prediction can be wrong when another transaction in the
 //! block overwrites a snapshot value the prediction depended on — the
-//! scheduler's abort machinery (paper Algorithms 3–4) recovers from that;
-//! [`AnalysisConfig::hide_fraction`] additionally injects artificial
-//! imprecision so those paths can be exercised and measured.
+//! scheduler's abort machinery (paper Algorithms 3–4) recovers from that.
+//! A wrong or missing prediction is a property of a scheduler's *input*,
+//! so experiments that want one rewrite the refined records (hidden keys,
+//! withheld predictions) instead of configuring the analyzer.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -91,8 +92,9 @@ pub enum RefinementTier {
     BoundedDynamic,
     /// Full speculative pre-execution against the snapshot.
     Speculative,
-    /// No prediction at all: the transaction is unanalyzable (or was
-    /// routed to the optimistic executor by the hybrid scheduler). Empty
+    /// No prediction at all: the caller withheld it (an unanalyzable
+    /// transaction: pool desync, obfuscated bytecode), or the hybrid
+    /// scheduler routed the transaction to the optimistic executor. Empty
     /// key sets — readers treat it exactly like an unknown-contract OCC
     /// fallback, but the tier records that prediction was *withheld*, not
     /// merely empty.
@@ -268,42 +270,6 @@ impl CSag {
     }
 }
 
-/// Which refinement path [`Analyzer::csag`] may take for contract calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefinementMode {
-    /// Try the symbolic binding fast path first, falling back to
-    /// speculative pre-execution wherever a block plan is incomplete
-    /// (the default).
-    #[default]
-    TwoTier,
-    /// Always speculatively pre-execute (the paper's baseline behaviour;
-    /// useful as a differential oracle for the symbolic tier).
-    SpeculativeOnly,
-}
-
-/// Configuration of the analyzer.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisConfig {
-    /// Fraction (0.0–1.0) of recorded accesses to *hide* from the C-SAG,
-    /// simulating analysis imprecision; hidden writes surface at runtime as
-    /// unpredicted writes and trigger the paper's abort machinery.
-    pub hide_fraction: f64,
-    /// Seed for the deterministic choice of hidden accesses.
-    pub seed: u64,
-    /// Refinement strategy for contract calls.
-    pub refinement: RefinementMode,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            hide_fraction: 0.0,
-            seed: 0,
-            refinement: RefinementMode::TwoTier,
-        }
-    }
-}
-
 /// A host that reads from a snapshot plus a private overlay of this
 /// transaction's own writes, recording everything it sees.
 struct SpecHost<'a> {
@@ -409,25 +375,14 @@ impl Tracer for AccessRecorder {
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     registry: CodeRegistry,
-    config: AnalysisConfig,
     psags: std::sync::Arc<parking_lot::Mutex<HashMap<Address, std::sync::Arc<crate::PSag>>>>,
 }
 
 impl Analyzer {
-    /// Creates an analyzer with precise (no injected imprecision) defaults.
+    /// Creates an analyzer over the contracts of `registry`.
     pub fn new(registry: CodeRegistry) -> Self {
         Analyzer {
             registry,
-            config: AnalysisConfig::default(),
-            psags: Default::default(),
-        }
-    }
-
-    /// Creates an analyzer with a custom configuration.
-    pub fn with_config(registry: CodeRegistry, config: AnalysisConfig) -> Self {
-        Analyzer {
-            registry,
-            config,
             psags: Default::default(),
         }
     }
@@ -466,19 +421,19 @@ impl Analyzer {
     /// Builds the C-SAG of `tx` against snapshot `snapshot`.
     ///
     /// For Ether transfers the result is exact ([`CSag::for_transfer`]).
-    /// For contract calls, [`RefinementMode::TwoTier`] first tries to
-    /// *bind* the P-SAG's symbolic templates against the transaction —
-    /// no bytecode execution, only the snapshot reads the templates name —
-    /// and falls back to speculative pre-execution whenever the walked
-    /// path leaves the statically-planned region. Calls to unknown
-    /// contracts yield an empty C-SAG (the scheduler then falls back to
-    /// OCC-style handling, as the paper prescribes for missing SAGs).
+    /// For contract calls it first tries to *bind* the P-SAG's symbolic
+    /// templates against the transaction — no bytecode execution, only the
+    /// snapshot reads the templates name — and falls back to speculative
+    /// pre-execution ([`Analyzer::speculate`]) whenever the walked path
+    /// leaves the statically-planned region. Calls to unknown contracts
+    /// yield an empty C-SAG (the scheduler then falls back to OCC-style
+    /// handling, as the paper prescribes for missing SAGs).
     ///
     /// Every digest the refinement needs is computed afresh; a worker that
     /// refines many transactions keeps a [`KeccakMemo`] and calls
     /// [`Analyzer::csag_with_memo`] instead.
     pub fn csag(&self, tx: &Transaction, snapshot: &Snapshot, block: &BlockEnv) -> CSag {
-        self.refine_one(tx, snapshot, block, None)
+        self.refine_one(tx, snapshot, block, None, true)
     }
 
     /// [`Analyzer::csag`], taking every digest — a mapping slot the
@@ -491,7 +446,16 @@ impl Analyzer {
         block: &BlockEnv,
         memo: &mut KeccakMemo,
     ) -> CSag {
-        self.refine_one(tx, snapshot, block, Some(memo))
+        self.refine_one(tx, snapshot, block, Some(memo), true)
+    }
+
+    /// [`Analyzer::csag`] without the symbolic attempt: every contract call
+    /// is pre-executed against the snapshot (the paper's own refinement),
+    /// so its record is the reference the symbolic tiers must match on
+    /// every field but the tier. Transfers and calls to unknown contracts
+    /// are refined as [`Analyzer::csag`] refines them.
+    pub fn speculate(&self, tx: &Transaction, snapshot: &Snapshot, block: &BlockEnv) -> CSag {
+        self.refine_one(tx, snapshot, block, None, false)
     }
 
     fn refine_one(
@@ -499,14 +463,9 @@ impl Analyzer {
         tx: &Transaction,
         snapshot: &Snapshot,
         block: &BlockEnv,
-        memo: Option<&mut KeccakMemo>,
+        mut memo: Option<&mut KeccakMemo>,
+        symbolic: bool,
     ) -> CSag {
-        if !tx.analyzable {
-            // Unanalyzable transactions (pool desync, obfuscated bytecode,
-            // deliberate test poisoning) get no prediction at all — even
-            // transfers, whose key sets would otherwise be trivial.
-            return CSag::optimistic();
-        }
         if tx.kind == TxKind::Transfer {
             return CSag::for_transfer(tx.sender(), tx.to());
         }
@@ -520,40 +479,54 @@ impl Analyzer {
             };
         };
         let psag = self.psag(&tx.to()).expect("code exists, psag builds");
-        let (raw, tier) = self.refine(tx, snapshot, block, &psag, deployed.code(), memo);
-        self.finish(raw, tx.env.gas_limit, &psag.release_pcs, tier)
+        let bound = if symbolic {
+            self.bind(tx, snapshot, block, &psag, memo.as_deref_mut())
+        } else {
+            None
+        };
+        let (raw, tier) = bound.unwrap_or_else(|| {
+            let raw = self.pre_execute(tx, snapshot, block, &psag, deployed.code(), memo);
+            (raw, RefinementTier::Speculative)
+        });
+        Self::finish(raw, tx.env.gas_limit, &psag.release_pcs, tier)
     }
 
-    /// Runs the refinement tiers the configuration allows over a call to
-    /// deployed `code` whose P-SAG is `psag`: the symbolic bind where it
-    /// binds, speculative pre-execution otherwise.
-    fn refine(
+    /// The symbolic tiers: binds the templates of `psag` against `tx`, or
+    /// `None` where the walk leaves the statically-planned region.
+    fn bind(
+        &self,
+        tx: &Transaction,
+        snapshot: &Snapshot,
+        block: &BlockEnv,
+        psag: &PSag,
+        memo: Option<&mut KeccakMemo>,
+    ) -> Option<(RawPrediction, RefinementTier)> {
+        let resolver = |addr: &Address| self.psag(addr);
+        let (raw, looped, called, bounded) =
+            bind_symbolic(psag, tx, block, snapshot, &resolver, memo)?;
+        let tier = if bounded {
+            RefinementTier::BoundedDynamic
+        } else if called {
+            RefinementTier::Interprocedural
+        } else if looped {
+            RefinementTier::LoopSummarized
+        } else {
+            RefinementTier::Symbolic
+        };
+        Some((raw, tier))
+    }
+
+    /// The speculative tier: runs deployed `code`, whose P-SAG is `psag`,
+    /// against the snapshot and records every access.
+    fn pre_execute(
         &self,
         tx: &Transaction,
         snapshot: &Snapshot,
         block: &BlockEnv,
         psag: &PSag,
         code: &[u8],
-        mut memo: Option<&mut KeccakMemo>,
-    ) -> (RawPrediction, RefinementTier) {
-        if self.config.refinement == RefinementMode::TwoTier {
-            let resolver = |addr: &Address| self.psag(addr);
-            if let Some((raw, looped, called, bounded)) =
-                bind_symbolic(psag, tx, block, snapshot, &resolver, memo.as_deref_mut())
-            {
-                let tier = if bounded {
-                    RefinementTier::BoundedDynamic
-                } else if called {
-                    RefinementTier::Interprocedural
-                } else if looped {
-                    RefinementTier::LoopSummarized
-                } else {
-                    RefinementTier::Symbolic
-                };
-                return (raw, tier);
-            }
-        }
-
+        memo: Option<&mut KeccakMemo>,
+    ) -> RawPrediction {
         let mut host = SpecHost {
             snapshot,
             overlay: HashMap::new(),
@@ -573,47 +546,24 @@ impl Analyzer {
             registry: Some(&self.registry),
         };
         let outcome = execute_traced(&params, &mut host, &mut recorder);
-        let raw = RawPrediction {
+        RawPrediction {
             events: recorder.events,
             releases: host.releases,
             predicted_success: matches!(outcome.status, ExecStatus::Success),
             gas_used: outcome.gas_used,
-        };
-        (raw, RefinementTier::Speculative)
-    }
-
-    /// Imprecision injection: whether `key` is one of the
-    /// [`AnalysisConfig::hide_fraction`] of keys the analyzer "cannot see".
-    /// The roll is a hash of (seed, key), so a hidden key is hidden
-    /// consistently across every transaction and block.
-    fn hides(&self, key: &StateKey) -> bool {
-        let mut state = self.config.seed ^ 0x9e37_79b9_7f4a_7c15;
-        for chunk in key.to_bytes().chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            state ^= u64::from_le_bytes(word);
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
         }
-        let roll = (state >> 11) as f64 / (1u64 << 53) as f64;
-        roll < self.config.hide_fraction
     }
 
-    /// Shared post-processing of both refinement tiers: imprecision
-    /// injection, key-set construction and release-point assembly. Keeping
-    /// this common is what makes the symbolic tier bit-identical to the
-    /// speculative one whenever it binds.
+    /// Shared post-processing of both refinement tiers: key-set
+    /// construction and release-point assembly. Keeping this common is what
+    /// makes the symbolic tier bit-identical to the speculative one
+    /// whenever it binds.
     fn finish(
-        &self,
         mut raw: RawPrediction,
         gas_limit: u64,
         release_pcs: &[usize],
         tier: RefinementTier,
     ) -> CSag {
-        if self.config.hide_fraction > 0.0 {
-            raw.events.retain(|access| !self.hides(&access.key));
-        }
         let mut sag = CSag::from_run(&mut raw.events);
         sag.predicted_success = raw.predicted_success;
         sag.predicted_gas = raw.gas_used;
@@ -1345,95 +1295,52 @@ mod tests {
         assert_eq!(sag.predicted_gas, INTRINSIC_GAS);
     }
 
-    #[test]
-    fn hide_fraction_drops_keys_deterministically() {
-        let registry = analyzer().registry().clone();
-        let full = Analyzer::new(registry.clone());
-        let lossy = Analyzer::with_config(
-            registry,
-            AnalysisConfig {
-                hide_fraction: 1.0,
-                seed: 7,
-                ..AnalysisConfig::default()
-            },
-        );
-        let tx = call_tx(COUNTER, 1, contracts::counter_fn::INCREMENT, &[]);
-        let snapshot = Snapshot::empty();
-        let block = BlockEnv::default();
-        let full_sag = full.csag(&tx, &snapshot, &block);
-        let lossy_sag = lossy.csag(&tx, &snapshot, &block);
-        assert_eq!(full_sag.adds.len(), 1);
-        assert_eq!(lossy_sag.adds.len(), 0, "hide_fraction=1 hides everything");
-        // Determinism: same seed, same result.
-        let lossy_sag2 = Analyzer::with_config(
-            full.registry().clone(),
-            AnalysisConfig {
-                hide_fraction: 1.0,
-                seed: 7,
-                ..AnalysisConfig::default()
-            },
-        )
-        .csag(&tx, &snapshot, &block);
-        assert_eq!(lossy_sag.adds.len(), lossy_sag2.adds.len());
-    }
-
-    /// The fixture registry under the default two-tier analyzer and under a
-    /// speculative-only one.
-    fn tiers() -> (Analyzer, Analyzer) {
-        let registry = analyzer().registry().clone();
-        let speculative = AnalysisConfig {
-            refinement: RefinementMode::SpeculativeOnly,
-            ..AnalysisConfig::default()
-        };
-        (
-            Analyzer::new(registry.clone()),
-            Analyzer::with_config(registry, speculative),
-        )
-    }
-
-    /// Everything except `tier` must agree between the two refinement
-    /// tiers — the symbolic walk is only allowed to exist because it is
-    /// bit-identical to speculation whenever it binds. Compared where the
-    /// tiers differ, before the shared post-processing: the raw accesses
-    /// (pc, kind, key, call depth, in execution order), the raw release
-    /// observations and the predicted outcome.
+    /// Everything except `tier` must agree between the symbolic bind and
+    /// speculation — the symbolic walk is only allowed to exist because it
+    /// is bit-identical to speculation whenever it binds. Compared where
+    /// the tiers differ, before the shared post-processing: the raw
+    /// accesses (pc, kind, key, call depth, in execution order), the raw
+    /// release observations and the predicted outcome.
     fn assert_same_prediction(
-        two_tier: &Analyzer,
-        speculative: &Analyzer,
+        analyzer: &Analyzer,
         tx: &Transaction,
         snapshot: &Snapshot,
         what: &str,
     ) -> CSag {
         let block = BlockEnv::default();
-        let raw = |analyzer: &Analyzer| {
-            let deployed = analyzer.registry().deployed(&tx.to()).expect("deployed");
-            let psag = analyzer.psag(&tx.to()).expect("deployed");
-            analyzer.refine(tx, snapshot, &block, &psag, deployed.code(), None)
-        };
-        let ((symbolic, bound_tier), (measured, _)) = (raw(two_tier), raw(speculative));
-        assert_ne!(bound_tier, RefinementTier::Speculative, "{what}: no bind");
+        let deployed = analyzer.registry().deployed(&tx.to()).expect("deployed");
+        let psag = analyzer.psag(&tx.to()).expect("deployed");
+        let (symbolic, bound_tier) = analyzer
+            .bind(tx, snapshot, &block, &psag, None)
+            .unwrap_or_else(|| panic!("{what}: no bind"));
+        let measured = analyzer.pre_execute(tx, snapshot, &block, &psag, deployed.code(), None);
         assert_eq!(symbolic, measured, "{what}");
         // And so the records agree too.
-        let record = two_tier.csag(tx, snapshot, &block);
+        let record = analyzer.csag(tx, snapshot, &block);
         assert_eq!(record.tier, bound_tier, "{what}");
+        let speculated = analyzer.speculate(tx, snapshot, &block);
+        assert_eq!(speculated.tier, RefinementTier::Speculative, "{what}");
         let expected = CSag {
             tier: bound_tier,
-            ..speculative.csag(tx, snapshot, &block)
+            ..speculated
         };
         assert_eq!(record, expected, "{what}");
         // A memo both tiers share, filled by the other tier's digests,
-        // changes neither record.
+        // changes neither result.
         let mut memo = KeccakMemo::default();
-        for analyzer in [two_tier, speculative, two_tier] {
-            let memoized = analyzer.csag_with_memo(tx, snapshot, &block, &mut memo);
-            assert_eq!(memoized, analyzer.csag(tx, snapshot, &block), "{what}");
-        }
+        let code = deployed.code();
+        let memoized = analyzer.csag_with_memo(tx, snapshot, &block, &mut memo);
+        assert_eq!(memoized, record, "{what}");
+        let memoized = analyzer.pre_execute(tx, snapshot, &block, &psag, code, Some(&mut memo));
+        assert_eq!(memoized, measured, "{what}");
+        let memoized = analyzer.csag_with_memo(tx, snapshot, &block, &mut memo);
+        assert_eq!(memoized, record, "{what}");
         record
     }
 
     #[test]
     fn symbolic_tier_matches_speculation_exactly() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let alice_slot = contracts::map_slot(Address::from_u64(1).to_u256(), 1);
         let snapshot = Snapshot::from_entries([(
             StateKey::storage(Address::from_u64(TOKEN), alice_slot),
@@ -1464,14 +1371,14 @@ mod tests {
             ),
         ];
         for (what, tx) in cases {
-            let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, what);
+            let s = assert_same_prediction(&a, &tx, &snapshot, what);
             assert_eq!(s.tier, RefinementTier::Symbolic, "{what}: expected a bind");
         }
     }
 
     #[test]
     fn loop_paths_bind_loop_summarized_and_match_speculation() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let x = Address::from_u64(42).to_u256();
         let key_ax = StateKey::storage(Address::from_u64(FIG1), contracts::map_slot(x, 0));
         // A[x] = 3 steers fig1's UpdateB into its for-loop. The loop's
@@ -1485,7 +1392,7 @@ mod tests {
             contracts::fig1_fn::UPDATE_B,
             &[x, U256::from(4u64)],
         );
-        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "fig1 loop");
+        let s = assert_same_prediction(&a, &tx, &snapshot, "fig1 loop");
         assert_eq!(s.tier, RefinementTier::LoopSummarized);
         assert!(s.predicted_success);
     }
@@ -1496,7 +1403,7 @@ mod tests {
     /// interprocedural tier and agree bit-for-bit with speculation.
     #[test]
     fn router_calls_bind_interprocedural_and_match_speculation() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let snapshot = amm_snapshot();
         let cases = [
             (
@@ -1531,7 +1438,7 @@ mod tests {
             ),
         ];
         for (what, tx, expect_success) in cases {
-            let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, what);
+            let s = assert_same_prediction(&a, &tx, &snapshot, what);
             assert_eq!(
                 s.tier,
                 RefinementTier::Interprocedural,
@@ -1580,7 +1487,7 @@ mod tests {
     /// on the real machine.
     #[test]
     fn reverting_callee_matches_interpreter_revert_semantics() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         // amount_in = 0 passes the router's slippage check (0 < 0 is
         // false) and reverts inside the AMM's swap frame.
         let tx = call_tx(
@@ -1590,7 +1497,7 @@ mod tests {
             &[U256::ZERO, U256::ZERO],
         );
         let snapshot = amm_snapshot();
-        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "callee revert");
+        let s = assert_same_prediction(&a, &tx, &snapshot, "callee revert");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(!s.predicted_success, "callee revert fails the whole tx");
     }
@@ -1604,7 +1511,7 @@ mod tests {
     /// revert.
     #[test]
     fn aggregator_swap_binds_across_four_frames() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let trader = Address::from_u64(1);
         let amm_addr = Address::from_u64(AMM);
         let token_a = Address::from_u64(TOKEN_A);
@@ -1635,7 +1542,7 @@ mod tests {
             contracts::router2_fn::SWAP,
             &[U256::from(100u64), U256::from(300u64)],
         );
-        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "aggregator swap");
+        let s = assert_same_prediction(&a, &tx, &snapshot, "aggregator swap");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success);
         // One transaction, keys under three distinct contracts.
@@ -1656,13 +1563,7 @@ mod tests {
             contracts::router2_fn::SWAP,
             &[U256::from(100u64), U256::ZERO],
         );
-        let s = assert_same_prediction(
-            &two_tier,
-            &speculative,
-            &broke,
-            &snapshot,
-            "aggregator swap (unapproved)",
-        );
+        let s = assert_same_prediction(&a, &broke, &snapshot, "aggregator swap (unapproved)");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(!s.predicted_success);
     }
@@ -1673,7 +1574,7 @@ mod tests {
     /// insufficient-balance revert that the machine never takes.
     #[test]
     fn flash_mint_repay_sees_minted_balance_across_frames() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let borrower = Address::from_u64(1);
         let token_a = Address::from_u64(TOKEN_A);
         let flash = Address::from_u64(FLASH);
@@ -1692,7 +1593,7 @@ mod tests {
             contracts::flash_fn::FLASH,
             &[U256::from(5_000u64)],
         );
-        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "flash mint");
+        let s = assert_same_prediction(&a, &tx, &snapshot, "flash mint");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success, "repay must see the minted balance");
         // The fee tab is an add under the flash contract itself.
@@ -1702,13 +1603,7 @@ mod tests {
         )));
         // Without the approval the repay pull reverts in frame 2 and the
         // prediction tracks that too.
-        let s = assert_same_prediction(
-            &two_tier,
-            &speculative,
-            &tx,
-            &Snapshot::empty(),
-            "flash mint (unapproved)",
-        );
+        let s = assert_same_prediction(&a, &tx, &Snapshot::empty(), "flash mint (unapproved)");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(!s.predicted_success);
     }
@@ -1718,20 +1613,14 @@ mod tests {
     /// scheduler sees the full conflict footprint up front.
     #[test]
     fn oracle_fanout_predicts_every_consumer() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let tx = call_tx(
             ORACLE,
             1,
             contracts::oracle_fn::UPDATE,
             &[U256::from(777u64)],
         );
-        let s = assert_same_prediction(
-            &two_tier,
-            &speculative,
-            &tx,
-            &Snapshot::empty(),
-            "oracle fanout",
-        );
+        let s = assert_same_prediction(&a, &tx, &Snapshot::empty(), "oracle fanout");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success);
         for consumer in [CONSUMER1, CONSUMER2] {
@@ -1803,10 +1692,10 @@ mod tests {
     /// bounded tier and agree bit-for-bit with speculation.
     #[test]
     fn nft_mint_binds_bounded_dynamic_and_matches_speculation() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let snapshot = mint_rush_snapshot(1000);
         let tx = call_tx(DROP, 1, contracts::drop_fn::MINT, &[]);
-        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "nft mint");
+        let s = assert_same_prediction(&a, &tx, &snapshot, "nft mint");
         assert_eq!(s.tier, RefinementTier::BoundedDynamic);
         assert!(s.predicted_success);
 
@@ -1832,16 +1721,10 @@ mod tests {
     /// machine does it.
     #[test]
     fn nft_mint_with_short_treasury_predicts_revert() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let snapshot = mint_rush_snapshot(5);
         let tx = call_tx(DROP, 1, contracts::drop_fn::MINT, &[]);
-        let s = assert_same_prediction(
-            &two_tier,
-            &speculative,
-            &tx,
-            &snapshot,
-            "nft mint (short treasury)",
-        );
+        let s = assert_same_prediction(&a, &tx, &snapshot, "nft mint (short treasury)");
         assert_eq!(s.tier, RefinementTier::BoundedDynamic);
         assert!(!s.predicted_success);
         // The failed transfer never credits the creator.
@@ -1853,10 +1736,10 @@ mod tests {
     /// is a fixed address) with the oracle's slot in the read set.
     #[test]
     fn nft_preview_staticcall_binds_and_matches_speculation() {
-        let (two_tier, speculative) = tiers();
+        let a = analyzer();
         let snapshot = mint_rush_snapshot(1000);
         let tx = call_tx(DROP, 1, contracts::drop_fn::PREVIEW, &[]);
-        let s = assert_same_prediction(&two_tier, &speculative, &tx, &snapshot, "nft preview");
+        let s = assert_same_prediction(&a, &tx, &snapshot, "nft preview");
         assert_eq!(s.tier, RefinementTier::Interprocedural);
         assert!(s.predicted_success);
         assert!(s
@@ -1888,15 +1771,7 @@ mod tests {
                 events in prop::collection::vec((0u8..8, 0u8..3, 0usize..40, 0usize..3), 0..24),
                 releases in prop::collection::vec((0usize..6, 0u64..GAS_LIMIT), 0..6),
                 entry in 0u8..2,
-                hide in 0usize..4,
-                seed in 0u64..4,
             ) {
-                let config = AnalysisConfig {
-                    hide_fraction: [0.0, 0.25, 0.5, 1.0][hide],
-                    seed,
-                    ..AnalysisConfig::default()
-                };
-                let analyzer = Analyzer::with_config(CodeRegistry::default(), config);
                 let events: Vec<Access> = events
                     .into_iter()
                     .map(|(k, kind, pc, depth)| Access {
@@ -1913,9 +1788,6 @@ mod tests {
                 let mut adds = BTreeSet::new();
                 let mut last_write_pc = HashMap::new();
                 for event in &events {
-                    if config.hide_fraction > 0.0 && analyzer.hides(&event.key) {
-                        continue;
-                    }
                     let write_pc = if event.depth == 0 { event.pc } else { usize::MAX };
                     match event.kind {
                         AccessKind::Read => {
@@ -1955,7 +1827,7 @@ mod tests {
                     predicted_success: true,
                     gas_used: GAS_USED,
                 };
-                let sag = analyzer.finish(raw, GAS_LIMIT, release_pcs, RefinementTier::Symbolic);
+                let sag = Analyzer::finish(raw, GAS_LIMIT, release_pcs, RefinementTier::Symbolic);
 
                 let with_pc = |keys: &BTreeSet<StateKey>| -> Vec<(StateKey, usize)> {
                     keys.iter().map(|key| (*key, last_write_pc[key])).collect()

@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 
-use crate::absint::ContractPlan;
 use crate::cfg::{BlockExit, Cfg};
 use crate::loops::{LoopInfo, LoopSummary};
 
@@ -101,11 +100,8 @@ pub fn static_gas_bounds(cfg: &Cfg) -> Vec<Option<u64>> {
 /// loop with a hard static trip cap and a fully-costed body (see
 /// [`LoopSummary::bounded`]) is collapsed to
 /// `(cap + 1) × per_iter_gas + mem_gas + worst exit`, and the result is
-/// propagated upstream. `plan` must be the [`ContractPlan`] the loop
-/// summaries were built from (it is unused today but pins the signature to
-/// the facts the bound depends on).
-pub fn loop_gas_bounds(cfg: &Cfg, plan: &ContractPlan, loops: &LoopInfo) -> Vec<Option<u64>> {
-    let _ = plan;
+/// propagated upstream.
+pub fn loop_gas_bounds(cfg: &Cfg, loops: &LoopInfo) -> Vec<Option<u64>> {
     let n = cfg.blocks.len();
     let mut bounds = static_gas_bounds(cfg);
     let mut owner: Vec<Option<&LoopSummary>> = vec![None; n];
@@ -264,7 +260,7 @@ mod tests {
         let plan = crate::absint::analyze(&code, &mut g);
         let loops = crate::loops::analyze_loops(&g, &plan);
         assert_eq!(static_gas_bounds(&g)[0], None, "static pass must give up");
-        let bounds = loop_gas_bounds(&g, &plan, &loops);
+        let bounds = loop_gas_bounds(&g, &loops);
         let bound = bounds[0].expect("capped loop must get a finite bound");
         // 3 iterations of the body plus the final failed-guard pass plus
         // the STOP tail; the collapsed formula over-approximates, so only
@@ -286,7 +282,7 @@ mod tests {
         let mut g = Cfg::build(&code);
         let plan = crate::absint::analyze(&code, &mut g);
         let loops = crate::loops::analyze_loops(&g, &plan);
-        let bounds = loop_gas_bounds(&g, &plan, &loops);
+        let bounds = loop_gas_bounds(&g, &loops);
         assert_eq!(bounds[0], None);
     }
 
@@ -315,7 +311,7 @@ mod tests {
             None,
             "static pass alone cannot bound the loop"
         );
-        let bounds = loop_gas_bounds(&g, &plan, &loops);
+        let bounds = loop_gas_bounds(&g, &loops);
         assert!(
             bounds[summary.head].is_some(),
             "release point inside the summarized loop must get a finite bound"

@@ -8,9 +8,10 @@
 //! and contract:
 //!
 //! - the SCC condensation yields a **bottom-up order** — callees before
-//!   callers — which is the order summaries must be computed in so a
-//!   caller's template can substitute fully-summarized callee plans
-//!   (the [`crate::Analyzer`] P-SAG cache is warmed in this order);
+//!   callers — in which a caller's template could substitute
+//!   fully-summarized callee plans. Nothing computes summaries in this
+//!   order: [`crate::Analyzer::psag`] builds each P-SAG on first use, and
+//!   only the lint and the CLI build a [`CallGraph`];
 //! - sites whose callee sits in the same SCC (including self-loops) are
 //!   **recursive** — composing them would not terminate, so the bind
 //!   walk's frame budget would blow and speculation takes over;

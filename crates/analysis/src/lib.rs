@@ -41,7 +41,7 @@ pub use absint::{
 };
 pub use cfg::{decode, BasicBlock, BlockExit, Cfg, Instruction};
 pub use commute::{classify_increments, IncrementClass, IncrementReport};
-pub use csag::{AnalysisConfig, Analyzer, CSag, RefinementMode, RefinementTier, ReleasePoint};
+pub use csag::{Analyzer, CSag, RefinementTier, ReleasePoint};
 pub use gas::{cfg_to_dot, loop_gas_bounds, static_gas_bounds};
 pub use interproc::CallSite;
 pub use interproc::{CallGraph, CallSiteVerdict, ContractVerdict};

@@ -322,7 +322,7 @@ fn unbounded_gas_findings(
                 .to_string(),
         });
     }
-    let bounds = loop_gas_bounds(cfg, plan, loops);
+    let bounds = loop_gas_bounds(cfg, loops);
     let release_pcs = cfg.release_points();
     for block in &cfg.blocks {
         if release_pcs.contains(&block.start_pc) && bounds[block.index].is_none() {

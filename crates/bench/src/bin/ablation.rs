@@ -15,7 +15,7 @@ fn main() {
         ("realistic", WorkloadConfig::ethereum_mix(42)),
         ("high-contention", WorkloadConfig::high_contention(42)),
     ] {
-        let prepared = prepare_blocks(&workload, blocks, block_size, Default::default());
+        let prepared = prepare_blocks(&workload, blocks, block_size);
         let points = ablation_series(&prepared, &[8, 32]);
         print_speedup_table(&format!("Ablation — {name} workload"), &points);
         write_json(&format!("ablation_{name}"), &points);

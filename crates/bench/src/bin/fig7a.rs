@@ -14,12 +14,7 @@ use dmvcc_workload::WorkloadConfig;
 fn main() {
     let blocks = env_usize("DMVCC_BLOCKS", 4);
     let block_size = env_usize("DMVCC_BLOCK_SIZE", 1_000);
-    let prepared = prepare_blocks(
-        &WorkloadConfig::ethereum_mix(42),
-        blocks,
-        block_size,
-        Default::default(),
-    );
+    let prepared = prepare_blocks(&WorkloadConfig::ethereum_mix(42), blocks, block_size);
     let points = speedup_series(&prepared, &THREAD_SWEEP);
     print_speedup_table(
         &format!("Fig. 7(a) — speedup, realistic workload ({blocks} x {block_size}-tx blocks)"),

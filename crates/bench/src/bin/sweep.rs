@@ -38,7 +38,7 @@ fn main() {
             hot_account_probability: probability,
             ..WorkloadConfig::ethereum_mix(42)
         };
-        let prepared = prepare_blocks(&workload, blocks, block_size, Default::default());
+        let prepared = prepare_blocks(&workload, blocks, block_size);
         let mut dag = SimReport::zero(threads);
         let mut occ = SimReport::zero(threads);
         let mut dmvcc = SimReport::zero(threads);

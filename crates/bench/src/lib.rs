@@ -24,7 +24,7 @@ use std::io::Write as _;
 
 use serde::Serialize;
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer};
+use dmvcc_analysis::Analyzer;
 use dmvcc_chain::{block_env, run_testnet, ChainConfig, TestnetConfig};
 use dmvcc_core::{execute_block_serial, refine_csags, BlockTrace};
 use dmvcc_sim::{
@@ -76,10 +76,9 @@ pub fn prepare_blocks(
     workload: &WorkloadConfig,
     blocks: usize,
     block_size: usize,
-    analysis: AnalysisConfig,
 ) -> Vec<PreparedBlock> {
     let mut generator = WorkloadGenerator::new(workload.clone());
-    let analyzer = Analyzer::with_config(generator.registry().clone(), analysis);
+    let analyzer = Analyzer::new(generator.registry().clone());
     let mut snapshot = Snapshot::from_entries(generator.genesis_entries());
     let mut out = Vec::with_capacity(blocks);
     for height in 1..=blocks as u64 {
@@ -287,7 +286,7 @@ mod tests {
             fig1_contracts: 1,
             ..WorkloadConfig::ethereum_mix(3)
         };
-        let prepared = prepare_blocks(&workload, 2, 30, AnalysisConfig::default());
+        let prepared = prepare_blocks(&workload, 2, 30);
         assert_eq!(prepared.len(), 2);
         let points = speedup_series(&prepared, &[1, 4]);
         assert_eq!(points.len(), 6);
@@ -314,7 +313,7 @@ mod tests {
             fig1_contracts: 1,
             ..WorkloadConfig::high_contention(3)
         };
-        let prepared = prepare_blocks(&workload, 1, 40, AnalysisConfig::default());
+        let prepared = prepare_blocks(&workload, 1, 40);
         let points = ablation_series(&prepared, &[8]);
         assert_eq!(points.len(), 5);
         let full = points.iter().find(|p| p.scheduler == "DMVCC").unwrap();

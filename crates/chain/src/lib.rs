@@ -41,7 +41,9 @@ pub use pool::{PoolStats, TxPool};
 
 use dmvcc_analysis::{Analyzer, CSag};
 pub use dmvcc_core::ExecutorKind;
-use dmvcc_core::{execute_block_serial, BlockExecutor, BlockPipeline, BlockTrace, ParallelConfig};
+use dmvcc_core::{
+    execute_block_serial, BlockExecutor, BlockPipeline, BlockTrace, ParallelConfig, PipelineStats,
+};
 use dmvcc_primitives::{H256, U256};
 use dmvcc_state::{
     LsmBackend, LsmOptions, MemBackend, RootHandle, StateBackend, StateDb, StateKey,
@@ -349,13 +351,8 @@ pub struct PipelinedChainReport {
     pub blocks: usize,
     /// Transactions committed.
     pub committed_txs: u64,
-    /// Wall-clock seconds spent refining C-SAGs (all blocks).
-    pub refine_seconds: f64,
-    /// Wall-clock seconds spent inside the threaded executor.
-    pub execute_seconds: f64,
-    /// Refinement seconds hidden behind execution of the previous block
-    /// (zero without pipelining; the whole point of the front-end).
-    pub overlap_seconds: f64,
+    /// The pipeline's refine, execute and overlapped-refine wall time.
+    pub pipeline: PipelineStats,
     /// Wall-clock seconds spent hashing state roots (background commit
     /// threads; all blocks).
     pub commit_seconds: f64,
@@ -382,15 +379,6 @@ impl PipelinedChainReport {
     /// the chain verifies end to end.
     pub fn roots_consistent(&self) -> bool {
         self.diverged_at.is_none()
-    }
-
-    /// Fraction of refinement wall-time hidden behind execution.
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.refine_seconds == 0.0 {
-            0.0
-        } else {
-            self.overlap_seconds / self.refine_seconds
-        }
     }
 
     /// Fraction of root-hashing wall-time hidden off the critical path.
@@ -471,9 +459,7 @@ pub fn run_pipelined_chain(config: &ChainConfig) -> PipelinedChainReport {
     PipelinedChainReport {
         blocks: config.blocks,
         committed_txs: chain.iter().map(|block| block.txs.len() as u64).sum(),
-        refine_seconds: stats.refine_nanos as f64 / 1e9,
-        execute_seconds: stats.execute_nanos as f64 / 1e9,
-        overlap_seconds: stats.overlapped_refine_nanos as f64 / 1e9,
+        pipeline: stats,
         commit_seconds: commit_nanos as f64 / 1e9,
         commit_hidden_seconds: hidden_nanos as f64 / 1e9,
         aborts,
@@ -576,10 +562,11 @@ mod tests {
         assert!(report.roots_consistent());
         assert_eq!(report.blocks, 3);
         assert_eq!(report.committed_txs, 120);
-        assert!(report.refine_seconds > 0.0);
-        assert!(report.execute_seconds > 0.0);
-        assert!(report.overlap_seconds <= report.refine_seconds + 1e-12);
-        assert!((0.0..=1.0).contains(&report.overlap_fraction()));
+        let pipeline = &report.pipeline;
+        assert!(pipeline.refine_nanos > 0);
+        assert!(pipeline.execute_nanos > 0);
+        assert!(pipeline.overlapped_refine_nanos <= pipeline.refine_nanos);
+        assert!((0.0..=1.0).contains(&pipeline.overlap_fraction()));
     }
 
     #[test]
@@ -622,11 +609,12 @@ mod tests {
         every_engine_lands_on_one_root(|config| {
             let report = run_pipelined_chain(&config.chain);
             // Only engines that consume predictions refine at all.
+            let pipeline = &report.pipeline;
             assert_eq!(
-                report.refine_seconds == 0.0,
+                pipeline.refine_nanos == 0,
                 config.chain.executor == ExecutorKind::Stm
             );
-            assert!(report.overlap_seconds <= report.refine_seconds + 1e-12);
+            assert!(pipeline.overlapped_refine_nanos <= pipeline.refine_nanos);
             (report.roots_consistent(), report.final_root)
         });
     }

@@ -148,7 +148,7 @@ fn cmd_analyze(parsed: &ParsedArgs) -> Result<(), String> {
     }
     println!("release points      : {:?}", sag.release_pcs);
     let static_bounds = static_gas_bounds(&sag.cfg);
-    let loop_bounds = loop_gas_bounds(&sag.cfg, &sag.plan, &sag.loops);
+    let loop_bounds = loop_gas_bounds(&sag.cfg, &sag.loops);
     for pc in &sag.release_pcs {
         if let Some(block) = sag.cfg.blocks.iter().find(|b| b.start_pc == *pc) {
             match (static_bounds[block.index], loop_bounds[block.index]) {
@@ -335,12 +335,14 @@ fn cmd_chain(parsed: &ParsedArgs) -> Result<(), String> {
         println!("backend            : {}", report.backend);
         println!("blocks             : {}", report.blocks);
         println!("transactions       : {}", report.committed_txs);
-        println!("refine time        : {:.3}s", report.refine_seconds);
-        println!("execute time       : {:.3}s", report.execute_seconds);
+        let stats = &report.pipeline;
+        let secs = |nanos: u64| nanos as f64 / 1e9;
+        println!("refine time        : {:.3}s", secs(stats.refine_nanos));
+        println!("execute time       : {:.3}s", secs(stats.execute_nanos));
         println!(
             "refine overlapped  : {:.3}s ({:.0}% hidden)",
-            report.overlap_seconds,
-            report.overlap_fraction() * 100.0
+            secs(stats.overlapped_refine_nanos),
+            stats.overlap_fraction() * 100.0
         );
         println!(
             "root commit        : {:.3}s ({:.0}% off critical path)",

@@ -1894,23 +1894,27 @@ mod tests {
 
     #[test]
     fn hidden_analysis_still_serializable() {
-        // With analysis hidden entirely, execution degrades to OCC-style
-        // but must stay deterministically serializable.
-        let analyzer = Analyzer::with_config(
-            registry(),
-            dmvcc_analysis::AnalysisConfig {
-                hide_fraction: 1.0,
-                seed: 11,
-                ..Default::default()
-            },
-        );
+        // With every refined key hidden from the analysis, execution
+        // degrades to OCC-style but must stay deterministically
+        // serializable.
+        let analyzer = Analyzer::new(registry());
         let txs = vec![
             mint(900, 1, 100),
             transfer(1, 2, 30),
             transfer(2, 3, 10),
             mint(901, 2, 7),
         ];
-        let expected = serial_writes(&txs, &Snapshot::empty());
+        let (snapshot, env) = (Snapshot::empty(), BlockEnv::default());
+        let mut csags = crate::pipeline::refine_csags(&analyzer, &txs, &snapshot, &env, 1);
+        for csag in csags
+            .iter_mut()
+            .filter(|c| c.tier != dmvcc_analysis::RefinementTier::Exact)
+        {
+            csag.reads.clear();
+            csag.writes.clear();
+            csag.adds.clear();
+        }
+        let expected = serial_writes(&txs, &snapshot);
         let exec = ParallelExecutor::new(
             analyzer,
             ParallelConfig {
@@ -1918,7 +1922,7 @@ mod tests {
                 ..ParallelConfig::default()
             },
         );
-        let outcome = exec.execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
+        let outcome = exec.execute_block_with_csags(&txs, &snapshot, &env, &csags);
         assert_eq!(outcome.final_writes, expected);
     }
 

@@ -779,15 +779,14 @@ mod tests {
 
     #[test]
     fn hybrid_routes_unanalyzable_and_speculative_txs() {
-        let txs = vec![
-            transfer(1, 2, 10),
-            transfer(2, 3, 10).unanalyzable(),
-            transfer(3, 4, 10),
-        ];
+        let txs = vec![transfer(1, 2, 10), transfer(2, 3, 10), transfer(3, 4, 10)];
         let snapshot = genesis(4, 100);
         let analyzer = Analyzer::new(CodeRegistry::default());
         let env = BlockEnv::default();
         let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        // The second transaction's prediction is withheld.
+        let mut csags = crate::pipeline::refine_csags(&analyzer, &txs, &snapshot, &env, 1);
+        csags[1] = CSag::optimistic();
         let hybrid = HybridExecutor::new(
             analyzer,
             ParallelConfig {
@@ -795,7 +794,7 @@ mod tests {
                 ..ParallelConfig::default()
             },
         );
-        let outcome = hybrid.execute_block(&txs, &snapshot, &env);
+        let outcome = hybrid.execute_block_with_csags(&txs, &snapshot, &env, &csags);
         assert_eq!(outcome.final_writes, trace.final_writes);
         assert_eq!(outcome.stats.optimistic_txs, 1);
 

@@ -66,6 +66,14 @@ impl Mutation {
             _ => None,
         }
     }
+
+    /// The CLI spelling (inverse of [`Self::parse`]).
+    pub fn label(self) -> &'static str {
+        match self {
+            Mutation::None => "none",
+            Mutation::SkipReleaseGasBound => "skip-release-gas-bound",
+        }
+    }
 }
 
 /// Seeded input-fault plan. Probabilities are parts per million; every

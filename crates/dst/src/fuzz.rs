@@ -7,8 +7,9 @@
 //! threaded engine under a seeded [`VirtualScheduler`], and the
 //! virtual-time simulator, and (d) reports any disagreement as a
 //! [`Divergence`] that
-//! carries everything needed to replay it: the seed, the (possibly shrunk)
-//! block size, and the thread count.
+//! carries everything needed to replay it: the seed and the case's
+//! campaign — its (possibly shrunk) block size, thread count, profile,
+//! refinement, mutation, engine and backend.
 //!
 //! Shrinking exploits a structural property of the workload generator:
 //! `block(n)` draws transactions sequentially, so the block of size `s < n`
@@ -20,13 +21,13 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer, RefinementMode};
+use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_core::{
     execute_block_serial, refine_csags, BlockTrace, ExecutorKind, ParallelConfig, ParallelOutcome,
 };
-use dmvcc_sim::simulate_dmvcc;
+use dmvcc_sim::{hidden_keys, simulate_dmvcc};
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
-use dmvcc_vm::{BlockEnv, Transaction};
+use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
 
 use crate::faults::{FaultPlan, Mutation};
@@ -65,6 +66,12 @@ impl Profile {
     pub fn parse(name: &str) -> Option<Profile> {
         let found = Self::NAMES.iter().find(|(spelling, _)| *spelling == name);
         found.map(|&(_, profile)| profile)
+    }
+
+    /// The CLI spelling (inverse of [`Self::parse`]).
+    pub fn label(self) -> &'static str {
+        let found = Self::NAMES.iter().find(|(_, profile)| *profile == self);
+        found.expect("every profile is named").0
     }
 
     /// The workload config for one fuzz case: the named contention profile
@@ -157,8 +164,40 @@ impl BackendUnderTest {
     }
 }
 
-/// Fraction of accesses hidden from the analyzer in every case (organic
-/// mispredictions, on top of the fault plan's injected ones).
+/// How a campaign refines its C-SAGs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Refinement {
+    /// [`Analyzer::csag`]: the symbolic bind, speculation where it does
+    /// not bind (spelled `two-tier`).
+    #[default]
+    TwoTier,
+    /// [`Analyzer::speculate`]: every call pre-executed, the paper's
+    /// baseline path (spelled `speculative`).
+    Speculative,
+}
+
+impl Refinement {
+    /// Parses the CLI spelling of a refinement.
+    pub fn parse(name: &str) -> Option<Refinement> {
+        match name {
+            "two-tier" => Some(Refinement::TwoTier),
+            "speculative" => Some(Refinement::Speculative),
+            _ => None,
+        }
+    }
+
+    /// The CLI spelling (inverse of [`Self::parse`]).
+    pub fn label(self) -> &'static str {
+        match self {
+            Refinement::TwoTier => "two-tier",
+            Refinement::Speculative => "speculative",
+        }
+    }
+}
+
+/// Fraction of state keys hidden from every case's refined C-SAGs
+/// ([`hidden_keys`]; organic mispredictions, on top of the fault plan's
+/// injected ones).
 const HIDE_FRACTION: f64 = 0.15;
 
 /// Every `STALE_EVERY`-th seed builds its C-SAGs against the previous
@@ -166,7 +205,7 @@ const HIDE_FRACTION: f64 = 0.15;
 const STALE_EVERY: u64 = 4;
 
 /// One fuzz campaign's fixed parameters (the seed varies per case).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzConfig {
     /// Worker threads for the threaded engine and the simulator.
     pub threads: usize,
@@ -181,11 +220,11 @@ pub struct FuzzConfig {
     /// Active executor mutation (see [`Mutation`]).
     pub mutation: Mutation,
     /// C-SAG refinement strategy (two-tier symbolic binding by default;
-    /// `SpeculativeOnly` pins the paper's baseline path).
-    pub refinement: RefinementMode,
+    /// `Speculative` pins the paper's baseline path).
+    pub refinement: Refinement,
     /// Which engine the campaign exercises against the serial oracle. For
-    /// `Stm` and `Hybrid` a seeded quarter of the block is marked
-    /// unanalyzable, so the optimistic path always has work.
+    /// `Stm` and `Hybrid` the predictions of a seeded quarter of the block
+    /// are withheld, so the optimistic path always has work.
     pub engine: ExecutorKind,
     /// Persistent-backend cross-check: replay each case's serial history
     /// through a backend-backed [`StateDb`] with async root commits and
@@ -201,7 +240,7 @@ impl Default for FuzzConfig {
             profile: Profile::HighContention,
             quiet: false,
             mutation: Mutation::None,
-            refinement: RefinementMode::TwoTier,
+            refinement: Refinement::TwoTier,
             engine: ExecutorKind::Sharded,
             backend: BackendUnderTest::None,
         }
@@ -240,28 +279,34 @@ impl FuzzConfig {
 pub struct Divergence {
     /// The diverging seed.
     pub seed: u64,
-    /// Block size at which the divergence (still) reproduces.
-    pub size: usize,
-    /// Thread count of the diverging run.
-    pub threads: usize,
     /// What diverged: the engine's label, `state-backend` or `simulator`.
     pub executor: &'static str,
-    /// Engine axis of the diverging campaign (`sharded`, `stm`, `hybrid`);
-    /// non-default engines are part of the replay command.
-    pub engine: &'static str,
-    /// Backend axis of the diverging campaign (`plain`, `mem`, `lsm`);
-    /// non-default backends are part of the replay command.
-    pub backend: &'static str,
+    /// The diverging case's campaign, at the block size where the
+    /// divergence (still) reproduces. Every axis that differs from
+    /// [`FuzzConfig::default`] is part of the replay command.
+    pub case: FuzzConfig,
     /// Sorted, deterministic description of the disagreement.
     pub details: Vec<String>,
 }
 
+impl Divergence {
+    fn new(seed: u64, executor: &'static str, case: &FuzzConfig, details: Vec<String>) -> Self {
+        Divergence {
+            seed,
+            executor,
+            case: case.clone(),
+            details,
+        }
+    }
+}
+
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let case = &self.case;
         writeln!(
             f,
             "divergence: executor={} seed={} size={} threads={}",
-            self.executor, self.seed, self.size, self.threads
+            self.executor, self.seed, case.size, case.threads
         )?;
         for line in &self.details {
             writeln!(f, "  {line}")?;
@@ -269,13 +314,25 @@ impl fmt::Display for Divergence {
         write!(
             f,
             "replay: cargo run -p dmvcc-dst -- replay --seed {} --size {} --threads {}",
-            self.seed, self.size, self.threads
+            self.seed, case.size, case.threads
         )?;
-        if self.engine != ExecutorKind::default().label() {
-            write!(f, " --executor {}", self.engine)?;
+        let default = FuzzConfig::default();
+        let axes = [
+            ("--profile", case.profile.label(), default.profile.label()),
+            ("--mutate", case.mutation.label(), default.mutation.label()),
+            (
+                "--refinement",
+                case.refinement.label(),
+                default.refinement.label(),
+            ),
+            ("--executor", case.engine.label(), default.engine.label()),
+            ("--backend", case.backend.label(), default.backend.label()),
+        ];
+        for (flag, value, _) in axes.iter().filter(|(_, value, default)| value != default) {
+            write!(f, " {flag} {value}")?;
         }
-        if self.backend != "plain" {
-            write!(f, " --backend {}", self.backend)?;
+        if case.quiet {
+            write!(f, " --quiet")?;
         }
         Ok(())
     }
@@ -345,30 +402,27 @@ fn check_outcome(
     if details.is_empty() {
         return None;
     }
-    Some(Divergence {
+    Some(Divergence::new(
         seed,
-        size: config.size,
-        threads: config.threads,
-        executor: config.engine.label(),
-        engine: config.engine.label(),
-        backend: config.backend.label(),
+        config.engine.label(),
+        config,
         details,
-    })
+    ))
 }
 
-/// Seeded unanalyzable marking for the STM/hybrid campaigns: roughly a
-/// quarter of the block loses its predictions entirely, deterministically
-/// in `(seed, index)` (splitmix64 finalizer, decorrelated from the
-/// scheduler and fault streams).
-fn mark_unanalyzable(txs: &mut [Transaction], seed: u64) {
-    for (i, tx) in txs.iter_mut().enumerate() {
+/// Seeded withheld predictions for the STM/hybrid campaigns: roughly a
+/// quarter of the block's C-SAGs become [`CSag::optimistic`],
+/// deterministically in `(seed, index)` (splitmix64 finalizer,
+/// decorrelated from the scheduler and fault streams).
+fn withhold_predictions(csags: &mut [CSag], seed: u64) {
+    for (i, csag) in csags.iter_mut().enumerate() {
         let mut x = (seed ^ 0x0B5C_0B5C_0B5C_0B5C)
             .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         x ^= x >> 30;
         x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x ^= x >> 27;
         if x.is_multiple_of(4) {
-            tx.analyzable = false;
+            *csag = CSag::optimistic();
         }
     }
 }
@@ -377,14 +431,7 @@ fn mark_unanalyzable(txs: &mut [Transaction], seed: u64) {
 /// the serial oracle and the simulator invariants held.
 pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     let mut generator = WorkloadGenerator::new(config.profile.config(seed));
-    let analyzer = Analyzer::with_config(
-        generator.registry().clone(),
-        AnalysisConfig {
-            hide_fraction: HIDE_FRACTION,
-            seed: seed ^ 0xA11A,
-            refinement: config.refinement,
-        },
-    );
+    let analyzer = Analyzer::new(generator.registry().clone());
     let genesis = Snapshot::from_entries(generator.genesis_entries());
 
     // The mempool scenario on a seeded subset of cases: predictions are
@@ -420,13 +467,19 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         // including the oracle.
         trace = execute_block_serial(&txs, &live, &analyzer, &env);
     }
+    let refined = match config.refinement {
+        Refinement::TwoTier => refine_csags(&analyzer, &txs, &prediction_snapshot, &env, 1),
+        Refinement::Speculative => txs
+            .iter()
+            .map(|tx| analyzer.speculate(tx, &prediction_snapshot, &env))
+            .collect(),
+    };
+    let mut csags = hidden_keys(&refined, HIDE_FRACTION, seed ^ 0xA11A);
     if config.engine != ExecutorKind::Sharded {
         // The optimistic campaigns fuzz the pool-desync scenario: a seeded
-        // quarter of the block carries no predictions at all. The flag is
-        // scheduling metadata only — the serial oracle is unaffected.
-        mark_unanalyzable(&mut txs, seed);
+        // quarter of the block carries no predictions at all.
+        withhold_predictions(&mut csags, seed);
     }
-    let mut csags = refine_csags(&analyzer, &txs, &prediction_snapshot, &env, 1);
     plan.perturb_csags(&mut csags);
 
     let parallel_config = ParallelConfig {
@@ -495,15 +548,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
             }
         }
         if !details.is_empty() {
-            return Some(Divergence {
-                seed,
-                size: config.size,
-                threads: config.threads,
-                executor: "state-backend",
-                engine: config.engine.label(),
-                backend: config.backend.label(),
-                details,
-            });
+            return Some(Divergence::new(seed, "state-backend", config, details));
         }
     }
 
@@ -532,15 +577,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         ));
     }
     if !details.is_empty() {
-        return Some(Divergence {
-            seed,
-            size: config.size,
-            threads: config.threads,
-            executor: "simulator",
-            engine: config.engine.label(),
-            backend: config.backend.label(),
-            details,
-        });
+        return Some(Divergence::new(seed, "simulator", config, details));
     }
     None
 }
@@ -551,9 +588,9 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
 pub fn shrink(seed: u64, config: &FuzzConfig, found: Divergence) -> Divergence {
     let mut best = found;
     // Binary descent: halve while the divergence survives.
-    while best.size > 1 {
+    while best.case.size > 1 {
         let mut candidate = config.clone();
-        candidate.size = best.size / 2;
+        candidate.size = best.case.size / 2;
         match run_seed(seed, &candidate) {
             Some(divergence) => best = divergence,
             None => break,
@@ -561,11 +598,11 @@ pub fn shrink(seed: u64, config: &FuzzConfig, found: Divergence) -> Divergence {
     }
     // Linear polish: shave single transactions off the tail.
     for _ in 0..8 {
-        if best.size <= 1 {
+        if best.case.size <= 1 {
             break;
         }
         let mut candidate = config.clone();
-        candidate.size = best.size - 1;
+        candidate.size = best.case.size - 1;
         match run_seed(seed, &candidate) {
             Some(divergence) => best = divergence,
             None => break,
@@ -655,15 +692,11 @@ mod tests {
 
     #[test]
     fn divergence_report_is_deterministic_text() {
-        let divergence = Divergence {
-            seed: 9,
+        let case = FuzzConfig {
             size: 12,
-            threads: 4,
-            executor: "sharded",
-            engine: "sharded",
-            backend: "plain",
-            details: vec!["missing k: serial=1".into()],
+            ..FuzzConfig::default()
         };
+        let divergence = Divergence::new(9, "sharded", &case, vec!["missing k: serial=1".into()]);
         let text = format!("{divergence}");
         assert!(text.contains("seed=9"));
         assert!(text.contains("replay: cargo run -p dmvcc-dst -- replay --seed 9 --size 12"));
@@ -672,18 +705,18 @@ mod tests {
         assert!(!text.contains("--backend"));
         assert_eq!(text, format!("{divergence}"));
 
-        let stm = Divergence {
-            engine: "stm",
-            executor: "stm",
-            ..divergence.clone()
+        let stm = FuzzConfig {
+            engine: ExecutorKind::Stm,
+            ..case.clone()
         };
+        let stm = Divergence::new(9, "stm", &stm, divergence.details.clone());
         assert!(format!("{stm}").ends_with("--executor stm"));
 
-        let lsm = Divergence {
-            executor: "state-backend",
-            backend: "lsm",
-            ..divergence
+        let lsm = FuzzConfig {
+            backend: BackendUnderTest::Lsm,
+            ..case
         };
+        let lsm = Divergence::new(9, "state-backend", &lsm, divergence.details);
         assert!(format!("{lsm}").ends_with("--backend lsm"));
     }
 
@@ -753,20 +786,19 @@ mod tests {
 
     #[test]
     fn unanalyzable_marking_is_deterministic_and_partial() {
-        let mut a: Vec<Transaction> = (1..=32)
+        let mut a: Vec<CSag> = (1..=32)
             .map(|i| {
-                Transaction::transfer(
+                CSag::for_transfer(
                     dmvcc_primitives::Address::from_u64(i),
                     dmvcc_primitives::Address::from_u64(i + 1),
-                    dmvcc_primitives::U256::ONE,
                 )
             })
             .collect();
         let mut b = a.clone();
-        mark_unanalyzable(&mut a, 7);
-        mark_unanalyzable(&mut b, 7);
+        withhold_predictions(&mut a, 7);
+        withhold_predictions(&mut b, 7);
         assert_eq!(a, b);
-        let marked = a.iter().filter(|t| !t.analyzable).count();
+        let marked = a.iter().filter(|c| **c == CSag::optimistic()).count();
         assert!(
             marked > 0 && marked < a.len(),
             "marked {marked} of {}",

@@ -36,5 +36,6 @@ mod sched;
 pub use faults::{FaultPlan, Mutation};
 pub use fuzz::{
     fuzz, run_seed, shrink, BackendUnderTest, Divergence, FuzzConfig, FuzzOutcome, Profile,
+    Refinement,
 };
 pub use sched::{SchedConfig, SchedStats, VirtualScheduler};

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dmvcc_core::ExecutorKind;
-use dmvcc_dst::{fuzz, run_seed, BackendUnderTest, FuzzConfig, Mutation, Profile};
+use dmvcc_dst::{fuzz, run_seed, BackendUnderTest, FuzzConfig, Mutation, Profile, Refinement};
 
 const USAGE: &str = "\
 usage: dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]
@@ -87,11 +87,9 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), Strin
                     Mutation::parse(&name).ok_or_else(|| format!("unknown mutation {name}"))?;
             }
             "--refinement" => {
-                args.config.refinement = match value("--refinement")?.as_str() {
-                    "two-tier" => dmvcc_analysis::RefinementMode::TwoTier,
-                    "speculative" => dmvcc_analysis::RefinementMode::SpeculativeOnly,
-                    other => return Err(format!("unknown refinement {other}")),
-                };
+                let name = value("--refinement")?;
+                args.config.refinement =
+                    Refinement::parse(&name).ok_or_else(|| format!("unknown refinement {name}"))?;
             }
             "--budget-secs" => {
                 let secs: u64 = value("--budget-secs")?
@@ -197,29 +195,67 @@ mod tests {
     }
 
     /// The `replay: …` line a divergence report prints must be a command
-    /// this binary accepts, and must reproduce the diverging case's axes.
+    /// this binary accepts, and must reproduce the diverging case: every
+    /// axis of its campaign, one case per axis.
     #[test]
     fn printed_replay_line_parses_back_to_the_same_case() {
-        let default = Divergence {
-            seed: 9,
+        let default = FuzzConfig {
             size: 12,
             threads: 3,
-            executor: "sharded",
-            engine: "sharded",
-            backend: "plain",
-            details: vec!["missing k: serial=1".into()],
+            ..FuzzConfig::default()
         };
-        let stm = Divergence {
-            executor: "stm",
-            engine: "stm",
-            ..default.clone()
-        };
-        let lsm = Divergence {
-            executor: "state-backend",
-            backend: "lsm",
-            ..default.clone()
-        };
-        for divergence in [default, stm, lsm] {
+        let cases = [
+            ("sharded", default.clone()),
+            (
+                "stm",
+                FuzzConfig {
+                    engine: ExecutorKind::Stm,
+                    ..default.clone()
+                },
+            ),
+            (
+                "state-backend",
+                FuzzConfig {
+                    backend: BackendUnderTest::Lsm,
+                    ..default.clone()
+                },
+            ),
+            (
+                "sharded",
+                FuzzConfig {
+                    profile: Profile::EthereumMix,
+                    ..default.clone()
+                },
+            ),
+            (
+                "sharded",
+                FuzzConfig {
+                    refinement: Refinement::Speculative,
+                    ..default.clone()
+                },
+            ),
+            (
+                "sharded",
+                FuzzConfig {
+                    mutation: Mutation::SkipReleaseGasBound,
+                    ..default.clone()
+                },
+            ),
+            (
+                "simulator",
+                FuzzConfig {
+                    quiet: true,
+                    ..default.clone()
+                },
+            ),
+        ];
+        for (executor, case) in cases {
+            let divergence = Divergence {
+                seed: 9,
+                executor,
+                case,
+                details: vec!["missing k: serial=1".into()],
+            };
             let report = divergence.to_string();
             let line = report.lines().last().expect("report has a replay line");
             let command = line
@@ -228,23 +264,8 @@ mod tests {
             let (command, args) =
                 parse(command.split_whitespace().map(str::to_string)).expect("line parses");
             assert_eq!(command, "replay");
-            assert_eq!(
-                (
-                    args.seed,
-                    args.config.size,
-                    args.config.threads,
-                    args.config.engine.label(),
-                    args.config.backend.label(),
-                ),
-                (
-                    Some(divergence.seed),
-                    divergence.size,
-                    divergence.threads,
-                    divergence.engine,
-                    divergence.backend,
-                ),
-                "{line}"
-            );
+            assert_eq!(args.seed, Some(divergence.seed), "{line}");
+            assert_eq!(args.config, divergence.case, "{line}");
         }
     }
 }

@@ -22,11 +22,10 @@ fn broken_release_gate_is_caught_within_200_seeds() {
     let divergence = outcome
         .divergence
         .expect("SkipReleaseGasBound must diverge within 200 seeds");
-    // The report is replayable: the same (seed, size, threads) must
-    // reproduce the identical divergence text, twice.
-    let mut replay = config;
-    replay.size = divergence.size;
-    replay.threads = divergence.threads;
+    // The report is replayable: the case it names must reproduce the
+    // identical divergence text, twice.
+    let replay = divergence.case.clone();
+    assert_eq!(replay.mutation, config.mutation);
     let first =
         run_seed(divergence.seed, &replay).expect("replaying the shrunk seed must still diverge");
     let second =

@@ -16,7 +16,8 @@
 //! [`dmvcc_core::execute_block_serial`], so comparisons share one cost
 //! model; [`SchedulerKind::simulate`] picks one. A design ablation is a
 //! transform of those inputs, not a switch: [`without_early_writes`],
-//! [`without_commutativity`], [`without_versioning`] and [`contract_level`].
+//! [`without_commutativity`], [`without_versioning`] and [`contract_level`];
+//! so is an imprecise analysis, [`hidden_keys`].
 //! [`charge`] prices a [`run_testnet`](dmvcc_chain::run_testnet) chain
 //! under any scheduler, thread count and mining interval, so one chain
 //! serves every series of Fig. 8.
@@ -31,7 +32,7 @@ mod sim;
 mod simulator;
 
 pub use ablation::{
-    contract_level, without_commutativity, without_early_writes, without_versioning,
+    contract_level, hidden_keys, without_commutativity, without_early_writes, without_versioning,
 };
 pub use dag::simulate_dag;
 pub use occ::simulate_occ;

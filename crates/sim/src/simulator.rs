@@ -218,8 +218,8 @@ pub fn simulate_dmvcc(trace: &BlockTrace, csags: &[CSag], threads: usize) -> Sim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{without_commutativity, without_early_writes, without_versioning};
-    use dmvcc_analysis::{AnalysisConfig, Analyzer};
+    use crate::{hidden_keys, without_commutativity, without_early_writes, without_versioning};
+    use dmvcc_analysis::Analyzer;
     use dmvcc_core::{execute_block_serial, refine_csags};
     use dmvcc_primitives::{Address, U256};
     use dmvcc_state::Snapshot;
@@ -377,19 +377,12 @@ mod tests {
     fn hidden_writes_cause_aborts_and_still_terminate() {
         // Hide all analysis: every dependency becomes a stale-read abort,
         // the scheduler degrades to OCC-style re-execution.
-        let a = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                hide_fraction: 1.0,
-                seed: 3,
-                ..Default::default()
-            },
-        );
+        let a = analyzer();
         let snapshot = Snapshot::empty();
         let block_env = BlockEnv::default();
         let txs = vec![mint(900, 1, 100), transfer(1, 2, 30), transfer(2, 3, 10)];
         let trace = execute_block_serial(&txs, &snapshot, &a, &block_env);
-        let csags = refine_csags(&a, &txs, &snapshot, &block_env, 1);
+        let csags = hidden_keys(&refine_csags(&a, &txs, &snapshot, &block_env, 1), 1.0, 3);
         let report = simulate_dmvcc(&trace, &csags, 4);
         assert!(report.aborts > 0, "hidden deps must abort");
         assert_eq!(report.attempts, 3 + report.aborts);

@@ -24,13 +24,6 @@ pub struct Transaction {
     pub kind: TxKind,
     /// Execution environment (caller, callee, value, calldata, gas limit).
     pub env: TxEnv,
-    /// Whether the static analyzer may predict this transaction's state
-    /// accesses. `false` models the pool-desync / obfuscated-bytecode case:
-    /// the analyzer must emit an empty (optimistic) prediction and the
-    /// scheduler falls back to optimistic execution with validation. The
-    /// flag is local scheduling metadata — it is excluded from the RLP
-    /// encoding and the transaction hash.
-    pub analyzable: bool,
 }
 
 impl Transaction {
@@ -39,7 +32,6 @@ impl Transaction {
         Transaction {
             kind: TxKind::Call,
             env,
-            analyzable: true,
         }
     }
 
@@ -48,15 +40,7 @@ impl Transaction {
         Transaction {
             kind: TxKind::Transfer,
             env: TxEnv::call(from, to, Vec::new()).with_value(value),
-            analyzable: true,
         }
-    }
-
-    /// Marks the transaction as unanalyzable: the analyzer will strip its
-    /// predicted key sets, forcing the optimistic execution path.
-    pub fn unanalyzable(mut self) -> Self {
-        self.analyzable = false;
-        self
     }
 
     /// The sending account.
@@ -152,18 +136,6 @@ mod tests {
         assert_eq!(hashes.len(), variants.len());
         // Deterministic.
         assert_eq!(base.hash(), base.hash());
-    }
-
-    #[test]
-    fn unanalyzable_flag_does_not_change_hash_or_encoding() {
-        let tx = Transaction::transfer(Address::from_u64(1), Address::from_u64(2), U256::ONE);
-        let opaque = tx.clone().unanalyzable();
-        assert!(tx.analyzable);
-        assert!(!opaque.analyzable);
-        assert_ne!(tx, opaque);
-        // Scheduling metadata only: wire format and hash are unchanged.
-        assert_eq!(tx.rlp_encode(), opaque.rlp_encode());
-        assert_eq!(tx.hash(), opaque.hash());
     }
 
     #[test]

@@ -24,9 +24,6 @@ fn digest(config: WorkloadConfig) -> String {
     }
     for _ in 0..BLOCKS {
         for tx in generator.block(BLOCK_SIZE) {
-            // `analyzable` is outside the encoding; the generator never
-            // clears it.
-            assert!(tx.analyzable);
             tx.rlp_append(&mut bytes);
         }
     }

@@ -12,9 +12,9 @@
 
 use proptest::prelude::*;
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer};
+use dmvcc_analysis::Analyzer;
 use dmvcc_core::{execute_block_serial, refine_csags, ParallelConfig, ParallelExecutor};
-use dmvcc_sim::{simulate_dmvcc, without_commutativity};
+use dmvcc_sim::{hidden_keys, simulate_dmvcc, without_commutativity};
 use dmvcc_state::Snapshot;
 use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -46,19 +46,12 @@ proptest! {
         for (rung, &hide) in ladder.iter().enumerate() {
             let mut generator =
                 WorkloadGenerator::new(small(WorkloadConfig::high_contention(seed)));
-            let analyzer = Analyzer::with_config(
-                generator.registry().clone(),
-                AnalysisConfig {
-                    hide_fraction: hide,
-                    seed: 77,
-                    ..Default::default()
-                },
-            );
+            let analyzer = Analyzer::new(generator.registry().clone());
             let genesis = Snapshot::from_entries(generator.genesis_entries());
             let env = BlockEnv::new(1, 1_700_000_000);
             let txs = generator.block(size);
             let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
-            let csags = refine_csags(&analyzer, &txs, &genesis, &env, 1);
+            let csags = hidden_keys(&refine_csags(&analyzer, &txs, &genesis, &env, 1), hide, 77);
 
             // Cascading re-executions reach the serial state (Theorem 1),
             // no matter how lossy the predictions are.

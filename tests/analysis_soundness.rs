@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer, CSag, RefinementMode, RefinementTier};
+use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
 use dmvcc_core::execute_block_serial;
 use dmvcc_integration_tests::{
-    analyzer, decode_drop_tx, decode_loop_tx, decode_router_tx, decode_tx, genesis, registry,
+    analyzer, decode_drop_tx, decode_loop_tx, decode_router_tx, decode_tx, genesis,
 };
 use dmvcc_primitives::Address;
 use dmvcc_state::{Snapshot, StateKey};
@@ -87,8 +87,8 @@ proptest! {
 
     /// The two-tier refinement (symbolic binding with speculative
     /// fallback) must be an optimization, never a semantic change: for any
-    /// generated transaction its C-SAG is bit-identical to the one a
-    /// speculative-only analyzer produces — every key set, the publish
+    /// generated transaction its C-SAG is bit-identical to the one
+    /// `Analyzer::speculate` produces — every key set, the publish
     /// pcs, release gas bounds, the success verdict, and the gas estimate.
     /// Only the `tier` tag may differ.
     #[test]
@@ -98,16 +98,9 @@ proptest! {
         let tx = decode_tx(c, s, k, a, b);
         let snapshot = Snapshot::from_entries(genesis());
         let env = BlockEnv::new(1, 1_700_000_000);
-        let two_tier = Analyzer::with_config(registry(), AnalysisConfig::default());
-        let spec_only = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let fast = two_tier.csag(&tx, &snapshot, &env);
-        let slow = spec_only.csag(&tx, &snapshot, &env);
+        let analyzer = analyzer();
+        let fast = analyzer.csag(&tx, &snapshot, &env);
+        let slow = analyzer.speculate(&tx, &snapshot, &env);
 
         prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         if tx.kind == TxKind::Call {
@@ -128,16 +121,9 @@ proptest! {
         let tx = decode_loop_tx(s, k, a, b);
         let snapshot = Snapshot::from_entries(genesis());
         let env = BlockEnv::new(1, 1_700_000_000);
-        let two_tier = Analyzer::with_config(registry(), AnalysisConfig::default());
-        let spec_only = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let fast = two_tier.csag(&tx, &snapshot, &env);
-        let slow = spec_only.csag(&tx, &snapshot, &env);
+        let analyzer = analyzer();
+        let fast = analyzer.csag(&tx, &snapshot, &env);
+        let slow = analyzer.speculate(&tx, &snapshot, &env);
 
         prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         prop_assert_ne!(fast.tier, RefinementTier::Speculative);
@@ -158,16 +144,9 @@ proptest! {
         let tx = decode_router_tx(s, k, a, b);
         let snapshot = Snapshot::from_entries(genesis());
         let env = BlockEnv::new(1, 1_700_000_000);
-        let two_tier = Analyzer::with_config(registry(), AnalysisConfig::default());
-        let spec_only = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let fast = two_tier.csag(&tx, &snapshot, &env);
-        let slow = spec_only.csag(&tx, &snapshot, &env);
+        let analyzer = analyzer();
+        let fast = analyzer.csag(&tx, &snapshot, &env);
+        let slow = analyzer.speculate(&tx, &snapshot, &env);
 
         prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         prop_assert_ne!(fast.tier, RefinementTier::Speculative);
@@ -223,16 +202,9 @@ proptest! {
         let tx = decode_drop_tx(s, k, a);
         let snapshot = Snapshot::from_entries(genesis());
         let env = BlockEnv::new(1, 1_700_000_000);
-        let two_tier = Analyzer::with_config(registry(), AnalysisConfig::default());
-        let spec_only = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                refinement: RefinementMode::SpeculativeOnly,
-                ..AnalysisConfig::default()
-            },
-        );
-        let fast = two_tier.csag(&tx, &snapshot, &env);
-        let slow = spec_only.csag(&tx, &snapshot, &env);
+        let analyzer = analyzer();
+        let fast = analyzer.csag(&tx, &snapshot, &env);
+        let slow = analyzer.speculate(&tx, &snapshot, &env);
 
         prop_assert_eq!(&same_but_for_tier(&fast, &slow), &slow);
         prop_assert_ne!(fast.tier, RefinementTier::Speculative);

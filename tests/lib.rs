@@ -184,11 +184,12 @@ pub fn decode_tx(choice: u8, selector: u8, caller: u8, a: u8, b: u8) -> Transact
     }
 }
 
-/// [`decode_tx`] with a sixth generated byte controlling *analyzability*:
-/// roughly a quarter of the tuple space marks the transaction
-/// unanalyzable, so property tests exercise blocks where the analyzer must
-/// withhold predictions entirely (the hybrid executor's optimistic
-/// population) while the rest stay predictive.
+/// [`decode_tx`] with a sixth generated byte deciding whether the
+/// transaction's prediction is *withheld* (`true`: its caller replaces the
+/// C-SAG with [`dmvcc_analysis::CSag::optimistic`]). Roughly a quarter of
+/// the tuple space withholds, so property tests exercise blocks where the
+/// hybrid executor has an optimistic population while the rest stay
+/// predictive.
 pub fn decode_tx_opaque(
     choice: u8,
     selector: u8,
@@ -196,13 +197,9 @@ pub fn decode_tx_opaque(
     a: u8,
     b: u8,
     opaque: u8,
-) -> Transaction {
+) -> (Transaction, bool) {
     let tx = decode_tx(choice, selector, caller, a, b);
-    if opaque.is_multiple_of(4) {
-        tx.unanalyzable()
-    } else {
-        tx
-    }
+    (tx, opaque.is_multiple_of(4))
 }
 
 /// Genesis entries funding the fixture accounts and pools.

@@ -5,18 +5,21 @@
 
 use proptest::prelude::*;
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer};
-use dmvcc_core::{execute_block_serial, ExecutorKind, ParallelConfig};
-use dmvcc_integration_tests::{analyzer, decode_tx, decode_tx_opaque, genesis, registry};
+use dmvcc_analysis::{Analyzer, CSag};
+use dmvcc_core::{execute_block_serial, refine_csags, ExecutorKind, ParallelConfig};
+use dmvcc_integration_tests::{analyzer, decode_tx, decode_tx_opaque, genesis};
+use dmvcc_sim::hidden_keys;
 use dmvcc_state::{Snapshot, StateDb};
 use dmvcc_vm::{BlockEnv, Transaction};
 
 /// Every engine must commit the serial write set, statuses, per-transaction
 /// gas and Merkle root (exactly as the paper validates RQ1), with `hide` of
-/// the state keys invisible to its analyzer, and its
+/// the state keys hidden from its C-SAGs and the predictions of the
+/// `withheld` transactions withheld, and its
 /// [`dmvcc_core::ExecutorStats`] must satisfy that engine's accounting
-/// invariants.
-fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
+/// invariants. A precise block (nothing hidden or withheld) is refined by
+/// each engine itself.
+fn check_block(txs: &[Transaction], threads: usize, hide: f64, withheld: &[bool]) {
     let snapshot = Snapshot::from_entries(genesis());
     let env = BlockEnv::new(1, 1_700_000_000);
     let trace = execute_block_serial(txs, &snapshot, &analyzer(), &env);
@@ -24,22 +27,26 @@ fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
     let serial_gas: Vec<u64> = trace.txs.iter().map(|t| t.gas_used).collect();
     let serial_root = StateDb::with_genesis(genesis()).commit(&trace.final_writes);
     let n = txs.len() as u64;
+    let withheld_count = withheld.iter().filter(|&&w| w).count() as u64;
+    let lossy = (hide > 0.0 || withheld_count > 0).then(|| {
+        let refined = refine_csags(&analyzer(), txs, &snapshot, &env, 1);
+        let mut csags = hidden_keys(&refined, hide, 5);
+        for (csag, _) in csags.iter_mut().zip(withheld).filter(|(_, &w)| w) {
+            *csag = CSag::optimistic();
+        }
+        csags
+    });
 
     for kind in ExecutorKind::ALL {
-        let lossy = Analyzer::with_config(
-            registry(),
-            AnalysisConfig {
-                hide_fraction: hide,
-                seed: 5,
-                ..Default::default()
-            },
-        );
         let config = ParallelConfig {
             threads,
             ..ParallelConfig::default()
         };
-        let engine = kind.build(lossy, config, None);
-        let outcome = engine.execute_block(txs, &snapshot, &env);
+        let engine = kind.build(analyzer(), config, None);
+        let outcome = match &lossy {
+            Some(csags) => engine.execute_block_with_csags(txs, &snapshot, &env, csags),
+            None => engine.execute_block(txs, &snapshot, &env),
+        };
         let label = format!("{} (threads={threads}, hide={hide})", kind.label());
         assert_eq!(
             outcome.final_writes, trace.final_writes,
@@ -68,12 +75,10 @@ fn check_block(txs: &[Transaction], threads: usize, hide: f64) {
                 assert_eq!(stats.attempts, n + stats.validation_failures, "{label}");
                 assert!(stats.validation_failures <= n, "{label}");
             }
-            // Hidden keys push transactions onto the speculative tier,
-            // which the router strips to optimistic along with every
-            // unanalyzable transaction.
+            // The router strips every speculative-tier transaction to
+            // optimistic along with every withheld one.
             ExecutorKind::Hybrid => {
-                let unanalyzable = txs.iter().filter(|tx| !tx.analyzable).count() as u64;
-                assert!(stats.optimistic_txs >= unanalyzable, "{label}");
+                assert!(stats.optimistic_txs >= withheld_count, "{label}");
                 assert!(stats.optimistic_txs <= n, "{label}");
             }
         }
@@ -95,7 +100,7 @@ proptest! {
             .into_iter()
             .map(|(c, s, k, a, b)| decode_tx(c, s, k, a, b))
             .collect();
-        check_block(&txs, threads, 0.0);
+        check_block(&txs, threads, 0.0, &[]);
     }
 
     #[test]
@@ -107,7 +112,7 @@ proptest! {
             .into_iter()
             .map(|(c, s, k, a, b)| decode_tx(c, s, k, a, b))
             .collect();
-        check_block(&txs, 4, hide);
+        check_block(&txs, 4, hide, &[]);
     }
 
     #[test]
@@ -118,13 +123,13 @@ proptest! {
         ),
         threads in 1usize..5,
     ) {
-        // The sixth byte poisons ~a quarter of the block as unanalyzable,
-        // so the hybrid run always carries a mixed population.
-        let txs: Vec<Transaction> = raw
+        // The sixth byte withholds the predictions of ~a quarter of the
+        // block, so the hybrid run always carries a mixed population.
+        let (txs, withheld): (Vec<Transaction>, Vec<bool>) = raw
             .into_iter()
             .map(|(c, s, k, a, b, o)| decode_tx_opaque(c, s, k, a, b, o))
-            .collect();
-        check_block(&txs, threads, 0.0);
+            .unzip();
+        check_block(&txs, threads, 0.0, &withheld);
     }
 
     #[test]
@@ -135,11 +140,11 @@ proptest! {
         ),
         hide in prop::sample::select(vec![0.25f64, 0.5, 1.0]),
     ) {
-        let txs: Vec<Transaction> = raw
+        let (txs, withheld): (Vec<Transaction>, Vec<bool>) = raw
             .into_iter()
             .map(|(c, s, k, a, b, o)| decode_tx_opaque(c, s, k, a, b, o))
-            .collect();
-        check_block(&txs, 4, hide);
+            .unzip();
+        check_block(&txs, 4, hide, &withheld);
     }
 }
 
@@ -162,7 +167,7 @@ fn long_dependent_chain_all_threads() {
         // The chain is also the STM worst case: every optimistic execution
         // except the frontier's reads stale state and re-executes at its
         // commit turn — convergence and equivalence must still hold.
-        check_block(&txs, threads, 0.0);
+        check_block(&txs, threads, 0.0, &[]);
     }
 }
 
@@ -182,7 +187,7 @@ fn repeated_nft_mints_resolve_sequence_numbers() {
             ))
         })
         .collect();
-    check_block(&txs, 4, 0.0);
+    check_block(&txs, 4, 0.0, &[]);
 }
 
 #[test]

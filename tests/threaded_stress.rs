@@ -5,12 +5,13 @@
 
 use std::sync::Arc;
 
-use dmvcc_analysis::{AnalysisConfig, Analyzer};
+use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_chain::block_env;
 use dmvcc_core::{
     execute_block_serial, refine_csags, ExecutorKind, ParallelConfig, ParallelExecutor,
 };
 use dmvcc_dst::{FaultPlan, SchedConfig, VirtualScheduler};
+use dmvcc_sim::hidden_keys;
 use dmvcc_state::{Snapshot, StateDb};
 use dmvcc_vm::BlockEnv;
 use dmvcc_workload::{WorkloadConfig, WorkloadGenerator};
@@ -33,8 +34,9 @@ fn small(base: WorkloadConfig) -> WorkloadConfig {
 }
 
 /// Runs `blocks` consecutive workload blocks on every engine, with `hide`
-/// of the state keys invisible to the analyzer; each engine's MPT root
-/// chain must match the serial one block for block.
+/// of the state keys hidden from the C-SAGs (a precise chain is refined by
+/// each engine itself); each engine's MPT root chain must match the serial
+/// one block for block.
 fn run_chain(
     workload: WorkloadConfig,
     blocks: usize,
@@ -44,14 +46,7 @@ fn run_chain(
 ) {
     for kind in ExecutorKind::ALL {
         let mut generator = WorkloadGenerator::new(workload.clone());
-        let analyzer = Analyzer::with_config(
-            generator.registry().clone(),
-            AnalysisConfig {
-                hide_fraction: hide,
-                seed: 3,
-                ..Default::default()
-            },
-        );
+        let analyzer = Analyzer::new(generator.registry().clone());
         let executor = kind.build(
             analyzer.clone(),
             ParallelConfig {
@@ -67,7 +62,13 @@ fn run_chain(
             let env = block_env(height);
             let snapshot = serial_db.latest().clone();
             let trace = execute_block_serial(&txs, &snapshot, &analyzer, &env);
-            let outcome = executor.execute_block(&txs, &snapshot, &env);
+            let outcome = if hide > 0.0 {
+                let refined = refine_csags(&analyzer, &txs, &snapshot, &env, 1);
+                let csags = hidden_keys(&refined, hide, 3);
+                executor.execute_block_with_csags(&txs, &snapshot, &env, &csags)
+            } else {
+                executor.execute_block(&txs, &snapshot, &env)
+            };
             let serial_root = serial_db.commit(&trace.final_writes);
             let parallel_root = parallel_db.commit(&outcome.final_writes);
             assert_eq!(
@@ -91,28 +92,26 @@ fn run_chain(
 /// (dropped and phantom keys), on eight oversubscribed workers of every
 /// engine under the stormy virtual scheduler (preemption bursts, delayed
 /// publishes, injected abort storms, forced release gates): the serial
-/// oracle must be matched key for key and status for status. With `all_unanalyzable` every transaction is
-/// lint-flagged, so the hybrid engine degenerates to a fully optimistic
-/// run (all predictions stripped).
+/// oracle must be matched key for key and status for status. With
+/// `all_unanalyzable` every prediction is withheld, so the hybrid engine
+/// degenerates to a fully optimistic run (all predictions stripped).
 fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
     let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(seed)));
-    let analyzer = Analyzer::with_config(
-        generator.registry().clone(),
-        AnalysisConfig {
-            hide_fraction: 0.15,
-            seed,
-            ..Default::default()
-        },
-    );
+    let analyzer = Analyzer::new(generator.registry().clone());
     let genesis = Snapshot::from_entries(generator.genesis_entries());
     let env = BlockEnv::new(1, 1_700_000_000);
-    let mut txs = generator.block(120);
-    if all_unanalyzable {
-        txs = txs.into_iter().map(|tx| tx.unanalyzable()).collect();
-    }
+    let txs = generator.block(120);
     let trace = execute_block_serial(&txs, &genesis, &analyzer, &env);
     let serial_statuses: Vec<_> = trace.txs.iter().map(|t| t.status.clone()).collect();
-    let mut csags = refine_csags(&analyzer, &txs, &genesis, &env, 1);
+    let mut csags = if all_unanalyzable {
+        vec![CSag::optimistic(); txs.len()]
+    } else {
+        hidden_keys(
+            &refine_csags(&analyzer, &txs, &genesis, &env, 1),
+            0.15,
+            seed,
+        )
+    };
     FaultPlan::standard(fault_seed).perturb_csags(&mut csags);
 
     for kind in ExecutorKind::ALL {
