@@ -69,6 +69,14 @@
 //! left that could start an attempt or an abort: the store is quiescent,
 //! and the flush needs no barrier of its own.
 //!
+//! A failed worker fails the block. A panic inside an attempt is caught
+//! where the worker runs it ([`Event::attempt`]): the worker stops the
+//! block — a flag beside the idle event, which it also signals — and
+//! panics again, naming the transaction and the attempt. Every other
+//! worker returns at the top of its loop or out of its park, since an
+//! attempt never sleeps, and `on_workers` hands the panic to the caller.
+//! The optimistic engine stops the same way, its waiting reads included.
+//!
 //! Lock discipline: a thread holds at most one shard lock and at most one
 //! transaction core lock at a time, and never acquires one kind while
 //! holding the other (effects are staged and applied after unlocking).
@@ -103,10 +111,28 @@
 //!   zero on its way to its true value, never stay off it.
 //! - A decrement that leaves the count at or below zero checks admission,
 //!   and so does the end of an abort's resets (the victim's return to
-//!   `Waiting`). Either admits under the same core-lock hold if the
-//!   transaction has attempts left, and otherwise calls `try_admit`, which
-//!   holds it until every earlier transaction has finished. An increment
-//!   never admits.
+//!   `Waiting`). An increment never admits. One rule decides every check
+//!   (`Shared::admit_locked`), under the transaction's core lock: admit a
+//!   `Waiting` transaction whose count is at or below zero if it has
+//!   attempts left or the frontier has reached it.
+//! - The *frontier* is the prefix of the block seen `Finished`, in index
+//!   order. A transaction that has spent its
+//!   [`ParallelConfig::max_attempts`] — an abort storm — waits until the
+//!   frontier reaches it: everything before it has finished, so nothing
+//!   is left to abort that run. The frontier moves only once some
+//!   transaction has spent its attempts (from the start with none to
+//!   spend): the dequeue of a last speculative attempt sets a flag and
+//!   walks the frontier over what finished before, and from then on every
+//!   finish walks it on — one core lock per transaction it passes, a
+//!   compare-and-swap per step, and an admission check of the transaction
+//!   it stops at. A finish stores `Finished` under its core lock before it
+//!   loads the flag, and the flag is stored before the walk locks that
+//!   core, so one of the two walks passes the finish. An exactly predicted
+//!   block never spends an attempt and never walks.
+//! - The frontier never moves back, though a straggler's staged abort (see
+//!   "The join") can un-finish a transaction below it. Results do not
+//!   depend on it: a spent transaction admitted too early is one whose
+//!   attempt can still be aborted, which costs an attempt, not a write.
 //!
 //! Why no wake is lost. Take a `Waiting` transaction whose counted reads
 //! are all ready, with every turn reported so far applied — a suspension's
@@ -116,22 +142,26 @@
 //! the return reads the count under that lock, so the later of the two
 //! sees the earlier) — saw the count at 0 less the increments applied
 //! since, so at or below zero, and saw it `Waiting`: the check admitted
-//! it, unless spent attempts sent it to `try_admit`. A count that is
+//! it, unless it had spent its attempts and the frontier had not reached
+//! it. Then the walk that moves the frontier onto it checks it once more,
+//! under the same lock, after the move: whichever of that check and the
+//! transaction's own comes later sees the other. A count that is
 //! transiently low — a turn not yet applied — only admits early, and that
 //! attempt suspends on the blocked read like any mispredicted one.
 //!
 //! Liveness: a worker is either running an attempt, which never sleeps, or
-//! in the idle loop, whose self-heal sweep over the waiting transactions and
-//! timed park are the backstop. By the argument above the sweep only ever
-//! finds a transaction that has spent its attempts: nothing signals the
-//! end of its hold.
+//! in the idle loop, whose timed park ([`IDLE_PARK`]) only bounds the cost
+//! of a missed signal. Nothing re-checks a waiting transaction behind the
+//! wakes and the frontier: by the argument above every admission is made
+//! by one of them, and a lost one is a hang.
 //!
 //! Correctness oracle: for any interleaving, the committed write set equals
 //! the serial execution's (Theorem 1) — integration tests compare Merkle
 //! roots over randomized workloads.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -153,7 +183,9 @@ use crate::hook::SchedHook;
 use crate::rank::{BlockDag, NUM_LANES};
 use crate::sharded::{ShardStorage, ShardedSequences};
 
-/// Backstop for an idle worker with nothing to run.
+/// How long an idle worker sleeps at most before it looks at the queue
+/// again. Every admission and the block's end signal the park, so the
+/// timeout only bounds the cost of a missed signal: it admits nothing.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// Configuration of the threaded executor.
@@ -164,8 +196,9 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Speculative attempts per transaction. A transaction that has spent
     /// them — an abort storm: most of the block mispredicted on a hot key
-    /// — is next admitted only once every earlier transaction has
-    /// finished, and nothing is left to abort that run.
+    /// — is next admitted only once the finished prefix of the block
+    /// reaches it, so nothing is left to abort that run. With 0 the block
+    /// runs in order, one transaction at a time.
     pub max_attempts: u32,
 }
 
@@ -287,7 +320,8 @@ pub struct ParallelOutcome {
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Phase {
-    /// Not yet ready: some predicted read is unavailable.
+    /// Not yet ready: some counted read is blocked, or the transaction has
+    /// spent its attempts and the frontier has not reached it.
     #[default]
     Waiting,
     /// In the ready queue.
@@ -302,10 +336,14 @@ enum Phase {
 /// Waiters sample the epoch *before* checking the condition they sleep on;
 /// `signal` bumps the epoch, so a signal between sampling and sleeping
 /// turns the sleep into a no-op instead of a lost wakeup.
+///
+/// It also carries the block's stop: once a worker has panicked, every
+/// other worker of the block returns at its next check.
 #[derive(Debug, Default)]
 pub(crate) struct Event {
     epoch: Mutex<u64>,
     cond: Condvar,
+    stopped: AtomicBool,
 }
 
 impl Event {
@@ -320,10 +358,37 @@ impl Event {
     }
 
     /// Sleeps until the epoch moves past `seen` or the timeout elapses.
+    /// (Stopping the block moves the epoch.)
     pub(crate) fn wait_while(&self, seen: u64, timeout: Duration) {
         let mut epoch = self.epoch.lock();
         if *epoch == seen {
             self.cond.wait_for(&mut epoch, timeout);
+        }
+    }
+
+    /// Whether a worker of the block has panicked.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Runs attempt `attempt` of transaction `tx`. If it panics, stops the
+    /// block — every waiter wakes, and every worker returns at its next
+    /// check — and panics again naming the transaction and the attempt:
+    /// `on_workers` hands that panic to the caller once every worker has
+    /// returned.
+    pub(crate) fn attempt<R>(&self, tx: usize, attempt: u32, run: impl FnOnce() -> R) -> R {
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(result) => result,
+            Err(panic) => {
+                self.stopped.store(true, Ordering::SeqCst);
+                self.signal();
+                let message = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+                    (Some(message), _) => message,
+                    (None, Some(message)) => message.as_str(),
+                    (None, None) => "a panic without a message",
+                };
+                panic!("transaction {tx}, attempt {attempt}: {message}");
+            }
         }
     }
 }
@@ -503,8 +568,8 @@ impl BlockMeta {
     ///   entry of an earlier transaction — one bit per key — which is what
     ///   `resolve_read` answers while every entry is still pending; with
     ///   none it is [`Phase::Ready`]. (With `max_attempts == 0` every
-    ///   transaction has "spent" its attempts and waits for all earlier
-    ///   ones: only the first is ready.)
+    ///   transaction has spent its attempts and waits for the frontier,
+    ///   which stands at 0: only the first is ready.)
     ///
     /// The ranks are then swept backwards over the same ids.
     fn bind(
@@ -632,13 +697,21 @@ struct Shared<'a> {
     /// lock, so `finished == n` means every transaction is final *at that
     /// instant*; the module docs' "The join" says what makes it stay so).
     finished: AtomicUsize,
+    /// The finished prefix: every transaction below it was seen `Finished`
+    /// once, in index order. It moves only once `spent` is set, and never
+    /// back; a spent transaction is admitted once it reaches it.
+    frontier: AtomicUsize,
+    /// Set once some transaction has spent its `max_attempts` (from the
+    /// start if there are none to spend), and never cleared: attempts only
+    /// grow.
+    spent: AtomicBool,
     /// Workers currently parked with nothing to run.
     idle: AtomicUsize,
     /// Entries currently sitting in the ready queue (stale ones included).
     ready_count: AtomicUsize,
     aborts: AtomicU64,
-    /// Parked idle workers wait here; signaled when work is admitted or
-    /// the block completes.
+    /// Parked idle workers wait here; signaled when work is admitted, the
+    /// block completes or a worker panics.
     idle_event: Event,
     snapshot: &'a Snapshot,
     /// Interned per-transaction metadata (reads, publishable pcs, release
@@ -653,10 +726,6 @@ struct Shared<'a> {
     /// Optional scheduling hook (`None` in production; see
     /// [`crate::SchedHook`]).
     hook: Option<Arc<dyn SchedHook>>,
-    /// Transactions the idle sweep admitted that had attempts left: wakes
-    /// the exact admission path lost.
-    #[cfg(test)]
-    lost_wakes: AtomicUsize,
 }
 
 impl Shared<'_> {
@@ -705,12 +774,14 @@ impl Shared<'_> {
         runs && higher.iter().any(|count| count.load(Ordering::SeqCst) > 0)
     }
 
-    /// Under `tx`'s core lock: queues nothing, but marks a `Waiting`
-    /// transaction `Ready` and returns its generation if admitting it needs
-    /// no check beyond the lock — no counted read blocked, attempts left.
+    /// The one admission rule, under `tx`'s core lock: queues nothing, but
+    /// marks a `Waiting` transaction `Ready` and returns its generation if
+    /// no counted read of it is blocked and it either has attempts left or
+    /// the frontier has reached it.
     fn admit_locked(&self, tx: usize, core: &mut TxCore) -> Option<u32> {
-        let spent = core.attempts >= self.max_attempts;
-        if core.phase != Phase::Waiting || self.counted_blocked(tx) || spent {
+        let held =
+            || core.attempts >= self.max_attempts && self.frontier.load(Ordering::SeqCst) < tx;
+        if core.phase != Phase::Waiting || self.counted_blocked(tx) || held() {
             return None;
         }
         core.phase = Phase::Ready;
@@ -720,87 +791,52 @@ impl Shared<'_> {
         Some(self.generation_of(tx))
     }
 
+    /// Checks `tx`'s admission under its core lock, and queues it if
+    /// admitted.
+    fn admit(&self, tx: usize) {
+        let queued = self.admit_locked(tx, &mut self.states[tx].core.lock());
+        if let Some(generation) = queued {
+            self.push_ready(tx, generation);
+        }
+    }
+
     /// An exact wake: one of `tx`'s counted reads turned ready. The count
     /// goes down without a lock; only a decrement that releases the
-    /// transaction checks admission — under the core lock, which queues it
-    /// under the same hold or, if it has spent its attempts, hands it to
-    /// [`Self::try_admit`]. Returns whether it checked. (The decrement
-    /// comes before the lock, and the return to `Waiting` reads the count
-    /// under it: one of the two sees the other.)
+    /// transaction checks admission. Returns whether it checked. (The
+    /// decrement comes before the lock, and the return to `Waiting` reads
+    /// the count under it: one of the two sees the other.)
     fn wake(&self, tx: usize) -> bool {
         if self.states[tx].blocked_reads.fetch_sub(1, Ordering::SeqCst) > 1 {
             return false;
         }
-        let queued = {
-            let mut core = self.states[tx].core.lock();
-            if core.phase != Phase::Waiting {
-                return true;
-            }
-            self.admit_locked(tx, &mut core)
-        };
-        match queued {
-            Some(generation) => self.push_ready(tx, generation),
-            None => {
-                self.try_admit(tx);
-            }
-        }
+        self.admit(tx);
         true
+    }
+
+    /// Moves the frontier over every transaction it finds `Finished`, one
+    /// core lock at a time, and checks the admission of the one it stops
+    /// at: spent or not, that transaction waits for nothing before it.
+    /// Concurrent walks agree by compare-and-swap; whichever moves the
+    /// frontier onto a transaction also locks that transaction's core, so
+    /// its own later check under that lock sees the move.
+    fn advance_frontier(&self) {
+        let mut at = self.frontier.load(Ordering::SeqCst);
+        while at < self.txs.len() {
+            if self.states[at].core.lock().phase != Phase::Finished {
+                self.admit(at);
+                return;
+            }
+            let moved =
+                self.frontier
+                    .compare_exchange(at, at + 1, Ordering::SeqCst, Ordering::SeqCst);
+            at = moved.map_or_else(|now| now, |_| at + 1);
+        }
     }
 
     /// One of `tx`'s counted reads turned blocked, or a read became counted
     /// while blocked.
     fn reblock(&self, tx: usize) {
         self.states[tx].blocked_reads.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Admits `tx` to the ready queue if it is waiting and none of its
-    /// counted reads is blocked, holding back a transaction that has spent
-    /// its `max_attempts` until every earlier transaction has finished.
-    /// Aborts only ever come from an earlier transaction's version
-    /// changing, so that run is final: an abort storm costs re-executions,
-    /// never the block's completion. Nothing signals the hold's end; the
-    /// workers' self-heal sweep (which runs whenever a worker finds the
-    /// ready queue empty) re-tries it.
-    fn try_admit(&self, tx: usize) -> bool {
-        let spent = {
-            let core = self.states[tx].core.lock();
-            if core.phase != Phase::Waiting || self.counted_blocked(tx) {
-                return false;
-            }
-            core.attempts >= self.max_attempts
-        };
-        // Checked in index order, so each `Finished` seen is final: every
-        // transaction that could still abort it was seen finished first.
-        if spent && !(0..tx).all(|i| self.states[i].core.lock().phase == Phase::Finished) {
-            return false;
-        }
-        let generation = {
-            let mut core = self.states[tx].core.lock();
-            if core.phase != Phase::Waiting || self.counted_blocked(tx) {
-                return false;
-            }
-            core.phase = Phase::Ready;
-            self.generation_of(tx)
-        };
-        self.push_ready(tx, generation);
-        true
-    }
-
-    /// The idle worker's self-heal sweep: [`Self::try_admit`] over every
-    /// transaction. Returns whether it admitted any.
-    fn sweep(&self) -> bool {
-        let mut admitted = false;
-        for tx in 0..self.txs.len() {
-            #[cfg(test)]
-            let owned_by_wakes = self.states[tx].core.lock().attempts < self.max_attempts;
-            let now = self.try_admit(tx);
-            #[cfg(test)]
-            if now && owned_by_wakes {
-                self.lost_wakes.fetch_add(1, Ordering::SeqCst);
-            }
-            admitted |= now;
-        }
-        admitted
     }
 
     /// Aborts `root` (Algorithm 4) and cascades to readers of its
@@ -829,11 +865,11 @@ impl Shared<'_> {
                 let next = generation.wrapping_add(1);
                 self.states[victim].generation.store(next, Ordering::SeqCst);
                 // Park the victim in a *non-admissible* phase while its
-                // entries are reset below: `try_admit` only admits
+                // entries are reset below: `admit_locked` only admits
                 // `Waiting` transactions, so no new attempt can start (and
                 // publish) until this cascade's resets are done. Demoting
                 // straight to `Waiting` here loses writes: a concurrent
-                // admission (idle self-heal, an `allowed` effect) can run
+                // admission (the frontier, an `allowed` effect) can run
                 // the new attempt to completion between our generation
                 // bump and a straggling reset, which then silently
                 // re-pends the new attempt's published version — nothing
@@ -881,10 +917,6 @@ impl Shared<'_> {
                 self.push_ready(victim, generation);
             }
         }
-        // Re-admit everything the cascade touched or unblocked.
-        for victim in seen {
-            self.try_admit(victim);
-        }
         for reader in wakes {
             self.wake(reader);
         }
@@ -910,23 +942,32 @@ impl Shared<'_> {
 
     /// Marks `tx` finished with `status` after charging `gas_used`. The
     /// counter increment happens under the core lock so `finished` never
-    /// exceeds the number of transactions whose phase is `Finished`.
+    /// exceeds the number of transactions whose phase is `Finished`. Once
+    /// some transaction has spent its attempts, every finish also moves
+    /// the frontier: the `Finished` store under the core lock comes before
+    /// the flag's load, and the flag's store before the first walk's lock
+    /// of the same core, so one of the two walks sees this finish.
     fn finish(&self, tx: usize, generation: u32, status: ExecStatus, gas_used: u64) {
         // Commit decision point — observed before the core lock so a
         // stalling hook delays this commit, never other transactions.
         if let Some(hook) = self.hook() {
             hook.on_commit(tx);
         }
-        let mut core = self.states[tx].core.lock();
-        if self.generation_of(tx) != generation {
-            return; // aborted concurrently; the new attempt supersedes us
+        {
+            let mut core = self.states[tx].core.lock();
+            if self.generation_of(tx) != generation {
+                return; // aborted concurrently; the new attempt supersedes us
+            }
+            core.phase = Phase::Finished;
+            core.status = Some(status);
+            core.gas_used = gas_used;
+            let done = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
+            if done == self.txs.len() {
+                self.idle_event.signal();
+            }
         }
-        core.phase = Phase::Finished;
-        core.status = Some(status);
-        core.gas_used = gas_used;
-        let done = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
-        if done == self.txs.len() {
-            self.idle_event.signal();
+        if self.spent.load(Ordering::SeqCst) {
+            self.advance_frontier();
         }
     }
 }
@@ -1367,6 +1408,8 @@ impl ParallelExecutor {
             lanes,
             lane_counts: lane_counts.into_iter().map(AtomicUsize::new).collect(),
             finished: AtomicUsize::new(0),
+            frontier: AtomicUsize::new(0),
+            spent: AtomicBool::new(self.config.max_attempts == 0),
             idle: AtomicUsize::new(0),
             ready_count: AtomicUsize::new(lane_counts.iter().sum()),
             aborts: AtomicU64::new(0),
@@ -1379,20 +1422,19 @@ impl ParallelExecutor {
             threads: self.config.threads.clamp(1, n),
             max_attempts: self.config.max_attempts,
             hook: self.hook.clone(),
-            #[cfg(test)]
-            lost_wakes: AtomicUsize::new(0),
         };
         (shared, bytes_saved)
     }
 
     /// One worker: runs ready transactions until it sees the block
-    /// finished at the top of its loop, with nothing of its own in flight.
-    /// Returns what it counted.
+    /// finished at the top of its loop, with nothing of its own in flight,
+    /// or sees it stopped. Returns what it counted.
     fn worker(&self, shared: &Shared<'_>, block_env: &BlockEnv) -> ExecutorStats {
         let n = shared.txs.len();
         let mut own = Scratch::default();
+        let done = || shared.finished.load(Ordering::SeqCst) == n || shared.idle_event.stopped();
         loop {
-            if shared.finished.load(Ordering::SeqCst) == n {
+            if done() {
                 own.stats.execute_digests = own.memo.counts();
                 return own.stats;
             }
@@ -1409,7 +1451,15 @@ impl ParallelExecutor {
                     }
                 };
                 own.stats.rank_inversions += u64::from(shared.note_dequeue(tx, run.is_some()));
-                if let Some(attempt) = run {
+                let Some(attempt) = run else {
+                    continue;
+                };
+                // The last speculative attempt: from now on the frontier
+                // moves, and it catches up with what finished before.
+                if attempt == shared.max_attempts && !shared.spent.swap(true, Ordering::SeqCst) {
+                    shared.advance_frontier();
+                }
+                shared.idle_event.attempt(tx, attempt, || {
                     if let Some(hook) = shared.hook() {
                         hook.on_dequeue(tx, attempt);
                         // Fault injection: abort storms on demand. The
@@ -1418,24 +1468,17 @@ impl ParallelExecutor {
                         // lands between dequeue and first read.
                         if hook.inject_abort(tx, attempt) {
                             shared.abort_cascade(tx);
-                            continue;
+                            return;
                         }
                     }
                     self.run_attempt(shared, block_env, tx, generation, &mut own);
-                }
-                continue;
-            }
-            // Self-heal: re-check all waiting transactions before idling
-            // (the backstop of the module docs' liveness note).
-            if shared.sweep() {
+                });
                 continue;
             }
             let seen = shared.idle_event.epoch();
             // Re-check for work after sampling the epoch: a push between
             // the failed pop above and here would otherwise be sleepable.
-            if shared.ready_count.load(Ordering::SeqCst) > 0
-                || shared.finished.load(Ordering::SeqCst) == n
-            {
+            if shared.ready_count.load(Ordering::SeqCst) > 0 || done() {
                 continue;
             }
             shared.idle.fetch_add(1, Ordering::SeqCst);
@@ -1692,9 +1735,10 @@ mod tests {
     #[test]
     fn spent_attempts_serialize_the_transaction_instead_of_failing_it() {
         // An abort storm by construction: every transaction reads and
-        // writes one counter, none is predicted to, and one speculative
-        // attempt is all each gets. The rest of the block must still run —
-        // each transaction once more, after everything before it.
+        // writes one counter, none is predicted to, and a few speculative
+        // attempts, or none, are all each gets. The rest of the block must
+        // still run — each transaction once more, after everything before
+        // it.
         let txs: Vec<Transaction> = (0..48)
             .map(|i| {
                 Transaction::call(TxEnv::call(
@@ -1704,22 +1748,33 @@ mod tests {
                 ))
             })
             .collect();
-        let analyzer = Analyzer::new(registry());
-        let config = ParallelConfig {
-            threads: 4,
-            max_attempts: 1,
-        };
-        let env = BlockEnv::default();
-        let snapshot = Snapshot::empty();
-        let outcome = ParallelExecutor::new(analyzer, config).execute_block_with_csags(
-            &txs,
-            &snapshot,
-            &env,
-            &vec![CSag::default(); txs.len()],
-        );
-        assert_eq!(outcome.final_writes, serial_writes(&txs, &snapshot));
-        assert_eq!(outcome.statuses, vec![ExecStatus::Success; txs.len()]);
-        assert!(outcome.stats.attempts <= 2 * txs.len() as u64);
+        let (env, snapshot) = (BlockEnv::default(), Snapshot::empty());
+        let expected = serial_writes(&txs, &snapshot);
+        let blind = vec![CSag::default(); txs.len()];
+        for (threads, max_attempts) in [1, 2, 4].into_iter().flat_map(|t| [(t, 0), (t, 1), (t, 2)])
+        {
+            let config = ParallelConfig {
+                threads,
+                max_attempts,
+            };
+            let exec = ParallelExecutor::new(Analyzer::new(registry()), config);
+            let outcome = within(WATCHDOG, "an abort storm", || {
+                exec.execute_block_with_csags(&txs, &snapshot, &env, &blind)
+            });
+            let label = format!("{threads} workers, {max_attempts} attempts");
+            assert_eq!(outcome.final_writes, expected, "{label}");
+            assert_eq!(
+                outcome.statuses,
+                vec![ExecStatus::Success; txs.len()],
+                "{label}"
+            );
+            let bound = (u64::from(max_attempts) + 1) * txs.len() as u64;
+            assert!(
+                outcome.stats.attempts <= bound,
+                "{label}: {}",
+                outcome.stats.attempts
+            );
+        }
     }
 
     /// A block built to suspend: tx 0 writes the counter, and the `n - 1`
@@ -2053,13 +2108,38 @@ mod tests {
         shared
     }
 
-    #[test]
-    fn exact_wakes_leave_the_idle_sweep_nothing_to_admit() {
-        // A high-contention block: token transfers among eight funded
-        // holders, mints to them, and hot counter increments, checked and
-        // commutative. Every admission after the bind of a transaction with
-        // attempts left must come from a wake or a cascade's own
-        // re-admission — never from the idle sweep behind the 1 ms park.
+    /// How long a test block may take under [`within`]: far beyond any
+    /// correct run of these tests, even unoptimised on a busy host.
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// Runs `work` on the calling thread with a watchdog beside it. A lost
+    /// wake or a wedged worker is a hang, not a slow run, so past `limit`
+    /// the watchdog names `what` and ends the test binary instead of
+    /// leaving it to hang.
+    fn within<R>(limit: Duration, what: &str, work: impl FnOnce() -> R) -> R {
+        let (done, watched) = std::sync::mpsc::channel::<()>();
+        let watchdog = move || {
+            let outcome = watched.recv_timeout(limit);
+            if outcome == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                // Past the harness's capture, which the exit would discard.
+                let message = format!("{what} did not return within {limit:?}\n");
+                let _ = std::io::Write::write_all(&mut std::io::stderr(), message.as_bytes());
+                std::process::exit(101);
+            }
+        };
+        let work = move || {
+            // Dropped on return and on unwinding alike: the watchdog stands
+            // down either way.
+            let _done = done;
+            work()
+        };
+        dmvcc_primitives::workers::beside(2, watchdog, work).1
+    }
+
+    /// A high-contention block of `n` transactions: token transfers among
+    /// eight funded holders, mints to them, and hot counter increments,
+    /// checked and commutative.
+    fn contended_block(n: u64) -> (Vec<Transaction>, Snapshot) {
         let token_balance = |holder: u64| {
             let holder = Address::from_u64(holder).to_u256();
             StateKey::storage(Address::from_u64(TOKEN), contracts::map_slot(holder, 1))
@@ -2074,7 +2154,7 @@ mod tests {
             );
             Transaction::call(env)
         };
-        let txs: Vec<Transaction> = (0..2_000u64)
+        let txs = (0..n)
             .map(|i| match i % 5 {
                 0 => mint(900 + i, 1 + i % 8, 10),
                 1 | 2 => transfer(1 + i % 8, 1 + (3 * i + 1) % 8, 1),
@@ -2082,6 +2162,126 @@ mod tests {
                 _ => counter(900 + i, contracts::counter_fn::INCREMENT_CHECKED),
             })
             .collect();
+        (txs, snapshot)
+    }
+
+    #[test]
+    fn spent_transactions_run_as_the_finished_prefix_reaches_them() {
+        // No speculative attempt to spend and no prediction at all: every
+        // transaction waits for everything before it, so the block runs in
+        // order, each admitted by the finish that reaches it.
+        let (txs, snapshot) = contended_block(1_200);
+        let env = BlockEnv::default();
+        let analyzer = Analyzer::new(registry());
+        let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
+        let config = ParallelConfig {
+            threads: 2,
+            max_attempts: 0,
+        };
+        let exec = ParallelExecutor::new(analyzer, config);
+        let blind = vec![CSag::optimistic(); txs.len()];
+        let start = Instant::now();
+        let outcome = within(Duration::from_secs(1), "the spent block", || {
+            exec.execute_block_with_csags(&txs, &snapshot, &env, &blind)
+        });
+        eprintln!("spent block: {:?}", start.elapsed());
+        assert_eq!(outcome.final_writes, trace.final_writes);
+        assert_eq!(outcome.stats.attempts, txs.len() as u64);
+        assert_eq!(outcome.aborts, 0);
+    }
+
+    #[test]
+    fn a_last_attempt_catches_the_frontier_up_with_what_finished_before() {
+        // One worker runs the block in order, and both speculative
+        // attempts of the last transaction are aborted after everything
+        // before it has finished — finishes that walked nothing, since
+        // nothing had spent its attempts yet. No finish is left to move the
+        // frontier: the dequeue of the last attempt has to.
+        #[derive(Debug)]
+        struct AbortLast(usize);
+        impl SchedHook for AbortLast {
+            fn inject_abort(&self, tx: usize, attempt: u32) -> bool {
+                tx == self.0 && attempt <= 2
+            }
+        }
+        let txs: Vec<_> = (0..8).map(|i| mint(900 + i, 1 + i, 5)).collect();
+        let config = ParallelConfig {
+            threads: 1,
+            max_attempts: 2,
+        };
+        let hook = Arc::new(AbortLast(txs.len() - 1));
+        let exec = ParallelExecutor::new(Analyzer::new(registry()), config).with_hook(hook);
+        let outcome = within(WATCHDOG, "a block whose last attempt is spent", || {
+            exec.execute_block(&txs, &Snapshot::empty(), &BlockEnv::default())
+        });
+        assert_eq!(
+            outcome.final_writes,
+            serial_writes(&txs, &Snapshot::empty())
+        );
+        assert_eq!(outcome.stats.attempts, txs.len() as u64 + 2);
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_block_on_every_engine() {
+        // A worker that panics mid-block must not wedge the others: the
+        // block ends, and its caller gets the panic, naming the transaction
+        // and the attempt.
+        #[derive(Debug)]
+        struct PanicAt {
+            tx: usize,
+            at_publish: bool,
+        }
+        impl SchedHook for PanicAt {
+            fn on_dequeue(&self, tx: usize, _attempt: u32) {
+                assert!(tx != self.tx || self.at_publish, "dequeued");
+            }
+            fn on_publish(&self, tx: usize, _key: &StateKey, _delta: bool) {
+                assert!(tx != self.tx || !self.at_publish, "published");
+            }
+        }
+        // Transaction 9 moves tokens that transaction 8 minted.
+        let txs: Vec<_> = (0..40)
+            .map(|i| match i % 4 {
+                0 => mint(900 + i, 1 + i, 50),
+                _ => transfer(i - i % 4 + 1, 100 + i, 3),
+            })
+            .collect();
+        for kind in crate::ExecutorKind::ALL {
+            for (threads, at_publish) in [1, 2, 4].into_iter().flat_map(|t| [(t, false), (t, true)])
+            {
+                let hook = Arc::new(PanicAt { tx: 9, at_publish });
+                let config = ParallelConfig {
+                    threads,
+                    ..ParallelConfig::default()
+                };
+                let engine = kind.build(Analyzer::new(registry()), config, Some(hook));
+                let run = || engine.execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
+                let failed = within(WATCHDOG, "a block with a panicking worker", || {
+                    catch_unwind(AssertUnwindSafe(run))
+                });
+                let label = format!(
+                    "{}, {threads} workers, at publish: {at_publish}",
+                    kind.label()
+                );
+                let panic = failed.expect_err(&label);
+                let message = panic.downcast_ref::<String>().expect(&label);
+                let site = if at_publish { "published" } else { "dequeued" };
+                assert!(
+                    message.starts_with("transaction 9, attempt "),
+                    "{label}: {message}"
+                );
+                assert!(message.ends_with(site), "{label}: {message}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_wakes_alone_run_contended_and_suspending_blocks_to_the_end() {
+        // Nothing re-checks a waiting transaction behind the exact wakes: a
+        // transaction with attempts left is admitted by a wake or by its
+        // cascade's return to `Waiting`, or never. A lost wake is a hang,
+        // and the watchdog fails it.
+        let (txs, snapshot) = contended_block(2_000);
         let env = BlockEnv::default();
         let analyzer = Analyzer::new(registry());
         let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
@@ -2095,31 +2295,27 @@ mod tests {
             waiting.count() > 1_000,
             "most of the block waits at the bind"
         );
+        let run = |txs: &[Transaction], csags: &[CSag], snapshot: &Snapshot, threads| {
+            within(WATCHDOG, "an exactly woken block", || {
+                executor(threads).execute_block_with_csags(txs, snapshot, &env, csags)
+            })
+        };
         for threads in [1, 2] {
-            let shared = run_bound(&executor(threads), &txs, &snapshot, &csags);
+            let outcome = run(&txs, &csags, &snapshot, threads);
             assert_eq!(
-                shared.sequences.final_writes(&snapshot, threads),
-                trace.final_writes
-            );
-            assert_eq!(
-                shared.lost_wakes.load(Ordering::SeqCst),
-                0,
+                outcome.final_writes, trace.final_writes,
                 "{threads} workers"
             );
         }
-        // Nor does the sweep re-admit a suspended transaction: the wake of
-        // its counted read does.
+        // Nor does anything but the wake of its counted read re-admit a
+        // suspended transaction.
         let (txs, csags) = suspension_block(6);
         let snapshot = Snapshot::empty();
         let trace = crate::oracle::execute_block_serial(&txs, &snapshot, &analyzer, &env);
         for threads in [1, 2, 4] {
-            let shared = run_bound(&executor(threads), &txs, &snapshot, &csags);
-            assert_eq!(
-                shared.sequences.final_writes(&snapshot, threads),
-                trace.final_writes
-            );
-            let lost = shared.lost_wakes.load(Ordering::SeqCst);
-            assert_eq!(lost, 0, "suspension block, {threads} workers");
+            let outcome = run(&txs, &csags, &snapshot, threads);
+            let label = format!("suspension block, {threads} workers");
+            assert_eq!(outcome.final_writes, trace.final_writes, "{label}");
         }
     }
 
@@ -2271,8 +2467,9 @@ mod tests {
     }
 
     mod binding {
-        //! The binding pass against what it replaced: a `try_admit` sweep,
-        //! `BlockDag::build`, and a per-transaction rebuild of the metadata.
+        //! The binding pass against what it replaced: an admission check of
+        //! every transaction, `BlockDag::build`, and a per-transaction
+        //! rebuild of the metadata.
 
         use super::*;
         use crate::access::AccessSequence;
@@ -2366,8 +2563,8 @@ mod tests {
                 // Each transaction's count of blocked reads is what
                 // `resolve_read` answers on the freshly predicted store; the
                 // first ready set, those with none, is queued in block
-                // order, each entry in its rank's lane — and a sweep finds
-                // nothing to add.
+                // order, each entry in its rank's lane — and checking the
+                // admission of every transaction finds nothing to add.
                 let blocked = |tx: usize| {
                     let reads = shared.meta.tx(tx).reads.iter();
                     let blocked = reads.filter(|&&(id, ref key)| {
@@ -2400,7 +2597,8 @@ mod tests {
                     let expected = if ready.contains(&tx) { Phase::Ready } else { Phase::Waiting };
                     prop_assert_eq!(phase, expected);
                     prop_assert_eq!(blocked_reads, blocked(tx));
-                    prop_assert!(!shared.try_admit(tx));
+                    let mut core = shared.states[tx].core.lock();
+                    prop_assert_eq!(shared.admit_locked(tx, &mut core), None);
                 }
 
                 // Ranks and lanes swept over the pass's ids are the public
@@ -2478,16 +2676,41 @@ mod tests {
             }
 
             #[test]
-            fn no_attempts_to_spend_queues_only_the_first(draws in draws()) {
+            fn no_attempts_to_spend_queues_only_the_first(draws in draws(), reached in 0usize..16) {
                 let csags: Vec<CSag> = draws.into_iter().map(csag).collect();
-                let txs = vec![mint(900, 1, 1); csags.len()];
+                let n = csags.len();
+                let txs = vec![mint(900, 1, 1); n];
                 let snapshot = Snapshot::empty();
                 let config = ParallelConfig { threads: 2, max_attempts: 0 };
                 let exec = ParallelExecutor::new(Analyzer::new(registry()), config);
                 let shared = bound(&exec, &txs, &snapshot, &csags);
-                prop_assert_eq!(queued(&shared), vec![(0, 0, shared.dag.lane_of(0))]);
-                for tx in 0..csags.len() {
-                    prop_assert!(!shared.try_admit(tx));
+                let first = (0, 0, shared.dag.lane_of(0));
+                prop_assert_eq!(queued(&shared), vec![first]);
+                prop_assert!(shared.spent.load(Ordering::SeqCst));
+                // Every other transaction is held, blocked or not: the
+                // frontier has not reached it.
+                for tx in 0..n {
+                    let mut core = shared.states[tx].core.lock();
+                    prop_assert_eq!(shared.admit_locked(tx, &mut core), None);
+                }
+                // Once a prefix has finished, the walk moves the frontier
+                // over it and admits the transaction it stops at, if none
+                // of that one's counted reads is blocked — and no other.
+                let reached = reached.min(n);
+                for state in &shared.states[..reached] {
+                    state.core.lock().phase = Phase::Finished;
+                }
+                shared.advance_frontier();
+                prop_assert_eq!(shared.frontier.load(Ordering::SeqCst), reached);
+                let mut expected = vec![first];
+                if (1..n).contains(&reached) && !shared.counted_blocked(reached) {
+                    expected.push((reached, 0, shared.dag.lane_of(reached)));
+                    expected.sort_by_key(|&(tx, _, lane)| (lane, tx));
+                }
+                prop_assert_eq!(queued(&shared), expected);
+                for tx in reached + 1..n {
+                    let mut core = shared.states[tx].core.lock();
+                    prop_assert_eq!(shared.admit_locked(tx, &mut core), None);
                 }
             }
         }

@@ -135,11 +135,20 @@ impl StmShared<'_> {
     /// Resolves the external (non-own) component of a read, waiting out
     /// re-pended versions. Such a version's owner is the commit-lock holder
     /// mid-re-execution, which never waits on this reader — so the spin
-    /// is deadlock-free and short.
-    fn resolve_external(&self, id: KeyId, key: &StateKey, reader: usize) -> U256 {
+    /// is deadlock-free and short, unless that holder panicked: then the
+    /// block has stopped, and the read gives up.
+    fn resolve_external(
+        &self,
+        id: KeyId,
+        key: &StateKey,
+        reader: usize,
+    ) -> Result<U256, HostError> {
         let mut spins = 0u32;
         loop {
             let seen = self.progress.epoch();
+            if self.progress.stopped() {
+                return Err(HostError::Aborted);
+            }
             let resolution =
                 self.sequences
                     .shard_for(id)
@@ -148,7 +157,7 @@ impl StmShared<'_> {
                 if let Some(hook) = self.hook {
                     hook.on_stm_read(reader, key, spins > 0);
                 }
-                return value;
+                return Ok(value);
             }
             spins += 1;
             if spins <= ESTIMATE_SPINS {
@@ -172,7 +181,7 @@ impl StmShared<'_> {
     fn validate(&self, tx: usize, reads: &[(KeyId, U256)]) -> bool {
         reads.iter().all(|&(id, expected)| {
             let key = self.sequences.interner().resolve(id);
-            self.resolve_external(id, &key, tx) == expected
+            self.resolve_external(id, &key, tx) == Ok(expected)
         })
     }
 }
@@ -197,7 +206,7 @@ impl Host for StmHost<'_, '_> {
             Ok(value) => return Ok(value),
             Err(delta) => delta,
         };
-        let external = self.shared.resolve_external(id, &key, self.tx);
+        let external = self.shared.resolve_external(id, &key, self.tx)?;
         self.reads.push((id, external));
         Ok(external.wrapping_add(own_delta))
     }
@@ -292,44 +301,23 @@ fn publish(shared: &StmShared<'_>, tx: usize, mut ops: Vec<(KeyId, VersionOp)>, 
 
 /// Drains the commit tail if the commit lock is free: validate the next
 /// transaction in serial order, re-execute it in place on failure, commit,
-/// advance. Runs until the cursor hits an unexecuted transaction.
+/// advance. Runs until the cursor hits an unexecuted transaction, or the
+/// block stops.
 fn try_commit(shared: &StmShared<'_>, memo: &mut KeccakMemo) {
     let n = shared.txs.len();
     let Some(mut next) = shared.commit_next.try_lock() else {
         return;
     };
-    while *next < n {
+    while *next < n && !shared.progress.stopped() {
         let t = *next;
         let mut slot = shared.slots[t].lock();
         if slot.status.is_none() {
             return; // Not yet executed; a later pass resumes here.
         }
-        let ok = shared.validate(t, &slot.reads);
-        shared.validations.fetch_add(1, Ordering::Relaxed);
-        if let Some(hook) = shared.hook {
-            hook.on_validate(t, slot.execs, ok);
-        }
-        if !ok {
-            shared.validation_failures.fetch_add(1, Ordering::Relaxed);
-            shared.aborts.fetch_add(1, Ordering::Relaxed);
-            if let Some(hook) = shared.hook {
-                hook.on_abort(t, t);
-            }
-            // Doom the stale versions, then re-execute at the commit
-            // turn: everything below is final, so this run is serial.
-            let doomed = slot.published.iter().map(|&id| (id, VersionOp::Reset));
-            apply_versions(shared, t, &mut doomed.collect::<Vec<_>>());
-            let run = execute_tx(shared, t, memo);
-            shared.attempts.fetch_add(1, Ordering::Relaxed);
-            slot.execs += 1;
-            slot.status = Some(run.status);
-            slot.gas_used = run.gas_used;
-            slot.reads = run.reads;
-            publish(shared, t, run.entries, &mut slot);
-        }
-        if let Some(hook) = shared.hook {
-            hook.on_commit(t);
-        }
+        let attempt = slot.execs + 1;
+        shared
+            .progress
+            .attempt(t, attempt, || commit(shared, t, &mut slot, memo));
         drop(slot);
         shared.committed.fetch_add(1, Ordering::Release);
         *next = t + 1;
@@ -337,39 +325,73 @@ fn try_commit(shared: &StmShared<'_>, memo: &mut KeccakMemo) {
     }
 }
 
+/// Validates `t` at its commit turn and, if a read went stale, re-executes
+/// it in place.
+fn commit(shared: &StmShared<'_>, t: usize, slot: &mut TxSlot, memo: &mut KeccakMemo) {
+    let ok = shared.validate(t, &slot.reads);
+    shared.validations.fetch_add(1, Ordering::Relaxed);
+    if let Some(hook) = shared.hook {
+        hook.on_validate(t, slot.execs, ok);
+    }
+    if !ok {
+        shared.validation_failures.fetch_add(1, Ordering::Relaxed);
+        shared.aborts.fetch_add(1, Ordering::Relaxed);
+        if let Some(hook) = shared.hook {
+            hook.on_abort(t, t);
+        }
+        // Doom the stale versions, then re-execute at the commit
+        // turn: everything below is final, so this run is serial.
+        let doomed = slot.published.iter().map(|&id| (id, VersionOp::Reset));
+        apply_versions(shared, t, &mut doomed.collect::<Vec<_>>());
+        let run = execute_tx(shared, t, memo);
+        shared.attempts.fetch_add(1, Ordering::Relaxed);
+        slot.execs += 1;
+        slot.status = Some(run.status);
+        slot.gas_used = run.gas_used;
+        slot.reads = run.reads;
+        publish(shared, t, run.entries, slot);
+    }
+    if let Some(hook) = shared.hook {
+        hook.on_commit(t);
+    }
+}
+
 /// One worker: alternate between draining the commit tail and claiming
 /// the next transaction for optimistic execution; park when both are dry.
-/// Returns what the worker's digest memo was asked for and computed.
+/// Returns, once the block is committed or stopped, what the worker's
+/// digest memo was asked for and computed.
 fn worker(shared: &StmShared<'_>) -> DigestCounts {
     let n = shared.txs.len();
     let mut memo = KeccakMemo::default();
+    let done = || shared.committed.load(Ordering::Acquire) >= n || shared.progress.stopped();
     loop {
         try_commit(shared, &mut memo);
-        if shared.committed.load(Ordering::Acquire) >= n {
+        if done() {
             return memo.counts();
         }
         let t = shared.next_execute.fetch_add(1, Ordering::Relaxed);
         if t < n {
-            if let Some(hook) = shared.hook {
-                hook.on_dequeue(t, 1);
-            }
-            let run = execute_tx(shared, t, &mut memo);
-            shared.attempts.fetch_add(1, Ordering::Relaxed);
-            let mut slot = shared.slots[t].lock();
-            publish(shared, t, run.entries, &mut slot);
-            slot.execs = 1;
-            slot.gas_used = run.gas_used;
-            slot.reads = run.reads;
-            // Publish-before-status: the commit cursor only looks at a
-            // slot whose status is set, under the same lock.
-            slot.status = Some(run.status);
-            drop(slot);
+            shared.progress.attempt(t, 1, || {
+                if let Some(hook) = shared.hook {
+                    hook.on_dequeue(t, 1);
+                }
+                let run = execute_tx(shared, t, &mut memo);
+                shared.attempts.fetch_add(1, Ordering::Relaxed);
+                let mut slot = shared.slots[t].lock();
+                publish(shared, t, run.entries, &mut slot);
+                slot.execs = 1;
+                slot.gas_used = run.gas_used;
+                slot.reads = run.reads;
+                // Publish-before-status: the commit cursor only looks at a
+                // slot whose status is set, under the same lock.
+                slot.status = Some(run.status);
+            });
             shared.progress.signal();
             continue;
         }
         // Nothing left to execute: wait for the commit tail to advance.
         let seen = shared.progress.epoch();
-        if shared.committed.load(Ordering::Acquire) >= n {
+        if done() {
             return memo.counts();
         }
         if let Some(hook) = shared.hook {

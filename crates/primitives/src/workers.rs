@@ -16,7 +16,10 @@
 //!   did can still be running after it: a stage that follows the call has
 //!   the stage before it to itself.
 //! - A worker that panics takes the caller with it, with the worker's own
-//!   message, once the others have finished.
+//!   message, once the others have finished. A loop over shares finishes
+//!   by itself; a loop that waits for other workers — a block executor's —
+//!   has to be told to stop, and the executors stop on a flag the
+//!   panicking worker sets.
 
 use std::panic::resume_unwind;
 use std::sync::Mutex;
@@ -128,6 +131,20 @@ mod tests {
         let caller = current().id();
         on_workers(3, || {
             assert!(current().id() == caller, "a spawned worker gave up");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "share 7 gave up")]
+    fn a_panicking_share_ends_the_stage() {
+        // What the refine, flush and hash stages do: no worker waits for
+        // another, so the rest drain the shares, return, and the panic
+        // reaches the caller.
+        let shares = Shares::new(0..100);
+        on_workers(3, || {
+            while let Some(share) = shares.next() {
+                assert!(share != 7, "share {share} gave up");
+            }
         });
     }
 

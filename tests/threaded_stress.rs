@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use dmvcc_analysis::{Analyzer, CSag};
 use dmvcc_chain::block_env;
+use dmvcc_core::SchedHook;
 use dmvcc_core::{
     execute_block_serial, refine_csags, ExecutorKind, ParallelConfig, ParallelExecutor,
 };
@@ -95,7 +96,9 @@ fn run_chain(
 /// oracle must be matched key for key and status for status. With
 /// `all_unanalyzable` every prediction is withheld, so the hybrid engine
 /// degenerates to a fully optimistic run (all predictions stripped).
-fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
+/// `max_attempts` is the predictive engines' (the optimistic engine runs a
+/// transaction at most twice regardless).
+fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool, max_attempts: u32) {
     let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(seed)));
     let analyzer = Analyzer::new(generator.registry().clone());
     let genesis = Snapshot::from_entries(generator.genesis_entries());
@@ -117,7 +120,7 @@ fn check_block_under_storm(seed: u64, fault_seed: u64, all_unanalyzable: bool) {
     for kind in ExecutorKind::ALL {
         let config = ParallelConfig {
             threads: 8,
-            ..ParallelConfig::default()
+            max_attempts,
         };
         let hook = Arc::new(VirtualScheduler::new(SchedConfig::stormy(seed)));
         let engine = kind.build(analyzer.clone(), config, Some(hook));
@@ -184,7 +187,7 @@ fn stm_hot_chain_eight_threads_matches_serial_roots() {
 
 #[test]
 fn hybrid_all_unanalyzable_eight_threads_under_storm() {
-    check_block_under_storm(29, 0xD58, true);
+    check_block_under_storm(29, 0xD58, true, ParallelConfig::default().max_attempts);
 }
 
 #[test]
@@ -222,5 +225,21 @@ fn stale_csags_from_previous_snapshot() {
 
 #[test]
 fn injected_mispredictions_eight_threads_match_serial() {
-    check_block_under_storm(27, 0xD57, false);
+    check_block_under_storm(27, 0xD57, false, ParallelConfig::default().max_attempts);
+}
+
+#[test]
+fn spent_attempts_under_storm_match_serial() {
+    // Two speculative attempts against a storm whose injected aborts reach
+    // attempt 3: a transaction aborted at both of its speculative attempts
+    // has spent them, and its next attempt waits for the finished prefix to
+    // reach it. The injections are a pure function of the seed, so the
+    // block is known to take that path.
+    let (seed, max_attempts) = (30, 2);
+    let storm = VirtualScheduler::new(SchedConfig::stormy(seed));
+    let spent = (0..120)
+        .filter(|&tx| (1..=max_attempts).all(|attempt| storm.inject_abort(tx, attempt)))
+        .count();
+    assert!(spent > 0, "no transaction spends its attempts");
+    check_block_under_storm(seed, 0xD59, false, max_attempts);
 }
